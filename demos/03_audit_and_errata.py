@@ -1,7 +1,7 @@
 """Run the full audit engine and inspect its report and errata table.
 
 Run with: python3 demos/03_audit_and_errata.py
-(The complete battery takes roughly half a minute.)
+(The complete battery takes a few seconds.)
 """
 
 import collections

@@ -9,6 +9,9 @@ identity, ratio constant, and convexity certificate and writes a
 deterministic JSON report.
 """
 
+# The one place the version is written; pyproject.toml reads it from here.
+__version__ = "0.1.0"
+
 from .audit import AuditConfig, ERRATA, diff_reports, run_audit, write_report
 from .analysis import (certify_convexity, counterexample_search,
                        estimate_sup_ratio, fd_second_derivative,
@@ -30,8 +33,6 @@ from .generators import (EXP_FORMS, WITNESS_FORMS, convexity_witness,
                          step_ratio, witness_second_derivative)
 from .means import (mean, mean_difference, mean_generator,
                     verify_mean_identities)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "A7", "AuditConfig", "CHAINS", "Chain", "ERRATA", "EXP_FORMS",

@@ -1,6 +1,6 @@
 """Numerical certification machinery.
 
-Convexity certificates, finite-difference cross-checks, sup-ratio
+Convexity certificates (exact sign proofs with spot checks), sup-ratio
 estimation for the sharp inequality constants, and randomized
 counterexample search.  Everything here is deterministic given the seed
 and independent of the worker count: samples are drawn in one stream up
@@ -10,7 +10,7 @@ front, split into fixed-size chunks, and merged in chunk order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 CHUNK = 131072
+
+# Spot check of an exact f'' against a 40-digit central difference.
+FD_REL_TOL = 1e-6
+FD_ABS_TOL = 1e-8
+SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9), [0.999, 1.001]])
 
 
 def default_grid() -> np.ndarray:
@@ -88,25 +93,21 @@ def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
         return float(out)
 
 
-def certify_convexity(measure, grid: np.ndarray | None = None, *,
-                      rel_tol: float = 1e-6, abs_tol: float = 1e-8,
-                      dps: int = 40) -> CheckResult:
+def certify_convexity(measure) -> CheckResult:
     """Certify that a divergence generator is convex and normalized.
 
-    Checks f(1) = 0, f'(1) = 0, f''(x) > 0 on the grid away from x = 1
-    (f'' may vanish only at 1), and that the analytic second derivative
-    matches a high-precision central difference to within
-    rel_tol * |f''| + abs_tol; the absolute floor is what makes the
-    comparison meaningful where f'' itself vanishes to high order near
-    x = 1.  Measures without an exact generator are certified by the
-    positivity of the high-precision difference alone.
+    Checks f(1) = 0, f'(1) = 0, and proves the exact f'' positive on all
+    of x > 0 apart from x = 1 (``RatU.positive_off_one``).  A spot check
+    of f'' against a high-precision central difference, to within
+    FD_REL_TOL * |f''| + FD_ABS_TOL, catches a wrong derivative; the
+    absolute floor covers f'' vanishing to high order near x = 1.
+    Measures without an exact generator are certified by the positivity
+    of the high-precision difference on ``default_grid()`` alone.
     """
     m = _resolve(measure)
     if m.kind != "divergence":
         raise ValueError(f"{m.id} is a {m.kind}; convexity certificates "
                          "apply to divergence generators")
-    if grid is None:
-        grid = default_grid()
     bad: list[dict] = []
 
     def flag(x, check, amount):
@@ -115,40 +116,42 @@ def certify_convexity(measure, grid: np.ndarray | None = None, *,
     f1 = float(m(1.0))
     if abs(f1) > 1e-15:
         flag(1.0, "f(1)=0", abs(f1))
-    if m.gen is not None and m.gen.deriv_u().m < 1:
-        flag(1.0, "f'(1)=0", float(abs(m.gen.deriv_u().limit_at_1())))
 
-    analytic = m.fpp(grid) if m.gen is not None else None
-    fd = np.array([_fd2_mp(m, float(x), dps) for x in grid])
-    ref = analytic if analytic is not None else fd
-
-    at_one = np.abs(grid - 1.0) <= 1e-12
-    neg = ~at_one & (ref <= 0.0)
-    if np.any(neg):
-        i = int(np.argmax(neg))
-        flag(grid[i], "f''>0", -ref[i])
-    if np.any(at_one) and float(np.min(ref[at_one])) < -1e-12:
-        flag(1.0, "f''(1)>=0", -np.min(ref[at_one]))
-
-    if analytic is not None:
+    points = default_grid() if m.gen is None else SPOT_POINTS
+    fd = np.array([_fd2_mp(m, float(x)) for x in points])
+    if m.gen is None:
+        at_one = np.abs(points - 1.0) <= 1e-12
+        neg = ~at_one & (fd <= 0.0)
+        if np.any(neg):
+            i = int(np.argmax(neg))
+            flag(points[i], "f''>0", -fd[i])
+        if np.any(at_one) and float(np.min(fd[at_one])) < -1e-12:
+            flag(1.0, "f''(1)>=0", -np.min(fd[at_one]))
+    else:
+        if m.gen.deriv_u().m < 1:
+            flag(1.0, "f'(1)=0", float(abs(m.gen.deriv_u().limit_at_1())))
+        f2 = m.fpp
+        if not f2.positive_off_one():
+            bad.append({"check": "f''>0 off x=1", "violation": float("inf"),
+                        "m": f2.m, "positive_roots": [
+                            f2.num.positive_roots(), f2.den.positive_roots()]})
+        analytic = f2(points)
         diff = np.abs(analytic - fd)
-        excess = diff - (rel_tol * np.abs(analytic) + abs_tol)
+        excess = diff - (FD_REL_TOL * np.abs(analytic) + FD_ABS_TOL)
         i = int(np.argmax(excess))
         if float(excess[i]) > 0.0:
-            flag(grid[i], "analytic-vs-fd", diff[i])
+            flag(points[i], "analytic-vs-fd", diff[i])
 
     worst = max((r["violation"] for r in bad), default=0.0)
     verdict = "pass" if not bad else "fail"
     return CheckResult(id=f"convexity:{m.id}", kind="convexity",
-                       samples=int(grid.size), max_violation=worst,
+                       samples=int(points.size), max_violation=worst,
                        verdict=verdict, counterexamples=bad[:10], ref=m.ref)
 
 
 def _ratio_ratu(num, den) -> RatU:
-    mn = _resolve(num) if not isinstance(num, RatU) else None
-    md = _resolve(den) if not isinstance(den, RatU) else None
-    fn = num if isinstance(num, RatU) else mn.fpp
-    fd_ = den if isinstance(den, RatU) else md.fpp
+    fn = num if isinstance(num, RatU) else _resolve(num).fpp
+    fd_ = den if isinstance(den, RatU) else _resolve(den).fpp
     if fn is None or fd_ is None:
         raise ValueError("sup-ratio estimation needs exact second derivatives")
     return fn / fd_

@@ -17,14 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, cascade, catalog, generators, means
+from . import __version__, analysis, cascade, catalog, generators, means
 from .reporting import CheckResult, make_result
-
-VERSION = "0.1.0"
 
 __all__ = [
     "AuditConfig", "ERRATA", "run_audit", "report_passed", "write_report",
-    "load_report", "diff_reports", "VERSION",
+    "load_report", "diff_reports",
 ]
 
 
@@ -356,9 +354,7 @@ def _check_pyramid_equalities(a, b, tol):
 
 
 def _check_exact_pair(left, right, a, b, tol):
-    gl = catalog.get(left).gen
-    gr = catalog.get(right).gen
-    exact = (gl - gr).is_zero()
+    exact = cascade.is_exact_combination(catalog.get(left).gen, [(1, right)])
     gap = _rel_gap(catalog.get(left).value(a, b),
                    catalog.get(right).value(a, b))
     worst = float(np.max(gap)) if exact else float("inf")
@@ -374,12 +370,7 @@ def _check_w_aliases(a, b, tol):
     worst = 0.0
     names = []
     for wid, terms in _W_ALIASES:
-        gw = catalog.get(wid).gen
-        combo = None
-        for coef, mid in terms:
-            g = Fraction(coef) * catalog.get(mid).gen
-            combo = g if combo is None else combo + g
-        if not (gw - combo).is_zero():
+        if not cascade.is_exact_combination(catalog.get(wid).gen, terms):
             worst = float("inf")
             names.append(wid)
             continue
@@ -393,14 +384,7 @@ def _check_w_aliases(a, b, tol):
 
 def _check_anchor(fid, t, forms, a, b, tol):
     gen = catalog.family_gen(fid, t)
-    exact = True
-    for terms in forms:
-        combo = None
-        for coef, mid in terms:
-            g = Fraction(coef) * catalog.get(mid).gen
-            combo = g if combo is None else combo + g
-        if not (gen - combo).is_zero():
-            exact = False
+    exact = all(cascade.is_exact_combination(gen, terms) for terms in forms)
     member = catalog.get(f"{fid}:{t}").value(a, b)
     worst = 0.0 if exact else float("inf")
     for terms in forms:
@@ -639,7 +623,7 @@ def run_audit(config: AuditConfig) -> dict:
 
     return {
         "header": {
-            "version": VERSION,
+            "version": __version__,
             "seed": config.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },

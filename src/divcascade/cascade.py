@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import analysis, catalog
-from .catalog import PYRAMID_PAIRS
+from .catalog import PYRAMID_PAIRS, positive_pair
 from .reporting import CheckResult, make_result
 
 Frac = Fraction
@@ -27,18 +27,10 @@ __all__ = [
     "PYRAMID_EQ_SCALES", "Chain", "CHAINS", "chains", "get_chain",
     "chain_from_dict", "audit_chain", "TheoremPart", "THEOREM_PARTS",
     "theorem_parts", "beta_constant", "beta_exact",
-    "residual_decompositions", "ComboLine", "COMBINATION_LINES",
-    "combination_lines", "equivalent_expression", "fit_combination",
+    "residual_decompositions", "is_exact_combination", "ComboLine",
+    "COMBINATION_LINES", "combination_lines", "equivalent_expression",
+    "fit_combination",
 ]
-
-
-def _pair(pair) -> tuple[float, float]:
-    a, b = pair
-    a = float(a)
-    b = float(b)
-    if not (a > 0 and b > 0) or not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"pair must be positive finite, got {(a, b)}")
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +40,7 @@ def W(i: int, pair) -> float:
     """Value of the i-th scale measure, i in 1..9."""
     if not 1 <= i <= 9:
         raise ValueError(f"W index must be in 1..9, got {i}")
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     return float(catalog.get(f"W{i}").value(a, b))
 
 
@@ -56,7 +48,7 @@ def W_second_derivative(i: int, x: float) -> float:
     """Analytic second derivative of the i-th scale generator."""
     if not 1 <= i <= 9:
         raise ValueError(f"W index must be in 1..9, got {i}")
-    return float(catalog.get(f"W{i}").second_derivative(float(x)))
+    return float(catalog.get(f"W{i}").fpp(float(x)))
 
 
 def _w8_printed(x):
@@ -104,7 +96,7 @@ def pyramid_pair(k: int) -> tuple[int, int]:
 def pyramid_diff(k: int, pair) -> float:
     """Value of the k-th pyramid difference W_upper - W_lower."""
     pyramid_pair(k)
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     return float(catalog.get(f"D{k}").value(a, b))
 
 
@@ -122,7 +114,7 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     Returns (common value, per-index relative deviations) and raises if
     any deviation exceeds tol.
     """
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     common = (np.sqrt(a) - np.sqrt(b)) ** 4 / (a + b)
     scale = max(abs(common), 1e-300)
     residuals = {}
@@ -140,7 +132,7 @@ def V(t: int, pair) -> float:
     """Value of the t-th second-order residual measure, t in 1..14."""
     if not 1 <= t <= 14:
         raise ValueError(f"V index must be in 1..14, got {t}")
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     return float(catalog.get(f"V{t}").value(a, b))
 
 
@@ -148,7 +140,7 @@ def U(t: int, pair) -> float:
     """Value of the t-th third-order residual measure, t in 1..15."""
     if not 1 <= t <= 15:
         raise ValueError(f"U index must be in 1..15, got {t}")
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     return float(catalog.get(f"U{t}").value(a, b))
 
 
@@ -432,7 +424,7 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     near a = b the two sides agree through several vanishing orders.
     """
     p = _part(part)
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     small = catalog.get(p.small).value(a, b)
     big = catalog.get(p.big).value(a, b)
     resid = catalog.get(p.residual).value(a, b)
@@ -446,13 +438,19 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     }
 
 
+def is_exact_combination(target, terms) -> bool:
+    """Whether the generator ``target`` equals sum(c * gen(mid)) exactly."""
+    acc = -target
+    for c, mid in terms:
+        acc = acc + catalog.get(mid).gen * Frac(c)
+    return acc.is_zero()
+
+
 def residual_identity_exact(part) -> bool:
     """Verify beta*f_big - f_small = c*f_residual at the generator level."""
     p = _part(part)
-    fs = catalog.get(p.small).gen
-    fb = catalog.get(p.big).gen
-    fr = catalog.get(p.residual).gen
-    return (fb * p.beta - fs - fr * p.c).is_zero()
+    return is_exact_combination(catalog.get(p.small).gen,
+                                [(p.beta, p.big), (-p.c, p.residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +564,7 @@ def equivalent_expression(measure_id: str, pair, line: str | None = None,
     the closed form; disagreement on a "printed" line is catalogued data,
     not an error.
     """
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     lines = combination_lines(measure_id)
     if line is not None:
         lines = [l for l in lines if l.label == line]
@@ -585,11 +583,7 @@ def equivalent_expression(measure_id: str, pair, line: str | None = None,
 
 def combo_line_exact(combo: ComboLine) -> bool:
     """Whether the line equals the closed form at the generator level."""
-    target = catalog.get(combo.measure).gen
-    acc = target * Frac(-1)
-    for c, mid in combo.terms:
-        acc = acc + catalog.get(mid).gen * c
-    return acc.is_zero()
+    return is_exact_combination(catalog.get(combo.measure).gen, combo.terms)
 
 
 def fit_combination(measure_id: str, basis_ids: Iterable[str]):

@@ -25,6 +25,7 @@ __all__ = [
     "Measure", "MEAN_ORDER", "MEAN_TAGS", "MEAN_LETTER", "BASE_IDS",
     "FAMILY_IDS", "get", "try_get", "all_ids", "iter_measures",
     "family_gen", "family_range", "sqrt_mean_fn", "PYRAMID_PAIRS",
+    "positive_pair",
 ]
 
 
@@ -43,9 +44,9 @@ XM1SQ = XM1 * XM1        # (x - 1)^2
 class Measure:
     """A named generator together with how to evaluate it.
 
-    ``kind`` is "mean" (f(1) = 1) or "divergence" (f(1) = 0, f convex).
-    ``gen`` is the exact rational form when one exists; measures touching
-    the square-root mean fall back to a conjugate evaluation ``fn``.
+    ``kind`` is "mean" (f(1) = 1) or "divergence" (f(1) = 0; convex except
+    D_GH, D_NH and D_SR).  ``gen`` is the exact rational form when one
+    exists; measures touching the square-root mean use a conjugate ``fn``.
     """
 
     __slots__ = ("id", "label", "kind", "ref", "gen", "fn", "fn_mp", "_fpp")
@@ -82,12 +83,6 @@ class Measure:
             self._fpp = self.gen.d2x()
         return self._fpp
 
-    def second_derivative(self, x):
-        f2 = self.fpp
-        if f2 is None:
-            raise ValueError(f"{self.id} has no exact second derivative")
-        return f2(x)
-
     def eval_mp(self, x, dps: int = 40):
         """Generator value in high-precision arithmetic."""
         if self.gen is not None:
@@ -98,6 +93,15 @@ class Measure:
 
     def __repr__(self):
         return f"Measure({self.id!r})"
+
+
+def positive_pair(pair) -> tuple[float, float]:
+    """Validate a scalar pair (a, b) of positive finite numbers."""
+    a, b = pair
+    a, b = float(a), float(b)
+    if not (a > 0 and b > 0) or not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"pair must be positive finite, got {(a, b)}")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +134,6 @@ def sqrt_mean_fn(x):
     """Generator of the square-root mean, sqrt((x^2 + 1) / 2)."""
     x = np.asarray(x, dtype=float)
     return np.sqrt((x * x + 1.0) / 2.0)
-
-
-def _mean_generator_fn(letter: str):
-    if letter == "S":
-        return sqrt_mean_fn
-    return None
 
 
 # Conjugate closed forms for the six differences involving S.  Each is an
@@ -350,7 +348,8 @@ def _add(measure: Measure):
 
 for _letter in MEAN_ORDER:
     _add(Measure(_letter, f"{MEAN_TAGS[_letter]} mean", "mean", "Eq (1)",
-                 gen=_MEAN_GEN[_letter], fn=_mean_generator_fn(_letter)))
+                 gen=_MEAN_GEN[_letter],
+                 fn=sqrt_mean_fn if _letter == "S" else None))
 
 for _i in range(len(MEAN_ORDER)):
     for _j in range(_i):

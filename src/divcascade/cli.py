@@ -1,8 +1,8 @@
 """Command-line surface: list, compute, audit, report-diff.
 
-Exit codes: 0 success; 2 input validation or parse failure; 3 unknown
-measure; 4 audit check failure; 5 audit configuration error.  A
-report-diff that finds verdict differences exits 1.
+Exit codes: 0 success; 2 input validation or parse failure, or a value
+that is not finite; 3 unknown measure; 4 audit check failure; 5 audit
+configuration error.  A report-diff that finds verdict differences exits 1.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import argparse
 import os
 import sys
 
-from . import audit, catalog, cascade, distributions
+import numpy as np
+
+from . import audit, catalog, distributions
 
 SEED_ENV = "DIVCASCADE_SEED"
 
@@ -55,8 +57,8 @@ def _positive_float(text: str, flag: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"{flag} expects a number, got {text!r}")
-    if not value > 0:
-        raise ValueError(f"{flag} must be positive, got {value!r}")
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
     return value
 
 
@@ -76,7 +78,8 @@ def cmd_compute(args) -> int:
                 raise ValueError("both --a and --b are required")
             a = _positive_float(args.a, "--a")
             b = _positive_float(args.b, "--b")
-            value = measure.value(a, b)
+            with np.errstate(all="ignore"):  # reported below if not finite
+                value = measure.value(a, b)
         else:
             if args.p is None or args.q is None:
                 raise ValueError("both --p and --q are required")
@@ -85,6 +88,9 @@ def cmd_compute(args) -> int:
             value = distributions.divergence(measure, p, q)
     except (ValueError, OSError) as e:
         _err(str(e))
+        return 2
+    if not np.isfinite(value):
+        _err(f"{measure.id} is not finite at this input ({float(value)!r})")
         return 2
     if args.format == "json":
         print(f'{{"measure": "{measure.id}", "value": {_fmt(value)}}}')

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from .catalog import FAMILY_IDS, family_range
+from .catalog import FAMILY_IDS, family_range, positive_pair
 
 __all__ = [
     "family", "step_ratio", "convexity_witness", "witness_second_derivative",
@@ -24,18 +24,9 @@ __all__ = [
 ]
 
 
-def _pair(pair) -> tuple[float, float]:
-    a, b = pair
-    a = float(a)
-    b = float(b)
-    if not (a > 0 and b > 0) or not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"pair must be positive finite, got {(a, b)}")
-    return a, b
-
-
 def family(family_id: str, t: int, pair) -> float:
     """Value of one family member at a pair of positive reals."""
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     lo, hi = family_range(family_id)
     if not lo <= t <= hi:
         raise ValueError(f"{family_id} index t must be in [{lo}, {hi}], "
@@ -57,7 +48,7 @@ _STEP_RATIOS: dict[str, Callable] = {
 
 def step_ratio(family_id: str, pair) -> float:
     """The constant ratio family(t+1) / family(t) at a fixed pair."""
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     try:
         return float(_STEP_RATIOS[family_id](a, b))
     except KeyError:
@@ -165,7 +156,7 @@ def exp_series_partial(family_id: str, pair, n: int) -> float:
     """
     if n < 0:
         raise ValueError("term count n must be nonnegative")
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     term = family(family_id, 0, pair)
     r = step_ratio(family_id, pair)
     total = term
@@ -189,7 +180,7 @@ def exp_L_representation(pair) -> float:
     one rung below zero, at the member equal to 2*Delta; see
     exp_L_series_partial.
     """
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     lead = 2 * (a - b) ** 2 / (a + b)
     return float(lead * math.exp((a + b) / (2 * np.sqrt(a * b))))
 
@@ -204,7 +195,7 @@ def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:
     """
     if n < -1:
         raise ValueError("term count must be >= -1")
-    a, b = _pair(pair)
+    a, b = positive_pair(pair)
     r = step_ratio("Lt", pair)
     if offset:
         term = 2 * (a - b) ** 2 / (a + b)  # the t = -1 member

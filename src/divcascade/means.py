@@ -113,9 +113,6 @@ def symbol_value(symbol: str, a, b):
     return catalog.get(symbol).value(a, b)
 
 
-_symbol_value = symbol_value
-
-
 def verify_mean_identities(a, b):
     """Check every catalog identity at (a, b).
 
@@ -125,8 +122,8 @@ def verify_mean_identities(a, b):
     """
     out = []
     for ident, lhs_terms, rhs_terms in _ITEM_IDENTITIES + _MEAN_RELATIONS:
-        lhs = sum(c * _symbol_value(s, a, b) for c, s in lhs_terms)
-        rhs = sum(c * _symbol_value(s, a, b) for c, s in rhs_terms)
+        lhs = sum(c * symbol_value(s, a, b) for c, s in lhs_terms)
+        rhs = sum(c * symbol_value(s, a, b) for c, s in rhs_terms)
         denom = max(abs(lhs), abs(rhs), 1e-300)
         resid = abs(lhs - rhs) / denom
         out.append((ident, float(resid), bool(resid <= 1e-12)))

@@ -52,11 +52,6 @@ class Poly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
         self._fcoeffs = None
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -152,6 +147,29 @@ class Poly:
                     rem[i - dd + j] -= q * c
         return Poly(quo), Poly(rem)
 
+    def positive_roots(self) -> int:
+        """Number of distinct roots in u > 0, counted by a Sturm sequence.
+
+        The u**k factor is stripped first, so u = 0 is not a root and the
+        count is the drop in sign changes of p, p', -rem(p, p'), ... from
+        u = 0 (constant terms) to u = +inf (leading coefficients).
+        """
+        if self.is_zero():
+            raise ValueError("the zero polynomial vanishes everywhere")
+        k = next(i for i, c in enumerate(self.coeffs) if c != 0)
+        seq = [Poly(self.coeffs[k:])]
+        nxt = seq[0].deriv()
+        while not nxt.is_zero():
+            seq.append(nxt)
+            nxt = -seq[-2].divmod_exact(nxt)[1]
+
+        def changes(values) -> int:
+            signs = [v > 0 for v in values if v != 0]
+            return sum(s != t for s, t in zip(signs, signs[1:]))
+
+        return (changes(p.coeffs[0] for p in seq)
+                - changes(p.coeffs[-1] for p in seq))
+
     def deflate(self, root: Scalar = 1) -> tuple["Poly", int]:
         """Split off the highest power of (u - root) dividing this polynomial.
 
@@ -232,10 +250,6 @@ class RatU:
         self.m = m
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RatU":
-        return cls(p)
-
-    @classmethod
     def zero(cls) -> "RatU":
         return cls(Poly([]))
 
@@ -308,6 +322,17 @@ class RatU:
         g2 = g1.deriv_u()
         u_rat = RatU(U)
         return (u_rat * g2 - g1) / RatU(Poly([0, 0, 0, 4]))
+
+    def positive_off_one(self) -> bool:
+        """Whether the value is > 0 at every u > 0 other than u = 1.
+
+        Proof: m is even and >= 0, num(1) and den(1) share a sign, and
+        neither num nor den has a root in u > 0.
+        """
+        return (self.m >= 0 and self.m % 2 == 0 and not self.is_zero()
+                and (self.num(1) > 0) == (self.den(1) > 0)
+                and self.num.positive_roots() == 0
+                and self.den.positive_roots() == 0)
 
     def value_exact(self, u: Scalar) -> Fraction:
         """Exact value at a rational u > 0 (u != 1 when m < 0)."""

@@ -41,6 +41,35 @@ def test_certify_convexity_passes_for_divergence():
     res = analysis.certify_convexity("delta")
     assert res.verdict == "pass"
     assert res.kind == "convexity"
+    assert res.samples == analysis.SPOT_POINTS.size <= 16
+
+
+def test_certify_convexity_negative_controls():
+    """Exactly three catalog divergences are not convex on (0, inf).
+
+    D_GH and D_NH fail the exact sign proof (f'' < 0 for large x); D_SR
+    has no exact generator and fails the sampled positivity check.
+    """
+    divergences = [m for m in catalog.iter_measures()
+                   if m.kind == "divergence"]
+    assert len(divergences) == 101
+    failed = {m.id: analysis.certify_convexity(m) for m in divergences}
+    failed = {k: r for k, r in failed.items() if r.verdict != "pass"}
+    assert set(failed) == {"D_GH", "D_NH", "D_SR"}
+    for mid in ("D_GH", "D_NH"):
+        assert failed[mid].counterexamples[0]["check"] == "f''>0 off x=1"
+        assert failed[mid].counterexamples[0]["positive_roots"][0] > 0
+    assert failed["D_SR"].counterexamples[0]["check"] == "f''>0"
+
+
+def test_certify_convexity_spot_check_catches_wrong_derivative():
+    gen = catalog.get("delta").gen
+    probe = catalog.Measure("probe", "delta with f'' doubled", "divergence",
+                            "", gen=gen)
+    probe._fpp = 2 * gen.d2x()  # still provably positive, but wrong
+    res = analysis.certify_convexity(probe)
+    assert res.verdict == "fail"
+    assert [r["check"] for r in res.counterexamples] == ["analytic-vs-fd"]
 
 
 def test_certify_convexity_rejects_means():

@@ -92,6 +92,27 @@ def test_compute_validation_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--measure", "V1", "--a", "1e300", "--b", "1e-300"),
+    ("--measure", "U15", "--a", "1e200", "--b", "1"),
+    ("--measure", "K", "--a", "1e300", "--b", "1e-300", "--format", "json"),
+])
+def test_compute_non_finite_result_exits_2(capsys, argv):
+    rc, out, err = run(capsys, "compute", *argv)
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "1e999"])
+def test_compute_rejects_non_finite_input(capsys, text):
+    rc, out, err = run(capsys, "compute", "--measure", "delta",
+                       "--a", text, "--b", "2")
+    assert rc == 2
+    assert out == ""
+    assert "--a must be positive and finite" in err
+
+
 def test_compute_bad_distribution_file(capsys, tmp_path):
     p = tmp_path / "p.csv"
     q = tmp_path / "q.csv"

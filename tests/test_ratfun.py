@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade.ratfun import Poly, RatU, solve_exact
+from divcascade.ratfun import ONE, Poly, RatU, solve_exact
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 coeff_lists = st.lists(small_fracs, min_size=1, max_size=5)
@@ -48,6 +48,23 @@ def test_poly_derivative_matches_symbolic(ca):
     numeric = (p(u + h) - p(u - h)) / (2 * h)
     # Central difference of a polynomial is exact up to the cubic term.
     assert abs(numeric - p.deriv()(u)) < Fraction(1, 10**15)
+
+
+def test_poly_positive_roots_sturm_count():
+    assert Poly([6, -5, 1]).positive_roots() == 2      # (u-2)(u-3)
+    assert Poly([2, 3, 1]).positive_roots() == 0       # (u+1)(u+2)
+    assert Poly([1, -1, 1]).positive_roots() == 0      # u^2-u+1, complex
+    assert Poly([0, 0, 6, -5, 1]).positive_roots() == 2  # u^2 stripped
+    assert Poly([4, -4, 1]).positive_roots() == 1      # double root u=2
+
+
+def test_ratu_positive_off_one():
+    assert _delta_gen().d2x().positive_off_one()
+    assert _delta_gen().positive_off_one()             # (u-1)^2 (u+1)^2/...
+    assert not (-1 * _delta_gen()).positive_off_one()  # N(1), D(1) differ
+    assert not RatU(Poly([-1, 1])).positive_off_one()  # m = 1 is odd
+    assert not RatU(Poly([6, -5, 1])).positive_off_one()  # roots at 2, 3
+    assert not RatU(ONE, Poly([6, -5, 1])).positive_off_one()  # poles
 
 
 def _delta_gen():
