@@ -5,6 +5,12 @@ estimation for the sharp inequality constants, and randomized
 counterexample search.  Everything here is deterministic given the seed
 and independent of the worker count: samples are drawn in one stream up
 front, split into fixed-size chunks, and merged in chunk order.
+
+A chain scan streams its terms through each chunk: every term is
+evaluated from one ``UContext`` per chunk (so sqrt(x), u - 1 and each
+(u - 1)^m are computed once per chunk, not once per term), compared
+with the term before it, and dropped.  A chunk holds two term arrays at
+a time, whatever the chain's length.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import Measure
-from .ratfun import RatU
+from .ratfun import RatU, UContext
 from .reporting import CheckResult, make_result
 
 __all__ = [
@@ -178,22 +184,25 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
     return float(vals[i]), float(grid[i]), float(limit)
 
 
-def _term_arrays(terms, x: np.ndarray) -> list[np.ndarray]:
-    return [float(c) * _resolve(mid)(x) for c, mid in terms]
-
-
 def _scan_chunk(terms, x: np.ndarray, lo: int, hi: int, tol: float):
     xs = x[lo:hi]
-    vals = _term_arrays(terms, xs)
+    ctx = UContext(xs)
     worst = np.full(xs.shape, -np.inf)
     worst_step = np.zeros(xs.shape, dtype=np.int64)
-    for i in range(len(vals) - 1):
-        lower, upper = vals[i], vals[i + 1]
-        scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1e-300)
-        viol = (lower - upper) / scale
-        upd = viol > worst
-        worst_step[upd] = i
-        worst[upd] = viol[upd]
+    values = (float(c) * _resolve(mid).eval_ctx(ctx) for c, mid in terms)
+    upper = next(values)
+    abs_upper = np.abs(upper)
+    for i, value in enumerate(values):
+        lower, abs_lower = upper, abs_upper
+        upper, abs_upper = value, np.abs(value)
+        # viol = (lower - upper) / max(|lower|, |upper|, 1e-300)
+        scale = np.maximum(abs_lower, abs_upper)
+        np.maximum(scale, 1e-300, out=scale)
+        viol = np.subtract(lower, upper)
+        np.divide(viol, scale, out=viol)
+        upd = np.greater(viol, worst)
+        np.copyto(worst_step, i, where=upd)
+        np.copyto(worst, viol, where=upd)
     chunk_max = float(worst.max()) if xs.size else float("-inf")
     idx = np.nonzero(worst > tol)[0][:10]
     cands = [(int(lo + j), float(worst[j]), int(worst_step[j])) for j in idx]
@@ -205,7 +214,10 @@ def scan_chain_terms(terms, a: np.ndarray, b: np.ndarray, tol: float,
     """Check coef_0*m_0 <= coef_1*m_1 <= ... on every sampled pair.
 
     Evaluation is chunked; chunk results are merged in index order so the
-    outcome does not depend on the worker count.  Returns
+    outcome does not depend on the worker count.  Within a chunk the terms
+    stream against one ``UContext`` built by that chunk's task: term i+1
+    is evaluated, compared with term i, and term i is dropped, so a chunk
+    holds two term arrays at a time and no context crosses threads.  Returns
     (max violation, counterexamples): violations are relative to the
     larger of the two adjacent terms, counterexamples are capped at ten
     and ordered by global sample index.

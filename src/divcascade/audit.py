@@ -580,9 +580,8 @@ def run_audit(config: AuditConfig) -> dict:
     a, b = analysis.sample_pairs(config.samples, config.seed)
 
     for cid in config.chain_ids:
-        checks.append(cascade.audit_chain(
-            cascade.get_chain(cid), samples=config.samples,
-            seed=config.seed, tol=tol, workers=config.workers))
+        checks.append(cascade.check_chain(
+            cascade.get_chain(cid), a, b, tol, config.workers))
 
     for ident, lhs_terms, rhs_terms in means.identity_table():
         checks.append(_check_mean_identity(ident, lhs_terms, rhs_terms,

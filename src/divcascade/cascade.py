@@ -25,8 +25,8 @@ __all__ = [
     "W", "V", "U", "W_second_derivative", "W_FPP_PRINTED",
     "pyramid_pair", "pyramid_diff", "pyramid_equalities",
     "PYRAMID_EQ_SCALES", "Chain", "CHAINS", "chains", "get_chain",
-    "chain_from_dict", "audit_chain", "TheoremPart", "THEOREM_PARTS",
-    "theorem_parts", "beta_constant", "beta_exact",
+    "chain_from_dict", "audit_chain", "check_chain", "TheoremPart",
+    "THEOREM_PARTS", "theorem_parts", "beta_constant", "beta_exact",
     "residual_decompositions", "is_exact_combination", "ComboLine",
     "COMBINATION_LINES", "combination_lines", "equivalent_expression",
     "fit_combination",
@@ -296,14 +296,21 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     for _, mid in chain.terms:
         catalog.get(mid)
     a, b = analysis.sample_pairs(samples, seed)
+    return check_chain(chain, a, b, tol, workers)
+
+
+def check_chain(chain: Chain, a, b, tol: float = 1e-12,
+                workers: int = 1) -> CheckResult:
+    """Verify every adjacent ordering in the chain on the drawn pairs (a, b)."""
     max_violation, records = analysis.scan_chain_terms(
         chain.terms, a, b, tol, workers)
     for r in records:
         i = r.pop("step")
         lo, hi = chain.terms[i], chain.terms[i + 1]
         r["step"] = f"{lo[0]}*{lo[1]} <= {hi[0]}*{hi[1]}"
-    return make_result(f"chain:{chain.id}", "chain", samples, max_violation,
-                       tol, counterexamples=records, ref=chain.ref)
+    return make_result(f"chain:{chain.id}", "chain", int(a.size),
+                       max_violation, tol, counterexamples=records,
+                       ref=chain.ref)
 
 
 # ---------------------------------------------------------------------------

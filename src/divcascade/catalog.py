@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ratfun import ONE, Poly, RatU, U, X
+from .ratfun import ONE, Poly, RatU, U, UContext, X
 
 __all__ = [
     "Measure", "MEAN_ORDER", "MEAN_TAGS", "MEAN_LETTER", "BASE_IDS",
@@ -46,7 +46,8 @@ class Measure:
 
     ``kind`` is "mean" (f(1) = 1) or "divergence" (f(1) = 0; convex except
     D_GH, D_NH and D_SR).  ``gen`` is the exact rational form when one
-    exists; measures touching the square-root mean use a conjugate ``fn``.
+    exists; measures touching the square-root mean use a conjugate ``fn``,
+    which maps a ``UContext`` to values.
     """
 
     __slots__ = ("id", "label", "kind", "ref", "gen", "fn", "fn_mp", "_fpp")
@@ -68,7 +69,13 @@ class Measure:
         """Generator value f(a/b) at x (scalar or numpy array)."""
         if self.gen is not None:
             return self.gen(x)
-        return self.fn(x)
+        return self.fn(UContext(x))
+
+    def eval_ctx(self, ctx: UContext):
+        """Generator values at the points of a shared ``UContext``."""
+        if self.gen is not None:
+            return self.gen.eval_ctx(ctx)
+        return self.fn(ctx)
 
     def value(self, a, b):
         """Measure value b * f(a/b)."""
@@ -150,11 +157,16 @@ _S_DIFFS: dict[str, tuple[RatU, str]] = {
 }
 
 
+def _sqrt_mean_ctx(ctx: UContext):
+    return sqrt_mean_fn(ctx.x)
+
+
 def _s_diff_fn(numer: RatU, partner: str):
     partner_gen = _MEAN_GEN[partner]
 
-    def fn(x):
-        return numer(x) / (sqrt_mean_fn(x) + partner_gen(x))
+    def fn(ctx: UContext):
+        return numer.eval_ctx(ctx) / (sqrt_mean_fn(ctx.x)
+                                      + partner_gen.eval_ctx(ctx))
 
     def fn_mp(x, dps=40):
         import mpmath as mp
@@ -349,7 +361,7 @@ def _add(measure: Measure):
 for _letter in MEAN_ORDER:
     _add(Measure(_letter, f"{MEAN_TAGS[_letter]} mean", "mean", "Eq (1)",
                  gen=_MEAN_GEN[_letter],
-                 fn=sqrt_mean_fn if _letter == "S" else None))
+                 fn=_sqrt_mean_ctx if _letter == "S" else None))
 
 for _i in range(len(MEAN_ORDER)):
     for _j in range(_i):

@@ -13,7 +13,9 @@ Keeping them in that form buys three things that floating point cannot:
   giving the sharp constants as exact fractions.
 
 Coefficients are ``fractions.Fraction`` throughout.  Float evaluation is
-vectorised over numpy arrays with Horner's rule on the deflated parts.
+vectorised over numpy arrays with Horner's rule on the deflated parts, and
+reads its u = sqrt(x), u - 1 and (u - 1)^m from a ``UContext`` that every
+generator evaluated at the same points can share.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Poly", "RatU", "U", "ONE", "X", "solve_exact"]
+__all__ = ["Poly", "RatU", "UContext", "U", "ONE", "X", "solve_exact"]
 
 
 def _frac(value) -> Fraction:
@@ -122,12 +124,23 @@ class Poly:
         return acc
 
     def eval_float(self, u):
-        """Horner evaluation at a float or numpy array."""
+        """Horner evaluation at a float or numpy array.
+
+        Arrays are updated in place (one multiply and one add per
+        coefficient into a single accumulator); the operations and their
+        order are those of the scalar loop, so both give the same bits.
+        """
         if self._fcoeffs is None:
             self._fcoeffs = [float(c) for c in self.coeffs]
-        acc = np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
+        if not isinstance(u, np.ndarray):
+            acc = 0.0
+            for c in reversed(self._fcoeffs):
+                acc = acc * u + c
+            return acc
+        acc = np.zeros_like(u)
         for c in reversed(self._fcoeffs):
-            acc = acc * u + c
+            np.multiply(acc, u, out=acc)
+            np.add(acc, c, out=acc)
         return acc
 
     def divmod_exact(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -221,13 +234,41 @@ ONE = Poly([1])
 X = Poly([0, 0, 1])
 
 
+class UContext:
+    """The float quantities every generator evaluated at one x shares.
+
+    Holds x, u = sqrt(x), um1 = (x - 1) / (u + 1) (that is u - 1, free of
+    the cancellation near x = 1) and a memo of um1 ** float(m) per
+    exponent m, so generators with the same m pay for the power once.
+    A scalar x is held as a 0-d array.  The memo makes a context
+    stateful: build one per thread and per point set, never share it.
+    """
+
+    __slots__ = ("x", "u", "um1", "_powers")
+
+    def __init__(self, x):
+        self.x = x if isinstance(x, np.ndarray) else np.asarray(float(x))
+        self.u = np.sqrt(self.x)
+        self.um1 = (self.x - 1.0) / (self.u + 1.0)
+        self._powers: dict[int, object] = {}
+
+    def um1_pow(self, m: int):
+        """um1 ** float(m), computed on first request and then reused."""
+        p = self._powers.get(m)
+        if p is None:
+            with np.errstate(divide="ignore"):
+                p = self._powers[m] = self.um1 ** float(m)
+        return p
+
+
 class RatU:
     """Rational function of u = sqrt(x) in deflated form.
 
     The value at u is ``(u - 1)**m * num(u) / den(u)`` where num(1) != 0
     and den(1) != 0.  Near x = 1 the (u - 1)**m factor is computed as
     ((x - 1) / (u + 1))**m, which costs one subtraction of well-separated
-    quantities instead of m catastrophic ones.
+    quantities instead of m catastrophic ones.  ``eval_ctx`` is the one
+    float evaluator; ``__call__`` runs it on a context of its own.
     """
 
     __slots__ = ("m", "num", "den")
@@ -357,17 +398,17 @@ class RatU:
             raise ZeroDivisionError("pole at x = 1")
         return self.num(1) / self.den(1)
 
+    def eval_ctx(self, ctx: UContext):
+        """Float value at the points of a shared ``UContext``."""
+        val = self.num.eval_float(ctx.u) / self.den.eval_float(ctx.u)
+        if self.m:
+            val = val * ctx.um1_pow(self.m)
+        return val
+
     def __call__(self, x):
         """Float evaluation at x > 0 (scalar or numpy array)."""
-        arr = isinstance(x, np.ndarray)
-        xv = x if arr else np.asarray(float(x))
-        u = np.sqrt(xv)
-        um1 = (xv - 1.0) / (u + 1.0)
-        val = self.num.eval_float(u) / self.den.eval_float(u)
-        if self.m:
-            with np.errstate(divide="ignore"):
-                val = val * um1 ** float(self.m)
-        return val if arr else float(val)
+        val = self.eval_ctx(UContext(x))
+        return val if isinstance(x, np.ndarray) else float(val)
 
     def ratio_limit_at_1(self, other: "RatU") -> Fraction:
         """Exact limit of self/other as x -> 1.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divcascade import analysis, catalog
+from divcascade import analysis, cascade, catalog
 
 
 def test_sample_pairs_policy():
@@ -112,3 +112,44 @@ def test_counterexample_search_callable_claim():
     assert res.verdict == "fail"
     assert res.id == "always-bad"
     assert len(res.counterexamples) <= 10
+
+
+def _reference_scan(terms, a, b, tol):
+    """Evaluate every term over all pairs, then compare adjacent ones.
+
+    The plain loop the streamed per-chunk scan replaced; without chunks it
+    gives the merged outcome directly.
+    """
+    x = a / b
+    vals = [float(c) * catalog.get(mid)(x) for c, mid in terms]
+    worst = np.full(x.shape, -np.inf)
+    worst_step = np.zeros(x.shape, dtype=np.int64)
+    for i in range(len(vals) - 1):
+        lower, upper = vals[i], vals[i + 1]
+        scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1e-300)
+        viol = (lower - upper) / scale
+        upd = viol > worst
+        worst_step[upd] = i
+        worst[upd] = viol[upd]
+    records = [{"index": int(j), "a": float(a[j]), "b": float(b[j]),
+                "step": int(worst_step[j]), "violation": float(worst[j])}
+               for j in np.nonzero(worst > tol)[0][:10]]
+    return float(worst.max()), records
+
+
+@pytest.mark.parametrize("chunk", [analysis.CHUNK, 4096])
+def test_streamed_scan_matches_reference(monkeypatch, chunk):
+    monkeypatch.setattr(analysis, "CHUNK", chunk)
+    a, b = analysis.sample_pairs(20_000, seed=13)
+    claims = [cascade.get_chain(cid).terms for cid in cascade.chains()]
+    claims.append([(1, "W2"), (1, "W1")])
+    assert len(claims) == 27
+    # tol = -1 records offending samples in passing chains too.
+    for terms in claims:
+        for tol in (1e-12, -1.0):
+            ref = _reference_scan(terms, a, b, tol)
+            for workers in (1, 2):
+                got = analysis.scan_chain_terms(terms, a, b, tol, workers)
+                assert got[0] == ref[0], (terms, workers)
+                assert got[1] == ref[1], (terms, workers)
+    assert _reference_scan(claims[-1], a, b, 1e-12)[0] > 1e-6

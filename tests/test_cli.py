@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from divcascade import audit, cli
+from divcascade import audit, catalog, cli
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +185,19 @@ def test_console_entry_point():
                           text=True)
     assert proc.returncode == 0
     assert "W8 = (1/2)F" in proc.stdout
+
+
+def test_python_m_entry_point():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "divcascade", "list"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    listed = [re.split(r",| = ", ln, maxsplit=1)[0]
+              for ln in proc.stdout.splitlines() if ln]
+    ids = catalog.all_ids()
+    assert len(ids) == 108
+    assert listed[:len(ids)] == ids
 
 
 # -- report-diff -----------------------------------------------------------

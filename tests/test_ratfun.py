@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade.ratfun import ONE, Poly, RatU, solve_exact
+from divcascade import analysis, catalog
+from divcascade.ratfun import ONE, Poly, RatU, UContext, solve_exact
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 coeff_lists = st.lists(small_fracs, min_size=1, max_size=5)
@@ -145,3 +147,75 @@ def test_linear_combination_evaluates_linearly(p, q):
     combo = p * g + q * h
     x = 2.5
     assert combo(x) == pytest.approx(p * g(x) + q * h(x), rel=1e-12, abs=1e-12)
+
+
+# -- float evaluation against the plain per-call formula --------------------
+
+def _reference_horner(poly, u):
+    acc = np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
+    for c in reversed([float(c) for c in poly.coeffs]):
+        acc = acc * u + c
+    return acc
+
+
+def _reference_call(gen, x):
+    """sqrt, um1, Horner and um1 ** float(m), recomputed on every call."""
+    arr = isinstance(x, np.ndarray)
+    xv = x if arr else np.asarray(float(x))
+    u = np.sqrt(xv)
+    um1 = (xv - 1.0) / (u + 1.0)
+    val = _reference_horner(gen.num, u) / _reference_horner(gen.den, u)
+    if gen.m:
+        with np.errstate(divide="ignore"):
+            val = val * um1 ** float(gen.m)
+    return val if arr else float(val)
+
+
+def _reference_measure(measure, x):
+    if measure.gen is not None:
+        return _reference_call(measure.gen, x)
+    if measure.id == "S":
+        return catalog.sqrt_mean_fn(x)
+    numer, partner = catalog._S_DIFFS[measure.id]
+    return (_reference_call(numer, x)
+            / (catalog.sqrt_mean_fn(x)
+               + _reference_call(catalog._MEAN_GEN[partner], x)))
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _float_eval_ids():
+    ids = list(catalog.all_ids())
+    ids += [f"{fam}:{t}" for fam in catalog.FAMILY_IDS for t in (0, 4, 64)]
+    ids += [f"topsoe:{t}" for t in (1, 4, 64)]
+    ids += [f"Lt:{t}" for t in range(-8, 9)]
+    return ids
+
+
+def test_float_evaluation_is_bitwise_the_reference():
+    a, b = analysis.sample_pairs(5_000, seed=21)
+    x = np.concatenate([a / b, [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 0.25,
+                                4.0, 1e-300, 1e300]])
+    scalars = (1.0, 0.999, 1.001, 0.5, 3.0, 1e-6, 1e6, 1e-300, 1e300)
+    ids = _float_eval_ids()
+    assert len(ids) == 108 + 21 + 17
+    with np.errstate(all="ignore"):
+        for mid in ids:
+            m = catalog.get(mid)
+            assert _bits(m(x)) == _bits(_reference_measure(m, x)), mid
+            for xs in scalars:
+                got, ref = m(xs), _reference_measure(m, xs)
+                assert type(got) is type(ref), mid
+                assert _bits(got) == _bits(ref), (mid, xs)
+
+
+def test_shared_context_reuses_the_power():
+    x = np.array([0.5, 1.0, 2.0, 7.0])
+    ctx = UContext(x)
+    assert ctx.um1_pow(4) is ctx.um1_pow(4)
+    assert _bits(ctx.um1_pow(4)) == _bits(ctx.um1 ** 4.0)
+    for mid in ("D29", "D30", "W1", "D_SN", "S"):
+        m = catalog.get(mid)
+        assert _bits(m.eval_ctx(ctx)) == _bits(m(x)), mid
