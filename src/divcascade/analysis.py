@@ -1,7 +1,8 @@
 """Numerical certification machinery.
 
-Convexity certificates (exact sign proofs with spot checks), sup-ratio
-estimation for the sharp inequality constants, and randomized
+Convexity certificates (exact sign proofs with spot checks), a grid
+estimate of the sup-ratio behind each sharp inequality constant (the
+audit proves those constants exactly instead), and randomized
 counterexample search.  Everything here is deterministic given the seed
 and independent of the worker count: samples are drawn in one stream up
 front, split into fixed-size chunks, and merged in chunk order.

@@ -1,11 +1,14 @@
 """Assembles every verification into one reproducible report.
 
 The suite covers the ordering chains, the closed-form identities, the
-53 residual decompositions with their ratio constants, convexity
-certificates, the combination tables, and the exponential series.  A
-run is summarized as a JSON document whose checks are deterministic
-functions of (seed, samples, tolerance); the errata list documents
-source-text misprints and never affects the exit status.
+53 residual decompositions with their sharp ratio constants, convexity
+certificates, the combination tables, and the exponential series.  Every
+identity is an ``Identity`` of claims sum(lhs) = sum(rhs) that one
+checker proves exactly where the generators allow and samples on the
+run's pairs; the sharp constants are proved, not sampled.  A run is
+summarized as a JSON document whose checks are deterministic functions
+of (seed, samples, tolerance); the errata list documents source-text
+misprints and never affects the exit status.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ _SERIES_PAIRS = [(1.2, 1.0), (2.0, 1.0), (4.0, 1.0), (1.0, 3.0),
 
 _WITNESS_XS = [0.3, 0.9, 1.5, 4.0, 25.0]
 
-_EXACT_PAIRS = [("U1", "V2"), ("U9", "V12")]
+_EXACT_PAIRS = [("U1", "V2", "Eq (30)/Eq (14)"),
+                ("U9", "V12", "Eq (38)/Eq (24)")]
 
 _W_ALIASES = [("W1", [(2, "delta")]), ("W5", [(8, "h")]), ("W6", [(1, "K")]),
               ("W7", [(Fraction(1, 2), "psi")]),
@@ -286,141 +290,120 @@ ERRATA = [
 
 
 # ---------------------------------------------------------------------------
-# Individual check builders.  Each returns CheckResult; sampled ones share
-# the (a, b) arrays drawn once per run.
+# Identity checks.  Every exact relation is one or more claims
+# sum(c * s for c, s in lhs) == sum(c * s for c, s in rhs), whose symbols
+# are mean letters or catalog ids; one checker proves and samples them all.
 
-def _combo_value(terms, a, b):
-    """Value and conditioning scale of a signed combination.
+@dataclass(frozen=True)
+class Identity:
+    """One reported identity check.
 
-    Returns (sum, largest |term|).  Combinations like Psi - 4K + 4Delta
-    cancel to a much higher diagonal order than their terms, so float
-    residuals are meaningful relative to the largest term, not to the
-    sum; exactness of each expansion is established separately at the
-    rational-function level.
+    Each of ``claims`` is proved exactly when every symbol has an exact
+    generator, then sampled on the run's pairs; ``unsampled`` claims are
+    only proved, and each of ``misprints`` must fail its proof.
     """
-    parts = [float(coef) * catalog.get(mid).value(a, b)
-             for coef, mid in terms]
-    total = parts[0]
-    scale = np.abs(parts[0])
-    for p in parts[1:]:
-        total = total + p
-        scale = np.maximum(scale, np.abs(p))
-    return total, scale
+
+    id: str
+    ref: str
+    tol: float
+    claims: tuple
+    unsampled: tuple = ()
+    misprints: tuple = ()
 
 
-def _rel_gap(lhs, rhs):
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    return np.abs(lhs - rhs) / scale
+def _claim_gap(lhs, rhs, a, b):
+    """|L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300) per sampled pair.
+
+    t_i = c_i * s_i(a, b), and L, R are the left-to-right sums of each
+    side's terms.  Combinations like Psi - 4K + 4Delta cancel to a much
+    higher diagonal order than their terms, so the residual is measured
+    against the largest term as well as against the two sums.
+    """
+    scale = np.full(np.shape(a), 1e-300)
+    sums = []
+    for terms in (lhs, rhs):
+        total = None
+        for c, symbol in terms:
+            t = float(c) * means.symbol_value(symbol, a, b)
+            np.maximum(scale, np.abs(t), out=scale)
+            total = t if total is None else total + t
+        np.maximum(scale, np.abs(total), out=scale)
+        sums.append(total)
+    return np.abs(sums[0] - sums[1]) / scale
 
 
-def _combo_gap(member, terms, a, b):
-    combo, scale = _combo_value(terms, a, b)
-    scale = np.maximum(np.maximum(scale, np.abs(member)), 1e-300)
-    return np.abs(member - combo) / scale
+def _proof(claim, holds=True) -> bool | None:
+    """Whether the exact verdict on a claim is ``holds``; None if unprovable."""
+    lhs, rhs = claim
+    if any(catalog.get(s).gen is None for _, s in (*lhs, *rhs)):
+        return None
+    return cascade.is_exact_combination(lhs, rhs) == holds
 
 
-def _check_mean_identity(ident, lhs_terms, rhs_terms, a, b, tol):
-    lhs = sum(c * means.symbol_value(s, a, b) for c, s in lhs_terms)
-    rhs = sum(c * means.symbol_value(s, a, b) for c, s in rhs_terms)
-    gap = _rel_gap(lhs, rhs)
-    worst = int(np.argmax(gap))
-    ces = []
-    if gap[worst] > tol:
-        ces.append({"index": worst, "a": float(a[worst]),
-                    "b": float(b[worst]), "violation": float(gap[worst])})
-    return make_result(f"identity:{ident}", "identity", a.size,
-                       float(gap[worst]), tol, ces,
-                       ref="Sec 1.1" if ident.startswith("item")
-                       else "Remark 2")
+def _check_identity(ident: Identity, a, b) -> CheckResult:
+    """Prove every claim of ``ident`` where possible, then sample it.
 
-
-def _check_pyramid_equalities(a, b, tol):
-    vals = [float(s) * catalog.get(f"D{k}").value(a, b)
-            for k, s in enumerate(cascade.PYRAMID_EQ_SCALES, start=1)]
-    base = vals[0]
-    worst = 0.0
-    where = 0
-    for v in vals[1:]:
-        gap = _rel_gap(v, base)
+    The violation is the worst sampled gap, or inf when a proof fails; a
+    failing check records its worst sample as the counterexample.
+    """
+    proofs = ([_proof(c) for c in ident.claims + ident.unsampled]
+              + [_proof(c, holds=False) for c in ident.misprints])
+    worst, where = 0.0, 0
+    for lhs, rhs in ident.claims:
+        gap = _claim_gap(lhs, rhs, a, b)
         i = int(np.argmax(gap))
-        if gap[i] > worst:
+        if gap[i] > worst or np.isnan(gap[i]):   # a NaN gap must fail
             worst, where = float(gap[i]), i
+    violation = float("inf") if False in proofs else worst
     ces = []
-    if worst > tol:
+    if not violation <= ident.tol:
         ces.append({"index": where, "a": float(a[where]),
                     "b": float(b[where]), "violation": worst})
-    return make_result("identity:pyramid-common-value", "identity", a.size,
-                       worst, tol, ces, ref="Eq (11a)")
+    detail = ("exact identity fails" if False in proofs else
+              "sampled only" if None in proofs else "proved exact")
+    return make_result(ident.id, "identity", a.size, violation, ident.tol,
+                       ces, ref=ident.ref, detail=detail)
 
 
-def _check_exact_pair(left, right, a, b, tol):
-    exact = cascade.is_exact_combination(catalog.get(left).gen, [(1, right)])
-    gap = _rel_gap(catalog.get(left).value(a, b),
-                   catalog.get(right).value(a, b))
-    worst = float(np.max(gap)) if exact else float("inf")
-    return make_result(f"identity:{left}=={right}", "identity", a.size,
-                       worst, tol,
-                       ref="Eq (30)/Eq (14)" if left == "U1" else
-                       "Eq (38)/Eq (24)",
-                       detail="generators agree exactly" if exact else
-                       "generators differ")
+def _identities(tol: float) -> list[Identity]:
+    """The identity checks that precede the sharp constants, in order."""
+    out = [Identity(f"identity:{ident}",
+                    "Sec 1.1" if ident.startswith("item") else "Remark 2",
+                    tol, ((lhs, rhs),))
+           for ident, lhs, rhs in means.identity_table()]
+    scales = cascade.PYRAMID_EQ_SCALES
+    out.append(Identity(
+        "identity:pyramid-common-value", "Eq (11a)", tol,
+        tuple((((s, f"D{k}"),), ((scales[0], "D1"),))
+              for k, s in enumerate(scales[1:], start=2))))
+    out += [Identity(f"identity:{left}=={right}", ref, 1e-15,
+                     ((((1, left),), ((1, right),)),))
+            for left, right, ref in _EXACT_PAIRS]
+    out.append(Identity("identity:W-aliases", "Eq (9)", tol,
+                        tuple((((1, wid),), terms)
+                              for wid, terms in _W_ALIASES)))
+    out += [Identity(f"anchor:{fid}:{t}", catalog.get(f"{fid}:{t}").ref, tol,
+                     tuple((((1, f"{fid}:{t}"),), terms) for terms in forms))
+            for fid, t, forms in _ANCHORS]
+    out += [Identity(f"decomposition:{part.id}", _part_ref(part), 1e-11,
+                     (part.claim,))
+            for part in cascade.theorem_parts()]
+    return out
 
 
-def _check_w_aliases(a, b, tol):
-    worst = 0.0
-    names = []
-    for wid, terms in _W_ALIASES:
-        if not cascade.is_exact_combination(catalog.get(wid).gen, terms):
-            worst = float("inf")
-            names.append(wid)
-            continue
-        gap = _combo_gap(catalog.get(wid).value(a, b), terms, a, b)
-        worst = max(worst, float(np.max(gap)))
-    return make_result("identity:W-aliases", "identity", a.size, worst, tol,
-                       ref="Eq (9)",
-                       detail="; ".join(names) if names else
-                       "W1=2delta, W5=8h, W6=K, W7=psi/2, W8=F/2, W9=L/8")
-
-
-def _check_anchor(fid, t, forms, a, b, tol):
-    gen = catalog.family_gen(fid, t)
-    exact = all(cascade.is_exact_combination(gen, terms) for terms in forms)
-    member = catalog.get(f"{fid}:{t}").value(a, b)
-    worst = 0.0 if exact else float("inf")
-    for terms in forms:
-        gap = _combo_gap(member, terms, a, b)
-        worst = max(worst, float(np.max(gap)))
-    label = " = ".join(
-        "+".join(f"{coef}*{mid}" for coef, mid in terms) for terms in forms)
-    return make_result(f"anchor:{fid}:{t}", "identity", a.size, worst, tol,
-                       ref=catalog.get(f"{fid}:{t}").ref, detail=label)
-
-
-def _check_decomposition(part, a, b):
-    tol = 1e-11
-    beta = float(part.beta)
-    c = float(part.c)
-    big = catalog.get(part.big).value(a, b)
-    small = catalog.get(part.small).value(a, b)
-    resid = catalog.get(part.residual).value(a, b)
-    lhs = beta * big - small
-    rhs = c * resid
-    scale = np.maximum.reduce([np.abs(beta * big), np.abs(small),
-                               np.abs(rhs), np.full_like(rhs, 1e-300)])
-    gap = np.abs(lhs - rhs) / scale
-    worst = int(np.argmax(gap))
-    ces = []
-    if gap[worst] > tol:
-        ces.append({"index": worst, "a": float(a[worst]),
-                    "b": float(b[worst]), "violation": float(gap[worst])})
-    if not cascade.residual_identity_exact(part):
-        return make_result(f"decomposition:{part.id}", "identity", a.size,
-                           float("inf"), tol, ces, ref=_part_ref(part),
-                           detail="exact identity fails")
-    return make_result(f"decomposition:{part.id}", "identity", a.size,
-                       float(gap[worst]), tol, ces, ref=_part_ref(part),
-                       detail=f"{part.beta}*{part.big} - {part.small} = "
-                              f"{part.c}*{part.residual}")
+def _combinations(tol: float) -> list[Identity]:
+    """One check per combination table: its canonical line is sampled."""
+    out = []
+    for mid in sorted(cascade.COMBINATION_LINES):
+        lines = cascade.combination_lines(mid)
+        exact = [line for line in lines if line.status != "printed"]
+        canonical = next((line for line in exact if line.status == "ok"),
+                         exact[0])
+        out.append(Identity(
+            f"combination:{mid}", "Sec 2.6", tol, (canonical.claim,),
+            unsampled=tuple(l.claim for l in exact if l is not canonical),
+            misprints=tuple(l.claim for l in lines if l.status == "printed")))
+    return out
 
 
 def _part_ref(part) -> str:
@@ -429,44 +412,22 @@ def _part_ref(part) -> str:
 
 
 def _check_beta(part):
-    grid = analysis.default_grid()
-    sup, argmax, limit = analysis.estimate_sup_ratio(part.small, part.big,
-                                                     grid)
-    beta = float(part.beta)
-    violation = max(sup - beta, abs(limit - beta))
-    ces = []
-    if violation > 1e-9:
-        ces.append({"x": float(argmax), "sup": float(sup),
-                    "limit": float(limit)})
-    return make_result(f"beta:{part.id}", "ratio-constant", grid.size,
-                       float(violation), 1e-9, ces, ref=_part_ref(part),
-                       detail=f"beta = {part.beta}, sup at x = {argmax:g}")
+    """Prove that beta is the sharp constant of small <= beta*big.
 
-
-def _check_combination(mid, lines, a, b, tol):
-    canonical = None
-    for line in lines:
-        if line.status == "ok":
-            canonical = line
-            break
-    if canonical is None:
-        canonical = next(l for l in lines if l.status == "corrected")
-    exact_ok = all(cascade.combo_line_exact(l) for l in lines
-                   if l.status in ("ok", "corrected"))
-    printed_bad = [l for l in lines if l.status == "printed"]
-    confirmed = all(not cascade.combo_line_exact(l) for l in printed_bad)
-    val = catalog.get(mid).value(a, b)
-    gap = _combo_gap(val, canonical.terms, a, b)
-    worst = float(np.max(gap)) if exact_ok and confirmed else float("inf")
-    notes = []
-    if printed_bad:
-        notes.append("printed variant(s) "
-                     + ",".join(l.label for l in printed_bad)
-                     + " do not reproduce the measure")
-    return make_result(f"combination:{mid}", "identity", a.size, worst, tol,
-                       ref="Sec 2.6",
-                       detail="; ".join(notes) if notes else
-                       f"{len(lines)} expansion(s) verified")
+    f''_big > 0 and beta f''_big - f''_small > 0 off x = 1 bound the ratio
+    f''_small / f''_big below beta, and its exact limit at x = 1 is beta.
+    """
+    small = catalog.get(part.small).fpp
+    big = catalog.get(part.big).fpp
+    try:
+        proved = (big.positive_off_one()
+                  and (big * part.beta - small).positive_off_one()
+                  and small.ratio_limit_at_1(big) == part.beta)
+    except ZeroDivisionError:   # f''_small / f''_big diverges at x = 1
+        proved = False
+    return make_result(f"beta:{part.id}", "ratio-constant", 0,
+                       0.0 if proved else float("inf"), 0.0,
+                       ref=_part_ref(part), detail=f"beta = {part.beta}")
 
 
 def _check_series(fid, tol=1e-12):
@@ -508,8 +469,7 @@ def _check_witness(fid, tol=1e-12):
     printed_min_gap = float("inf")
     has_printed = form.get("printed_witness") or form.get("printed_prefactor")
     for t in range(5):
-        gen = catalog.family_gen(fid, t)
-        fpp = gen.d2x()
+        fpp = catalog.get(f"{fid}:{t}").fpp
         for x in _WITNESS_XS:
             truth = float(fpp(x))
             recon = generators.witness_second_derivative(fid, x, t)
@@ -583,18 +543,8 @@ def run_audit(config: AuditConfig) -> dict:
         checks.append(cascade.check_chain(
             cascade.get_chain(cid), a, b, tol, config.workers))
 
-    for ident, lhs_terms, rhs_terms in means.identity_table():
-        checks.append(_check_mean_identity(ident, lhs_terms, rhs_terms,
-                                           a, b, tol))
-    checks.append(_check_pyramid_equalities(a, b, tol))
-    for left, right in _EXACT_PAIRS:
-        checks.append(_check_exact_pair(left, right, a, b, 1e-15))
-    checks.append(_check_w_aliases(a, b, tol))
-    for fid, t, forms in _ANCHORS:
-        checks.append(_check_anchor(fid, t, forms, a, b, tol))
-
-    for part in cascade.theorem_parts():
-        checks.append(_check_decomposition(part, a, b))
+    for ident in _identities(tol):
+        checks.append(_check_identity(ident, a, b))
     for part in cascade.theorem_parts():
         checks.append(_check_beta(part))
 
@@ -609,9 +559,8 @@ def run_audit(config: AuditConfig) -> dict:
             checks.append(analysis.certify_convexity(f"{fid}:{t}"))
     checks.append(_check_w8_second_derivative())
 
-    for mid in sorted(cascade.COMBINATION_LINES):
-        checks.append(_check_combination(
-            mid, cascade.combination_lines(mid), a, b, tol))
+    for ident in _combinations(tol):
+        checks.append(_check_identity(ident, a, b))
 
     for fid in ("Delta1", "Delta2", "K1", "K2", "Hgen", "Mnew", "Lt"):
         checks.append(_check_series(fid))

@@ -333,6 +333,12 @@ class TheoremPart:
         """The two-term chain claim small <= beta*big."""
         return ((Frac(1), self.small), (self.beta, self.big))
 
+    @property
+    def claim(self):
+        """The residual identity beta*big - small = c*residual as (lhs, rhs)."""
+        return (((self.beta, self.big), (Frac(-1), self.small)),
+                ((self.c, self.residual),))
+
 
 def _parts(theorem: str, prefix: str, rows, residual_prefix: str):
     out = []
@@ -445,19 +451,23 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     }
 
 
-def is_exact_combination(target, terms) -> bool:
-    """Whether the generator ``target`` equals sum(c * gen(mid)) exactly."""
-    acc = -target
-    for c, mid in terms:
-        acc = acc + catalog.get(mid).gen * Frac(c)
+def is_exact_combination(lhs, rhs) -> bool:
+    """Whether sum(c * gen(mid)) over ``lhs`` equals that over ``rhs`` exactly.
+
+    Terms are (coefficient, measure id) pairs and every measure needs an
+    exact generator.  The sum starts from its first term, not from zero.
+    """
+    acc = None
+    for sign, terms in ((1, lhs), (-1, rhs)):
+        for c, mid in terms:
+            term = catalog.get(mid).gen * (sign * Frac(c))
+            acc = term if acc is None else acc + term
     return acc.is_zero()
 
 
 def residual_identity_exact(part) -> bool:
     """Verify beta*f_big - f_small = c*f_residual at the generator level."""
-    p = _part(part)
-    return is_exact_combination(catalog.get(p.small).gen,
-                                [(p.beta, p.big), (-p.c, p.residual)])
+    return is_exact_combination(*_part(part).claim)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +480,11 @@ class ComboLine:
     terms: tuple[tuple[Fraction, str], ...]
     status: str  # "ok" = printed and correct, "printed" = as printed but
     #              wrong, "corrected" = our replacement
+
+    @property
+    def claim(self):
+        """The line as the identity measure = sum(terms), as (lhs, rhs)."""
+        return ((Frac(1), self.measure),), self.terms
 
 
 def _combo(measure, label, status, terms):
@@ -590,7 +605,7 @@ def equivalent_expression(measure_id: str, pair, line: str | None = None,
 
 def combo_line_exact(combo: ComboLine) -> bool:
     """Whether the line equals the closed form at the generator level."""
-    return is_exact_combination(catalog.get(combo.measure).gen, combo.terms)
+    return is_exact_combination(*combo.claim)
 
 
 def fit_combination(measure_id: str, basis_ids: Iterable[str]):

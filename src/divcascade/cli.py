@@ -3,6 +3,9 @@
 Exit codes: 0 success; 2 input validation or parse failure, or a value
 that is not finite; 3 unknown measure; 4 audit check failure; 5 audit
 configuration error.  A report-diff that finds verdict differences exits 1.
+When the reader of stdout closes it early (``divcascade list | head``),
+the command stops quietly with 141, the status of a process ended by
+SIGPIPE (128 + 13).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from . import audit, catalog, distributions
 
 SEED_ENV = "DIVCASCADE_SEED"
+EXIT_CLOSED_PIPE = 141
 
 
 def _fmt(value: float) -> str:
@@ -219,7 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send the rest of the output, and the flush at exit, to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

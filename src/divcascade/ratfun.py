@@ -305,14 +305,16 @@ class RatU:
         return self.num, self.den * um1 ** (-self.m)
 
     def __add__(self, other: "RatU") -> "RatU":
-        an, ad = self._as_pair()
-        bn, bd = other._as_pair()
-        return RatU(an * bd + bn * ad, ad * bd)
+        # (u-1)^k with k = min(m) stays factored out, so it is neither
+        # multiplied in nor divided out again by the deflation.
+        k = min(self.m, other.m)
+        um1 = Poly([-1, 1])
+        an = self.num * um1 ** (self.m - k)
+        bn = other.num * um1 ** (other.m - k)
+        return RatU(an * other.den + bn * self.den, self.den * other.den, k)
 
     def __sub__(self, other: "RatU") -> "RatU":
-        an, ad = self._as_pair()
-        bn, bd = other._as_pair()
-        return RatU(an * bd - bn * ad, ad * bd)
+        return self + -other
 
     def __neg__(self) -> "RatU":
         out = RatU.__new__(RatU)

@@ -7,6 +7,7 @@ a plain ``pytest -v`` run also shows one verdict line per criterion.
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,17 +64,15 @@ def test_criterion_2_exact_identity_suite():
     remark_ids = [i for i, _, _ in idents if i.startswith("remark2")]
     assert len(item_ids) == 10
     assert len(remark_ids) >= 12
-    for ident, lhs, rhs in idents:
-        checks.append(audit._check_mean_identity(ident, lhs, rhs, a, b, tol))
-
-    checks.append(audit._check_pyramid_equalities(a, b, tol))
-
     anchor_fids = {fid for fid, _, _ in audit._ANCHORS}
     assert anchor_fids == {"Lt", "Delta1", "Delta2", "K1", "K2", "Hgen", "Mnew"}
-    for fid, t, forms in audit._ANCHORS:
-        checks.append(audit._check_anchor(fid, t, forms, a, b, tol))
 
-    checks.append(audit._check_exact_pair("U1", "V2", a, b, tol))
+    wanted = ("identity:item", "identity:remark2",
+              "identity:pyramid-common-value", "anchor:", "identity:U1==V2")
+    for ident in audit._identities(tol):
+        if ident.id.startswith(wanted):
+            checks.append(audit._check_identity(replace(ident, tol=tol), a, b))
+    assert len(checks) == len(idents) + 1 + len(audit._ANCHORS) + 1
 
     failed = [c for c in checks if c.verdict != "pass"]
     assert not failed, [(c.id, c.max_violation) for c in failed]
@@ -101,7 +100,7 @@ def test_criterion_3_chain_suite():
 
 
 def test_criterion_4_beta_constants():
-    """Second-derivative ratio limits and grid suprema for all 53 parts."""
+    """Sharp constants proved from the exact second derivatives, 53 parts."""
     parts = cascade.theorem_parts()
     assert len(parts) == 53
     assert parts[0].beta == Fraction(1, 14)
@@ -121,7 +120,11 @@ def test_criterion_5_residual_decompositions():
     assert by_thm == {"2.1": 27, "2.2": 14, "2.3": 8, "2.4": 4}
 
     a, b = analysis.sample_pairs(10_000, seed=5)
-    results = [audit._check_decomposition(part, a, b) for part in parts]
+    results = [audit._check_identity(ident, a, b)
+               for ident in audit._identities(1e-12)
+               if ident.id.startswith("decomposition:")]
+    assert len(results) == 53
+    assert all(r.max_violation <= 1e-11 for r in results)
     failed = [r for r in results if r.verdict != "pass"]
     assert not failed, [(r.id, r.max_violation) for r in failed]
 

@@ -200,6 +200,21 @@ def test_python_m_entry_point():
     assert listed[:len(ids)] == ids
 
 
+def test_closed_pipe_exits_quietly():
+    # The read end is closed before the child writes, so its first flush
+    # meets a broken pipe.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "divcascade", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_PIPE
+    assert err == b""
+
+
 # -- report-diff -----------------------------------------------------------
 
 def test_report_diff_identical(audit_run, capsys):

@@ -108,6 +108,24 @@ def test_ratu_arithmetic_and_equality():
     assert scaled(2.0) == pytest.approx(0.75 * g(2.0), rel=1e-15)
 
 
+def test_sum_has_the_form_of_the_undeflated_sum():
+    # Addition keeps (u-1)^min(m) factored out.  The normalized result must
+    # equal the one built from the undeflated numerators, so that float
+    # evaluation of every sum keeps its bits.
+    gens = [RatU(Poly([1, 2]), Poly([3, 1]), -2),
+            RatU(Poly([5, 1]), Poly([1, 1]), -1),
+            RatU(Poly([2, 0, 1]), ONE, 3), _delta_gen(), _delta_gen().d2x(),
+            catalog.get("V1").fpp, catalog.get("D15").gen, RatU.zero()]
+    for a in gens:
+        for b in gens:
+            an, ad = a._as_pair()
+            bn, bd = b._as_pair()
+            for got, num in ((a + b, an * bd + bn * ad),
+                             (a - b, an * bd - bn * ad)):
+                ref = RatU(num, ad * bd)
+                assert (got.m, got.num, got.den) == (ref.m, ref.num, ref.den)
+
+
 def test_ratu_second_derivative_against_mpmath():
     g = _delta_gen()
     fpp = g.d2x()
