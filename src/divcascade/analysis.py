@@ -1,6 +1,7 @@
 """Numerical certification machinery.
 
-Convexity certificates (exact sign proofs with spot checks), a grid
+Convexity certificates (an exact sign proof of f'' for every divergence,
+checked against high-precision differences at 11 points), a grid
 estimate of the sup-ratio behind each sharp inequality constant (the
 audit proves those constants exactly instead), and randomized
 counterexample search.  Everything here is deterministic given the seed
@@ -86,7 +87,7 @@ def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
     """Central second difference in dps-digit arithmetic, h = 1e-5 x.
 
     Plain float64 differences cannot certify steep generators: the noise
-    floor eps*f/(h^2 f'') passes 1e-6 at the grid edges no matter how h
+    floor eps*f/(h^2 f'') passes 1e-6 at x = 1e-4 and 1e4 no matter how h
     is chosen.  Working at 40 digits leaves only the O((h/x)^2) = 1e-10
     truncation term.
     """
@@ -104,12 +105,12 @@ def certify_convexity(measure) -> CheckResult:
     """Certify that a divergence generator is convex and normalized.
 
     Checks f(1) = 0, f'(1) = 0, and proves the exact f'' positive on all
-    of x > 0 apart from x = 1 (``RatU.positive_off_one``).  A spot check
-    of f'' against a high-precision central difference, to within
-    FD_REL_TOL * |f''| + FD_ABS_TOL, catches a wrong derivative; the
-    absolute floor covers f'' vanishing to high order near x = 1.
-    Measures without an exact generator are certified by the positivity
-    of the high-precision difference on ``default_grid()`` alone.
+    of x > 0 apart from x = 1 (``positive_off_one`` of the ``RatU`` or
+    ``RatS`` form).  A spot check of f'' against a high-precision central
+    difference at ``SPOT_POINTS``, to within FD_REL_TOL * |f''| +
+    FD_ABS_TOL, catches a wrong derivative; the absolute floor covers f''
+    vanishing to high order near x = 1, and a value that is not finite
+    fails.
     """
     m = _resolve(measure)
     if m.kind != "divergence":
@@ -123,44 +124,35 @@ def certify_convexity(measure) -> CheckResult:
     f1 = float(m(1.0))
     if abs(f1) > 1e-15:
         flag(1.0, "f(1)=0", abs(f1))
+    slope = m.gen.dx().limit_at_1()
+    if slope != 0:
+        flag(1.0, "f'(1)=0", abs(slope))
 
-    points = default_grid() if m.gen is None else SPOT_POINTS
-    fd = np.array([_fd2_mp(m, float(x)) for x in points])
-    if m.gen is None:
-        at_one = np.abs(points - 1.0) <= 1e-12
-        neg = ~at_one & (fd <= 0.0)
-        if np.any(neg):
-            i = int(np.argmax(neg))
-            flag(points[i], "f''>0", -fd[i])
-        if np.any(at_one) and float(np.min(fd[at_one])) < -1e-12:
-            flag(1.0, "f''(1)>=0", -np.min(fd[at_one]))
-    else:
-        if m.gen.deriv_u().m < 1:
-            flag(1.0, "f'(1)=0", float(abs(m.gen.deriv_u().limit_at_1())))
-        f2 = m.fpp
-        if not f2.positive_off_one():
-            bad.append({"check": "f''>0 off x=1", "violation": float("inf"),
-                        "m": f2.m, "positive_roots": [
-                            f2.num.positive_roots(), f2.den.positive_roots()]})
-        analytic = f2(points)
-        diff = np.abs(analytic - fd)
-        excess = diff - (FD_REL_TOL * np.abs(analytic) + FD_ABS_TOL)
-        i = int(np.argmax(excess))
-        if float(excess[i]) > 0.0:
-            flag(points[i], "analytic-vs-fd", diff[i])
+    f2 = m.fpp
+    if not f2.positive_off_one():
+        bad.append({"check": "f''>0 off x=1", "violation": float("inf")})
+        if isinstance(f2, RatU):
+            bad[-1].update(m=f2.m, positive_roots=[
+                f2.num.positive_roots(), f2.den.positive_roots()])
+    fd = np.array([_fd2_mp(m, float(x)) for x in SPOT_POINTS])
+    analytic = f2(SPOT_POINTS)
+    diff = np.abs(analytic - fd)
+    excess = diff - (FD_REL_TOL * np.abs(analytic) + FD_ABS_TOL)
+    i = int(np.argmax(excess))        # the first NaN, if there is one
+    if not float(excess[i]) <= 0.0:   # so a value that is not finite fails
+        flag(SPOT_POINTS[i], "analytic-vs-fd",
+             diff[i] if np.isfinite(diff[i]) else np.inf)
 
     worst = max((r["violation"] for r in bad), default=0.0)
     verdict = "pass" if not bad else "fail"
     return CheckResult(id=f"convexity:{m.id}", kind="convexity",
-                       samples=int(points.size), max_violation=worst,
+                       samples=int(SPOT_POINTS.size), max_violation=worst,
                        verdict=verdict, counterexamples=bad[:10], ref=m.ref)
 
 
 def _ratio_ratu(num, den) -> RatU:
     fn = num if isinstance(num, RatU) else _resolve(num).fpp
     fd_ = den if isinstance(den, RatU) else _resolve(den).fpp
-    if fn is None or fd_ is None:
-        raise ValueError("sup-ratio estimation needs exact second derivatives")
     return fn / fd_
 
 

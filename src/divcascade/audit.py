@@ -4,11 +4,11 @@ The suite covers the ordering chains, the closed-form identities, the
 53 residual decompositions with their sharp ratio constants, convexity
 certificates, the combination tables, and the exponential series.  Every
 identity is an ``Identity`` of claims sum(lhs) = sum(rhs) that one
-checker proves exactly where the generators allow and samples on the
-run's pairs; the sharp constants are proved, not sampled.  A run is
-summarized as a JSON document whose checks are deterministic functions
-of (seed, samples, tolerance); the errata list documents source-text
-misprints and never affects the exit status.
+checker proves exactly and samples on the run's pairs; the sharp
+constants and convexity are proved, not sampled.  A run is summarized
+as a JSON document whose checks are deterministic functions of (seed,
+samples, tolerance); the errata list documents source-text misprints
+and never affects the exit status.
 """
 
 from __future__ import annotations
@@ -298,9 +298,9 @@ ERRATA = [
 class Identity:
     """One reported identity check.
 
-    Each of ``claims`` is proved exactly when every symbol has an exact
-    generator, then sampled on the run's pairs; ``unsampled`` claims are
-    only proved, and each of ``misprints`` must fail its proof.
+    Each of ``claims`` is proved exactly, then sampled on the run's pairs;
+    ``unsampled`` claims are only proved, and each of ``misprints`` must
+    fail its proof.
     """
 
     id: str
@@ -311,56 +311,28 @@ class Identity:
     misprints: tuple = ()
 
 
-def _claim_gap(lhs, rhs, a, b):
-    """|L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300) per sampled pair.
-
-    t_i = c_i * s_i(a, b), and L, R are the left-to-right sums of each
-    side's terms.  Combinations like Psi - 4K + 4Delta cancel to a much
-    higher diagonal order than their terms, so the residual is measured
-    against the largest term as well as against the two sums.
-    """
-    scale = np.full(np.shape(a), 1e-300)
-    sums = []
-    for terms in (lhs, rhs):
-        total = None
-        for c, symbol in terms:
-            t = float(c) * means.symbol_value(symbol, a, b)
-            np.maximum(scale, np.abs(t), out=scale)
-            total = t if total is None else total + t
-        np.maximum(scale, np.abs(total), out=scale)
-        sums.append(total)
-    return np.abs(sums[0] - sums[1]) / scale
-
-
-def _proof(claim, holds=True) -> bool | None:
-    """Whether the exact verdict on a claim is ``holds``; None if unprovable."""
-    lhs, rhs = claim
-    if any(catalog.get(s).gen is None for _, s in (*lhs, *rhs)):
-        return None
-    return cascade.is_exact_combination(lhs, rhs) == holds
-
-
 def _check_identity(ident: Identity, a, b) -> CheckResult:
-    """Prove every claim of ``ident`` where possible, then sample it.
+    """Prove every claim of ``ident``, then sample it.
 
     The violation is the worst sampled gap, or inf when a proof fails; a
     failing check records its worst sample as the counterexample.
     """
-    proofs = ([_proof(c) for c in ident.claims + ident.unsampled]
-              + [_proof(c, holds=False) for c in ident.misprints])
+    proved = (all(cascade.is_exact_combination(*c)
+                  for c in ident.claims + ident.unsampled)
+              and not any(cascade.is_exact_combination(*c)
+                          for c in ident.misprints))
     worst, where = 0.0, 0
     for lhs, rhs in ident.claims:
-        gap = _claim_gap(lhs, rhs, a, b)
+        gap = means.claim_gap(lhs, rhs, a, b)
         i = int(np.argmax(gap))
         if gap[i] > worst or np.isnan(gap[i]):   # a NaN gap must fail
             worst, where = float(gap[i]), i
-    violation = float("inf") if False in proofs else worst
+    violation = worst if proved else float("inf")
     ces = []
     if not violation <= ident.tol:
         ces.append({"index": where, "a": float(a[where]),
                     "b": float(b[where]), "violation": worst})
-    detail = ("exact identity fails" if False in proofs else
-              "sampled only" if None in proofs else "proved exact")
+    detail = "proved exact" if proved else "exact identity fails"
     return make_result(ident.id, "identity", a.size, violation, ident.tol,
                        ces, ref=ident.ref, detail=detail)
 

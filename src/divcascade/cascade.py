@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import analysis, catalog
+from . import analysis, catalog, means
 from .catalog import PYRAMID_PAIRS, positive_pair
 from .reporting import CheckResult, make_result
 
@@ -432,9 +432,10 @@ def beta_exact(part) -> Fraction:
 def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     """Check beta*big - small = c*residual at one pair.
 
-    The relative residual is measured against the largest term involved,
-    which is the only scale on which the identity is testable in floats:
-    near a = b the two sides agree through several vanishing orders.
+    The relative residual is the audit's ``means.claim_gap``.  It is
+    measured against the largest term involved, the only scale on which
+    the identity is testable in floats: near a = b the two sides agree
+    through several vanishing orders.
     """
     p = _part(part)
     a, b = positive_pair(pair)
@@ -443,8 +444,7 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     resid = catalog.get(p.residual).value(a, b)
     lhs = float(p.beta) * big - small
     rhs = float(p.c) * resid
-    scale = max(abs(float(p.beta) * big), abs(small), abs(rhs), 1e-300)
-    rel = abs(lhs - rhs) / scale
+    rel = float(means.claim_gap(*p.claim, a, b)[0])
     return {
         "part": p.id, "claim": f"{p.beta}*{p.big} - {p.small} = {p.c}*{p.residual}",
         "lhs": lhs, "rhs": rhs, "residual": rel, "passed": bool(rel <= tol),
@@ -454,8 +454,8 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
 def is_exact_combination(lhs, rhs) -> bool:
     """Whether sum(c * gen(mid)) over ``lhs`` equals that over ``rhs`` exactly.
 
-    Terms are (coefficient, measure id) pairs and every measure needs an
-    exact generator.  The sum starts from its first term, not from zero.
+    Terms are (coefficient, measure id) pairs; a sum with a root-mean-square
+    term is a ``RatS``.  The sum starts from its first term, not from zero.
     """
     acc = None
     for sign, terms in ((1, lhs), (-1, rhs)):

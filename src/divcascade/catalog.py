@@ -1,11 +1,11 @@
 """Catalog of the seven means, their differences, and the divergence measures.
 
 All one-dimensional generators f with f(1) = 0 (divergences) or f(1) = 1
-(means) live here, keyed by short string ids.  Wherever the generator is a
-rational function of u = sqrt(x) it is stored as an exact ``RatU``; the six
-differences involving the square-root mean S get conjugate closed forms
-(exact polynomial numerator over f_S + f_other) so they stay accurate near
-x = 1 as well.
+(means) live here, keyed by short string ids.  Every generator is exact:
+a rational function of u = sqrt(x) (``RatU``), or, for the root-mean-square
+mean S and its six differences, r + t*S with rational r and t (``RatS``),
+which floats evaluate through its conjugate wherever that avoids the
+cancellation near x = 1.
 
 Each entry carries a short ``ref`` string locating it in the source
 catalog.  Those strings are report data; the code never depends on them.
@@ -13,18 +13,17 @@ catalog.  Those strings are report data; the code never depends on them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .ratfun import ONE, Poly, RatU, U, UContext, X
+from .ratfun import ONE, Poly, RatS, RatU, U, UContext, X
 
 __all__ = [
     "Measure", "MEAN_ORDER", "MEAN_TAGS", "MEAN_LETTER", "BASE_IDS",
     "FAMILY_IDS", "get", "try_get", "all_ids", "iter_measures",
-    "family_gen", "family_range", "sqrt_mean_fn", "PYRAMID_PAIRS",
+    "family_gen", "family_range", "PYRAMID_PAIRS",
     "positive_pair",
 ]
 
@@ -45,58 +44,43 @@ class Measure:
     """A named generator together with how to evaluate it.
 
     ``kind`` is "mean" (f(1) = 1) or "divergence" (f(1) = 0; convex except
-    D_GH, D_NH and D_SR).  ``gen`` is the exact rational form when one
-    exists; measures touching the square-root mean use a conjugate ``fn``,
-    which maps a ``UContext`` to values.
+    D_GH, D_NH and D_SR).  ``gen`` is the exact form, a ``RatU`` or a
+    ``RatS``; both evaluate in floats, in mpmath and exactly.
     """
 
-    __slots__ = ("id", "label", "kind", "ref", "gen", "fn", "fn_mp", "_fpp")
+    __slots__ = ("id", "label", "kind", "ref", "gen", "_fpp")
 
     def __init__(self, id: str, label: str, kind: str, ref: str,
-                 gen: Optional[RatU] = None,
-                 fn: Optional[Callable] = None,
-                 fn_mp: Optional[Callable] = None):
+                 gen: RatU | RatS):
         self.id = id
         self.label = label
         self.kind = kind
         self.ref = ref
         self.gen = gen
-        self.fn = fn
-        self.fn_mp = fn_mp
         self._fpp = None
 
     def __call__(self, x):
         """Generator value f(a/b) at x (scalar or numpy array)."""
-        if self.gen is not None:
-            return self.gen(x)
-        return self.fn(UContext(x))
+        return self.gen(x)
 
     def eval_ctx(self, ctx: UContext):
         """Generator values at the points of a shared ``UContext``."""
-        if self.gen is not None:
-            return self.gen.eval_ctx(ctx)
-        return self.fn(ctx)
+        return self.gen.eval_ctx(ctx)
 
     def value(self, a, b):
         """Measure value b * f(a/b)."""
         return b * self(a / b)
 
     @property
-    def fpp(self) -> Optional[RatU]:
-        """Exact second derivative d2f/dx2, when the generator is rational."""
-        if self.gen is None:
-            return None
+    def fpp(self) -> RatU | RatS:
+        """Exact second derivative d2f/dx2."""
         if self._fpp is None:
             self._fpp = self.gen.d2x()
         return self._fpp
 
     def eval_mp(self, x, dps: int = 40):
         """Generator value in high-precision arithmetic."""
-        if self.gen is not None:
-            return self.gen.eval_mp(x, dps)
-        if self.fn_mp is not None:
-            return self.fn_mp(x, dps)
-        raise ValueError(f"{self.id} has no high-precision evaluator")
+        return self.gen.eval_mp(x, dps)
 
     def __repr__(self):
         return f"Measure({self.id!r})"
@@ -126,57 +110,15 @@ MEAN_TAGS = {
 }
 MEAN_LETTER = {tag: letter for letter, tag in MEAN_TAGS.items()}
 
-_MEAN_GEN: dict[str, Optional[RatU]] = {
+_MEAN_GEN: dict[str, RatU | RatS] = {
     "H": RatU(2 * X, XP1),
     "G": RatU(U),
     "N": RatU(_p(1, 1, 1), _p(3)),
     "A": RatU(XP1, _p(2)),
     "R": RatU(2 * _p(1, 0, 1, 0, 1), 3 * XP1),
-    "S": None,
+    "S": RatS(RatU.zero(), RatU(ONE)),
     "C": RatU(_p(1, 0, 0, 0, 1), XP1),
 }
-
-
-def sqrt_mean_fn(x):
-    """Generator of the square-root mean, sqrt((x^2 + 1) / 2)."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt((x * x + 1.0) / 2.0)
-
-
-# Conjugate closed forms for the six differences involving S.  Each is an
-# exact polynomial part divided by (f_S + f_partner), which keeps the
-# (x - 1)^2 factor explicit instead of letting it cancel in floats.
-#   id -> (numerator RatU, partner letter)
-_S_DIFFS: dict[str, tuple[RatU, str]] = {
-    "D_SH": (RatU(XM1SQ * _p(1, 0, 4, 0, 1), 2 * XP1 * XP1), "H"),
-    "D_SG": (RatU(XM1SQ, _p(2)), "G"),
-    "D_SN": (RatU(UM1 * UM1 * _p(7, 10, 7), _p(18)), "N"),
-    "D_SA": (RatU(XM1SQ, _p(4)), "A"),
-    "D_SR": (RatU(XM1SQ * _p(1, 0, 4, 0, 1), 18 * XP1 * XP1), "R"),
-    "D_CS": (RatU(XM1SQ * _p(1, 0, 0, 0, 1), 2 * XP1 * XP1), "C"),
-}
-
-
-def _sqrt_mean_ctx(ctx: UContext):
-    return sqrt_mean_fn(ctx.x)
-
-
-def _s_diff_fn(numer: RatU, partner: str):
-    partner_gen = _MEAN_GEN[partner]
-
-    def fn(ctx: UContext):
-        return numer.eval_ctx(ctx) / (sqrt_mean_fn(ctx.x)
-                                      + partner_gen.eval_ctx(ctx))
-
-    def fn_mp(x, dps=40):
-        import mpmath as mp
-
-        with mp.workdps(dps):
-            xv = mp.mpf(x)
-            s = mp.sqrt((xv * xv + 1) / 2)
-            return numer.eval_mp(x, dps) / (s + partner_gen.eval_mp(x, dps))
-
-    return fn, fn_mp
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +302,14 @@ def _add(measure: Measure):
 
 for _letter in MEAN_ORDER:
     _add(Measure(_letter, f"{MEAN_TAGS[_letter]} mean", "mean", "Eq (1)",
-                 gen=_MEAN_GEN[_letter],
-                 fn=_sqrt_mean_ctx if _letter == "S" else None))
+                 gen=_MEAN_GEN[_letter]))
 
 for _i in range(len(MEAN_ORDER)):
     for _j in range(_i):
         _hi, _lo = MEAN_ORDER[_i], MEAN_ORDER[_j]
-        _id = f"D_{_hi}{_lo}"
-        _ref = "Sec 1.1"
-        if _id in _S_DIFFS:
-            _numer, _partner = _S_DIFFS[_id]
-            _fn, _fn_mp = _s_diff_fn(_numer, _partner)
-            _add(Measure(_id, f"{MEAN_TAGS[_hi]} minus {MEAN_TAGS[_lo]}",
-                         "divergence", _ref, fn=_fn, fn_mp=_fn_mp))
-        else:
-            _gen = _MEAN_GEN[_hi] - _MEAN_GEN[_lo]
-            _add(Measure(_id, f"{MEAN_TAGS[_hi]} minus {MEAN_TAGS[_lo]}",
-                         "divergence", _ref, gen=_gen))
+        _add(Measure(f"D_{_hi}{_lo}",
+                     f"{MEAN_TAGS[_hi]} minus {MEAN_TAGS[_lo]}", "divergence",
+                     "Sec 1.1", gen=_MEAN_GEN[_hi] - _MEAN_GEN[_lo]))
 
 for _bid, _gen in _BASE_GEN.items():
     _label, _ref = _BASE_META[_bid]

@@ -1,8 +1,10 @@
-"""Exact rational functions of u = sqrt(x).
+"""Exact generators: rational functions of u = sqrt(x), and r + t*S.
 
-Every generator in the catalog, apart from the square-root mean and its
-differences, is a ratio of integer-coefficient polynomials in u = sqrt(x).
-Keeping them in that form buys three things that floating point cannot:
+Every generator in the catalog is a ratio of integer-coefficient
+polynomials in u = sqrt(x) (``RatU``), or, for the root-mean-square mean
+S = sqrt((x^2 + 1) / 2) and its six differences, r + t*S with r and t
+of that kind (``RatS``).  Keeping them in that form buys three things
+that floating point cannot:
 
 * values stay accurate near the diagonal x = 1, because the (u - 1)^m
   factor of the numerator is split off and evaluated from x - 1 directly
@@ -27,7 +29,8 @@ import numpy as np
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Poly", "RatU", "UContext", "U", "ONE", "X", "solve_exact"]
+__all__ = ["Poly", "RatU", "RatS", "UContext", "U", "ONE", "X",
+           "solve_exact"]
 
 
 def _frac(value) -> Fraction:
@@ -305,6 +308,8 @@ class RatU:
         return self.num, self.den * um1 ** (-self.m)
 
     def __add__(self, other: "RatU") -> "RatU":
+        if not isinstance(other, RatU):
+            return NotImplemented
         # (u-1)^k with k = min(m) stays factored out, so it is neither
         # multiplied in nor divided out again by the deflation.
         k = min(self.m, other.m)
@@ -355,6 +360,10 @@ class RatU:
         n, d = self.num, self.den
         core = self.m * (n * d) + um1 * (n.deriv() * d - n * d.deriv())
         return RatU(core, d * d, self.m - 1)
+
+    def dx(self) -> "RatU":
+        """Derivative in x of f(x) = g(sqrt(x)), this object being g."""
+        return self.deriv_u() / RatU(Poly([0, 2]))
 
     def d2x(self) -> "RatU":
         """Second derivative in x of f(x) = g(sqrt(x)), this object being g.
@@ -452,6 +461,112 @@ class RatU:
 
     def __repr__(self):
         return f"RatU(m={self.m}, num={self.num!r}, den={self.den!r})"
+
+
+# x^2 + 1 in u, S^2 = (x^2 + 1) / 2 and S' / S = x / (x^2 + 1).
+_X2P1 = Poly([1, 0, 0, 0, 1])
+_S2, _S_SLOPE = RatU(_X2P1, Poly([2])), RatU(X, _X2P1)
+
+
+class RatS:
+    """r + t*S with r, t ``RatU`` and S = sqrt((x^2 + 1) / 2).
+
+    S is irrational over the rational functions of u, so a form is zero
+    only when r and t are, and its sign follows from those of r, t and
+    the norm t^2 S^2 - r^2.  Where r and t*S are proved to have opposite
+    signs, floats evaluate the conjugate (t^2 S^2 - r^2) / (t S - r),
+    whose numerator keeps the (u - 1)^m factor exact; elsewhere r + t*S.
+    The choice is made once per form, on first use.
+    """
+
+    __slots__ = ("r", "t", "_plan")
+
+    def __init__(self, r: RatU, t: RatU):
+        self.r, self.t, self._plan = r, t, None
+
+    def __add__(self, other) -> "RatS":
+        if isinstance(other, RatU):
+            return RatS(self.r + other, self.t)
+        return RatS(self.r + other.r, self.t + other.t)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RatS":
+        return RatS(-self.r, -self.t)
+
+    def __sub__(self, other) -> "RatS":
+        return self + -other
+
+    def __mul__(self, c) -> "RatS":
+        return RatS(self.r * c, self.t * c)
+
+    def is_zero(self) -> bool:
+        return self.r.is_zero() and self.t.is_zero()
+
+    def dx(self) -> "RatS":
+        """Derivative in x: (r + t S)' = r' + (t' + t x / (x^2 + 1)) S."""
+        return RatS(self.r.dx(), self.t.dx() + self.t * _S_SLOPE)
+
+    def d2x(self) -> "RatS":
+        return self.dx().dx()
+
+    def limit_at_1(self) -> Fraction:
+        return self.r.limit_at_1() + self.t.limit_at_1()   # S(1) = 1
+
+    def _norm(self) -> RatU:
+        return self.t * self.t * _S2 - self.r * self.r
+
+    def positive_off_one(self) -> bool:
+        """Whether the value is > 0 at every u > 0 other than u = 1.
+
+        With t > 0 off x = 1, r > 0 or a positive norm suffices; with
+        t < 0, r > 0 and a negative norm are both needed.
+        """
+        r, t = self.r, self.t
+        if t.is_zero():
+            return r.positive_off_one()
+        if t.positive_off_one():
+            return r.positive_off_one() or self._norm().positive_off_one()
+        return ((-t).positive_off_one() and r.positive_off_one()
+                and (-self._norm()).positive_off_one())
+
+    def _float_plan(self):
+        """(q, t, r) with value q / (t S + r), or t S + r if q is None.
+
+        The conjugate needs |t| > 0 on x > 0 and |r| > 0 off x = 1.  A t
+        of 1 and an r of 0 are dropped (None).
+        """
+        q, t, r = None, self.t, self.r
+        for sign in (1, -1):
+            at, ar = self.t * sign, self.r * -sign
+            if at.m == 0 and at.positive_off_one() and ar.positive_off_one():
+                q, t, r = self._norm() * sign, at, ar
+                break
+        return (q, None if (t.m, t.num, t.den) == (0, ONE, ONE) else t,
+                None if r.is_zero() else r)
+
+    def eval_ctx(self, ctx: UContext):
+        """Float value at the points of a shared ``UContext``."""
+        if self._plan is None:
+            self._plan = self._float_plan()
+        q, t, r = self._plan
+        val = np.sqrt((ctx.x * ctx.x + 1.0) / 2.0)
+        if t is not None:
+            val = t.eval_ctx(ctx) * val
+        if r is not None:
+            val = val + r.eval_ctx(ctx)
+        return val if q is None else q.eval_ctx(ctx) / val
+
+    __call__ = RatU.__call__
+
+    def eval_mp(self, x, dps: int = 40):
+        """High-precision evaluation at x > 0 using mpmath."""
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            xv = mp.mpf(x)
+            s = mp.sqrt((xv * xv + 1) / 2)
+            return self.r.eval_mp(xv, dps) + self.t.eval_mp(xv, dps) * s
 
 
 def solve_exact(columns: Sequence[RatU], target: RatU) -> list[Fraction] | None:

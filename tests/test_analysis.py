@@ -47,19 +47,20 @@ def test_certify_convexity_passes_for_divergence():
 def test_certify_convexity_negative_controls():
     """Exactly three catalog divergences are not convex on (0, inf).
 
-    D_GH and D_NH fail the exact sign proof (f'' < 0 for large x); D_SR
-    has no exact generator and fails the sampled positivity check.
+    All three fail the exact sign proof: D_GH and D_NH have f'' < 0 for
+    large x, and D_SR = S - R, an r + t*S form, is not convex either.
     """
     divergences = [m for m in catalog.iter_measures()
                    if m.kind == "divergence"]
     assert len(divergences) == 101
-    failed = {m.id: analysis.certify_convexity(m) for m in divergences}
-    failed = {k: r for k, r in failed.items() if r.verdict != "pass"}
+    results = {m.id: analysis.certify_convexity(m) for m in divergences}
+    assert {r.samples for r in results.values()} == {analysis.SPOT_POINTS.size}
+    failed = {k: r for k, r in results.items() if r.verdict != "pass"}
     assert set(failed) == {"D_GH", "D_NH", "D_SR"}
     for mid in ("D_GH", "D_NH"):
         assert failed[mid].counterexamples[0]["check"] == "f''>0 off x=1"
         assert failed[mid].counterexamples[0]["positive_roots"][0] > 0
-    assert failed["D_SR"].counterexamples[0]["check"] == "f''>0"
+    assert failed["D_SR"].counterexamples[0]["check"] == "f''>0 off x=1"
 
 
 def test_certify_convexity_spot_check_catches_wrong_derivative():
@@ -70,6 +71,32 @@ def test_certify_convexity_spot_check_catches_wrong_derivative():
     res = analysis.certify_convexity(probe)
     assert res.verdict == "fail"
     assert [r["check"] for r in res.counterexamples] == ["analytic-vs-fd"]
+
+
+class _PoisonedAt1001:
+    """An exact f'' that evaluates to ``bad`` at x = 1.001."""
+
+    def __init__(self, fpp, bad):
+        self.fpp, self.bad = fpp, bad
+
+    def positive_off_one(self):
+        return self.fpp.positive_off_one()
+
+    def __call__(self, x):
+        return np.where(x == 1.001, self.bad, self.fpp(x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_convexity_fails_a_value_that_is_not_finite(bad):
+    gen = catalog.get("delta").gen
+    probe = catalog.Measure("probe", "delta with f''(1.001) not finite",
+                            "divergence", "", gen=gen)
+    probe._fpp = _PoisonedAt1001(gen.d2x(), bad)
+    res = analysis.certify_convexity(probe)
+    assert res.verdict == "fail"
+    assert [(r["check"], r["x"], r["violation"])
+            for r in res.counterexamples] == [
+        ("analytic-vs-fd", 1.001, float("inf"))]
 
 
 def test_certify_convexity_rejects_means():

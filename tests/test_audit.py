@@ -218,17 +218,38 @@ def test_anchor_with_one_changed_coefficient_fails(pairs):
     _failed(res)
 
 
-def test_claim_without_generator_is_caught_by_sampling(pairs):
+def test_root_mean_square_claims_are_proved(pairs):
     true = audit.Identity("identity:S-A", "", 1e-12, (
         (((1, "D_SA"),), ((1, "S"), (-1, "A"))),))
     res = audit._check_identity(true, *pairs)
-    assert res.verdict == "pass" and res.detail == "sampled only"
+    assert res.verdict == "pass" and res.detail == "proved exact"
     false = audit.Identity("identity:S=R", "", 1e-12, (
         (((1, "S"),), ((1, "R"),)),))
     res = audit._check_identity(false, *pairs)
-    assert res.detail == "sampled only"
+    assert res.detail == "exact identity fails"
+    assert res.max_violation == float("inf")
     ce = _failed(res)
-    assert 1e-12 < res.max_violation == ce["violation"] < float("inf")
+    assert 1e-12 < ce["violation"] < float("inf")
+
+
+def test_public_helpers_report_the_audit_gap():
+    a, b = analysis.sample_pairs(40, seed=7)
+    claims = {i.id: i.claims[0] for i in audit._identities(1e-12)}
+    table = means.identity_table()
+    assert len(table) == 24
+    gaps = {ident: means.claim_gap(*claims[f"identity:{ident}"], a, b)
+            for ident, _, _ in table}
+    parts = cascade.theorem_parts()
+    assert len(parts) == 53
+    part_gaps = [means.claim_gap(*p.claim, a, b) for p in parts]
+    for i in range(a.size):
+        for ident, resid, ok in means.verify_mean_identities(a[i], b[i]):
+            assert resid == gaps[ident][i], (ident, i)
+            assert ok
+        for p, gap in zip(parts, part_gaps):
+            out = cascade.residual_decompositions(p, (a[i], b[i]))
+            assert out["residual"] == gap[i], (p.id, i)
+            assert out["passed"]
 
 
 def test_exact_misprint_fails_the_combination(pairs):

@@ -32,12 +32,8 @@ def test_normalization_at_one():
     for mid in catalog.all_ids():
         m = catalog.get(mid)
         expected = 1.0 if m.kind == "mean" else 0.0
-        if m.gen is not None:
-            assert m.gen.limit_at_1() == expected, mid
-        else:
-            # Root-mean-square measures are irrational in sqrt(x) and carry
-            # a plain function instead of an exact form.
-            assert float(m(1.0)) == pytest.approx(expected, abs=1e-15), mid
+        assert m.gen.limit_at_1() == expected, mid
+        assert float(m(1.0)) == pytest.approx(expected, abs=1e-15), mid
 
 
 def test_unknown_ids_raise_or_return_none():

@@ -1,14 +1,15 @@
-"""Unit tests for the exact rational-function layer."""
+"""Unit tests for the exact layer: rational functions of sqrt(x), r + t*S."""
 
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade import analysis, catalog
+from divcascade import analysis, cascade, catalog
 from divcascade.ratfun import ONE, Poly, RatU, UContext, solve_exact
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -189,15 +190,41 @@ def _reference_call(gen, x):
     return val if arr else float(val)
 
 
+def _p(*coeffs):
+    return Poly(coeffs)
+
+
+_UM1, _XP1, _XM1SQ = _p(-1, 1), _p(1, 0, 1), _p(-1, 0, 1) ** 2
+
+# The conjugate forms that evaluated the six root-mean-square differences
+# before they had an exact generator: numerator over (S + partner mean).
+_S_DIFFS = {
+    "D_SH": (RatU(_XM1SQ * _p(1, 0, 4, 0, 1), 2 * _XP1 * _XP1), "H"),
+    "D_SG": (RatU(_XM1SQ, _p(2)), "G"),
+    "D_SN": (RatU(_UM1 * _UM1 * _p(7, 10, 7), _p(18)), "N"),
+    "D_SA": (RatU(_XM1SQ, _p(4)), "A"),
+    "D_SR": (RatU(_XM1SQ * _p(1, 0, 4, 0, 1), 18 * _XP1 * _XP1), "R"),
+    "D_CS": (RatU(_XM1SQ * _p(1, 0, 0, 0, 1), 2 * _XP1 * _XP1), "C"),
+}
+
+
+def _reference_sqrt_mean(x):
+    x = np.asarray(x, dtype=float)
+    return np.sqrt((x * x + 1.0) / 2.0)
+
+
 def _reference_measure(measure, x):
-    if measure.gen is not None:
+    if isinstance(measure.gen, RatU):
         return _reference_call(measure.gen, x)
     if measure.id == "S":
-        return catalog.sqrt_mean_fn(x)
-    numer, partner = catalog._S_DIFFS[measure.id]
-    return (_reference_call(numer, x)
-            / (catalog.sqrt_mean_fn(x)
-               + _reference_call(catalog._MEAN_GEN[partner], x)))
+        val = _reference_sqrt_mean(x)
+    else:
+        numer, partner = _S_DIFFS[measure.id]
+        val = (_reference_call(numer, x)
+               / (_reference_sqrt_mean(x)
+                  + _reference_call(catalog.get(partner).gen, x)))
+    # Every measure returns a Python float for a scalar x.
+    return val if isinstance(x, np.ndarray) else float(val)
 
 
 def _bits(value):
@@ -237,3 +264,62 @@ def test_shared_context_reuses_the_power():
     for mid in ("D29", "D30", "W1", "D_SN", "S"):
         m = catalog.get(mid)
         assert _bits(m.eval_ctx(ctx)) == _bits(m(x)), mid
+
+
+# -- r + t*S: the root-mean-square mean and its six differences --------------
+
+_S_IDS = ("S", "D_SH", "D_SG", "D_SN", "D_SA", "D_SR", "D_CS")
+
+
+def _sympy_means(x):
+    root = sympy.sqrt(x)
+    return {"H": 2 * x / (x + 1), "G": root, "N": (x + root + 1) / 3,
+            "A": (x + 1) / 2, "R": 2 * (x**2 + x + 1) / (3 * (x + 1)),
+            "S": sympy.sqrt((x**2 + 1) / 2), "C": (x**2 + 1) / (x + 1)}
+
+
+def test_root_mean_square_forms_against_sympy():
+    x = sympy.Symbol("x", positive=True)
+    means = _sympy_means(x)
+    points = [Fraction(1, 7), Fraction(1, 2), Fraction(999, 1000),
+              Fraction(1001, 1000), Fraction(3), Fraction(50)]
+    for mid in _S_IDS:
+        expr = means[mid] if mid == "S" else means[mid[2]] - means[mid[3]]
+        m = catalog.get(mid)
+        for form, oracle in ((m.gen, expr), (m.fpp, sympy.diff(expr, x, 2))):
+            at_one = sympy.nsimplify(sympy.simplify(oracle.subs(x, 1)))
+            assert form.limit_at_1() == Fraction(str(at_one)), mid
+            f = sympy.lambdify(x, oracle, "mpmath")
+            with mpmath.workdps(50):
+                for q in points:
+                    xv = mpmath.mpf(q.numerator) / q.denominator
+                    ref = f(xv)
+                    got = form.eval_mp(xv, 50)
+                    assert abs(got - ref) <= mpmath.mpf(10)**-35 * abs(ref), (
+                        mid, q)
+
+
+def test_root_mean_square_sign_proofs_and_negative_controls():
+    gens = catalog._MEAN_GEN
+    s = gens["S"]
+    for p in "HGNAR":
+        assert (s - gens[p]).positive_off_one(), p
+        assert not (gens[p] - s).positive_off_one(), p   # wrong-signed S
+    assert (gens["C"] - s).positive_off_one()
+    assert not (s - gens["C"]).positive_off_one()
+    convex = {mid: catalog.get(mid).fpp.positive_off_one()
+              for mid in _S_IDS[1:]}
+    assert convex == {"D_SH": True, "D_SG": True, "D_SN": True,
+                      "D_SA": True, "D_SR": False, "D_CS": True}
+    assert (s - s).is_zero() and not s.is_zero()
+    assert cascade.is_exact_combination([(1, "D_SA")], [(1, "S"), (-1, "A")])
+    assert not cascade.is_exact_combination([(1, "S")], [(1, "R")])
+
+
+def test_conjugate_only_where_the_signs_are_opposite():
+    # f''_{D_SG} = S'' - G'' has r > 0 and t S > 0; its conjugate would be
+    # 0/0 at x = 1, so it is evaluated directly.
+    fpp = catalog.get("D_SG").fpp
+    assert fpp.limit_at_1() == Fraction(1, 2)
+    assert fpp(1.0) == 0.5
+    assert np.all(np.isfinite(fpp(np.array([1.0, 1.0 + 2.0**-52]))))
