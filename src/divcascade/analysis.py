@@ -150,10 +150,15 @@ def certify_convexity(measure) -> CheckResult:
                        verdict=verdict, counterexamples=bad[:10], ref=m.ref)
 
 
-def _ratio_ratu(num, den) -> RatU:
-    fn = num if isinstance(num, RatU) else _resolve(num).fpp
-    fd_ = den if isinstance(den, RatU) else _resolve(den).fpp
-    return fn / fd_
+def _fpp_ratu(measure) -> RatU:
+    """The exact f'' of a measure, or a ``RatU`` taken as given."""
+    if isinstance(measure, RatU):
+        return measure
+    m = _resolve(measure)
+    if not isinstance(m.fpp, RatU):
+        raise ValueError(f"{m.id} has a root-mean-square generator "
+                         "r + t*S; the sup-ratio grid needs a rational f''")
+    return m.fpp
 
 
 def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
@@ -166,7 +171,7 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
 
     Returns (sup value, argmax x, limit at 1).
     """
-    ratio = _ratio_ratu(num, den)
+    ratio = _fpp_ratu(num) / _fpp_ratu(den)
     if grid is None:
         grid = default_grid()
     vals = ratio(grid)

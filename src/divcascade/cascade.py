@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import analysis, catalog, means
-from .catalog import PYRAMID_PAIRS, positive_pair
+from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
+from .ratfun import ONE, Poly, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
 
 Frac = Fraction
@@ -24,7 +23,7 @@ Frac = Fraction
 __all__ = [
     "W", "V", "U", "W_second_derivative", "W_FPP_PRINTED",
     "pyramid_pair", "pyramid_diff", "pyramid_equalities",
-    "PYRAMID_EQ_SCALES", "Chain", "CHAINS", "chains", "get_chain",
+    "PYRAMID_EQ_SCALES", "PYRAMID_EQ_CLAIMS", "Chain", "CHAINS", "chains", "get_chain",
     "chain_from_dict", "audit_chain", "check_chain", "TheoremPart",
     "THEOREM_PARTS", "theorem_parts", "beta_constant", "beta_exact",
     "residual_decompositions", "is_exact_combination", "ComboLine",
@@ -51,39 +50,28 @@ def W_second_derivative(i: int, x: float) -> float:
     return float(catalog.get(f"W{i}").fpp(float(x)))
 
 
-def _w8_printed(x):
-    x = np.asarray(x, dtype=float)
-    return (14 * x ** 4 + 2 * x * x + 15) / (16 * x ** 3 * np.sqrt(x))
+def _xp(*coeffs) -> Poly:
+    """Polynomial in x from ascending coefficients, as a polynomial in u."""
+    return Poly([c for k in coeffs for c in (k, 0)])
 
 
-def _w_printed(i):
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        u = np.sqrt(x)
-        if i == 1:
-            return 16 / (x + 1) ** 3
-        if i == 2:
-            return 2 * ((x + 1) ** 3 + 48 * x * u) / (7 * x * u * (x + 1) ** 3)
-        if i == 3:
-            return 2 * ((x + 1) ** 3 + 16 * x * u) / (3 * x * u * (x + 1) ** 3)
-        if i == 4:
-            return 2 * (3 * (x + 1) ** 3 + 16 * x * u) / (5 * x * u * (x + 1) ** 3)
-        if i == 5:
-            return 2 / (x * u)
-        if i == 6:
-            return (3 * x * x + 2 * x + 3) / (4 * x * x * u)
-        if i == 7:
-            return (x ** 3 + 1) / x ** 3
-        if i == 9:
-            return (x + 1) * (2 * (x ** 4 + 1) + (x * x + 1) * (x - 1) ** 2) / (4 * x ** 4)
-        raise ValueError(i)
-    return f
+_XU, _CUBE = X.shift(1), XP1 ** 3       # x sqrt(x) and (x + 1)^3
 
-
-# Second derivatives as printed; entry 8 disagrees with the derived form
-# (14x^4 should be 15x^4) and is kept here so the audit can flag it.
-W_FPP_PRINTED = {i: _w_printed(i) for i in (1, 2, 3, 4, 5, 6, 7, 9)}
-W_FPP_PRINTED[8] = _w8_printed
+# Second derivatives of the W generators as printed.  Entry 8 disagrees
+# with the derived form (14x^4 should be 15x^4) and is kept here so the
+# audit can flag it.
+W_FPP_PRINTED: dict[int, RatU] = {
+    1: RatU(16 * ONE, _CUBE),
+    2: RatU(2 * (_CUBE + 48 * _XU), 7 * _XU * _CUBE),
+    3: RatU(2 * (_CUBE + 16 * _XU), 3 * _XU * _CUBE),
+    4: RatU(2 * (3 * _CUBE + 16 * _XU), 5 * _XU * _CUBE),
+    5: RatU(2 * ONE, _XU),
+    6: RatU(_xp(3, 2, 3), (4 * X * X).shift(1)),
+    7: RatU(_xp(1, 0, 0, 1), X ** 3),
+    8: RatU(_xp(15, 0, 2, 0, 14), (16 * X ** 3).shift(1)),
+    9: RatU(XP1 * (2 * _xp(1, 0, 0, 0, 1) + _xp(1, 0, 1) * XM1SQ),
+            4 * X ** 4),
+}
 
 
 def pyramid_pair(k: int) -> tuple[int, int]:
@@ -101,31 +89,35 @@ def pyramid_diff(k: int, pair) -> float:
 
 
 # Scalings that flatten the first ten pyramid differences onto the single
-# value (sqrt(a) - sqrt(b))^4 / (a + b).
+# value (sqrt(a) - sqrt(b))^4 / (a + b); each claim equates one of the
+# scaled D^2..D^10 with the scaled D^1.
 PYRAMID_EQ_SCALES = (
     Frac(7, 2), Frac(21, 8), Frac(3, 2), Frac(15, 8), Frac(35, 32),
     Frac(5, 6), Frac(5, 4), Frac(3, 4), Frac(7, 12), Frac(1, 2),
 )
+PYRAMID_EQ_CLAIMS = tuple(
+    (((s, f"D{k}"),), ((PYRAMID_EQ_SCALES[0], "D1"),))
+    for k, s in enumerate(PYRAMID_EQ_SCALES[1:], start=2))
 
 
 def pyramid_equalities(pair, tol: float = 1e-12):
     """Collapse the ten scaled differences D^1..D^10 to their common value.
 
     Returns (common value, per-index relative deviations) and raises if
-    any deviation exceeds tol.
+    any deviation exceeds tol.  The scaled D^1 is the common value; each
+    other deviation is the audit's ``means.claim_gap`` of its claim in
+    ``PYRAMID_EQ_CLAIMS``.
     """
     a, b = positive_pair(pair)
-    common = (np.sqrt(a) - np.sqrt(b)) ** 4 / (a + b)
-    scale = max(abs(common), 1e-300)
-    residuals = {}
-    for k, c in enumerate(PYRAMID_EQ_SCALES, start=1):
-        val = float(c) * pyramid_diff(k, (a, b))
-        residuals[f"D{k}"] = abs(val - common) / scale
+    common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
+    residuals = {"D1": 0.0}
+    for lhs, rhs in PYRAMID_EQ_CLAIMS:
+        residuals[lhs[0][1]] = float(means.claim_gap(lhs, rhs, a, b)[0])
     worst = max(residuals.values())
     if worst > tol:
         raise ValueError(f"pyramid equality broke at {pair}: "
                          f"relative deviation {worst:.3e}")
-    return float(common), residuals
+    return common, residuals
 
 
 def V(t: int, pair) -> float:
@@ -615,8 +607,6 @@ def fit_combination(measure_id: str, basis_ids: Iterable[str]):
     exists.  This is the fitting oracle used to confirm corrections to
     the printed combination lines.
     """
-    from .ratfun import solve_exact
-
     basis_ids = list(basis_ids)
     cols = [catalog.get(mid).gen for mid in basis_ids]
     target = catalog.get(measure_id).gen

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog
-from .catalog import LT_T_RANGE
+from .catalog import LT_T_RANGE, positive_pair
 
 __all__ = ["base", "base_ids", "L_t", "A7", "topsoe_delta", "LT_T_RANGE"]
 
@@ -39,14 +39,15 @@ def L_t(t: int, pair):
     """The t-th member of the unifying family at a positive pair.
 
     Accepts any integer t in the implemented window; the particular cases
-    t = -1, 0, 1, 2, 3 reproduce 2*delta, K, psi/2, F/2 and L/8.
+    t = -1, 0, 1, 2, 3 reproduce 2*delta, K, psi/2, F/2 and L/8.  A pair
+    that is not positive and finite raises ValueError.
     """
     t = int(t)
     lo, hi = LT_T_RANGE
     if not lo <= t <= hi:
         raise ValueError(f"t={t} outside implemented range [{lo}, {hi}]")
-    a, b = pair
-    return catalog.family_gen("Lt", t).__call__(a / b) * b
+    a, b = positive_pair(pair)
+    return catalog.get(f"Lt:{t}").value(a, b)
 
 
 def A7(x, t: int):

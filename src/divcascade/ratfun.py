@@ -569,29 +569,22 @@ class RatS:
             return self.r.eval_mp(xv, dps) + self.t.eval_mp(xv, dps) * s
 
 
-def solve_exact(columns: Sequence[RatU], target: RatU) -> list[Fraction] | None:
+def solve_exact(columns: Sequence[RatU | RatS],
+                target: RatU | RatS) -> list[Fraction] | None:
     """Write target as an exact linear combination of the given columns.
 
     Gaussian elimination over the rationals on the coefficient vectors of
-    the cleared-denominator forms.  When the system is underdetermined the
-    free variables are pinned to zero, which makes the answer canonical.
-    Returns None when no exact combination exists.
+    the cleared-denominator forms.  The r and t parts of r + t*S forms
+    (a ``RatU`` is r + 0*S) are solved as one stacked system: S is
+    irrational over the rational functions of u, so both parts must
+    match.  When the system is underdetermined the free variables are
+    pinned to zero, which makes the answer canonical.  Returns None when
+    no exact combination exists.
     """
-    dens = [c._as_pair()[1] for c in columns] + [target._as_pair()[1]]
-    common = ONE
-    for d in dens:
-        q, r = (common * d).divmod_exact(_poly_gcd(common, d))
-        assert r.is_zero()
-        common = q
-    vecs = []
-    for c in columns + [target]:
-        n, d = c._as_pair()
-        q, r = common.divmod_exact(d)
-        assert r.is_zero()
-        vecs.append((n * q).coeffs)
-    width = max(len(v) for v in vecs)
-    rows = [[v[i] if i < len(v) else Fraction(0) for v in vecs]
-            for i in range(width)]
+    parts = [(f.r, f.t) if isinstance(f, RatS) else (f, RatU.zero())
+             for f in [*columns, target]]
+    rows = (_coefficient_rows([r for r, _ in parts])
+            + _coefficient_rows([t for _, t in parts]))
     ncols = len(columns)
     pivots = []
     r = 0
@@ -615,6 +608,28 @@ def solve_exact(columns: Sequence[RatU], target: RatU) -> list[Fraction] | None:
     for i, col in enumerate(pivots):
         sol[col] = rows[i][ncols]
     return sol
+
+
+def _coefficient_rows(forms: Sequence[RatU]) -> list[list[Fraction]]:
+    """Rows u^i of the matrix whose columns are the forms' numerators.
+
+    Each numerator is taken over the forms' least common denominator.
+    """
+    common = ONE
+    for f in forms:
+        d = f._as_pair()[1]
+        q, r = (common * d).divmod_exact(_poly_gcd(common, d))
+        assert r.is_zero()
+        common = q
+    vecs = []
+    for f in forms:
+        n, d = f._as_pair()
+        q, r = common.divmod_exact(d)
+        assert r.is_zero()
+        vecs.append((n * q).coeffs)
+    width = max(len(v) for v in vecs)
+    return [[v[i] if i < len(v) else Fraction(0) for v in vecs]
+            for i in range(width)]
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:

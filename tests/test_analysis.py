@@ -113,6 +113,13 @@ def test_estimate_sup_ratio_attained_at_one():
     assert arg == pytest.approx(1.0, abs=1e-2)
 
 
+def test_estimate_sup_ratio_names_a_root_mean_square_measure():
+    with pytest.raises(ValueError, match="D_SA"):
+        analysis.estimate_sup_ratio("D_SA", "D_SH")
+    with pytest.raises(ValueError, match="D_SH"):
+        analysis.estimate_sup_ratio("D_AH", "D_SH")
+
+
 def test_scan_finds_reversed_chain_violation():
     a, b = analysis.sample_pairs(2_000, seed=3)
     terms = [(1.0, "K"), (1.0, "delta")]  # K dominates delta: reversed

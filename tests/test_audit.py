@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divcascade import analysis, audit, cascade, catalog, means
+from divcascade import analysis, audit, cascade, catalog, generators, means
+from divcascade.ratfun import Poly
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +301,45 @@ def test_sharp_constants_are_proved_without_samples(report):
     for c in betas:
         assert (c["kind"], c["samples"], c["max_violation"]) == (
             "ratio-constant", 0, 0.0)
+
+
+def test_printed_formula_checks_are_proofs(report):
+    ids = ([f"series:{fid}" for fid in generators.STEP_RATIOS]
+           + [f"witness:{fid}" for fid in generators.WITNESS_FORMS]
+           + ["identity:W8-second-derivative"])
+    checks = {c["id"]: c for c in report["checks"]}
+    assert len(ids) == 14
+    for cid in ids:
+        c = checks[cid]
+        assert (c["verdict"], c["samples"], c["max_violation"]) == (
+            "pass", 0, 0.0), cid
+
+
+def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch):
+    printed = generators.EXP_FORMS["Delta1"]["printed_arg"][1]
+    monkeypatch.setitem(generators.STEP_RATIOS, "Delta1", printed)
+    res = audit._check_series("Delta1")
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+
+
+@pytest.mark.parametrize("fid", ["K1", "Delta1"])
+def test_changed_witness_coefficient_fails(monkeypatch, fid):
+    form = generators.WITNESS_FORMS[fid]
+    witness = form["witness"]
+    monkeypatch.setitem(form, "witness",
+                        lambda t: witness(t) + Poly([0, 0, 1]))
+    res = audit._check_witness(fid)
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+
+
+def test_printed_witness_that_matches_fails(monkeypatch):
+    form = generators.WITNESS_FORMS["Mnew"]
+    monkeypatch.setitem(form, "printed_prefactor", form["prefactor"])
+    res = audit._check_witness("Mnew")
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+
+
+def test_printed_w8_set_to_the_truth_fails(monkeypatch):
+    monkeypatch.setitem(cascade.W_FPP_PRINTED, 8, catalog.get("W8").fpp)
+    res = audit._check_w8_second_derivative()
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))

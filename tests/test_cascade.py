@@ -118,6 +118,15 @@ def test_fit_combination_recovers_known_expansion():
     assert cascade.fit_combination("V1", ["psi"]) is None
 
 
+def test_fit_combination_over_the_root_mean_square():
+    fit = cascade.fit_combination("D_SA", ["S", "A"])
+    assert fit == {"S": Fraction(1), "A": Fraction(-1)}
+    # S is irrational over Q(u): no rational basis reaches it.
+    assert cascade.fit_combination("D_SA", ["A", "G", "H"]) is None
+    assert cascade.fit_combination("D_CS", ["C", "D_SA", "A"]) == {
+        "C": Fraction(1), "D_SA": Fraction(-1), "A": Fraction(-1)}
+
+
 def test_equivalent_expression_matches_direct_value():
     pair = (4.0, 1.0)
     direct = catalog.get("V1").value(*pair)

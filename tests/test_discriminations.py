@@ -37,6 +37,20 @@ def test_Lt_range_guard():
         discriminations.L_t(hi + 1, (2.0, 1.0))
 
 
+@pytest.mark.parametrize("pair", [(-1.0, 1.0), (math.nan, 1.0),
+                                  (math.inf, 1.0), (0.0, 1.0)])
+def test_Lt_rejects_a_pair_that_is_not_positive_finite(pair):
+    with pytest.raises(ValueError):
+        discriminations.L_t(0, pair)
+
+
+def test_Lt_reads_the_catalog_member():
+    for t in (-8, -1, 0, 3, 8):
+        for pair in ((2.0, 1.0), (1e-3, 7.5), (3.0, 3.0000001)):
+            assert discriminations.L_t(t, pair) == (
+                catalog.get(f"Lt:{t}").value(*pair))
+
+
 @given(st.integers(min_value=-1, max_value=8),
        st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=80)

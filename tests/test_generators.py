@@ -3,10 +3,12 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade import catalog, generators
+from divcascade import cascade, catalog, generators
+from divcascade.ratfun import RatU
 
 ratio = st.floats(min_value=0.2, max_value=5.0,
                   allow_nan=False, allow_infinity=False)
@@ -70,12 +72,8 @@ def test_L_series_offset_weights():
 
 
 def test_display_mismatches_are_the_known_three():
-    mismatched = set()
-    for fid, form in generators.EXP_FORMS.items():
-        a, b = 4.0, 1.0
-        if (abs(form["printed_lead"](a, b) - form["lead"](a, b)) > 1e-12
-                or abs(form["printed_arg"](a, b) - form["arg"](a, b)) > 1e-12):
-            mismatched.add(fid)
+    mismatched = {fid for fid in generators.EXP_FORMS
+                  if not generators.display_is_series_limit(fid)}
     assert mismatched == {"Delta1", "K1", "Mnew"}
 
 
@@ -105,3 +103,101 @@ def test_witness_positive_on_grid():
         for t in range(3):
             for x in (0.2, 0.9, 1.1, 7.0):
                 assert generators.convexity_witness(fid, x, t) > 0.0
+
+
+# -- The exact tables against sympy, an independent oracle -------------------
+# Every form is a function of (a, b) taken at a = u^2, b = 1, so it is a
+# rational function of u, and d/dx = d/du / (2u).
+
+_u = sympy.Symbol("u", positive=True)
+_a, _b = sympy.symbols("a b", positive=True)
+
+
+def _at_u(expr):
+    return expr.subs({_a: _u**2, _b: 1})
+
+
+def _sym(form: RatU):
+    """A RatU as a sympy rational function of u."""
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * _u**i
+                   for i, c in enumerate(p.coeffs))
+    return (_u - 1) ** form.m * poly(form.num) / poly(form.den)
+
+
+def _d2x(expr):
+    def dx(e):
+        return sympy.diff(e, _u) / (2 * _u)
+    return dx(dx(expr))
+
+
+def _same(x, y) -> bool:
+    return sympy.cancel(x - y) == 0
+
+
+_SQRT_STEP = (sympy.sqrt(_a) - sympy.sqrt(_b)) ** 2 / sympy.sqrt(_a * _b)
+_SQUARE_STEP = (_a - _b) ** 2 / (_a * _b)
+_DELTA = (_a - _b) ** 2 / (_a + _b)
+_K = (_a - _b) ** 2 / sympy.sqrt(_a * _b)
+
+# The members as the paper's series print them: lead * step^t.
+_MEMBERS = {
+    "Delta1": lambda t: _DELTA * _SQRT_STEP**t,
+    "Delta2": lambda t: _DELTA * _SQUARE_STEP**t,
+    "K1": lambda t: _K * _SQRT_STEP**t,
+    "K2": lambda t: _K * _SQUARE_STEP**t,
+    "Hgen": lambda t: (sympy.sqrt(_a) - sympy.sqrt(_b)) ** 2 * _SQRT_STEP**t,
+    "Mnew": lambda t: ((sympy.sqrt(_a) - sympy.sqrt(_b)) ** 4 / (_a + _b)
+                       * _SQRT_STEP**t),
+    "Lt": lambda t: ((_a - _b) ** 2 * (_a + _b) ** t
+                     / (2**t * (_a * _b) ** sympy.Rational(t + 1, 2))),
+}
+_STEPS = {"Delta1": _SQRT_STEP, "K1": _SQRT_STEP, "Hgen": _SQRT_STEP,
+          "Mnew": _SQRT_STEP, "Delta2": _SQUARE_STEP, "K2": _SQUARE_STEP,
+          "Lt": (_a + _b) / (2 * sympy.sqrt(_a * _b))}
+
+
+def test_step_ratios_against_sympy():
+    assert set(generators.STEP_RATIOS) == set(_STEPS)
+    for fid, step in _STEPS.items():
+        table = _sym(generators.STEP_RATIOS[fid])
+        assert _same(table, _at_u(step)), fid
+        start = generators.series_start(fid)
+        for t in range(start, start + 3):
+            member = _at_u(_MEMBERS[fid](t))
+            assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)
+            nxt = _at_u(_MEMBERS[fid](t + 1))
+            assert _same(nxt / member, table), (fid, t)
+
+
+def test_witness_factorizations_against_sympy():
+    for fid, form in generators.WITNESS_FORMS.items():
+        for t in range(5):
+            fpp = _d2x(_at_u(_MEMBERS[fid](t)))
+            derived = sympy.cancel(fpp / _sym(form["prefactor"](t)))
+            witness = form["witness"](t)
+            core = witness.deflate(0)[0].coeffs
+            assert core == core[::-1], (fid, t)    # palindromic past u^k
+            assert _same(derived, _sym(RatU(witness))), (fid, t)
+            printed = _sym(generators.witness_fpp(fid, t, printed=True))
+            has_printed = form["printed_witness"] or form["printed_prefactor"]
+            assert _same(printed, fpp) != bool(has_printed), (fid, t)
+
+
+def test_printed_w_second_derivatives_against_sympy():
+    g = sympy.sqrt(_a * _b)
+    n = (_a + g + _b) / 3
+    r = 2 * (_a**2 + _a * _b + _b**2) / (3 * (_a + _b))
+    c = (_a**2 + _b**2) / (_a + _b)
+    ladder = {
+        1: 2 * _DELTA, 2: sympy.Rational(24, 7) * (c - n),
+        3: sympy.Rational(8, 3) * (c - g), 4: sympy.Rational(24, 5) * (r - g),
+        5: 4 * (sympy.sqrt(_a) - sympy.sqrt(_b)) ** 2, 6: _K,
+        7: (_a - _b) ** 2 * (_a + _b) / (2 * _a * _b),
+        8: (_a**2 - _b**2) ** 2 / (4 * (_a * _b) ** sympy.Rational(3, 2)),
+        9: (_a - _b) ** 2 * (_a + _b) ** 3 / (8 * (_a * _b) ** 2),
+    }
+    for i, w in ladder.items():
+        fpp = _d2x(_at_u(w))
+        assert _same(fpp, _sym(catalog.get(f"W{i}").fpp)), i
+        assert _same(fpp, _sym(cascade.W_FPP_PRINTED[i])) == (i != 8), i

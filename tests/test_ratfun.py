@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcascade import analysis, cascade, catalog
-from divcascade.ratfun import ONE, Poly, RatU, UContext, solve_exact
+from divcascade.ratfun import ONE, Poly, RatS, RatU, UContext, solve_exact
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 coeff_lists = st.lists(small_fracs, min_size=1, max_size=5)
@@ -155,6 +155,15 @@ def test_solve_exact_reports_unreachable_target():
     g = _delta_gen()
     unreachable = RatU(Poly([0, 0, 0, 0, 0, 1]))  # u^5: odd in u
     assert solve_exact([g], unreachable) is None
+
+
+def test_solve_exact_matches_both_parts_of_r_plus_t_s():
+    g = _delta_gen()
+    s = RatS(RatU.zero(), RatU(ONE))
+    target = s * Fraction(3) + g * Fraction(-2)
+    assert solve_exact([g, s], target) == [Fraction(-2), Fraction(3)]
+    assert solve_exact([g], target) is None      # t part unmatched
+    assert solve_exact([s], target) is None      # r part unmatched
 
 
 @given(st.integers(min_value=-3, max_value=3),
