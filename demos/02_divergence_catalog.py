@@ -29,8 +29,7 @@ print()
 print("Each inequality step has a sharp constant: the supremum of the")
 print("ratio of second derivatives, always attained in the limit x -> 1.")
 part = cascade.THEOREM_PARTS["2.1:1"]
-sup, arg, limit = analysis.estimate_sup_ratio(
-    catalog.get(part.small).gen, catalog.get(part.big).gen)
+sup, arg, limit = analysis.estimate_sup_ratio(part.small, part.big)
 print(f"  example: sup f''_{part.small}/f''_{part.big} = {sup:.10f} "
       f"near x = {arg:.3f}; limit at 1 = {limit:.10f} (exact {part.beta})")
 

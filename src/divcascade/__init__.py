@@ -4,18 +4,17 @@ The catalog exposes seven means, their 21 pairwise differences, the
 common-scale ladder W1..W9 with its 36 pyramid differences, the
 residual measures V1..V14 and U1..U15, and six parametric generator
 families, all backed by exact rational generators in sqrt(x).  The
-audit machinery re-derives every ordering chain, decomposition
-identity, ratio constant, and convexity certificate and writes a
-deterministic JSON report.
+audit machinery proves every ordering chain, decomposition identity,
+ratio constant, and convexity certificate and writes a deterministic
+JSON report.
 """
 
 # The one place the version is written; pyproject.toml reads it from here.
 __version__ = "0.1.0"
 
 from .audit import AuditConfig, ERRATA, diff_reports, run_audit, write_report
-from .analysis import (certify_convexity, counterexample_search,
-                       estimate_sup_ratio, fd_second_derivative,
-                       sample_pairs)
+from .analysis import (certify_convexity, estimate_sup_ratio,
+                       fd_second_derivative, sample_pairs)
 from .cascade import (CHAINS, THEOREM_PARTS, Chain, audit_chain,
                       beta_constant, chain_from_dict, chains,
                       combination_lines, equivalent_expression,
@@ -41,7 +40,7 @@ __all__ = [
     "THEOREM_PARTS", "WITNESS_FORMS", "all_ids", "audit_chain", "base",
     "base_ids", "topsoe_delta",
     "beta_constant", "certify_convexity", "chain_from_dict", "chains",
-    "combination_lines", "convexity_witness", "counterexample_search",
+    "combination_lines", "convexity_witness",
     "diff_reports", "divergence", "equivalent_expression",
     "estimate_sup_ratio", "exp_L_representation", "exp_L_series_partial",
     "exp_representation", "exp_series_partial", "family",

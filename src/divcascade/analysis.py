@@ -3,9 +3,10 @@
 Convexity certificates (an exact sign proof of f'' for every divergence,
 checked against high-precision differences at 11 points), a grid
 estimate of the sup-ratio behind each sharp inequality constant (the
-audit proves those constants exactly instead), and randomized
-counterexample search.  Everything here is deterministic given the seed
-and independent of the worker count: samples are drawn in one stream up
+audit proves those constants exactly instead), and the sampled chain
+scan, which checks the float evaluators against the orderings that
+``cascade`` proves.  Everything here is deterministic given the seed and
+independent of the worker count: samples are drawn in one stream up
 front, split into fixed-size chunks, and merged in chunk order.
 
 A chain scan streams its terms through each chunk: every term is
@@ -25,12 +26,11 @@ import numpy as np
 from . import catalog
 from .catalog import Measure
 from .ratfun import RatU, UContext
-from .reporting import CheckResult, make_result
+from .reporting import CheckResult
 
 __all__ = [
     "default_grid", "sample_pairs", "fd_second_derivative",
-    "certify_convexity", "estimate_sup_ratio", "counterexample_search",
-    "scan_chain_terms", "CHUNK",
+    "certify_convexity", "estimate_sup_ratio", "scan_chain_terms", "CHUNK",
 ]
 
 CHUNK = 131072
@@ -243,34 +243,3 @@ def scan_chain_terms(terms, a: np.ndarray, b: np.ndarray, tol: float,
         if len(records) >= 10:
             break
     return max_violation, records
-
-
-def counterexample_search(claim, samples: int = 100000, seed=0,
-                          tol: float = 1e-12, workers: int = 1, *,
-                          check_id: str | None = None,
-                          kind: str = "chain", ref: str = "") -> CheckResult:
-    """Randomized search for violations of an ordering or identity claim.
-
-    ``claim`` is either a sequence of (coefficient, measure) terms whose
-    scaled values must be nondecreasing, an object with such a ``terms``
-    attribute, or a callable mapping sampled arrays (a, b) to a relative
-    violation array.  The result records the worst violation seen and up
-    to ten offending samples.
-    """
-    a, b = sample_pairs(samples, seed)
-    terms = getattr(claim, "terms", None)
-    if terms is None and not callable(claim):
-        terms = list(claim)
-    if terms is not None:
-        max_violation, records = scan_chain_terms(terms, a, b, tol, workers)
-        name = check_id or getattr(claim, "id", "chain")
-        return make_result(name, kind, samples, max_violation, tol,
-                           counterexamples=records,
-                           ref=ref or getattr(claim, "ref", ""))
-    viol = np.asarray(claim(a, b), dtype=float)
-    max_violation = float(viol.max()) if viol.size else float("-inf")
-    idx = np.nonzero(viol > tol)[0][:10]
-    records = [{"index": int(j), "a": float(a[j]), "b": float(b[j]),
-                "violation": float(viol[j])} for j in idx]
-    return make_result(check_id or "identity", kind, samples, max_violation,
-                       tol, counterexamples=records, ref=ref)

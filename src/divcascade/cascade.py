@@ -4,18 +4,21 @@ This module holds the ordered W scale, the 36 pyramid differences, the V
 and U residual measures, the sharp constants attached to each adjacent
 pair, the proof-part decomposition tables, the linear combination lines,
 and every inequality chain, all as declarative data that the audit
-engine replays.
+engine replays.  Each claim is proved as one exact sum of c * form:
+``is_exact_combination`` (the sum is zero) and ``is_exact_ordering``
+(the sum is zero or positive off x = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional
 
 from . import analysis, catalog, means
 from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
-from .ratfun import ONE, Poly, RatU, X, solve_exact
+from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
 
 Frac = Fraction
@@ -26,7 +29,8 @@ __all__ = [
     "PYRAMID_EQ_SCALES", "PYRAMID_EQ_CLAIMS", "Chain", "CHAINS", "chains", "get_chain",
     "chain_from_dict", "audit_chain", "check_chain", "TheoremPart",
     "THEOREM_PARTS", "theorem_parts", "beta_constant", "beta_exact",
-    "residual_decompositions", "is_exact_combination", "ComboLine",
+    "residual_decompositions", "is_exact_combination", "is_exact_ordering",
+    "ComboLine",
     "COMBINATION_LINES", "combination_lines", "equivalent_expression",
     "fit_combination",
 ]
@@ -282,24 +286,34 @@ def chain_from_dict(doc: dict) -> Chain:
 
 def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
-    """Sample pairs and verify every adjacent ordering in the chain."""
+    """Prove every adjacent ordering in the chain, then scan sampled pairs."""
     if isinstance(chain, str):
         chain = get_chain(chain)
-    for _, mid in chain.terms:
-        catalog.get(mid)
     a, b = analysis.sample_pairs(samples, seed)
     return check_chain(chain, a, b, tol, workers)
 
 
+@cache
+def _link_proved(lo, hi) -> bool:
+    """Whether the link c0*m0 <= c1*m1 holds at every x > 0, proved once."""
+    return is_exact_ordering((lo,), (hi,))
+
+
 def check_chain(chain: Chain, a, b, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
-    """Verify every adjacent ordering in the chain on the drawn pairs (a, b)."""
+    """Prove every adjacent ordering in the chain and scan the pairs (a, b).
+
+    A failed link proof reads inf; the scan's counterexamples stay.
+    """
     max_violation, records = analysis.scan_chain_terms(
         chain.terms, a, b, tol, workers)
     for r in records:
         i = r.pop("step")
         lo, hi = chain.terms[i], chain.terms[i + 1]
         r["step"] = f"{lo[0]}*{lo[1]} <= {hi[0]}*{hi[1]}"
+    if not all(_link_proved(lo, hi)
+               for lo, hi in zip(chain.terms, chain.terms[1:])):
+        max_violation = float("inf")
     return make_result(f"chain:{chain.id}", "chain", int(a.size),
                        max_violation, tol, counterexamples=records,
                        ref=chain.ref)
@@ -443,18 +457,34 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     }
 
 
-def is_exact_combination(lhs, rhs) -> bool:
-    """Whether sum(c * gen(mid)) over ``lhs`` equals that over ``rhs`` exactly.
+def _claim_sum(plus, minus):
+    """sum(c * form) over ``plus`` minus that over ``minus``, exactly.
 
-    Terms are (coefficient, measure id) pairs; a sum with a root-mean-square
-    term is a ``RatS``.  The sum starts from its first term, not from zero.
+    A term is (c, catalog id), standing for its generator, or (c, exact
+    ``RatU``/``RatS`` form).  The sum starts from its first term.
     """
     acc = None
-    for sign, terms in ((1, lhs), (-1, rhs)):
-        for c, mid in terms:
-            term = catalog.get(mid).gen * (sign * Frac(c))
+    for sign, terms in ((1, plus), (-1, minus)):
+        for c, sym in terms:
+            if not isinstance(sym, (RatU, RatS)):
+                sym = catalog.get(sym).gen
+            term = sym * (sign * Frac(c))
             acc = term if acc is None else acc + term
-    return acc.is_zero()
+    return acc
+
+
+def is_exact_combination(lhs, rhs) -> bool:
+    """Whether sum(c * form) over ``lhs`` equals that over ``rhs`` exactly."""
+    return _claim_sum(lhs, rhs).is_zero()
+
+
+def is_exact_ordering(lo, hi) -> bool:
+    """Whether sum(c * form) over ``lo`` <= that over ``hi`` at all x > 0.
+
+    Proved when the difference hi - lo is zero or positive off x = 1.
+    """
+    gap = _claim_sum(hi, lo)
+    return gap.is_zero() or gap.positive_off_one()
 
 
 def residual_identity_exact(part) -> bool:

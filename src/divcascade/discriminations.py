@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import catalog
+from . import catalog, distributions
 from .catalog import LT_T_RANGE, positive_pair
+from .ratfun import Poly, RatU
 
-__all__ = ["base", "base_ids", "L_t", "A7", "topsoe_delta", "LT_T_RANGE"]
+__all__ = ["base", "base_ids", "L_t", "A7", "A7_poly", "topsoe_delta",
+           "LT_T_RANGE"]
 
 
 def base_ids() -> tuple[str, ...]:
@@ -32,6 +34,7 @@ def base(measure_id: str, a, b):
     if measure_id not in catalog.BASE_IDS:
         raise KeyError(f"unknown base measure {measure_id!r}; "
                        f"expected one of {catalog.BASE_IDS}")
+    a, b = positive_pair((a, b))
     return catalog.get(measure_id).value(a, b)
 
 
@@ -50,29 +53,34 @@ def L_t(t: int, pair):
     return catalog.get(f"Lt:{t}").value(a, b)
 
 
+def A7_poly(t: int) -> Poly:
+    """The convexity polynomial A7 of the L_t family, exact in u = sqrt(x)."""
+    ends, inner = (t + 1) * (t + 3), 4 * (2 - t) * (t + 1)
+    return Poly([ends, 0, inner, 0, 2 * (3 * t - 5) * (t - 1), 0, inner, 0,
+                 ends])
+
+
 def A7(x, t: int):
     """Convexity polynomial of the L_t family.
 
     f''_{L_t}(x) = (x+1)^(t-2) / (2^(t+2) x^2 (sqrt x)^(t+1)) * A7(x, t),
     so positivity of A7 certifies convexity.  A7(1, t) = 32 for every t.
     """
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-    return ((t + 1) * (t + 3) * (x ** 4 + 1)
-            + 4 * x * (x * x + 1) * (2 - t) * (t + 1)
-            + 2 * x * x * (3 * t - 5) * (t - 1))
+    return RatU(A7_poly(t))(x)
 
 
 def topsoe_delta(t: int, p, q):
     """Generalized triangular discrimination of order t >= 1.
 
     Sum over components of (p_i - q_i)^(2t) / (p_i + q_i)^(2t - 1).
-    Order 1 is the ordinary triangular discrimination.
+    Order 1 is the ordinary triangular discrimination.  p and q must
+    validate as probability vectors (``distributions.validate``).
     """
     t = int(t)
     if t < 1:
         raise ValueError(f"order must be >= 1, got {t}")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = distributions.validate(p).as_array()
+    q = distributions.validate(q).as_array()
     if p.shape != q.shape:
         raise ValueError("distributions must have matching shapes")
     d = p - q

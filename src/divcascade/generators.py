@@ -10,8 +10,10 @@ exact forms in u = sqrt(x) (``RatU``):
   palindromic witness polynomial A in u that is positive for u > 0;
 * the printed exponential display lead * exp(arg), verbatim.
 
-The audit proves each against the catalog's generators; the float
-helpers below evaluate the same forms.
+The audit proves the step ratios and the factorizations against the
+catalog's generators, and ``display_is_series_limit`` compares each
+display with the series limit; the float helpers below evaluate the
+same forms.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:
     return _series_partial("Lt", -1 if offset else 0, n, pair)
 
 
-# Printed exponential displays E_F = lead * exp(arg), kept verbatim for the
-# audit.  A printed formula of (a, b), homogeneous of degree d, is held as
+# Printed exponential displays E_F = lead * exp(arg), kept verbatim; the
+# audit reports each series under its "ref".  A printed formula of (a, b), homogeneous of degree d, is held as
 # (d, g) with value b**d * g(a/b).  The display is the series limit when
 # its lead is (1, family(start)) and its argument is (0, step ratio).
 _SQ = RatU(UM1 * UM1)                # (sqrt a - sqrt b)^2

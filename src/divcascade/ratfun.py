@@ -23,6 +23,7 @@ generator evaluated at the same points can share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -193,13 +194,12 @@ class Poly:
         """
         if self.is_zero():
             return self, 0
-        p, m = self, 0
-        factor = Poly([-_frac(root), 1])
-        while p(root) == 0:
-            p, rem = p.divmod_exact(factor)
-            assert rem.is_zero()
-            m += 1
-        return p, m
+        root, cs, m = _frac(root), self.coeffs, 0
+        while True:     # synthetic division by u - root; p(root) comes last
+            sums = list(accumulate(reversed(cs), lambda s, c: s * root + c))
+            if sums[-1] != 0:
+                return Poly(cs), m
+            cs, m = sums[-2::-1], m + 1
 
     def content_free(self) -> tuple["Poly", Fraction]:
         """Return (primitive polynomial, scale) with integer coprime coefficients."""
@@ -322,9 +322,7 @@ class RatU:
         return self + -other
 
     def __neg__(self) -> "RatU":
-        out = RatU.__new__(RatU)
-        out.num, out.den, out.m = -self.num, self.den, self.m
-        return out
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, RatU):
@@ -333,7 +331,10 @@ class RatU:
         c = _frac(other)
         if c == 0:
             return RatU.zero()
-        return RatU(self.num * c, self.den, self.m)
+        # A scale keeps the normal form, which holds it in the numerator.
+        out = RatU.__new__(RatU)
+        out.num, out.den, out.m = self.num * c, self.den, self.m
+        return out
 
     __rmul__ = __mul__
 

@@ -174,9 +174,12 @@ def test_criterion_7_exponential_series():
     forty terms are needed for 1e-12.  Both regimes are asserted exactly.
     """
     families = ("Delta1", "Delta2", "K1", "K2", "Hgen", "Mnew", "Lt")
-    for fid in families:
-        res = audit._check_series(fid)
-        assert res.verdict == "pass", (fid, res.max_violation)
+    rows = [i for i in audit._printed_forms() if i.kind == "series"]
+    assert [i.id for i in rows] == [f"series:{fid}" for fid in families]
+    a, b = analysis.sample_pairs(10, seed=7)
+    for ident in rows:
+        res = audit._check_identity(ident, a, b)
+        assert res.verdict == "pass", (ident.id, res.max_violation)
 
     pairs = [(0.1, 1.0), (0.35, 1.0), (1.0, 3.0), (0.7, 1.3), (1.2, 1.0),
              (2.0, 1.0), (4.0, 1.0), (5.0, 1.0), (7.8, 1.0), (10.0, 1.0),

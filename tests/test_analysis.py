@@ -139,15 +139,6 @@ def test_scan_worker_independence():
     assert w1[1] == w4[1]
 
 
-def test_counterexample_search_callable_claim():
-    res = analysis.counterexample_search(
-        lambda a, b: np.where(a > b, 1.0, -1.0), samples=100, seed=0,
-        check_id="always-bad")
-    assert res.verdict == "fail"
-    assert res.id == "always-bad"
-    assert len(res.counterexamples) <= 10
-
-
 def _reference_scan(terms, a, b, tol):
     """Evaluate every term over all pairs, then compare adjacent ones.
 

@@ -315,31 +315,66 @@ def test_printed_formula_checks_are_proofs(report):
             "pass", 0, 0.0), cid
 
 
-def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch):
+def _printed_row(cid):
+    """The series, witness or W8 row as the audit builds it now."""
+    rows = audit._printed_forms() + [audit._w8_printed()]
+    return next(ident for ident in rows if ident.id == cid)
+
+
+def _proof_failed(result):
+    assert (result.verdict, result.max_violation) == ("fail", float("inf"))
+    assert (result.samples, result.counterexamples) == (0, [])
+
+
+def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch, pairs):
     printed = generators.EXP_FORMS["Delta1"]["printed_arg"][1]
     monkeypatch.setitem(generators.STEP_RATIOS, "Delta1", printed)
-    res = audit._check_series("Delta1")
-    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    res = audit._check_identity(_printed_row("series:Delta1"), *pairs)
+    assert res.kind == "series"
+    _proof_failed(res)
 
 
 @pytest.mark.parametrize("fid", ["K1", "Delta1"])
-def test_changed_witness_coefficient_fails(monkeypatch, fid):
+def test_changed_witness_coefficient_fails(monkeypatch, pairs, fid):
     form = generators.WITNESS_FORMS[fid]
     witness = form["witness"]
     monkeypatch.setitem(form, "witness",
                         lambda t: witness(t) + Poly([0, 0, 1]))
-    res = audit._check_witness(fid)
-    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    _proof_failed(audit._check_identity(_printed_row(f"witness:{fid}"),
+                                        *pairs))
 
 
-def test_printed_witness_that_matches_fails(monkeypatch):
+def test_printed_witness_that_matches_fails(monkeypatch, pairs):
     form = generators.WITNESS_FORMS["Mnew"]
     monkeypatch.setitem(form, "printed_prefactor", form["prefactor"])
-    res = audit._check_witness("Mnew")
-    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    _proof_failed(audit._check_identity(_printed_row("witness:Mnew"),
+                                        *pairs))
 
 
-def test_printed_w8_set_to_the_truth_fails(monkeypatch):
+def test_printed_w8_set_to_the_truth_fails(monkeypatch, pairs):
     monkeypatch.setitem(cascade.W_FPP_PRINTED, 8, catalog.get("W8").fpp)
-    res = audit._check_w8_second_derivative()
-    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    _proof_failed(audit._check_identity(
+        _printed_row("identity:W8-second-derivative"), *pairs))
+
+
+def test_erratum_e15_printed_witness_doubles_f2_only_at_t0():
+    ratios_at_2 = []
+    for t in range(5):
+        fpp = catalog.get(f"Delta1:{t}").fpp
+        printed = generators.witness_fpp("Delta1", t, printed=True)
+        assert (printed == fpp * 2) == (t == 0), t
+        if t:
+            assert (printed - fpp).positive_off_one(), t
+            ratios_at_2.append(round(printed(2.0) / fpp(2.0), 2))
+    assert ratios_at_2 == [1.30, 1.23, 1.21, 1.20]
+    e15 = next(e for e in audit.ERRATA if e["id"] == "E15")
+    assert "only at t = 0" in e15["description"]
+    assert "1.30, 1.23, 1.21 and 1.20 at x = 2" in e15["description"]
+
+
+def test_negative_control_needs_the_failed_proof(monkeypatch):
+    cfg = audit.AuditConfig(chains=["means"], samples=100, seed=1)
+    control = audit._negative_control(cfg)
+    assert control.verdict == "pass" and control.max_violation > 1e-12
+    monkeypatch.setattr(cascade, "is_exact_ordering", lambda lo, hi: True)
+    assert audit._negative_control(cfg).verdict == "fail"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from divcascade import analysis, cascade, catalog
+from divcascade.ratfun import ONE, RatS, RatU
 
 
 def test_chain_registry():
@@ -27,6 +28,59 @@ def test_chain_from_dict_roundtrip():
     chain = cascade.chain_from_dict(doc)
     res = cascade.audit_chain(chain, samples=5_000, seed=1)
     assert res.verdict == "pass"
+
+
+def test_every_chain_link_is_proved_and_fails_reversed():
+    links = [(lo, hi) for chain in cascade.CHAINS.values()
+             for lo, hi in zip(chain.terms, chain.terms[1:])]
+    assert len(links) == 174
+    for lo, hi in links:
+        assert cascade.is_exact_ordering((lo,), (hi,)), (lo, hi)
+        assert not cascade.is_exact_ordering((hi,), (lo,)), (lo, hi)
+
+
+def test_a_wrong_signed_root_mean_square_fails():
+    minus_s = RatS(RatU.zero(), RatU(-1 * ONE))
+    assert cascade.is_exact_ordering([(1, "R")], [(1, "S")])
+    assert not cascade.is_exact_ordering([(1, "R")], [(1, minus_s)])
+    n_minus_s = catalog.get("N").gen - catalog.get("S").gen
+    assert cascade.is_exact_ordering([(1, "D_SA")], [(Fraction(3, 4), "D_SN")])
+    assert not cascade.is_exact_ordering([(1, "D_SA")],
+                                         [(Fraction(3, 4), n_minus_s)])
+
+
+def test_a_chain_the_scan_passes_fails_its_proof():
+    # K / delta = (x + 1) / sqrt(x) passes 1e7 only near x = 1e14, outside
+    # the sampled window.
+    chain = cascade.chain_from_dict(
+        {"id": "planted", "terms": [[1, "K"], [10**7, "delta"]]})
+    a, b = analysis.sample_pairs(100_000, 0)
+    worst, records = analysis.scan_chain_terms(chain.terms, a, b, 1e-12)
+    assert worst < 0 and not records
+    res = cascade.audit_chain(chain, samples=100_000, seed=0)
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    assert res.samples == 100_000
+
+
+def test_planted_reversed_link_fails_proof_and_scan():
+    chain = cascade.chain_from_dict(
+        {"id": "planted", "terms": [[1, "W2"], [1, "W1"]]})
+    assert not cascade.is_exact_ordering(chain.terms[:1], chain.terms[1:])
+    a, b = analysis.sample_pairs(2_000, 5)
+    worst, _ = analysis.scan_chain_terms(chain.terms, a, b, 1e-12)
+    assert worst > 1e-12
+    res = cascade.check_chain(chain, a, b)
+    assert (res.verdict, res.max_violation) == ("fail", float("inf"))
+    assert res.counterexamples[0]["step"] == "1*W2 <= 1*W1"
+
+
+def test_a_proved_chain_reports_its_scan():
+    chain = cascade.get_chain("eq9")
+    a, b = analysis.sample_pairs(2_000, 5)
+    res = cascade.check_chain(chain, a, b)
+    assert res.verdict == "pass"
+    assert res.max_violation == analysis.scan_chain_terms(
+        chain.terms, a, b, 1e-12)[0]
 
 
 def test_w_values_match_closed_forms():

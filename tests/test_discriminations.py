@@ -1,6 +1,7 @@
 """Unit tests for base discriminations and the unifying L_t family."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divcascade import catalog, discriminations
+from divcascade.ratfun import ONE, RatU, U, X
 
 
 def test_base_ids_and_values():
@@ -17,6 +19,13 @@ def test_base_ids_and_values():
     assert discriminations.base("psi", 4.0, 1.0) == pytest.approx(11.25)
     with pytest.raises(KeyError):
         discriminations.base("V1", 4.0, 1.0)
+
+
+@pytest.mark.parametrize("pair", [(-1.0, 1.0), (math.nan, 1.0),
+                                  (1.0, math.inf), (0.0, 1.0)])
+def test_base_rejects_a_pair_that_is_not_positive_finite(pair):
+    with pytest.raises(ValueError):
+        discriminations.base("delta", *pair)
 
 
 def test_Lt_reproduces_scaled_bases():
@@ -62,6 +71,22 @@ def test_A7_certifies_Lt_second_derivative(t, x):
     assert discriminations.A7(x, t) > 0.0
 
 
+def _lt_prefactor(t):
+    """(x+1)^(t-2) / (2^(t+2) x^2 u^(t+1)) as an exact form in u."""
+    xp1 = ONE + X
+    num = xp1 ** max(t - 2, 0) * U ** max(-(t + 1), 0)
+    den = xp1 ** max(2 - t, 0) * X * X * U ** max(t + 1, 0)
+    return RatU(num, den) * Fraction(1, 2) ** (t + 2)
+
+
+def test_A7_factors_the_Lt_second_derivative_exactly():
+    for t in range(-8, 9):
+        a7 = discriminations.A7_poly(t)
+        assert _lt_prefactor(t) * RatU(a7) == catalog.get(f"Lt:{t}").fpp, t
+        if t >= -1:
+            assert a7.positive_roots() == 0 and a7(1) == 32, t
+
+
 def test_A7_at_one_is_32():
     for t in (-1, 0, 1, 5, 8):
         assert discriminations.A7(1.0, t) == pytest.approx(32.0)
@@ -96,3 +121,11 @@ def test_topsoe_guards():
         discriminations.topsoe_delta(0, [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
         discriminations.topsoe_delta(1, [0.5, 0.5], [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("p, q", [([0.5, -0.5], [-0.5, 0.5]),
+                                  ([0.5, 0.5], [0.0, 1.0]),
+                                  ([0.5, 0.7], [0.5, 0.5])])
+def test_topsoe_rejects_what_is_not_a_distribution(p, q):
+    with pytest.raises(ValueError):
+        discriminations.topsoe_delta(1, p, q)
