@@ -9,11 +9,14 @@ scan, which checks the float evaluators against the orderings that
 independent of the worker count: samples are drawn in one stream up
 front, split into fixed-size chunks, and merged in chunk order.
 
-A chain scan streams its terms through each chunk: every term is
-evaluated from one ``UContext`` per chunk (so sqrt(x), u - 1 and each
-(u - 1)^m are computed once per chunk, not once per term), compared
-with the term before it, and dropped.  A chunk holds two term arrays at
-a time, whatever the chain's length.
+A run draws one ``Sample``: the pairs a, b, their ratios x = a/b and
+one ``UContext`` of x, so sqrt(x), u - 1 and each (u - 1)^m are computed
+once per run, not once per term, check or chain.  A chain scan streams
+its terms through each chunk: every term is evaluated from the
+context, compared with the term before it, and dropped.  A chunk holds
+two term arrays at a time, whatever the chain's length.  A sample that
+spans several chunks is scanned with one context per chunk, built by
+the task that owns the chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .ratfun import RatU, UContext
 from .reporting import CheckResult
 
 __all__ = [
-    "default_grid", "sample_pairs", "fd_second_derivative",
+    "default_grid", "sample_pairs", "Sample", "fd_second_derivative",
     "certify_convexity", "estimate_sup_ratio", "scan_chain_terms", "CHUNK",
 ]
 
@@ -65,6 +68,41 @@ def sample_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     a = np.concatenate([a_main, a_near])
     b = np.concatenate([b_main, a_near * (1.0 + delta)])
     return a, b
+
+
+class Sample:
+    """Pairs (a, b) with their ratios x = a/b and one shared ``UContext``.
+
+    ``b * m.eval_ctx(sample.ctx)`` has the bits of ``m.value(a, b)``, so
+    every check that reads a measure from the sample shares the powers
+    (u - 1)^m of one context.  Scalars are held as one-element arrays.
+    The context is built on first use and is stateful: use it from one
+    thread only.
+    """
+
+    __slots__ = ("a", "b", "x", "_ctx")
+
+    def __init__(self, a, b):
+        self.a = np.atleast_1d(np.asarray(a, dtype=float))
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self.x = self.a / self.b
+        self._ctx = None
+
+    @classmethod
+    def draw(cls, n: int, seed) -> "Sample":
+        """The n pairs of ``sample_pairs(n, seed)``."""
+        return cls(*sample_pairs(n, seed))
+
+    @property
+    def size(self) -> int:
+        return int(self.a.size)
+
+    @property
+    def ctx(self) -> UContext:
+        """The ``UContext`` of x, built on first use."""
+        if self._ctx is None:
+            self._ctx = UContext(self.x)
+        return self._ctx
 
 
 def fd_second_derivative(f: Callable, x: float, h: float | None = None) -> float:
@@ -182,11 +220,9 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
     return float(vals[i]), float(grid[i]), float(limit)
 
 
-def _scan_chunk(terms, x: np.ndarray, lo: int, hi: int, tol: float):
-    xs = x[lo:hi]
-    ctx = UContext(xs)
-    worst = np.full(xs.shape, -np.inf)
-    worst_step = np.zeros(xs.shape, dtype=np.int64)
+def _scan_chunk(terms, ctx: UContext, tol: float):
+    worst = np.full(ctx.x.shape, -np.inf)
+    worst_step = np.zeros(ctx.x.shape, dtype=np.int64)
     values = (float(c) * _resolve(mid).eval_ctx(ctx) for c, mid in terms)
     upper = next(values)
     abs_upper = np.abs(upper)
@@ -201,44 +237,52 @@ def _scan_chunk(terms, x: np.ndarray, lo: int, hi: int, tol: float):
         upd = np.greater(viol, worst)
         np.copyto(worst_step, i, where=upd)
         np.copyto(worst, viol, where=upd)
-    chunk_max = float(worst.max()) if xs.size else float("-inf")
+    chunk_max = float(worst.max()) if worst.size else float("-inf")
     idx = np.nonzero(worst > tol)[0][:10]
-    cands = [(int(lo + j), float(worst[j]), int(worst_step[j])) for j in idx]
-    return chunk_max, cands
+    return chunk_max, [(int(j), float(worst[j]), int(worst_step[j]))
+                       for j in idx]
 
 
-def scan_chain_terms(terms, a: np.ndarray, b: np.ndarray, tol: float,
-                     workers: int = 1):
+def scan_chain_terms(terms, sample: Sample, tol: float, workers: int = 1):
     """Check coef_0*m_0 <= coef_1*m_1 <= ... on every sampled pair.
 
-    Evaluation is chunked; chunk results are merged in index order so the
-    outcome does not depend on the worker count.  Within a chunk the terms
-    stream against one ``UContext`` built by that chunk's task: term i+1
-    is evaluated, compared with term i, and term i is dropped, so a chunk
-    holds two term arrays at a time and no context crosses threads.  Returns
-    (max violation, counterexamples): violations are relative to the
-    larger of the two adjacent terms, counterexamples are capped at ten
-    and ordered by global sample index.
+    Within a chunk the terms stream against one ``UContext``: term i+1
+    is evaluated, compared with term i, and term i is dropped, so a
+    chunk holds two term arrays at a time.  A sample of at most ``CHUNK``
+    pairs is one chunk and streams over the sample's own context, which
+    it shares with the run's other checks.  A larger sample is scanned
+    chunk by chunk, each chunk with a context built by the task that
+    owns it, so no context crosses threads; chunk results are merged in
+    index order, so the outcome does not depend on the worker count.
+    Returns (max violation, counterexamples): violations are relative to
+    the larger of the two adjacent terms, counterexamples are capped at
+    ten and ordered by global sample index.
     """
-    n = int(a.size)
-    x = a / b
-    spans = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda s: _scan_chunk(terms, x, s[0], s[1], tol), spans))
+    n = sample.size
+    if n <= CHUNK:
+        parts = [(0, _scan_chunk(terms, sample.ctx, tol))]
     else:
-        parts = [_scan_chunk(terms, x, lo, hi, tol) for lo, hi in spans]
+        def task(lo):
+            ctx = UContext(sample.x[lo:lo + CHUNK])
+            return lo, _scan_chunk(terms, ctx, tol)
 
-    max_violation = max((p[0] for p in parts), default=float("-inf"))
+        starts = range(0, n, CHUNK)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(task, starts))
+        else:
+            parts = [task(lo) for lo in starts]
+
+    max_violation = max(chunk_max for _, (chunk_max, _) in parts)
     records = []
-    for _, cands in parts:
-        for gidx, viol, step in cands:
+    for lo, (_, cands) in parts:
+        for j, viol, step in cands:
             if len(records) >= 10:
                 break
+            gidx = lo + j
             records.append({
-                "index": gidx, "a": float(a[gidx]), "b": float(b[gidx]),
-                "step": step, "violation": viol,
+                "index": gidx, "a": float(sample.a[gidx]),
+                "b": float(sample.b[gidx]), "step": step, "violation": viol,
             })
         if len(records) >= 10:
             break

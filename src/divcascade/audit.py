@@ -49,6 +49,8 @@ class AuditConfig:
         self.workers = int(self.workers)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.workers < 1:
@@ -311,7 +313,7 @@ class Identity:
     kind: str = "identity"
 
 
-def _check_identity(ident: Identity, a, b) -> CheckResult:
+def _check_identity(ident: Identity, sample: analysis.Sample) -> CheckResult:
     """Prove every claim of ``ident``, then sample it.
 
     The violation is the worst sampled gap, or inf when a proof fails; a
@@ -324,19 +326,19 @@ def _check_identity(ident: Identity, a, b) -> CheckResult:
                           for c in ident.misprints))
     worst, where = 0.0, 0
     for lhs, rhs in ident.claims:
-        gap = means.claim_gap(lhs, rhs, a, b)
+        gap = means.claim_gap(lhs, rhs, sample)
         i = int(np.argmax(gap))
         if gap[i] > worst or np.isnan(gap[i]):   # a NaN gap must fail
             worst, where = float(gap[i]), i
     violation = worst if proved else float("inf")
     ces = []
     if ident.claims and not violation <= ident.tol:
-        ces.append({"index": where, "a": float(a[where]),
-                    "b": float(b[where]), "violation": worst})
+        ces.append({"index": where, "a": float(sample.a[where]),
+                    "b": float(sample.b[where]), "violation": worst})
     detail = "proved exact" if proved else "exact identity fails"
     return make_result(ident.id, ident.kind,
-                       a.size if ident.claims else 0, violation, ident.tol,
-                       ces, ref=ident.ref, detail=detail)
+                       sample.size if ident.claims else 0, violation,
+                       ident.tol, ces, ref=ident.ref, detail=detail)
 
 
 def _identities(tol: float) -> list[Identity]:
@@ -445,9 +447,8 @@ def _printed_forms() -> list[Identity]:
 def _negative_control(config):
     """The reversed link W2 <= W1 must fail its proof and its scan."""
     lo, hi = (1, "W2"), (1, "W1")
-    a, b = analysis.sample_pairs(100, config.seed)
     worst, records = analysis.scan_chain_terms(
-        (lo, hi), a, b, config.tolerance)
+        (lo, hi), analysis.Sample.draw(100, config.seed), config.tolerance)
     found = (worst > config.tolerance
              and not cascade.is_exact_ordering((lo,), (hi,)))
     return CheckResult(
@@ -462,36 +463,34 @@ def _negative_control(config):
 # ---------------------------------------------------------------------------
 # Suite assembly.
 
+def _convexity_ids() -> list[str]:
+    """The divergences whose convexity the audit certifies, in order."""
+    return ([f"W{i}" for i in range(1, 10)] + [f"V{t}" for t in range(1, 15)]
+            + [f"U{t}" for t in range(1, 16)]
+            + [f"{fid}:{t}" for fid in catalog.FAMILY_IDS for t in range(5)])
+
+
 def run_audit(config: AuditConfig) -> dict:
-    """Run every check under the given config and return the report."""
-    checks: list[CheckResult] = []
+    """Run every check under the given config and return the report.
+
+    The checks that read the sample run first and the sample is then
+    dropped, so its arrays are freed before the exact proofs fill the
+    heap with big-integer algebra; the report keeps its fixed order.
+    """
     tol = config.tolerance
-    a, b = analysis.sample_pairs(config.samples, config.seed)
+    sample = analysis.Sample.draw(config.samples, config.seed)
+    chains = [cascade.check_chain(cascade.get_chain(cid), sample, tol,
+                                  config.workers)
+              for cid in config.chain_ids]
+    identities = [_check_identity(ident, sample) for ident in _identities(tol)]
+    tables = [_check_identity(ident, sample) for ident in
+              [_w8_printed()] + _combinations(tol) + _printed_forms()]
+    del sample
 
-    for cid in config.chain_ids:
-        checks.append(cascade.check_chain(
-            cascade.get_chain(cid), a, b, tol, config.workers))
-
-    for ident in _identities(tol):
-        checks.append(_check_identity(ident, a, b))
-    for part in cascade.theorem_parts():
-        checks.append(_check_beta(part))
-
-    for i in range(1, 10):
-        checks.append(analysis.certify_convexity(f"W{i}"))
-    for t in range(1, 15):
-        checks.append(analysis.certify_convexity(f"V{t}"))
-    for t in range(1, 16):
-        checks.append(analysis.certify_convexity(f"U{t}"))
-    for fid in catalog.FAMILY_IDS:
-        for t in range(5):
-            checks.append(analysis.certify_convexity(f"{fid}:{t}"))
-    checks.append(_check_identity(_w8_printed(), a, b))
-
-    for ident in _combinations(tol) + _printed_forms():
-        checks.append(_check_identity(ident, a, b))
-
-    checks.append(_negative_control(config))
+    betas = [_check_beta(part) for part in cascade.theorem_parts()]
+    convexity = [analysis.certify_convexity(mid) for mid in _convexity_ids()]
+    checks = (chains + identities + betas + convexity + tables
+              + [_negative_control(config)])
 
     return {
         "header": {

@@ -114,9 +114,10 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     """
     a, b = positive_pair(pair)
     common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
+    sample = analysis.Sample(a, b)
     residuals = {"D1": 0.0}
     for lhs, rhs in PYRAMID_EQ_CLAIMS:
-        residuals[lhs[0][1]] = float(means.claim_gap(lhs, rhs, a, b)[0])
+        residuals[lhs[0][1]] = float(means.claim_gap(lhs, rhs, sample)[0])
     worst = max(residuals.values())
     if worst > tol:
         raise ValueError(f"pyramid equality broke at {pair}: "
@@ -289,8 +290,8 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     """Prove every adjacent ordering in the chain, then scan sampled pairs."""
     if isinstance(chain, str):
         chain = get_chain(chain)
-    a, b = analysis.sample_pairs(samples, seed)
-    return check_chain(chain, a, b, tol, workers)
+    return check_chain(chain, analysis.Sample.draw(samples, seed), tol,
+                       workers)
 
 
 @cache
@@ -299,14 +300,14 @@ def _link_proved(lo, hi) -> bool:
     return is_exact_ordering((lo,), (hi,))
 
 
-def check_chain(chain: Chain, a, b, tol: float = 1e-12,
+def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
-    """Prove every adjacent ordering in the chain and scan the pairs (a, b).
+    """Prove every adjacent ordering in the chain and scan the sample.
 
     A failed link proof reads inf; the scan's counterexamples stay.
     """
     max_violation, records = analysis.scan_chain_terms(
-        chain.terms, a, b, tol, workers)
+        chain.terms, sample, tol, workers)
     for r in records:
         i = r.pop("step")
         lo, hi = chain.terms[i], chain.terms[i + 1]
@@ -314,7 +315,7 @@ def check_chain(chain: Chain, a, b, tol: float = 1e-12,
     if not all(_link_proved(lo, hi)
                for lo, hi in zip(chain.terms, chain.terms[1:])):
         max_violation = float("inf")
-    return make_result(f"chain:{chain.id}", "chain", int(a.size),
+    return make_result(f"chain:{chain.id}", "chain", sample.size,
                        max_violation, tol, counterexamples=records,
                        ref=chain.ref)
 
@@ -450,7 +451,7 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     resid = catalog.get(p.residual).value(a, b)
     lhs = float(p.beta) * big - small
     rhs = float(p.c) * resid
-    rel = float(means.claim_gap(*p.claim, a, b)[0])
+    rel = float(means.claim_gap(*p.claim, analysis.Sample(a, b))[0])
     return {
         "part": p.id, "claim": f"{p.beta}*{p.big} - {p.small} = {p.c}*{p.residual}",
         "lhs": lhs, "rhs": rhs, "residual": rel, "passed": bool(rel <= tol),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog
+from .analysis import Sample
 from .catalog import MEAN_LETTER, MEAN_ORDER, MEAN_TAGS
 
 __all__ = ["mean", "mean_generator", "mean_difference", "symbol_value",
@@ -113,22 +114,26 @@ def symbol_value(symbol: str, a, b):
     return catalog.get(symbol).value(a, b)
 
 
-def claim_gap(lhs, rhs, a, b):
-    """|L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300) per pair (a, b).
+def claim_gap(lhs, rhs, sample: Sample):
+    """|L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300) per sampled pair.
 
     t_i = c_i * s_i(a, b), and L, R are the left-to-right sums of each
     side's terms.  Combinations like Psi - 4K + 4Delta cancel to a much
     higher diagonal order than their terms, so the residual is measured
-    against the largest term as well.  A scalar pair is evaluated as an
-    array, as in a sample: scalar and array powers may round apart.
+    against the largest term as well.  A measure is read as
+    b * f(x) on the sample's shared context, with the bits of
+    ``symbol_value``; a mean letter is its formula in a and b.
     """
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
-    scale = np.full(np.shape(a), 1e-300)
+    scale = np.full(sample.a.shape, 1e-300)
     sums = []
     for terms in (lhs, rhs):
         total = None
         for c, symbol in terms:
-            t = float(c) * symbol_value(symbol, a, b)
+            if symbol in MEAN_TAGS:
+                t = mean(symbol, sample.a, sample.b)
+            else:
+                t = sample.b * catalog.get(symbol).eval_ctx(sample.ctx)
+            t = float(c) * t
             np.maximum(scale, np.abs(t), out=scale)
             total = t if total is None else total + t
         np.maximum(scale, np.abs(total), out=scale)
@@ -144,7 +149,8 @@ def verify_mean_identities(a, b):
     residual <= 1e-12.
     """
     out = []
+    sample = Sample(a, b)
     for ident, lhs_terms, rhs_terms in _ITEM_IDENTITIES + _MEAN_RELATIONS:
-        resid = float(claim_gap(lhs_terms, rhs_terms, a, b)[0])
+        resid = float(claim_gap(lhs_terms, rhs_terms, sample)[0])
         out.append((ident, resid, resid <= 1e-12))
     return out

@@ -243,8 +243,10 @@ class UContext:
     Holds x, u = sqrt(x), um1 = (x - 1) / (u + 1) (that is u - 1, free of
     the cancellation near x = 1) and a memo of um1 ** float(m) per
     exponent m, so generators with the same m pay for the power once.
-    A scalar x is held as a 0-d array.  The memo makes a context
-    stateful: build one per thread and per point set, never share it.
+    A scalar x is held as a 0-d array.  The audit builds one context per
+    run sample, or one per chunk when a chain scan spans several chunks.
+    The memo makes a context stateful: build one per thread and per
+    point set, never share it across threads.
     """
 
     __slots__ = ("x", "u", "um1", "_powers")
@@ -256,11 +258,17 @@ class UContext:
         self._powers: dict[int, object] = {}
 
     def um1_pow(self, m: int):
-        """um1 ** float(m), computed on first request and then reused."""
+        """um1 ** float(m), computed on first request and then reused.
+
+        A scalar's power is taken by the array routine too: numpy's
+        scalar power can round apart from it, and a scalar's value must
+        have the bits it has inside any array.
+        """
         p = self._powers.get(m)
         if p is None:
             with np.errstate(divide="ignore"):
-                p = self._powers[m] = self.um1 ** float(m)
+                p = np.power(np.atleast_1d(self.um1), float(m))
+            p = self._powers[m] = p if np.ndim(self.um1) else p[0]
         return p
 
 

@@ -38,11 +38,11 @@ def test_criterion_1_means_and_generator_chains():
 
     start = time.perf_counter()
     worst_means, hits_means = analysis.scan_chain_terms(
-        chain.terms, a, b, 1e-12, workers=1)
+        chain.terms, analysis.Sample(a, b), 1e-12, workers=1)
     # Generator form: the same ordering pointwise in x = a/b with b = 1.
     x = a / b
     worst_gen, hits_gen = analysis.scan_chain_terms(
-        chain.terms, x, np.ones_like(x), 1e-12, workers=1)
+        chain.terms, analysis.Sample(x, np.ones_like(x)), 1e-12, workers=1)
     elapsed = time.perf_counter() - start
 
     assert worst_means <= 1e-12, hits_means
@@ -55,7 +55,7 @@ def test_criterion_1_means_and_generator_chains():
 def test_criterion_2_exact_identity_suite():
     """Mean-difference identities, pyramid common value, family anchors."""
     samples = 100_000
-    a, b = analysis.sample_pairs(samples, seed=2)
+    sample = analysis.Sample.draw(samples, seed=2)
     tol = 1e-12
     checks = []
 
@@ -71,7 +71,8 @@ def test_criterion_2_exact_identity_suite():
               "identity:pyramid-common-value", "anchor:", "identity:U1==V2")
     for ident in audit._identities(tol):
         if ident.id.startswith(wanted):
-            checks.append(audit._check_identity(replace(ident, tol=tol), a, b))
+            checks.append(audit._check_identity(replace(ident, tol=tol),
+                                                sample))
     assert len(checks) == len(idents) + 1 + len(audit._ANCHORS) + 1
 
     failed = [c for c in checks if c.verdict != "pass"]
@@ -119,8 +120,8 @@ def test_criterion_5_residual_decompositions():
     by_thm = Counter(p.id.split(":")[0] for p in parts)
     assert by_thm == {"2.1": 27, "2.2": 14, "2.3": 8, "2.4": 4}
 
-    a, b = analysis.sample_pairs(10_000, seed=5)
-    results = [audit._check_identity(ident, a, b)
+    sample = analysis.Sample.draw(10_000, seed=5)
+    results = [audit._check_identity(ident, sample)
                for ident in audit._identities(1e-12)
                if ident.id.startswith("decomposition:")]
     assert len(results) == 53
@@ -176,9 +177,9 @@ def test_criterion_7_exponential_series():
     families = ("Delta1", "Delta2", "K1", "K2", "Hgen", "Mnew", "Lt")
     rows = [i for i in audit._printed_forms() if i.kind == "series"]
     assert [i.id for i in rows] == [f"series:{fid}" for fid in families]
-    a, b = analysis.sample_pairs(10, seed=7)
+    sample = analysis.Sample.draw(10, seed=7)
     for ident in rows:
-        res = audit._check_identity(ident, a, b)
+        res = audit._check_identity(ident, sample)
         assert res.verdict == "pass", (ident.id, res.max_violation)
 
     pairs = [(0.1, 1.0), (0.35, 1.0), (1.0, 3.0), (0.7, 1.3), (1.2, 1.0),

@@ -121,9 +121,9 @@ def test_estimate_sup_ratio_names_a_root_mean_square_measure():
 
 
 def test_scan_finds_reversed_chain_violation():
-    a, b = analysis.sample_pairs(2_000, seed=3)
+    sample = analysis.Sample.draw(2_000, seed=3)
     terms = [(1.0, "K"), (1.0, "delta")]  # K dominates delta: reversed
-    worst, records = analysis.scan_chain_terms(terms, a, b, 1e-12)
+    worst, records = analysis.scan_chain_terms(terms, sample, 1e-12)
     assert worst > 1e-6
     assert records
     rec = records[0]
@@ -131,12 +131,23 @@ def test_scan_finds_reversed_chain_violation():
 
 
 def test_scan_worker_independence():
-    a, b = analysis.sample_pairs(300_000, seed=9)
-    terms = [(1.0, "delta"), (1.0, "K"), (0.5, "psi")]
-    w1 = analysis.scan_chain_terms(terms, a, b, 1e-12, workers=1)
-    w4 = analysis.scan_chain_terms(terms, a, b, 1e-12, workers=4)
-    assert w1[0] == w4[0]
-    assert w1[1] == w4[1]
+    sample = analysis.Sample.draw(300_000, seed=9)
+    assert sample.size > 2 * analysis.CHUNK
+    claims = [[(1.0, "delta"), (1.0, "K"), (0.5, "psi")],
+              [(1, "W2"), (1, "W1")]]
+    claims += [cascade.get_chain(cid).terms for cid in cascade.chains()
+               if cid.startswith(("means", "pyramid"))]
+    assert len(claims) == 8
+    # tol = -1 records offending samples in passing chains too.
+    for terms in claims:
+        for tol in (1e-12, -1.0):
+            w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
+            for workers in (2, 4):
+                got = analysis.scan_chain_terms(terms, sample, tol, workers)
+                assert got == w1, (terms, tol, workers)
+        assert len(w1[1]) == 10, terms
+    # Each chunk built its own context; the sample's was never built.
+    assert sample._ctx is None
 
 
 def _reference_scan(terms, a, b, tol):
@@ -165,7 +176,8 @@ def _reference_scan(terms, a, b, tol):
 @pytest.mark.parametrize("chunk", [analysis.CHUNK, 4096])
 def test_streamed_scan_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(analysis, "CHUNK", chunk)
-    a, b = analysis.sample_pairs(20_000, seed=13)
+    sample = analysis.Sample.draw(20_000, seed=13)
+    a, b = sample.a, sample.b
     claims = [cascade.get_chain(cid).terms for cid in cascade.chains()]
     claims.append([(1, "W2"), (1, "W1")])
     assert len(claims) == 27
@@ -174,7 +186,7 @@ def test_streamed_scan_matches_reference(monkeypatch, chunk):
         for tol in (1e-12, -1.0):
             ref = _reference_scan(terms, a, b, tol)
             for workers in (1, 2):
-                got = analysis.scan_chain_terms(terms, a, b, tol, workers)
+                got = analysis.scan_chain_terms(terms, sample, tol, workers)
                 assert got[0] == ref[0], (terms, workers)
                 assert got[1] == ref[1], (terms, workers)
     assert _reference_scan(claims[-1], a, b, 1e-12)[0] > 1e-6

@@ -174,10 +174,10 @@ def _reference_violations(a, b):
 
 
 def test_identity_checker_reproduces_reference_residuals():
-    a, b = analysis.sample_pairs(2000, seed=7)
+    sample = analysis.Sample.draw(2000, seed=7)
     idents = audit._identities(1e-12) + audit._combinations(1e-12)
-    results = {i.id: audit._check_identity(i, a, b) for i in idents}
-    reference = _reference_violations(a, b)
+    results = {i.id: audit._check_identity(i, sample) for i in idents}
+    reference = _reference_violations(sample.a, sample.b)
     assert len(results) == len(reference) == 137
     for cid, expected in reference.items():
         assert repr(results[cid].max_violation) == repr(expected), cid
@@ -185,9 +185,37 @@ def test_identity_checker_reproduces_reference_residuals():
         assert results[cid].detail == "proved exact", cid
 
 
+def _per_call_gap(lhs, rhs, a, b):
+    """The claim gap with every symbol evaluated by its own call."""
+    scale = np.full(a.shape, 1e-300)
+    sums = []
+    for terms in (lhs, rhs):
+        total = None
+        for c, symbol in terms:
+            t = float(c) * means.symbol_value(symbol, a, b)
+            np.maximum(scale, np.abs(t), out=scale)
+            total = t if total is None else total + t
+        np.maximum(scale, np.abs(total), out=scale)
+        sums.append(total)
+    return np.abs(sums[0] - sums[1]) / scale
+
+
+def test_shared_context_gaps_are_bitwise_the_per_call_gaps():
+    sample = analysis.Sample.draw(2000, seed=11)
+    claims = [claim for ident in audit._identities(1e-12)
+              + audit._combinations(1e-12) for claim in ident.claims]
+    assert len(claims) == 165
+    for lhs, rhs in claims:
+        got = means.claim_gap(lhs, rhs, sample)
+        ref = _per_call_gap(lhs, rhs, sample.a, sample.b)
+        assert got.tobytes() == ref.tobytes(), (lhs, rhs)
+    # One context served every claim: six distinct powers (u - 1)^m.
+    assert sorted(sample.ctx._powers) == [2, 4, 6, 8, 10, 12]
+
+
 @pytest.fixture(scope="module")
-def pairs():
-    return analysis.sample_pairs(2000, seed=7)
+def sample():
+    return analysis.Sample.draw(2000, seed=7)
 
 
 def _failed(result):
@@ -198,35 +226,35 @@ def _failed(result):
     return ce
 
 
-def test_perturbed_decomposition_fails_proof_and_keeps_witness(pairs):
+def test_perturbed_decomposition_fails_proof_and_keeps_witness(sample):
     part = cascade.THEOREM_PARTS["2.1:1"]
     bad = replace(part, c=part.c * Fraction(101, 100))
     res = audit._check_identity(
-        audit.Identity("decomposition:bad", "", 1e-11, (bad.claim,)), *pairs)
+        audit.Identity("decomposition:bad", "", 1e-11, (bad.claim,)), sample)
     assert res.max_violation == float("inf")
     assert res.detail == "exact identity fails"
     ce = _failed(res)
     assert 1e-11 < ce["violation"] < float("inf")
 
 
-def test_anchor_with_one_changed_coefficient_fails(pairs):
+def test_anchor_with_one_changed_coefficient_fails(sample):
     good = audit.Identity("anchor:K1:1", "", 1e-12, (
         (((1, "K1:1"),), ((1, "psi"), (-2, "K"))),))
-    assert audit._check_identity(good, *pairs).verdict == "pass"
+    assert audit._check_identity(good, sample).verdict == "pass"
     bad = replace(good, claims=((((1, "K1:1"),), ((1, "psi"), (-3, "K"))),))
-    res = audit._check_identity(bad, *pairs)
+    res = audit._check_identity(bad, sample)
     assert res.max_violation == float("inf")
     _failed(res)
 
 
-def test_root_mean_square_claims_are_proved(pairs):
+def test_root_mean_square_claims_are_proved(sample):
     true = audit.Identity("identity:S-A", "", 1e-12, (
         (((1, "D_SA"),), ((1, "S"), (-1, "A"))),))
-    res = audit._check_identity(true, *pairs)
+    res = audit._check_identity(true, sample)
     assert res.verdict == "pass" and res.detail == "proved exact"
     false = audit.Identity("identity:S=R", "", 1e-12, (
         (((1, "S"),), ((1, "R"),)),))
-    res = audit._check_identity(false, *pairs)
+    res = audit._check_identity(false, sample)
     assert res.detail == "exact identity fails"
     assert res.max_violation == float("inf")
     ce = _failed(res)
@@ -234,15 +262,16 @@ def test_root_mean_square_claims_are_proved(pairs):
 
 
 def test_public_helpers_report_the_audit_gap():
-    a, b = analysis.sample_pairs(40, seed=7)
+    sample = analysis.Sample.draw(40, seed=7)
+    a, b = sample.a, sample.b
     claims = {i.id: i.claims[0] for i in audit._identities(1e-12)}
     table = means.identity_table()
     assert len(table) == 24
-    gaps = {ident: means.claim_gap(*claims[f"identity:{ident}"], a, b)
+    gaps = {ident: means.claim_gap(*claims[f"identity:{ident}"], sample)
             for ident, _, _ in table}
     parts = cascade.theorem_parts()
     assert len(parts) == 53
-    part_gaps = [means.claim_gap(*p.claim, a, b) for p in parts]
+    part_gaps = [means.claim_gap(*p.claim, sample) for p in parts]
     for i in range(a.size):
         for ident, resid, ok in means.verify_mean_identities(a[i], b[i]):
             assert resid == gaps[ident][i], (ident, i)
@@ -253,15 +282,15 @@ def test_public_helpers_report_the_audit_gap():
             assert out["passed"]
 
 
-def test_exact_misprint_fails_the_combination(pairs):
+def test_exact_misprint_fails_the_combination(sample):
     lines = cascade.combination_lines("V10")
     ok = [l.claim for l in lines if l.status != "printed"]
     printed = [l.claim for l in lines if l.status == "printed"]
     ident = audit.Identity("combination:V10", "", 1e-12, tuple(ok[:1]),
                            unsampled=tuple(ok[1:]), misprints=tuple(printed))
-    assert audit._check_identity(ident, *pairs).verdict == "pass"
+    assert audit._check_identity(ident, sample).verdict == "pass"
     res = audit._check_identity(replace(ident, misprints=tuple(ok[1:2])),
-                                *pairs)
+                                sample)
     assert res.max_violation == float("inf")
     _failed(res)
 
@@ -269,13 +298,13 @@ def test_exact_misprint_fails_the_combination(pairs):
 @pytest.mark.parametrize("change", [
     {"beta": Fraction(101, 100)}, {"beta": Fraction(99, 100)},
     {"c": Fraction(-1)}, {"c": Fraction(0)}])
-def test_perturbed_theorem_part_fails(pairs, change):
+def test_perturbed_theorem_part_fails(sample, change):
     for part in (cascade.THEOREM_PARTS["2.1:1"],
                  cascade.THEOREM_PARTS["2.4:4"]):
         bad = replace(part, **{k: getattr(part, k) * v
                                for k, v in change.items()})
         decomposition = audit._check_identity(audit.Identity(
-            "decomposition:bad", "", 1e-11, (bad.claim,)), *pairs)
+            "decomposition:bad", "", 1e-11, (bad.claim,)), sample)
         assert decomposition.max_violation == float("inf")
         beta = audit._check_beta(bad)
         if "beta" in change:
@@ -326,35 +355,35 @@ def _proof_failed(result):
     assert (result.samples, result.counterexamples) == (0, [])
 
 
-def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch, pairs):
+def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch, sample):
     printed = generators.EXP_FORMS["Delta1"]["printed_arg"][1]
     monkeypatch.setitem(generators.STEP_RATIOS, "Delta1", printed)
-    res = audit._check_identity(_printed_row("series:Delta1"), *pairs)
+    res = audit._check_identity(_printed_row("series:Delta1"), sample)
     assert res.kind == "series"
     _proof_failed(res)
 
 
 @pytest.mark.parametrize("fid", ["K1", "Delta1"])
-def test_changed_witness_coefficient_fails(monkeypatch, pairs, fid):
+def test_changed_witness_coefficient_fails(monkeypatch, sample, fid):
     form = generators.WITNESS_FORMS[fid]
     witness = form["witness"]
     monkeypatch.setitem(form, "witness",
                         lambda t: witness(t) + Poly([0, 0, 1]))
     _proof_failed(audit._check_identity(_printed_row(f"witness:{fid}"),
-                                        *pairs))
+                                        sample))
 
 
-def test_printed_witness_that_matches_fails(monkeypatch, pairs):
+def test_printed_witness_that_matches_fails(monkeypatch, sample):
     form = generators.WITNESS_FORMS["Mnew"]
     monkeypatch.setitem(form, "printed_prefactor", form["prefactor"])
     _proof_failed(audit._check_identity(_printed_row("witness:Mnew"),
-                                        *pairs))
+                                        sample))
 
 
-def test_printed_w8_set_to_the_truth_fails(monkeypatch, pairs):
+def test_printed_w8_set_to_the_truth_fails(monkeypatch, sample):
     monkeypatch.setitem(cascade.W_FPP_PRINTED, 8, catalog.get("W8").fpp)
     _proof_failed(audit._check_identity(
-        _printed_row("identity:W8-second-derivative"), *pairs))
+        _printed_row("identity:W8-second-derivative"), sample))
 
 
 def test_erratum_e15_printed_witness_doubles_f2_only_at_t0():

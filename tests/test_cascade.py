@@ -54,8 +54,8 @@ def test_a_chain_the_scan_passes_fails_its_proof():
     # the sampled window.
     chain = cascade.chain_from_dict(
         {"id": "planted", "terms": [[1, "K"], [10**7, "delta"]]})
-    a, b = analysis.sample_pairs(100_000, 0)
-    worst, records = analysis.scan_chain_terms(chain.terms, a, b, 1e-12)
+    sample = analysis.Sample.draw(100_000, 0)
+    worst, records = analysis.scan_chain_terms(chain.terms, sample, 1e-12)
     assert worst < 0 and not records
     res = cascade.audit_chain(chain, samples=100_000, seed=0)
     assert (res.verdict, res.max_violation) == ("fail", float("inf"))
@@ -66,21 +66,21 @@ def test_planted_reversed_link_fails_proof_and_scan():
     chain = cascade.chain_from_dict(
         {"id": "planted", "terms": [[1, "W2"], [1, "W1"]]})
     assert not cascade.is_exact_ordering(chain.terms[:1], chain.terms[1:])
-    a, b = analysis.sample_pairs(2_000, 5)
-    worst, _ = analysis.scan_chain_terms(chain.terms, a, b, 1e-12)
+    sample = analysis.Sample.draw(2_000, 5)
+    worst, _ = analysis.scan_chain_terms(chain.terms, sample, 1e-12)
     assert worst > 1e-12
-    res = cascade.check_chain(chain, a, b)
+    res = cascade.check_chain(chain, sample)
     assert (res.verdict, res.max_violation) == ("fail", float("inf"))
     assert res.counterexamples[0]["step"] == "1*W2 <= 1*W1"
 
 
 def test_a_proved_chain_reports_its_scan():
     chain = cascade.get_chain("eq9")
-    a, b = analysis.sample_pairs(2_000, 5)
-    res = cascade.check_chain(chain, a, b)
+    sample = analysis.Sample.draw(2_000, 5)
+    res = cascade.check_chain(chain, sample)
     assert res.verdict == "pass"
     assert res.max_violation == analysis.scan_chain_terms(
-        chain.terms, a, b, 1e-12)[0]
+        chain.terms, sample, 1e-12)[0]
 
 
 def test_w_values_match_closed_forms():

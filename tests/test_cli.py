@@ -142,6 +142,14 @@ def test_audit_config_errors_exit_5(capsys):
     assert rc == 5
 
 
+def test_negative_seed_exits_5(capsys, monkeypatch):
+    rc, _, err = run(capsys, "audit", "--seed", "-1")
+    assert rc == 5 and "configuration error: seed" in err
+    monkeypatch.setenv(cli.SEED_ENV, "-1")
+    rc, _, err = run(capsys, "audit")
+    assert rc == 5 and "configuration error: seed" in err
+
+
 def test_default_seed_env(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     assert cli._default_seed() == 42
