@@ -51,8 +51,8 @@ class AuditConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.chain_ids = _select_chains(self.chains)
@@ -519,12 +519,24 @@ def load_report(path) -> dict:
 
 
 def diff_reports(report_a: dict, report_b: dict) -> list[str]:
-    """Lines describing checks whose verdicts differ between two reports."""
-    va = {c["id"]: c["verdict"] for c in report_a.get("checks", [])}
-    vb = {c["id"]: c["verdict"] for c in report_b.get("checks", [])}
+    """Lines describing checks whose verdicts differ between two reports.
+
+    Raises ValueError for a report that is not an object or whose
+    ``checks`` is not a list of objects.
+    """
+    va, vb = _verdicts(report_a), _verdicts(report_b)
     lines = []
     for cid in sorted(va.keys() | vb.keys()):
         da, db = va.get(cid, "<absent>"), vb.get(cid, "<absent>")
         if da != db:
             lines.append(f"{cid}: {da} -> {db}")
     return lines
+
+
+def _verdicts(report) -> dict:
+    checks = report.get("checks", []) if isinstance(report, dict) else None
+    if not (isinstance(checks, list)
+            and all(isinstance(c, dict) for c in checks)):
+        raise ValueError("a report is a JSON object whose 'checks' is a "
+                         "list of objects")
+    return {c["id"]: c["verdict"] for c in checks}

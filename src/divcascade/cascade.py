@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import analysis, catalog, means
 from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
-from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
+from .ratfun import ONE, Poly, RatS, RatU, X, reduced_sum, solve_exact
 from .reporting import CheckResult, make_result
 
 Frac = Fraction
@@ -462,7 +462,8 @@ def _claim_sum(plus, minus):
     """sum(c * form) over ``plus`` minus that over ``minus``, exactly.
 
     A term is (c, catalog id), standing for its generator, or (c, exact
-    ``RatU``/``RatS`` form).  The sum starts from its first term.
+    ``RatU``/``RatS`` form).  The sum starts from its first term and adds
+    over least common denominators: it is only tested for zero or sign.
     """
     acc = None
     for sign, terms in ((1, plus), (-1, minus)):
@@ -470,7 +471,7 @@ def _claim_sum(plus, minus):
             if not isinstance(sym, (RatU, RatS)):
                 sym = catalog.get(sym).gen
             term = sym * (sign * Frac(c))
-            acc = term if acc is None else acc + term
+            acc = term if acc is None else reduced_sum(acc, term)
     return acc
 
 

@@ -14,16 +14,22 @@ that floating point cannot:
 * limits at x -> 1 reduce to ratios of deflated leading coefficients,
   giving the sharp constants as exact fractions.
 
-Coefficients are ``fractions.Fraction`` throughout.  Float evaluation is
-vectorised over numpy arrays with Horner's rule on the deflated parts, and
-reads its u = sqrt(x), u - 1 and (u - 1)^m from a ``UContext`` that every
-generator evaluated at the same points can share.
+Polynomial coefficients are Python ints.  A ``RatU`` holds primitive
+integer polynomials and carries its one rational factor as a single
+``Fraction`` scale, so the exact algebra (products, Sturm sequences by
+primitive pseudo-remainders, gcds) runs on integers.  Float evaluation
+is vectorised over numpy arrays with Horner's rule on the deflated
+parts; each numerator coefficient enters it as (c * p) / q for the scale
+p / q, which int division rounds correctly.  It reads its u = sqrt(x),
+u - 1 and (u - 1)^m from a ``UContext`` that every generator evaluated
+at the same points can share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -31,32 +37,24 @@ import numpy as np
 Scalar = Union[int, Fraction]
 
 __all__ = ["Poly", "RatU", "RatS", "UContext", "U", "ONE", "X",
-           "solve_exact"]
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+           "solve_exact", "reduced_sum"]
 
 
 class Poly:
-    """Polynomial in one variable with exact Fraction coefficients.
+    """Polynomial in one variable with exact coefficients.
 
     Coefficients are stored in ascending order: ``Poly([a0, a1, a2])``
-    is a0 + a1*u + a2*u**2.
+    is a0 + a1*u + a2*u**2.  They stay ints when built from ints, which
+    every polynomial of a ``RatU`` is; a ``Fraction`` is kept as given.
     """
 
-    __slots__ = ("coeffs", "_fcoeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [_frac(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._fcoeffs = None
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -86,99 +84,74 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly([c * _frac(other) for c in self.coeffs])
+        return Poly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = ONE
+        for _ in range(n):
+            result = result * self
         return result
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """Exact quotient of integer polynomials; other must divide self."""
+        rem, div, quo = list(self.coeffs), other.coeffs, []
+        for i in range(len(rem) - len(div), -1, -1):
+            quo.append(rem[i + len(div) - 1] // div[-1])
+            for j, c in enumerate(div):
+                rem[i + j] -= quo[-1] * c
+        if any(rem):
+            raise ValueError("inexact polynomial division")
+        return Poly(quo[::-1])
 
     def deriv(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by u**k."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
+        return Poly([0] * k + list(self.coeffs))
 
-    def __call__(self, value: Scalar) -> Fraction:
-        """Exact Horner evaluation at a Fraction (or int) point."""
-        acc = Fraction(0)
+    def __call__(self, value: Scalar) -> Scalar:
+        """Exact Horner evaluation at an int or Fraction point."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
 
     def eval_float(self, u):
-        """Horner evaluation at a float or numpy array.
-
-        Arrays are updated in place (one multiply and one add per
-        coefficient into a single accumulator); the operations and their
-        order are those of the scalar loop, so both give the same bits.
-        """
-        if self._fcoeffs is None:
-            self._fcoeffs = [float(c) for c in self.coeffs]
-        if not isinstance(u, np.ndarray):
-            acc = 0.0
-            for c in reversed(self._fcoeffs):
-                acc = acc * u + c
-            return acc
-        acc = np.zeros_like(u)
-        for c in reversed(self._fcoeffs):
-            np.multiply(acc, u, out=acc)
-            np.add(acc, c, out=acc)
-        return acc
-
-    def divmod_exact(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Polynomial long division; exact because coefficients are Fractions."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            q = rem[i] / lead
-            quo[i - dd] = q
-            if q != 0:
-                for j, c in enumerate(div):
-                    rem[i - dd + j] -= q * c
-        return Poly(quo), Poly(rem)
+        """Horner evaluation at a float or numpy array."""
+        return _horner([float(c) for c in self.coeffs], u)
 
     def positive_roots(self) -> int:
         """Number of distinct roots in u > 0, counted by a Sturm sequence.
 
         The u**k factor is stripped first, so u = 0 is not a root and the
         count is the drop in sign changes of p, p', -rem(p, p'), ... from
-        u = 0 (constant terms) to u = +inf (leading coefficients).
+        u = 0 (constant terms) to u = +inf (leading coefficients).  The
+        sequence is built over the integers: each member is the primitive
+        part of a positive multiple of -rem, a pseudo-remainder
+        lc^(d+1) * rem with its sign corrected.
         """
         if self.is_zero():
             raise ValueError("the zero polynomial vanishes everywhere")
         k = next(i for i, c in enumerate(self.coeffs) if c != 0)
-        seq = [Poly(self.coeffs[k:])]
+        seq = [Poly(self.coeffs[k:]).content_free()[0]]
         nxt = seq[0].deriv()
         while not nxt.is_zero():
-            seq.append(nxt)
-            nxt = -seq[-2].divmod_exact(nxt)[1]
+            seq.append(_primitive(nxt))
+            a, b = seq[-2].coeffs, nxt.coeffs
+            sign = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
+            nxt = _prem(seq[-2], seq[-1]) * sign
 
         def changes(values) -> int:
             signs = [v > 0 for v in values if v != 0]
@@ -194,7 +167,7 @@ class Poly:
         """
         if self.is_zero():
             return self, 0
-        root, cs, m = _frac(root), self.coeffs, 0
+        cs, m = self.coeffs, 0
         while True:     # synthetic division by u - root; p(root) comes last
             sums = list(accumulate(reversed(cs), lambda s, c: s * root + c))
             if sums[-1] != 0:
@@ -202,39 +175,59 @@ class Poly:
             cs, m = sums[-2::-1], m + 1
 
     def content_free(self) -> tuple["Poly", Fraction]:
-        """Return (primitive polynomial, scale) with integer coprime coefficients."""
+        """(primitive integer polynomial with a positive lead, scale)."""
         if self.is_zero():
             return self, Fraction(1)
-        from math import gcd, lcm
-
         den = lcm(*[c.denominator for c in self.coeffs])
-        ints = [c * den for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, int(c))
-        sign = -1 if ints[-1] < 0 else 1
-        scale = Fraction(g * sign, den)
-        return Poly([c / scale for c in self.coeffs]), scale
+        ints = [int(c * den) for c in self.coeffs]
+        g = gcd(*ints) * (-1 if ints[-1] < 0 else 1)
+        return Poly([c // g for c in ints]), Fraction(g, den)
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly([0])"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*u" if c != 1 else "u")
-            else:
-                terms.append(f"{c}*u^{i}" if c != 1 else f"u^{i}")
-        return " + ".join(terms)
+        return f"Poly({list(self.coeffs)})"
+
+
+def _horner(coeffs: Sequence[float], u):
+    """Horner's rule over float coefficients at a float or numpy array.
+
+    Arrays are updated in place, with the operations of the scalar loop
+    in the same order, so both give the same bits.
+    """
+    if not isinstance(u, np.ndarray):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * u + c
+        return acc
+    acc = np.zeros_like(u)
+    for c in reversed(coeffs):
+        np.multiply(acc, u, out=acc)
+        np.add(acc, c, out=acc)
+    return acc
+
+
+def _primitive(p: Poly) -> Poly:
+    """p divided by the gcd of its integer coefficients; the sign stays."""
+    g = gcd(*p.coeffs)
+    return p if g < 2 else Poly([c // g for c in p.coeffs])
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the ints."""
+    rem, div = list(a.coeffs), b.coeffs
+    dd, lead = len(div) - 1, div[-1]
+    for i in range(len(rem) - 1, dd - 1, -1):
+        q = rem.pop()
+        rem = [c * lead for c in rem]
+        if q:
+            for j in range(dd):
+                rem[i - dd + j] -= q * div[j]
+    return Poly(rem)
 
 
 U = Poly([0, 1])
 ONE = Poly([1])
 X = Poly([0, 0, 1])
+_UM1 = Poly([-1, 1])
 
 
 class UContext:
@@ -275,31 +268,34 @@ class UContext:
 class RatU:
     """Rational function of u = sqrt(x) in deflated form.
 
-    The value at u is ``(u - 1)**m * num(u) / den(u)`` where num(1) != 0
-    and den(1) != 0.  Near x = 1 the (u - 1)**m factor is computed as
-    ((x - 1) / (u + 1))**m, which costs one subtraction of well-separated
-    quantities instead of m catastrophic ones.  ``eval_ctx`` is the one
-    float evaluator; ``__call__`` runs it on a context of its own.
+    The value at u is ``scale * (u - 1)**m * num(u) / den(u)`` where num
+    and den are primitive integer polynomials with positive leading
+    coefficients, num(1) != 0 and den(1) != 0.  Near x = 1 the
+    (u - 1)**m factor is computed as ((x - 1) / (u + 1))**m, which costs
+    one subtraction of well-separated quantities instead of m
+    catastrophic ones.  ``eval_ctx`` is the one float evaluator;
+    ``__call__`` runs it on a context of its own.
     """
 
-    __slots__ = ("m", "num", "den")
+    __slots__ = ("m", "num", "den", "scale", "_floats")
 
-    def __init__(self, num: Poly, den: Poly = ONE, m: int = 0):
+    def __init__(self, num: Poly, den: Poly = ONE, m: int = 0,
+                 scale: Scalar = 1):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num2, dm = num.deflate()
-        den2, em = den.deflate()
-        m = m + dm - em
-        if num2.is_zero():
-            m = 0
-            den2 = ONE
+        num, dm = num.deflate()
+        den, em = den.deflate()
+        if num.is_zero() or scale == 0:
+            self._set(Poly([]), ONE, 0, Fraction(0))
         else:
-            num2, ns = num2.content_free()
-            den2, ds = den2.content_free()
-            num2 = num2 * (ns / ds)
-        self.num = num2
-        self.den = den2
-        self.m = m
+            num, ns = num.content_free()
+            den, ds = den.content_free()
+            self._set(num, den, m + dm - em, scale * ns / ds)
+
+    def _set(self, num: Poly, den: Poly, m: int, scale: Fraction) -> "RatU":
+        self.num, self.den, self.m, self.scale = num, den, m, scale
+        self._floats = None
+        return self
 
     @classmethod
     def zero(cls) -> "RatU":
@@ -309,22 +305,28 @@ class RatU:
         return self.num.is_zero()
 
     def _as_pair(self) -> tuple[Poly, Poly]:
-        """Undeflated (numerator, denominator)."""
-        um1 = Poly([-1, 1])
-        if self.m >= 0:
-            return self.num * um1 ** self.m, self.den
-        return self.num, self.den * um1 ** (-self.m)
+        """Undeflated (numerator, denominator), both integer polynomials."""
+        n, d = self.num * self.scale.numerator, self.den * self.scale.denominator
+        um = _UM1 ** abs(self.m)
+        return (n * um, d) if self.m >= 0 else (n, d * um)
 
     def __add__(self, other: "RatU") -> "RatU":
         if not isinstance(other, RatU):
             return NotImplemented
-        # (u-1)^k with k = min(m) stays factored out, so it is neither
-        # multiplied in nor divided out again by the deflation.
+        return self._add(other, ONE)
+
+    def _add(self, other: "RatU", g: Poly) -> "RatU":
+        """The sum over the common denominator den * other.den / g.
+
+        (u-1)^k with k = min(m) stays factored out, so it is neither
+        multiplied in nor divided out again by the deflation.
+        """
         k = min(self.m, other.m)
-        um1 = Poly([-1, 1])
-        an = self.num * um1 ** (self.m - k)
-        bn = other.num * um1 ** (other.m - k)
-        return RatU(an * other.den + bn * self.den, self.den * other.den, k)
+        q = lcm(self.scale.denominator, other.scale.denominator)
+        an = self.num * _UM1 ** (self.m - k) * int(self.scale * q)
+        bn = other.num * _UM1 ** (other.m - k) * int(other.scale * q)
+        ad, bd = self.den // g, other.den // g
+        return RatU(an * bd + bn * ad, ad * other.den, k, Fraction(1, q))
 
     def __sub__(self, other: "RatU") -> "RatU":
         return self + -other
@@ -335,14 +337,13 @@ class RatU:
     def __mul__(self, other):
         if isinstance(other, RatU):
             return RatU(self.num * other.num, self.den * other.den,
-                        self.m + other.m)
-        c = _frac(other)
-        if c == 0:
+                        self.m + other.m, self.scale * other.scale)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
             return RatU.zero()
-        # A scale keeps the normal form, which holds it in the numerator.
-        out = RatU.__new__(RatU)
-        out.num, out.den, out.m = self.num * c, self.den, self.m
-        return out
+        return RatU.__new__(RatU)._set(self.num, self.den, self.m,
+                                       self.scale * other)
 
     __rmul__ = __mul__
 
@@ -350,7 +351,7 @@ class RatU:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatU(self.num * other.den, self.den * other.num,
-                    self.m - other.m)
+                    self.m - other.m, self.scale / other.scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatU):
@@ -358,17 +359,18 @@ class RatU:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.m, self.num.coeffs, self.den.coeffs))
+        # m and the leading value at u = 1 are the same for equal values,
+        # whose forms need not share their num and den.
+        return hash((self.m, self.scale * Fraction(self.num(1), self.den(1))))
 
     def deriv_u(self) -> "RatU":
         """Derivative with respect to u.
 
         d/du [(u-1)^m N/D] = (u-1)^(m-1) [m N D + (u-1)(N'D - N D')] / D^2.
         """
-        um1 = Poly([-1, 1])
         n, d = self.num, self.den
-        core = self.m * (n * d) + um1 * (n.deriv() * d - n * d.deriv())
-        return RatU(core, d * d, self.m - 1)
+        core = self.m * (n * d) + _UM1 * (n.deriv() * d - n * d.deriv())
+        return RatU(core, d * d, self.m - 1, self.scale)
 
     def dx(self) -> "RatU":
         """Derivative in x of f(x) = g(sqrt(x)), this object being g."""
@@ -381,30 +383,26 @@ class RatU:
         """
         g1 = self.deriv_u()
         g2 = g1.deriv_u()
-        u_rat = RatU(U)
-        return (u_rat * g2 - g1) / RatU(Poly([0, 0, 0, 4]))
+        return (RatU(U) * g2 - g1) / RatU(Poly([0, 0, 0, 4]))
 
     def positive_off_one(self) -> bool:
         """Whether the value is > 0 at every u > 0 other than u = 1.
 
-        Proof: m is even and >= 0, num(1) and den(1) share a sign, and
+        Proof: m is even and >= 0, scale * num(1) * den(1) > 0, and
         neither num nor den has a root in u > 0.
         """
-        return (self.m >= 0 and self.m % 2 == 0 and not self.is_zero()
-                and (self.num(1) > 0) == (self.den(1) > 0)
+        return (self.m >= 0 and self.m % 2 == 0
+                and self.scale * self.num(1) * self.den(1) > 0
                 and self.num.positive_roots() == 0
                 and self.den.positive_roots() == 0)
 
     def value_exact(self, u: Scalar) -> Fraction:
         """Exact value at a rational u > 0 (u != 1 when m < 0)."""
-        uf = _frac(u)
-        base = self.num(uf) / self.den(uf)
-        return (uf - 1) ** self.m * base
+        uf = Fraction(u)
+        return self.scale * (uf - 1) ** self.m * self.num(uf) / self.den(uf)
 
     def at_x(self, x_num: int, x_den: int = 1) -> Fraction:
         """Exact value at rational x whose square root is rational."""
-        from math import isqrt
-
         rn, rd = isqrt(x_num), isqrt(x_den)
         if rn * rn != x_num or rd * rd != x_den:
             raise ValueError("x must be a perfect-square rational")
@@ -416,11 +414,16 @@ class RatU:
             return Fraction(0)
         if self.m < 0:
             raise ZeroDivisionError("pole at x = 1")
-        return self.num(1) / self.den(1)
+        return self.scale * Fraction(self.num(1), self.den(1))
 
     def eval_ctx(self, ctx: UContext):
         """Float value at the points of a shared ``UContext``."""
-        val = self.num.eval_float(ctx.u) / self.den.eval_float(ctx.u)
+        if self._floats is None:
+            p, q = self.scale.numerator, self.scale.denominator
+            self._floats = ([c * p / q for c in self.num.coeffs],
+                            [float(c) for c in self.den.coeffs])
+        fn, fd = self._floats
+        val = _horner(fn, ctx.u) / _horner(fd, ctx.u)
         if self.m:
             val = val * ctx.um1_pow(self.m)
         return val
@@ -435,14 +438,7 @@ class RatU:
 
         Returns 0 when self vanishes faster; raises if the ratio diverges.
         """
-        if self.is_zero():
-            return Fraction(0)
-        dm = self.m - other.m
-        if dm > 0:
-            return Fraction(0)
-        if dm < 0:
-            raise ZeroDivisionError("ratio diverges at x = 1")
-        return (self.num(1) * other.den(1)) / (self.den(1) * other.num(1))
+        return (self / other).limit_at_1()
 
     def eval_mp(self, x, dps: int = 40):
         """High-precision evaluation at x > 0 using mpmath.
@@ -457,19 +453,21 @@ class RatU:
             u = mp.sqrt(xv)
             um1 = (xv - 1) / (u + 1)
 
-            def horner(poly):
+            def horner(coeffs):
                 acc = mp.mpf(0)
-                for c in reversed(poly.coeffs):
+                for c in reversed(coeffs):
                     acc = acc * u + mp.mpf(c.numerator) / c.denominator
                 return acc
 
-            val = horner(self.num) / horner(self.den)
+            val = (horner([self.scale * c for c in self.num.coeffs])
+                   / horner(self.den.coeffs))
             if self.m:
                 val = val * um1 ** self.m
             return val
 
     def __repr__(self):
-        return f"RatU(m={self.m}, num={self.num!r}, den={self.den!r})"
+        return (f"RatU(m={self.m}, scale={self.scale}, num={self.num!r}, "
+                f"den={self.den!r})")
 
 
 # x^2 + 1 in u, S^2 = (x^2 + 1) / 2 and S' / S = x / (x^2 + 1).
@@ -551,8 +549,8 @@ class RatS:
             if at.m == 0 and at.positive_off_one() and ar.positive_off_one():
                 q, t, r = self._norm() * sign, at, ar
                 break
-        return (q, None if (t.m, t.num, t.den) == (0, ONE, ONE) else t,
-                None if r.is_zero() else r)
+        one = (t.m, t.scale, t.num, t.den) == (0, 1, ONE, ONE)
+        return q, None if one else t, None if r.is_zero() else r
 
     def eval_ctx(self, ctx: UContext):
         """Float value at the points of a shared ``UContext``."""
@@ -602,7 +600,7 @@ def solve_exact(columns: Sequence[RatU | RatS],
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
+        pv = Fraction(rows[r][col])
         rows[r] = [c / pv for c in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
@@ -619,33 +617,35 @@ def solve_exact(columns: Sequence[RatU | RatS],
     return sol
 
 
-def _coefficient_rows(forms: Sequence[RatU]) -> list[list[Fraction]]:
+def _coefficient_rows(forms: Sequence[RatU]) -> list[list[int]]:
     """Rows u^i of the matrix whose columns are the forms' numerators.
 
-    Each numerator is taken over the forms' least common denominator.
+    Each numerator is taken over the product of the forms' denominators.
     """
-    common = ONE
-    for f in forms:
-        d = f._as_pair()[1]
-        q, r = (common * d).divmod_exact(_poly_gcd(common, d))
-        assert r.is_zero()
-        common = q
+    pairs = [f._as_pair() for f in forms]
     vecs = []
-    for f in forms:
-        n, d = f._as_pair()
-        q, r = common.divmod_exact(d)
-        assert r.is_zero()
-        vecs.append((n * q).coeffs)
+    for i, (n, _) in enumerate(pairs):
+        for _, d in pairs[:i] + pairs[i + 1:]:
+            n = n * d
+        vecs.append(n.coeffs)
     width = max(len(v) for v in vecs)
-    return [[v[i] if i < len(v) else Fraction(0) for v in vecs]
-            for i in range(width)]
+    return [[v[i] if i < len(v) else 0 for v in vecs] for i in range(width)]
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd of two integer polynomials, by primitive remainders."""
     while not b.is_zero():
-        _, rem = a.divmod_exact(b)
-        a, b = b, rem
-    if a.is_zero():
-        return ONE
-    prim, _ = a.content_free()
-    return prim
+        a, b = b, _primitive(_prem(a, b))
+    return a.content_free()[0]
+
+
+def reduced_sum(a: RatU | RatS, b: RatU | RatS) -> RatU | RatS:
+    """a + b over the least common denominator of the two.
+
+    For exact tests only (zero, sign): the form differs from that of
+    a + b, and so would its float values.
+    """
+    if isinstance(a, RatU) and isinstance(b, RatU):
+        return a._add(b, _poly_gcd(a.den, b.den))
+    a, b = (f if isinstance(f, RatS) else RatS(f, RatU.zero()) for f in (a, b))
+    return RatS(reduced_sum(a.r, b.r), reduced_sum(a.t, b.t))

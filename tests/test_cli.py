@@ -142,6 +142,12 @@ def test_audit_config_errors_exit_5(capsys):
     assert rc == 5
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_audit_non_finite_tolerance_exits_5(capsys, value):
+    rc, _, err = run(capsys, "audit", "--tolerance", value)
+    assert rc == 5 and "configuration error: tolerance" in err
+
+
 def test_negative_seed_exits_5(capsys, monkeypatch):
     rc, _, err = run(capsys, "audit", "--seed", "-1")
     assert rc == 5 and "configuration error: seed" in err
@@ -251,6 +257,18 @@ def test_report_diff_malformed(tmp_path, capsys):
     rc, _, err = run(capsys, "report-diff", str(bad), str(bad))
     assert rc == 2
     assert "cannot parse" in err
+
+
+@pytest.mark.parametrize("doc", ["[]", '{"checks": "abc"}',
+                                 '{"checks": [1]}'])
+def test_report_diff_rejects_a_report_of_the_wrong_shape(tmp_path, capsys,
+                                                         doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    rc, _, err = run(capsys, "report-diff", str(bad), str(bad))
+    assert rc == 2
+    assert "cannot parse reports" in err
+    assert "Traceback" not in err
 
 
 def test_report_diff_missing_file(tmp_path, capsys):

@@ -122,7 +122,8 @@ def _sym(form: RatU):
     def poly(p):
         return sum(sympy.Rational(c.numerator, c.denominator) * _u**i
                    for i, c in enumerate(p.coeffs))
-    return (_u - 1) ** form.m * poly(form.num) / poly(form.den)
+    scale = sympy.Rational(form.scale.numerator, form.scale.denominator)
+    return scale * (_u - 1) ** form.m * poly(form.num) / poly(form.den)
 
 
 def _d2x(expr):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divcascade import analysis, cascade, catalog
@@ -107,6 +107,8 @@ def test_ratu_arithmetic_and_equality():
     assert quotient.limit_at_1() == 2
     scaled = Fraction(3, 4) * g
     assert scaled(2.0) == pytest.approx(0.75 * g(2.0), rel=1e-15)
+    one = RatU(Poly([1, 1]), Poly([1, 1]))    # (u + 1) / (u + 1)
+    assert one == RatU(ONE) and hash(one) == hash(RatU(ONE))
 
 
 def test_sum_has_the_form_of_the_undeflated_sum():
@@ -179,9 +181,10 @@ def test_linear_combination_evaluates_linearly(p, q):
 
 # -- float evaluation against the plain per-call formula --------------------
 
-def _reference_horner(poly, u):
+def _reference_horner(poly, u, scale=1):
+    """Horner over each exact coefficient scale * c, rounded once."""
     acc = np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
-    for c in reversed([float(c) for c in poly.coeffs]):
+    for c in reversed([float(scale * Fraction(c)) for c in poly.coeffs]):
         acc = acc * u + c
     return acc
 
@@ -192,7 +195,8 @@ def _reference_call(gen, x):
     xv = x if arr else np.asarray(float(x))
     u = np.sqrt(xv)
     um1 = (xv - 1.0) / (u + 1.0)
-    val = _reference_horner(gen.num, u) / _reference_horner(gen.den, u)
+    val = (_reference_horner(gen.num, u, gen.scale)
+           / _reference_horner(gen.den, u))
     if gen.m:
         with np.errstate(divide="ignore"):
             val = val * um1 ** float(gen.m)
@@ -335,3 +339,102 @@ def test_conjugate_only_where_the_signs_are_opposite():
     assert fpp.limit_at_1() == Fraction(1, 2)
     assert fpp(1.0) == 0.5
     assert np.all(np.isfinite(fpp(np.array([1.0, 1.0 + 2.0**-52]))))
+
+
+# -- the integer layer against sympy, an independent oracle ------------------
+
+_u = sympy.Symbol("u", positive=True)
+_FORM_IDS = list(catalog.all_ids()) + [
+    f"{fam}:{t}" for fam in catalog.FAMILY_IDS for t in range(5)]
+
+
+def _sympy_poly(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], _u)
+
+
+def _sympy_form(f):
+    scale = sympy.Rational(f.scale.numerator, f.scale.denominator)
+    return (scale * (_u - 1) ** f.m * _sympy_poly(f.num).as_expr()
+            / _sympy_poly(f.den).as_expr())
+
+
+def _sympy_positive_roots(p):
+    """sympy's count of distinct roots in u > 0, with u = 0 stripped."""
+    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    return _sympy_poly(Poly(p.coeffs[k:])).count_roots(0, None)
+
+
+def _rational_parts(form):
+    """The RatU forms a proof about ``form`` runs Sturm sequences on."""
+    parts = [form] if isinstance(form, RatU) else [form.r, form.t, form._norm()]
+    return [p for p in parts if not p.is_zero()]
+
+
+def test_positive_roots_match_sympy_count_roots():
+    for mid in _FORM_IDS:
+        for part in _rational_parts(catalog.get(mid).fpp):
+            for p in (part.num, part.den):
+                assert p.positive_roots() == _sympy_positive_roots(p), mid
+
+
+@given(st.lists(st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3]),
+                min_size=2, max_size=9))
+@example([-2, 2, 0, 0, 2])        # 2u^4 + 2u - 2: one root, at 0.72
+@settings(max_examples=300)
+def test_positive_roots_match_sympy_on_sparse_polynomials(coeffs):
+    # Zero coefficients make remainder degrees drop by more than one, where
+    # the sign of lc^(d+1) in a pseudo-remainder decides the next member.
+    p = Poly(coeffs)
+    if not p.is_zero():
+        assert p.positive_roots() == _sympy_positive_roots(p)
+
+
+def test_second_derivatives_match_sympy_diff():
+    # The S forms are checked against sympy above.  d/dx = d/du / (2u),
+    # taken on sympy polynomial pairs and compared crosswise.
+    def pair(form):
+        return [sympy.Poly(e, _u) for e in sympy.fraction(
+            sympy.together(_sympy_form(form)))]
+
+    for mid in _FORM_IDS:
+        m = catalog.get(mid)
+        if isinstance(m.gen, RatU):
+            n, d = pair(m.gen)
+            for _ in range(2):
+                n, d = (n.diff(_u) * d - n * d.diff(_u),
+                        d * d * sympy.Poly(2 * _u, _u))
+            fn, fd = pair(m.fpp)
+            assert n * fd == fn * d, mid
+
+
+def test_beta_proof_gaps_match_sympy_cancel():
+    parts = cascade.theorem_parts()
+    assert len(parts) == 53
+    for part in parts:
+        small = catalog.get(part.small).fpp
+        big = catalog.get(part.big).fpp
+        gap = cascade._claim_sum(((part.beta, big),), ((1, small),))
+        beta = sympy.Rational(part.beta.numerator, part.beta.denominator)
+        want = sympy.cancel(beta * _sympy_form(big) - _sympy_form(small))
+        assert sympy.cancel(_sympy_form(gap)) == want, part.id
+        # The sum is taken over the least common denominator.
+        lcd = sympy.lcm(_sympy_poly(small.den), _sympy_poly(big.den))
+        assert _sympy_poly(gap.den).monic() == lcd.monic(), part.id
+
+
+def test_exact_forms_hold_integers_and_give_fractions():
+    for mid in _FORM_IDS:
+        m = catalog.get(mid)
+        for form in (m.gen, m.fpp):
+            for part in _rational_parts(form):
+                for p in (part.num, part.den):
+                    assert all(type(c) is int for c in p.coeffs), mid
+                assert type(part.scale) is Fraction, mid
+            assert type(form.limit_at_1()) is Fraction, mid
+        if isinstance(m.gen, RatU):
+            assert type(m.gen.at_x(4)) is Fraction, mid
+            assert type(m.gen.at_x(1, 9)) is Fraction, mid
+    for part in cascade.theorem_parts():
+        ratio = catalog.get(part.small).fpp.ratio_limit_at_1(
+            catalog.get(part.big).fpp)
+        assert type(ratio) is Fraction and ratio == part.beta, part.id
