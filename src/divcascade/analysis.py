@@ -3,25 +3,21 @@
 Convexity certificates (an exact sign proof of f'' for every divergence,
 checked against high-precision differences at 11 points), a grid
 estimate of the sup-ratio behind each sharp inequality constant (the
-audit proves those constants exactly instead), and the sampled chain
-scan, which checks the float evaluators against the orderings that
-``cascade`` proves.  Everything here is deterministic given the seed and
-independent of the worker count: samples are drawn in one stream up
-front, split into fixed-size chunks, and merged in chunk order.
-
-A run draws one ``Sample``: the pairs a, b, their ratios x = a/b and
-one ``UContext`` of x, so sqrt(x), u - 1 and each (u - 1)^m are computed
-once per run, not once per term, check or chain.  A chain scan streams
-its terms through each chunk: every term is evaluated from the
-context, compared with the term before it, and dropped.  A chunk holds
-two term arrays at a time, whatever the chain's length.  A sample that
-spans several chunks is scanned with one context per chunk, built by
-the task that owns the chunk.
+audit proves those constants exactly instead), and the sampled pass,
+which checks the float evaluators against the orderings and identities
+that ``cascade`` proves.  Everything here is deterministic given the
+seed: a run draws one ``Sample``, and ``scan_claims`` evaluates all its
+claims in one pass over fixed chunks of it, each with one ``UContext``
+and one memo of generator values, merged in index order whatever the
+chunk size or worker count.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -33,10 +29,12 @@ from .reporting import CheckResult
 
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "fd_second_derivative",
-    "certify_convexity", "estimate_sup_ratio", "scan_chain_terms", "CHUNK",
+    "certify_convexity", "estimate_sup_ratio", "Ordering", "ChunkValues",
+    "Fold", "scan_claims", "scan_chain_terms", "CHUNK", "SHARED_CHUNK",
 ]
 
-CHUNK = 131072
+CHUNK = 131072          # pairs per chunk when no measure is shared
+SHARED_CHUNK = 8192     # pairs per chunk when claims share measures
 
 # Spot check of an exact f'' against a 40-digit central difference.
 FD_REL_TOL = 1e-6
@@ -71,22 +69,18 @@ def sample_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Sample:
-    """Pairs (a, b) with their ratios x = a/b and one shared ``UContext``.
+    """Sampled pairs (a, b); scalars are held as one-element arrays.
 
-    ``b * m.eval_ctx(sample.ctx)`` has the bits of ``m.value(a, b)``, so
-    every check that reads a measure from the sample shares the powers
-    (u - 1)^m of one context.  Scalars are held as one-element arrays.
-    The context is built on first use and is stateful: use it from one
-    thread only.
+    ``b * m.eval_ctx(UContext(a / b))`` has the bits of ``m.value(a, b)``
+    over the pairs and over any chunk of them: elementwise work does not
+    depend on the chunking.
     """
 
-    __slots__ = ("a", "b", "x", "_ctx")
+    __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
-        self.x = self.a / self.b
-        self._ctx = None
 
     @classmethod
     def draw(cls, n: int, seed) -> "Sample":
@@ -96,13 +90,6 @@ class Sample:
     @property
     def size(self) -> int:
         return int(self.a.size)
-
-    @property
-    def ctx(self) -> UContext:
-        """The ``UContext`` of x, built on first use."""
-        if self._ctx is None:
-            self._ctx = UContext(self.x)
-        return self._ctx
 
 
 def fd_second_derivative(f: Callable, x: float, h: float | None = None) -> float:
@@ -221,70 +208,122 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
     return float(vals[i]), float(grid[i]), float(limit)
 
 
-def _scan_chunk(terms, ctx: UContext, tol: float):
-    worst = np.full(ctx.x.shape, -np.inf)
-    worst_step = np.zeros(ctx.x.shape, dtype=np.int64)
-    values = (float(c) * _resolve(mid).eval_ctx(ctx) for c, mid in terms)
-    upper = next(values)
-    abs_upper = np.abs(upper)
-    for i, value in enumerate(values):
-        lower, abs_lower = upper, abs_upper
-        upper, abs_upper = value, np.abs(value)
-        # viol = (lower - upper) / max(|lower|, |upper|, 1e-300)
-        scale = np.maximum(abs_lower, abs_upper)
-        np.maximum(scale, 1e-300, out=scale)
-        viol = np.subtract(lower, upper)
-        np.divide(viol, scale, out=viol)
-        upd = np.greater(viol, worst)
-        np.copyto(worst_step, i, where=upd)
-        np.copyto(worst, viol, where=upd)
-    chunk_max = float(worst.max()) if worst.size else float("-inf")
-    idx = np.nonzero(worst > tol)[0][:10]
-    return chunk_max, [(int(j), float(worst[j]), int(worst_step[j]))
-                       for j in idx]
+class ChunkValues:
+    """Pairs of one chunk, a ``UContext`` of x = a/b and, with ``memo``,
+    each f(x) kept read-only after its first evaluation.  Stateful: the
+    task that owns the chunk builds it."""
+
+    __slots__ = ("a", "b", "ctx", "_memo")
+
+    def __init__(self, a, b, memo: bool = False):
+        self.a, self.b, self.ctx = a, b, UContext(a / b)
+        self._memo = {} if memo else None
+
+    def gen(self, symbol):
+        """f(x) of a catalog id or ``Measure`` at the chunk's ratios."""
+        if self._memo is None:
+            return _resolve(symbol).eval_ctx(self.ctx)
+        val = self._memo.get(symbol)
+        if val is None:
+            val = self._memo[symbol] = _resolve(symbol).eval_ctx(self.ctx)
+            val.flags.writeable = False
+        return val
+
+
+@dataclass(frozen=True)
+class Ordering:
+    """The claim coef_0*m_0 <= coef_1*m_1 <= ... of a chain.
+
+    A pair's value is its worst link violation (lower - upper) relative
+    to the larger term, or NaN from its first NaN link (a term that is
+    not finite), with that link's index.  The terms stream: each is
+    compared with the one before it and dropped.
+    """
+
+    terms: tuple
+    tol: float
+
+    def values(self, chunk: ChunkValues):
+        worst = np.full(chunk.a.shape, -np.inf)
+        worst_step = np.zeros(chunk.a.shape, dtype=np.int64)
+        scaled = (float(c) * chunk.gen(mid) for c, mid in self.terms)
+        pairs = pairwise((v, np.abs(v)) for v in scaled)
+        for i, ((lower, abs_lower), (upper, abs_upper)) in enumerate(pairs):
+            # viol = (lower - upper) / max(|lower|, |upper|, 1e-300)
+            scale = np.maximum(abs_lower, abs_upper)
+            np.maximum(scale, 1e-300, out=scale)
+            viol = np.subtract(lower, upper)
+            np.divide(viol, scale, out=viol)
+            upd = np.greater(viol, worst)
+            if np.isnan(viol.max()):      # max() is NaN iff a link is
+                upd |= np.isnan(viol) & ~np.isnan(worst)
+            np.copyto(worst_step, i, where=upd)
+            np.copyto(worst, viol, where=upd)
+        return worst, worst_step
+
+
+@dataclass
+class Fold:
+    """A claim's worst value (NaN if any is), the first index holding it,
+    and records of the first ten pairs above its tol or NaN."""
+
+    worst: float = float("-inf")
+    index: int = 0
+    records: list = field(default_factory=list)
+
+
+def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
+    values, steps = claim.values(chunk)
+    records = []
+    for j in np.nonzero(~(values <= claim.tol))[0][:10]:
+        records.append({"index": lo + int(j), "a": float(chunk.a[j]),
+                        "b": float(chunk.b[j])})
+        if steps is not None:
+            records[-1]["step"] = int(steps[j])
+        records[-1]["violation"] = float(values[j])
+    # max() is NaN if any value is, and argmax stops at the first NaN.
+    return Fold(float(values.max()), lo + int(np.argmax(values)), records)
+
+
+def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
+    """Fold each claim over every sampled pair, in one chunked pass.
+
+    A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``
+    and ``values(chunk)``: per pair a value, failing above tol or NaN,
+    and a link index or None.  Each chunk task builds one
+    ``ChunkValues`` for all claims.  If claims share a symbol, chunks
+    hold ``SHARED_CHUNK`` pairs and memoize f(x); else ``CHUNK`` pairs,
+    streamed.  Folds merge in index order: chunk size and worker count
+    do not change them.
+    """
+    claims = list(claims)
+    reads = Counter(s for c in claims for s in {sym for _, sym in c.terms})
+    shared = any(k > 1 for k in reads.values())
+    size = SHARED_CHUNK if shared else CHUNK
+
+    def task(lo):
+        chunk = ChunkValues(sample.a[lo:lo + size], sample.b[lo:lo + size],
+                            memo=shared)
+        return [_chunk_fold(claim, chunk, lo) for claim in claims]
+
+    starts = range(0, sample.size if claims else 0, size)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(task, starts))
+    else:
+        parts = map(task, starts)
+    folds = [Fold() for _ in claims]
+    for part in parts:
+        for fold, new in zip(folds, part):
+            if not np.isnan(fold.worst) and (new.worst > fold.worst
+                                             or np.isnan(new.worst)):
+                fold.worst, fold.index = new.worst, new.index
+            fold.records += new.records[:10 - len(fold.records)]
+    return folds
 
 
 def scan_chain_terms(terms, sample: Sample, tol: float, workers: int = 1):
-    """Check coef_0*m_0 <= coef_1*m_1 <= ... on every sampled pair.
-
-    Within a chunk the terms stream against one ``UContext``: term i+1
-    is evaluated, compared with term i, and term i is dropped, so a
-    chunk holds two term arrays at a time.  A sample of at most ``CHUNK``
-    pairs is one chunk and streams over the sample's own context, which
-    it shares with the run's other checks.  A larger sample is scanned
-    chunk by chunk, each chunk with a context built by the task that
-    owns it, so no context crosses threads; chunk results are merged in
-    index order, so the outcome does not depend on the worker count.
-    Returns (max violation, counterexamples): violations are relative to
-    the larger of the two adjacent terms, counterexamples are capped at
-    ten and ordered by global sample index.
-    """
-    n = sample.size
-    if n <= CHUNK:
-        parts = [(0, _scan_chunk(terms, sample.ctx, tol))]
-    else:
-        def task(lo):
-            ctx = UContext(sample.x[lo:lo + CHUNK])
-            return lo, _scan_chunk(terms, ctx, tol)
-
-        starts = range(0, n, CHUNK)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(task, starts))
-        else:
-            parts = [task(lo) for lo in starts]
-
-    max_violation = max(chunk_max for _, (chunk_max, _) in parts)
-    records = []
-    for lo, (_, cands) in parts:
-        for j, viol, step in cands:
-            if len(records) >= 10:
-                break
-            gidx = lo + j
-            records.append({
-                "index": gidx, "a": float(sample.a[gidx]),
-                "b": float(sample.b[gidx]), "step": step, "violation": viol,
-            })
-        if len(records) >= 10:
-            break
-    return max_violation, records
+    """(max violation, first ten counterexamples) of a one-claim
+    ``scan_claims`` of coef_0*m_0 <= coef_1*m_1 <= ... over the sample."""
+    fold, = scan_claims([Ordering(tuple(terms), tol)], sample, workers)
+    return fold.worst, fold.records

@@ -313,23 +313,23 @@ class Identity:
     kind: str = "identity"
 
 
-def _check_identity(ident: Identity, sample: analysis.Sample) -> CheckResult:
+def _check_identity(ident: Identity, sample: analysis.Sample,
+                    folds=None) -> CheckResult:
     """Prove every claim of ``ident``, then sample it.
 
-    The violation is the worst sampled gap, or inf when a proof fails; a
-    failing check with sampled claims records its worst sample as the
-    counterexample.
+    The scan is ``folds``, the claims' from a shared ``scan_claims``
+    pass, if given.  The violation is the worst sampled gap, or inf when
+    a proof fails; a failing check with sampled claims records its worst
+    sample as the counterexample.
     """
     proved = (all(cascade.is_exact_combination(*c)
                   for c in ident.claims + ident.unsampled)
               and not any(cascade.is_exact_combination(*c)
                           for c in ident.misprints))
     worst, where = 0.0, 0
-    for lhs, rhs in ident.claims:
-        gap = means.claim_gap(lhs, rhs, sample)
-        i = int(np.argmax(gap))
-        if gap[i] > worst or np.isnan(gap[i]):   # a NaN gap must fail
-            worst, where = float(gap[i]), i
+    for fold in folds or analysis.scan_claims(_equalities(ident), sample):
+        if fold.worst > worst or np.isnan(fold.worst):  # NaN must fail
+            worst, where = fold.worst, fold.index
     violation = worst if proved else float("inf")
     ces = []
     if ident.claims and not violation <= ident.tol:
@@ -339,6 +339,10 @@ def _check_identity(ident: Identity, sample: analysis.Sample) -> CheckResult:
     return make_result(ident.id, ident.kind,
                        sample.size if ident.claims else 0, violation,
                        ident.tol, ces, ref=ident.ref, detail=detail)
+
+
+def _equalities(ident: Identity) -> list:
+    return [means.Equality(lhs, rhs, ident.tol) for lhs, rhs in ident.claims]
 
 
 def _identities(tol: float) -> list[Identity]:
@@ -473,18 +477,26 @@ def _convexity_ids() -> list[str]:
 def run_audit(config: AuditConfig) -> dict:
     """Run every check under the given config and return the report.
 
-    The checks that read the sample run first and the sample is then
-    dropped, so its arrays are freed before the exact proofs fill the
-    heap with big-integer algebra; the report keeps its fixed order.
+    One ``analysis.scan_claims`` pass samples every chain and identity
+    claim for the checks to read.  The sample is then dropped, so its
+    arrays are freed before the exact proofs fill the heap with
+    big-integer algebra; the report keeps its fixed order.
     """
     tol = config.tolerance
     sample = analysis.Sample.draw(config.samples, config.seed)
-    chains = [cascade.check_chain(cascade.get_chain(cid), sample, tol,
-                                  config.workers)
-              for cid in config.chain_ids]
-    identities = [_check_identity(ident, sample) for ident in _identities(tol)]
-    tables = [_check_identity(ident, sample) for ident in
-              [_w8_printed()] + _combinations(tol) + _printed_forms()]
+    chains = [cascade.get_chain(cid) for cid in config.chain_ids]
+    idents = _identities(tol)
+    tables = [_w8_printed()] + _combinations(tol) + _printed_forms()
+    folds = iter(analysis.scan_claims(
+        [analysis.Ordering(chain.terms, tol) for chain in chains]
+        + [eq for ident in idents + tables for eq in _equalities(ident)],
+        sample, config.workers))
+    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds))
+              for chain in chains]
+    checked = [_check_identity(ident, sample,
+                               [next(folds) for _ in ident.claims])
+               for ident in idents + tables]
+    identities, tables = checked[:len(idents)], checked[len(idents):]
     del sample
 
     betas = [_check_beta(part) for part in cascade.theorem_parts()]

@@ -301,13 +301,16 @@ def _link_proved(lo, hi) -> bool:
 
 
 def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
-                workers: int = 1) -> CheckResult:
+                workers: int = 1, fold: analysis.Fold | None = None
+                ) -> CheckResult:
     """Prove every adjacent ordering in the chain and scan the sample.
 
-    A failed link proof reads inf; the scan's counterexamples stay.
+    The scan is ``fold``, the chain's from a shared ``scan_claims``
+    pass, if given.  A failed link proof reads inf; the scan's
+    counterexamples stay.
     """
-    max_violation, records = analysis.scan_chain_terms(
-        chain.terms, sample, tol, workers)
+    max_violation, records = (fold.worst, fold.records) if fold else (
+        analysis.scan_chain_terms(chain.terms, sample, tol, workers))
     for r in records:
         i = r.pop("step")
         lo, hi = chain.terms[i], chain.terms[i + 1]

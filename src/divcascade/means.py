@@ -13,14 +13,17 @@ discriminations exactly, which ``verify_mean_identities`` checks pointwise.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import catalog
-from .analysis import Sample
+from .analysis import ChunkValues, Sample
 from .catalog import MEAN_LETTER, MEAN_ORDER, MEAN_TAGS
 
 __all__ = ["mean", "mean_generator", "mean_difference", "symbol_value",
-           "claim_gap", "verify_mean_identities", "MEAN_TAGS", "MEAN_ORDER"]
+           "Equality", "claim_gap", "verify_mean_identities", "MEAN_TAGS",
+           "MEAN_ORDER"]
 
 
 def _letter(kind: str) -> str:
@@ -114,31 +117,47 @@ def symbol_value(symbol: str, a, b):
     return catalog.get(symbol).value(a, b)
 
 
-def claim_gap(lhs, rhs, sample: Sample):
-    """|L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300) per sampled pair.
+@dataclass(frozen=True)
+class Equality:
+    """The claim sum(c * s for c, s in lhs) == the same over rhs.
 
-    t_i = c_i * s_i(a, b), and L, R are the left-to-right sums of each
-    side's terms.  Combinations like Psi - 4K + 4Delta cancel to a much
-    higher diagonal order than their terms, so the residual is measured
-    against the largest term as well.  A measure is read as
-    b * f(x) on the sample's shared context, with the bits of
-    ``symbol_value``; a mean letter is its formula in a and b.
+    A pair's value is |L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300)
+    with t_i = c_i * s_i(a, b) and L, R the left-to-right sums of each
+    side.  Combinations like Psi - 4K + 4Delta cancel to a much higher
+    diagonal order than their terms, so the residual is measured against
+    the largest term as well.  A measure is b * f(x) from the chunk, with
+    the bits of ``symbol_value``; a mean letter is its formula in a, b.
     """
-    scale = np.full(sample.a.shape, 1e-300)
-    sums = []
-    for terms in (lhs, rhs):
-        total = None
-        for c, symbol in terms:
-            if symbol in MEAN_TAGS:
-                t = mean(symbol, sample.a, sample.b)
-            else:
-                t = sample.b * catalog.get(symbol).eval_ctx(sample.ctx)
-            t = float(c) * t
-            np.maximum(scale, np.abs(t), out=scale)
-            total = t if total is None else total + t
-        np.maximum(scale, np.abs(total), out=scale)
-        sums.append(total)
-    return np.abs(sums[0] - sums[1]) / scale
+
+    lhs: tuple
+    rhs: tuple
+    tol: float = 0.0
+
+    @property
+    def terms(self) -> tuple:
+        return (*self.lhs, *self.rhs)
+
+    def values(self, chunk: ChunkValues):
+        scale = np.full(chunk.a.shape, 1e-300)
+        sums = []
+        for terms in (self.lhs, self.rhs):
+            total = None
+            for c, symbol in terms:
+                if symbol in MEAN_TAGS:
+                    t = mean(symbol, chunk.a, chunk.b)
+                else:
+                    t = chunk.b * chunk.gen(symbol)
+                t = float(c) * t
+                np.maximum(scale, np.abs(t), out=scale)
+                total = t if total is None else total + t
+            np.maximum(scale, np.abs(total), out=scale)
+            sums.append(total)
+        return np.abs(sums[0] - sums[1]) / scale, None
+
+
+def claim_gap(lhs, rhs, sample: Sample):
+    """The ``Equality`` gap of lhs == rhs, on one chunk of every pair."""
+    return Equality(lhs, rhs).values(ChunkValues(sample.a, sample.b))[0]
 
 
 def verify_mean_identities(a, b):

@@ -130,7 +130,8 @@ class Poly:
 
     def eval_float(self, u):
         """Horner evaluation at a float or numpy array."""
-        return _horner([float(c) for c in self.coeffs], u)
+        val = _horner([float(c) for c in self.coeffs], np.asarray(u, float))
+        return val if isinstance(u, np.ndarray) else float(val)
 
     def positive_roots(self) -> int:
         """Number of distinct roots in u > 0, counted by a Sturm sequence.
@@ -187,19 +188,17 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _horner(coeffs: Sequence[float], u):
-    """Horner's rule over float coefficients at a float or numpy array.
+def _horner(coeffs: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Horner's rule over float coefficients, in place on a new array.
 
-    Arrays are updated in place, with the operations of the scalar loop
-    in the same order, so both give the same bits.
+    The sum starts from the leading coefficient, which has the bits of
+    starting from zero wherever u is finite; no coefficients is the zero
+    polynomial.
     """
-    if not isinstance(u, np.ndarray):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * u + c
-        return acc
-    acc = np.zeros_like(u)
-    for c in reversed(coeffs):
+    if not coeffs:
+        return np.zeros_like(u)
+    acc = np.full_like(u, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         np.multiply(acc, u, out=acc)
         np.add(acc, c, out=acc)
     return acc
@@ -236,10 +235,10 @@ class UContext:
     Holds x, u = sqrt(x), um1 = (x - 1) / (u + 1) (that is u - 1, free of
     the cancellation near x = 1) and a memo of um1 ** float(m) per
     exponent m, so generators with the same m pay for the power once.
-    A scalar x is held as a 0-d array.  The audit builds one context per
-    run sample, or one per chunk when a chain scan spans several chunks.
-    The memo makes a context stateful: build one per thread and per
-    point set, never share it across threads.
+    A scalar x is held as a 0-d array.  The audit's sampled pass builds
+    one context per chunk of the run's sample.  The memo makes a context
+    stateful: build one per thread and per point set, never share it
+    across threads.
     """
 
     __slots__ = ("x", "u", "um1", "_powers")

@@ -1,9 +1,12 @@
 """Unit tests for sampling, certification, and counterexample search."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
-from divcascade import analysis, cascade, catalog
+from divcascade import analysis, cascade, catalog, means
 
 
 def test_sample_pairs_policy():
@@ -130,7 +133,21 @@ def test_scan_finds_reversed_chain_violation():
     assert {"index", "a", "b", "step", "violation"} <= set(rec)
 
 
-def test_scan_worker_independence():
+def test_scan_worker_independence(monkeypatch):
+    threads = {}     # chunk serial -> the threads that built and read it
+    serials = itertools.count()
+
+    class OneThread(analysis.ChunkValues):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.serial = next(serials)
+            threads[self.serial] = {threading.get_ident()}
+
+        def gen(self, symbol):
+            threads[self.serial].add(threading.get_ident())
+            return super().gen(symbol)
+
+    monkeypatch.setattr(analysis, "ChunkValues", OneThread)
     sample = analysis.Sample.draw(300_000, seed=9)
     assert sample.size > 2 * analysis.CHUNK
     claims = [[(1.0, "delta"), (1.0, "K"), (0.5, "psi")],
@@ -146,8 +163,10 @@ def test_scan_worker_independence():
                 got = analysis.scan_chain_terms(terms, sample, tol, workers)
                 assert got == w1, (terms, tol, workers)
         assert len(w1[1]) == 10, terms
-    # Each chunk built its own context; the sample's was never built.
-    assert sample._ctx is None
+    # Each chunk task built its own context and no other thread read it.
+    chunks = -(-sample.size // analysis.CHUNK)
+    assert len(threads) == 8 * 2 * 3 * chunks
+    assert all(len(t) == 1 for t in threads.values())
 
 
 def _reference_scan(terms, a, b, tol):
@@ -173,7 +192,7 @@ def _reference_scan(terms, a, b, tol):
     return float(worst.max()), records
 
 
-@pytest.mark.parametrize("chunk", [analysis.CHUNK, 4096])
+@pytest.mark.parametrize("chunk", [analysis.CHUNK, 4096, 1000])
 def test_streamed_scan_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(analysis, "CHUNK", chunk)
     sample = analysis.Sample.draw(20_000, seed=13)
@@ -190,3 +209,34 @@ def test_streamed_scan_matches_reference(monkeypatch, chunk):
                 assert got[0] == ref[0], (terms, workers)
                 assert got[1] == ref[1], (terms, workers)
     assert _reference_scan(claims[-1], a, b, 1e-12)[0] > 1e-6
+
+
+def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
+        monkeypatch):
+    for name in ("CHUNK", "SHARED_CHUNK"):
+        monkeypatch.setattr(analysis, name, 2)
+    # Pairs 3 and 4 are the same worst pair, on either side of a boundary.
+    sample = analysis.Sample([2.0, 3.0, 3.0, 5.0, 5.0, 3.0], np.ones(6))
+    false_eq = means.Equality(((1, "S"),), ((1, "R"),))
+    reversed_link = analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12)
+    for claims in ([false_eq], [reversed_link], [false_eq, false_eq]):
+        whole = analysis.ChunkValues(sample.a, sample.b)
+        values = claims[0].values(whole)[0]
+        assert values[3] == values[4] == values.max()
+        for fold in analysis.scan_claims(claims, sample):
+            assert (fold.worst, fold.index) == (values[3], 3)
+            assert [r["index"] for r in fold.records] == list(range(6))
+
+
+def test_memo_arrays_reject_in_place_writes():
+    sample = analysis.Sample.draw(100, seed=1)
+    chunk = analysis.ChunkValues(sample.a, sample.b, memo=True)
+    kept = chunk.gen("K")
+    assert chunk.gen("K") is kept
+    with pytest.raises(ValueError):
+        kept *= 2.0
+    with pytest.raises(ValueError):
+        np.add(kept, 1.0, out=kept)
+    # Without a memo every read is a new array.
+    fresh = analysis.ChunkValues(sample.a, sample.b)
+    assert fresh.gen("K") is not fresh.gen("K")

@@ -1,6 +1,7 @@
 """Unit tests for audit configuration, reporting, and errata records."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -200,7 +201,7 @@ def _per_call_gap(lhs, rhs, a, b):
     return np.abs(sums[0] - sums[1]) / scale
 
 
-def test_shared_context_gaps_are_bitwise_the_per_call_gaps():
+def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     sample = analysis.Sample.draw(2000, seed=11)
     claims = [claim for ident in audit._identities(1e-12)
               + audit._combinations(1e-12) for claim in ident.claims]
@@ -209,8 +210,48 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps():
         got = means.claim_gap(lhs, rhs, sample)
         ref = _per_call_gap(lhs, rhs, sample.a, sample.b)
         assert got.tobytes() == ref.tobytes(), (lhs, rhs)
-    # One context served every claim: six distinct powers (u - 1)^m.
-    assert sorted(sample.ctx._powers) == [2, 4, 6, 8, 10, 12]
+    built = []
+
+    class Kept(analysis.ChunkValues):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    monkeypatch.setattr(analysis, "ChunkValues", Kept)
+    folds = analysis.scan_claims(
+        [means.Equality(lhs, rhs) for lhs, rhs in claims], sample)
+    for fold, (lhs, rhs) in zip(folds, claims):
+        gap = means.claim_gap(lhs, rhs, sample)
+        assert fold.worst == gap.max() and fold.index == np.argmax(gap)
+    # One chunk context served all 165 claims: six distinct powers (u - 1)^m.
+    assert len(built) == 1
+    assert sorted(built[0].ctx._powers) == [2, 4, 6, 8, 10, 12]
+
+
+def _sampled_checks(report):
+    return json.dumps([c for c in report["checks"] if c["id"].startswith(
+        ("chain:", "identity:", "anchor:", "decomposition:", "combination:"))])
+
+
+@pytest.fixture(scope="module")
+def seed7_sampled_checks():
+    report = audit.run_audit(audit.AuditConfig(samples=20000, seed=7))
+    return _sampled_checks(report)
+
+
+@pytest.mark.parametrize("chunk, workers", [
+    (analysis.SHARED_CHUNK, 2), (4096, 1), (4096, 2), (1000, 1), (1000, 4)])
+def test_audit_folds_do_not_depend_on_chunk_or_workers(
+        monkeypatch, seed7_sampled_checks, chunk, workers):
+    monkeypatch.setattr(analysis, "SHARED_CHUNK", chunk)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # interleave the chunk tasks finely
+    try:
+        report = audit.run_audit(
+            audit.AuditConfig(samples=20000, seed=7, workers=workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _sampled_checks(report) == seed7_sampled_checks
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Unit tests for chains, pyramid differences, and residual decompositions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,19 @@ def test_planted_reversed_link_fails_proof_and_scan():
     res = cascade.check_chain(chain, sample)
     assert (res.verdict, res.max_violation) == ("fail", float("inf"))
     assert res.counterexamples[0]["step"] == "1*W2 <= 1*W1"
+
+
+def test_a_chain_scan_fails_on_nan():
+    # x = 1e600 overflows to inf, so every term is NaN at pair 0.
+    with np.errstate(all="ignore"):
+        sample = analysis.Sample([1e300, 2.0], [1e-300, 1.0])
+        res = cascade.check_chain(cascade.get_chain("means"), sample)
+    assert res.verdict == "fail"
+    assert math.isnan(res.max_violation)
+    ce = res.counterexamples[0]
+    assert ce["index"] == 0 and math.isnan(ce["violation"])
+    assert ce["step"] == "1*H <= 1*G"
+    assert len(res.counterexamples) == 1
 
 
 def test_a_proved_chain_reports_its_scan():

@@ -101,7 +101,9 @@ def test_ratu_cancellation_near_one():
 def test_ratu_arithmetic_and_equality():
     g = _delta_gen()
     twice = 2 * g
-    assert (twice - g - g).is_zero()
+    zero = twice - g - g
+    assert zero.is_zero()
+    assert _bits(zero(np.array([0.5, 1.0, 2.0]))) == _bits(np.zeros(3))
     assert twice == g + g
     quotient = twice / g
     assert quotient.limit_at_1() == 2
