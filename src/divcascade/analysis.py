@@ -1,7 +1,7 @@
 """Numerical certification machinery.
 
 Convexity certificates (an exact sign proof of f'' for every divergence,
-checked against high-precision differences at 11 points), a grid
+checked against 40-digit ``decimal`` differences at 11 points), a grid
 estimate of the sup-ratio behind each sharp inequality constant (the
 audit proves those constants exactly instead), and the sampled pass,
 which checks the float evaluators against the orderings and identities
@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from itertools import pairwise
 from typing import Callable
 
@@ -109,21 +110,19 @@ def _resolve(measure) -> Measure:
 
 
 def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
-    """Central second difference in dps-digit arithmetic, h = 1e-5 x.
+    """Central second difference in dps-digit ``decimal``, h = 1e-5 x.
 
     Plain float64 differences cannot certify steep generators: the noise
     floor eps*f/(h^2 f'') passes 1e-6 at x = 1e-4 and 1e4 no matter how h
     is chosen.  Working at 40 digits leaves only the O((h/x)^2) = 1e-10
     truncation term.
     """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-        h = xv * mp.mpf("1e-5")
+    xv = Decimal(x)
+    with localcontext(Context(prec=dps)):
+        h = xv * Decimal("1e-5")
         out = (measure.eval_mp(xv + h, dps) - 2 * measure.eval_mp(xv, dps)
                + measure.eval_mp(xv - h, dps)) / (h * h)
-        return float(out)
+    return float(out)
 
 
 def certify_convexity(measure) -> CheckResult:
@@ -131,8 +130,8 @@ def certify_convexity(measure) -> CheckResult:
 
     Checks f(1) = 0, f'(1) = 0, and proves the exact f'' positive on all
     of x > 0 apart from x = 1 (``positive_off_one`` of the ``RatU`` or
-    ``RatS`` form).  A spot check of f'' against a high-precision central
-    difference at ``SPOT_POINTS``, to within FD_REL_TOL * |f''| +
+    ``RatS`` form).  A spot check of f'' against a 40-digit ``decimal``
+    central difference at ``SPOT_POINTS``, to within FD_REL_TOL * |f''| +
     FD_ABS_TOL, catches a wrong derivative; the absolute floor covers f''
     vanishing to high order near x = 1, and a value that is not finite
     fails.
@@ -235,31 +234,47 @@ class Ordering:
     """The claim coef_0*m_0 <= coef_1*m_1 <= ... of a chain.
 
     A pair's value is its worst link violation (lower - upper) relative
-    to the larger term, or NaN from its first NaN link (a term that is
-    not finite), with that link's index.  The terms stream: each is
-    compared with the one before it and dropped.
+    to the larger term, or NaN if a link is NaN (a term that is not
+    finite).  The terms stream: each is compared with the one before it
+    and dropped.
     """
 
     terms: tuple
     tol: float
 
-    def values(self, chunk: ChunkValues):
-        worst = np.full(chunk.a.shape, -np.inf)
-        worst_step = np.zeros(chunk.a.shape, dtype=np.int64)
+    def _links(self, chunk: ChunkValues):
+        """Each link's relative violation over the chunk, in order."""
         scaled = (float(c) * chunk.gen(mid) for c, mid in self.terms)
-        pairs = pairwise((v, np.abs(v)) for v in scaled)
-        for i, ((lower, abs_lower), (upper, abs_upper)) in enumerate(pairs):
+        for (lower, abs_lower), (upper, abs_upper) in pairwise(
+                (v, np.abs(v)) for v in scaled):
             # viol = (lower - upper) / max(|lower|, |upper|, 1e-300)
             scale = np.maximum(abs_lower, abs_upper)
             np.maximum(scale, 1e-300, out=scale)
             viol = np.subtract(lower, upper)
             np.divide(viol, scale, out=viol)
-            upd = np.greater(viol, worst)
-            if np.isnan(viol.max()):      # max() is NaN iff a link is
-                upd |= np.isnan(viol) & ~np.isnan(worst)
-            np.copyto(worst_step, i, where=upd)
-            np.copyto(worst, viol, where=upd)
-        return worst, worst_step
+            yield viol
+
+    def values(self, chunk: ChunkValues):
+        worst = None
+        for viol in self._links(chunk):
+            # NaN propagates; on a tie (+0 against -0) np.maximum returns
+            # its second operand, so the earlier link's value is kept.
+            worst = viol if worst is None else np.maximum(viol, worst,
+                                                          out=worst)
+        return np.full(chunk.a.shape, -np.inf) if worst is None else worst
+
+    def steps(self, chunk: ChunkValues, idx):
+        """The link of each pair chunk[idx]: its first NaN link if it has
+        one, else its first link equal to its value.
+
+        Elementwise bits do not depend on the chunk, so the links are
+        evaluated again on those pairs alone.
+        """
+        viols = np.array(list(self._links(
+            ChunkValues(chunk.a[idx], chunk.b[idx]))))
+        nan = np.isnan(viols)
+        first_max = np.argmax(viols == viols.max(axis=0), axis=0)
+        return np.where(nan.any(axis=0), np.argmax(nan, axis=0), first_max)
 
 
 @dataclass
@@ -273,13 +288,15 @@ class Fold:
 
 
 def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
-    values, steps = claim.values(chunk)
+    values = claim.values(chunk)
+    bad = np.nonzero(~(values <= claim.tol))[0][:10]
+    steps = claim.steps(chunk, bad) if bad.size else None
     records = []
-    for j in np.nonzero(~(values <= claim.tol))[0][:10]:
+    for k, j in enumerate(bad):
         records.append({"index": lo + int(j), "a": float(chunk.a[j]),
                         "b": float(chunk.b[j])})
         if steps is not None:
-            records[-1]["step"] = int(steps[j])
+            records[-1]["step"] = int(steps[k])
         records[-1]["violation"] = float(values[j])
     # max() is NaN if any value is, and argmax stops at the first NaN.
     return Fold(float(values.max()), lo + int(np.argmax(values)), records)
@@ -288,13 +305,13 @@ def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
     """Fold each claim over every sampled pair, in one chunked pass.
 
-    A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``
-    and ``values(chunk)``: per pair a value, failing above tol or NaN,
-    and a link index or None.  Each chunk task builds one
-    ``ChunkValues`` for all claims.  If claims share a symbol, chunks
-    hold ``SHARED_CHUNK`` pairs and memoize f(x); else ``CHUNK`` pairs,
-    streamed.  Folds merge in index order: chunk size and worker count
-    do not change them.
+    A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
+    ``values(chunk)``: per pair a value, failing above tol or NaN, and
+    ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
+    None.  Each chunk task builds one ``ChunkValues`` for all claims.
+    If claims share a symbol, chunks hold ``SHARED_CHUNK`` pairs and
+    memoize f(x); else ``CHUNK`` pairs, streamed.  Folds merge in index
+    order: chunk size and worker count do not change them.
     """
     claims = list(claims)
     reads = Counter(s for c in claims for s in {sym for _, sym in c.terms})

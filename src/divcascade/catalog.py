@@ -13,6 +13,7 @@ catalog.  Those strings are report data; the code never depends on them.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal
 from functools import lru_cache
 from typing import Optional
 
@@ -45,7 +46,7 @@ class Measure:
 
     ``kind`` is "mean" (f(1) = 1) or "divergence" (f(1) = 0; convex except
     D_GH, D_NH and D_SR).  ``gen`` is the exact form, a ``RatU`` or a
-    ``RatS``; both evaluate in floats, in mpmath and exactly.
+    ``RatS``; both evaluate in floats, in ``decimal`` and exactly.
     """
 
     __slots__ = ("id", "label", "kind", "ref", "gen", "_fpp")
@@ -78,9 +79,9 @@ class Measure:
             self._fpp = self.gen.d2x()
         return self._fpp
 
-    def eval_mp(self, x, dps: int = 40):
-        """Generator value in high-precision arithmetic."""
-        return self.gen.eval_mp(x, dps)
+    def eval_mp(self, x, dps: int = 40) -> Decimal:
+        """Generator value at x in dps-digit ``decimal`` arithmetic."""
+        return self.gen.eval_decimal(Decimal(x), Context(prec=dps))
 
     def __repr__(self):
         return f"Measure({self.id!r})"

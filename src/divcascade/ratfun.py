@@ -22,11 +22,14 @@ is vectorised over numpy arrays with Horner's rule on the deflated
 parts; each numerator coefficient enters it as (c * p) / q for the scale
 p / q, which int division rounds correctly.  It reads its u = sqrt(x),
 u - 1 and (u - 1)^m from a ``UContext`` that every generator evaluated
-at the same points can share.
+at the same points can share.  ``eval_decimal`` evaluates a form in the
+standard library's ``decimal`` at a chosen precision, for the 40-digit
+differences that spot-check each exact second derivative.
 """
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt, lcm
@@ -439,29 +442,28 @@ class RatU:
         """
         return (self / other).limit_at_1()
 
-    def eval_mp(self, x, dps: int = 40):
-        """High-precision evaluation at x > 0 using mpmath.
+    def eval_decimal(self, x: Decimal, ctx: Context) -> Decimal:
+        """Value at a ``Decimal`` x > 0 in the precision of ``ctx``.
 
-        Used by the convexity certificates, where plain float64 central
+        Used by the convexity spot check, where float64 central
         differences drown in cancellation noise for steep generators.
+        Each numerator coefficient is the exact scale * c = (c * p) / q,
+        rounded once; (u - 1)^m is formed as ((x - 1) / (u + 1))^m.
         """
-        import mpmath as mp
+        with localcontext(ctx):
+            u = x.sqrt()
 
-        with mp.workdps(dps):
-            xv = mp.mpf(x)
-            u = mp.sqrt(xv)
-            um1 = (xv - 1) / (u + 1)
-
-            def horner(coeffs):
-                acc = mp.mpf(0)
+            def horner(coeffs, p=1, q=1):
+                acc = Decimal(0)
                 for c in reversed(coeffs):
-                    acc = acc * u + mp.mpf(c.numerator) / c.denominator
+                    acc = acc * u + Decimal(c * p) / q
                 return acc
 
-            val = (horner([self.scale * c for c in self.num.coeffs])
+            val = (horner(self.num.coeffs, self.scale.numerator,
+                          self.scale.denominator)
                    / horner(self.den.coeffs))
             if self.m:
-                val = val * um1 ** self.m
+                val = val * ((x - 1) / (u + 1)) ** self.m
             return val
 
     def __repr__(self):
@@ -565,14 +567,11 @@ class RatS:
 
     __call__ = RatU.__call__
 
-    def eval_mp(self, x, dps: int = 40):
-        """High-precision evaluation at x > 0 using mpmath."""
-        import mpmath as mp
-
-        with mp.workdps(dps):
-            xv = mp.mpf(x)
-            s = mp.sqrt((xv * xv + 1) / 2)
-            return self.r.eval_mp(xv, dps) + self.t.eval_mp(xv, dps) * s
+    def eval_decimal(self, x: Decimal, ctx: Context) -> Decimal:
+        """Value r + t*S at a ``Decimal`` x > 0 in the precision of ctx."""
+        with localcontext(ctx):
+            s = ((x * x + 1) / 2).sqrt()
+            return self.r.eval_decimal(x, ctx) + self.t.eval_decimal(x, ctx) * s
 
 
 def solve_exact(columns: Sequence[RatU | RatS],

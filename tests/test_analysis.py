@@ -1,12 +1,15 @@
 """Unit tests for sampling, certification, and counterexample search."""
 
 import itertools
+import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
-from divcascade import analysis, cascade, catalog, means
+from divcascade import analysis, audit, cascade, catalog, means
+from divcascade.ratfun import RatS
 
 
 def test_sample_pairs_policy():
@@ -102,6 +105,49 @@ def test_certify_convexity_fails_a_value_that_is_not_finite(bad):
         ("analytic-vs-fd", 1.001, float("inf"))]
 
 
+def _mp_value(form, x, dps):
+    """A ``RatU`` or ``RatS`` form in mpmath: the evaluator the decimal
+    one replaced, kept as its oracle."""
+    with mpmath.workdps(dps):
+        xv = mpmath.mpf(x)
+        if isinstance(form, RatS):
+            s = mpmath.sqrt((xv * xv + 1) / 2)
+            return (_mp_value(form.r, xv, dps)
+                    + _mp_value(form.t, xv, dps) * s)
+        u = mpmath.sqrt(xv)
+
+        def horner(coeffs):
+            acc = mpmath.mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * u + mpmath.mpf(c.numerator) / c.denominator
+            return acc
+
+        val = (horner([form.scale * c for c in form.num.coeffs])
+               / horner(form.den.coeffs))
+        if form.m:
+            val = val * ((xv - 1) / (u + 1)) ** form.m
+        return val
+
+
+def _fd2_mpmath(measure, x, dps=40):
+    """The 40-digit central difference as mpmath computed it."""
+    with mpmath.workdps(dps):
+        xv = mpmath.mpf(x)
+        h = xv * mpmath.mpf("1e-5")
+        f = [_mp_value(measure.gen, v, dps) for v in (xv + h, xv, xv - h)]
+        return float((f[0] - 2 * f[1] + f[2]) / (h * h))
+
+
+def test_decimal_spot_differences_equal_the_mpmath_ones():
+    ids = audit._convexity_ids()
+    assert len(ids) == 68
+    for mid in ids + ["D_SH", "D_SG", "D_SN", "D_SA", "D_CS"]:
+        m = catalog.get(mid)
+        for x in analysis.SPOT_POINTS:
+            assert analysis._fd2_mp(m, float(x)) == _fd2_mpmath(m, x), (
+                mid, x)
+
+
 def test_certify_convexity_rejects_means():
     with pytest.raises(ValueError):
         analysis.certify_convexity("A")
@@ -135,13 +181,15 @@ def test_scan_finds_reversed_chain_violation():
 
 def test_scan_worker_independence(monkeypatch):
     threads = {}     # chunk serial -> the threads that built and read it
+    sizes = {}       # chunk serial -> its number of pairs
     serials = itertools.count()
 
     class OneThread(analysis.ChunkValues):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
+        def __init__(self, a, b, *args, **kw):
+            super().__init__(a, b, *args, **kw)
             self.serial = next(serials)
             threads[self.serial] = {threading.get_ident()}
+            sizes[self.serial] = a.size
 
         def gen(self, symbol):
             threads[self.serial].add(threading.get_ident())
@@ -163,9 +211,11 @@ def test_scan_worker_independence(monkeypatch):
                 got = analysis.scan_chain_terms(terms, sample, tol, workers)
                 assert got == w1, (terms, tol, workers)
         assert len(w1[1]) == 10, terms
-    # Each chunk task built its own context and no other thread read it.
+    # Each chunk task built its own context and no other thread read it;
+    # the links of a chunk's records come from a context of at most ten
+    # of its pairs, built and read by the same task.
     chunks = -(-sample.size // analysis.CHUNK)
-    assert len(threads) == 8 * 2 * 3 * chunks
+    assert sum(n > 10 for n in sizes.values()) == 8 * 2 * 3 * chunks
     assert all(len(t) == 1 for t in threads.values())
 
 
@@ -173,7 +223,8 @@ def _reference_scan(terms, a, b, tol):
     """Evaluate every term over all pairs, then compare adjacent ones.
 
     The plain loop the streamed per-chunk scan replaced; without chunks it
-    gives the merged outcome directly.
+    gives the merged outcome directly.  A later link replaces a pair's
+    worst only if strictly greater, and the first NaN link wins.
     """
     x = a / b
     vals = [float(c) * catalog.get(mid)(x) for c, mid in terms]
@@ -183,12 +234,12 @@ def _reference_scan(terms, a, b, tol):
         lower, upper = vals[i], vals[i + 1]
         scale = np.maximum(np.maximum(np.abs(lower), np.abs(upper)), 1e-300)
         viol = (lower - upper) / scale
-        upd = viol > worst
+        upd = (viol > worst) | (np.isnan(viol) & ~np.isnan(worst))
         worst_step[upd] = i
         worst[upd] = viol[upd]
     records = [{"index": int(j), "a": float(a[j]), "b": float(b[j]),
                 "step": int(worst_step[j]), "violation": float(worst[j])}
-               for j in np.nonzero(worst > tol)[0][:10]]
+               for j in np.nonzero(~(worst <= tol))[0][:10]]
     return float(worst.max()), records
 
 
@@ -221,7 +272,7 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
     reversed_link = analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12)
     for claims in ([false_eq], [reversed_link], [false_eq, false_eq]):
         whole = analysis.ChunkValues(sample.a, sample.b)
-        values = claims[0].values(whole)[0]
+        values = claims[0].values(whole)
         assert values[3] == values[4] == values.max()
         for fold in analysis.scan_claims(claims, sample):
             assert (fold.worst, fold.index) == (values[3], 3)
@@ -240,3 +291,28 @@ def test_memo_arrays_reject_in_place_writes():
     # Without a memo every read is a new array.
     fresh = analysis.ChunkValues(sample.a, sample.b)
     assert fresh.gen("K") is not fresh.gen("K")
+
+
+_DRAWN = analysis.Sample.draw(2_000, seed=5)
+_DIAGONAL = analysis.Sample([3.0, 2.0], [3.0, 2.0])
+
+
+@pytest.mark.parametrize("terms, sample, tol, steps", [
+    # Two failing links, the later one worse everywhere.
+    ([(1, "W2"), (1, "W1"), (0.5, "W1")], _DRAWN, 1e-12, {1}),
+    # Two failing links, either one the worse, depending on the pair.
+    ([(1, "W2"), (1, "W1"), (0.9, "W1")], _DRAWN, 1e-12, {0, 1}),
+    # A NaN link (inf * delta) after a failing link.
+    ([(1, "W2"), (1, "W1"), (math.inf, "delta")], _DRAWN, 1e-12, {1}),
+    # At a = b the links are -0 then +0, or +0 then -0: the first stays.
+    ([(-1, "delta"), (1, "K"), (-1, "delta")], _DIAGONAL, -1.0, {0}),
+    ([(1, "K"), (-1, "delta"), (1, "K")], _DIAGONAL, -1.0, {0}),
+])
+def test_record_links_follow_the_reference(terms, sample, tol, steps):
+    with np.errstate(all="ignore"):
+        got = analysis.scan_chain_terms(terms, sample, tol)
+        ref = _reference_scan(terms, sample.a, sample.b, tol)
+    # repr tells -0.0 from 0.0, and nan equals itself.
+    assert repr(got) == repr(ref)
+    assert len(got[1]) == min(10, sample.size)
+    assert {rec["step"] for rec in got[1]} == steps

@@ -1,5 +1,6 @@
 """Unit tests for the exact layer: rational functions of sqrt(x), r + t*S."""
 
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -90,7 +91,7 @@ def test_ratu_cancellation_near_one():
     g = _delta_gen()
     for eps in (1e-8, -1e-8, 1e-12):
         x = 1.0 + eps
-        exact = float(g.eval_mp(x, dps=50))
+        exact = float(g.eval_decimal(Decimal(x), Context(prec=50)))
         got = g(x)
         if exact == 0.0:
             assert got == 0.0
@@ -301,20 +302,20 @@ def test_root_mean_square_forms_against_sympy():
     means = _sympy_means(x)
     points = [Fraction(1, 7), Fraction(1, 2), Fraction(999, 1000),
               Fraction(1001, 1000), Fraction(3), Fraction(50)]
+    ctx = Context(prec=50)
     for mid in _S_IDS:
         expr = means[mid] if mid == "S" else means[mid[2]] - means[mid[3]]
         m = catalog.get(mid)
         for form, oracle in ((m.gen, expr), (m.fpp, sympy.diff(expr, x, 2))):
             at_one = sympy.nsimplify(sympy.simplify(oracle.subs(x, 1)))
             assert form.limit_at_1() == Fraction(str(at_one)), mid
-            f = sympy.lambdify(x, oracle, "mpmath")
-            with mpmath.workdps(50):
-                for q in points:
-                    xv = mpmath.mpf(q.numerator) / q.denominator
-                    ref = f(xv)
-                    got = form.eval_mp(xv, 50)
-                    assert abs(got - ref) <= mpmath.mpf(10)**-35 * abs(ref), (
-                        mid, q)
+            for q in points:
+                xv = ctx.divide(Decimal(q.numerator), q.denominator)
+                ref = Decimal(str(oracle.subs(x, sympy.Rational(str(xv)))
+                                  .evalf(60)))
+                got = form.eval_decimal(xv, ctx)
+                assert abs(got - ref) <= Decimal("1e-35") * abs(ref), (
+                    mid, q)
 
 
 def test_root_mean_square_sign_proofs_and_negative_controls():
