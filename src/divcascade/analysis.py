@@ -6,14 +6,18 @@ estimate of the sup-ratio behind each sharp inequality constant (the
 audit proves those constants exactly instead), and the sampled pass,
 which checks the float evaluators against the orderings and identities
 that ``cascade`` proves.  Everything here is deterministic given the
-seed: a run draws one ``Sample``, and ``scan_claims`` evaluates all its
+seed: a run draws one ``Sample``, and ``start_scan`` evaluates all its
 claims in one pass over fixed chunks of it, each with one ``UContext``
 and one memo of generator values, merged in index order whatever the
-chunk size or worker count.
+chunk size, worker count, or whether the chunks ran in threads or in
+forked processes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +35,8 @@ from .reporting import CheckResult
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "fd_second_derivative",
     "certify_convexity", "estimate_sup_ratio", "Ordering", "ChunkValues",
-    "Fold", "scan_claims", "scan_chain_terms", "CHUNK", "SHARED_CHUNK",
+    "Fold", "start_scan", "scan_claims", "scan_chain_terms", "CHUNK",
+    "SHARED_CHUNK",
 ]
 
 CHUNK = 131072          # pairs per chunk when no measure is shared
@@ -302,16 +307,30 @@ def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
     return Fold(float(values.max()), lo + int(np.argmax(values)), records)
 
 
-def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
-    """Fold each claim over every sampled pair, in one chunked pass.
+def start_scan(claims, sample: Sample, workers: int = 1
+               ) -> Callable[[], list[Fold]]:
+    """Start folding each claim over every sampled pair, in one chunked
+    pass; the returned ``join()`` gives the folds.
 
     A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
     ``values(chunk)``: per pair a value, failing above tol or NaN, and
     ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
     None.  Each chunk task builds one ``ChunkValues`` for all claims.
     If claims share a symbol, chunks hold ``SHARED_CHUNK`` pairs and
-    memoize f(x); else ``CHUNK`` pairs, streamed.  Folds merge in index
-    order: chunk size and worker count do not change them.
+    memoize f(x); else ``CHUNK`` pairs, streamed.
+
+    Where the pass runs follows from its input.  A shared pass with
+    ``workers`` > 1, started from a process with one thread, is split
+    into contiguous runs of whole chunks, each scanned by a child made
+    by ``os.fork`` (at most one per chunk) while the caller goes on, so
+    it can prove while they scan; ``join()`` reads their pickled folds,
+    reaps every child and raises a child's exception again.  Threads
+    gain nothing there: a shared chunk makes many short numpy calls,
+    and they would wait on the GIL.  Any other pass runs in ``join()``,
+    on ``workers`` threads when > 1; a streamed chunk's numpy calls are
+    long enough to release the GIL for most of their time.
+    Folds merge in index order: chunk size, worker count and path do
+    not change them.
     """
     claims = list(claims)
     reads = Counter(s for c in claims for s in {sym for _, sym in c.terms})
@@ -324,12 +343,32 @@ def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
         return [_chunk_fold(claim, chunk, lo) for claim in claims]
 
     starts = range(0, sample.size if claims else 0, size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, starts))
-    else:
-        parts = map(task, starts)
-    folds = [Fold() for _ in claims]
+    # fork() copies only the calling thread: with another thread alive, a
+    # lock it holds would stay held in the child.
+    if (shared and workers > 1 and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        k = min(workers, len(starts))
+        children = [_fork_scan(task, starts[i * len(starts) // k:
+                                            (i + 1) * len(starts) // k])
+                    for i in range(k)]
+        return lambda: _merge(len(claims), _join_children(children))
+
+    def join():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return _merge(len(claims), pool.map(task, starts))
+        return _merge(len(claims), map(task, starts))
+    return join
+
+
+def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
+    """The folds of ``start_scan(claims, sample, workers)``, joined."""
+    return start_scan(claims, sample, workers)()
+
+
+def _merge(n: int, parts) -> list[Fold]:
+    """Fold n claims' per-chunk folds, given in index order."""
+    folds = [Fold() for _ in range(n)]
     for part in parts:
         for fold, new in zip(folds, part):
             if not np.isnan(fold.worst) and (new.worst > fold.worst
@@ -337,6 +376,67 @@ def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
                 fold.worst, fold.index = new.worst, new.index
             fold.records += new.records[:10 - len(fold.records)]
     return folds
+
+
+def _fork_scan(task, starts) -> tuple[int, int]:
+    """Fork a child that pickles ``[task(lo) for lo in starts]``, or the
+    exception it raised, into a pipe; return (pid, read end).
+
+    The child always leaves through ``os._exit``: it never returns into
+    the caller's stack, and exit handlers and buffered output stay the
+    parent's.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = (True, [task(lo) for lo in starts])
+        except BaseException as exc:    # handed to the parent to raise
+            result = (False, exc)
+        try:
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        except Exception:               # an exception that does not pickle
+            exc = result[1]
+            data = pickle.dumps(
+                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_children(children) -> list:
+    """The children's per-chunk folds in start order, every child reaped.
+
+    A child's exception is raised again here; a child that ended without
+    a result raises ``RuntimeError``.
+    """
+    results = []
+    try:
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                results.append(fh.read())
+    finally:
+        for _, fd in children:
+            os.close(fd)        # a child still writing gets EPIPE and ends
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    parts = []
+    for (pid, _), data, status in zip(children, results, statuses):
+        if not data:
+            raise RuntimeError(
+                f"scan worker {pid} ended without a result (exit code "
+                f"{os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        parts += value
+    return parts
 
 
 def scan_chain_terms(terms, sample: Sample, tol: float, workers: int = 1):

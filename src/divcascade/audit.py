@@ -17,6 +17,7 @@ and never affects the exit status.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,19 +35,25 @@ __all__ = [
 
 @dataclass
 class AuditConfig:
-    """Knobs for one audit run."""
+    """Knobs for one audit run.
+
+    ``workers`` (None: the usable CPU count) is the number of forked
+    processes that scan the sampled pass while the exact proofs run;
+    1 runs everything in this process, one step after another.
+    """
 
     chains: object = "all"          # "all" or a list of chain ids/prefixes
     samples: int = 100000
     seed: int = 42
     tolerance: float = 1e-12
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         self.samples = int(self.samples)
         self.seed = int(self.seed)
         self.tolerance = float(self.tolerance)
-        self.workers = int(self.workers)
+        self.workers = (_usable_cpus() if self.workers is None
+                        else int(self.workers))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
@@ -56,6 +63,15 @@ class AuditConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.chain_ids = _select_chains(self.chains)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _select_chains(selector) -> tuple[str, ...]:
@@ -314,18 +330,17 @@ class Identity:
 
 
 def _check_identity(ident: Identity, sample: analysis.Sample,
-                    folds=None) -> CheckResult:
+                    folds=None, proved: bool | None = None) -> CheckResult:
     """Prove every claim of ``ident``, then sample it.
 
-    The scan is ``folds``, the claims' from a shared ``scan_claims``
-    pass, if given.  The violation is the worst sampled gap, or inf when
-    a proof fails; a failing check with sampled claims records its worst
+    The scan is ``folds``, the claims' from a shared ``start_scan``
+    pass, and the proof verdict is ``proved``, ``_identity_proved(ident)``,
+    if given.  The violation is the worst sampled gap, or inf when a
+    proof fails; a failing check with sampled claims records its worst
     sample as the counterexample.
     """
-    proved = (all(cascade.is_exact_combination(*c)
-                  for c in ident.claims + ident.unsampled)
-              and not any(cascade.is_exact_combination(*c)
-                          for c in ident.misprints))
+    if proved is None:
+        proved = _identity_proved(ident)
     worst, where = 0.0, 0
     for fold in folds or analysis.scan_claims(_equalities(ident), sample):
         if fold.worst > worst or np.isnan(fold.worst):  # NaN must fail
@@ -339,6 +354,14 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     return make_result(ident.id, ident.kind,
                        sample.size if ident.claims else 0, violation,
                        ident.tol, ces, ref=ident.ref, detail=detail)
+
+
+def _identity_proved(ident: Identity) -> bool:
+    """Every claim is exact and every misprint is not."""
+    return (all(cascade.is_exact_combination(*c)
+                for c in ident.claims + ident.unsampled)
+            and not any(cascade.is_exact_combination(*c)
+                        for c in ident.misprints))
 
 
 def _equalities(ident: Identity) -> list:
@@ -477,32 +500,41 @@ def _convexity_ids() -> list[str]:
 def run_audit(config: AuditConfig) -> dict:
     """Run every check under the given config and return the report.
 
-    One ``analysis.scan_claims`` pass samples every chain and identity
-    claim for the checks to read.  The sample is then dropped, so its
-    arrays are freed before the exact proofs fill the heap with
-    big-integer algebra; the report keeps its fixed order.
+    One ``analysis.start_scan`` pass samples every chain and identity
+    claim.  With ``config.workers`` > 1 it scans in forked processes
+    while this one runs every exact proof (links, identities, beta
+    constants, convexity, the negative control); with one worker the
+    scan runs here after the proofs.  The checks are assembled from
+    the joined folds and the proof verdicts, in the report's fixed
+    order.
     """
     tol = config.tolerance
     sample = analysis.Sample.draw(config.samples, config.seed)
     chains = [cascade.get_chain(cid) for cid in config.chain_ids]
     idents = _identities(tol)
     tables = [_w8_printed()] + _combinations(tol) + _printed_forms()
-    folds = iter(analysis.scan_claims(
+    join = analysis.start_scan(
         [analysis.Ordering(chain.terms, tol) for chain in chains]
         + [eq for ident in idents + tables for eq in _equalities(ident)],
-        sample, config.workers))
-    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds))
-              for chain in chains]
-    checked = [_check_identity(ident, sample,
-                               [next(folds) for _ in ident.claims])
-               for ident in idents + tables]
-    identities, tables = checked[:len(idents)], checked[len(idents):]
-    del sample
+        sample, config.workers)
+    try:
+        links = [cascade.chain_proved(chain) for chain in chains]
+        proofs = [_identity_proved(ident) for ident in idents + tables]
+        betas = [_check_beta(part) for part in cascade.theorem_parts()]
+        convexity = [analysis.certify_convexity(mid)
+                     for mid in _convexity_ids()]
+        control = _negative_control(config)
+    finally:                    # reaps the children if a proof raises
+        folds = iter(join())
 
-    betas = [_check_beta(part) for part in cascade.theorem_parts()]
-    convexity = [analysis.certify_convexity(mid) for mid in _convexity_ids()]
-    checks = (chains + identities + betas + convexity + tables
-              + [_negative_control(config)])
+    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds),
+                                  proved=proved)
+              for chain, proved in zip(chains, links)]
+    checked = [_check_identity(ident, sample,
+                               [next(folds) for _ in ident.claims], proved)
+               for ident, proved in zip(idents + tables, proofs)]
+    identities, tables = checked[:len(idents)], checked[len(idents):]
+    checks = chains + identities + betas + convexity + tables + [control]
 
     return {
         "header": {

@@ -27,7 +27,8 @@ __all__ = [
     "W", "V", "U", "W_second_derivative", "W_FPP_PRINTED",
     "pyramid_pair", "pyramid_diff", "pyramid_equalities",
     "PYRAMID_EQ_SCALES", "PYRAMID_EQ_CLAIMS", "Chain", "CHAINS", "chains", "get_chain",
-    "chain_from_dict", "audit_chain", "check_chain", "TheoremPart",
+    "chain_from_dict", "audit_chain", "chain_proved", "check_chain",
+    "TheoremPart",
     "THEOREM_PARTS", "theorem_parts", "beta_constant", "beta_exact",
     "residual_decompositions", "is_exact_combination", "is_exact_ordering",
     "ComboLine",
@@ -300,13 +301,20 @@ def _link_proved(lo, hi) -> bool:
     return is_exact_ordering((lo,), (hi,))
 
 
+def chain_proved(chain: Chain) -> bool:
+    """Whether every adjacent link of the chain is proved."""
+    return all(_link_proved(lo, hi)
+               for lo, hi in zip(chain.terms, chain.terms[1:]))
+
+
 def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
-                workers: int = 1, fold: analysis.Fold | None = None
-                ) -> CheckResult:
+                workers: int = 1, fold: analysis.Fold | None = None,
+                proved: bool | None = None) -> CheckResult:
     """Prove every adjacent ordering in the chain and scan the sample.
 
-    The scan is ``fold``, the chain's from a shared ``scan_claims``
-    pass, if given.  A failed link proof reads inf; the scan's
+    The scan is ``fold``, the chain's from a shared ``start_scan``
+    pass, and the proof verdict is ``proved``, ``chain_proved(chain)``,
+    if given.  A failed link proof reads inf; the scan's
     counterexamples stay.
     """
     max_violation, records = (fold.worst, fold.records) if fold else (
@@ -315,8 +323,7 @@ def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
         i = r.pop("step")
         lo, hi = chain.terms[i], chain.terms[i + 1]
         r["step"] = f"{lo[0]}*{lo[1]} <= {hi[0]}*{hi[1]}"
-    if not all(_link_proved(lo, hi)
-               for lo, hi in zip(chain.terms, chain.terms[1:])):
+    if not (chain_proved(chain) if proved is None else proved):
         max_violation = float("inf")
     return make_result(f"chain:{chain.id}", "chain", sample.size,
                        max_violation, tol, counterexamples=records,

@@ -129,7 +129,7 @@ def cmd_audit(args) -> int:
             seed=seed,
             tolerance=(float(args.tolerance)
                        if args.tolerance is not None else 1e-12),
-            workers=int(args.workers) if args.workers is not None else 1,
+            workers=args.workers,
         )
     except ValueError as e:
         _err(f"configuration error: {e}")
@@ -207,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"${SEED_ENV})")
     p_aud.add_argument("--tolerance", help="relative tolerance "
                                            "(default 1e-12)")
-    p_aud.add_argument("--workers", help="parallel workers (default 1)")
+    p_aud.add_argument("--workers",
+                       help="processes that scan the sample while the exact "
+                            "proofs run (default: the usable CPUs); 1 "
+                            "runs all in one process")
     p_aud.add_argument("--report", help="write the JSON report here")
     p_aud.add_argument("--format", choices=("text", "json"),
                        default="text")

@@ -6,6 +6,7 @@ a plain ``pytest -v`` run also shows one verdict line per criterion.
 """
 
 import json
+import os
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -277,18 +278,38 @@ def test_criterion_8_distribution_suite():
                  f"{worst_chain:.3e}, worst identity gap {worst_ident:.3e}")
 
 
-def test_criterion_9_determinism():
-    """Byte-identical reports for equal seeds, independent of workers."""
-    def run(workers):
-        cfg = audit.AuditConfig(chains="all", samples=2000, seed=42,
-                                workers=workers)
-        rep = audit.run_audit(cfg)
+def _no_fork():
+    raise AssertionError("a one-worker audit must not fork")
+
+
+def test_criterion_9_determinism(monkeypatch):
+    """Byte-identical reports for equal seeds, independent of workers.
+
+    One worker runs the whole audit in this process (``os.fork`` raises);
+    2, 3 and 4 scan the sample in forked processes.  The failing run has
+    counterexamples in the second half of its sample.
+    """
+    def run(workers, samples=2000, seed=42, **kw):
+        cfg = audit.AuditConfig(chains="all", samples=samples, seed=seed,
+                                workers=workers, **kw)
+        with monkeypatch.context() as m:
+            if workers == 1:
+                m.setattr(os, "fork", _no_fork)
+            rep = audit.run_audit(cfg)
         rep["header"].pop("timestamp")
         return json.dumps(rep, sort_keys=True)
 
     first = run(1)
-    second = run(1)
-    parallel = run(4)
-    assert first == second
-    assert first == parallel
+    assert run(1) == first
+    for workers in (2, 3, 4):
+        assert run(workers) == first
+
+    failing = dict(samples=40000, seed=5, tolerance=1e-17)
+    serial = run(1, **failing)
+    indices = [ce["index"] for c in json.loads(serial)["checks"]
+               if c["verdict"] == "fail"
+               for ce in c["counterexamples"] if "index" in ce]
+    assert max(indices) >= 20000
+    for workers in (2, 3):
+        assert run(workers, **failing) == serial
     _announce(9, "reports byte-identical across reruns and worker counts")

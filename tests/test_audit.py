@@ -1,7 +1,8 @@
 """Unit tests for audit configuration, reporting, and errata records."""
 
 import json
-import sys
+import os
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -235,23 +236,97 @@ def _sampled_checks(report):
 
 @pytest.fixture(scope="module")
 def seed7_sampled_checks():
-    report = audit.run_audit(audit.AuditConfig(samples=20000, seed=7))
+    report = audit.run_audit(audit.AuditConfig(samples=20000, seed=7,
+                                               workers=1))
     return _sampled_checks(report)
 
 
 @pytest.mark.parametrize("chunk, workers", [
-    (analysis.SHARED_CHUNK, 2), (4096, 1), (4096, 2), (1000, 1), (1000, 4)])
+    (analysis.SHARED_CHUNK, 2), (analysis.SHARED_CHUNK, 3), (4096, 1),
+    (4096, 2), (4096, 3), (1000, 1), (1000, 4)])
 def test_audit_folds_do_not_depend_on_chunk_or_workers(
         monkeypatch, seed7_sampled_checks, chunk, workers):
     monkeypatch.setattr(analysis, "SHARED_CHUNK", chunk)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)     # interleave the chunk tasks finely
+    report = audit.run_audit(
+        audit.AuditConfig(samples=20000, seed=7, workers=workers))
+    assert _sampled_checks(report) == seed7_sampled_checks
+
+
+def _no_fork():
+    raise AssertionError("fork called")
+
+
+def test_audit_with_another_thread_alive_does_not_fork(
+        monkeypatch, seed7_sampled_checks):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
     try:
         report = audit.run_audit(
-            audit.AuditConfig(samples=20000, seed=7, workers=workers))
+            audit.AuditConfig(samples=20000, seed=7, workers=2))
     finally:
-        sys.setswitchinterval(interval)
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
     assert _sampled_checks(report) == seed7_sampled_checks
+
+
+def _in_child(parent, action):
+    """A claim ``values`` that runs ``action`` in a forked child only."""
+    real = means.Equality.values
+
+    def values(self, chunk):
+        if os.getpid() != parent:
+            action()
+        return real(self, chunk)
+    return values
+
+
+def _raise_boom():
+    raise ValueError("boom in a scan worker")
+
+
+def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
+    monkeypatch.setattr(means.Equality, "values",
+                        _in_child(os.getpid(), _raise_boom))
+    with pytest.raises(ValueError, match="boom in a scan worker"):
+        audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
+    with pytest.raises(ChildProcessError):     # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_worker_that_dies_raises_runtime_error(monkeypatch):
+    monkeypatch.setattr(means.Equality, "values",
+                        _in_child(os.getpid(), lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match="without a result.*exit code 3"):
+        audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_audit_forks_at_most_one_child_per_chunk(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    # 20000 pairs are 3 chunks of SHARED_CHUNK: 3 children, not 64.
+    audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=64))
+    assert len(forks) == 3
+
+
+def test_workers_default_is_the_usable_cpu_count(monkeypatch):
+    assert audit.AuditConfig().workers == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert audit.AuditConfig().workers == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert audit.AuditConfig(workers=None).workers == 3
+    monkeypatch.delattr(os, "fork")
+    assert audit.AuditConfig().workers == 1
 
 
 @pytest.fixture(scope="module")
