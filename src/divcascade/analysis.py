@@ -320,14 +320,15 @@ def start_scan(claims, sample: Sample, workers: int = 1
     memoize f(x); else ``CHUNK`` pairs, streamed.
 
     Where the pass runs follows from its input.  A shared pass with
-    ``workers`` > 1, started from a process with one thread, is split
-    into contiguous runs of whole chunks, each scanned by a child made
-    by ``os.fork`` (at most one per chunk) while the caller goes on, so
-    it can prove while they scan; ``join()`` reads their pickled folds,
-    reaps every child and raises a child's exception again.  Threads
-    gain nothing there: a shared chunk makes many short numpy calls,
-    and they would wait on the GIL.  Any other pass runs in ``join()``,
-    on ``workers`` threads when > 1; a streamed chunk's numpy calls are
+    ``workers`` > 1, started from a process with one Python thread, is
+    split into contiguous runs of whole chunks, each scanned by a child
+    made by ``os.fork`` (at most one per chunk) while the caller goes
+    on, so it can prove while they scan; ``join()`` reads their pickled
+    folds, reaps every child and raises a child's exception again.
+    Threads gain nothing there: a shared chunk makes many short numpy
+    calls, and they would wait on the GIL, so a shared pass that cannot
+    fork runs serially in ``join()``.  A streamed pass runs in
+    ``join()`` on ``workers`` threads when > 1; its numpy calls are
     long enough to release the GIL for most of their time.
     Folds merge in index order: chunk size, worker count and path do
     not change them.
@@ -343,18 +344,19 @@ def start_scan(claims, sample: Sample, workers: int = 1
         return [_chunk_fold(claim, chunk, lo) for claim in claims]
 
     starts = range(0, sample.size if claims else 0, size)
-    # fork() copies only the calling thread: with another thread alive, a
-    # lock it holds would stay held in the child.
+    # fork() copies only the calling thread: with another Python thread
+    # alive, a lock it holds would stay held in the child.  Native threads
+    # (a BLAS pool, a host's C extension) are not counted here.
     if (shared and workers > 1 and hasattr(os, "fork")
             and threading.active_count() == 1):
         k = min(workers, len(starts))
-        children = [_fork_scan(task, starts[i * len(starts) // k:
-                                            (i + 1) * len(starts) // k])
-                    for i in range(k)]
+        children = _fork_scans(task, [starts[i * len(starts) // k:
+                                             (i + 1) * len(starts) // k]
+                                      for i in range(k)])
         return lambda: _merge(len(claims), _join_children(children))
 
     def join():
-        if workers > 1:
+        if workers > 1 and not shared:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return _merge(len(claims), pool.map(task, starts))
         return _merge(len(claims), map(task, starts))
@@ -378,6 +380,21 @@ def _merge(n: int, parts) -> list[Fold]:
     return folds
 
 
+def _fork_scans(task, runs) -> list[tuple[int, int]]:
+    """``_fork_scan`` for each run of starts; if a fork or pipe fails,
+    the children already made are reaped before the error propagates."""
+    children = []
+    try:
+        for starts in runs:
+            children.append(_fork_scan(task, starts))
+    except BaseException:
+        for pid, fd in children:
+            os.close(fd)        # a child still writing gets EPIPE and ends
+            os.waitpid(pid, 0)
+        raise
+    return children
+
+
 def _fork_scan(task, starts) -> tuple[int, int]:
     """Fork a child that pickles ``[task(lo) for lo in starts]``, or the
     exception it raised, into a pipe; return (pid, read end).
@@ -387,7 +404,12 @@ def _fork_scan(task, starts) -> tuple[int, int]:
     parent's.
     """
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, read
@@ -400,6 +422,8 @@ def _fork_scan(task, starts) -> tuple[int, int]:
             result = (False, exc)
         try:
             data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            if not result[0]:
+                pickle.loads(data)      # as the parent will read it
         except Exception:               # an exception that does not pickle
             exc = result[1]
             data = pickle.dumps(

@@ -503,8 +503,9 @@ def run_audit(config: AuditConfig) -> dict:
     One ``analysis.start_scan`` pass samples every chain and identity
     claim.  With ``config.workers`` > 1 it scans in forked processes
     while this one runs every exact proof (links, identities, beta
-    constants, convexity, the negative control); with one worker the
-    scan runs here after the proofs.  The checks are assembled from
+    constants, convexity, the negative control); with one worker, or
+    with another Python thread alive, the scan runs here after the
+    proofs, in one thread.  The checks are assembled from
     the joined folds and the proof verdicts, in the report's fixed
     order.
     """

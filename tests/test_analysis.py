@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import threading
 
 import mpmath
@@ -204,13 +205,19 @@ def test_scan_worker_independence(monkeypatch):
                if cid.startswith(("means", "pyramid"))]
     assert len(claims) == 8
     # tol = -1 records offending samples in passing chains too.
-    for terms in claims:
-        for tol in (1e-12, -1.0):
-            w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
-            for workers in (2, 4):
-                got = analysis.scan_chain_terms(terms, sample, tol, workers)
-                assert got == w1, (terms, tol, workers)
-        assert len(w1[1]) == 10, terms
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # interleave the chunk tasks finely
+    try:
+        for terms in claims:
+            for tol in (1e-12, -1.0):
+                w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
+                for workers in (2, 4):
+                    got = analysis.scan_chain_terms(terms, sample, tol,
+                                                    workers)
+                    assert got == w1, (terms, tol, workers)
+            assert len(w1[1]) == 10, terms
+    finally:
+        sys.setswitchinterval(interval)
     # Each chunk task built its own context and no other thread read it;
     # the links of a chunk's records come from a context of at most ten
     # of its pairs, built and read by the same task.

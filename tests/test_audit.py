@@ -256,9 +256,15 @@ def _no_fork():
     raise AssertionError("fork called")
 
 
+def _no_threads(*args, **kw):
+    raise AssertionError("thread pool started")
+
+
 def test_audit_with_another_thread_alive_does_not_fork(
         monkeypatch, seed7_sampled_checks):
+    # A shared pass that cannot fork runs serially, not on threads.
     monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", _no_threads)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(60,))
     waiter.start()
@@ -301,6 +307,44 @@ def test_scan_worker_that_dies_raises_runtime_error(monkeypatch):
                         _in_child(os.getpid(), lambda: os._exit(3)))
     with pytest.raises(RuntimeError, match="without a result.*exit code 3"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class NeedsTwo(Exception):
+    """Pickles, but cannot be rebuilt from its message alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_needs_two():
+    raise NeedsTwo(1, 2)
+
+
+def test_scan_worker_exception_that_does_not_unpickle(monkeypatch):
+    monkeypatch.setattr(means.Equality, "values",
+                        _in_child(os.getpid(), _raise_needs_two))
+    with pytest.raises(RuntimeError, match="NeedsTwo: 1 and 2"):
+        audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_reaps_the_children_already_made(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(11, "fork refused")
+        return real()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(OSError, match="fork refused"):
+        audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=3))
+    assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
