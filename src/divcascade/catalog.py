@@ -363,10 +363,12 @@ def try_get(measure_id: str) -> Optional[Measure]:
         family = _FAMILY_ALIASES.get(name.lower())
         if family is None:
             return None
-        try:
-            t = int(t_str)
-        except ValueError:
+        # Only an optional '-' and ASCII digits: int() would also take
+        # '1_0', ' 3', '+3' and non-ASCII digits.
+        digits = t_str[1:] if t_str.startswith("-") else t_str
+        if not (digits.isascii() and digits.isdigit()):
             return None
+        t = int(t_str)
         lo, hi = family_range(family)
         if not lo <= t <= hi:
             return None

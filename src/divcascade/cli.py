@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import audit, catalog, distributions
+from . import catalog  # the commands import the rest of what they run
 
 SEED_ENV = "DIVCASCADE_SEED"
 EXIT_CLOSED_PIPE = 141
@@ -38,16 +38,13 @@ def _err(message: str) -> None:
     print(f"divcascade: {message}", file=sys.stderr)
 
 
-def _normalization(m) -> str:
-    return "f(1)=1" if m.kind == "mean" else "f(1)=0"
-
-
 def cmd_list(_args) -> int:
     for mid in catalog.all_ids():
         m = catalog.get(mid)
         alias = catalog.FORMULA.get(mid)
         head = f"{mid} = {alias}" if alias else mid
-        print(f"{head}, {m.ref}, {_normalization(m)} [{m.kind}]")
+        norm = "f(1)=1" if m.kind == "mean" else "f(1)=0"
+        print(f"{head}, {m.ref}, {norm} [{m.kind}]")
     for fid in catalog.FAMILY_IDS + ("Lt",):
         lo, hi = catalog.family_range(fid)
         ref = catalog.get(f"{fid}:{lo}").ref
@@ -87,6 +84,7 @@ def cmd_compute(args) -> int:
         else:
             if args.p is None or args.q is None:
                 raise ValueError("both --p and --q are required")
+            from . import distributions
             p = distributions.load_distribution(args.p)
             q = distributions.load_distribution(args.q)
             value = distributions.divergence(measure, p, q)
@@ -104,18 +102,13 @@ def cmd_compute(args) -> int:
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 42
-    return int(raw)
+    return int(os.environ.get(SEED_ENV, 42))
 
 
 def cmd_audit(args) -> int:
+    from . import audit
     try:
-        if args.seed is not None:
-            seed = int(args.seed)
-        else:
-            seed = _default_seed()
+        seed = int(args.seed) if args.seed is not None else _default_seed()
         chains = "all"
         if args.chains:
             tokens = []
@@ -162,6 +155,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_report_diff(args) -> int:
+    from . import audit
     try:
         ra = audit.load_report(args.report_a)
         rb = audit.load_report(args.report_b)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +64,14 @@ class ProbVector:
 
 def validate(raw: Sequence[float], eps: float = 1e-9) -> ProbVector:
     """Check positivity and normalization, then renormalize exactly."""
-    values = [float(v) for v in raw]
+    values = []
+    for i, v in enumerate(raw):
+        try:
+            values.append(float(v))
+        except OverflowError:  # an int beyond the double range
+            values.append(np.inf if v > 0 else -np.inf)
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {i} is not a number: {v!r}") from None
     if len(values) < 2:
         raise ValueError("a probability vector needs at least 2 entries")
     for i, v in enumerate(values):
@@ -114,6 +121,10 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
                                  f"column {e.colno}") from e
         if not isinstance(data, list):
             raise ValueError(f"{path}: expected a flat JSON array")
+        for i, v in enumerate(data):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{path}: entry {i} is not a number: "
+                                 f"{json.dumps(v)}")
         return validate(data)
     if format == "csv":
         values: list[float] = []

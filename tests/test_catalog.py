@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divcascade import catalog
+from divcascade import catalog, cli
 
 
 def test_static_catalog_size_and_kinds():
@@ -59,6 +59,25 @@ def test_family_ranges_enforced():
     # In-range members exist at both ends.
     assert catalog.try_get(f"Mnew:{catalog.FAMILY_T_MAX}") is not None
     assert catalog.try_get("Lt:-8") is not None
+
+
+@pytest.mark.parametrize("mid, expected", [
+    ("Hgen:3", "Hgen:3"), ("hgen:3", "Hgen:3"), ("HGEN:03", "Hgen:3"),
+    ("Lt:-1", "Lt:-1"), ("lt:2", "Lt:2"), ("l_t:-8", "Lt:-8"),
+    ("topsoe:2", "topsoe:2"),
+])
+def test_family_member_ids_accept_ascii_integers(mid, expected):
+    assert catalog.get(mid).id == expected
+
+
+@pytest.mark.parametrize("mid", [
+    "Hgen:1_0", "Hgen: 3", "Hgen:3 ", "Hgen:+3", "Hgen:\u0663", "Hgen:\u00b3",
+    "Hgen:", "Hgen:-", "Lt:--1", "Hgen:3.0",
+])
+def test_family_member_ids_reject_other_integer_spellings(mid, capsys):
+    assert catalog.try_get(mid) is None
+    assert cli.main(["compute", "--measure", mid, "--a", "2", "--b", "1"]) == 3
+    assert "unknown measure" in capsys.readouterr().err
 
 
 def test_w_formula_aliases_are_exact():

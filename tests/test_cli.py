@@ -129,6 +129,22 @@ def test_compute_bad_distribution_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("content", ["[null, 0.5, 0.5]", "[[0.5], [0.5]]",
+                                     "[true, 0.5, 0.5]", '["0.5", 0.5]'])
+def test_compute_json_entry_that_is_not_a_number_exits_2(capsys, tmp_path,
+                                                          content):
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.json"
+    p.write_text(content)
+    q.write_text("[0.5, 0.5]")
+    rc, out, err = run(capsys, "compute", "--measure", "delta",
+                       "--p", str(p), "--q", str(q))
+    assert rc == 2
+    assert out == ""
+    assert f"{p}: entry 0 is not a number" in err
+    assert "Traceback" not in err
+
+
 # -- audit -----------------------------------------------------------------
 
 def test_audit_config_errors_exit_5(capsys):

@@ -127,6 +127,29 @@ def test_load_json_parse_error(tmp_path):
         distributions.load_distribution(str(path))
 
 
+@pytest.mark.parametrize("entry", [None, [0.5], {"p": 0.5}, True, False,
+                                   "0.5"])
+def test_load_json_rejects_entries_that_are_not_numbers(tmp_path, entry):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([0.5, entry, 0.5]))
+    with pytest.raises(ValueError) as err:
+        distributions.load_distribution(str(path))
+    assert str(err.value) == (f"{path}: entry 1 is not a number: "
+                              f"{json.dumps(entry)}")
+
+
+@pytest.mark.parametrize("entry", [None, [0.5], "half", object()])
+def test_validate_rejects_entries_float_cannot_convert(entry):
+    with pytest.raises(ValueError, match="entry 1 is not a number"):
+        distributions.validate([0.5, entry, 0.5])
+
+
+def test_validate_takes_an_int_beyond_the_double_range_as_infinite():
+    with pytest.raises(NonPositiveEntry) as err:
+        distributions.validate([10**400, 0.5])
+    assert err.value.index == 0 and err.value.value == math.inf
+
+
 def test_load_rejects_invalid_distribution(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("0.5,-0.5,1.0\n")

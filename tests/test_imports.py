@@ -1,0 +1,146 @@
+"""The lazy package namespace: each command imports only what it runs.
+
+Every check runs in a fresh interpreter, since the test process itself
+has long since imported the whole package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Every module but __init__ and __main__ (which runs the command line).
+LIBRARY = sorted(p.stem for p in (SRC / "divcascade").glob("*.py")
+                 if not p.stem.startswith("__"))
+# The verifier's machinery, which compute and list never need.
+HEAVY = ("audit", "analysis", "cascade", "means", "generators",
+         "discriminations", "distributions")
+
+
+def fresh(code: str, *argv: str):
+    """Run code in a new interpreter; return the JSON on its last line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_RUN_CLI = """
+import contextlib, io, json, sys
+from divcascade import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def loaded(modules):
+    return {m.partition(".")[2] for m in modules
+            if m.startswith("divcascade.")}
+
+
+def test_library_modules_are_counted():
+    assert len(LIBRARY) == 11
+    assert {"cli", "catalog", "ratfun", *HEAVY} <= set(LIBRARY)
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    modules = fresh("import json, sys, divcascade\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules
+    assert loaded(modules) == set()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compute", "--measure", "delta", "--a", "3", "--b", "2"], 0),
+    (["compute", "--measure", "Hgen:4", "--a", "3", "--b", "2",
+      "--format", "json"], 0),
+    (["list"], 0),
+    (["compute", "--measure", "zeta", "--a", "3", "--b", "2"], 3),
+])
+def test_compute_and_list_load_only_the_catalog(argv, code):
+    got, modules = fresh(_RUN_CLI, *argv)
+    assert got == code
+    assert loaded(modules) == {"cli", "catalog", "ratfun"}
+
+
+def test_file_compute_loads_distributions_but_not_the_audit(tmp_path):
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.csv"
+    p.write_text("[0.5, 0.5]")
+    q.write_text("0.25,0.75\n")
+    got, modules = fresh(_RUN_CLI, "compute", "--measure", "delta",
+                         "--p", str(p), "--q", str(q))
+    assert got == 0
+    assert "distributions" in loaded(modules)
+    assert not loaded(modules) & (set(HEAVY) - {"distributions"})
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_each_module_imports_first(name):
+    # The old eager __init__ fixed one import order, which could hide a
+    # circular import between the submodules.
+    modules = fresh(f"import json, sys, divcascade.{name}\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert name in loaded(modules)
+
+
+_SAME_OBJECTS = """
+import json
+from importlib import import_module
+import divcascade
+homes = {name: module for module, names in divcascade._EXPORTS.items()
+         for name in names.split()}
+print(json.dumps({
+    "all": divcascade.__all__,
+    "homes": homes,
+    "differ": [name for name, module in homes.items()
+               if getattr(divcascade, name) is not getattr(
+                   import_module("divcascade." + module), name)],
+}))
+"""
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    doc = fresh(_SAME_OBJECTS)
+    assert doc["differ"] == []
+    assert len(doc["all"]) == len(set(doc["all"])) == 56
+    assert set(doc["all"]) == set(doc["homes"]) | {"__version__"}
+
+
+_STAR = """
+import json
+import divcascade
+undir = sorted(set(divcascade.__all__) - set(dir(divcascade)))
+namespace = {}
+exec("from divcascade import *", namespace)
+missing = [n for n in divcascade.__all__ if n not in namespace]
+try:
+    divcascade.no_such_name
+    raised = False
+except AttributeError:
+    raised = True
+print(json.dumps({
+    "missing": missing,
+    "undir": undir,
+    "raised": raised,
+    "hasattr": hasattr(divcascade, "no_such_name"),
+    "submodule": divcascade.audit.__name__,
+    "version": namespace["__version__"],
+}))
+"""
+
+
+def test_star_import_dir_and_unknown_names():
+    doc = fresh(_STAR)
+    assert doc["missing"] == []
+    assert doc["undir"] == []
+    assert doc["raised"] is True and doc["hasattr"] is False
+    assert doc["submodule"] == "divcascade.audit"
+    assert doc["version"] == "0.1.0"

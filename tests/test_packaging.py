@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import divcascade
 from divcascade import audit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +36,32 @@ def test_runtime_dependencies_match_the_imports():
                 for dep in project["dependencies"]}
     assert declared == {"numpy"}
     assert _imported_packages() == declared
+
+
+def test_the_import_scan_sees_imports_inside_functions():
+    cli_tree = ast.parse((SRC / "divcascade" / "cli.py").read_text())
+    nested = [node for fn in ast.walk(cli_tree)
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(nested) >= 3
+    assert "numpy" in _imported_packages()
+
+
+def test_the_version_is_a_literal_setuptools_reads_without_imports():
+    # pyproject.toml reads attr = "divcascade.__version__"; setuptools takes
+    # a top-level literal from the source without importing the package.
+    with open(ROOT / "pyproject.toml", encoding="utf-8") as fh:
+        assert 'attr = "divcascade.__version__"' in fh.read()
+    tree = ast.parse((SRC / "divcascade" / "__init__.py").read_text())
+    versions = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__version__"]]
+    assert len(versions) == 1
+    assert isinstance(versions[0], ast.Constant)
+    assert isinstance(versions[0].value, str)
+    assert divcascade.__version__ == versions[0].value
 
 
 _HIDE_MPMATH = """
