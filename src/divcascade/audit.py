@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, analysis, cascade, catalog, generators, means
+from .ratfun import RatU
 from .reporting import CheckResult, make_result
 
 __all__ = [
@@ -318,6 +319,7 @@ class Identity:
     Each of ``claims`` is proved exactly, then sampled on the run's pairs;
     ``unsampled`` claims are only proved, and each of ``misprints`` must
     fail its proof.  A check with no sampled claims reports 0 samples.
+    ``detail`` is the finding of a check whose proofs all hold.
     """
 
     id: str
@@ -327,6 +329,7 @@ class Identity:
     unsampled: tuple = ()
     misprints: tuple = ()
     kind: str = "identity"
+    detail: str = "proved exact"
 
 
 def _check_identity(ident: Identity, sample: analysis.Sample,
@@ -350,7 +353,7 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     if ident.claims and not violation <= ident.tol:
         ces.append({"index": where, "a": float(sample.a[where]),
                     "b": float(sample.b[where]), "violation": worst})
-    detail = "proved exact" if proved else "exact identity fails"
+    detail = ident.detail if proved else "exact identity fails"
     return make_result(ident.id, ident.kind,
                        sample.size if ident.claims else 0, violation,
                        ident.tol, ces, ref=ident.ref, detail=detail)
@@ -439,35 +442,37 @@ def _w8_printed() -> Identity:
 
 
 def _printed_forms() -> list[Identity]:
-    """The series and witness rows of the generated families.
+    """The series and witness rows of the generated families, every t.
 
-    family(t + 1) = r_F * family(t) for six members from the lead, so the
-    series is lead * exp(r_F); prefactor(t) * witness(t) = f'' for
-    t = 0..4, with each printed variant a misprint.
+    A family is lead * B^t, so B == r_F makes its series lead * exp(r_F).
+    f''(lead * B^t) = B^(t-2) (Q0 + t Q1 + t^2 Q2) by Leibniz, which is
+    P * B^t * (W0 + t W1 + t^2 W2) for every t when P B^2 W_k == Q_k for
+    k = 0, 1, 2.  Each printed variant is a misprint for t = 0..4.
     """
-    out = []
-    for fid in catalog.FAMILY_IDS + ("Lt",):
-        ratio = generators.STEP_RATIOS[fid]
-        start = generators.series_start(fid)
-        out.append(Identity(
-            f"series:{fid}", generators.EXP_FORMS[fid]["ref"], 1e-12, (),
-            unsampled=tuple(
-                (((1, f"{fid}:{t + 1}"),),
-                 ((1, ratio * catalog.family_gen(fid, t)),))
-                for t in range(start, start + 6)),
-            kind="series"))
+    out = [Identity(f"series:{fid}", generators.EXP_FORMS[fid]["ref"],
+                    1e-12, (), unsampled=(
+                        (((1, RatU(*catalog.FAMILY_FORMS[fid][1])),),
+                         ((1, generators.STEP_RATIOS[fid]),)),),
+                    kind="series", detail="proved exact for every t")
+           for fid in catalog.FAMILY_IDS + ("Lt",)]
     for fid, form in generators.WITNESS_FORMS.items():
-        fpps = [catalog.get(f"{fid}:{t}").fpp for t in range(5)]
-        printed = form["printed_witness"] or form["printed_prefactor"]
+        lead, ratio = (RatU(*pq) for pq in catalog.FAMILY_FORMS[fid])
+        d_lead, d_ratio = lead.dx(), ratio.dx()
+        leibniz = (d_lead.dx() * ratio * ratio,
+                   2 * d_lead * d_ratio * ratio
+                   + lead * d_ratio.dx() * ratio - lead * d_ratio * d_ratio,
+                   lead * d_ratio * d_ratio)
+        pb2 = form["prefactor"] * ratio * ratio
+        printed = {"printed_witness", "printed_prefactor"} & form.keys()
         out.append(Identity(
             f"witness:{fid}", catalog.get(f"{fid}:0").ref, 1e-12, (),
-            unsampled=tuple(
-                (((1, generators.witness_fpp(fid, t)),), ((1, f),))
-                for t, f in enumerate(fpps)),
+            unsampled=tuple((((1, pb2 * RatU(w)),), ((1, q),))
+                            for w, q in zip(form["witness"], leibniz)),
             misprints=tuple(
                 (((1, generators.witness_fpp(fid, t, printed=True)),),
-                 ((1, f),))
-                for t, f in enumerate(fpps) if printed)))
+                 ((1, catalog.get(f"{fid}:{t}").fpp),))
+                for t in range(5) if printed),
+            detail="proved exact for every t"))
     return out
 
 

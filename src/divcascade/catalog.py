@@ -24,7 +24,8 @@ from .ratfun import ONE, Poly, RatS, RatU, U, UContext, X
 __all__ = [
     "Measure", "MEAN_ORDER", "MEAN_TAGS", "MEAN_LETTER", "BASE_IDS",
     "FAMILY_IDS", "get", "try_get", "all_ids", "iter_measures",
-    "family_gen", "family_range", "PYRAMID_PAIRS",
+    "family_gen", "family_range", "family_index", "family_member",
+    "FAMILY_FORMS", "PYRAMID_PAIRS",
     "positive_pair",
 ]
 
@@ -238,55 +239,56 @@ _FAMILY_REF = {
 FAMILY_T_MAX = 64
 LT_T_RANGE = (-8, 8)
 
+_ROOT_STEP = (UM1 * UM1, U)      # (sqrt x - 1)^2 / sqrt x
+_SQUARE_STEP = (XM1SQ, X)        # (x - 1)^2 / x
 
-def _u_power(num: Poly, den: Poly, k: int) -> tuple[Poly, Poly]:
-    """Divide num/den by u**k, keeping exponents nonnegative on both sides."""
-    if k >= 0:
-        return num, den.shift(k)
-    return num.shift(-k), den
+# Every member is geometric in t: lead * ratio^t, with both held as
+# (numerator, denominator) polynomials in u.  The lead is the member at
+# t = 0, or at the first t of the range when that is later (topsoe).
+FAMILY_FORMS: dict[str, tuple[tuple[Poly, Poly], tuple[Poly, Poly]]] = {
+    "Delta1": ((XM1SQ, XP1), _ROOT_STEP),
+    "Delta2": ((XM1SQ, XP1), _SQUARE_STEP),
+    "K1": ((XM1SQ, U), _ROOT_STEP),
+    "K2": ((XM1SQ, U), _SQUARE_STEP),
+    "Hgen": ((UM1 * UM1, ONE), _ROOT_STEP),
+    "Mnew": ((UM1 ** 4, XP1), _ROOT_STEP),
+    "Lt": ((XM1SQ, U), (XP1, _p(0, 2))),
+    "topsoe": ((XM1SQ, XP1), (XM1SQ, XP1 * XP1)),
+}
 
 
 @lru_cache(maxsize=None)
 def family_gen(name: str, t: int) -> RatU:
-    """Exact generator of the t-th member of a parametric family."""
+    """Exact generator of the t-th member of a parametric family.
+
+    lead * ratio^k for k = t less the lead's t, the ratio upside down for
+    k < 0, with the power of u common to both sides divided out.
+    """
+    t = family_index(t)
     lo, hi = family_range(name)
     if not lo <= t <= hi:
         raise ValueError(f"{name} parameter t={t} outside [{lo}, {hi}]")
-    if name == "Delta1":
-        return RatU(UP1 ** 2 * UM1 ** (2 * t + 2), XP1.shift(t))
-    if name == "Delta2":
-        return RatU((UM1 * UP1) ** (2 * t + 2), XP1.shift(2 * t))
-    if name == "K1":
-        return RatU(UP1 ** 2 * UM1 ** (2 * t + 2), ONE.shift(t + 1))
-    if name == "K2":
-        return RatU((UM1 * UP1) ** (2 * t + 2), ONE.shift(2 * t + 1))
-    if name == "Hgen":
-        return RatU(UM1 ** (2 * t + 2), ONE.shift(t))
-    if name == "Mnew":
-        return RatU(UM1 ** (2 * t + 4), XP1.shift(t))
-    if name == "Lt":
-        num, den = UM1 ** 2 * UP1 ** 2, ONE
-        if t >= 0:
-            num = num * XP1 ** t
-            den = _p(2 ** t)
-        else:
-            num = num * _p(2 ** (-t))
-            den = XP1 ** (-t)
-        num, den = _u_power(num, den, t + 1)
-        return RatU(num, den)
-    if name == "topsoe":
-        return RatU((UM1 * UP1) ** (2 * t), XP1 ** (2 * t - 1))
-    raise KeyError(f"unknown family {name!r}")
+    (num, den), ratio = FAMILY_FORMS[name]
+    k = t - max(lo, 0)
+    step_num, step_den = ratio if k >= 0 else ratio[::-1]
+    num, den = num * step_num ** abs(k), den * step_den ** abs(k)
+    low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in (num, den))
+    return RatU(Poly(num.coeffs[low:]), Poly(den.coeffs[low:]))
 
 
 def family_range(name: str) -> tuple[int, int]:
-    if name == "Lt":
-        return LT_T_RANGE
-    if name == "topsoe":
-        return (1, FAMILY_T_MAX)
-    if name in FAMILY_IDS:
-        return (0, FAMILY_T_MAX)
-    raise KeyError(f"unknown family {name!r}")
+    if name not in FAMILY_FORMS:
+        raise KeyError(f"unknown family {name!r}")
+    return {"Lt": LT_T_RANGE, "topsoe": (1, FAMILY_T_MAX)}.get(
+        name, (0, FAMILY_T_MAX))
+
+
+def family_index(t) -> int:
+    """t as an int; only an int, float or numpy number of integer value."""
+    if isinstance(t, (int, np.integer)) or (
+            isinstance(t, (float, np.floating)) and float(t).is_integer()):
+        return int(t)
+    raise ValueError(f"family parameter t must be an integer, got {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +335,19 @@ for _t, _gen in _U_GEN.items():
                  _U_REF[_t], gen=_gen))
 
 
-class _FamilyMember(Measure):
-    __slots__ = ("family", "t")
-
-    def __init__(self, family: str, t: int):
-        gen = family_gen(family, t)
-        super().__init__(f"{family}:{t}", f"{family} member t={t}",
-                         "divergence", _FAMILY_REF[family], gen=gen)
-        self.family = family
-        self.t = t
-
-
 _FAMILY_ALIASES = {name.lower(): name for name in FAMILY_IDS}
 _FAMILY_ALIASES.update({"lt": "Lt", "l_t": "Lt", "topsoe": "topsoe"})
 
 
 @lru_cache(maxsize=None)
 def _family_member(family: str, t: int) -> Measure:
-    return _FamilyMember(family, t)
+    return Measure(f"{family}:{t}", f"{family} member t={t}", "divergence",
+                   _FAMILY_REF[family], gen=family_gen(family, t))
+
+
+def family_member(name: str, t) -> Measure:
+    """Member t of a family; ValueError unless t is an integer in range."""
+    return _family_member(name, family_index(t))
 
 
 def try_get(measure_id: str) -> Optional[Measure]:

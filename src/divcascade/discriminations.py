@@ -41,16 +41,12 @@ def base(measure_id: str, a, b):
 def L_t(t: int, pair):
     """The t-th member of the unifying family at a positive pair.
 
-    Accepts any integer t in the implemented window; the particular cases
+    Accepts any integer t in the implemented window (a float or numpy
+    number only when its value is an integer); the particular cases
     t = -1, 0, 1, 2, 3 reproduce 2*delta, K, psi/2, F/2 and L/8.  A pair
     that is not positive and finite raises ValueError.
     """
-    t = int(t)
-    lo, hi = LT_T_RANGE
-    if not lo <= t <= hi:
-        raise ValueError(f"t={t} outside implemented range [{lo}, {hi}]")
-    a, b = positive_pair(pair)
-    return catalog.get(f"Lt:{t}").value(a, b)
+    return catalog.family_member("Lt", t).value(*positive_pair(pair))
 
 
 def A7_poly(t: int) -> Poly:
@@ -76,7 +72,7 @@ def topsoe_delta(t: int, p, q):
     Order 1 is the ordinary triangular discrimination.  p and q must
     validate as probability vectors (``distributions.validate``).
     """
-    t = int(t)
+    t = catalog.family_index(t)
     if t < 1:
         raise ValueError(f"order must be >= 1, got {t}")
     p = distributions.validate(p).as_array()

@@ -1,19 +1,18 @@
 """Parametric generating families and their exponential envelopes.
 
-Six one-parameter families extend the base discriminations.  The paper
-prints three formulas for each, and all of them are held here once, as
-exact forms in u = sqrt(x) (``RatU``):
+Six one-parameter families extend the base discriminations, each of them
+lead * B^t (``catalog.FAMILY_FORMS``).  The paper prints three formulas
+for each, all held here once as exact forms in u = sqrt(x) (``RatU``):
 
 * the step ratio r_F that takes a member to the next, so that the
   1/t!-weighted series of members sums to lead * exp(r_F);
-* the convexity factorization f'' = prefactor(t) * A(t), with a
-  palindromic witness polynomial A in u that is positive for u > 0;
+* the convexity factorization f'' = P * B^t * A(t), with a palindromic
+  witness A(t) = W0 + t W1 + t^2 W2 in u of nonnegative coefficients;
 * the printed exponential display lead * exp(arg), verbatim.
 
-The audit proves the step ratios and the factorizations against the
-catalog's generators, and ``display_is_series_limit`` compares each
-display with the series limit; the float helpers below evaluate the
-same forms.
+The audit proves the first two for every t, as B == r_F and as one
+identity per power of t, and ``display_is_series_limit`` compares each
+display with the series limit; the float helpers evaluate the same forms.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 
 from . import catalog
-from .catalog import UM1, XM1, XM1SQ, XP1, family_range, positive_pair
+from .catalog import UM1, XM1SQ, XP1, positive_pair
 from .ratfun import ONE, Poly, RatU, U, X
 
 __all__ = [
@@ -35,19 +34,16 @@ __all__ = [
 
 def family(family_id: str, t: int, pair) -> float:
     """Value of one family member at a pair of positive reals."""
-    a, b = positive_pair(pair)
-    lo, hi = family_range(family_id)
-    if not lo <= t <= hi:
-        raise ValueError(f"{family_id} index t must be in [{lo}, {hi}], "
-                         f"got {t}")
-    return float(catalog.get(f"{family_id}:{t}").value(a, b))
+    member = catalog.family_member(family_id, t)
+    return float(member.value(*positive_pair(pair)))
 
 
 _ROOT_STEP = RatU(UM1 * UM1, U)      # (sqrt a - sqrt b)^2 / sqrt(ab)
 _SQUARE_STEP = RatU(XM1SQ, X)        # (a - b)^2 / (ab)
 
-# Multiplying a family member by its step ratio gives the next member.  A
-# ratio of two members depends on x = a/b alone, so each is a plain RatU.
+# Multiplying a family member by its step ratio gives the next member.  Each
+# is written apart from the ratio of ``catalog.FAMILY_FORMS``, for the audit
+# to prove the two equal.
 STEP_RATIOS: dict[str, RatU] = {
     "Delta1": _ROOT_STEP, "K1": _ROOT_STEP, "Hgen": _ROOT_STEP,
     "Mnew": _ROOT_STEP, "Delta2": _SQUARE_STEP, "K2": _SQUARE_STEP,
@@ -67,78 +63,73 @@ def step_ratio(family_id: str, pair) -> float:
 
 # ---------------------------------------------------------------------------
 # Convexity witnesses: f''(x) = prefactor(t) * A(t) with A > 0 for u > 0.
-# Each entry maps t to an exact form: the prefactor to a RatU, the witness
-# to a Poly in u.  Printed variants are kept only where they disagree with
-# the derived forms, for the audit to flag.
-
-def _wf(pref, wit, printed_wit=None, printed_pref=None):
-    return {"prefactor": pref, "witness": wit,
-            "printed_witness": printed_wit, "printed_prefactor": printed_pref}
-
+# Each entry holds a t-free P, the prefactor being P * B^t for the family's
+# ratio B, and the witness A(t) = W0 + t W1 + t^2 W2 as (W0, W1, W2).  A
+# printed variant, kept where it disagrees for the audit to flag, is a
+# witness (W0, W1, W2) or a prefactor (P, B) of its own.
 
 def _pal(*half) -> Poly:
     """Palindromic polynomial in u from its coefficients up to the middle."""
     return Poly(half + half[-2::-1])
 
 
-def _a1(t, lead=2):
-    return _pal(t * (t + 2), 2 * t * (2 * t + 1), 4 * t * (2 * t + 3),
-                2 * t * (6 * t + 11), lead * (7 * t * t + 10 * t + 16))
-
-
 WITNESS_FORMS: dict[str, dict] = {
-    "Delta1": _wf(
-        lambda t: RatU(UM1 ** (2 * t), (4 * X * X * XP1 ** 3).shift(t)),
-        _a1,
-        printed_wit=lambda t: _a1(t, lead=4)),
-    "Delta2": _wf(
-        lambda t: RatU(XM1 ** (2 * t), XP1 ** 3 * X ** (t + 2)),
-        lambda t: _pal(t * (t + 1), 0, 2 * t * (2 * t + 3), 0,
-                       2 * (3 * t * t + 5 * t + 4))),
-    "K1": _wf(
-        lambda t: RatU(UM1 ** (2 * t), (4 * X * X).shift(t + 1)),
-        lambda t: _pal((t + 1) * (t + 3), 2 * t * (2 * t + 3),
-                       2 * (3 * t * t + 2 * t + 1))),
-    "K2": _wf(
-        lambda t: RatU(XM1 ** (2 * t), (4 * X * X).shift(2 * t + 1)),
-        lambda t: _pal((2 * t + 1) * (2 * t + 3), 0, 2 * (2 * t + 1) ** 2)),
-    "Hgen": _wf(
-        lambda t: RatU(UM1 ** (2 * t), (4 * ONE).shift(t + 5)),
-        lambda t: U * _pal(t * (t + 2), 2 * (t * t + t + 1))),
-    "Mnew": _wf(
-        lambda t: RatU(UM1 ** (2 * t + 2), (4 * XP1 ** 3).shift(t + 5)),
-        lambda t: U * _pal(t * (t + 2), 2 * (t * t + 3 * t + 2),
-                           3 * t * t + 14 * t + 8, 4 * (t * t + 3 * t + 6)),
-        printed_pref=lambda t: RatU(XM1 ** (2 * t + 2),
-                                    (4 * XP1 ** 3).shift(t + 5))),
+    "Delta1": {"prefactor": RatU(ONE, 4 * X * X * XP1 ** 3),
+               "witness": (_pal(0, 0, 0, 0, 32), _pal(2, 2, 12, 22, 20),
+                           _pal(1, 4, 8, 12, 14)),
+               "printed_witness": (_pal(0, 0, 0, 0, 64),
+                                   _pal(2, 2, 12, 22, 40),
+                                   _pal(1, 4, 8, 12, 28))},
+    "Delta2": {"prefactor": RatU(ONE, XP1 ** 3 * X * X),
+               "witness": (_pal(0, 0, 0, 0, 8), _pal(1, 0, 6, 0, 10),
+                           _pal(1, 0, 4, 0, 6))},
+    "K1": {"prefactor": RatU(ONE, 4 * X * X * U),
+           "witness": (_pal(3, 0, 2), _pal(4, 6, 4), _pal(1, 4, 6))},
+    "K2": {"prefactor": RatU(ONE, 4 * X * X * U),
+           "witness": (_pal(3, 0, 2), _pal(8, 0, 8), _pal(4, 0, 8))},
+    "Hgen": {"prefactor": RatU(ONE, 4 * U ** 5),
+             "witness": (U * _pal(0, 2), U * _pal(2, 2), U * _pal(1, 2))},
+    "Mnew": {"prefactor": RatU(UM1 * UM1, 4 * XP1 ** 3 * U ** 5),
+             "witness": (U * _pal(0, 4, 8, 24), U * _pal(2, 6, 14, 12),
+                         U * _pal(1, 2, 3, 4)),
+             "printed_prefactor": (RatU(XM1SQ, 4 * XP1 ** 3 * U ** 5),
+                                   (XM1SQ, U))},
 }
 
 
-def convexity_witness(family_id: str, x, t: int) -> float:
-    """The positivity witness A_k(x, t) for a family, derived form."""
+def _factorization(family_id: str, t, printed: bool):
+    """(t, P, ratio B as (num, den), A(t)) for member t of a family."""
     try:
         form = WITNESS_FORMS[family_id]
     except KeyError:
         raise KeyError(f"unknown family {family_id!r}") from None
+    t = catalog.family_index(t)
     if t < 0:
         raise ValueError("witness index t must be nonnegative")
-    return RatU(form["witness"](t))(x)
+    pref, ratio = form["prefactor"], catalog.FAMILY_FORMS[family_id][1]
+    wit = form["witness"]
+    if printed:
+        pref, ratio = form.get("printed_prefactor", (pref, ratio))
+        wit = form.get("printed_witness", wit)
+    w0, w1, w2 = wit
+    return t, pref, ratio, w0 + w1 * t + w2 * (t * t)
+
+
+def convexity_witness(family_id: str, x, t: int) -> float:
+    """The positivity witness A_k(x, t) for a family, derived form."""
+    return RatU(_factorization(family_id, t, False)[3])(x)
 
 
 def witness_fpp(family_id: str, t: int, printed: bool = False) -> RatU:
-    """Exact f'' of member t as the factorization prefactor * witness.
+    """Exact f'' of member t as the factorization P * B^t * A(t).
 
     With printed=True the verbatim published variant is used where it
     differs (the Delta1 witness coefficient and the Mnew prefactor); the
     audit proves the derived form equal to the member's second
-    derivative and the printed one unequal.
+    derivative for every t and the printed one unequal.
     """
-    form = WITNESS_FORMS[family_id]
-    pref, wit = form["prefactor"], form["witness"]
-    if printed:
-        pref = form["printed_prefactor"] or pref
-        wit = form["printed_witness"] or wit
-    return pref(t) * RatU(wit(t))
+    t, pref, (num, den), wit = _factorization(family_id, t, printed)
+    return pref * RatU(num ** t, den ** t) * RatU(wit)
 
 
 def witness_second_derivative(family_id: str, x, t: int,
@@ -180,10 +171,21 @@ def exp_series_partial(family_id: str, pair, n: int) -> float:
     return _series_partial(family_id, 0, n, pair)
 
 
+def _times_exp(lead: float, arg: float) -> float:
+    """lead * exp(arg), through logs past exp's range; +inf on overflow."""
+    try:
+        return float(lead * math.exp(arg))
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(lead) + arg)
+    except OverflowError:
+        return math.inf
+
+
 def exp_representation(family_id: str, pair) -> float:
     """Closed form of the full series: family(0) * exp(step ratio)."""
-    lead = family(family_id, 0, pair)
-    return float(lead * math.exp(step_ratio(family_id, pair)))
+    return _times_exp(family(family_id, 0, pair), step_ratio(family_id, pair))
 
 
 def exp_L_representation(pair) -> float:
@@ -194,8 +196,7 @@ def exp_L_representation(pair) -> float:
     one rung below zero, at the member L_{-1} = 2*Delta; see
     exp_L_series_partial.
     """
-    lead = family("Lt", -1, pair)
-    return float(lead * math.exp(step_ratio("Lt", pair)))
+    return _times_exp(family("Lt", -1, pair), step_ratio("Lt", pair))
 
 
 def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:

@@ -525,17 +525,40 @@ def test_printed_exponent_as_step_ratio_fails_the_series(monkeypatch, sample):
 
 @pytest.mark.parametrize("fid", ["K1", "Delta1"])
 def test_changed_witness_coefficient_fails(monkeypatch, sample, fid):
+    # The t-free part W0 and the t and t^2 parts W1, W2 each carry a proof.
     form = generators.WITNESS_FORMS[fid]
     witness = form["witness"]
-    monkeypatch.setitem(form, "witness",
-                        lambda t: witness(t) + Poly([0, 0, 1]))
-    _proof_failed(audit._check_identity(_printed_row(f"witness:{fid}"),
+    for k in range(3):
+        changed = list(witness)
+        changed[k] = changed[k] + Poly([0, 0, 1])
+        monkeypatch.setitem(form, "witness", tuple(changed))
+        _proof_failed(audit._check_identity(_printed_row(f"witness:{fid}"),
+                                            sample))
+
+
+@pytest.mark.parametrize("fid", ["Delta2", "Lt"])
+def test_changed_family_ratio_fails_the_series(monkeypatch, sample, fid):
+    lead, (num, den) = catalog.FAMILY_FORMS[fid]
+    monkeypatch.setitem(catalog.FAMILY_FORMS, fid,
+                        (lead, (num + Poly([0, 0, 1]), den)))
+    _proof_failed(audit._check_identity(_printed_row(f"series:{fid}"),
                                         sample))
+
+
+def test_changed_family_lead_or_ratio_fails_the_witness(monkeypatch, sample):
+    (num, den), ratio = catalog.FAMILY_FORMS["K2"]
+    bump = Poly([0, 0, 1])
+    for forms in [((num + bump, den), ratio),
+                  ((num, den), (ratio[0] + bump, ratio[1]))]:
+        monkeypatch.setitem(catalog.FAMILY_FORMS, "K2", forms)
+        _proof_failed(audit._check_identity(_printed_row("witness:K2"),
+                                            sample))
 
 
 def test_printed_witness_that_matches_fails(monkeypatch, sample):
     form = generators.WITNESS_FORMS["Mnew"]
-    monkeypatch.setitem(form, "printed_prefactor", form["prefactor"])
+    monkeypatch.setitem(form, "printed_prefactor",
+                        (form["prefactor"], catalog.FAMILY_FORMS["Mnew"][1]))
     _proof_failed(audit._check_identity(_printed_row("witness:Mnew"),
                                         sample))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from divcascade import catalog, cli
+from divcascade.ratfun import Poly, _poly_gcd
 
 
 def test_static_catalog_size_and_kinds():
@@ -59,6 +60,16 @@ def test_family_ranges_enforced():
     # In-range members exist at both ends.
     assert catalog.try_get(f"Mnew:{catalog.FAMILY_T_MAX}") is not None
     assert catalog.try_get("Lt:-8") is not None
+
+
+def test_family_generators_are_in_lowest_terms():
+    # A factor left on both sides (a power of u at Lt:-1, a spare x + 1 in
+    # topsoe) would change the stored form, and with it the float bits.
+    for name in catalog.FAMILY_IDS + ("Lt", "topsoe"):
+        lo, hi = catalog.family_range(name)
+        for t in {lo, lo + 1, max(lo, -1), 9 if hi > 9 else hi, hi}:
+            g = catalog.family_gen(name, t)
+            assert _poly_gcd(g.num, g.den) == Poly([1]), (name, t)
 
 
 @pytest.mark.parametrize("mid, expected", [

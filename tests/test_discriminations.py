@@ -46,6 +46,15 @@ def test_Lt_range_guard():
         discriminations.L_t(hi + 1, (2.0, 1.0))
 
 
+@pytest.mark.parametrize("t", [1.5, -0.5, math.nan, math.inf, "1", None])
+def test_Lt_rejects_a_t_that_is_not_an_integer(t):
+    with pytest.raises(ValueError, match="must be an integer"):
+        discriminations.L_t(t, (2.0, 1.0))
+    want = discriminations.L_t(2, (2.0, 1.0))
+    for same in (2.0, np.int64(2), np.float32(2.0)):
+        assert discriminations.L_t(same, (2.0, 1.0)) == want
+
+
 @pytest.mark.parametrize("pair", [(-1.0, 1.0), (math.nan, 1.0),
                                   (math.inf, 1.0), (0.0, 1.0)])
 def test_Lt_rejects_a_pair_that_is_not_positive_finite(pair):
@@ -121,6 +130,15 @@ def test_topsoe_guards():
         discriminations.topsoe_delta(0, [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
         discriminations.topsoe_delta(1, [0.5, 0.5], [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("t", [1.7, 2.5, math.nan, "2"])
+def test_topsoe_rejects_an_order_that_is_not_an_integer(t):
+    p, q = [0.5, 0.3, 0.2], [0.2, 0.5, 0.3]
+    with pytest.raises(ValueError, match="must be an integer"):
+        discriminations.topsoe_delta(t, p, q)
+    assert discriminations.topsoe_delta(2.0, p, q) == (
+        discriminations.topsoe_delta(2, p, q))
 
 
 @pytest.mark.parametrize("p, q", [([0.5, -0.5], [-0.5, 0.5]),

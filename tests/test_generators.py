@@ -1,7 +1,10 @@
 """Unit tests for the generated families and their exponential series."""
 
 import math
+import sys
+from decimal import Context, Decimal, localcontext
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -98,6 +101,49 @@ def test_printed_witness_variants_deviate():
     assert abs(got_m - truth_m) > 1e-3 * abs(truth_m)
 
 
+_T_CALLS = {
+    "family": lambda t: generators.family("Hgen", t, (2.0, 1.0)),
+    "convexity_witness": lambda t: generators.convexity_witness("K1", 2.0, t),
+    "witness_second_derivative":
+        lambda t: generators.witness_second_derivative("K1", 2.0, t),
+    "witness_fpp": lambda t: generators.witness_fpp("K1", t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_T_CALLS))
+def test_t_must_be_an_integer(name):
+    call = _T_CALLS[name]
+    for t in (1.5, math.nan, math.inf, "2", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(t)
+    assert call(2.0) == call(np.int64(2)) == call(np.float32(2.0)) == call(2)
+
+
+def test_witness_helpers_reject_a_negative_t():
+    for name in ("convexity_witness", "witness_second_derivative",
+                 "witness_fpp"):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            _T_CALLS[name](-1)
+
+
+def test_envelopes_overflow_to_inf():
+    pair = (1e6, 1e-6)      # inside the audit's sampling window
+    assert generators.exp_representation("Delta1", pair) == math.inf
+    assert generators.exp_L_representation(pair) == math.inf
+
+
+def test_envelope_past_the_range_of_exp_keeps_a_finite_value():
+    pair = (5.2e-15, 1e-20)
+    lead = generators.family("Hgen", 0, pair)
+    arg = generators.step_ratio("Hgen", pair)
+    assert arg > math.log(sys.float_info.max)   # exp(arg) alone overflows
+    with localcontext(Context(prec=40)):
+        want = float(Decimal(lead) * Decimal(arg).exp())
+    got = generators.exp_representation("Hgen", pair)
+    assert math.isfinite(want)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_witness_positive_on_grid():
     for fid in FAMILIES:
         for t in range(3):
@@ -169,20 +215,39 @@ def test_step_ratios_against_sympy():
             assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)
             nxt = _at_u(_MEMBERS[fid](t + 1))
             assert _same(nxt / member, table), (fid, t)
+        # Past the members above, and at both ends of the catalog's range.
+        lo, hi = catalog.family_range(fid)
+        for t in {lo, min(9, hi), hi} - set(range(start, start + 3)):
+            member = _at_u(_MEMBERS[fid](t))
+            assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)
 
 
 def test_witness_factorizations_against_sympy():
+    # t = 7 and 20 lie past the three values of t the audit's proof needs.
     for fid, form in generators.WITNESS_FORMS.items():
-        for t in range(5):
+        step = _at_u(_STEPS[fid])
+        has_printed = {"printed_witness", "printed_prefactor"} & form.keys()
+        for t in (0, 1, 2, 3, 4, 7, 20):
             fpp = _d2x(_at_u(_MEMBERS[fid](t)))
-            derived = sympy.cancel(fpp / _sym(form["prefactor"](t)))
-            witness = form["witness"](t)
+            derived = sympy.cancel(fpp / (_sym(form["prefactor"]) * step**t))
+            w0, w1, w2 = form["witness"]
+            witness = w0 + w1 * t + w2 * (t * t)
             core = witness.deflate(0)[0].coeffs
             assert core == core[::-1], (fid, t)    # palindromic past u^k
             assert _same(derived, _sym(RatU(witness))), (fid, t)
-            printed = _sym(generators.witness_fpp(fid, t, printed=True))
-            has_printed = form["printed_witness"] or form["printed_prefactor"]
-            assert _same(printed, fpp) != bool(has_printed), (fid, t)
+            if t <= 4:      # the members the audit holds the misprints to
+                printed = _sym(generators.witness_fpp(fid, t, printed=True))
+                assert _same(printed, fpp) != bool(has_printed), (fid, t)
+
+
+def test_witness_coefficients_prove_positivity_for_every_t():
+    """With W0 != 0 and no negative coefficient in W0, W1 or W2, the
+    witness W0 + t W1 + t^2 W2 is > 0 at every u > 0 for every t >= 0."""
+    assert set(generators.WITNESS_FORMS) == set(FAMILIES)
+    for fid in FAMILIES:
+        w0, w1, w2 = generators.WITNESS_FORMS[fid]["witness"]
+        assert not w0.is_zero(), fid
+        assert all(c >= 0 for w in (w0, w1, w2) for c in w.coeffs), fid
 
 
 def test_printed_w_second_derivatives_against_sympy():
