@@ -13,11 +13,11 @@ catalog.  Those strings are report data; the code never depends on them.
 
 from __future__ import annotations
 
+import math
+import sys
 from decimal import Context, Decimal
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .ratfun import ONE, Poly, RatS, RatU, U, UContext, X
 
@@ -92,7 +92,7 @@ def positive_pair(pair) -> tuple[float, float]:
     """Validate a scalar pair (a, b) of positive finite numbers."""
     a, b = pair
     a, b = float(a), float(b)
-    if not (a > 0 and b > 0) or not (np.isfinite(a) and np.isfinite(b)):
+    if not (a > 0 and b > 0) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"pair must be positive finite, got {(a, b)}")
     return a, b
 
@@ -257,14 +257,19 @@ FAMILY_FORMS: dict[str, tuple[tuple[Poly, Poly], tuple[Poly, Poly]]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def family_gen(name: str, t: int) -> RatU:
+def family_gen(name: str, t) -> RatU:
     """Exact generator of the t-th member of a parametric family.
 
     lead * ratio^k for k = t less the lead's t, the ratio upside down for
-    k < 0, with the power of u common to both sides divided out.
+    k < 0, with the power of u common to both sides divided out.  t is
+    validated before the cache, so any t that is not an integer raises
+    ``ValueError``.
     """
-    t = family_index(t)
+    return _family_gen(name, family_index(t))
+
+
+@lru_cache(maxsize=None)
+def _family_gen(name: str, t: int) -> RatU:
     lo, hi = family_range(name)
     if not lo <= t <= hi:
         raise ValueError(f"{name} parameter t={t} outside [{lo}, {hi}]")
@@ -284,9 +289,17 @@ def family_range(name: str) -> tuple[int, int]:
 
 
 def family_index(t) -> int:
-    """t as an int; only an int, float or numpy number of integer value."""
-    if isinstance(t, (int, np.integer)) or (
-            isinstance(t, (float, np.floating)) and float(t).is_integer()):
+    """t as an int; only an int, float or numpy number of integer value.
+
+    A numpy number can only exist once numpy is loaded, so its types are
+    looked up in ``sys.modules`` and this never imports numpy.
+    """
+    ints, floats = (int,), (float,)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        ints, floats = (int, np.integer), (float, np.floating)
+    if isinstance(t, ints) or (
+            isinstance(t, floats) and float(t).is_integer()):
         return int(t)
     raise ValueError(f"family parameter t must be an integer, got {t!r}")
 
@@ -342,7 +355,7 @@ _FAMILY_ALIASES.update({"lt": "Lt", "l_t": "Lt", "topsoe": "topsoe"})
 @lru_cache(maxsize=None)
 def _family_member(family: str, t: int) -> Measure:
     return Measure(f"{family}:{t}", f"{family} member t={t}", "divergence",
-                   _FAMILY_REF[family], gen=family_gen(family, t))
+                   _FAMILY_REF[family], gen=_family_gen(family, t))
 
 
 def family_member(name: str, t) -> Measure:

@@ -17,14 +17,24 @@ that floating point cannot:
 Polynomial coefficients are Python ints.  A ``RatU`` holds primitive
 integer polynomials and carries its one rational factor as a single
 ``Fraction`` scale, so the exact algebra (products, Sturm sequences by
-primitive pseudo-remainders, gcds) runs on integers.  Float evaluation
-is vectorised over numpy arrays with Horner's rule on the deflated
-parts; each numerator coefficient enters it as (c * p) / q for the scale
-p / q, which int division rounds correctly.  It reads its u = sqrt(x),
-u - 1 and (u - 1)^m from a ``UContext`` that every generator evaluated
-at the same points can share.  ``eval_decimal`` evaluates a form in the
-standard library's ``decimal`` at a chosen precision, for the 40-digit
-differences that spot-check each exact second derivative.
+primitive pseudo-remainders, gcds) runs on integers.
+
+Float evaluation is one evaluator written over operators: Horner's rule
+on the deflated parts with augmented ``*=`` and ``+=``, which work in
+place on a numpy array and rebind a Python float.  Each numerator
+coefficient enters it as (c * p) / q for the scale p / q, which int
+division rounds correctly.  It reads its u = sqrt(x), u - 1 and
+(u - 1)^m from a ``UContext`` that every generator evaluated at the same
+points can share.  (u - 1)^m is formed by binary powering, so every
+value comes from +, -, *, / and sqrt alone, which IEEE 754 rounds the
+same way for a float and for any SIMD width of an array: a scalar has
+the bits it has inside any array, on every CPU.  A scalar x is evaluated
+in Python floats and never loads numpy; numpy is imported only in the
+branches an array takes, by which time it is loaded.
+
+``eval_decimal`` evaluates a form in the standard library's ``decimal``
+at a chosen precision, for the 40-digit differences that spot-check
+each exact second derivative.
 """
 
 from __future__ import annotations
@@ -32,10 +42,8 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import copysign, gcd, inf, isqrt, lcm, nan, sqrt
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 Scalar = Union[int, Fraction]
 
@@ -133,8 +141,10 @@ class Poly:
 
     def eval_float(self, u):
         """Horner evaluation at a float or numpy array."""
-        val = _horner([float(c) for c in self.coeffs], np.asarray(u, float))
-        return val if isinstance(u, np.ndarray) else float(val)
+        coeffs = [float(c) for c in self.coeffs]
+        if not getattr(u, "ndim", 0):
+            return _horner(coeffs, float(u))
+        return _horner(coeffs, u.astype(float, copy=False))
 
     def positive_roots(self) -> int:
         """Number of distinct roots in u > 0, counted by a Sturm sequence.
@@ -191,20 +201,71 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _horner(coeffs: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Horner's rule over float coefficients, in place on a new array.
+def _horner(coeffs: Sequence[float], u):
+    """Horner's rule over float coefficients at a float or an array.
 
-    The sum starts from the leading coefficient, which has the bits of
-    starting from zero wherever u is finite; no coefficients is the zero
-    polynomial.
+    An array's sum is a new array, worked on in place.  The sum starts
+    from the leading coefficient, which has the bits of starting from
+    zero wherever u is finite; no coefficients is the zero polynomial.
     """
-    if not coeffs:
-        return np.zeros_like(u)
-    acc = np.full_like(u, coeffs[-1])
+    acc = _full(u, coeffs[-1] if coeffs else 0.0)
     for c in reversed(coeffs[:-1]):
-        np.multiply(acc, u, out=acc)
-        np.add(acc, c, out=acc)
+        acc *= u
+        acc += c
     return acc
+
+
+def _full(like, value: float):
+    """value itself for a float, or a new array of it shaped like an array."""
+    if isinstance(like, float):
+        return value
+    import numpy as np      # loaded already: like is one of its arrays
+    return np.full_like(like, value)
+
+
+def _sqrt(v):
+    """math.sqrt for a float (NaN below zero, as numpy); np.sqrt else."""
+    if isinstance(v, float):
+        return sqrt(v) if v >= 0.0 else nan
+    import numpy as np
+    return np.sqrt(v)
+
+
+def _div(a, b):
+    """a / b; for a float zero b, the IEEE quotient where / would raise.
+
+    An array quotient is numpy's, which warns where b is zero.
+    """
+    if isinstance(b, float) and b == 0.0:
+        if a != a or a == 0.0:
+            return nan
+        return copysign(inf, a) * copysign(1.0, b)
+    return a / b
+
+
+def _power(v, m: int):
+    """v ** m for m != 0, by left-to-right binary powering.
+
+    Only products: v is copied once and then squared and multiplied in
+    place, bit by bit of |m| after the leading one, so an array power
+    holds one array.  Each product is correctly rounded, so for m > 0 the
+    relative error is at most gamma_(m-1) = (m-1)u / (1 - (m-1)u) with
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    Sec 3.1): about 1.5e-14 at m = 132.  A negative m takes the
+    reciprocal of v ** |m|, one rounding more.
+    """
+    p = v * 1.0
+    for bit in bin(abs(m))[3:]:
+        p *= p
+        if bit == "1":
+            p *= v
+    if m > 0:
+        return p
+    if isinstance(p, float):
+        return _div(1.0, p)
+    import numpy as np
+    with np.errstate(divide="ignore"):      # um1 = 0 at x = 1: a pole
+        return 1.0 / p
 
 
 def _primitive(p: Poly) -> Poly:
@@ -236,34 +297,33 @@ class UContext:
     """The float quantities every generator evaluated at one x shares.
 
     Holds x, u = sqrt(x), um1 = (x - 1) / (u + 1) (that is u - 1, free of
-    the cancellation near x = 1) and a memo of um1 ** float(m) per
-    exponent m, so generators with the same m pay for the power once.
-    A scalar x is held as a 0-d array.  The audit's sampled pass builds
-    one context per chunk of the run's sample.  The memo makes a context
-    stateful: build one per thread and per point set, never share it
-    across threads.
+    the cancellation near x = 1) and a memo of um1 ** m per exponent m,
+    so generators with the same m pay for the power once.  A scalar x
+    (a number, a numpy scalar or a 0-d array) is held as a Python float,
+    and so is every value computed from it; an array of x stays the
+    array it was.  The audit's sampled pass builds one context per chunk
+    of the run's sample.  The memo makes a context stateful: build one
+    per thread and per point set, never share it across threads.
     """
 
     __slots__ = ("x", "u", "um1", "_powers")
 
     def __init__(self, x):
-        self.x = x if isinstance(x, np.ndarray) else np.asarray(float(x))
-        self.u = np.sqrt(self.x)
+        self.x = x if getattr(x, "ndim", 0) else float(x)
+        self.u = _sqrt(self.x)
         self.um1 = (self.x - 1.0) / (self.u + 1.0)
         self._powers: dict[int, object] = {}
 
     def um1_pow(self, m: int):
-        """um1 ** float(m), computed on first request and then reused.
+        """um1 ** m (m != 0), computed on first request and then reused.
 
-        A scalar's power is taken by the array routine too: numpy's
-        scalar power can round apart from it, and a scalar's value must
-        have the bits it has inside any array.
+        Binary powering (``_power``) from products alone: within
+        gamma_(m-1) of the exact power, and a scalar's power has the bits
+        of the array's at the same x.
         """
         p = self._powers.get(m)
         if p is None:
-            with np.errstate(divide="ignore"):
-                p = np.power(np.atleast_1d(self.um1), float(m))
-            p = self._powers[m] = p if np.ndim(self.um1) else p[0]
+            p = self._powers[m] = _power(self.um1, m)
         return p
 
 
@@ -425,15 +485,14 @@ class RatU:
             self._floats = ([c * p / q for c in self.num.coeffs],
                             [float(c) for c in self.den.coeffs])
         fn, fd = self._floats
-        val = _horner(fn, ctx.u) / _horner(fd, ctx.u)
+        val = _div(_horner(fn, ctx.u), _horner(fd, ctx.u))
         if self.m:
-            val = val * ctx.um1_pow(self.m)
+            val *= ctx.um1_pow(self.m)
         return val
 
     def __call__(self, x):
-        """Float evaluation at x > 0 (scalar or numpy array)."""
-        val = self.eval_ctx(UContext(x))
-        return val if isinstance(x, np.ndarray) else float(val)
+        """Float evaluation at x > 0: a float for a scalar, else an array."""
+        return self.eval_ctx(UContext(x))
 
     def ratio_limit_at_1(self, other: "RatU") -> Fraction:
         """Exact limit of self/other as x -> 1.
@@ -558,12 +617,12 @@ class RatS:
         if self._plan is None:
             self._plan = self._float_plan()
         q, t, r = self._plan
-        val = np.sqrt((ctx.x * ctx.x + 1.0) / 2.0)
+        val = _sqrt((ctx.x * ctx.x + 1.0) / 2.0)
         if t is not None:
             val = t.eval_ctx(ctx) * val
         if r is not None:
             val = val + r.eval_ctx(ctx)
-        return val if q is None else q.eval_ctx(ctx) / val
+        return val if q is None else _div(q.eval_ctx(ctx), val)
 
     __call__ = RatU.__call__
 

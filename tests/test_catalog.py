@@ -1,5 +1,6 @@
 """Unit tests for the measure catalog and generated families."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,37 @@ def test_family_generators_are_in_lowest_terms():
         for t in {lo, lo + 1, max(lo, -1), 9 if hi > 9 else hi, hi}:
             g = catalog.family_gen(name, t)
             assert _poly_gcd(g.num, g.den) == Poly([1]), (name, t)
+
+
+@pytest.mark.parametrize("t", [
+    3, np.int64(3), np.int8(3), np.uint16(3),
+    3.0, np.float64(3.0), np.float32(3.0), np.float16(3.0),
+])
+def test_family_index_takes_integers_and_integral_floats(t):
+    got = catalog.family_index(t)
+    assert type(got) is int and got == 3
+    assert catalog.family_gen("Hgen", t) is catalog.family_gen("Hgen", 3)
+
+
+@pytest.mark.parametrize("t", [
+    Fraction(3), Decimal(3), "3", [3], 3.5, np.float64(3.5),
+])
+def test_family_index_rejects_other_types(t):
+    # Fraction(3) is a numbers.Real of integer value, and still refused.
+    for call in (catalog.family_index,
+                 lambda t: catalog.family_gen("Hgen", t),
+                 lambda t: catalog.family_member("Hgen", t)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(t)
+
+
+def test_family_gen_validates_t_before_its_cache():
+    # An unhashable t used to reach lru_cache first: TypeError.
+    with pytest.raises(ValueError) as gen_error:
+        catalog.family_gen("Hgen", [1])
+    with pytest.raises(ValueError) as member_error:
+        catalog.family_member("Hgen", [1])
+    assert str(gen_error.value) == str(member_error.value)
 
 
 @pytest.mark.parametrize("mid, expected", [

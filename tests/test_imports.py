@@ -35,7 +35,10 @@ _RUN_CLI = """
 import contextlib, io, json, sys
 from divcascade import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as stop:      # --help
+        code = stop.code
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
@@ -63,11 +66,18 @@ def test_import_loads_no_submodule_and_no_numpy():
       "--format", "json"], 0),
     (["list"], 0),
     (["compute", "--measure", "zeta", "--a", "3", "--b", "2"], 3),
+    (["compute", "--measure", "D_SN", "--a", "3", "--b", "2",
+      "--format", "json"], 0),
+    (["compute", "--measure", "Hgen:64", "--a", "1e-300", "--b", "1e300"],
+     2),
+    (["--help"], 0),
 ])
 def test_compute_and_list_load_only_the_catalog(argv, code):
+    # A scalar is evaluated in Python floats: numpy is never loaded.
     got, modules = fresh(_RUN_CLI, *argv)
     assert got == code
     assert loaded(modules) == {"cli", "catalog", "ratfun"}
+    assert "numpy" not in modules
 
 
 def test_file_compute_loads_distributions_but_not_the_audit(tmp_path):
@@ -80,6 +90,14 @@ def test_file_compute_loads_distributions_but_not_the_audit(tmp_path):
     assert got == 0
     assert "distributions" in loaded(modules)
     assert not loaded(modules) & (set(HEAVY) - {"distributions"})
+    assert "numpy" in modules
+
+
+def test_audit_loads_numpy():
+    got, modules = fresh(_RUN_CLI, "audit", "--samples", "500",
+                         "--workers", "1")
+    assert got == 0
+    assert "numpy" in modules and "audit" in loaded(modules)
 
 
 @pytest.mark.parametrize("name", LIBRARY)
