@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": "certify_convexity estimate_sup_ratio fd_second_derivative "
                 "sample_pairs",
-    "audit": "AuditConfig ERRATA diff_reports run_audit write_report",
+    "audit": "AuditConfig ERRATA run_audit",
     "cascade": "CHAINS THEOREM_PARTS Chain audit_chain beta_constant "
                "chain_from_dict chains combination_lines "
                "equivalent_expression fit_combination get_chain pyramid_diff "
@@ -33,11 +33,12 @@ _EXPORTS = {
                   "exp_representation exp_series_partial family step_ratio "
                   "witness_second_derivative",
     "means": "mean mean_difference mean_generator verify_mean_identities",
+    "reporting": "diff_reports write_report",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
 # ``divcascade.audit`` and the like resolve too, as under the eager imports.
-_SUBMODULES = {*_EXPORTS, "cli", "ratfun", "reporting"}
+_SUBMODULES = {*_EXPORTS, "cli", "ratfun"}
 
 __all__ = [*_HOME, "__version__"]
 

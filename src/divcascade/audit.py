@@ -16,7 +16,6 @@ and never affects the exit status.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -26,7 +25,8 @@ import numpy as np
 
 from . import __version__, analysis, cascade, catalog, generators, means
 from .ratfun import RatU
-from .reporting import CheckResult, make_result
+from .reporting import (CheckResult, diff_reports, load_report, make_result,
+                        report_passed, write_report)
 
 __all__ = [
     "AuditConfig", "ERRATA", "run_audit", "report_passed", "write_report",
@@ -551,42 +551,3 @@ def run_audit(config: AuditConfig) -> dict:
         "checks": [c.to_json() for c in checks],
         "errata": [dict(e) for e in ERRATA],
     }
-
-
-def report_passed(report: dict) -> bool:
-    return all(c["verdict"] == "pass" for c in report["checks"])
-
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-
-def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def diff_reports(report_a: dict, report_b: dict) -> list[str]:
-    """Lines describing checks whose verdicts differ between two reports.
-
-    Raises ValueError for a report that is not an object or whose
-    ``checks`` is not a list of objects.
-    """
-    va, vb = _verdicts(report_a), _verdicts(report_b)
-    lines = []
-    for cid in sorted(va.keys() | vb.keys()):
-        da, db = va.get(cid, "<absent>"), vb.get(cid, "<absent>")
-        if da != db:
-            lines.append(f"{cid}: {da} -> {db}")
-    return lines
-
-
-def _verdicts(report) -> dict:
-    checks = report.get("checks", []) if isinstance(report, dict) else None
-    if not (isinstance(checks, list)
-            and all(isinstance(c, dict) for c in checks)):
-        raise ValueError("a report is a JSON object whose 'checks' is a "
-                         "list of objects")
-    return {c["id"]: c["verdict"] for c in checks}

@@ -104,7 +104,7 @@ def _default_seed() -> int:
 
 
 def cmd_audit(args) -> int:
-    from . import audit
+    from . import audit, reporting
     try:
         seed = int(args.seed) if args.seed is not None else _default_seed()
         chains = "all"
@@ -128,11 +128,11 @@ def cmd_audit(args) -> int:
     report = audit.run_audit(config)
     if args.report:
         try:
-            audit.write_report(report, args.report)
+            reporting.write_report(report, args.report)
         except OSError as e:
             _err(f"cannot write report: {e}")
             return 5
-    passed = audit.report_passed(report)
+    passed = reporting.report_passed(report)
     if args.format == "json":
         import json
         print(json.dumps(report, indent=2))
@@ -153,11 +153,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_report_diff(args) -> int:
-    from . import audit
+    from . import reporting
     try:
-        ra = audit.load_report(args.report_a)
-        rb = audit.load_report(args.report_b)
-        lines = audit.diff_reports(ra, rb)
+        ra = reporting.load_report(args.report_a)
+        rb = reporting.load_report(args.report_b)
+        lines = reporting.diff_reports(ra, rb)
     except (OSError, ValueError, KeyError, TypeError) as e:
         _err(f"cannot parse reports: {e}")
         return 2

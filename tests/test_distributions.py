@@ -2,15 +2,20 @@
 
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divcascade import distributions
+from divcascade import catalog, distributions
 from divcascade.distributions import (NonPositiveEntry, ProbVector,
                                       SumOutOfTolerance)
+from divcascade.ratfun import ONE, Poly, RatU
+
+IDS = catalog.all_ids() + ["Hgen:64", "Mnew:4", "Lt:-8", "topsoe:64"]
 
 
 def test_validate_accepts_and_renormalizes():
@@ -32,6 +37,15 @@ def test_validate_rejects_nonpositive():
         distributions.validate([0.5, -0.1, 0.6])
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_validate_rejects_entries_that_are_not_finite(entry):
+    with pytest.raises(NonPositiveEntry) as err:
+        distributions.validate([0.5, entry])
+    assert err.value.index == 1
+    assert str(err.value) == (f"entry 1 is {entry!r}; all entries must be "
+                              "positive and finite")
+
+
 def test_validate_rejects_out_of_tolerance_sum():
     with pytest.raises(SumOutOfTolerance) as err:
         distributions.validate([0.5, 0.5000001])
@@ -39,6 +53,25 @@ def test_validate_rejects_out_of_tolerance_sum():
     # A looser epsilon admits the same vector.
     pv = distributions.validate([0.5, 0.5000001], eps=1e-6)
     assert math.fsum(pv.entries) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_validate_takes_an_overflowing_sum_as_infinite():
+    # math.fsum raises OverflowError here; numpy warned and gave inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SumOutOfTolerance) as err:
+            distributions.validate([1e308, 1e308, 0.5])
+    assert err.value.sum == math.inf
+
+
+@given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=2,
+                max_size=40))
+@settings(max_examples=100)
+def test_validate_total_is_the_exact_sum_rounded_once(raw):
+    values = [v / math.fsum(raw) for v in raw]
+    total = float(sum(map(Fraction, values)))
+    pv = distributions.validate(values, eps=1e-6)
+    assert pv.entries == tuple(v / total for v in values)
 
 
 def test_validate_rejects_short_vectors():
@@ -54,6 +87,7 @@ def test_probvector_is_frozen_sequence():
         pv.entries = (1.0,)
     arr = pv.as_array()
     assert arr.dtype == float and arr.shape == (2,)
+    assert arr.tolist() == list(pv.entries)
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2,
@@ -81,6 +115,81 @@ def test_divergence_identity_of_indiscernibles():
     p = (0.2, 0.3, 0.5)
     assert distributions.divergence("delta", p, p) == 0.0
     assert distributions.divergence("psi", p, p) == 0.0
+
+
+def test_divergence_terms_have_the_bits_of_the_array_path(monkeypatch):
+    # Each term q_i * f(p_i / q_i) on Python floats is bit-identical to
+    # the element of the same expression on numpy arrays.
+    seen = []
+    fsum = distributions._fsum
+    monkeypatch.setattr(distributions, "_fsum",
+                        lambda terms: seen.append(terms) or fsum(terms))
+    rng = np.random.default_rng(17)
+    pairs = [(distributions.validate(distributions.sample_simplex(n, rng)),
+              distributions.validate(distributions.sample_simplex(n, rng)))
+             for n in range(2, 65)]
+    for mid in IDS:
+        m = catalog.get(mid)
+        for p, q in pairs:
+            value = distributions.divergence(m, p, q)
+            terms = seen.pop()
+            pa, qa = p.as_array(), q.as_array()
+            # topsoe:64's denominator overflows past x = 270 on both paths.
+            with np.errstate(over="ignore"):
+                expected = qa * m(pa / qa)
+            assert np.array_equal(np.array(terms).view(np.uint64),
+                                  expected.view(np.uint64)), (mid, p.n)
+            assert value == math.fsum(terms)
+
+
+@given(st.sampled_from(IDS),
+       st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1.0),
+                          st.floats(min_value=1e-9, max_value=1.0)),
+                min_size=2, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_divergence_is_the_exact_sum_of_its_terms_rounded_once(mid, raw):
+    p = distributions.validate([a / math.fsum(a for a, _ in raw)
+                                for a, _ in raw], eps=1e-6)
+    q = distributions.validate([b / math.fsum(b for _, b in raw)
+                                for _, b in raw], eps=1e-6)
+    m = catalog.get(mid)
+    terms = [m.value(a, b) for a, b in zip(p, q)]
+    # Non-finite terms have their own test below.
+    assume(all(map(math.isfinite, terms)))
+    assert distributions.divergence(m, p, q) == float(
+        sum(map(Fraction, terms)))
+
+
+# f = (u - 1)^7 / u^2: -1/x near x = 0 and x^(5/2) for large x, so one
+# component's term can be -inf and another's +inf.
+_SIGNED = catalog.Measure("signed", "test only", "divergence", "",
+                          RatU(ONE, Poly([0, 0, 1]), m=7))
+
+
+@pytest.mark.parametrize("measure, p, q", [
+    ("delta", [0.5, 0.5], [1.0, 5e-324]),             # NaN: inf / inf
+    ("psi", [0.5, 0.5], [1.0, 1e-300]),               # +inf
+    (_SIGNED, [5e-324, 1.0], [0.5, 0.5]),             # -inf
+    (_SIGNED, [5e-324, 0.5, 0.5], [0.5, 0.5, 1e-300]),  # -inf + inf
+])
+def test_divergence_not_finite_where_the_array_sum_is(measure, p, q):
+    m = catalog.get(measure) if isinstance(measure, str) else measure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = distributions.divergence(m, p, q)
+    pa = distributions.validate(p).as_array()
+    qa = distributions.validate(q).as_array()
+    with np.errstate(all="ignore"):
+        expected = float(np.sum(qa * m(pa / qa)))
+    assert not math.isfinite(expected)
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
+
+
+def test_sum_of_finite_terms_that_overflows_midway():
+    # math.fsum raises OverflowError; the exact sum is still rounded once.
+    assert distributions._fsum([1e308, 1e308, -1e308]) == 1e308
+    assert distributions._fsum([1e308, 1e308, 0.5]) == math.inf
+    assert distributions._fsum([-1e308, -1e308]) == -math.inf
 
 
 def test_divergence_length_mismatch():

@@ -81,6 +81,7 @@ def test_compute_and_list_load_only_the_catalog(argv, code):
 
 
 def test_file_compute_loads_distributions_but_not_the_audit(tmp_path):
+    # A distribution is validated and summed in Python floats.
     p = tmp_path / "p.json"
     q = tmp_path / "q.csv"
     p.write_text("[0.5, 0.5]")
@@ -90,7 +91,21 @@ def test_file_compute_loads_distributions_but_not_the_audit(tmp_path):
     assert got == 0
     assert "distributions" in loaded(modules)
     assert not loaded(modules) & (set(HEAVY) - {"distributions"})
-    assert "numpy" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("verdict, code", [("pass", 0), ("fail", 1)])
+def test_report_diff_loads_neither_the_audit_nor_numpy(tmp_path, verdict,
+                                                       code):
+    paths = []
+    for name, v in (("a", "pass"), ("b", verdict)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"checks": [{"id": "c", "verdict": v}]}))
+        paths.append(str(path))
+    got, modules = fresh(_RUN_CLI, "report-diff", *paths)
+    assert got == code
+    assert loaded(modules) == {"cli", "catalog", "ratfun", "reporting"}
+    assert "numpy" not in modules
 
 
 def test_audit_loads_numpy():
