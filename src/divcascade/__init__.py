@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # Home module -> the names the package exports from it.
 _EXPORTS = {
-    "analysis": "certify_convexity estimate_sup_ratio fd_second_derivative "
-                "sample_pairs",
+    "analysis": "certify_convexity estimate_sup_ratio sample_pairs",
     "audit": "AuditConfig ERRATA run_audit",
     "cascade": "CHAINS THEOREM_PARTS Chain audit_chain beta_constant "
                "chain_from_dict chains combination_lines "

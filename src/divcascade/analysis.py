@@ -9,8 +9,8 @@ that ``cascade`` proves.  Everything here is deterministic given the
 seed: a run draws one ``Sample``, and ``start_scan`` evaluates all its
 claims in one pass over fixed chunks of it, each with one ``UContext``
 and one memo of generator values, merged in index order whatever the
-chunk size, worker count, or whether the chunks ran in threads or in
-forked processes.
+chunk size, worker count, or whether the chunks ran in this process or
+in forked ones.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from itertools import pairwise
@@ -33,14 +31,12 @@ from .ratfun import RatU, UContext
 from .reporting import CheckResult
 
 __all__ = [
-    "default_grid", "sample_pairs", "Sample", "fd_second_derivative",
-    "certify_convexity", "estimate_sup_ratio", "Ordering", "ChunkValues",
-    "Fold", "start_scan", "scan_claims", "scan_chain_terms", "CHUNK",
-    "SHARED_CHUNK",
+    "default_grid", "sample_pairs", "Sample", "certify_convexity",
+    "estimate_sup_ratio", "Ordering", "ChunkValues", "Fold", "start_scan",
+    "scan_claims", "scan_chain_terms", "CHUNK",
 ]
 
-CHUNK = 131072          # pairs per chunk when no measure is shared
-SHARED_CHUNK = 8192     # pairs per chunk when claims share measures
+CHUNK = 8192            # pairs per chunk of a sampled pass
 
 # Spot check of an exact f'' against a 40-digit central difference.
 FD_REL_TOL = 1e-6
@@ -96,16 +92,6 @@ class Sample:
     @property
     def size(self) -> int:
         return int(self.a.size)
-
-
-def fd_second_derivative(f: Callable, x: float, h: float | None = None) -> float:
-    """Central second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2."""
-    x = float(x)
-    if h is None:
-        h = max(1e-5 * x, 1e-7)
-    if x - h <= 0.0:
-        raise ValueError(f"step h={h} leaves the domain at x={x}")
-    return (float(f(x + h)) - 2.0 * float(f(x)) + float(f(x - h))) / (h * h)
 
 
 def _resolve(measure) -> Measure:
@@ -213,20 +199,18 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
 
 
 class ChunkValues:
-    """Pairs of one chunk, a ``UContext`` of x = a/b and, with ``memo``,
-    each f(x) kept read-only after its first evaluation.  Stateful: the
-    task that owns the chunk builds it."""
+    """Pairs of one chunk, a ``UContext`` of x = a/b and each f(x), kept
+    read-only after its first evaluation.  Stateful: the task that owns
+    the chunk builds it."""
 
     __slots__ = ("a", "b", "ctx", "_memo")
 
-    def __init__(self, a, b, memo: bool = False):
+    def __init__(self, a, b):
         self.a, self.b, self.ctx = a, b, UContext(a / b)
-        self._memo = {} if memo else None
+        self._memo = {}
 
     def gen(self, symbol):
         """f(x) of a catalog id or ``Measure`` at the chunk's ratios."""
-        if self._memo is None:
-            return _resolve(symbol).eval_ctx(self.ctx)
         val = self._memo.get(symbol)
         if val is None:
             val = self._memo[symbol] = _resolve(symbol).eval_ctx(self.ctx)
@@ -291,6 +275,16 @@ class Fold:
     index: int = 0
     records: list = field(default_factory=list)
 
+    def absorb(self, later: "Fold") -> None:
+        """Fold in the fold of later pairs: its worst replaces this one
+        if strictly greater, or NaN where this one is not, so the first
+        index of the worst value (or of the first NaN) is kept; records
+        fill up to ten."""
+        if not np.isnan(self.worst) and (later.worst > self.worst
+                                         or np.isnan(later.worst)):
+            self.worst, self.index = later.worst, later.index
+        self.records += later.records[:10 - len(self.records)]
+
 
 def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
     values = claim.values(chunk)
@@ -315,52 +309,35 @@ def start_scan(claims, sample: Sample, workers: int = 1
     A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
     ``values(chunk)``: per pair a value, failing above tol or NaN, and
     ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
-    None.  Each chunk task builds one ``ChunkValues`` for all claims.
-    If claims share a symbol, chunks hold ``SHARED_CHUNK`` pairs and
-    memoize f(x); else ``CHUNK`` pairs, streamed.
+    None.  Each chunk task builds one ``ChunkValues`` of ``CHUNK`` pairs
+    for all claims, so a measure several claims read is evaluated once.
 
-    Where the pass runs follows from its input.  A shared pass with
-    ``workers`` > 1, started from a process with one Python thread, is
-    split into contiguous runs of whole chunks, each scanned by a child
-    made by ``os.fork`` (at most one per chunk) while the caller goes
-    on, so it can prove while they scan; ``join()`` reads their pickled
-    folds, reaps every child and raises a child's exception again.
-    Threads gain nothing there: a shared chunk makes many short numpy
-    calls, and they would wait on the GIL, so a shared pass that cannot
-    fork runs serially in ``join()``.  A streamed pass runs in
-    ``join()`` on ``workers`` threads when > 1; its numpy calls are
-    long enough to release the GIL for most of their time.
+    With ``workers`` > 1, started from a process with one Python thread,
+    the pass is split into contiguous runs of whole chunks, each scanned
+    by a child made by ``os.fork`` (at most one per chunk) while the
+    caller goes on, so it can prove while they scan; ``join()`` reads
+    their pickled folds, reaps every child and raises a child's
+    exception again.  Otherwise the pass runs serially in ``join()``.
     Folds merge in index order: chunk size, worker count and path do
     not change them.
     """
     claims = list(claims)
-    reads = Counter(s for c in claims for s in {sym for _, sym in c.terms})
-    shared = any(k > 1 for k in reads.values())
-    size = SHARED_CHUNK if shared else CHUNK
 
     def task(lo):
-        chunk = ChunkValues(sample.a[lo:lo + size], sample.b[lo:lo + size],
-                            memo=shared)
+        chunk = ChunkValues(sample.a[lo:lo + CHUNK], sample.b[lo:lo + CHUNK])
         return [_chunk_fold(claim, chunk, lo) for claim in claims]
 
-    starts = range(0, sample.size if claims else 0, size)
+    starts = range(0, sample.size if claims else 0, CHUNK)
     # fork() copies only the calling thread: with another Python thread
     # alive, a lock it holds would stay held in the child.  Native threads
     # (a BLAS pool, a host's C extension) are not counted here.
-    if (shared and workers > 1 and hasattr(os, "fork")
-            and threading.active_count() == 1):
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         k = min(workers, len(starts))
         children = _fork_scans(task, [starts[i * len(starts) // k:
                                              (i + 1) * len(starts) // k]
                                       for i in range(k)])
         return lambda: _merge(len(claims), _join_children(children))
-
-    def join():
-        if workers > 1 and not shared:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return _merge(len(claims), pool.map(task, starts))
-        return _merge(len(claims), map(task, starts))
-    return join
+    return lambda: _merge(len(claims), map(task, starts))
 
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
@@ -373,10 +350,7 @@ def _merge(n: int, parts) -> list[Fold]:
     folds = [Fold() for _ in range(n)]
     for part in parts:
         for fold, new in zip(folds, part):
-            if not np.isnan(fold.worst) and (new.worst > fold.worst
-                                             or np.isnan(new.worst)):
-                fold.worst, fold.index = new.worst, new.index
-            fold.records += new.records[:10 - len(fold.records)]
+            fold.absorb(new)
     return folds
 
 

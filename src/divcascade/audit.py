@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, analysis, cascade, catalog, generators, means
 from .ratfun import RatU
 from .reporting import (CheckResult, diff_reports, load_report, make_result,
@@ -344,10 +342,10 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     """
     if proved is None:
         proved = _identity_proved(ident)
-    worst, where = 0.0, 0
+    total = analysis.Fold(0.0)
     for fold in folds or analysis.scan_claims(_equalities(ident), sample):
-        if fold.worst > worst or np.isnan(fold.worst):  # NaN must fail
-            worst, where = fold.worst, fold.index
+        total.absorb(fold)
+    worst, where = total.worst, total.index
     violation = worst if proved else float("inf")
     ces = []
     if ident.claims and not violation <= ident.tol:
@@ -510,7 +508,7 @@ def run_audit(config: AuditConfig) -> dict:
     while this one runs every exact proof (links, identities, beta
     constants, convexity, the negative control); with one worker, or
     with another Python thread alive, the scan runs here after the
-    proofs, in one thread.  The checks are assembled from
+    proofs, in this process.  The checks are assembled from
     the joined folds and the proof verdicts, in the report's fixed
     order.
     """

@@ -288,7 +288,12 @@ def chain_from_dict(doc: dict) -> Chain:
 
 def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
-    """Prove every adjacent ordering in the chain, then scan sampled pairs."""
+    """Prove every adjacent ordering in the chain, then scan sampled pairs
+    in ``workers`` forked processes (see ``analysis.start_scan``)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if isinstance(chain, str):
         chain = get_chain(chain)
     return check_chain(chain, analysis.Sample.draw(samples, seed), tol,

@@ -301,9 +301,9 @@ class UContext:
     so generators with the same m pay for the power once.  A scalar x
     (a number, a numpy scalar or a 0-d array) is held as a Python float,
     and so is every value computed from it; an array of x stays the
-    array it was.  The audit's sampled pass builds one context per chunk
-    of the run's sample.  The memo makes a context stateful: build one
-    per thread and per point set, never share it across threads.
+    array it was.  A sampled pass builds one context per chunk of the
+    run's sample.  The memo makes a context stateful: build one per
+    point set, and share it with no other thread.
     """
 
     __slots__ = ("x", "u", "um1", "_powers")

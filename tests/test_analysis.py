@@ -1,9 +1,7 @@
 """Unit tests for sampling, certification, and counterexample search."""
 
-import itertools
 import math
-import sys
-import threading
+import os
 
 import mpmath
 import numpy as np
@@ -37,11 +35,6 @@ def test_default_grid_covers_band():
     assert g.max() == pytest.approx(1e4)
     assert np.any((g > 0.999) & (g < 1.001))
     assert np.all(np.diff(g) > 0)
-
-
-def test_fd_second_derivative_on_cubic():
-    val = analysis.fd_second_derivative(lambda x: x**3, 2.0)
-    assert val == pytest.approx(12.0, rel=1e-6)
 
 
 def test_certify_convexity_passes_for_divergence():
@@ -181,49 +174,38 @@ def test_scan_finds_reversed_chain_violation():
 
 
 def test_scan_worker_independence(monkeypatch):
-    threads = {}     # chunk serial -> the threads that built and read it
-    sizes = {}       # chunk serial -> its number of pairs
-    serials = itertools.count()
+    forks = []
+    real = os.fork
 
-    class OneThread(analysis.ChunkValues):
-        def __init__(self, a, b, *args, **kw):
-            super().__init__(a, b, *args, **kw)
-            self.serial = next(serials)
-            threads[self.serial] = {threading.get_ident()}
-            sizes[self.serial] = a.size
+    def counted():
+        forks.append(1)
+        return real()
 
-        def gen(self, symbol):
-            threads[self.serial].add(threading.get_ident())
-            return super().gen(symbol)
-
-    monkeypatch.setattr(analysis, "ChunkValues", OneThread)
+    monkeypatch.setattr(os, "fork", counted)
     sample = analysis.Sample.draw(300_000, seed=9)
-    assert sample.size > 2 * analysis.CHUNK
+    chunks = -(-sample.size // analysis.CHUNK)
+    assert chunks == 37
     claims = [[(1.0, "delta"), (1.0, "K"), (0.5, "psi")],
               [(1, "W2"), (1, "W1")]]
     claims += [cascade.get_chain(cid).terms for cid in cascade.chains()
                if cid.startswith(("means", "pyramid"))]
     assert len(claims) == 8
     # tol = -1 records offending samples in passing chains too.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)     # interleave the chunk tasks finely
-    try:
-        for terms in claims:
-            for tol in (1e-12, -1.0):
-                w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
-                for workers in (2, 4):
-                    got = analysis.scan_chain_terms(terms, sample, tol,
-                                                    workers)
-                    assert got == w1, (terms, tol, workers)
-            assert len(w1[1]) == 10, terms
-    finally:
-        sys.setswitchinterval(interval)
-    # Each chunk task built its own context and no other thread read it;
-    # the links of a chunk's records come from a context of at most ten
-    # of its pairs, built and read by the same task.
-    chunks = -(-sample.size // analysis.CHUNK)
-    assert sum(n > 10 for n in sizes.values()) == 8 * 2 * 3 * chunks
-    assert all(len(t) == 1 for t in threads.values())
+    for terms in claims:
+        for tol in (1e-12, -1.0):
+            forks.clear()
+            w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
+            assert not forks
+            for workers in (2, 4):
+                got = analysis.scan_chain_terms(terms, sample, tol, workers)
+                assert got == w1, (terms, tol, workers)
+            assert len(forks) == 2 + 4
+        assert len(w1[1]) == 10, terms
+    # At most one child per chunk, however many workers are asked for.
+    forks.clear()
+    small = analysis.Sample.draw(3 * analysis.CHUNK - 1, seed=9)
+    analysis.scan_chain_terms(claims[0], small, 1e-12, workers=64)
+    assert len(forks) == 3
 
 
 def _reference_scan(terms, a, b, tol):
@@ -271,8 +253,7 @@ def test_streamed_scan_matches_reference(monkeypatch, chunk):
 
 def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
         monkeypatch):
-    for name in ("CHUNK", "SHARED_CHUNK"):
-        monkeypatch.setattr(analysis, name, 2)
+    monkeypatch.setattr(analysis, "CHUNK", 2)
     # Pairs 3 and 4 are the same worst pair, on either side of a boundary.
     sample = analysis.Sample([2.0, 3.0, 3.0, 5.0, 5.0, 3.0], np.ones(6))
     false_eq = means.Equality(((1, "S"),), ((1, "R"),))
@@ -288,16 +269,13 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
 
 def test_memo_arrays_reject_in_place_writes():
     sample = analysis.Sample.draw(100, seed=1)
-    chunk = analysis.ChunkValues(sample.a, sample.b, memo=True)
+    chunk = analysis.ChunkValues(sample.a, sample.b)
     kept = chunk.gen("K")
     assert chunk.gen("K") is kept
     with pytest.raises(ValueError):
         kept *= 2.0
     with pytest.raises(ValueError):
         np.add(kept, 1.0, out=kept)
-    # Without a memo every read is a new array.
-    fresh = analysis.ChunkValues(sample.a, sample.b)
-    assert fresh.gen("K") is not fresh.gen("K")
 
 
 _DRAWN = analysis.Sample.draw(2_000, seed=5)

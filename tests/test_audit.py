@@ -1,6 +1,7 @@
 """Unit tests for audit configuration, reporting, and errata records."""
 
 import json
+import math
 import os
 import threading
 from dataclasses import replace
@@ -242,11 +243,11 @@ def seed7_sampled_checks():
 
 
 @pytest.mark.parametrize("chunk, workers", [
-    (analysis.SHARED_CHUNK, 2), (analysis.SHARED_CHUNK, 3), (4096, 1),
+    (analysis.CHUNK, 2), (analysis.CHUNK, 3), (4096, 1),
     (4096, 2), (4096, 3), (1000, 1), (1000, 4)])
 def test_audit_folds_do_not_depend_on_chunk_or_workers(
         monkeypatch, seed7_sampled_checks, chunk, workers):
-    monkeypatch.setattr(analysis, "SHARED_CHUNK", chunk)
+    monkeypatch.setattr(analysis, "CHUNK", chunk)
     report = audit.run_audit(
         audit.AuditConfig(samples=20000, seed=7, workers=workers))
     assert _sampled_checks(report) == seed7_sampled_checks
@@ -256,26 +257,44 @@ def _no_fork():
     raise AssertionError("fork called")
 
 
-def _no_threads(*args, **kw):
-    raise AssertionError("thread pool started")
+def _no_thread_start(self):
+    raise AssertionError("thread started")
 
 
-def test_audit_with_another_thread_alive_does_not_fork(
-        monkeypatch, seed7_sampled_checks):
-    # A shared pass that cannot fork runs serially, not on threads.
-    monkeypatch.setattr(os, "fork", _no_fork)
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", _no_threads)
+def _with_another_thread_alive(monkeypatch, run):
+    """``run()`` while a second Python thread waits, with ``os.fork``
+    and ``threading.Thread.start`` raising: a pass that cannot fork
+    must run serially, on no new thread."""
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(60,))
     waiter.start()
     try:
-        report = audit.run_audit(
-            audit.AuditConfig(samples=20000, seed=7, workers=2))
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", _no_fork)
+            m.setattr(threading.Thread, "start", _no_thread_start)
+            result = run()
     finally:
         release.set()
         waiter.join(60)
     assert not waiter.is_alive()
+    return result
+
+
+def test_audit_with_another_thread_alive_does_not_fork(
+        monkeypatch, seed7_sampled_checks):
+    report = _with_another_thread_alive(monkeypatch, lambda: audit.run_audit(
+        audit.AuditConfig(samples=20000, seed=7, workers=2)))
     assert _sampled_checks(report) == seed7_sampled_checks
+
+
+def test_chain_scan_with_another_thread_alive_does_not_fork(monkeypatch):
+    sample = analysis.Sample.draw(20000, seed=7)
+    terms = cascade.get_chain("means").terms
+    serial = analysis.scan_chain_terms(terms, sample, -1.0, workers=1)
+    got = _with_another_thread_alive(
+        monkeypatch,
+        lambda: analysis.scan_chain_terms(terms, sample, -1.0, workers=2))
+    assert got == serial
 
 
 def _in_child(parent, action):
@@ -358,7 +377,7 @@ def test_audit_forks_at_most_one_child_per_chunk(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", counted)
-    # 20000 pairs are 3 chunks of SHARED_CHUNK: 3 children, not 64.
+    # 20000 pairs are 3 chunks of CHUNK: 3 children, not 64.
     audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=64))
     assert len(forks) == 3
 
@@ -384,6 +403,22 @@ def _failed(result):
     ce = result.counterexamples[0]
     assert set(ce) == {"index", "a", "b", "violation"}
     return ce
+
+
+def test_identity_counterexample_is_the_first_nan(sample):
+    # The rule of a sampled pass's merge: the first NaN is kept.
+    ident = audit.Identity("identity:two", "", 1e-12, (
+        (((1, "D_SA"),), ((1, "S"), (-1, "A"))),
+        (((1, "D_SA"),), ((1, "S"), (-1, "A")))))
+    nan = float("nan")
+    folds = [analysis.Fold(nan, 3), analysis.Fold(nan, 7)]
+    res = audit._check_identity(ident, sample, folds, proved=True)
+    assert math.isnan(res.max_violation)
+    assert _failed(res)["index"] == 3
+    merged = analysis.Fold(-1.0, 1)
+    for fold in folds + [analysis.Fold(2.0, 9)]:
+        merged.absorb(fold)
+    assert math.isnan(merged.worst) and merged.index == 3
 
 
 def test_perturbed_decomposition_fails_proof_and_keeps_witness(sample):

@@ -24,6 +24,16 @@ def test_every_chain_passes_small_sample():
         assert res.verdict == "pass", (cid, res.max_violation)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"samples": -3}, "samples must be >= 1"),
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"workers": -1}, "workers must be >= 1")])
+def test_audit_chain_rejects_bad_samples_and_workers(kw, message):
+    with pytest.raises(ValueError, match=message):
+        cascade.audit_chain("means", **kw)
+
+
 def test_chain_from_dict_roundtrip():
     doc = {"id": "custom", "ref": "", "terms": [["1", "delta"], ["1", "K"]]}
     chain = cascade.chain_from_dict(doc)
