@@ -6,15 +6,18 @@ estimate of the sup-ratio behind each sharp inequality constant (the
 audit proves those constants exactly instead), and the sampled pass,
 which checks the float evaluators against the orderings and identities
 that ``cascade`` proves.  Everything here is deterministic given the
-seed: a run draws one ``Sample``, and ``start_scan`` evaluates all its
-claims in one pass over fixed chunks of it, each with one ``UContext``
-and one memo of generator values, merged in index order whatever the
-chunk size, worker count, or whether the chunks ran in this process or
-in forked ones.
+seed: a run makes one ``Sample``, n pairs and the seed of their PCG64
+stream, and ``start_scan`` evaluates all its claims in one pass over
+fixed chunks of it.  Each chunk's pairs are drawn, by advancing the
+stream straight to them, in the process that scans the chunk, with one
+``UContext`` and one memo of generator values; the folds merge in index
+order whatever the chunk size, worker count, or whether the chunks ran
+in this process or in forked ones.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import pickle
 import threading
@@ -24,6 +27,7 @@ from itertools import pairwise
 from typing import Callable
 
 import numpy as np
+import numpy.random      # here, not once per forked scan worker
 
 from . import catalog
 from .catalog import Measure
@@ -56,42 +60,103 @@ def sample_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
 
     90% have a and b independently log-uniform in [1e-6, 1e6]; 10% sit in
     a near-diagonal band b = a(1 + delta), |delta| <= 1e-3, where
-    cancellation would hide violations from a naive evaluator.
+    cancellation would hide violations from a naive evaluator.  These
+    are the pairs ``Sample.draw(n, seed).pairs(0, n)``.
     """
-    rng = np.random.default_rng(seed)
+    return Sample.draw(n, seed).pairs(0, n)
+
+
+def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int):
+    """Pairs [lo, hi) of the n that ``seed`` draws, 0 <= lo <= hi <= n.
+
+    With n_near = n // 10 and n_main = n - n_near, the PCG64 stream of
+    ``seed`` holds, one uniform double per 64-bit output, the exponents
+    of a_main at positions [0, n_main) and of b_main at [n_main,
+    2 n_main), then those of a_near and the deltas, n_near each.  The
+    pairs [0, n_main) are (a_main, b_main) and the rest are
+    (a_near, a_near (1 + delta)).  ``advance`` jumps straight to each
+    run the range needs, in O(log n) steps, so a range has the bits it
+    has in the whole sample.
+    """
     n_near = n // 10
     n_main = n - n_near
-    a_main = 10.0 ** rng.uniform(-6.0, 6.0, n_main)
-    b_main = 10.0 ** rng.uniform(-6.0, 6.0, n_main)
-    a_near = 10.0 ** rng.uniform(-6.0, 6.0, n_near)
-    delta = rng.uniform(-1e-3, 1e-3, n_near)
-    a = np.concatenate([a_main, a_near])
-    b = np.concatenate([b_main, a_near * (1.0 + delta)])
-    return a, b
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(bits)
+    at = 0
+
+    def uniform(low, high, start, count):
+        nonlocal at
+        if count:
+            bits.advance(start - at)
+            at = start + count
+        return rng.uniform(low, high, count)
+
+    m_lo, m_hi = min(lo, n_main), min(hi, n_main)
+    j_lo, j_hi = max(lo, n_main) - n_main, max(hi, n_main) - n_main
+    a_main = 10.0 ** uniform(-6.0, 6.0, m_lo, m_hi - m_lo)
+    b_main = 10.0 ** uniform(-6.0, 6.0, n_main + m_lo, m_hi - m_lo)
+    a_near = 10.0 ** uniform(-6.0, 6.0, 2 * n_main + j_lo, j_hi - j_lo)
+    delta = uniform(-1e-3, 1e-3, 2 * n_main + n_near + j_lo, j_hi - j_lo)
+    return (np.concatenate([a_main, a_near]),
+            np.concatenate([b_main, a_near * (1.0 + delta)]))
 
 
 class Sample:
-    """Sampled pairs (a, b); scalars are held as one-element arrays.
+    """Sampled pairs (a, b): given ones, or a recipe that draws them.
+
+    ``Sample(a, b)`` holds the pairs given, scalars as one-element
+    arrays.  ``Sample.draw(n, seed)`` holds only n and its seed, and
+    ``pairs(lo, hi)`` draws exactly the pairs [lo, hi) when asked, so a
+    scan draws each chunk in the process that scans it and no process
+    holds the whole sample.  ``size`` is the number of pairs.
 
     ``b * m.eval_ctx(UContext(a / b))`` has the bits of ``m.value(a, b)``
     over the pairs and over any chunk of them: elementwise work does not
     depend on the chunking.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("size", "_ab", "_seed")
 
     def __init__(self, a, b):
-        self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self._ab = (np.atleast_1d(np.asarray(a, dtype=float)),
+                    np.atleast_1d(np.asarray(b, dtype=float)))
+        self.size = int(self._ab[0].size)
+        self._seed = None
 
     @classmethod
     def draw(cls, n: int, seed) -> "Sample":
-        """The n pairs of ``sample_pairs(n, seed)``."""
-        return cls(*sample_pairs(n, seed))
+        """The n pairs of the sampling policy (see ``sample_pairs``),
+        drawn when asked from the stream of ``seed``.
 
-    @property
-    def size(self) -> int:
-        return int(self.a.size)
+        ``seed`` is an integer >= 0, or None for fresh entropy, taken once
+        here so that every range of the sample comes from one stream.  A
+        ``numpy.random.Generator`` is refused: ranges are drawn in any
+        order and in any process, and a generator's state moves as it is
+        read.
+        """
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"a sample needs n >= 0 pairs, not {n}")
+        if seed is not None:
+            try:
+                seed = operator.index(seed)
+            except TypeError:
+                raise TypeError("seed must be None or an integer >= 0, not "
+                                f"{type(seed).__name__}") from None
+        self = cls.__new__(cls)
+        self.size, self._ab = n, None
+        self._seed = np.random.SeedSequence(seed)
+        return self
+
+    def pairs(self, lo: int = 0, hi: int | None = None):
+        """The pairs [lo, hi) as arrays (a, b); lo and hi are read as
+        the bounds of a slice."""
+        lo, hi, _ = slice(lo, hi).indices(self.size)
+        hi = max(lo, hi)
+        if self._ab is None:
+            return _draw(self.size, self._seed, lo, hi)
+        a, b = self._ab
+        return a[lo:hi], b[lo:hi]
 
 
 def _resolve(measure) -> Measure:
@@ -309,8 +374,9 @@ def start_scan(claims, sample: Sample, workers: int = 1
     A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
     ``values(chunk)``: per pair a value, failing above tol or NaN, and
     ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
-    None.  Each chunk task builds one ``ChunkValues`` of ``CHUNK`` pairs
-    for all claims, so a measure several claims read is evaluated once.
+    None.  Each chunk task draws its ``CHUNK`` pairs and builds one
+    ``ChunkValues`` of them for all claims, so a measure several claims
+    read is evaluated once.
 
     With ``workers`` > 1, started from a process with one Python thread,
     the pass is split into contiguous runs of whole chunks, each scanned
@@ -324,7 +390,7 @@ def start_scan(claims, sample: Sample, workers: int = 1
     claims = list(claims)
 
     def task(lo):
-        chunk = ChunkValues(sample.a[lo:lo + CHUNK], sample.b[lo:lo + CHUNK])
+        chunk = ChunkValues(*sample.pairs(lo, lo + CHUNK))
         return [_chunk_fold(claim, chunk, lo) for claim in claims]
 
     starts = range(0, sample.size if claims else 0, CHUNK)

@@ -349,8 +349,9 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     violation = worst if proved else float("inf")
     ces = []
     if ident.claims and not violation <= ident.tol:
-        ces.append({"index": where, "a": float(sample.a[where]),
-                    "b": float(sample.b[where]), "violation": worst})
+        (a,), (b,) = sample.pairs(where, where + 1)
+        ces.append({"index": where, "a": float(a), "b": float(b),
+                    "violation": worst})
     detail = ident.detail if proved else "exact identity fails"
     return make_result(ident.id, ident.kind,
                        sample.size if ident.claims else 0, violation,

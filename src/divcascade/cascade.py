@@ -11,6 +11,8 @@ engine replays.  Each claim is proved as one exact sum of c * form:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -289,15 +291,29 @@ def chain_from_dict(doc: dict) -> Chain:
 def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
     """Prove every adjacent ordering in the chain, then scan sampled pairs
-    in ``workers`` forked processes (see ``analysis.start_scan``)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    in ``workers`` forked processes (see ``analysis.start_scan``).
+
+    ``samples`` and ``workers`` are integers >= 1 and ``tol`` is finite;
+    a negative tol records pairs that hold as counterexamples too.
+    """
+    samples, workers = _count("samples", samples), _count("workers", workers)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, not {tol!r}")
     if isinstance(chain, str):
         chain = get_chain(chain)
     return check_chain(chain, analysis.Sample.draw(samples, seed), tol,
                        workers)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 @cache

@@ -160,7 +160,7 @@ class Equality:
 
 def claim_gap(lhs, rhs, sample: Sample):
     """The ``Equality`` gap of lhs == rhs, on one chunk of every pair."""
-    return Equality(lhs, rhs).values(ChunkValues(sample.a, sample.b))
+    return Equality(lhs, rhs).values(ChunkValues(*sample.pairs()))
 
 
 def verify_mean_identities(a, b):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,6 +28,114 @@ def test_sample_pairs_deterministic():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     a3, _ = analysis.sample_pairs(1_000, seed=6)
     assert not np.array_equal(a1, a3)
+
+
+def _whole_draw(n, seed):
+    """The pairs as ``sample_pairs`` drew them before draws were lazy:
+    the whole sample at once, from one ``default_rng``."""
+    rng = np.random.default_rng(seed)
+    n_near = n // 10
+    n_main = n - n_near
+    a_main = 10.0 ** rng.uniform(-6.0, 6.0, n_main)
+    b_main = 10.0 ** rng.uniform(-6.0, 6.0, n_main)
+    a_near = 10.0 ** rng.uniform(-6.0, 6.0, n_near)
+    delta = rng.uniform(-1e-3, 1e-3, n_near)
+    a = np.concatenate([a_main, a_near])
+    b = np.concatenate([b_main, a_near * (1.0 + delta)])
+    return a, b
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 19, 100, 8191, 8192, 8193,
+                               12345, 10**5, 10**6])
+def test_lazy_draws_have_the_bits_of_the_whole_draw(n):
+    n_main = n - n // 10
+    for seed in (0, 5, 42):
+        a, b = _whole_draw(n, seed)
+        got = analysis.sample_pairs(n, seed)
+        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+        sample = analysis.Sample.draw(n, seed)
+        assert sample.size == n
+        ranges = [(lo, lo + analysis.CHUNK)
+                  for lo in range(0, n, analysis.CHUNK)]
+        # Ranges across the end of the log-uniform pairs.
+        ranges += [(max(n_main - k, 0), n_main + k) for k in (1, 2, 4097)]
+        ranges += [(n_main - 1, n_main), (n - 1, n), (-3, None), (5, 2)]
+        for lo, hi in ranges:
+            got = sample.pairs(lo, hi)
+            assert np.array_equal(got[0], a[lo:hi]), (seed, lo, hi)
+            assert np.array_equal(got[1], b[lo:hi]), (seed, lo, hi)
+
+
+def test_a_fresh_entropy_sample_is_one_stream():
+    assert np.array_equal(analysis.sample_pairs(50, np.int64(5))[1],
+                          analysis.sample_pairs(50, 5)[1])
+    # The entropy of seed None is taken once, when the sample is made.
+    sample = analysis.Sample.draw(3 * analysis.CHUNK + 5, None)
+    whole = sample.pairs()
+    tail = sample.pairs(2 * analysis.CHUNK)
+    assert np.array_equal(whole[0][2 * analysis.CHUNK:], tail[0])
+    for tol in (1e-12, -1.0):
+        w1 = analysis.scan_chain_terms([(1, "W2"), (1, "W1")], sample, tol)
+        w2 = analysis.scan_chain_terms([(1, "W2"), (1, "W1")], sample, tol,
+                                       workers=2)
+        assert repr(w1) == repr(w2)
+        assert len(w1[1]) == 10
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(5),
+                                  np.random.SeedSequence(5), 5.0, "5", [5]])
+def test_the_draw_refuses_seeds_it_cannot_replay(seed):
+    # Ranges are drawn in any order and in any process, so the draw
+    # takes a seed, never a generator whose state moves as it is read.
+    with pytest.raises(TypeError, match="seed must be None or an integer"):
+        analysis.Sample.draw(10, seed)
+
+
+def test_the_draw_refuses_bad_sizes_and_seeds():
+    with pytest.raises(ValueError):
+        analysis.Sample.draw(10, -1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        analysis.Sample.draw(-1, 0)
+    with pytest.raises(TypeError):
+        analysis.Sample.draw(1e4, 0)
+
+
+def test_a_forked_scan_draws_nothing_in_the_parent(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the whole sample was drawn")
+
+    drawn = []
+    real = analysis._draw
+
+    def counted(n, seed, lo, hi):
+        drawn.append(hi - lo)
+        return real(n, seed, lo, hi)
+
+    monkeypatch.setattr(analysis, "sample_pairs", refuse)
+    monkeypatch.setattr(analysis, "_draw", counted)
+    sample = analysis.Sample.draw(10**6, 0)
+    worst, records = analysis.scan_chain_terms(
+        [(1, "W2"), (1, "W1")], sample, 1e-12, workers=2)
+    assert worst > 1e-6 and len(records) == 10
+    assert drawn == []          # each worker drew the chunks it scanned
+    # A serial scan draws chunk by chunk too.
+    small = analysis.Sample.draw(3 * analysis.CHUNK - 1, 0)
+    analysis.scan_chain_terms([(1, "W2"), (1, "W1")], small, 1e-12)
+    assert drawn == [analysis.CHUNK] * 2 + [analysis.CHUNK - 1]
+
+
+def test_a_drawn_sample_is_a_recipe():
+    tracemalloc.start()
+    try:
+        sample = analysis.Sample.draw(10**12, 0)
+        (a,), (b,) = sample.pairs(10**12 - 1, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.size == 10**12
+    assert peak < 100_000
+    # The last pair is in the near-diagonal band.
+    assert 1e-6 <= a <= 1e6 and abs(b / a - 1.0) <= 1e-3
 
 
 def test_default_grid_covers_band():
@@ -236,7 +345,7 @@ def _reference_scan(terms, a, b, tol):
 def test_streamed_scan_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(analysis, "CHUNK", chunk)
     sample = analysis.Sample.draw(20_000, seed=13)
-    a, b = sample.a, sample.b
+    a, b = sample.pairs()
     claims = [cascade.get_chain(cid).terms for cid in cascade.chains()]
     claims.append([(1, "W2"), (1, "W1")])
     assert len(claims) == 27
@@ -259,7 +368,7 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
     false_eq = means.Equality(((1, "S"),), ((1, "R"),))
     reversed_link = analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12)
     for claims in ([false_eq], [reversed_link], [false_eq, false_eq]):
-        whole = analysis.ChunkValues(sample.a, sample.b)
+        whole = analysis.ChunkValues(*sample.pairs())
         values = claims[0].values(whole)
         assert values[3] == values[4] == values.max()
         for fold in analysis.scan_claims(claims, sample):
@@ -269,7 +378,7 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
 
 def test_memo_arrays_reject_in_place_writes():
     sample = analysis.Sample.draw(100, seed=1)
-    chunk = analysis.ChunkValues(sample.a, sample.b)
+    chunk = analysis.ChunkValues(*sample.pairs())
     kept = chunk.gen("K")
     assert chunk.gen("K") is kept
     with pytest.raises(ValueError):
@@ -296,7 +405,7 @@ _DIAGONAL = analysis.Sample([3.0, 2.0], [3.0, 2.0])
 def test_record_links_follow_the_reference(terms, sample, tol, steps):
     with np.errstate(all="ignore"):
         got = analysis.scan_chain_terms(terms, sample, tol)
-        ref = _reference_scan(terms, sample.a, sample.b, tol)
+        ref = _reference_scan(terms, *sample.pairs(), tol)
     # repr tells -0.0 from 0.0, and nan equals itself.
     assert repr(got) == repr(ref)
     assert len(got[1]) == min(10, sample.size)

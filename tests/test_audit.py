@@ -180,7 +180,7 @@ def test_identity_checker_reproduces_reference_residuals():
     sample = analysis.Sample.draw(2000, seed=7)
     idents = audit._identities(1e-12) + audit._combinations(1e-12)
     results = {i.id: audit._check_identity(i, sample) for i in idents}
-    reference = _reference_violations(sample.a, sample.b)
+    reference = _reference_violations(*sample.pairs())
     assert len(results) == len(reference) == 137
     for cid, expected in reference.items():
         assert repr(results[cid].max_violation) == repr(expected), cid
@@ -210,7 +210,7 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     assert len(claims) == 165
     for lhs, rhs in claims:
         got = means.claim_gap(lhs, rhs, sample)
-        ref = _per_call_gap(lhs, rhs, sample.a, sample.b)
+        ref = _per_call_gap(lhs, rhs, *sample.pairs())
         assert got.tobytes() == ref.tobytes(), (lhs, rhs)
     built = []
 
@@ -458,7 +458,7 @@ def test_root_mean_square_claims_are_proved(sample):
 
 def test_public_helpers_report_the_audit_gap():
     sample = analysis.Sample.draw(40, seed=7)
-    a, b = sample.a, sample.b
+    a, b = sample.pairs()
     claims = {i.id: i.claims[0] for i in audit._identities(1e-12)}
     table = means.identity_table()
     assert len(table) == 24

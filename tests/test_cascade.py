@@ -34,6 +34,22 @@ def test_audit_chain_rejects_bad_samples_and_workers(kw, message):
         cascade.audit_chain("means", **kw)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"samples": 1e4}, "samples must be an integer"),
+    ({"samples": 100, "workers": 2.5}, "workers must be an integer"),
+    ({"samples": 20_000, "workers": 2.5}, "workers must be an integer"),
+    ({"tol": math.nan}, "tol must be finite"),
+    ({"tol": math.inf}, "tol must be finite")])
+def test_audit_chain_rejects_what_audit_config_rejects(kw, message):
+    with pytest.raises(ValueError, match=message):
+        cascade.audit_chain("means", **kw)
+
+
+def test_audit_chain_takes_a_negative_tol():
+    res = cascade.audit_chain("means", samples=100, seed=1, tol=-1.0)
+    assert res.verdict == "fail" and len(res.counterexamples) == 10
+
+
 def test_chain_from_dict_roundtrip():
     doc = {"id": "custom", "ref": "", "terms": [["1", "delta"], ["1", "K"]]}
     chain = cascade.chain_from_dict(doc)

@@ -115,6 +115,13 @@ def test_audit_loads_numpy():
     assert "numpy" in modules and "audit" in loaded(modules)
 
 
+def test_analysis_loads_numpy_random():
+    # Loaded once before a scan forks, not again in every worker.
+    modules = fresh("import json, sys\nimport divcascade.analysis\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy.random" in modules
+
+
 @pytest.mark.parametrize("name", LIBRARY)
 def test_each_module_imports_first(name):
     # The old eager __init__ fixed one import order, which could hide a
