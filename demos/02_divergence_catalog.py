@@ -56,10 +56,11 @@ print(f"  members t=0..4:",
 print()
 print("Convexity of every member is proved from the exact second")
 print("derivative (u-1)^m N(u)/D(u): m is even, N(1) and D(1) share a sign,")
-print("and Sturm sequences show N and D have no root in u > 0.  The exact")
+print("and N and D have no root in u > 0: for some k, (1 + u)^k times each")
+print("has coefficients of one sign (a Polya certificate).  The exact")
 print("derivative is spot-checked by 40-digit central differences:")
 res = analysis.certify_convexity("Hgen:3")
 f2 = catalog.get("Hgen:3").fpp
-print(f"  Hgen:3 -> {res.verdict}: m = {f2.m}, positive roots of N and D: "
-      f"{f2.num.positive_roots()}, {f2.den.positive_roots()}; "
+print(f"  Hgen:3 -> {res.verdict}: m = {f2.m}, Polya k of N and D: "
+      f"{f2.num.polya_degree()}, {f2.den.polya_degree()}; "
       f"{res.samples} spot points")

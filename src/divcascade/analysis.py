@@ -186,11 +186,12 @@ def certify_convexity(measure) -> CheckResult:
 
     Checks f(1) = 0, f'(1) = 0, and proves the exact f'' positive on all
     of x > 0 apart from x = 1 (``positive_off_one`` of the ``RatU`` or
-    ``RatS`` form).  A spot check of f'' against a 40-digit ``decimal``
-    central difference at ``SPOT_POINTS``, to within FD_REL_TOL * |f''| +
-    FD_ABS_TOL, catches a wrong derivative; the absolute floor covers f''
-    vanishing to high order near x = 1, and a value that is not finite
-    fails.
+    ``RatS`` form, by Polya certificates; a failed ``RatU`` proof records
+    the N of num and den as ``polya``).  A spot check of f'' against a
+    40-digit ``decimal`` central difference at ``SPOT_POINTS``, to within
+    FD_REL_TOL * |f''| + FD_ABS_TOL, catches a wrong derivative; the
+    absolute floor covers f'' vanishing to high order near x = 1, and a
+    value that is not finite fails.
     """
     m = _resolve(measure)
     if m.kind != "divergence":
@@ -212,8 +213,8 @@ def certify_convexity(measure) -> CheckResult:
     if not f2.positive_off_one():
         bad.append({"check": "f''>0 off x=1", "violation": float("inf")})
         if isinstance(f2, RatU):
-            bad[-1].update(m=f2.m, positive_roots=[
-                f2.num.positive_roots(), f2.den.positive_roots()])
+            bad[-1].update(m=f2.m, polya=[f2.num.polya_degree(),
+                                          f2.den.polya_degree()])
     fd = np.array([_fd2_mp(m, float(x)) for x in SPOT_POINTS])
     analytic = f2(SPOT_POINTS)
     diff = np.abs(analytic - fd)

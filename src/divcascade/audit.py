@@ -48,19 +48,15 @@ class AuditConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        self.samples = int(self.samples)
-        self.seed = int(self.seed)
+        self.samples = cascade._count("samples", self.samples)
+        self.seed = cascade._integer("seed", self.seed)
         self.tolerance = float(self.tolerance)
         self.workers = (_usable_cpus() if self.workers is None
-                        else int(self.workers))
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+                        else cascade._count("workers", self.workers))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         self.chain_ids = _select_chains(self.chains)
 
 

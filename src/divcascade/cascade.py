@@ -305,12 +305,17 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                        workers)
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy's included, or a ``ValueError`` naming it."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
+    value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
     return value

@@ -120,7 +120,7 @@ def cmd_audit(args) -> int:
             seed=seed,
             tolerance=(float(args.tolerance)
                        if args.tolerance is not None else 1e-12),
-            workers=args.workers,
+            workers=int(args.workers) if args.workers is not None else None,
         )
     except ValueError as e:
         _err(f"configuration error: {e}")

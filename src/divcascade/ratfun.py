@@ -16,8 +16,8 @@ that floating point cannot:
 
 Polynomial coefficients are Python ints.  A ``RatU`` holds primitive
 integer polynomials and carries its one rational factor as a single
-``Fraction`` scale, so the exact algebra (products, Sturm sequences by
-primitive pseudo-remainders, gcds) runs on integers.
+``Fraction`` scale, so the exact algebra (products, gcds by primitive
+pseudo-remainders, Polya sign certificates) runs on integers.
 
 Float evaluation is one evaluator written over operators: Horner's rule
 on the deflated parts with augmented ``*=`` and ``+=``, which work in
@@ -46,6 +46,10 @@ from math import copysign, gcd, inf, isqrt, lcm, nan, sqrt
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# The largest N Poly.polya_degree tries.  The largest N met in this package
+# is 33, for discriminations.A7_poly(8); catalog and family f'' need <= 11.
+POLYA_CAP = 64
 
 __all__ = ["Poly", "RatU", "RatS", "UContext", "U", "ONE", "X",
            "solve_exact", "reduced_sum"]
@@ -146,33 +150,26 @@ class Poly:
             return _horner(coeffs, float(u))
         return _horner(coeffs, u.astype(float, copy=False))
 
-    def positive_roots(self) -> int:
-        """Number of distinct roots in u > 0, counted by a Sturm sequence.
+    def polya_degree(self) -> int | None:
+        """Smallest N <= POLYA_CAP proving no root in u > 0, else None.
 
-        The u**k factor is stripped first, so u = 0 is not a root and the
-        count is the drop in sign changes of p, p', -rem(p, p'), ... from
-        u = 0 (constant terms) to u = +inf (leading coefficients).  The
-        sequence is built over the integers: each member is the primitive
-        part of a positive multiple of -rem, a pseudo-remainder
-        lc^(d+1) * rem with its sign corrected.
+        N certifies when (1 + u)**N times the polynomial, u**k stripped,
+        has no two coefficients of opposite sign, hence no root in u > 0.
+        Some N certifies exactly when there is no such root (Polya 1928);
+        one that needs an N above the cap is reported unproved.
         """
         if self.is_zero():
-            raise ValueError("the zero polynomial vanishes everywhere")
+            return None
         k = next(i for i, c in enumerate(self.coeffs) if c != 0)
-        seq = [Poly(self.coeffs[k:]).content_free()[0]]
-        nxt = seq[0].deriv()
-        while not nxt.is_zero():
-            seq.append(_primitive(nxt))
-            a, b = seq[-2].coeffs, nxt.coeffs
-            sign = -1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1
-            nxt = _prem(seq[-2], seq[-1]) * sign
-
-        def changes(values) -> int:
-            signs = [v > 0 for v in values if v != 0]
-            return sum(s != t for s, t in zip(signs, signs[1:]))
-
-        return (changes(p.coeffs[0] for p in seq)
-                - changes(p.coeffs[-1] for p in seq))
+        sign = 1 if self.coeffs[-1] > 0 else -1
+        cs = [c * sign for c in self.coeffs[k:]]
+        if cs[0] < 0:       # p(0+) and p(+inf) differ in sign: a root
+            return None
+        for n in range(POLYA_CAP + 1):
+            if min(cs) >= 0:
+                return n
+            cs = [a + b for a, b in zip(cs + [0], [0] + cs)]
+        return None
 
     def deflate(self, root: Scalar = 1) -> tuple["Poly", int]:
         """Split off the highest power of (u - root) dividing this polynomial.
@@ -450,13 +447,13 @@ class RatU:
     def positive_off_one(self) -> bool:
         """Whether the value is > 0 at every u > 0 other than u = 1.
 
-        Proof: m is even and >= 0, scale * num(1) * den(1) > 0, and
-        neither num nor den has a root in u > 0.
+        Proof: m is even and >= 0, scale * num(1) * den(1) > 0, and a
+        Polya certificate (``Poly.polya_degree``) for each of num and den.
         """
         return (self.m >= 0 and self.m % 2 == 0
                 and self.scale * self.num(1) * self.den(1) > 0
-                and self.num.positive_roots() == 0
-                and self.den.positive_roots() == 0)
+                and self.num.polya_degree() is not None
+                and self.den.polya_degree() is not None)
 
     def value_exact(self, u: Scalar) -> Fraction:
         """Exact value at a rational u > 0 (u != 1 when m < 0)."""

@@ -168,7 +168,7 @@ def test_certify_convexity_negative_controls():
     assert set(failed) == {"D_GH", "D_NH", "D_SR"}
     for mid in ("D_GH", "D_NH"):
         assert failed[mid].counterexamples[0]["check"] == "f''>0 off x=1"
-        assert failed[mid].counterexamples[0]["positive_roots"][0] > 0
+        assert failed[mid].counterexamples[0]["polya"][0] is None
     assert failed["D_SR"].counterexamples[0]["check"] == "f''>0 off x=1"
 
 

@@ -29,6 +29,24 @@ def test_config_validation():
         audit.AuditConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         audit.AuditConfig(chains=["nosuch"])
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        audit.AuditConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("samples", 2000.9), ("workers", 2.5), ("seed", 7.7), ("samples", 500.0),
+])
+def test_config_refuses_integer_knobs_that_are_not_integers(field, value):
+    # Truncating would run 2000 pairs, 2 workers or seed 7 without a word.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        audit.AuditConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = audit.AuditConfig(samples=np.int64(500), workers=np.int32(1),
+                            seed=np.uint8(7))
+    assert (cfg.samples, cfg.workers, cfg.seed) == (500, 1, 7)
+    assert {type(v) for v in (cfg.samples, cfg.workers, cfg.seed)} == {int}
 
 
 def test_chain_selection_exact_and_prefix():

@@ -209,6 +209,19 @@ def test_audit_json_output_is_pure_json(audit_run, monkeypatch, capsys):
     assert json.loads(out) == saved
 
 
+def test_audit_integer_flags_reach_the_config(audit_run, monkeypatch,
+                                              capsys):
+    saved, seen = audit.load_report(str(audit_run[0])), []
+    monkeypatch.setattr(audit, "run_audit",
+                        lambda cfg: seen.append(cfg) or saved)
+    rc, _, _ = run(capsys, "audit", "--samples", "500", "--workers", "2",
+                   "--seed", "7")
+    assert rc == 0
+    assert (seen[0].samples, seen[0].workers, seen[0].seed) == (500, 2, 7)
+    rc, _, err = run(capsys, "audit", "--workers", "2.5")
+    assert rc == 5 and "configuration error" in err and len(seen) == 1
+
+
 def test_console_entry_point():
     import subprocess
     proc = subprocess.run(["divcascade", "list"], capture_output=True,

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divcascade import analysis, cascade, catalog
+from divcascade import analysis, cascade, catalog, ratfun
 from divcascade.ratfun import ONE, Poly, RatS, RatU, UContext, solve_exact
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -60,12 +60,27 @@ def test_poly_derivative_matches_symbolic(ca):
     assert abs(numeric - p.deriv()(u)) < Fraction(1, 10**15)
 
 
-def test_poly_positive_roots_sturm_count():
-    assert Poly([6, -5, 1]).positive_roots() == 2      # (u-2)(u-3)
-    assert Poly([2, 3, 1]).positive_roots() == 0       # (u+1)(u+2)
-    assert Poly([1, -1, 1]).positive_roots() == 0      # u^2-u+1, complex
-    assert Poly([0, 0, 6, -5, 1]).positive_roots() == 2  # u^2 stripped
-    assert Poly([4, -4, 1]).positive_roots() == 1      # double root u=2
+def test_poly_polya_degree_hand_cases():
+    assert Poly([2, 3, 1]).polya_degree() == 0          # (u+1)(u+2)
+    assert Poly([1, -1, 1]).polya_degree() == 1   # (1+u)(u^2-u+1) = 1+u^3
+    assert Poly([6, -5, 1]).polya_degree() is None      # (u-2)(u-3)
+    assert Poly([0, 0, 6, -5, 1]).polya_degree() is None  # u^2 stripped
+    assert Poly([4, -4, 1]).polya_degree() is None      # double root u=2
+    assert Poly([-2, -3, -1]).polya_degree() == 0       # one sign, negative
+    assert Poly([]).polya_degree() is None              # vanishes everywhere
+
+
+def test_polya_cap_errs_only_towards_unproved(monkeypatch):
+    # u^2 - c*u + 1 has no real root for c < 2, but the N of its
+    # certificate grows without bound as c -> 2.  Above the cap such a
+    # polynomial is reported unproved, never proved.
+    assert Poly([100, -193, 100]).polya_degree() == 55
+    for p in (Poly([100, -194, 100]), Poly([1000, -1999, 1000])):
+        assert _sympy_poly(p).count_roots() == 0
+        assert p.polya_degree() is None
+        assert not RatU(p).positive_off_one()
+    monkeypatch.setattr(ratfun, "POLYA_CAP", 65)
+    assert Poly([100, -194, 100]).polya_degree() == 65
 
 
 def test_ratu_positive_off_one():
@@ -491,28 +506,38 @@ def _sympy_positive_roots(p):
 
 
 def _rational_parts(form):
-    """The RatU forms a proof about ``form`` runs Sturm sequences on."""
+    """The RatU forms a sign proof about ``form`` certifies."""
     parts = [form] if isinstance(form, RatU) else [form.r, form.t, form._norm()]
     return [p for p in parts if not p.is_zero()]
 
 
-def test_positive_roots_match_sympy_count_roots():
+def test_polya_certifies_catalog_parts_exactly_when_root_free():
     for mid in _FORM_IDS:
         for part in _rational_parts(catalog.get(mid).fpp):
             for p in (part.num, part.den):
-                assert p.positive_roots() == _sympy_positive_roots(p), mid
+                assert ((p.polya_degree() is not None)
+                        == (_sympy_positive_roots(p) == 0)), mid
 
 
 @given(st.lists(st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3]),
                 min_size=2, max_size=9))
 @example([-2, 2, 0, 0, 2])        # 2u^4 + 2u - 2: one root, at 0.72
 @settings(max_examples=300)
-def test_positive_roots_match_sympy_on_sparse_polynomials(coeffs):
-    # Zero coefficients make remainder degrees drop by more than one, where
-    # the sign of lc^(d+1) in a pseudo-remainder decides the next member.
+def test_polya_never_certifies_a_polynomial_with_a_positive_root(coeffs):
+    # Sparse coefficients give polynomials with roots in u > 0, double
+    # roots and root-free ones alike.  A certificate never covers a root,
+    # and its N is the smallest that sympy's expansion confirms.
     p = Poly(coeffs)
-    if not p.is_zero():
-        assert p.positive_roots() == _sympy_positive_roots(p)
+    n = p.polya_degree()
+    if n is not None:
+        assert _sympy_positive_roots(p) == 0
+        assert _one_sign_after(p, n) and not (n and _one_sign_after(p, n - 1))
+
+
+def _one_sign_after(p, n):
+    """Whether sympy's (1 + u)^n * p has nonzero coefficients of one sign."""
+    cs = sympy.Poly((1 + _u) ** n * _sympy_poly(p).as_expr(), _u).coeffs()
+    return all(c > 0 for c in cs) or all(c < 0 for c in cs)
 
 
 def test_second_derivatives_match_sympy_diff():
