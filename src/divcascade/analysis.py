@@ -12,7 +12,10 @@ fixed chunks of it.  Each chunk's pairs are drawn, by advancing the
 stream straight to them, in the process that scans the chunk, with one
 ``UContext`` and one memo of generator values; the folds merge in index
 order whatever the chunk size, worker count, or whether the chunks ran
-in this process or in forked ones.
+in this process or in forked ones.  The chunk kernels write into
+chunk-sized arrays from a free list that each scanning process owns and
+hand each back once it is dead, so a pass does not give its memory to
+the system after every chunk and fault it in again for the next.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import pickle
 import threading
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
-from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -267,12 +269,19 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
 class ChunkValues:
     """Pairs of one chunk, a ``UContext`` of x = a/b and each f(x), kept
     read-only after its first evaluation.  Stateful: the task that owns
-    the chunk builds it."""
+    the chunk builds it.
+
+    A scan builds each full chunk on the buffer pool of its process
+    (``_pool``, see ``UContext``): the claims' kernels ``take`` their
+    chunk-sized arrays from it and ``give`` each back once it is dead,
+    and ``release`` hands back the memoized values at chunk end.  Other
+    chunks have no pool, and ``take`` makes a new array.
+    """
 
     __slots__ = ("a", "b", "ctx", "_memo")
 
-    def __init__(self, a, b):
-        self.a, self.b, self.ctx = a, b, UContext(a / b)
+    def __init__(self, a, b, *, _pool: list | None = None):
+        self.a, self.b, self.ctx = a, b, UContext(a / b, _pool=_pool)
         self._memo = {}
 
     def gen(self, symbol):
@@ -282,6 +291,25 @@ class ChunkValues:
             val = self._memo[symbol] = _resolve(symbol).eval_ctx(self.ctx)
             val.flags.writeable = False
         return val
+
+    def take(self) -> np.ndarray:
+        """A float array shaped like the chunk, from the pool if any."""
+        buf = self.ctx.take()
+        return np.empty(self.a.shape) if buf is None else buf
+
+    def give(self, *arrays) -> None:
+        """Hand arrays from ``take`` back to the pool once they are dead."""
+        self.ctx.give(*arrays)
+
+    def release(self) -> None:
+        """At chunk end: hand every memoized array back to the pool, and
+        forget them.  Without a pool the memos stay."""
+        if self.ctx._pool is not None:
+            for val in self._memo.values():
+                val.flags.writeable = True
+            self.give(*self._memo.values())
+            self._memo.clear()
+            self.ctx.release()
 
 
 @dataclass(frozen=True)
@@ -298,25 +326,39 @@ class Ordering:
     tol: float
 
     def _links(self, chunk: ChunkValues):
-        """Each link's relative violation over the chunk, in order."""
-        scaled = (float(c) * chunk.gen(mid) for c, mid in self.terms)
-        for (lower, abs_lower), (upper, abs_upper) in pairwise(
-                (v, np.abs(v)) for v in scaled):
-            # viol = (lower - upper) / max(|lower|, |upper|, 1e-300)
-            scale = np.maximum(abs_lower, abs_upper)
-            np.maximum(scale, 1e-300, out=scale)
-            viol = np.subtract(lower, upper)
-            np.divide(viol, scale, out=viol)
-            yield viol
+        """Each link's relative violation over the chunk, in order, in an
+        array of ``chunk.take()`` that the caller gives back."""
+        lower = abs_lower = None
+        for c, mid in self.terms:
+            upper = np.multiply(float(c), chunk.gen(mid), out=chunk.take())
+            abs_upper = np.abs(upper, out=chunk.take())
+            if lower is not None:
+                # viol = (lower - upper) / max(|lower|, |upper|, 1e-300),
+                # in the arrays of the lower term, dead after this link.
+                scale = np.maximum(abs_lower, abs_upper, out=abs_lower)
+                np.maximum(scale, 1e-300, out=scale)
+                viol = np.subtract(lower, upper, out=lower)
+                np.divide(viol, scale, out=viol)
+                chunk.give(scale)
+                yield viol
+            lower, abs_lower = upper, abs_upper
+        if lower is not None:
+            chunk.give(lower, abs_lower)
 
     def values(self, chunk: ChunkValues):
         worst = None
         for viol in self._links(chunk):
             # NaN propagates; on a tie (+0 against -0) np.maximum returns
             # its second operand, so the earlier link's value is kept.
-            worst = viol if worst is None else np.maximum(viol, worst,
-                                                          out=worst)
-        return np.full(chunk.a.shape, -np.inf) if worst is None else worst
+            if worst is None:
+                worst = viol
+            else:
+                np.maximum(viol, worst, out=worst)
+                chunk.give(viol)
+        if worst is None:       # fewer than two terms: no link to fail
+            worst = chunk.take()
+            worst.fill(-np.inf)
+        return worst
 
     def steps(self, chunk: ChunkValues, idx):
         """The link of each pair chunk[idx]: its first NaN link if it has
@@ -364,7 +406,9 @@ def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
             records[-1]["step"] = int(steps[k])
         records[-1]["violation"] = float(values[j])
     # max() is NaN if any value is, and argmax stops at the first NaN.
-    return Fold(float(values.max()), lo + int(np.argmax(values)), records)
+    fold = Fold(float(values.max()), lo + int(np.argmax(values)), records)
+    chunk.give(values)
+    return fold
 
 
 def start_scan(claims, sample: Sample, workers: int = 1
@@ -373,11 +417,14 @@ def start_scan(claims, sample: Sample, workers: int = 1
     pass; the returned ``join()`` gives the folds.
 
     A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
-    ``values(chunk)``: per pair a value, failing above tol or NaN, and
+    ``values(chunk)``: per pair a value, failing above tol or NaN, in an
+    array of ``chunk.take()`` that the pass gives back, and
     ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
     None.  Each chunk task draws its ``CHUNK`` pairs and builds one
     ``ChunkValues`` of them for all claims, so a measure several claims
-    read is evaluated once.
+    read is evaluated once.  Every full chunk a process scans shares one
+    buffer pool, so the pass does not return its arrays to the
+    allocator, and take them again, chunk after chunk.
 
     With ``workers`` > 1, started from a process with one Python thread,
     the pass is split into contiguous runs of whole chunks, each scanned
@@ -389,12 +436,16 @@ def start_scan(claims, sample: Sample, workers: int = 1
     not change them.
     """
     claims = list(claims)
+    size, pool = CHUNK, []      # a forked child scans on its own copy
 
     def task(lo):
-        chunk = ChunkValues(*sample.pairs(lo, lo + CHUNK))
-        return [_chunk_fold(claim, chunk, lo) for claim in claims]
+        a, b = sample.pairs(lo, lo + size)
+        chunk = ChunkValues(a, b, _pool=pool if a.size == size else None)
+        folds = [_chunk_fold(claim, chunk, lo) for claim in claims]
+        chunk.release()
+        return folds
 
-    starts = range(0, sample.size if claims else 0, CHUNK)
+    starts = range(0, sample.size if claims else 0, size)
     # fork() copies only the calling thread: with another Python thread
     # alive, a lock it holds would stay held in the child.  Native threads
     # (a BLAS pool, a host's C extension) are not counted here.

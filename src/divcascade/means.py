@@ -138,21 +138,34 @@ class Equality:
         return (*self.lhs, *self.rhs)
 
     def values(self, chunk: ChunkValues):
-        scale = np.full(chunk.a.shape, 1e-300)
+        # Each term, sum and scale is an array of chunk.take(), given
+        # back once it is dead.
+        scale, magnitude = chunk.take(), chunk.take()
+        scale.fill(1e-300)
         sums = []
         for terms in (self.lhs, self.rhs):
             total = None
             for c, symbol in terms:
+                t = chunk.take()
                 if symbol in MEAN_TAGS:
-                    t = mean(symbol, chunk.a, chunk.b)
+                    np.multiply(float(c), mean(symbol, chunk.a, chunk.b),
+                                out=t)
                 else:
-                    t = chunk.b * chunk.gen(symbol)
-                t = float(c) * t
-                np.maximum(scale, np.abs(t), out=scale)
-                total = t if total is None else total + t
-            np.maximum(scale, np.abs(total), out=scale)
+                    np.multiply(chunk.b, chunk.gen(symbol), out=t)
+                    np.multiply(float(c), t, out=t)
+                np.maximum(scale, np.abs(t, out=magnitude), out=scale)
+                if total is None:
+                    total = t
+                else:
+                    np.add(total, t, out=total)
+                    chunk.give(t)
+            np.maximum(scale, np.abs(total, out=magnitude), out=scale)
             sums.append(total)
-        return np.abs(sums[0] - sums[1]) / scale
+        gap = np.subtract(sums[0], sums[1], out=sums[0])
+        np.abs(gap, out=gap)
+        np.divide(gap, scale, out=gap)
+        chunk.give(sums[1], scale, magnitude)
+        return gap
 
     def steps(self, chunk: ChunkValues, idx):
         return None     # one link: the equality itself

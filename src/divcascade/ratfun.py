@@ -30,7 +30,10 @@ value comes from +, -, *, / and sqrt alone, which IEEE 754 rounds the
 same way for a float and for any SIMD width of an array: a scalar has
 the bits it has inside any array, on every CPU.  A scalar x is evaluated
 in Python floats and never loads numpy; numpy is imported only in the
-branches an array takes, by which time it is loaded.
+branches an array takes, by which time it is loaded.  An array is
+worked on in arrays the context lends (``UContext.take``), so a
+sampled pass reuses them from chunk to chunk; the same ufuncs run on
+the same operands either way, so the bits do not depend on it.
 
 ``eval_decimal`` evaluates a form in the standard library's ``decimal``
 at a chosen precision, for the 40-digit differences that spot-check
@@ -198,38 +201,53 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _horner(coeffs: Sequence[float], u):
+def _horner(coeffs: Sequence[float], u, out=None):
     """Horner's rule over float coefficients at a float or an array.
 
-    An array's sum is a new array, worked on in place.  The sum starts
-    from the leading coefficient, which has the bits of starting from
-    zero wherever u is finite; no coefficients is the zero polynomial.
+    An array's sum is worked on in place, in ``out`` if given, else in a
+    new array.  The sum starts from the leading coefficient, which has
+    the bits of starting from zero wherever u is finite; no coefficients
+    is the zero polynomial.
     """
-    acc = _full(u, coeffs[-1] if coeffs else 0.0)
+    acc = _full(u, coeffs[-1] if coeffs else 0.0, out)
     for c in reversed(coeffs[:-1]):
         acc *= u
         acc += c
     return acc
 
 
-def _full(like, value: float):
-    """value itself for a float, or a new array of it shaped like an array."""
+def _full(like, value: float, out=None):
+    """value itself for a float; for an array, ``out`` filled with value,
+    or a new array of it shaped like the array."""
     if isinstance(like, float):
         return value
+    if out is not None:
+        out.fill(value)
+        return out
     import numpy as np      # loaded already: like is one of its arrays
     return np.full_like(like, value)
 
 
-def _sqrt(v):
-    """math.sqrt for a float (NaN below zero, as numpy); np.sqrt else."""
+def _sqrt(v, out=None):
+    """math.sqrt for a float (NaN below zero, as numpy); np.sqrt else,
+    into ``out`` if given."""
     if isinstance(v, float):
         return sqrt(v) if v >= 0.0 else nan
     import numpy as np
-    return np.sqrt(v)
+    return np.sqrt(v, out=out)
+
+
+def _mul(a, b, out=None):
+    """a * b; for an array a, numpy's product, into ``out`` if given."""
+    if out is None or isinstance(a, float):
+        return a * b
+    import numpy as np
+    return np.multiply(a, b, out=out)
 
 
 def _div(a, b):
-    """a / b; for a float zero b, the IEEE quotient where / would raise.
+    """a / b, in place if a is an array; for a float zero b, the IEEE
+    quotient where / would raise.
 
     An array quotient is numpy's, which warns where b is zero.
     """
@@ -237,21 +255,23 @@ def _div(a, b):
         if a != a or a == 0.0:
             return nan
         return copysign(inf, a) * copysign(1.0, b)
-    return a / b
+    a /= b
+    return a
 
 
-def _power(v, m: int):
+def _power(v, m: int, out=None):
     """v ** m for m != 0, by left-to-right binary powering.
 
-    Only products: v is copied once and then squared and multiplied in
-    place, bit by bit of |m| after the leading one, so an array power
-    holds one array.  Each product is correctly rounded, so for m > 0 the
-    relative error is at most gamma_(m-1) = (m-1)u / (1 - (m-1)u) with
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    Sec 3.1): about 1.5e-14 at m = 132.  A negative m takes the
-    reciprocal of v ** |m|, one rounding more.
+    Only products: v is copied once, into ``out`` if given, and then
+    squared and multiplied in place, bit by bit of |m| after the leading
+    one, so an array power holds one array.  Each product is correctly
+    rounded, so for m > 0 the relative error is at most gamma_(m-1) =
+    (m-1)u / (1 - (m-1)u) with u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, Sec 3.1): about 1.5e-14 at m = 132.  A
+    negative m takes the reciprocal of v ** |m| in place, one rounding
+    more.
     """
-    p = v * 1.0
+    p = _mul(v, 1.0, out)
     for bit in bin(abs(m))[3:]:
         p *= p
         if bit == "1":
@@ -262,7 +282,7 @@ def _power(v, m: int):
         return _div(1.0, p)
     import numpy as np
     with np.errstate(divide="ignore"):      # um1 = 0 at x = 1: a pole
-        return 1.0 / p
+        return np.divide(1.0, p, out=p)
 
 
 def _primitive(p: Poly) -> Poly:
@@ -298,18 +318,47 @@ class UContext:
     so generators with the same m pay for the power once.  A scalar x
     (a number, a numpy scalar or a 0-d array) is held as a Python float,
     and so is every value computed from it; an array of x stays the
-    array it was.  A sampled pass builds one context per chunk of the
-    run's sample.  The memo makes a context stateful: build one per
+    array it was.  The memo makes a context stateful: build one per
     point set, and share it with no other thread.
+
+    A sampled pass builds one context per full chunk of the run's sample
+    on ``_pool``, the free list of chunk-sized float arrays its scan
+    process owns.  ``take`` lends an array from it, which the evaluators
+    fill with numpy's ``out=``, and ``give`` hands arrays back as soon as
+    they are dead, so a chunk reuses the memory of the one before it
+    instead of asking the allocator again.  Without a pool ``take`` gives
+    None, and the evaluators make new arrays (or floats) as they go.
     """
 
-    __slots__ = ("x", "u", "um1", "_powers")
+    __slots__ = ("x", "u", "um1", "_powers", "_pool")
 
-    def __init__(self, x):
+    def __init__(self, x, *, _pool: list | None = None):
         self.x = x if getattr(x, "ndim", 0) else float(x)
+        self._pool = _pool
         self.u = _sqrt(self.x)
         self.um1 = (self.x - 1.0) / (self.u + 1.0)
         self._powers: dict[int, object] = {}
+
+    def take(self):
+        """An array shaped like x from the pool, or None without one."""
+        pool = self._pool
+        if pool is None:
+            return None
+        if pool:
+            return pool.pop()
+        import numpy as np
+        return np.empty(self.x.shape)
+
+    def give(self, *arrays) -> None:
+        """Hand arrays from ``take`` back to the pool once they are dead."""
+        if self._pool is not None:
+            self._pool.extend(arrays)
+
+    def release(self) -> None:
+        """Hand the memoized powers back to the pool, and forget them."""
+        if self._pool is not None:
+            self.give(*self._powers.values())
+            self._powers.clear()
 
     def um1_pow(self, m: int):
         """um1 ** m (m != 0), computed on first request and then reused.
@@ -320,7 +369,7 @@ class UContext:
         """
         p = self._powers.get(m)
         if p is None:
-            p = self._powers[m] = _power(self.um1, m)
+            p = self._powers[m] = _power(self.um1, m, self.take())
         return p
 
 
@@ -476,13 +525,18 @@ class RatU:
         return self.scale * Fraction(self.num(1), self.den(1))
 
     def eval_ctx(self, ctx: UContext):
-        """Float value at the points of a shared ``UContext``."""
+        """Float value at the points of a shared ``UContext``; on a
+        context with a pool, an array it lent, which the caller gives
+        back."""
         if self._floats is None:
             p, q = self.scale.numerator, self.scale.denominator
             self._floats = ([c * p / q for c in self.num.coeffs],
                             [float(c) for c in self.den.coeffs])
         fn, fd = self._floats
-        val = _div(_horner(fn, ctx.u), _horner(fd, ctx.u))
+        num = _horner(fn, ctx.u, ctx.take())
+        den = _horner(fd, ctx.u, ctx.take())
+        val = _div(num, den)
+        ctx.give(den)
         if self.m:
             val *= ctx.um1_pow(self.m)
         return val
@@ -610,16 +664,32 @@ class RatS:
         return q, None if one else t, None if r.is_zero() else r
 
     def eval_ctx(self, ctx: UContext):
-        """Float value at the points of a shared ``UContext``."""
+        """Float value at the points of a shared ``UContext``, lent as
+        ``RatU.eval_ctx``'s is."""
         if self._plan is None:
             self._plan = self._float_plan()
         q, t, r = self._plan
-        val = _sqrt((ctx.x * ctx.x + 1.0) / 2.0)
+        val = ctx.take()
+        if val is None:     # x may be a float, or an array of ints
+            val = _sqrt((ctx.x * ctx.x + 1.0) / 2.0)
+        else:
+            val = _mul(ctx.x, ctx.x, val)
+            val += 1.0
+            val /= 2.0
+            val = _sqrt(val, val)
         if t is not None:
-            val = t.eval_ctx(ctx) * val
+            tv = t.eval_ctx(ctx)
+            val = _mul(tv, val, val)
+            ctx.give(tv)
         if r is not None:
-            val = val + r.eval_ctx(ctx)
-        return val if q is None else _div(q.eval_ctx(ctx), val)
+            rv = r.eval_ctx(ctx)
+            val += rv
+            ctx.give(rv)
+        if q is None:
+            return val
+        quo = _div(q.eval_ctx(ctx), val)
+        ctx.give(val)
+        return quo
 
     __call__ = RatU.__call__
 

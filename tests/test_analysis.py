@@ -3,10 +3,13 @@
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divcascade import analysis, audit, cascade, catalog, means
 from divcascade.ratfun import RatS
@@ -410,3 +413,82 @@ def test_record_links_follow_the_reference(terms, sample, tol, steps):
     assert repr(got) == repr(ref)
     assert len(got[1]) == min(10, sample.size)
     assert {rec["step"] for rec in got[1]} == steps
+
+
+# -- the scan's buffer pool --------------------------------------------------
+
+def _audit_claims(tol):
+    """The audit's sampled claims: its 26 chains and 165 equalities."""
+    chains = [analysis.Ordering(cascade.get_chain(cid).terms, tol)
+              for cid in cascade.chains()]
+    idents = audit._identities(tol) + audit._combinations(tol)
+    return chains + [means.Equality(lhs, rhs, tol)
+                     for ident in idents for lhs, rhs in ident.claims]
+
+
+def _unpooled_folds(claims, sample, chunk):
+    """Each claim folded alone, over fresh chunks that have no pool."""
+    folds = []
+    for claim in claims:
+        fold = analysis.Fold()
+        for lo in range(0, sample.size, chunk):
+            fresh = analysis.ChunkValues(*sample.pairs(lo, lo + chunk))
+            fold.absorb(analysis._chunk_fold(claim, fresh, lo))
+        folds.append(fold)
+    return folds
+
+
+@given(st.integers(1, 4), st.integers(0, 127), st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
+    # Full chunks share one pool per scan process; a partial last chunk
+    # has none.  tol = -1 records every pair's value in passing claims.
+    chunk = 128
+    claims = _audit_claims(-1.0)
+    assert len(claims) == 26 + 165
+    sample = analysis.Sample.draw(full * chunk + rest, seed)
+    with mock.patch.object(analysis, "CHUNK", chunk):
+        ref = _unpooled_folds(claims, sample, chunk)
+        for workers in (1, 2):
+            got = analysis.scan_claims(claims, sample, workers)
+            for claim, fold, want in zip(claims, got, ref):
+                # repr tells -0.0 from 0.0, and nan equals itself.
+                assert repr(fold) == repr(want), (workers, claim)
+
+
+def test_pooled_memo_values_are_not_clobbered():
+    sample = analysis.Sample.draw(1000, seed=2)
+    pool = []
+    chunk = analysis.ChunkValues(*sample.pairs(), _pool=pool)
+    first, *others = _audit_claims(1e-12)
+    chunk.give(first.values(chunk))
+    kept = {mid: chunk.gen(mid).tobytes() for _, mid in first.terms}
+    fresh = analysis.ChunkValues(*sample.pairs())
+    assert kept == {mid: fresh.gen(mid).tobytes() for mid in kept}
+    for claim in others:        # each takes the arrays the last gave back
+        chunk.give(claim.values(chunk))
+    assert pool
+    for mid, bits in kept.items():
+        assert chunk.gen(mid).tobytes() == bits, mid
+        assert not chunk.gen(mid).flags.writeable, mid
+    chunk.release()
+    assert not chunk._memo and not chunk.ctx._powers
+    # Every array came back once, ready to be written again.
+    assert len({id(buf) for buf in pool}) == len(pool)
+    assert all(buf.shape == (1000,) and buf.flags.writeable for buf in pool)
+
+
+def test_a_serial_scan_takes_few_page_faults_per_chunk():
+    resource = pytest.importorskip("resource")
+    claims = [analysis.Ordering(cascade.get_chain(cid).terms, 1e-12)
+              for cid in cascade.chains()]
+
+    def faults(chunks, seed):
+        sample = analysis.Sample.draw(chunks * analysis.CHUNK, seed)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        analysis.scan_claims(claims, sample)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(1, 0)                # builds the float coefficients and plans
+    first = faults(1, 1)        # a scan's first chunk fills its pool
+    assert (faults(41, 2) - first) / 40 < 20
