@@ -9,13 +9,16 @@ that ``cascade`` proves.  Everything here is deterministic given the
 seed: a run makes one ``Sample``, n pairs and the seed of their PCG64
 stream, and ``start_scan`` evaluates all its claims in one pass over
 fixed chunks of it.  Each chunk's pairs are drawn, by advancing the
-stream straight to them, in the process that scans the chunk, with one
-``UContext`` and one memo of generator values; the folds merge in index
-order whatever the chunk size, worker count, or whether the chunks ran
-in this process or in forked ones.  The chunk kernels write into
-chunk-sized arrays from a free list that each scanning process owns and
-hand each back once it is dead, so a pass does not give its memory to
-the system after every chunk and fault it in again for the next.
+stream straight to them, in the process that scans the chunk, as one
+``ChunkValues``, the chunk's ``UContext`` with a memo of generator
+values; the folds merge in index order whatever the chunk size, worker
+count, or whether the chunks ran in this process or in forked ones.
+One lending rule holds: every array context lends, and only a scalar
+one computes in floats.  The chunk kernels write into arrays their
+chunk lends and hand each back once it is dead; every full chunk a
+process scans lends from that process's one free list, so a pass does
+not give its memory to the system after every chunk and fault it in
+again for the next.
 """
 
 from __future__ import annotations
@@ -266,50 +269,40 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
     return float(vals[i]), float(grid[i]), float(limit)
 
 
-class ChunkValues:
-    """Pairs of one chunk, a ``UContext`` of x = a/b and each f(x), kept
-    read-only after its first evaluation.  Stateful: the task that owns
-    the chunk builds it.
+class ChunkValues(UContext):
+    """Pairs of one chunk as the ``UContext`` of their ratios x = a/b,
+    with each f(x) kept read-only after its first evaluation.
+    Stateful: the task that owns the chunk builds it.
 
-    A scan builds each full chunk on the buffer pool of its process
-    (``_pool``, see ``UContext``): the claims' kernels ``take`` their
-    chunk-sized arrays from it and ``give`` each back once it is dead,
-    and ``release`` hands back the memoized values at chunk end.  Other
-    chunks have no pool, and ``take`` makes a new array.
+    The claims' kernels ``take`` chunk-sized arrays from the chunk and
+    ``give`` each back once it is dead; ``release`` hands back the
+    memoized values and powers at chunk end.  A scan builds each full
+    chunk on the one pool of its process (``_pool``); any other chunk
+    lends from a list of its own.
     """
 
-    __slots__ = ("a", "b", "ctx", "_memo")
+    __slots__ = ("a", "b", "_memo")
 
     def __init__(self, a, b, *, _pool: list | None = None):
-        self.a, self.b, self.ctx = a, b, UContext(a / b, _pool=_pool)
-        self._memo = {}
+        super().__init__(a / b, _pool=_pool)
+        self.a, self.b, self._memo = a, b, {}
 
     def gen(self, symbol):
         """f(x) of a catalog id or ``Measure`` at the chunk's ratios."""
         val = self._memo.get(symbol)
         if val is None:
-            val = self._memo[symbol] = _resolve(symbol).eval_ctx(self.ctx)
+            val = self._memo[symbol] = _resolve(symbol).eval_ctx(self)
             val.flags.writeable = False
         return val
 
-    def take(self) -> np.ndarray:
-        """A float array shaped like the chunk, from the pool if any."""
-        buf = self.ctx.take()
-        return np.empty(self.a.shape) if buf is None else buf
-
-    def give(self, *arrays) -> None:
-        """Hand arrays from ``take`` back to the pool once they are dead."""
-        self.ctx.give(*arrays)
-
     def release(self) -> None:
         """At chunk end: hand every memoized array back to the pool, and
-        forget them.  Without a pool the memos stay."""
-        if self.ctx._pool is not None:
-            for val in self._memo.values():
-                val.flags.writeable = True
-            self.give(*self._memo.values())
-            self._memo.clear()
-            self.ctx.release()
+        forget them."""
+        for val in self._memo.values():
+            val.flags.writeable = True
+        self.give(*self._memo.values())
+        self._memo.clear()
+        super().release()
 
 
 @dataclass(frozen=True)

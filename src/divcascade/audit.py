@@ -36,12 +36,14 @@ __all__ = [
 class AuditConfig:
     """Knobs for one audit run.
 
-    ``workers`` (None: the usable CPU count) is the number of forked
-    processes that scan the sampled pass while the exact proofs run;
-    1 runs everything in this process, one step after another.
+    ``chains`` is "all" (or None), or chain ids and prefixes in a
+    comma-separated string or a list of them.  ``workers`` (None: the
+    usable CPU count) is the number of forked processes that scan the
+    sampled pass while the exact proofs run; 1 runs everything in this
+    process, one step after another.
     """
 
-    chains: object = "all"          # "all" or a list of chain ids/prefixes
+    chains: object = "all"
     samples: int = 100000
     seed: int = 42
     tolerance: float = 1e-12
@@ -70,11 +72,25 @@ def _usable_cpus() -> int:
 
 
 def _select_chains(selector) -> tuple[str, ...]:
+    """The chain ids a selection names, in the order first named.
+
+    A selection is None, a string, or a sequence of strings, each holding
+    chain ids or prefixes, comma separated.  None or "all" selects every
+    chain; one that names nothing, or a token matching no chain, raises
+    ``ValueError``.
+    """
     known = cascade.chains()
-    if selector == "all" or selector is None:
+    if selector is None:
         return known
+    tokens = [token for text in ([selector] if isinstance(selector, str)
+                                 else selector)
+              for token in text.split(",") if token]
+    if tokens == ["all"]:
+        return known
+    if not tokens:
+        raise ValueError(f"no chain selected by {selector!r}")
     chosen: list[str] = []
-    for token in selector:
+    for token in tokens:
         hits = [c for c in known if c == token or c.startswith(token)]
         if not hits:
             raise ValueError(f"no chain matches {token!r}; known: {known}")

@@ -107,15 +107,8 @@ def cmd_audit(args) -> int:
     from . import audit, reporting
     try:
         seed = int(args.seed) if args.seed is not None else _default_seed()
-        chains = "all"
-        if args.chains:
-            tokens = []
-            for blob in args.chains:
-                tokens.extend(t for t in blob.split(",") if t)
-            if tokens != ["all"]:
-                chains = tokens
         config = audit.AuditConfig(
-            chains=chains,
+            chains=args.chains,
             samples=int(args.samples) if args.samples is not None else 100000,
             seed=seed,
             tolerance=(float(args.tolerance)

@@ -30,10 +30,13 @@ value comes from +, -, *, / and sqrt alone, which IEEE 754 rounds the
 same way for a float and for any SIMD width of an array: a scalar has
 the bits it has inside any array, on every CPU.  A scalar x is evaluated
 in Python floats and never loads numpy; numpy is imported only in the
-branches an array takes, by which time it is loaded.  An array is
-worked on in arrays the context lends (``UContext.take``), so a
+branches an array takes, by which time it is loaded.  One lending rule
+holds: every array context lends, and only a scalar one computes in
+floats.  An array is worked on in arrays its context lends
+(``UContext.take``) and hands back (``give``) once they are dead, so a
 sampled pass reuses them from chunk to chunk; the same ufuncs run on
-the same operands either way, so the bits do not depend on it.
+the same operands wherever the arrays come from, so the bits do not
+depend on it.
 
 ``eval_decimal`` evaluates a form in the standard library's ``decimal``
 at a chosen precision, for the 40-digit differences that spot-check
@@ -146,13 +149,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def eval_float(self, u):
-        """Horner evaluation at a float or numpy array."""
-        coeffs = [float(c) for c in self.coeffs]
-        if not getattr(u, "ndim", 0):
-            return _horner(coeffs, float(u))
-        return _horner(coeffs, u.astype(float, copy=False))
-
     def polya_degree(self) -> int | None:
         """Smallest N <= POLYA_CAP proving no root in u > 0, else None.
 
@@ -201,13 +197,13 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _horner(coeffs: Sequence[float], u, out=None):
+def _horner(coeffs: Sequence[float], u, out):
     """Horner's rule over float coefficients at a float or an array.
 
-    An array's sum is worked on in place, in ``out`` if given, else in a
-    new array.  The sum starts from the leading coefficient, which has
-    the bits of starting from zero wherever u is finite; no coefficients
-    is the zero polynomial.
+    An array's sum is worked on in place in ``out``, an array its
+    context lent; a float's in floats (``out`` is None).  The sum starts
+    from the leading coefficient, which has the bits of starting from
+    zero wherever u is finite; no coefficients is the zero polynomial.
     """
     acc = _full(u, coeffs[-1] if coeffs else 0.0, out)
     for c in reversed(coeffs[:-1]):
@@ -216,16 +212,13 @@ def _horner(coeffs: Sequence[float], u, out=None):
     return acc
 
 
-def _full(like, value: float, out=None):
-    """value itself for a float; for an array, ``out`` filled with value,
-    or a new array of it shaped like the array."""
+def _full(like, value: float, out):
+    """value itself for a float; for an array, ``out``, an array its
+    context lent, filled with value."""
     if isinstance(like, float):
         return value
-    if out is not None:
-        out.fill(value)
-        return out
-    import numpy as np      # loaded already: like is one of its arrays
-    return np.full_like(like, value)
+    out.fill(value)
+    return out
 
 
 def _sqrt(v, out=None):
@@ -237,9 +230,9 @@ def _sqrt(v, out=None):
     return np.sqrt(v, out=out)
 
 
-def _mul(a, b, out=None):
-    """a * b; for an array a, numpy's product, into ``out`` if given."""
-    if out is None or isinstance(a, float):
+def _mul(a, b, out):
+    """a * b for a float a; for an array, numpy's product into ``out``."""
+    if isinstance(a, float):
         return a * b
     import numpy as np
     return np.multiply(a, b, out=out)
@@ -259,10 +252,10 @@ def _div(a, b):
     return a
 
 
-def _power(v, m: int, out=None):
+def _power(v, m: int, out):
     """v ** m for m != 0, by left-to-right binary powering.
 
-    Only products: v is copied once, into ``out`` if given, and then
+    Only products: an array v is copied once, into ``out``, and then
     squared and multiplied in place, bit by bit of |m| after the leading
     one, so an array power holds one array.  Each product is correctly
     rounded, so for m > 0 the relative error is at most gamma_(m-1) =
@@ -321,26 +314,29 @@ class UContext:
     array it was.  The memo makes a context stateful: build one per
     point set, and share it with no other thread.
 
-    A sampled pass builds one context per full chunk of the run's sample
-    on ``_pool``, the free list of chunk-sized float arrays its scan
-    process owns.  ``take`` lends an array from it, which the evaluators
-    fill with numpy's ``out=``, and ``give`` hands arrays back as soon as
-    they are dead, so a chunk reuses the memory of the one before it
-    instead of asking the allocator again.  Without a pool ``take`` gives
-    None, and the evaluators make new arrays (or floats) as they go.
+    One lending rule: every array context lends, and only a scalar one
+    computes in floats (``take`` gives None).  ``take`` lends a float
+    array shaped like x from ``_pool``, the free list the context is
+    given (so a sampled pass reuses memory from chunk to chunk) or else
+    one of its own; the evaluators fill it with numpy's ``out=``.
+    ``give`` hands arrays back as soon as they are dead, and ``release``
+    hands back the memoized powers.
     """
 
     __slots__ = ("x", "u", "um1", "_powers", "_pool")
 
     def __init__(self, x, *, _pool: list | None = None):
-        self.x = x if getattr(x, "ndim", 0) else float(x)
-        self._pool = _pool
+        if getattr(x, "ndim", 0):
+            self.x, self._pool = x, [] if _pool is None else _pool
+        else:
+            self.x, self._pool = float(x), None
         self.u = _sqrt(self.x)
         self.um1 = (self.x - 1.0) / (self.u + 1.0)
         self._powers: dict[int, object] = {}
 
     def take(self):
-        """An array shaped like x from the pool, or None without one."""
+        """A float array shaped like x, lent from the pool; None for a
+        scalar context."""
         pool = self._pool
         if pool is None:
             return None
@@ -356,9 +352,8 @@ class UContext:
 
     def release(self) -> None:
         """Hand the memoized powers back to the pool, and forget them."""
-        if self._pool is not None:
-            self.give(*self._powers.values())
-            self._powers.clear()
+        self.give(*self._powers.values())
+        self._powers.clear()
 
     def um1_pow(self, m: int):
         """um1 ** m (m != 0), computed on first request and then reused.
@@ -525,9 +520,9 @@ class RatU:
         return self.scale * Fraction(self.num(1), self.den(1))
 
     def eval_ctx(self, ctx: UContext):
-        """Float value at the points of a shared ``UContext``; on a
-        context with a pool, an array it lent, which the caller gives
-        back."""
+        """Float value at the points of a shared ``UContext``: a float
+        on a scalar context, else an array it lent, which the caller
+        gives back."""
         if self._floats is None:
             p, q = self.scale.numerator, self.scale.denominator
             self._floats = ([c * p / q for c in self.num.coeffs],
@@ -669,14 +664,10 @@ class RatS:
         if self._plan is None:
             self._plan = self._float_plan()
         q, t, r = self._plan
-        val = ctx.take()
-        if val is None:     # x may be a float, or an array of ints
-            val = _sqrt((ctx.x * ctx.x + 1.0) / 2.0)
-        else:
-            val = _mul(ctx.x, ctx.x, val)
-            val += 1.0
-            val /= 2.0
-            val = _sqrt(val, val)
+        val = _mul(ctx.x, ctx.x, ctx.take())
+        val += 1.0
+        val /= 2.0
+        val = _sqrt(val, val)
         if t is not None:
             tv = t.eval_ctx(ctx)
             val = _mul(tv, val, val)

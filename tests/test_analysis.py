@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from divcascade import analysis, audit, cascade, catalog, means
 from divcascade.ratfun import RatS
+from test_audit import _per_call_gap
 
 
 def test_sample_pairs_policy():
@@ -427,7 +428,8 @@ def _audit_claims(tol):
 
 
 def _unpooled_folds(claims, sample, chunk):
-    """Each claim folded alone, over fresh chunks that have no pool."""
+    """Each claim folded alone, over fresh chunks that each lend from a
+    pool of their own."""
     folds = []
     for claim in claims:
         fold = analysis.Fold()
@@ -442,7 +444,8 @@ def _unpooled_folds(claims, sample, chunk):
 @settings(max_examples=8, deadline=None)
 def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
     # Full chunks share one pool per scan process; a partial last chunk
-    # has none.  tol = -1 records every pair's value in passing claims.
+    # lends from its own.  tol = -1 records every pair's value in passing
+    # claims.
     chunk = 128
     claims = _audit_claims(-1.0)
     assert len(claims) == 26 + 165
@@ -454,6 +457,35 @@ def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
             for claim, fold, want in zip(claims, got, ref):
                 # repr tells -0.0 from 0.0, and nan equals itself.
                 assert repr(fold) == repr(want), (workers, claim)
+
+
+def _lending_free_fold(claim, a, b):
+    """(worst, records) of a claim over all pairs, from evaluation that
+    lends no array across kernels: ``_reference_scan`` for an
+    ``Ordering``, each symbol by its own call for an ``Equality``."""
+    if isinstance(claim, analysis.Ordering):
+        return _reference_scan(claim.terms, a, b, claim.tol)
+    gap = _per_call_gap(claim.lhs, claim.rhs, a, b)
+    return float(gap.max()), [
+        {"index": int(j), "a": float(a[j]), "b": float(b[j]),
+         "violation": float(gap[j])}
+        for j in np.nonzero(~(gap <= claim.tol))[0][:10]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_scan_is_bitwise_a_lending_free_reference(workers):
+    # All the audit's claims lend from one pool per scan process, over
+    # three full chunks and a partial one.  tol = -1 records every
+    # pair's value in passing claims.
+    chunk = 128
+    claims = _audit_claims(-1.0)
+    sample = analysis.Sample.draw(3 * chunk + 50, seed=23)
+    ref = [_lending_free_fold(claim, *sample.pairs()) for claim in claims]
+    with mock.patch.object(analysis, "CHUNK", chunk):
+        got = analysis.scan_claims(claims, sample, workers)
+    for claim, fold, want in zip(claims, got, ref):
+        # repr tells -0.0 from 0.0, and nan equals itself.
+        assert repr((fold.worst, fold.records)) == repr(want), claim
 
 
 def test_pooled_memo_values_are_not_clobbered():
@@ -472,7 +504,7 @@ def test_pooled_memo_values_are_not_clobbered():
         assert chunk.gen(mid).tobytes() == bits, mid
         assert not chunk.gen(mid).flags.writeable, mid
     chunk.release()
-    assert not chunk._memo and not chunk.ctx._powers
+    assert not chunk._memo and not chunk._powers
     # Every array came back once, ready to be written again.
     assert len({id(buf) for buf in pool}) == len(pool)
     assert all(buf.shape == (1000,) and buf.flags.writeable for buf in pool)

@@ -58,6 +58,26 @@ def test_chain_selection_exact_and_prefix():
     assert len(cfg.chain_ids) == 26
 
 
+@pytest.mark.parametrize("chains, ids", [
+    ("means", ("means",)),
+    ("means,eq7", ("means", "eq7")),
+    (["means,eq7", "eq12", "means"], ("means", "eq7", "eq12_main",
+                                      "eq12_branch")),
+    (None, cascade.chains()),
+    (["all"], cascade.chains()),
+    (["", "all,"], cascade.chains()),
+])
+def test_chain_selection_splits_each_string_at_commas(chains, ids):
+    # A string is one selection, not a sequence of one-letter prefixes.
+    assert audit.AuditConfig(chains=chains).chain_ids == ids
+
+
+@pytest.mark.parametrize("chains", [[], (), "", ",", [","], ["", ",,"]])
+def test_an_empty_chain_selection_is_refused(chains):
+    with pytest.raises(ValueError, match="no chain selected"):
+        audit.AuditConfig(chains=chains)
+
+
 def test_small_run_passes_and_reports(report):
     assert audit.report_passed(report)
     header = report["header"]
@@ -230,12 +250,16 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
         got = means.claim_gap(lhs, rhs, sample)
         ref = _per_call_gap(lhs, rhs, *sample.pairs())
         assert got.tobytes() == ref.tobytes(), (lhs, rhs)
-    built = []
+    built, powers = [], []
 
     class Kept(analysis.ChunkValues):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             built.append(self)
+
+        def release(self):
+            powers.append(sorted(self._powers))
+            super().release()
 
     monkeypatch.setattr(analysis, "ChunkValues", Kept)
     folds = analysis.scan_claims(
@@ -245,7 +269,7 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
         assert fold.worst == gap.max() and fold.index == np.argmax(gap)
     # One chunk context served all 165 claims: six distinct powers (u - 1)^m.
     assert len(built) == 1
-    assert sorted(built[0].ctx._powers) == [2, 4, 6, 8, 10, 12]
+    assert powers == [[2, 4, 6, 8, 10, 12]]
 
 
 def _sampled_checks(report):

@@ -154,6 +154,8 @@ def test_audit_config_errors_exit_5(capsys):
     assert rc == 5
     rc, _, err = run(capsys, "audit", "--chains", "nosuch")
     assert rc == 5 and "no chain matches" in err
+    rc, out, err = run(capsys, "audit", "--chains", ",")
+    assert rc == 5 and "no chain selected" in err and out == ""
     rc, _, err = run(capsys, "audit", "--tolerance", "-1")
     assert rc == 5
 
@@ -220,6 +222,20 @@ def test_audit_integer_flags_reach_the_config(audit_run, monkeypatch,
     assert (seen[0].samples, seen[0].workers, seen[0].seed) == (500, 2, 7)
     rc, _, err = run(capsys, "audit", "--workers", "2.5")
     assert rc == 5 and "configuration error" in err and len(seen) == 1
+
+
+def test_audit_chains_values_reach_the_config(audit_run, monkeypatch,
+                                              capsys):
+    saved, seen = audit.load_report(str(audit_run[0])), []
+    monkeypatch.setattr(audit, "run_audit",
+                        lambda cfg: seen.append(cfg) or saved)
+    assert run(capsys, "audit", "--chains", "means,eq7",
+               "--chains", "eq12")[0] == 0
+    assert run(capsys, "audit", "--chains", "all")[0] == 0
+    assert run(capsys, "audit")[0] == 0
+    assert seen[0].chains == ["means,eq7", "eq12"]
+    assert seen[0].chain_ids == ("means", "eq7", "eq12_main", "eq12_branch")
+    assert seen[1].chain_ids == seen[2].chain_ids == audit.cascade.chains()
 
 
 def test_console_entry_point():

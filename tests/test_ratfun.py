@@ -31,7 +31,6 @@ def test_poly_exact_evaluation():
     p = Poly([1, -2, 1])  # (u - 1)^2 ascending
     assert p(Fraction(3)) == Fraction(4)
     assert p(Fraction(1, 2)) == Fraction(1, 4)
-    assert p.eval_float(3.0) == pytest.approx(4.0)
 
 
 def test_poly_deflate_at_one():
