@@ -14,11 +14,13 @@ stream straight to them, in the process that scans the chunk, as one
 values; the folds merge in index order whatever the chunk size, worker
 count, or whether the chunks ran in this process or in forked ones.
 One lending rule holds: every array context lends, and only a scalar
-one computes in floats.  The chunk kernels write into arrays their
-chunk lends and hand each back once it is dead; every full chunk a
-process scans lends from that process's one free list, so a pass does
-not give its memory to the system after every chunk and fault it in
-again for the next.
+one computes in floats.  Every array a full chunk uses is lent from
+its process's one free list: the drawn pairs, x, u and um1, each
+memoized f(x) and the kernels' temporaries.  Each is handed back once
+it is dead, a memoized f(x) right after the last claim that reads it,
+so a pass neither gives its memory to the system after every chunk and
+faults it in again for the next, nor holds every measure's values at
+once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "scan_claims", "scan_chain_terms", "CHUNK",
 ]
 
-CHUNK = 8192            # pairs per chunk of a sampled pass
+CHUNK = 16384           # pairs per chunk of a sampled pass
 
 # Spot check of an exact f'' against a 40-digit central difference.
 FD_REL_TOL = 1e-6
@@ -71,8 +73,9 @@ def sample_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return Sample.draw(n, seed).pairs(0, n)
 
 
-def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int):
-    """Pairs [lo, hi) of the n that ``seed`` draws, 0 <= lo <= hi <= n.
+def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int, a, b):
+    """Pairs [lo, hi) of the n that ``seed`` draws, 0 <= lo <= hi <= n,
+    written into a and b, float arrays of hi - lo elements.
 
     With n_near = n // 10 and n_main = n - n_near, the PCG64 stream of
     ``seed`` holds, one uniform double per 64-bit output, the exponents
@@ -81,7 +84,7 @@ def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int):
     pairs [0, n_main) are (a_main, b_main) and the rest are
     (a_near, a_near (1 + delta)).  ``advance`` jumps straight to each
     run the range needs, in O(log n) steps, so a range has the bits it
-    has in the whole sample.
+    has in the whole sample.  Every step works in place, in a and b.
     """
     n_near = n // 10
     n_main = n - n_near
@@ -89,21 +92,36 @@ def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int):
     rng = np.random.Generator(bits)
     at = 0
 
-    def uniform(low, high, start, count):
+    def uniform(low, high, start, out):
         nonlocal at
-        if count:
+        if out.size:
             bits.advance(start - at)
-            at = start + count
-        return rng.uniform(low, high, count)
+            at = start + out.size
+        _uniform(rng, low, high, out)
 
     m_lo, m_hi = min(lo, n_main), min(hi, n_main)
-    j_lo, j_hi = max(lo, n_main) - n_main, max(hi, n_main) - n_main
-    a_main = 10.0 ** uniform(-6.0, 6.0, m_lo, m_hi - m_lo)
-    b_main = 10.0 ** uniform(-6.0, 6.0, n_main + m_lo, m_hi - m_lo)
-    a_near = 10.0 ** uniform(-6.0, 6.0, 2 * n_main + j_lo, j_hi - j_lo)
-    delta = uniform(-1e-3, 1e-3, 2 * n_main + n_near + j_lo, j_hi - j_lo)
-    return (np.concatenate([a_main, a_near]),
-            np.concatenate([b_main, a_near * (1.0 + delta)]))
+    j_lo = max(lo, n_main) - n_main
+    k = m_hi - m_lo             # a[:k], b[:k] are main pairs, the rest near
+    uniform(-6.0, 6.0, m_lo, a[:k])
+    uniform(-6.0, 6.0, n_main + m_lo, b[:k])
+    uniform(-6.0, 6.0, 2 * n_main + j_lo, a[k:])
+    uniform(-1e-3, 1e-3, 2 * n_main + n_near + j_lo, b[k:])
+    np.power(10.0, a, out=a)
+    np.power(10.0, b[:k], out=b[:k])
+    near = b[k:]
+    near += 1.0
+    near *= a[k:]
+    return a, b
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float, out):
+    """``rng.uniform(low, high, out.size)``, drawn into out: the doubles
+    r of ``rng.random`` mapped in place to low + (high - low) r, as
+    ``Generator.uniform`` maps them."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
 
 
 class Sample:
@@ -153,15 +171,21 @@ class Sample:
         self._seed = np.random.SeedSequence(seed)
         return self
 
-    def pairs(self, lo: int = 0, hi: int | None = None):
+    def pairs(self, lo: int = 0, hi: int | None = None, *, _out=None):
         """The pairs [lo, hi) as arrays (a, b); lo and hi are read as
-        the bounds of a slice."""
+        the bounds of a slice.  A scan passes ``_out``, two float arrays
+        of the range's size that it lends, and gets them back filled."""
         lo, hi, _ = slice(lo, hi).indices(self.size)
         hi = max(lo, hi)
         if self._ab is None:
-            return _draw(self.size, self._seed, lo, hi)
-        a, b = self._ab
-        return a[lo:hi], b[lo:hi]
+            a, b = _out or (np.empty(hi - lo), np.empty(hi - lo))
+            return _draw(self.size, self._seed, lo, hi, a, b)
+        a, b = (v[lo:hi] for v in self._ab)
+        if _out is None:
+            return a, b
+        np.copyto(_out[0], a)
+        np.copyto(_out[1], b)
+        return _out[0], _out[1]
 
 
 def _resolve(measure) -> Measure:
@@ -271,20 +295,24 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
 
 class ChunkValues(UContext):
     """Pairs of one chunk as the ``UContext`` of their ratios x = a/b,
-    with each f(x) kept read-only after its first evaluation.
-    Stateful: the task that owns the chunk builds it.
+    with each f(x) kept read-only from its first evaluation until it is
+    forgotten.  Stateful: the task that owns the chunk builds it.
 
     The claims' kernels ``take`` chunk-sized arrays from the chunk and
-    ``give`` each back once it is dead; ``release`` hands back the
-    memoized values and powers at chunk end.  A scan builds each full
-    chunk on the one pool of its process (``_pool``); any other chunk
-    lends from a list of its own.
+    ``give`` each back once it is dead.  x, u and um1 are formed in lent
+    arrays too; a and b stay the caller's.  ``forget`` hands back the
+    values no later claim reads, and ``release`` hands back all the
+    chunk lent, apart from a and b, at chunk end.  A scan builds each
+    full chunk on the one pool of its process (``_pool``); any other
+    chunk lends from a list of its own.
     """
 
     __slots__ = ("a", "b", "_memo")
 
     def __init__(self, a, b, *, _pool: list | None = None):
-        super().__init__(a / b, _pool=_pool)
+        pool = [] if _pool is None else _pool
+        x = np.divide(a, b, out=pool.pop() if pool else None)
+        super().__init__(x, _pool=pool)
         self.a, self.b, self._memo = a, b, {}
 
     def gen(self, symbol):
@@ -295,13 +323,20 @@ class ChunkValues(UContext):
             val.flags.writeable = False
         return val
 
+    def forget(self, symbols) -> None:
+        """Hand the memoized f(x) of these symbols back to the pool; a
+        later ``gen`` evaluates them again."""
+        for symbol in symbols:
+            val = self._memo.pop(symbol, None)
+            if val is not None:
+                val.flags.writeable = True
+                self.give(val)
+
     def release(self) -> None:
-        """At chunk end: hand every memoized array back to the pool, and
-        forget them."""
-        for val in self._memo.values():
-            val.flags.writeable = True
-        self.give(*self._memo.values())
-        self._memo.clear()
+        """At chunk end: hand x and every memoized array back to the
+        pool, and forget them."""
+        self.forget(list(self._memo))
+        self.give(self.x)
         super().release()
 
 
@@ -389,17 +424,18 @@ class Fold:
 
 def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
     values = claim.values(chunk)
-    bad = np.nonzero(~(values <= claim.tol))[0][:10]
-    steps = claim.steps(chunk, bad) if bad.size else None
-    records = []
-    for k, j in enumerate(bad):
-        records.append({"index": lo + int(j), "a": float(chunk.a[j]),
-                        "b": float(chunk.b[j])})
-        if steps is not None:
-            records[-1]["step"] = int(steps[k])
-        records[-1]["violation"] = float(values[j])
     # max() is NaN if any value is, and argmax stops at the first NaN.
-    fold = Fold(float(values.max()), lo + int(np.argmax(values)), records)
+    fold = Fold(float(values.max()), lo + int(np.argmax(values)))
+    if not fold.worst <= claim.tol:     # some pair is above tol or NaN
+        bad = np.nonzero(~(values <= claim.tol))[0][:10]
+        steps = claim.steps(chunk, bad)
+        for k, j in enumerate(bad):
+            fold.records.append({"index": lo + int(j),
+                                 "a": float(chunk.a[j]),
+                                 "b": float(chunk.b[j])})
+            if steps is not None:
+                fold.records[-1]["step"] = int(steps[k])
+            fold.records[-1]["violation"] = float(values[j])
     chunk.give(values)
     return fold
 
@@ -416,8 +452,13 @@ def start_scan(claims, sample: Sample, workers: int = 1
     None.  Each chunk task draws its ``CHUNK`` pairs and builds one
     ``ChunkValues`` of them for all claims, so a measure several claims
     read is evaluated once.  Every full chunk a process scans shares one
-    buffer pool, so the pass does not return its arrays to the
-    allocator, and take them again, chunk after chunk.
+    buffer pool, its pairs drawn into arrays of it too, so the pass does
+    not return its arrays to the allocator, and take them again, chunk
+    after chunk.  The order in which a chunk folds the claims, and the
+    measures each claim is the last to read, are fixed once per pass
+    (``_schedule``); the chunk hands those values back right after
+    folding that claim.  Folds are kept by claim index, so the order
+    does not show.
 
     With ``workers`` > 1, started from a process with one Python thread,
     the pass is split into contiguous runs of whole chunks, each scanned
@@ -430,12 +471,19 @@ def start_scan(claims, sample: Sample, workers: int = 1
     """
     claims = list(claims)
     size, pool = CHUNK, []      # a forked child scans on its own copy
+    order, last = _schedule(claims)
 
     def task(lo):
-        a, b = sample.pairs(lo, lo + size)
-        chunk = ChunkValues(a, b, _pool=pool if a.size == size else None)
-        folds = [_chunk_fold(claim, chunk, lo) for claim in claims]
+        n = min(size, sample.size - lo)
+        lend = pool if n == size else []
+        ab = [lend.pop() if lend else np.empty(n) for _ in range(2)]
+        chunk = ChunkValues(*sample.pairs(lo, lo + n, _out=ab), _pool=lend)
+        folds = [None] * len(claims)
+        for i in order:
+            folds[i] = _chunk_fold(claims[i], chunk, lo)
+            chunk.forget(last[i])
         chunk.release()
+        lend += ab
         return folds
 
     starts = range(0, sample.size if claims else 0, size)
@@ -449,6 +497,26 @@ def start_scan(claims, sample: Sample, workers: int = 1
                                       for i in range(k)])
         return lambda: _merge(len(claims), _join_children(children))
     return lambda: _merge(len(claims), map(task, starts))
+
+
+def _schedule(claims) -> tuple[list[int], list[list]]:
+    """The order in which a chunk folds the claims, and per claim the
+    symbols of its terms that no claim after it in that order reads.
+
+    The claims are sorted (stably) by the smallest catalog id among
+    their terms, which brings claims on one family's measures together,
+    so each f(x) is handed back soon after its first evaluation: on the
+    default audit's 191 claims, at most 55 values are memoized at once,
+    against 95 in the given order.
+    """
+    order = sorted(range(len(claims)), key=lambda i: min(
+        (getattr(symbol, "id", symbol) for _, symbol in claims[i].terms),
+        default=""))
+    reader = {symbol: i for i in order for _, symbol in claims[i].terms}
+    last: list[list] = [[] for _ in claims]
+    for symbol, i in reader.items():
+        last[i].append(symbol)
+    return order, last
 
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:

@@ -310,28 +310,38 @@ class UContext:
     the cancellation near x = 1) and a memo of um1 ** m per exponent m,
     so generators with the same m pay for the power once.  A scalar x
     (a number, a numpy scalar or a 0-d array) is held as a Python float,
-    and so is every value computed from it; an array of x stays the
-    array it was.  The memo makes a context stateful: build one per
-    point set, and share it with no other thread.
+    and so is every value computed from it; an array of x is held as
+    float64 (the array itself when it is one), so an integer array
+    cannot wrap in x * x.  The memo makes a context stateful: build one
+    per point set, and share it with no other thread.
 
     One lending rule: every array context lends, and only a scalar one
     computes in floats (``take`` gives None).  ``take`` lends a float
     array shaped like x from ``_pool``, the free list the context is
     given (so a sampled pass reuses memory from chunk to chunk) or else
-    one of its own; the evaluators fill it with numpy's ``out=``.
-    ``give`` hands arrays back as soon as they are dead, and ``release``
-    hands back the memoized powers.
+    one of its own; the evaluators fill it with numpy's ``out=``, and u
+    and um1 are formed in lent arrays too.  ``give`` hands arrays back
+    as soon as they are dead, and ``release``, at the context's end,
+    hands back u, um1 and the memoized powers; x, the caller's, never
+    enters the pool.
     """
 
     __slots__ = ("x", "u", "um1", "_powers", "_pool")
 
     def __init__(self, x, *, _pool: list | None = None):
         if getattr(x, "ndim", 0):
-            self.x, self._pool = x, [] if _pool is None else _pool
+            import numpy as np
+            self.x = np.asarray(x, dtype=np.float64)
+            self._pool = [] if _pool is None else _pool
+            self.u = np.sqrt(self.x, out=self.take())
+            up1 = np.add(self.u, 1.0, out=self.take())
+            self.um1 = np.subtract(self.x, 1.0, out=self.take())
+            self.um1 /= up1
+            self.give(up1)
         else:
             self.x, self._pool = float(x), None
-        self.u = _sqrt(self.x)
-        self.um1 = (self.x - 1.0) / (self.u + 1.0)
+            self.u = _sqrt(self.x)
+            self.um1 = (self.x - 1.0) / (self.u + 1.0)
         self._powers: dict[int, object] = {}
 
     def take(self):
@@ -351,8 +361,9 @@ class UContext:
             self._pool.extend(arrays)
 
     def release(self) -> None:
-        """Hand the memoized powers back to the pool, and forget them."""
-        self.give(*self._powers.values())
+        """At the context's end: hand u, um1 and the memoized powers
+        back to the pool, and forget the powers."""
+        self.give(self.u, self.um1, *self._powers.values())
         self._powers.clear()
 
     def um1_pow(self, m: int):

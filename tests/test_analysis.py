@@ -64,10 +64,29 @@ def test_lazy_draws_have_the_bits_of_the_whole_draw(n):
         # Ranges across the end of the log-uniform pairs.
         ranges += [(max(n_main - k, 0), n_main + k) for k in (1, 2, 4097)]
         ranges += [(n_main - 1, n_main), (n - 1, n), (-3, None), (5, 2)]
+        # A scan's draw fills arrays it lends, which hold old values.
+        stale = np.full((2, max(n, analysis.CHUNK)), np.nan)
         for lo, hi in ranges:
             got = sample.pairs(lo, hi)
             assert np.array_equal(got[0], a[lo:hi]), (seed, lo, hi)
             assert np.array_equal(got[1], b[lo:hi]), (seed, lo, hi)
+            out = (stale[0, :got[0].size], stale[1, :got[0].size])
+            lent = sample.pairs(lo, hi, _out=out)
+            assert lent[0] is out[0] and lent[1] is out[1]
+            assert np.array_equal(lent[0], a[lo:hi]), (seed, lo, hi)
+            assert np.array_equal(lent[1], b[lo:hi]), (seed, lo, hi)
+
+
+@given(st.integers(0, 2**63), st.integers(0, 3000),
+       st.sampled_from([(-6.0, 6.0), (-1e-3, 1e-3)]))
+@settings(max_examples=60, deadline=None)
+def test_the_in_place_uniform_map_is_generator_uniform(seed, n, bounds):
+    low, high = bounds
+    want = np.random.Generator(np.random.PCG64(seed)).uniform(low, high, n)
+    out = np.full(n, np.nan)
+    got = analysis._uniform(np.random.Generator(np.random.PCG64(seed)),
+                            low, high, out)
+    assert got is out and got.tobytes() == want.tobytes()
 
 
 def test_a_fresh_entropy_sample_is_one_stream():
@@ -111,9 +130,9 @@ def test_a_forked_scan_draws_nothing_in_the_parent(monkeypatch):
     drawn = []
     real = analysis._draw
 
-    def counted(n, seed, lo, hi):
+    def counted(n, seed, lo, hi, a, b):
         drawn.append(hi - lo)
-        return real(n, seed, lo, hi)
+        return real(n, seed, lo, hi, a, b)
 
     monkeypatch.setattr(analysis, "sample_pairs", refuse)
     monkeypatch.setattr(analysis, "_draw", counted)
@@ -297,7 +316,7 @@ def test_scan_worker_independence(monkeypatch):
     monkeypatch.setattr(os, "fork", counted)
     sample = analysis.Sample.draw(300_000, seed=9)
     chunks = -(-sample.size // analysis.CHUNK)
-    assert chunks == 37
+    assert chunks == 19
     claims = [[(1.0, "delta"), (1.0, "K"), (0.5, "psi")],
               [(1, "W2"), (1, "W1")]]
     claims += [cascade.get_chain(cid).terms for cid in cascade.chains()
@@ -345,7 +364,7 @@ def _reference_scan(terms, a, b, tol):
     return float(worst.max()), records
 
 
-@pytest.mark.parametrize("chunk", [analysis.CHUNK, 4096, 1000])
+@pytest.mark.parametrize("chunk", [analysis.CHUNK, 8192, 4096, 1000])
 def test_streamed_scan_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(analysis, "CHUNK", chunk)
     sample = analysis.Sample.draw(20_000, seed=13)
@@ -508,6 +527,48 @@ def test_pooled_memo_values_are_not_clobbered():
     # Every array came back once, ready to be written again.
     assert len({id(buf) for buf in pool}) == len(pool)
     assert all(buf.shape == (1000,) and buf.flags.writeable for buf in pool)
+
+
+def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
+        monkeypatch):
+    # Each f(x) is handed back after the last claim that reads it, so a
+    # full chunk of the audit's claims holds far fewer arrays than its
+    # 146 distinct measures; its pool ends with every array it made.
+    pools, evaluated = [], []
+
+    class Kept(analysis.ChunkValues):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            pools.append(self._pool)
+
+    def resolve(symbol, real=analysis._resolve):
+        evaluated.append(symbol)
+        return real(symbol)
+
+    monkeypatch.setattr(analysis, "ChunkValues", Kept)
+    monkeypatch.setattr(analysis, "_resolve", resolve)
+    claims = _audit_claims(1e-12)
+    sample = analysis.Sample.draw(analysis.CHUNK, seed=42)
+    folds = analysis.scan_claims(claims, sample)
+    assert all(fold.worst <= 1e-12 for fold in folds)
+    pool, = pools
+    assert len(evaluated) == len(set(evaluated)) == 146
+    assert len({id(buf) for buf in pool}) == len(pool) <= 78
+    assert all(buf.shape == (analysis.CHUNK,) for buf in pool)
+
+
+def test_a_chunk_forgets_values_and_gives_back_no_array_of_the_caller():
+    a, b = analysis.sample_pairs(300, seed=4)
+    pool = []
+    chunk = analysis.ChunkValues(a, b, _pool=pool)
+    for _, mid in cascade.get_chain("means").terms:
+        chunk.gen(mid)
+    chunk.forget(["A", "no such id"])
+    assert "A" not in chunk._memo and len(pool) == 2
+    chunk.release()
+    assert not chunk._memo and not chunk._powers
+    assert len({id(buf) for buf in pool}) == len(pool)
+    assert not any(buf is a or buf is b for buf in pool)
 
 
 def test_a_serial_scan_takes_few_page_faults_per_chunk():

@@ -285,8 +285,8 @@ def seed7_sampled_checks():
 
 
 @pytest.mark.parametrize("chunk, workers", [
-    (analysis.CHUNK, 2), (analysis.CHUNK, 3), (4096, 1),
-    (4096, 2), (4096, 3), (1000, 1), (1000, 4)])
+    (analysis.CHUNK, 2), (analysis.CHUNK, 3), (8192, 2), (8192, 3),
+    (4096, 1), (4096, 2), (4096, 3), (1000, 1), (1000, 4)])
 def test_audit_folds_do_not_depend_on_chunk_or_workers(
         monkeypatch, seed7_sampled_checks, chunk, workers):
     monkeypatch.setattr(analysis, "CHUNK", chunk)
@@ -419,8 +419,9 @@ def test_audit_forks_at_most_one_child_per_chunk(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", counted)
-    # 20000 pairs are 3 chunks of CHUNK: 3 children, not 64.
-    audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=64))
+    # 3 chunks of CHUNK pairs, the last one short: 3 children, not 64.
+    audit.run_audit(audit.AuditConfig(samples=3 * analysis.CHUNK - 1, seed=7,
+                                      workers=64))
     assert len(forks) == 3
 
 

@@ -336,6 +336,36 @@ def test_shared_context_reuses_the_power():
         assert _bits(m.eval_ctx(ctx)) == _bits(m(x)), mid
 
 
+def test_an_integer_array_has_the_bits_of_the_equal_float_array():
+    # x * x of an int64 array wraps above 3.04e9; a context holds an
+    # array x as float64.
+    x = np.array([1, 2, 3, 1000, 3 * 10**9, 7 * 10**9, 2**40])
+    ids = catalog.all_ids()
+    assert len(ids) == 108
+    with np.errstate(all="ignore"):
+        for mid in ids:
+            m = catalog.get(mid)
+            assert _bits(m(x)) == _bits(m(x.astype(np.float64))), mid
+    assert catalog.get("S")(np.array([7 * 10**9]))[0] == pytest.approx(
+        7e9 / math.sqrt(2.0), rel=1e-15)
+    assert UContext(np.float32([0.1])).x.dtype == np.float64
+
+
+def test_a_context_lends_u_and_um1_and_never_takes_x():
+    x = np.array([0.5, 1.0, 2.0, 7.0])
+    pool = []
+    ctx = UContext(x, _pool=pool)
+    assert ctx.x is x
+    ref = UContext(x.copy())
+    assert _bits(ctx.u) == _bits(np.sqrt(x))
+    assert _bits(ctx.um1) == _bits((x - 1.0) / (np.sqrt(x) + 1.0))
+    assert _bits(ctx.um1_pow(3)) == _bits(ref.um1_pow(3))
+    ctx.release()
+    # u, um1 and the power; the temporary u + 1 was lent to the power.
+    assert len(pool) == len({id(buf) for buf in pool}) == 3
+    assert not any(buf is x for buf in pool)
+
+
 # -- binary powering against exact powers ----------------------------------
 
 def _within_gamma(p, v, m, vm=None):
