@@ -52,7 +52,7 @@ class AuditConfig:
     def __post_init__(self):
         self.samples = cascade._count("samples", self.samples)
         self.seed = cascade._integer("seed", self.seed)
-        self.tolerance = float(self.tolerance)
+        self.tolerance = cascade._real("tolerance", self.tolerance)
         self.workers = (_usable_cpus() if self.workers is None
                         else cascade._count("workers", self.workers))
         if self.seed < 0:

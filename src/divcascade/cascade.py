@@ -12,6 +12,7 @@ engine replays.  Each claim is proved as one exact sum of c * form:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 
 from . import analysis, catalog, means
 from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
-from .ratfun import ONE, Poly, RatS, RatU, X, reduced_sum, solve_exact
+from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
 
 Frac = Fraction
@@ -297,6 +298,7 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     a negative tol records pairs that hold as counterexamples too.
     """
     samples, workers = _count("samples", samples), _count("workers", workers)
+    tol = _real("tol", tol)
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, not {tol!r}")
     if isinstance(chain, str):
@@ -311,6 +313,14 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, from any real number but a bool (numpy's
+    included), or a ``ValueError`` naming it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
 def _count(name: str, value) -> int:
@@ -499,7 +509,7 @@ def _claim_sum(plus, minus):
 
     A term is (c, catalog id), standing for its generator, or (c, exact
     ``RatU``/``RatS`` form).  The sum starts from its first term and adds
-    over least common denominators: it is only tested for zero or sign.
+    with ``+``, the addition that builds every catalog form.
     """
     acc = None
     for sign, terms in ((1, plus), (-1, minus)):
@@ -507,7 +517,7 @@ def _claim_sum(plus, minus):
             if not isinstance(sym, (RatU, RatS)):
                 sym = catalog.get(sym).gen
             term = sym * (sign * Frac(c))
-            acc = term if acc is None else reduced_sum(acc, term)
+            acc = term if acc is None else acc + term
     return acc
 
 

@@ -160,12 +160,8 @@ _W_GEN = {
     9: RatU(XM1SQ * XP1 ** 3, 8 * X * X),
 }
 
-_W_LABEL = {
-    1: "2*Delta", 2: "(24/7)*D_CN", 3: "(8/3)*D_CG", 4: "(24/5)*D_RG",
-    5: "8*h", 6: "K", 7: "Psi/2", 8: "F/2", 9: "L/8",
-}
-
-# Closed-form aliases shown by the registry listing.
+# Closed-form aliases of the ladder steps, shown by the registry listing
+# and in each step's label.
 FORMULA = {
     "W1": "2 delta", "W2": "(24/7)D_CN", "W3": "(8/3)D_CG",
     "W4": "(24/5)D_RG", "W5": "8 h", "W6": "K", "W7": "(1/2)psi",
@@ -332,7 +328,7 @@ for _bid, _gen in _BASE_GEN.items():
     _add(Measure(_bid, _label, "divergence", _ref, gen=_gen))
 
 for _k, _gen in _W_GEN.items():
-    _add(Measure(f"W{_k}", f"ladder step {_W_LABEL[_k]}", "divergence",
+    _add(Measure(f"W{_k}", f"ladder step {FORMULA[f'W{_k}']}", "divergence",
                  f"Eq (9) position {_k}", gen=_gen))
 
 for _k, (_i, _j) in enumerate(PYRAMID_PAIRS, start=1):

@@ -25,10 +25,10 @@ def _fmt(value: float) -> str:
     """Shortest decimal that round-trips the double exactly.
 
     Integral values print without a fractional part; everything else
-    uses repr, which emits up to 17 significant digits.
+    uses repr: up to 17 significant digits, or ``inf``, ``-inf``, ``nan``.
     """
     v = float(value)
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):       # false for inf and NaN
         return str(int(v))
     return repr(v)
 

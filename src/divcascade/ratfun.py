@@ -16,8 +16,8 @@ that floating point cannot:
 
 Polynomial coefficients are Python ints.  A ``RatU`` holds primitive
 integer polynomials and carries its one rational factor as a single
-``Fraction`` scale, so the exact algebra (products, gcds by primitive
-pseudo-remainders, Polya sign certificates) runs on integers.
+``Fraction`` scale, so the exact algebra (sums, products, Polya sign
+certificates) runs on integers.
 
 Float evaluation is one evaluator written over operators: Horner's rule
 on the deflated parts with augmented ``*=`` and ``+=``, which work in
@@ -54,11 +54,11 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 # The largest N Poly.polya_degree tries.  The largest N met in this package
-# is 33, for discriminations.A7_poly(8); catalog and family f'' need <= 11.
+# is 33, for discriminations.A7_poly(8); catalog and family f'' need <= 11,
+# and a default audit's proof sums (degree <= 84) need N <= 3.
 POLYA_CAP = 64
 
-__all__ = ["Poly", "RatU", "RatS", "UContext", "U", "ONE", "X",
-           "solve_exact", "reduced_sum"]
+__all__ = ["Poly", "RatU", "RatS", "UContext", "U", "ONE", "X", "solve_exact"]
 
 
 class Poly:
@@ -123,17 +123,6 @@ class Poly:
         for _ in range(n):
             result = result * self
         return result
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        """Exact quotient of integer polynomials; other must divide self."""
-        rem, div, quo = list(self.coeffs), other.coeffs, []
-        for i in range(len(rem) - len(div), -1, -1):
-            quo.append(rem[i + len(div) - 1] // div[-1])
-            for j, c in enumerate(div):
-                rem[i + j] -= quo[-1] * c
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return Poly(quo[::-1])
 
     def deriv(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -278,25 +267,6 @@ def _power(v, m: int, out):
         return np.divide(1.0, p, out=p)
 
 
-def _primitive(p: Poly) -> Poly:
-    """p divided by the gcd of its integer coefficients; the sign stays."""
-    g = gcd(*p.coeffs)
-    return p if g < 2 else Poly([c // g for c in p.coeffs])
-
-
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over the ints."""
-    rem, div = list(a.coeffs), b.coeffs
-    dd, lead = len(div) - 1, div[-1]
-    for i in range(len(rem) - 1, dd - 1, -1):
-        q = rem.pop()
-        rem = [c * lead for c in rem]
-        if q:
-            for j in range(dd):
-                rem[i - dd + j] -= q * div[j]
-    return Poly(rem)
-
-
 U = Poly([0, 1])
 ONE = Poly([1])
 X = Poly([0, 0, 1])
@@ -425,22 +395,16 @@ class RatU:
         return (n * um, d) if self.m >= 0 else (n, d * um)
 
     def __add__(self, other: "RatU") -> "RatU":
+        """The sum over den * other.den, for forms and proofs alike; the
+        (u-1)^min(m) factor stays out, so deflation need not divide it."""
         if not isinstance(other, RatU):
             return NotImplemented
-        return self._add(other, ONE)
-
-    def _add(self, other: "RatU", g: Poly) -> "RatU":
-        """The sum over the common denominator den * other.den / g.
-
-        (u-1)^k with k = min(m) stays factored out, so it is neither
-        multiplied in nor divided out again by the deflation.
-        """
         k = min(self.m, other.m)
         q = lcm(self.scale.denominator, other.scale.denominator)
         an = self.num * _UM1 ** (self.m - k) * int(self.scale * q)
         bn = other.num * _UM1 ** (other.m - k) * int(other.scale * q)
-        ad, bd = self.den // g, other.den // g
-        return RatU(an * bd + bn * ad, ad * other.den, k, Fraction(1, q))
+        return RatU(an * other.den + bn * self.den, self.den * other.den, k,
+                    Fraction(1, q))
 
     def __sub__(self, other: "RatU") -> "RatU":
         return self + -other
@@ -757,21 +721,3 @@ def _coefficient_rows(forms: Sequence[RatU]) -> list[list[int]]:
     width = max(len(v) for v in vecs)
     return [[v[i] if i < len(v) else 0 for v in vecs] for i in range(width)]
 
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of two integer polynomials, by primitive remainders."""
-    while not b.is_zero():
-        a, b = b, _primitive(_prem(a, b))
-    return a.content_free()[0]
-
-
-def reduced_sum(a: RatU | RatS, b: RatU | RatS) -> RatU | RatS:
-    """a + b over the least common denominator of the two.
-
-    For exact tests only (zero, sign): the form differs from that of
-    a + b, and so would its float values.
-    """
-    if isinstance(a, RatU) and isinstance(b, RatU):
-        return a._add(b, _poly_gcd(a.den, b.den))
-    a, b = (f if isinstance(f, RatS) else RatS(f, RatU.zero()) for f in (a, b))
-    return RatS(reduced_sum(a.r, b.r), reduced_sum(a.t, b.t))

@@ -42,6 +42,20 @@ def test_config_refuses_integer_knobs_that_are_not_integers(field, value):
         audit.AuditConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["1e-3", True, np.True_, None])
+def test_config_refuses_a_tolerance_that_is_not_a_real_number(value):
+    # float() would read "1e-3" as 0.001 and True as 1.0 without a word.
+    with pytest.raises(ValueError, match="tolerance must be a real number"):
+        audit.AuditConfig(tolerance=value)
+
+
+@pytest.mark.parametrize("value", [1, 1e-3, np.float32(0.5), np.int64(2),
+                                   Fraction(1, 4)])
+def test_config_takes_real_tolerances_as_floats(value):
+    cfg = audit.AuditConfig(tolerance=value, workers=1)
+    assert type(cfg.tolerance) is float and cfg.tolerance == float(value)
+
+
 def test_config_takes_numpy_integers():
     cfg = audit.AuditConfig(samples=np.int64(500), workers=np.int32(1),
                             seed=np.uint8(7))

@@ -39,7 +39,10 @@ def test_audit_chain_rejects_bad_samples_and_workers(kw, message):
     ({"samples": 100, "workers": 2.5}, "workers must be an integer"),
     ({"samples": 20_000, "workers": 2.5}, "workers must be an integer"),
     ({"tol": math.nan}, "tol must be finite"),
-    ({"tol": math.inf}, "tol must be finite")])
+    ({"tol": math.inf}, "tol must be finite"),
+    ({"tol": "1e-3"}, "tol must be a real number"),
+    ({"tol": True}, "tol must be a real number"),
+    ({"tol": None}, "tol must be a real number")])
 def test_audit_chain_rejects_what_audit_config_rejects(kw, message):
     with pytest.raises(ValueError, match=message):
         cascade.audit_chain("means", **kw)

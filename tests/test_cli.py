@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from divcascade import audit, catalog, cli
+from divcascade import audit, cascade, catalog, cli
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +159,33 @@ def test_audit_config_errors_exit_5(capsys):
     assert rc == 5 and "no chain selected" in err and out == ""
     rc, _, err = run(capsys, "audit", "--tolerance", "-1")
     assert rc == 5
+    rc, _, err = run(capsys, "audit", "--tolerance", "abc")
+    assert rc == 5 and "configuration error" in err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_audit_non_finite_tolerance_exits_5(capsys, value):
     rc, _, err = run(capsys, "audit", "--tolerance", value)
     assert rc == 5 and "configuration error: tolerance" in err
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (3.0, "3"), (-0.25, "-0.25"), (1e16, "1e+16")])
+def test_fmt_prints_every_double(value, text):
+    assert cli._fmt(value) == text
+
+
+def test_text_audit_with_a_failed_proof_exits_4(capsys, monkeypatch):
+    # A failed proof reports max_violation = inf, which the text format
+    # must print, not crash on, before it exits 4.
+    monkeypatch.setattr(cascade, "is_exact_combination", lambda *claim: False)
+    rc, out, err = run(capsys, "audit", "--samples", "2000", "--workers",
+                       "1", "--chains", "means")
+    lines = out.splitlines()
+    assert rc == 4 and err == ""
+    assert "FAIL identity:item1a max_violation=inf [Sec 1.1]" in lines
+    assert lines[-1].startswith("CHECK FAILURES above")
 
 
 def test_negative_seed_exits_5(capsys, monkeypatch):

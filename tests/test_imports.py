@@ -154,6 +154,29 @@ def test_every_export_is_the_object_of_its_home_module():
     assert set(doc["all"]) == set(doc["homes"]) | {"__version__"}
 
 
+_STALE = """
+import json, sys
+from importlib import import_module
+checked, stale = [], {}
+for name in sys.argv[1:]:
+    module = import_module("divcascade." + name)
+    if hasattr(module, "__all__"):
+        checked.append(name)
+        stale[name] = [n for n in module.__all__ if not hasattr(module, n)]
+print(json.dumps({"checked": checked, "stale": stale}))
+"""
+
+
+def test_every_submodule_all_names_only_what_it_defines():
+    # Only the package's own __all__ is checked by the star import below;
+    # a name removed from a submodule could stay in that module's __all__.
+    doc = fresh(_STALE, *LIBRARY)
+    assert set(doc["checked"]) >= {
+        "analysis", "audit", "cascade", "catalog", "discriminations",
+        "distributions", "generators", "means", "ratfun"}
+    assert doc["stale"] == {name: [] for name in doc["checked"]}
+
+
 _STAR = """
 import json
 import divcascade

@@ -597,9 +597,45 @@ def test_beta_proof_gaps_match_sympy_cancel():
         beta = sympy.Rational(part.beta.numerator, part.beta.denominator)
         want = sympy.cancel(beta * _sympy_form(big) - _sympy_form(small))
         assert sympy.cancel(_sympy_form(gap)) == want, part.id
-        # The sum is taken over the least common denominator.
-        lcd = sympy.lcm(_sympy_poly(small.den), _sympy_poly(big.den))
-        assert _sympy_poly(gap.den).monic() == lcd.monic(), part.id
+
+
+_RATS_IDS = [i for i in catalog.all_ids()
+             if isinstance(catalog.get(i).gen, RatS)]
+_RATU_IDS = [i for i in catalog.all_ids() if i not in _RATS_IDS]
+_claim_terms = st.lists(st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.one_of(st.sampled_from(_RATU_IDS), st.sampled_from(_RATS_IDS))),
+    min_size=2, max_size=4)
+
+
+def _sympy_parts(form):
+    """(r, t) of r + t*S as sympy expressions in u; a ``RatU`` has t = 0."""
+    r, t = (form.r, form.t) if isinstance(form, RatS) else (form, RatU.zero())
+    return _sympy_form(r), _sympy_form(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_claim_terms, split=st.integers(0, 4), mirror=st.booleans())
+@example(terms=[(Fraction(2, 3), "D_SA"), (Fraction(2, 3), "S"),
+                (Fraction(-2, 3), "A")], split=1, mirror=False)
+@example(terms=[(Fraction(1), "D_AG"), (Fraction(1), "A"),
+                (Fraction(-1), "G")], split=1, mirror=False)
+def test_claim_sums_match_sympy_cancel(terms, split, mirror):
+    # The claim is plus - minus.  A mirrored one has the same terms on both
+    # sides, in reverse order, so zero sums are drawn as well as others.
+    plus, minus = terms[:split], terms[split:]
+    if mirror:
+        plus, minus = terms, terms[::-1]
+    r = t = 0
+    for sign, side in ((1, plus), (-1, minus)):
+        for c, mid in side:
+            k = sign * sympy.Rational(c.numerator, c.denominator)
+            pr, pt = _sympy_parts(catalog.get(mid).gen)
+            r, t = r + k * pr, t + k * pt
+    want = [sympy.cancel(r), sympy.cancel(t)]
+    got = _sympy_parts(cascade._claim_sum(plus, minus))
+    assert [sympy.cancel(g - w) for g, w in zip(got, want)] == [0, 0]
+    assert cascade.is_exact_combination(plus, minus) == (want == [0, 0])
 
 
 def test_exact_forms_hold_integers_and_give_fractions():
