@@ -122,11 +122,13 @@ class Equality:
     """The claim sum(c * s for c, s in lhs) == the same over rhs.
 
     A pair's value is |L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300)
-    with t_i = c_i * s_i(a, b) and L, R the left-to-right sums of each
+    with t_i = c_i * f_i(x) and L, R the left-to-right sums of each
     side.  Combinations like Psi - 4K + 4Delta cancel to a much higher
     diagonal order than their terms, so the residual is measured against
-    the largest term as well.  A measure is b * f(x) from the chunk, with
-    the bits of ``symbol_value``; a mean letter is its formula in a, b.
+    the largest term as well.  Every symbol, a mean letter included, is
+    its f(x) from the chunk's memo.  Each measure is b * f(a/b), so the
+    gap is a function of x = a/b alone, whatever the pair's magnitude,
+    and the 1e-300 floor applies to f(x), not to b * f(x).
     """
 
     lhs: tuple
@@ -146,13 +148,7 @@ class Equality:
         for terms in (self.lhs, self.rhs):
             total = None
             for c, symbol in terms:
-                t = chunk.take()
-                if symbol in MEAN_TAGS:
-                    np.multiply(float(c), mean(symbol, chunk.a, chunk.b),
-                                out=t)
-                else:
-                    np.multiply(chunk.b, chunk.gen(symbol), out=t)
-                    np.multiply(float(c), t, out=t)
+                t = np.multiply(float(c), chunk.gen(symbol), out=chunk.take())
                 np.maximum(scale, np.abs(t, out=magnitude), out=scale)
                 if total is None:
                     total = t
@@ -177,14 +173,15 @@ def claim_gap(lhs, rhs, sample: Sample):
 
 
 def verify_mean_identities(a, b):
-    """Check every catalog identity at (a, b).
+    """Check the 24 mean identities of ``identity_table`` at one pair
+    (a, b) of positive finite numbers; any other pair is a ValueError.
 
     Returns a list of (identity id, relative residual, passed) triples.
     The residual is the audit's ``claim_gap``; "passed" means
     residual <= 1e-12.
     """
     out = []
-    sample = Sample(a, b)
+    sample = Sample(*catalog.positive_pair((a, b)))
     for ident, lhs_terms, rhs_terms in _ITEM_IDENTITIES + _MEAN_RELATIONS:
         resid = float(claim_gap(lhs_terms, rhs_terms, sample)[0])
         out.append((ident, resid, resid <= 1e-12))

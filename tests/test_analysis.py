@@ -481,7 +481,8 @@ def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
 def _lending_free_fold(claim, a, b):
     """(worst, records) of a claim over all pairs, from evaluation that
     lends no array across kernels: ``_reference_scan`` for an
-    ``Ordering``, each symbol by its own call for an ``Equality``."""
+    ``Ordering``, each symbol's f(a/b) by its own call for an
+    ``Equality``."""
     if isinstance(claim, analysis.Ordering):
         return _reference_scan(claim.terms, a, b, claim.tol)
     gap = _per_call_gap(claim.lhs, claim.rhs, a, b)
@@ -505,6 +506,22 @@ def test_pooled_scan_is_bitwise_a_lending_free_reference(workers):
     for claim, fold, want in zip(claims, got, ref):
         # repr tells -0.0 from 0.0, and nan equals itself.
         assert repr((fold.worst, fold.records)) == repr(want), claim
+
+
+@pytest.mark.parametrize("k", [-700, 700])
+def test_sampled_claims_read_the_ratio_alone(k):
+    # Every claim is homogeneous of degree 0 in (a, b), and scaling by a
+    # power of two leaves each ratio a/b bit for bit.  So each claim's
+    # values keep their bits when a and b are both scaled by 2**k, even
+    # where a mean's formula in a, b would overflow or underflow.
+    a, b = analysis.Sample.draw(4096, 3).pairs()
+    claims = _audit_claims(1e-12)
+    assert len(claims) == 191
+    base = analysis.ChunkValues(a, b)
+    scaled = analysis.ChunkValues(np.ldexp(a, k), np.ldexp(b, k))
+    for claim in claims:
+        assert (claim.values(scaled).tobytes()
+                == claim.values(base).tobytes()), claim
 
 
 def test_pooled_memo_values_are_not_clobbered():

@@ -168,15 +168,17 @@ def test_report_passed_detects_failure(report):
 
 # -- the identity checker ----------------------------------------------------
 # Reference: the residual formulas of the per-group builders that the one
-# identity checker replaced, kept here verbatim in arithmetic.
+# identity checker replaced, kept here verbatim in arithmetic.  Every term
+# is its generator at x = a/b: each measure is b*f(a/b), and the residuals
+# are homogeneous of degree 0.
 
 def _ref_rel_gap(lhs, rhs):
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     return np.abs(lhs - rhs) / scale
 
 
-def _ref_combo_gap(member, terms, a, b):
-    parts = [float(c) * catalog.get(mid).value(a, b) for c, mid in terms]
+def _ref_combo_gap(member, terms, x):
+    parts = [float(c) * catalog.get(mid)(x) for c, mid in terms]
     total, scale = parts[0], np.abs(parts[0])
     for p in parts[1:]:
         total = total + p
@@ -186,12 +188,13 @@ def _ref_combo_gap(member, terms, a, b):
 
 
 def _reference_violations(a, b):
+    x = a / b
     out = {}
     for ident, lhs_terms, rhs_terms in means.identity_table():
-        lhs = sum(c * means.symbol_value(s, a, b) for c, s in lhs_terms)
-        rhs = sum(c * means.symbol_value(s, a, b) for c, s in rhs_terms)
+        lhs = sum(c * catalog.get(s)(x) for c, s in lhs_terms)
+        rhs = sum(c * catalog.get(s)(x) for c, s in rhs_terms)
         out[f"identity:{ident}"] = float(np.max(_ref_rel_gap(lhs, rhs)))
-    vals = [float(s) * catalog.get(f"D{k}").value(a, b)
+    vals = [float(s) * catalog.get(f"D{k}")(x)
             for k, s in enumerate(cascade.PYRAMID_EQ_SCALES, start=1)]
     worst = 0.0
     for v in vals[1:]:
@@ -200,22 +203,21 @@ def _reference_violations(a, b):
     out["identity:pyramid-common-value"] = worst
     for left, right, _ in audit._EXACT_PAIRS:
         out[f"identity:{left}=={right}"] = float(np.max(_ref_rel_gap(
-            catalog.get(left).value(a, b), catalog.get(right).value(a, b))))
+            catalog.get(left)(x), catalog.get(right)(x))))
     out["identity:W-aliases"] = max(
-        float(np.max(_ref_combo_gap(catalog.get(wid).value(a, b), terms,
-                                    a, b)))
+        float(np.max(_ref_combo_gap(catalog.get(wid)(x), terms, x)))
         for wid, terms in audit._W_ALIASES)
     for fid, t, forms in audit._ANCHORS:
-        member = catalog.get(f"{fid}:{t}").value(a, b)
+        member = catalog.get(f"{fid}:{t}")(x)
         out[f"anchor:{fid}:{t}"] = max(
-            float(np.max(_ref_combo_gap(member, terms, a, b)))
+            float(np.max(_ref_combo_gap(member, terms, x)))
             for terms in forms)
     for part in cascade.theorem_parts():
         beta, c = float(part.beta), float(part.c)
-        big = catalog.get(part.big).value(a, b)
-        small = catalog.get(part.small).value(a, b)
+        big = catalog.get(part.big)(x)
+        small = catalog.get(part.small)(x)
         lhs = beta * big - small
-        rhs = c * catalog.get(part.residual).value(a, b)
+        rhs = c * catalog.get(part.residual)(x)
         scale = np.maximum.reduce([np.abs(beta * big), np.abs(small),
                                    np.abs(rhs), np.full_like(rhs, 1e-300)])
         out[f"decomposition:{part.id}"] = float(
@@ -224,7 +226,7 @@ def _reference_violations(a, b):
         ok = [l for l in lines if l.status == "ok"]
         canonical = (ok or [l for l in lines if l.status == "corrected"])[0]
         out[f"combination:{mid}"] = float(np.max(_ref_combo_gap(
-            catalog.get(mid).value(a, b), canonical.terms, a, b)))
+            catalog.get(mid)(x), canonical.terms, x)))
     return out
 
 
@@ -241,13 +243,15 @@ def test_identity_checker_reproduces_reference_residuals():
 
 
 def _per_call_gap(lhs, rhs, a, b):
-    """The claim gap with every symbol evaluated by its own call."""
+    """The claim gap with every symbol's f(a/b) evaluated by its own
+    call."""
+    x = a / b
     scale = np.full(a.shape, 1e-300)
     sums = []
     for terms in (lhs, rhs):
         total = None
         for c, symbol in terms:
-            t = float(c) * means.symbol_value(symbol, a, b)
+            t = float(c) * catalog.get(symbol)(x)
             np.maximum(scale, np.abs(t), out=scale)
             total = t if total is None else total + t
         np.maximum(scale, np.abs(total), out=scale)

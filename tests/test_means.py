@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divcascade import means
+from divcascade import analysis, means
 
 positive = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -62,11 +62,15 @@ def test_homogeneity(a, b, lam):
 
 
 @given(positive, positive)
+@example(*analysis.Sample.draw(200_000, 7).pairs())
 def test_generator_consistency(a, b):
-    """M(a, b) = b f_M(a/b) with f_M(1) = 1."""
+    """M(a, b) = b f_M(a/b) within 8 ulps of the mean's formula in a, b,
+    with f_M(1) = 1.  The explicit example is the audit's sampling
+    window, whose sampled identities read the means as generators only."""
     for k in "HGNARSC":
+        m = means.mean(k, a, b)
         via_gen = b * means.mean_generator(k, a / b)
-        assert via_gen == pytest.approx(means.mean(k, a, b), rel=1e-12)
+        assert np.all(np.abs(via_gen - m) <= 8 * np.spacing(np.abs(m))), k
         assert means.mean_generator(k, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -90,9 +94,25 @@ def test_identity_table_shape():
 
 @given(positive, positive)
 @settings(max_examples=50)
+@example(1e200, 1e200)
+@example(1e-200, 1e-200)
+@example(3e250, 1e250)
+@example(7e-250, 2e-250)
 def test_identities_hold_pointwise(a, b):
-    for ident, residual, ok in means.verify_mean_identities(a, b):
+    # The explicit pairs are far outside the sampling window, where a
+    # mean's formula in a, b overflows or underflows; the residuals
+    # depend on a/b alone.
+    rows = means.verify_mean_identities(a, b)
+    assert len(rows) == 24
+    for ident, residual, ok in rows:
         assert ok, (ident, residual)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.0, 1.0), (math.nan, 1.0),
+                                  (math.inf, 1.0)])
+def test_identities_refuse_a_pair_that_is_not_positive_finite(a, b):
+    with pytest.raises(ValueError):
+        means.verify_mean_identities(a, b)
 
 
 def test_vectorized_evaluation():
