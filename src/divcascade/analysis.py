@@ -20,7 +20,10 @@ memoized f(x) and the kernels' temporaries.  Each is handed back once
 it is dead, a memoized f(x) right after the last claim that reads it,
 so a pass neither gives its memory to the system after every chunk and
 faults it in again for the next, nor holds every measure's values at
-once.
+once.  A claim reads a term of coefficient 1 as the memoized f(x)
+itself, which no reader writes into (``ChunkValues.term``), and the
+generators of a chunk share u, um1, each power um1^m and S from its
+context; neither changes a bit of any value.
 """
 
 from __future__ import annotations
@@ -299,8 +302,9 @@ class ChunkValues(UContext):
     forgotten.  Stateful: the task that owns the chunk builds it.
 
     The claims' kernels ``take`` chunk-sized arrays from the chunk and
-    ``give`` each back once it is dead.  x, u and um1 are formed in lent
-    arrays too; a and b stay the caller's.  ``forget`` hands back the
+    ``give`` each back once it is dead; ``term`` gives them c * f(x),
+    which for c = 1 is the memoized array itself.  x, u and um1 are
+    formed in lent arrays too; a and b stay the caller's.  ``forget`` hands back the
     values no later claim reads, and ``release`` hands back all the
     chunk lent, apart from a and b, at chunk end.  A scan builds each
     full chunk on the one pool of its process (``_pool``); any other
@@ -322,6 +326,15 @@ class ChunkValues(UContext):
             val = self._memo[symbol] = _resolve(symbol).eval_ctx(self)
             val.flags.writeable = False
         return val
+
+    def term(self, c, symbol):
+        """(c * f(x), owned).  A unit term is the memoized f(x) itself,
+        which its reader never writes into (owned False), since 1.0 * v
+        is v bit for bit; any other is an array of ``take``."""
+        val = self.gen(symbol)
+        if c == 1:
+            return val, False
+        return np.multiply(float(c), val, out=self.take()), True
 
     def forget(self, symbols) -> None:
         """Hand the memoized f(x) of these symbols back to the pool; a
@@ -358,20 +371,24 @@ class Ordering:
         array of ``chunk.take()`` that the caller gives back."""
         lower = abs_lower = None
         for c, mid in self.terms:
-            upper = np.multiply(float(c), chunk.gen(mid), out=chunk.take())
+            upper, owned = chunk.term(c, mid)
             abs_upper = np.abs(upper, out=chunk.take())
             if lower is not None:
                 # viol = (lower - upper) / max(|lower|, |upper|, 1e-300),
-                # in the arrays of the lower term, dead after this link.
+                # in the arrays of the lower term, dead after this link; a
+                # unit lower term is the memo's, so viol takes its own.
                 scale = np.maximum(abs_lower, abs_upper, out=abs_lower)
                 np.maximum(scale, 1e-300, out=scale)
-                viol = np.subtract(lower, upper, out=lower)
+                viol = np.subtract(lower, upper, out=lower if lower_owned
+                                   else chunk.take())
                 np.divide(viol, scale, out=viol)
                 chunk.give(scale)
                 yield viol
-            lower, abs_lower = upper, abs_upper
+            lower, abs_lower, lower_owned = upper, abs_upper, owned
         if lower is not None:
-            chunk.give(lower, abs_lower)
+            if lower_owned:
+                chunk.give(lower)
+            chunk.give(abs_lower)
 
     def values(self, chunk: ChunkValues):
         worst = None

@@ -21,9 +21,8 @@ from . import catalog
 from .analysis import ChunkValues, Sample
 from .catalog import MEAN_LETTER, MEAN_ORDER, MEAN_TAGS
 
-__all__ = ["mean", "mean_generator", "mean_difference", "symbol_value",
-           "Equality", "claim_gap", "verify_mean_identities", "MEAN_TAGS",
-           "MEAN_ORDER"]
+__all__ = ["mean", "mean_generator", "mean_difference", "Equality",
+           "claim_gap", "verify_mean_identities", "MEAN_TAGS", "MEAN_ORDER"]
 
 
 def _letter(kind: str) -> str:
@@ -110,11 +109,15 @@ def identity_table():
     return list(_ITEM_IDENTITIES + _MEAN_RELATIONS)
 
 
-def symbol_value(symbol: str, a, b):
-    """Evaluate a mean letter or any catalog measure id at (a, b)."""
-    if symbol in MEAN_TAGS:
-        return mean(symbol, a, b)
-    return catalog.get(symbol).value(a, b)
+def _owned(ufunc, chunk: ChunkValues, a, a_owned: bool, b, b_owned: bool):
+    """ufunc(a, b) in an array of the caller's: a's if it owns a, else
+    b's if it owns b, else one of ``chunk.take()``.  b is dead after it,
+    so b's array goes back to the chunk unless it holds the result."""
+    out = a if a_owned else b if b_owned else chunk.take()
+    ufunc(a, b, out=out)
+    if b_owned and out is not b:
+        chunk.give(b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,26 +144,34 @@ class Equality:
 
     def values(self, chunk: ChunkValues):
         # Each term, sum and scale is an array of chunk.take(), given
-        # back once it is dead.
-        scale, magnitude = chunk.take(), chunk.take()
-        scale.fill(1e-300)
+        # back once it is dead, but for a unit term, which is the memo's
+        # f(x) and is never written into.  The scale starts from the
+        # first |t| and meets its floor once, at the end: a maximum is
+        # exact, so the order it is taken in leaves the gap's bits.
+        scale = magnitude = None
         sums = []
         for terms in (self.lhs, self.rhs):
             total = None
             for c, symbol in terms:
-                t = np.multiply(float(c), chunk.gen(symbol), out=chunk.take())
-                np.maximum(scale, np.abs(t, out=magnitude), out=scale)
-                if total is None:
-                    total = t
+                t, owned = chunk.term(c, symbol)
+                if scale is None:
+                    scale = np.abs(t, out=chunk.take())
+                    magnitude = chunk.take()
                 else:
-                    np.add(total, t, out=total)
-                    chunk.give(t)
-            np.maximum(scale, np.abs(total, out=magnitude), out=scale)
-            sums.append(total)
-        gap = np.subtract(sums[0], sums[1], out=sums[0])
+                    np.maximum(scale, np.abs(t, out=magnitude), out=scale)
+                if total is None:
+                    total, total_owned = t, owned
+                else:
+                    total = _owned(np.add, chunk, total, total_owned, t, owned)
+                    total_owned = True
+            if len(terms) > 1:  # a lone term's |total| is in scale already
+                np.maximum(scale, np.abs(total, out=magnitude), out=scale)
+            sums.append((total, total_owned))
+        gap = _owned(np.subtract, chunk, *sums[0], *sums[1])
         np.abs(gap, out=gap)
+        np.maximum(scale, 1e-300, out=scale)
         np.divide(gap, scale, out=gap)
-        chunk.give(sums[1], scale, magnitude)
+        chunk.give(scale, magnitude)
         return gap
 
     def steps(self, chunk: ChunkValues, idx):

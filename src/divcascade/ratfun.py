@@ -21,10 +21,13 @@ certificates) runs on integers.
 
 Float evaluation is one evaluator written over operators: Horner's rule
 on the deflated parts with augmented ``*=`` and ``+=``, which work in
-place on a numpy array and rebind a Python float.  Each numerator
+place on a numpy array and rebind a Python float.  It runs a plan fixed
+once per coefficient list (``_plan``), which skips the additions of a
+zero coefficient and so has the bits of the textbook sum in fewer array
+passes, and a denominator of 1 is not divided by.  Each numerator
 coefficient enters it as (c * p) / q for the scale p / q, which int
-division rounds correctly.  It reads its u = sqrt(x), u - 1 and
-(u - 1)^m from a ``UContext`` that every generator evaluated at the same
+division rounds correctly.  It reads its u = sqrt(x), u - 1, (u - 1)^m
+and S from a ``UContext`` that every generator evaluated at the same
 points can share.  (u - 1)^m is formed by binary powering, so every
 value comes from +, -, *, / and sqrt alone, which IEEE 754 rounds the
 same way for a float and for any SIMD width of an array: a scalar has
@@ -186,18 +189,58 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _horner(coeffs: Sequence[float], u, out):
-    """Horner's rule over float coefficients at a float or an array.
+def _plan(coeffs: Sequence[float]) -> tuple[float, tuple]:
+    """The Horner plan of float coefficients (ascending): (lead, steps).
+
+    Horner's rule starts from the leading coefficient and then, for each
+    coefficient below it, multiplies by u and adds the coefficient.  The
+    plan starts from u * lead instead, the first product, and lists the
+    rest as steps: None multiplies by u, a float adds itself.  It drops
+    every addition of 0.0 but the constant term's.  x + 0.0 is x except
+    that it turns -0.0 into +0.0, and a sum that differs from Horner's
+    only in the sign of a zero stays so through products by u, until an
+    addition erases the sign; the constant term's addition, always kept,
+    erases the last.  So the plan has the bits of textbook Horner
+    (Higham, Accuracy and Stability of Numerical Algorithms, Sec 5.1) at
+    every u, -0.0, 0, inf and NaN included.  No coefficients is the zero
+    polynomial, and one has no steps.
+    """
+    if not coeffs:
+        return 0.0, ()
+    top, steps = len(coeffs) - 2, []
+    for k in range(top, -1, -1):
+        if k < top:
+            steps.append(None)
+        if coeffs[k] != 0.0 or k == 0:
+            steps.append(coeffs[k])
+    return coeffs[-1], tuple(steps)
+
+
+def _horner(plan: tuple[float, tuple], u, out):
+    """Horner's rule by a ``_plan`` at a float or an array.
 
     An array's sum is worked on in place in ``out``, an array its
-    context lent; a float's in floats (``out`` is None).  The sum starts
-    from the leading coefficient, which has the bits of starting from
-    zero wherever u is finite; no coefficients is the zero polynomial.
+    context lent; a float's in floats (``out`` is None).  The first
+    product u * lead is formed straight into ``out``; with a lead of 1
+    that product is u itself, so the sum starts from u + c, or from
+    u * u when the next coefficient is a dropped 0.0.  A degree-d
+    polynomial then takes 2d array operations, fewer for each zero
+    coefficient: u^4 takes 4 and 1 + u^2 takes 2.
     """
-    acc = _full(u, coeffs[-1] if coeffs else 0.0, out)
-    for c in reversed(coeffs[:-1]):
-        acc *= u
-        acc += c
+    lead, steps = plan
+    if not steps:
+        return _full(u, lead, out)
+    if lead != 1.0:
+        acc, rest = _mul(u, lead, out), steps
+    elif steps[0] is None:
+        acc, rest = _mul(u, u, out), steps[1:]
+    else:
+        acc, rest = _add(u, steps[0], out), steps[1:]
+    for c in rest:
+        if c is None:
+            acc *= u
+        else:
+            acc += c
     return acc
 
 
@@ -227,6 +270,14 @@ def _mul(a, b, out):
     return np.multiply(a, b, out=out)
 
 
+def _add(a, b, out):
+    """a + b for a float a; for an array, numpy's sum into ``out``."""
+    if isinstance(a, float):
+        return a + b
+    import numpy as np
+    return np.add(a, b, out=out)
+
+
 def _div(a, b):
     """a / b, in place if a is an array; for a float zero b, the IEEE
     quotient where / would raise.
@@ -244,18 +295,21 @@ def _div(a, b):
 def _power(v, m: int, out):
     """v ** m for m != 0, by left-to-right binary powering.
 
-    Only products: an array v is copied once, into ``out``, and then
-    squared and multiplied in place, bit by bit of |m| after the leading
-    one, so an array power holds one array.  Each product is correctly
+    Only products: an array power is formed in ``out``, where the first
+    square v * v lands straight from v (for |m| = 1, a copy of v), and
+    then squared and multiplied in place, bit by bit of |m| after the
+    leading one, so it holds one array.  Each product is correctly
     rounded, so for m > 0 the relative error is at most gamma_(m-1) =
     (m-1)u / (1 - (m-1)u) with u = 2^-53 (Higham, Accuracy and Stability
     of Numerical Algorithms, Sec 3.1): about 1.5e-14 at m = 132.  A
     negative m takes the reciprocal of v ** |m| in place, one rounding
     more.
     """
-    p = _mul(v, 1.0, out)
-    for bit in bin(abs(m))[3:]:
-        p *= p
+    bits = bin(abs(m))[3:]
+    p = _mul(v, v if bits else 1.0, out)
+    for k, bit in enumerate(bits):
+        if k:
+            p *= p
         if bit == "1":
             p *= v
     if m > 0:
@@ -277,13 +331,15 @@ class UContext:
     """The float quantities every generator evaluated at one x shares.
 
     Holds x, u = sqrt(x), um1 = (x - 1) / (u + 1) (that is u - 1, free of
-    the cancellation near x = 1) and a memo of um1 ** m per exponent m,
-    so generators with the same m pay for the power once.  A scalar x
-    (a number, a numpy scalar or a 0-d array) is held as a Python float,
-    and so is every value computed from it; an array of x is held as
-    float64 (the array itself when it is one), so an integer array
-    cannot wrap in x * x.  The memo makes a context stateful: build one
-    per point set, and share it with no other thread.
+    the cancellation near x = 1), a memo of um1 ** m per exponent m, so
+    generators with the same m pay for the power once, and a memo of
+    S = sqrt((x^2 + 1) / 2), which the root-mean-square mean and its six
+    differences share (``rms``).  A scalar x (a number, a numpy scalar
+    or a 0-d array) is held as a Python float, and so is every value
+    computed from it; an array of x is held as float64 (the array itself
+    when it is one), so an integer array cannot wrap in x * x.  The memos
+    make a context stateful: build one per point set, and share it with
+    no other thread.
 
     One lending rule: every array context lends, and only a scalar one
     computes in floats (``take`` gives None).  ``take`` lends a float
@@ -292,11 +348,12 @@ class UContext:
     one of its own; the evaluators fill it with numpy's ``out=``, and u
     and um1 are formed in lent arrays too.  ``give`` hands arrays back
     as soon as they are dead, and ``release``, at the context's end,
-    hands back u, um1 and the memoized powers; x, the caller's, never
-    enters the pool.
+    hands back u, um1, the memoized powers and S; x, the caller's, never
+    enters the pool.  A memoized value is shared: its readers never
+    write into it.
     """
 
-    __slots__ = ("x", "u", "um1", "_powers", "_pool")
+    __slots__ = ("x", "u", "um1", "_powers", "_s", "_pool")
 
     def __init__(self, x, *, _pool: list | None = None):
         if getattr(x, "ndim", 0):
@@ -313,6 +370,7 @@ class UContext:
             self.u = _sqrt(self.x)
             self.um1 = (self.x - 1.0) / (self.u + 1.0)
         self._powers: dict[int, object] = {}
+        self._s = None
 
     def take(self):
         """A float array shaped like x, lent from the pool; None for a
@@ -331,10 +389,13 @@ class UContext:
             self._pool.extend(arrays)
 
     def release(self) -> None:
-        """At the context's end: hand u, um1 and the memoized powers
-        back to the pool, and forget the powers."""
+        """At the context's end: hand u, um1, the memoized powers and S
+        back to the pool, and forget the powers and S."""
         self.give(self.u, self.um1, *self._powers.values())
+        if self._s is not None:
+            self.give(self._s)
         self._powers.clear()
+        self._s = None
 
     def um1_pow(self, m: int):
         """um1 ** m (m != 0), computed on first request and then reused.
@@ -347,6 +408,16 @@ class UContext:
         if p is None:
             p = self._powers[m] = _power(self.um1, m, self.take())
         return p
+
+    def rms(self):
+        """S = sqrt((x^2 + 1) / 2), computed on first request and then
+        reused."""
+        if self._s is None:
+            s = _mul(self.x, self.x, self.take())
+            s += 1.0
+            s /= 2.0
+            self._s = _sqrt(s, s)
+        return self._s
 
 
 class RatU:
@@ -500,13 +571,14 @@ class RatU:
         gives back."""
         if self._floats is None:
             p, q = self.scale.numerator, self.scale.denominator
-            self._floats = ([c * p / q for c in self.num.coeffs],
-                            [float(c) for c in self.den.coeffs])
+            self._floats = (_plan([c * p / q for c in self.num.coeffs]),
+                            _plan([float(c) for c in self.den.coeffs]))
         fn, fd = self._floats
-        num = _horner(fn, ctx.u, ctx.take())
-        den = _horner(fd, ctx.u, ctx.take())
-        val = _div(num, den)
-        ctx.give(den)
+        val = _horner(fn, ctx.u, ctx.take())
+        if fd != (1.0, ()):         # v / 1.0 is v, bit for bit
+            den = _horner(fd, ctx.u, ctx.take())
+            val = _div(val, den)
+            ctx.give(den)
         if self.m:
             val *= ctx.um1_pow(self.m)
         return val
@@ -635,22 +707,26 @@ class RatS:
 
     def eval_ctx(self, ctx: UContext):
         """Float value at the points of a shared ``UContext``, lent as
-        ``RatU.eval_ctx``'s is."""
+        ``RatU.eval_ctx``'s is.  S is the context's (``UContext.rms``),
+        formed once for every form at those points and never written
+        into: t S lands in t's array and S + r in r's, and S alone is
+        copied."""
         if self._plan is None:
             self._plan = self._float_plan()
         q, t, r = self._plan
-        val = _mul(ctx.x, ctx.x, ctx.take())
-        val += 1.0
-        val /= 2.0
-        val = _sqrt(val, val)
+        s, val = ctx.rms(), None    # s is shared: never written into
         if t is not None:
             tv = t.eval_ctx(ctx)
-            val = _mul(tv, val, val)
-            ctx.give(tv)
+            val = _mul(tv, s, tv)
         if r is not None:
             rv = r.eval_ctx(ctx)
-            val += rv
-            ctx.give(rv)
+            if val is None:
+                val = _add(s, rv, rv)
+            else:
+                val += rv
+                ctx.give(rv)
+        if val is None:
+            val = _mul(s, 1.0, ctx.take())
         if q is None:
             return val
         quo = _div(q.eval_ctx(ctx), val)

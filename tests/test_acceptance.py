@@ -254,7 +254,7 @@ def test_criterion_8_distribution_suite():
                 acc = None
                 mag = None
                 for c, sym in terms:
-                    v = float(c) * np.sum(means.symbol_value(sym, p, q),
+                    v = float(c) * np.sum(catalog.get(sym).value(p, q),
                                           axis=1)
                     acc = v if acc is None else acc + v
                     mag = np.abs(v) if mag is None else np.maximum(

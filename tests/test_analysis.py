@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -544,6 +545,52 @@ def test_pooled_memo_values_are_not_clobbered():
     # Every array came back once, ready to be written again.
     assert len({id(buf) for buf in pool}) == len(pool)
     assert all(buf.shape == (1000,) and buf.flags.writeable for buf in pool)
+
+
+def _unit_term_claims(tol):
+    """Claims whose unit-coefficient terms are read from the memo: a chain
+    with unit terms at both ends and side by side, and equalities with a
+    lone unit term on a side, unit terms summed, and a unit term summed
+    into a scaled one and the other way round."""
+    half, third = Fraction(1, 2), Fraction(3, 7)
+    chain = analysis.Ordering(((1, "D_SA"), (Fraction(3, 4), "D_SN"),
+                               (third, "D_CN"), (1, "D_CS"), (1, "h")), tol)
+    sides = [(((1, "delta"),), ((2, "h"), (1, "D_AH"))),
+             (((1, "D_SA"), (1, "D_AN")), ((1, "D_SN"),)),
+             (((1, "A"), (half, "H")), ((1, "G"),)),
+             (((1, "A"),), ((third, "G"),)),
+             (((1, "A"),), ((1, "G"),))]
+    return [chain] + [means.Equality(lhs, rhs, tol) for lhs, rhs in sides]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unit_terms_fold_as_the_lending_free_reference(workers):
+    chunk = 128
+    claims = _unit_term_claims(-1.0)
+    sample = analysis.Sample.draw(2 * chunk + 50, seed=29)
+    with mock.patch.object(analysis, "CHUNK", chunk):
+        got = analysis.scan_claims(claims, sample, workers)
+    for claim, fold in zip(claims, got):
+        want = _lending_free_fold(claim, *sample.pairs())
+        assert repr((fold.worst, fold.records)) == repr(want), claim
+
+
+def test_unit_terms_leave_the_memo_alone():
+    a, b = analysis.Sample.draw(1000, seed=30).pairs()
+    chunk = analysis.ChunkValues(a, b, _pool=[])
+    fresh = analysis.ChunkValues(a, b)
+    for claim in _unit_term_claims(1e-12):
+        symbols = {symbol for _, symbol in claim.terms}
+        kept = {s: chunk.gen(s).tobytes() for s in symbols}
+        chunk.give(claim.values(chunk))
+        for s in symbols:
+            assert chunk.gen(s).tobytes() == kept[s], (claim, s)
+            assert chunk.gen(s).tobytes() == fresh.gen(s).tobytes(), s
+            assert not chunk.gen(s).flags.writeable, (claim, s)
+        # What a claim gave back can be written, and is no memoized f(x).
+        assert all(buf.flags.writeable for buf in chunk._pool)
+        assert not {id(v) for v in chunk._memo.values()} & {
+            id(buf) for buf in chunk._pool}
 
 
 def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(

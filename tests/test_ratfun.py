@@ -326,6 +326,78 @@ def test_float_evaluation_is_bitwise_the_reference():
                 assert _same_value(m(np.asarray(xs)), ref), (mid, xs)
 
 
+# Runs of zeros below a lead of 1, -1 or another integer, with a constant
+# term that is zero or not; u at zero, the subnormals, the ends of the
+# double range, inf and sampled values.
+_coefficients = st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9)), max_size=10),
+    st.sampled_from([1, -1, 2, -3, 7]))
+_EDGE_U = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf]
+
+
+@given(_coefficients, st.sampled_from([1, Fraction(1, 3), Fraction(-5, 7)]),
+       st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1,
+                max_size=8))
+@example(([0, 0, 0, 0], 1), 1, [2.0])          # u^4
+@example(([1, 0], 1), 1, [2.0])                # 1 + u^2
+@example(([0], 1), 1, [2.0])                   # u
+@example(([], -3), 1, [2.0])                   # a constant
+@example(([], 0), 1, [2.0])                    # the zero polynomial
+@settings(max_examples=200, deadline=None)
+def test_horner_plan_is_bitwise_the_textbook_sum(coeffs, scale, sampled):
+    below, lead = coeffs
+    poly = Poly([*below, lead])
+    u = np.array(_EDGE_U + sampled)
+    floats = [float(scale * Fraction(c)) for c in poly.coeffs]
+    plan = ratfun._plan(floats)
+    with np.errstate(all="ignore"):
+        ref = _reference_horner(poly, u, scale)
+        got = ratfun._horner(plan, u, np.empty_like(u))
+        assert got.tobytes() == ref.tobytes()
+        # A scalar u has the bits of the array element.
+        for k, uk in enumerate(u.tolist()):
+            assert _bits(ratfun._horner(plan, uk, None)) == _bits(ref[k]), uk
+
+
+class _Counted(np.ndarray):
+    """An array that counts the array operations run on it: each ufunc
+    call it takes part in, and each ``fill``."""
+
+    ops = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.ops += 1
+        inputs = [np.asarray(v) for v in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(v) for v in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return out[0] if out is not None else result
+
+    def fill(self, value):
+        _Counted.ops += 1
+        np.asarray(self).fill(value)
+
+
+def _horner_ops(coeffs):
+    """(array operations, value) of the planned Horner sum at a few u."""
+    u = np.array([0.5, 2.0, 3.0]).view(_Counted)
+    out = np.empty(3).view(_Counted)
+    _Counted.ops = 0
+    val = ratfun._horner(ratfun._plan([float(c) for c in coeffs]), u, out)
+    ops = _Counted.ops
+    ref = _reference_horner(Poly(coeffs), np.array([0.5, 2.0, 3.0]))
+    assert np.asarray(val).tobytes() == ref.tobytes(), coeffs
+    return ops
+
+
+def test_horner_plan_skips_the_zero_coefficients():
+    assert _horner_ops([0, 0, 0, 0, 1]) == 4          # u^4: 9 unplanned
+    assert _horner_ops([1, 0, 1]) == 2                # 1 + u^2: 5
+    for d in range(1, 9):                             # 2d + 1 unplanned
+        assert _horner_ops([3, -1, 4, 1, -5, 9, 2, -6, 5][:d] + [2]) == 2 * d
+        assert _horner_ops(list(range(1, d + 1)) + [-7]) == 2 * d
+
+
 def test_shared_context_reuses_the_power():
     x = np.array([0.5, 1.0, 2.0, 7.0])
     ctx = UContext(x)
