@@ -20,14 +20,16 @@ memoized f(x) and the kernels' temporaries.  Each is handed back once
 it is dead, a memoized f(x) right after the last claim that reads it,
 so a pass neither gives its memory to the system after every chunk and
 faults it in again for the next, nor holds every measure's values at
-once.  A claim reads a term of coefficient 1 as the memoized f(x)
-itself, which no reader writes into (``ChunkValues.term``), and the
+once.  A claim, ``Ordering`` or ``Equality``, writes into and hands
+back exactly the writeable arrays it is lent; a term of coefficient 1
+is the memoized f(x) itself, read-only (``ChunkValues.term``).  The
 generators of a chunk share u, um1, each power um1^m and S from its
 context; neither changes a bit of any value.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 import pickle
@@ -46,8 +48,8 @@ from .reporting import CheckResult
 
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "certify_convexity",
-    "estimate_sup_ratio", "Ordering", "ChunkValues", "Fold", "start_scan",
-    "scan_claims", "scan_chain_terms", "CHUNK",
+    "estimate_sup_ratio", "Ordering", "Equality", "ChunkValues", "Fold",
+    "start_scan", "scan_claims", "scan_chain_terms", "claim_gaps", "CHUNK",
 ]
 
 CHUNK = 16384           # pairs per chunk of a sampled pass
@@ -56,6 +58,30 @@ CHUNK = 16384           # pairs per chunk of a sampled pass
 FD_REL_TOL = 1e-6
 FD_ABS_TOL = 1e-8
 SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9), [0.999, 1.001]])
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, numpy's included, or a ``ValueError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, from any real number but a bool (numpy's
+    included), or a ``ValueError`` naming it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 def default_grid() -> np.ndarray:
@@ -131,10 +157,11 @@ class Sample:
     """Sampled pairs (a, b): given ones, or a recipe that draws them.
 
     ``Sample(a, b)`` holds the pairs given, scalars as one-element
-    arrays.  ``Sample.draw(n, seed)`` holds only n and its seed, and
-    ``pairs(lo, hi)`` draws exactly the pairs [lo, hi) when asked, so a
-    scan draws each chunk in the process that scans it and no process
-    holds the whole sample.  ``size`` is the number of pairs.
+    arrays; a and b that are not 1-d and of one length are a
+    ``ValueError``.  ``Sample.draw(n, seed)`` holds only n and its
+    seed, and ``pairs(lo, hi)`` draws exactly the pairs [lo, hi) when
+    asked, so a scan draws each chunk in the process that scans it and
+    no process holds the whole sample.  ``size`` is the number of pairs.
 
     ``b * m.eval_ctx(UContext(a / b))`` has the bits of ``m.value(a, b)``
     over the pairs and over any chunk of them: elementwise work does not
@@ -144,9 +171,12 @@ class Sample:
     __slots__ = ("size", "_ab", "_seed")
 
     def __init__(self, a, b):
-        self._ab = (np.atleast_1d(np.asarray(a, dtype=float)),
-                    np.atleast_1d(np.asarray(b, dtype=float)))
-        self.size = int(self._ab[0].size)
+        a, b = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b))
+        if a.ndim != 1 or a.shape != b.shape:
+            raise ValueError("a and b must pair up, as 1-d arrays of one "
+                             f"length, not of shapes {a.shape} and {b.shape}")
+        self._ab = (a, b)
+        self.size = int(a.size)
         self._seed = None
 
     @classmethod
@@ -216,7 +246,7 @@ def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
 def certify_convexity(measure) -> CheckResult:
     """Certify that a divergence generator is convex and normalized.
 
-    Checks f(1) = 0, f'(1) = 0, and proves the exact f'' positive on all
+    Proves f(1) = 0, f'(1) = 0 and the exact f'' positive on all
     of x > 0 apart from x = 1 (``positive_off_one`` of the ``RatU`` or
     ``RatS`` form, by Polya certificates; a failed ``RatU`` proof records
     the N of num and den as ``polya``).  A spot check of f'' against a
@@ -234,9 +264,9 @@ def certify_convexity(measure) -> CheckResult:
     def flag(x, check, amount):
         bad.append({"x": float(x), "check": check, "violation": float(amount)})
 
-    f1 = float(m(1.0))
-    if abs(f1) > 1e-15:
-        flag(1.0, "f(1)=0", abs(f1))
+    f1 = m.gen.limit_at_1()
+    if f1 != 0:
+        flag(1.0, "f(1)=0", abs(float(f1)))
     slope = m.gen.dx().limit_at_1()
     if slope != 0:
         flag(1.0, "f'(1)=0", abs(slope))
@@ -301,14 +331,15 @@ class ChunkValues(UContext):
     with each f(x) kept read-only from its first evaluation until it is
     forgotten.  Stateful: the task that owns the chunk builds it.
 
-    The claims' kernels ``take`` chunk-sized arrays from the chunk and
-    ``give`` each back once it is dead; ``term`` gives them c * f(x),
-    which for c = 1 is the memoized array itself.  x, u and um1 are
-    formed in lent arrays too; a and b stay the caller's.  ``forget`` hands back the
-    values no later claim reads, and ``release`` hands back all the
-    chunk lent, apart from a and b, at chunk end.  A scan builds each
-    full chunk on the one pool of its process (``_pool``); any other
-    chunk lends from a list of its own.
+    Ownership is writeability.  The claims' kernels ``take`` writeable
+    chunk-sized arrays and ``give`` each back once it is dead; ``term``
+    gives them c * f(x), for c = 1 the read-only memoized array itself,
+    which no kernel writes into or gives back.  x, u and um1 are formed
+    in lent arrays too; a and b stay the caller's.  ``forget`` hands
+    back the values no later claim reads, and ``release`` hands back
+    all the chunk lent, apart from a and b, at chunk end.  A scan builds
+    each full chunk on the one pool of its process (``_pool``); any
+    other chunk lends from a list of its own.
     """
 
     __slots__ = ("a", "b", "_memo")
@@ -328,13 +359,13 @@ class ChunkValues(UContext):
         return val
 
     def term(self, c, symbol):
-        """(c * f(x), owned).  A unit term is the memoized f(x) itself,
-        which its reader never writes into (owned False), since 1.0 * v
-        is v bit for bit; any other is an array of ``take``."""
+        """c * f(x).  A unit term is the read-only memoized f(x) itself,
+        since 1.0 * v is v bit for bit; any other is a writeable array
+        of ``take``, which its reader owns and gives back."""
         val = self.gen(symbol)
         if c == 1:
-            return val, False
-        return np.multiply(float(c), val, out=self.take()), True
+            return val
+        return np.multiply(float(c), val, out=self.take())
 
     def forget(self, symbols) -> None:
         """Hand the memoized f(x) of these symbols back to the pool; a
@@ -371,7 +402,7 @@ class Ordering:
         array of ``chunk.take()`` that the caller gives back."""
         lower = abs_lower = None
         for c, mid in self.terms:
-            upper, owned = chunk.term(c, mid)
+            upper = chunk.term(c, mid)
             abs_upper = np.abs(upper, out=chunk.take())
             if lower is not None:
                 # viol = (lower - upper) / max(|lower|, |upper|, 1e-300),
@@ -379,14 +410,14 @@ class Ordering:
                 # unit lower term is the memo's, so viol takes its own.
                 scale = np.maximum(abs_lower, abs_upper, out=abs_lower)
                 np.maximum(scale, 1e-300, out=scale)
-                viol = np.subtract(lower, upper, out=lower if lower_owned
-                                   else chunk.take())
+                viol = np.subtract(lower, upper, out=lower if
+                                   lower.flags.writeable else chunk.take())
                 np.divide(viol, scale, out=viol)
                 chunk.give(scale)
                 yield viol
-            lower, abs_lower, lower_owned = upper, abs_upper, owned
+            lower, abs_lower = upper, abs_upper
         if lower is not None:
-            if lower_owned:
+            if lower.flags.writeable:
                 chunk.give(lower)
             chunk.give(abs_lower)
 
@@ -417,6 +448,77 @@ class Ordering:
         nan = np.isnan(viols)
         first_max = np.argmax(viols == viols.max(axis=0), axis=0)
         return np.where(nan.any(axis=0), np.argmax(nan, axis=0), first_max)
+
+
+def _owned(ufunc, chunk: ChunkValues, a, b):
+    """ufunc(a, b) into a if it is writeable, else b if it is, else
+    ``chunk.take()``; b is dead after it: a writeable b that does not
+    hold the result goes back to the chunk."""
+    out = a if a.flags.writeable else b if b.flags.writeable else chunk.take()
+    ufunc(a, b, out=out)
+    if b.flags.writeable and out is not b:
+        chunk.give(b)
+    return out
+
+
+@dataclass(frozen=True)
+class Equality:
+    """The claim sum(c * s for c, s in lhs) == the same over rhs.
+
+    A pair's value is |L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300)
+    with t_i = c_i * f_i(x) and L, R the left-to-right sums of each
+    side.  Combinations like Psi - 4K + 4Delta cancel to a much higher
+    diagonal order than their terms, so the residual is measured against
+    the largest term as well.  Every symbol, a mean letter included, is
+    its f(x) from the chunk's memo.  Each measure is b * f(a/b), so the
+    gap is a function of x = a/b alone, whatever the pair's magnitude,
+    and the 1e-300 floor applies to f(x), not to b * f(x).
+    """
+
+    lhs: tuple
+    rhs: tuple
+    tol: float = 0.0
+
+    @property
+    def terms(self) -> tuple:
+        return (*self.lhs, *self.rhs)
+
+    def values(self, chunk: ChunkValues):
+        # Each term, sum and scale is an array of chunk.take(), given
+        # back once it is dead, but for a unit term, which is the memo's
+        # read-only f(x).  The scale starts from the first |t| and meets
+        # its floor once, at the end: a maximum is exact, so the order
+        # it is taken in leaves the gap's bits.
+        scale = magnitude = None
+        sums = []
+        for terms in (self.lhs, self.rhs):
+            total = None
+            for c, symbol in terms:
+                t = chunk.term(c, symbol)
+                if scale is None:
+                    scale = np.abs(t, out=chunk.take())
+                    magnitude = chunk.take()
+                else:
+                    np.maximum(scale, np.abs(t, out=magnitude), out=scale)
+                total = t if total is None else _owned(np.add, chunk, total, t)
+            if len(terms) > 1:  # a lone term's |total| is in scale already
+                np.maximum(scale, np.abs(total, out=magnitude), out=scale)
+            sums.append(total)
+        gap = _owned(np.subtract, chunk, *sums)
+        np.abs(gap, out=gap)
+        np.maximum(scale, 1e-300, out=scale)
+        np.divide(gap, scale, out=gap)
+        chunk.give(scale, magnitude)
+        return gap
+
+    def steps(self, chunk: ChunkValues, idx):
+        return None     # one link: the equality itself
+
+
+def claim_gaps(claims, sample: Sample) -> list:
+    """Each claim's ``values`` at every pair, on one chunk and memo."""
+    chunk = ChunkValues(*sample.pairs())
+    return [claim.values(chunk) for claim in claims]
 
 
 @dataclass
@@ -462,7 +564,7 @@ def start_scan(claims, sample: Sample, workers: int = 1
     """Start folding each claim over every sampled pair, in one chunked
     pass; the returned ``join()`` gives the folds.
 
-    A claim (``Ordering`` or ``means.Equality``) has ``terms``, ``tol``,
+    A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol``,
     ``values(chunk)``: per pair a value, failing above tol or NaN, in an
     array of ``chunk.take()`` that the pass gives back, and
     ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
@@ -477,7 +579,8 @@ def start_scan(claims, sample: Sample, workers: int = 1
     folding that claim.  Folds are kept by claim index, so the order
     does not show.
 
-    With ``workers`` > 1, started from a process with one Python thread,
+    ``workers`` is an integer >= 1, or a ``ValueError``.  With
+    ``workers`` > 1, started from a process with one Python thread,
     the pass is split into contiguous runs of whole chunks, each scanned
     by a child made by ``os.fork`` (at most one per chunk) while the
     caller goes on, so it can prove while they scan; ``join()`` reads
@@ -486,7 +589,7 @@ def start_scan(claims, sample: Sample, workers: int = 1
     Folds merge in index order: chunk size, worker count and path do
     not change them.
     """
-    claims = list(claims)
+    claims, workers = list(claims), _count("workers", workers)
     size, pool = CHUNK, []      # a forked child scans on its own copy
     order, last = _schedule(claims)
 

@@ -50,11 +50,11 @@ class AuditConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        self.samples = cascade._count("samples", self.samples)
-        self.seed = cascade._integer("seed", self.seed)
-        self.tolerance = cascade._real("tolerance", self.tolerance)
+        self.samples = analysis._count("samples", self.samples)
+        self.seed = analysis._integer("seed", self.seed)
+        self.tolerance = analysis._real("tolerance", self.tolerance)
         self.workers = (_usable_cpus() if self.workers is None
-                        else cascade._count("workers", self.workers))
+                        else analysis._count("workers", self.workers))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0 < self.tolerance < float("inf"):
@@ -379,7 +379,8 @@ def _identity_proved(ident: Identity) -> bool:
 
 
 def _equalities(ident: Identity) -> list:
-    return [means.Equality(lhs, rhs, ident.tol) for lhs, rhs in ident.claims]
+    return [analysis.Equality(lhs, rhs, ident.tol)
+            for lhs, rhs in ident.claims]
 
 
 def _identities(tol: float) -> list[Identity]:

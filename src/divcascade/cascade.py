@@ -12,14 +12,12 @@ engine replays.  Each claim is proved as one exact sum of c * form:
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional
 
-from . import analysis, catalog, means
+from . import analysis, catalog
 from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
 from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
@@ -113,15 +111,16 @@ def pyramid_equalities(pair, tol: float = 1e-12):
 
     Returns (common value, per-index relative deviations) and raises if
     any deviation exceeds tol.  The scaled D^1 is the common value; each
-    other deviation is the audit's ``means.claim_gap`` of its claim in
-    ``PYRAMID_EQ_CLAIMS``.
+    other deviation is the audit's ``analysis.Equality`` gap of its claim
+    in ``PYRAMID_EQ_CLAIMS``.
     """
     a, b = positive_pair(pair)
     common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
-    sample = analysis.Sample(a, b)
+    claims = [analysis.Equality(*claim) for claim in PYRAMID_EQ_CLAIMS]
+    gaps = analysis.claim_gaps(claims, analysis.Sample(a, b))
     residuals = {"D1": 0.0}
-    for lhs, rhs in PYRAMID_EQ_CLAIMS:
-        residuals[lhs[0][1]] = float(means.claim_gap(lhs, rhs, sample)[0])
+    for eq, gap in zip(claims, gaps):
+        residuals[eq.lhs[0][1]] = float(gap[0])
     worst = max(residuals.values())
     if worst > tol:
         raise ValueError(f"pyramid equality broke at {pair}: "
@@ -297,38 +296,14 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     ``samples`` and ``workers`` are integers >= 1 and ``tol`` is finite;
     a negative tol records pairs that hold as counterexamples too.
     """
-    samples, workers = _count("samples", samples), _count("workers", workers)
-    tol = _real("tol", tol)
+    samples = analysis._count("samples", samples)
+    tol = analysis._real("tol", tol)
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, not {tol!r}")
     if isinstance(chain, str):
         chain = get_chain(chain)
     return check_chain(chain, analysis.Sample.draw(samples, seed), tol,
                        workers)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy's included, or a ``ValueError`` naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float, from any real number but a bool (numpy's
-    included), or a ``ValueError`` naming it."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a real number, not {value!r}")
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
-    value = _integer(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
 
 
 @cache
@@ -485,7 +460,7 @@ def beta_exact(part) -> Fraction:
 def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     """Check beta*big - small = c*residual at one pair.
 
-    The relative residual is the audit's ``means.claim_gap``.  It is
+    The relative residual is the audit's ``analysis.Equality`` gap.  It is
     measured against the largest term involved, the only scale on which
     the identity is testable in floats: near a = b the two sides agree
     through several vanishing orders.
@@ -497,7 +472,8 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     resid = catalog.get(p.residual).value(a, b)
     lhs = float(p.beta) * big - small
     rhs = float(p.c) * resid
-    rel = float(means.claim_gap(*p.claim, analysis.Sample(a, b))[0])
+    claim = analysis.Equality(*p.claim)
+    rel = float(analysis.claim_gaps([claim], analysis.Sample(a, b))[0][0])
     return {
         "part": p.id, "claim": f"{p.beta}*{p.big} - {p.small} = {p.c}*{p.residual}",
         "lhs": lhs, "rhs": rhs, "residual": rel, "passed": bool(rel <= tol),

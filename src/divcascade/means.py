@@ -8,21 +8,19 @@ The means are ordered pointwise for every a, b > 0:
 so subtracting a later one from an earlier one is rejected.  Differences of
 adjacent and non-adjacent means are the raw material for the divergence
 cascade; scaled combinations of them reproduce the triangular and Hellinger
-discriminations exactly, which ``verify_mean_identities`` checks pointwise.
+discriminations exactly, which ``verify_mean_identities`` checks pointwise
+as the audit's ``analysis.Equality`` claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import catalog
-from .analysis import ChunkValues, Sample
 from .catalog import MEAN_LETTER, MEAN_ORDER, MEAN_TAGS
 
-__all__ = ["mean", "mean_generator", "mean_difference", "Equality",
-           "claim_gap", "verify_mean_identities", "MEAN_TAGS", "MEAN_ORDER"]
+__all__ = ["mean", "mean_generator", "mean_difference",
+           "verify_mean_identities", "MEAN_TAGS", "MEAN_ORDER"]
 
 
 def _letter(kind: str) -> str:
@@ -70,10 +68,10 @@ def mean_difference(bigger: str, smaller: str, a, b):
 
 
 # Identities tying scaled mean differences to the two discriminations, plus
-# the twelve linear relations among the means themselves.  Each entry is
+# the fourteen linear relations among the means themselves.  Each entry is
 # (identity id, lhs terms, rhs terms) with terms as (coefficient, symbol),
 # symbols naming either a mean letter or a difference D_XY / base measure.
-_ITEM_IDENTITIES = [
+_IDENTITIES = [
     ("item1a", [(3, "D_CR")], [(1, "delta")]),
     ("item1b", [(2, "D_AH")], [(1, "delta")]),
     ("item1c", [(2, "D_CA")], [(1, "delta")]),
@@ -84,9 +82,6 @@ _ITEM_IDENTITIES = [
     ("item2b", [(1, "D_AG")], [(1, "h")]),
     ("item2c", [(1.5, "D_NG")], [(1, "h")]),
     ("item3", [(1, "D_CG")], [(3, "D_RN")]),
-]
-
-_MEAN_RELATIONS = [
     ("remark2_1a", [(4, "A")], [(2, "C"), (2, "H")]),
     ("remark2_1b", [(4, "A")], [(3, "R"), (1, "H")]),
     ("remark2_2a", [(3, "R")], [(1, "C"), (2, "A")]),
@@ -106,81 +101,7 @@ _MEAN_RELATIONS = [
 
 def identity_table():
     """All identity rows as (id, lhs terms, rhs terms) triples."""
-    return list(_ITEM_IDENTITIES + _MEAN_RELATIONS)
-
-
-def _owned(ufunc, chunk: ChunkValues, a, a_owned: bool, b, b_owned: bool):
-    """ufunc(a, b) in an array of the caller's: a's if it owns a, else
-    b's if it owns b, else one of ``chunk.take()``.  b is dead after it,
-    so b's array goes back to the chunk unless it holds the result."""
-    out = a if a_owned else b if b_owned else chunk.take()
-    ufunc(a, b, out=out)
-    if b_owned and out is not b:
-        chunk.give(b)
-    return out
-
-
-@dataclass(frozen=True)
-class Equality:
-    """The claim sum(c * s for c, s in lhs) == the same over rhs.
-
-    A pair's value is |L - R| / max(|L|, |R|, |t_1|, ..., |t_n|, 1e-300)
-    with t_i = c_i * f_i(x) and L, R the left-to-right sums of each
-    side.  Combinations like Psi - 4K + 4Delta cancel to a much higher
-    diagonal order than their terms, so the residual is measured against
-    the largest term as well.  Every symbol, a mean letter included, is
-    its f(x) from the chunk's memo.  Each measure is b * f(a/b), so the
-    gap is a function of x = a/b alone, whatever the pair's magnitude,
-    and the 1e-300 floor applies to f(x), not to b * f(x).
-    """
-
-    lhs: tuple
-    rhs: tuple
-    tol: float = 0.0
-
-    @property
-    def terms(self) -> tuple:
-        return (*self.lhs, *self.rhs)
-
-    def values(self, chunk: ChunkValues):
-        # Each term, sum and scale is an array of chunk.take(), given
-        # back once it is dead, but for a unit term, which is the memo's
-        # f(x) and is never written into.  The scale starts from the
-        # first |t| and meets its floor once, at the end: a maximum is
-        # exact, so the order it is taken in leaves the gap's bits.
-        scale = magnitude = None
-        sums = []
-        for terms in (self.lhs, self.rhs):
-            total = None
-            for c, symbol in terms:
-                t, owned = chunk.term(c, symbol)
-                if scale is None:
-                    scale = np.abs(t, out=chunk.take())
-                    magnitude = chunk.take()
-                else:
-                    np.maximum(scale, np.abs(t, out=magnitude), out=scale)
-                if total is None:
-                    total, total_owned = t, owned
-                else:
-                    total = _owned(np.add, chunk, total, total_owned, t, owned)
-                    total_owned = True
-            if len(terms) > 1:  # a lone term's |total| is in scale already
-                np.maximum(scale, np.abs(total, out=magnitude), out=scale)
-            sums.append((total, total_owned))
-        gap = _owned(np.subtract, chunk, *sums[0], *sums[1])
-        np.abs(gap, out=gap)
-        np.maximum(scale, 1e-300, out=scale)
-        np.divide(gap, scale, out=gap)
-        chunk.give(scale, magnitude)
-        return gap
-
-    def steps(self, chunk: ChunkValues, idx):
-        return None     # one link: the equality itself
-
-
-def claim_gap(lhs, rhs, sample: Sample):
-    """The ``Equality`` gap of lhs == rhs, on one chunk of every pair."""
-    return Equality(lhs, rhs).values(ChunkValues(*sample.pairs()))
+    return list(_IDENTITIES)
 
 
 def verify_mean_identities(a, b):
@@ -188,12 +109,12 @@ def verify_mean_identities(a, b):
     (a, b) of positive finite numbers; any other pair is a ValueError.
 
     Returns a list of (identity id, relative residual, passed) triples.
-    The residual is the audit's ``claim_gap``; "passed" means
-    residual <= 1e-12.
+    The residual is the audit's ``analysis.Equality`` gap; "passed"
+    means residual <= 1e-12.
     """
-    out = []
-    sample = Sample(*catalog.positive_pair((a, b)))
-    for ident, lhs_terms, rhs_terms in _ITEM_IDENTITIES + _MEAN_RELATIONS:
-        resid = float(claim_gap(lhs_terms, rhs_terms, sample)[0])
-        out.append((ident, resid, resid <= 1e-12))
-    return out
+    from .analysis import Equality, Sample, claim_gaps
+    gaps = claim_gaps([Equality(lhs, rhs) for _, lhs, rhs in _IDENTITIES],
+                      Sample(*catalog.positive_pair((a, b))))
+    resids = [float(gap[0]) for gap in gaps]
+    return [(ident, resid, resid <= 1e-12)
+            for (ident, _, _), resid in zip(_IDENTITIES, resids)]

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade import analysis, audit, cascade, catalog, means
-from divcascade.ratfun import RatS
+from divcascade import analysis, audit, cascade, catalog
+from divcascade.ratfun import Poly, RatS, RatU
 from test_audit import _per_call_gap
 
 
@@ -124,6 +124,17 @@ def test_the_draw_refuses_bad_sizes_and_seeds():
         analysis.Sample.draw(1e4, 0)
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 2.0, 3.0], [2.0]),           # b would broadcast
+    ([1.0, 2.0], [2.0, 3.0, 4.0]),      # b's last value would be dropped
+    (2.0, [1.0, 2.0]),
+    ([[1.0, 2.0]], [[2.0, 3.0]]),
+    (np.ones((2, 2)), np.ones(4))])
+def test_given_pairs_must_pair_up(a, b):
+    with pytest.raises(ValueError, match="must pair up"):
+        analysis.Sample(a, b)
+
+
 def test_a_forked_scan_draws_nothing_in_the_parent(monkeypatch):
     def refuse(*args):
         raise AssertionError("the whole sample was drawn")
@@ -232,6 +243,18 @@ def test_certify_convexity_fails_a_value_that_is_not_finite(bad):
         ("analytic-vs-fd", 1.001, float("inf"))]
 
 
+def test_certify_convexity_proves_normalization_exactly():
+    # f(1) = 1e-17 is below any float tolerance; the exact limit is not 0.
+    gen = catalog.get("delta").gen + RatU(Poly([1]), Poly([1]), 0,
+                                          Fraction(1, 10**17))
+    probe = catalog.Measure("probe", "delta + 1e-17", "divergence", "",
+                            gen=gen)
+    res = analysis.certify_convexity(probe)
+    assert res.verdict == "fail"
+    assert [(r["check"], r["x"], r["violation"])
+            for r in res.counterexamples] == [("f(1)=0", 1.0, 1e-17)]
+
+
 def _mp_value(form, x, dps):
     """A ``RatU`` or ``RatS`` form in mpmath: the evaluator the decimal
     one replaced, kept as its oracle."""
@@ -294,6 +317,24 @@ def test_estimate_sup_ratio_names_a_root_mean_square_measure():
         analysis.estimate_sup_ratio("D_SA", "D_SH")
     with pytest.raises(ValueError, match="D_SH"):
         analysis.estimate_sup_ratio("D_AH", "D_SH")
+
+
+_MEANS = cascade.get_chain("means")
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+@pytest.mark.parametrize("scan", [
+    lambda sample, workers: analysis.scan_claims(
+        [analysis.Ordering(_MEANS.terms, 1e-12)], sample, workers),
+    lambda sample, workers: analysis.scan_chain_terms(
+        _MEANS.terms, sample, 1e-12, workers),
+    lambda sample, workers: cascade.check_chain(
+        _MEANS, sample, 1e-12, workers),
+], ids=["scan_claims", "scan_chain_terms", "check_chain"])
+def test_every_scan_refuses_a_worker_count_that_is_not_a_count(scan,
+                                                               workers):
+    with pytest.raises(ValueError, match="workers must be "):
+        scan(analysis.Sample.draw(100, 0), workers)
 
 
 def test_scan_finds_reversed_chain_violation():
@@ -389,7 +430,7 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
     monkeypatch.setattr(analysis, "CHUNK", 2)
     # Pairs 3 and 4 are the same worst pair, on either side of a boundary.
     sample = analysis.Sample([2.0, 3.0, 3.0, 5.0, 5.0, 3.0], np.ones(6))
-    false_eq = means.Equality(((1, "S"),), ((1, "R"),))
+    false_eq = analysis.Equality(((1, "S"),), ((1, "R"),))
     reversed_link = analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12)
     for claims in ([false_eq], [reversed_link], [false_eq, false_eq]):
         whole = analysis.ChunkValues(*sample.pairs())
@@ -443,7 +484,7 @@ def _audit_claims(tol):
     chains = [analysis.Ordering(cascade.get_chain(cid).terms, tol)
               for cid in cascade.chains()]
     idents = audit._identities(tol) + audit._combinations(tol)
-    return chains + [means.Equality(lhs, rhs, tol)
+    return chains + [analysis.Equality(lhs, rhs, tol)
                      for ident in idents for lhs, rhs in ident.claims]
 
 
@@ -560,7 +601,7 @@ def _unit_term_claims(tol):
              (((1, "A"), (half, "H")), ((1, "G"),)),
              (((1, "A"),), ((third, "G"),)),
              (((1, "A"),), ((1, "G"),))]
-    return [chain] + [means.Equality(lhs, rhs, tol) for lhs, rhs in sides]
+    return [chain] + [analysis.Equality(lhs, rhs, tol) for lhs, rhs in sides]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -579,6 +620,14 @@ def test_unit_terms_leave_the_memo_alone():
     a, b = analysis.Sample.draw(1000, seed=30).pairs()
     chunk = analysis.ChunkValues(a, b, _pool=[])
     fresh = analysis.ChunkValues(a, b)
+    # A unit term is the read-only memoized f(x); any other is writeable.
+    unit = chunk.term(1, "A")
+    assert unit is chunk.gen("A") and not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit += 1.0
+    scaled = chunk.term(Fraction(1, 2), "A")
+    assert scaled.flags.writeable and scaled is not unit
+    chunk.give(scaled)
     for claim in _unit_term_claims(1e-12):
         symbols = {symbol for _, symbol in claim.terms}
         kept = {s: chunk.gen(s).tobytes() for s in symbols}

@@ -264,10 +264,15 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     claims = [claim for ident in audit._identities(1e-12)
               + audit._combinations(1e-12) for claim in ident.claims]
     assert len(claims) == 165
-    for lhs, rhs in claims:
-        got = means.claim_gap(lhs, rhs, sample)
+    equalities = [analysis.Equality(lhs, rhs) for lhs, rhs in claims]
+    # The per-call gaps, each claim on a chunk of its own, and the gaps of
+    # all claims on one chunk, before ChunkValues is patched below.
+    gaps = [analysis.claim_gaps([eq], sample)[0] for eq in equalities]
+    shared = analysis.claim_gaps(equalities, sample)
+    for (lhs, rhs), got, one in zip(claims, gaps, shared):
         ref = _per_call_gap(lhs, rhs, *sample.pairs())
         assert got.tobytes() == ref.tobytes(), (lhs, rhs)
+        assert one.tobytes() == ref.tobytes(), (lhs, rhs)
     built, powers = [], []
 
     class Kept(analysis.ChunkValues):
@@ -280,10 +285,8 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
             super().release()
 
     monkeypatch.setattr(analysis, "ChunkValues", Kept)
-    folds = analysis.scan_claims(
-        [means.Equality(lhs, rhs) for lhs, rhs in claims], sample)
-    for fold, (lhs, rhs) in zip(folds, claims):
-        gap = means.claim_gap(lhs, rhs, sample)
+    folds = analysis.scan_claims(equalities, sample)
+    for fold, gap in zip(folds, gaps):
         assert fold.worst == gap.max() and fold.index == np.argmax(gap)
     # One chunk context served all 165 claims: six distinct powers (u - 1)^m.
     assert len(built) == 1
@@ -359,7 +362,7 @@ def test_chain_scan_with_another_thread_alive_does_not_fork(monkeypatch):
 
 def _in_child(parent, action):
     """A claim ``values`` that runs ``action`` in a forked child only."""
-    real = means.Equality.values
+    real = analysis.Equality.values
 
     def values(self, chunk):
         if os.getpid() != parent:
@@ -373,7 +376,7 @@ def _raise_boom():
 
 
 def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
-    monkeypatch.setattr(means.Equality, "values",
+    monkeypatch.setattr(analysis.Equality, "values",
                         _in_child(os.getpid(), _raise_boom))
     with pytest.raises(ValueError, match="boom in a scan worker"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -382,7 +385,7 @@ def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
 
 
 def test_scan_worker_that_dies_raises_runtime_error(monkeypatch):
-    monkeypatch.setattr(means.Equality, "values",
+    monkeypatch.setattr(analysis.Equality, "values",
                         _in_child(os.getpid(), lambda: os._exit(3)))
     with pytest.raises(RuntimeError, match="without a result.*exit code 3"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -402,7 +405,7 @@ def _raise_needs_two():
 
 
 def test_scan_worker_exception_that_does_not_unpickle(monkeypatch):
-    monkeypatch.setattr(means.Equality, "values",
+    monkeypatch.setattr(analysis.Equality, "values",
                         _in_child(os.getpid(), _raise_needs_two))
     with pytest.raises(RuntimeError, match="NeedsTwo: 1 and 2"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -523,11 +526,14 @@ def test_public_helpers_report_the_audit_gap():
     claims = {i.id: i.claims[0] for i in audit._identities(1e-12)}
     table = means.identity_table()
     assert len(table) == 24
-    gaps = {ident: means.claim_gap(*claims[f"identity:{ident}"], sample)
-            for ident, _, _ in table}
+    gaps = analysis.claim_gaps(
+        [analysis.Equality(*claims[f"identity:{ident}"])
+         for ident, _, _ in table], sample)
+    gaps = {ident: gap for (ident, _, _), gap in zip(table, gaps)}
     parts = cascade.theorem_parts()
     assert len(parts) == 53
-    part_gaps = [means.claim_gap(*p.claim, sample) for p in parts]
+    part_gaps = analysis.claim_gaps(
+        [analysis.Equality(*p.claim) for p in parts], sample)
     for i in range(a.size):
         for ident, resid, ok in means.verify_mean_identities(a[i], b[i]):
             assert resid == gaps[ident][i], (ident, i)

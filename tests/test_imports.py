@@ -122,6 +122,38 @@ def test_analysis_loads_numpy_random():
     assert "numpy.random" in modules
 
 
+@pytest.mark.parametrize("name, absent", [("means", "analysis"),
+                                          ("cascade", "means")])
+def test_the_claim_kernels_live_in_analysis_alone(name, absent):
+    # Ordering and Equality, and the lending rule they share, live in
+    # analysis alone: means loads no analysis, and cascade no means.
+    modules = fresh(f"import json, sys, divcascade.{name}\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert absent not in loaded(modules)
+
+
+_TRACED = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+spans = tracer.Tracer()
+tracer.install(spans)
+from divcascade import cascade
+cascade.audit_chain("means", samples=100, workers=1)
+names = spans.summary(0.0)["names"]
+print(json.dumps({name: v["count"] for name, v in names.items()}))
+"""
+
+
+def test_the_benchmark_tracer_wraps_names_that_exist():
+    # perfbench/run.py --trace 1 installs these wrappers; a name that
+    # moved would stop it, and an audit_chain that scanned past
+    # analysis.scan_chain_terms would leave its scan span empty.
+    counts = fresh(_TRACED, str(SRC.parent / "perfbench"))
+    assert counts["cascade.audit_chain"] == 1
+    assert counts["analysis.scan_chain_terms"] == 1
+
+
 @pytest.mark.parametrize("name", LIBRARY)
 def test_each_module_imports_first(name):
     # The old eager __init__ fixed one import order, which could hide a
