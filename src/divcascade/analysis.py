@@ -13,6 +13,8 @@ stream straight to them, in the process that scans the chunk, as one
 ``ChunkValues``, the chunk's ``UContext`` with a memo of generator
 values; the folds merge in index order whatever the chunk size, worker
 count, or whether the chunks ran in this process or in forked ones.
+A fold records each failing pair's index, a, b and value; the link of
+a chain it broke is named from the pair by ``cascade.named_links``.
 One lending rule holds: every array context lends, and only a scalar
 one computes in floats.  Every array a full chunk uses is lent from
 its process's one free list: the drawn pairs, x, u and um1, each
@@ -60,10 +62,19 @@ FD_ABS_TOL = 1e-8
 SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9), [0.999, 1.001]])
 
 
+def _index(value) -> int:
+    """``operator.index(value)``, refusing a bool with the same
+    ``TypeError``: a flag is not a count."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy's included, or a ``ValueError`` naming it."""
+    """``value`` as an int, numpy's included but not a bool, or a
+    ``ValueError`` naming it."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
@@ -188,14 +199,14 @@ class Sample:
         here so that every range of the sample comes from one stream.  A
         ``numpy.random.Generator`` is refused: ranges are drawn in any
         order and in any process, and a generator's state moves as it is
-        read.
+        read.  A bool, for n or for ``seed``, is a ``TypeError``.
         """
-        n = operator.index(n)
+        n = _index(n)
         if n < 0:
             raise ValueError(f"a sample needs n >= 0 pairs, not {n}")
         if seed is not None:
             try:
-                seed = operator.index(seed)
+                seed = _index(seed)
             except TypeError:
                 raise TypeError("seed must be None or an integer >= 0, not "
                                 f"{type(seed).__name__}") from None
@@ -246,8 +257,9 @@ def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
 def certify_convexity(measure) -> CheckResult:
     """Certify that a divergence generator is convex and normalized.
 
-    Proves f(1) = 0, f'(1) = 0 and the exact f'' positive on all
-    of x > 0 apart from x = 1 (``positive_off_one`` of the ``RatU`` or
+    Proves f(1) = 0 and f'(1) = 0 (a pole at x = 1 fails each by inf)
+    and the exact f'' positive on all of x > 0 apart from x = 1
+    (``positive_off_one`` of the ``RatU`` or
     ``RatS`` form, by Polya certificates; a failed ``RatU`` proof records
     the N of num and den as ``polya``).  A spot check of f'' against a
     40-digit ``decimal`` central difference at ``SPOT_POINTS``, to within
@@ -264,12 +276,13 @@ def certify_convexity(measure) -> CheckResult:
     def flag(x, check, amount):
         bad.append({"x": float(x), "check": check, "violation": float(amount)})
 
-    f1 = m.gen.limit_at_1()
-    if f1 != 0:
-        flag(1.0, "f(1)=0", abs(float(f1)))
-    slope = m.gen.dx().limit_at_1()
-    if slope != 0:
-        flag(1.0, "f'(1)=0", abs(slope))
+    for check, form in (("f(1)=0", m.gen), ("f'(1)=0", m.gen.dx())):
+        try:
+            at_1 = abs(form.limit_at_1())
+        except ZeroDivisionError:       # a pole at x = 1
+            at_1 = float("inf")
+        if at_1 != 0:
+            flag(1.0, check, at_1)
 
     f2 = m.fpp
     if not f2.positive_off_one():
@@ -279,8 +292,8 @@ def certify_convexity(measure) -> CheckResult:
                                           f2.den.polya_degree()])
     fd = np.array([_fd2_mp(m, float(x)) for x in SPOT_POINTS])
     analytic = f2(SPOT_POINTS)
-    diff = np.abs(analytic - fd)
     with np.errstate(invalid="ignore"):     # inf - inf where f'' is inf
+        diff = np.abs(analytic - fd)
         excess = diff - (FD_REL_TOL * np.abs(analytic) + FD_ABS_TOL)
     i = int(np.argmax(excess))        # the first NaN, if there is one
     if not float(excess[i]) <= 0.0:   # so a value that is not finite fails
@@ -436,15 +449,11 @@ class Ordering:
             worst.fill(-np.inf)
         return worst
 
-    def steps(self, chunk: ChunkValues, idx):
-        """The link of each pair chunk[idx]: its first NaN link if it has
-        one, else its first link equal to its value.
-
-        Elementwise bits do not depend on the chunk, so the links are
-        evaluated again on those pairs alone.
-        """
-        viols = np.array(list(self._links(
-            ChunkValues(chunk.a[idx], chunk.b[idx]))))
+    def steps(self, a, b):
+        """The link index of each pair (a, b): its first NaN link, else its
+        first link at its value.  Elementwise bits do not depend on the
+        chunk, so on a scan's recorded pairs it is the link the scan saw."""
+        viols = np.array(list(self._links(ChunkValues(*Sample(a, b).pairs()))))
         nan = np.isnan(viols)
         first_max = np.argmax(viols == viols.max(axis=0), axis=0)
         return np.where(nan.any(axis=0), np.argmax(nan, axis=0), first_max)
@@ -511,9 +520,6 @@ class Equality:
         chunk.give(scale, magnitude)
         return gap
 
-    def steps(self, chunk: ChunkValues, idx):
-        return None     # one link: the equality itself
-
 
 def claim_gaps(claims, sample: Sample) -> list:
     """Each claim's ``values`` at every pair, on one chunk and memo."""
@@ -546,15 +552,10 @@ def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
     # max() is NaN if any value is, and argmax stops at the first NaN.
     fold = Fold(float(values.max()), lo + int(np.argmax(values)))
     if not fold.worst <= claim.tol:     # some pair is above tol or NaN
-        bad = np.nonzero(~(values <= claim.tol))[0][:10]
-        steps = claim.steps(chunk, bad)
-        for k, j in enumerate(bad):
-            fold.records.append({"index": lo + int(j),
-                                 "a": float(chunk.a[j]),
-                                 "b": float(chunk.b[j])})
-            if steps is not None:
-                fold.records[-1]["step"] = int(steps[k])
-            fold.records[-1]["violation"] = float(values[j])
+        for j in np.nonzero(~(values <= claim.tol))[0][:10]:
+            fold.records.append({"index": lo + int(j), "a": float(chunk.a[j]),
+                                 "b": float(chunk.b[j]),
+                                 "violation": float(values[j])})
     chunk.give(values)
     return fold
 
@@ -566,9 +567,9 @@ def start_scan(claims, sample: Sample, workers: int = 1
 
     A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol``,
     ``values(chunk)``: per pair a value, failing above tol or NaN, in an
-    array of ``chunk.take()`` that the pass gives back, and
-    ``steps(chunk, idx)``: the link index of each pair chunk[idx], or
-    None.  Each chunk task draws its ``CHUNK`` pairs and builds one
+    array of ``chunk.take()`` that the pass gives back.  A fold records
+    each failing pair's index, a, b and value; ``cascade.named_links``
+    names its link.  Each chunk task draws its ``CHUNK`` pairs and builds one
     ``ChunkValues`` of them for all claims, so a measure several claims
     read is evaluated once.  Every full chunk a process scans shares one
     buffer pool, its pairs drawn into arrays of it too, so the pass does

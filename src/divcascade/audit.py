@@ -355,7 +355,9 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     if proved is None:
         proved = _identity_proved(ident)
     total = analysis.Fold(0.0)
-    for fold in folds or analysis.scan_claims(_equalities(ident), sample):
+    if folds is None:
+        folds = analysis.scan_claims(_equalities(ident), sample)
+    for fold in folds:
         total.absorb(fold)
     worst, where = total.worst, total.index
     violation = worst if proved else float("inf")
@@ -401,7 +403,7 @@ def _identities(tol: float) -> list[Identity]:
                      tuple((((1, f"{fid}:{t}"),), terms) for terms in forms))
             for fid, t, forms in _ANCHORS]
     out += [Identity(f"decomposition:{part.id}", _part_ref(part), 1e-11,
-                     (part.claim,))
+                     (part.claim,), misprints=part.misprints)
             for part in cascade.theorem_parts()]
     return out
 
@@ -499,9 +501,9 @@ def _negative_control(config):
         id="negative-control:W2<=W1", kind="negative-control",
         samples=100, max_violation=worst,
         verdict="pass" if found else "fail",
-        counterexamples=records[:1], ref="Eq (9) reversed",
-        detail="a false ordering must fail its proof and be caught "
-               "within 100 samples")
+        counterexamples=cascade.named_links((lo, hi), records[:1]),
+        ref="Eq (9) reversed", detail="a false ordering must fail its "
+                                      "proof and be caught within 100 samples")
 
 
 # ---------------------------------------------------------------------------

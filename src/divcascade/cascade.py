@@ -12,7 +12,7 @@ engine replays.  Each claim is proved as one exact sum of c * form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional
@@ -29,7 +29,7 @@ __all__ = [
     "pyramid_pair", "pyramid_diff", "pyramid_equalities",
     "PYRAMID_EQ_SCALES", "PYRAMID_EQ_CLAIMS", "Chain", "CHAINS", "chains", "get_chain",
     "chain_from_dict", "audit_chain", "chain_proved", "check_chain",
-    "TheoremPart",
+    "named_links", "TheoremPart",
     "THEOREM_PARTS", "theorem_parts", "beta_constant", "beta_exact",
     "residual_decompositions", "is_exact_combination", "is_exact_ordering",
     "ComboLine",
@@ -41,18 +41,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The W scale and the pyramid of differences.
 
+def _paper_index(name: str, i, top: int) -> int:
+    """i as an int in 1..top, or a ``ValueError`` naming the range for
+    any other value, one that is not an integer (a bool included) too."""
+    try:
+        k = analysis._index(i)
+    except TypeError:
+        k = 0
+    if not 1 <= k <= top:
+        raise ValueError(f"{name} index must be in 1..{top}, got {i}")
+    return k
+
+
 def W(i: int, pair) -> float:
     """Value of the i-th scale measure, i in 1..9."""
-    if not 1 <= i <= 9:
-        raise ValueError(f"W index must be in 1..9, got {i}")
+    i = _paper_index("W", i, 9)
     a, b = positive_pair(pair)
     return float(catalog.get(f"W{i}").value(a, b))
 
 
 def W_second_derivative(i: int, x: float) -> float:
     """Analytic second derivative of the i-th scale generator."""
-    if not 1 <= i <= 9:
-        raise ValueError(f"W index must be in 1..9, got {i}")
+    i = _paper_index("W", i, 9)
     return float(catalog.get(f"W{i}").fpp(float(x)))
 
 
@@ -82,14 +92,12 @@ W_FPP_PRINTED: dict[int, RatU] = {
 
 def pyramid_pair(k: int) -> tuple[int, int]:
     """Map a pyramid difference index (1..36) to its (upper, lower) scale."""
-    if not 1 <= k <= 36:
-        raise ValueError(f"pyramid index must be in 1..36, got {k}")
-    return PYRAMID_PAIRS[k - 1]
+    return PYRAMID_PAIRS[_paper_index("pyramid", k, 36) - 1]
 
 
 def pyramid_diff(k: int, pair) -> float:
     """Value of the k-th pyramid difference W_upper - W_lower."""
-    pyramid_pair(k)
+    k = _paper_index("pyramid", k, 36)
     a, b = positive_pair(pair)
     return float(catalog.get(f"D{k}").value(a, b))
 
@@ -130,16 +138,14 @@ def pyramid_equalities(pair, tol: float = 1e-12):
 
 def V(t: int, pair) -> float:
     """Value of the t-th second-order residual measure, t in 1..14."""
-    if not 1 <= t <= 14:
-        raise ValueError(f"V index must be in 1..14, got {t}")
+    t = _paper_index("V", t, 14)
     a, b = positive_pair(pair)
     return float(catalog.get(f"V{t}").value(a, b))
 
 
 def U(t: int, pair) -> float:
     """Value of the t-th third-order residual measure, t in 1..15."""
-    if not 1 <= t <= 15:
-        raise ValueError(f"U index must be in 1..15, got {t}")
+    t = _paper_index("U", t, 15)
     a, b = positive_pair(pair)
     return float(catalog.get(f"U{t}").value(a, b))
 
@@ -326,19 +332,27 @@ def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
     The scan is ``fold``, the chain's from a shared ``start_scan``
     pass, and the proof verdict is ``proved``, ``chain_proved(chain)``,
     if given.  A failed link proof reads inf; the scan's
-    counterexamples stay.
+    counterexamples stay, copied by ``named_links``.
     """
     max_violation, records = (fold.worst, fold.records) if fold else (
         analysis.scan_chain_terms(chain.terms, sample, tol, workers))
-    for r in records:
-        i = r.pop("step")
-        lo, hi = chain.terms[i], chain.terms[i + 1]
-        r["step"] = f"{lo[0]}*{lo[1]} <= {hi[0]}*{hi[1]}"
     if not (chain_proved(chain) if proved is None else proved):
         max_violation = float("inf")
     return make_result(f"chain:{chain.id}", "chain", sample.size,
-                       max_violation, tol, counterexamples=records,
+                       max_violation, tol, named_links(chain.terms, records),
                        ref=chain.ref)
+
+
+def named_links(terms, records) -> list[dict]:
+    """Copies of a chain scan's records, each naming the link it broke as
+    its last key, ``step`` "c*m <= c*m" (``analysis.Ordering.steps`` of
+    the records' own pairs)."""
+    if not records:
+        return []
+    steps = analysis.Ordering(tuple(terms), 0.0).steps(
+        *zip(*((r["a"], r["b"]) for r in records)))
+    return [{**r, "step": "{}*{} <= {}*{}".format(*terms[i], *terms[i + 1])}
+            for r, i in zip(records, steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +380,12 @@ class TheoremPart:
         """The residual identity beta*big - small = c*residual as (lhs, rhs)."""
         return (((self.beta, self.big), (Frac(-1), self.small)),
                 ((self.c, self.residual),))
+
+    @property
+    def misprints(self) -> tuple:
+        """The residual identity with the printed constant, if recorded."""
+        return () if self.printed_c is None else (
+            replace(self, c=self.printed_c).claim,)
 
 
 def _parts(theorem: str, prefix: str, rows, residual_prefix: str):

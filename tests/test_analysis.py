@@ -115,6 +115,13 @@ def test_the_draw_refuses_seeds_it_cannot_replay(seed):
         analysis.Sample.draw(10, seed)
 
 
+@pytest.mark.parametrize("n, seed", [(True, 0), (10, True), (True, True)])
+def test_the_draw_refuses_bools(n, seed):
+    # A flag is not a count: True would draw one pair, or replay seed 1.
+    with pytest.raises(TypeError):
+        analysis.Sample.draw(n, seed)
+
+
 def test_the_draw_refuses_bad_sizes_and_seeds():
     with pytest.raises(ValueError):
         analysis.Sample.draw(10, -1)
@@ -255,6 +262,20 @@ def test_certify_convexity_proves_normalization_exactly():
             for r in res.counterexamples] == [("f(1)=0", 1.0, 1e-17)]
 
 
+def test_certify_convexity_fails_a_pole_at_one():
+    # 1e-17 / (sqrt x - 1) has a pole at x = 1, so f(1) and f'(1) have no
+    # finite value to prove 0.
+    gen = catalog.get("delta").gen + RatU(Poly([1]), Poly([1]), -1,
+                                          Fraction(1, 10**17))
+    probe = catalog.Measure("probe", "delta + pole", "divergence", "",
+                            gen=gen)
+    res = analysis.certify_convexity(probe)
+    assert (res.verdict, res.max_violation) == ("fail", math.inf)
+    assert [(r["check"], r["x"], r["violation"])
+            for r in res.counterexamples[:2]] == [
+        ("f(1)=0", 1.0, math.inf), ("f'(1)=0", 1.0, math.inf)]
+
+
 def _mp_value(form, x, dps):
     """A ``RatU`` or ``RatS`` form in mpmath: the evaluator the decimal
     one replaced, kept as its oracle."""
@@ -322,7 +343,7 @@ def test_estimate_sup_ratio_names_a_root_mean_square_measure():
 _MEANS = cascade.get_chain("means")
 
 
-@pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
 @pytest.mark.parametrize("scan", [
     lambda sample, workers: analysis.scan_claims(
         [analysis.Ordering(_MEANS.terms, 1e-12)], sample, workers),
@@ -344,7 +365,7 @@ def test_scan_finds_reversed_chain_violation():
     assert worst > 1e-6
     assert records
     rec = records[0]
-    assert {"index", "a", "b", "step", "violation"} <= set(rec)
+    assert set(rec) == {"index", "a", "b", "violation"}
 
 
 def test_scan_worker_independence(monkeypatch):
@@ -382,12 +403,14 @@ def test_scan_worker_independence(monkeypatch):
     assert len(forks) == 3
 
 
-def _reference_scan(terms, a, b, tol):
+def _reference_scan(terms, a, b, tol, links=False):
     """Evaluate every term over all pairs, then compare adjacent ones.
 
     The plain loop the streamed per-chunk scan replaced; without chunks it
     gives the merged outcome directly.  A later link replaces a pair's
-    worst only if strictly greater, and the first NaN link wins.
+    worst only if strictly greater, and the first NaN link wins.  A raw
+    scan's records carry no link; with ``links`` each record has the
+    index of its worst link as ``step``.
     """
     x = a / b
     vals = [float(c) * catalog.get(mid)(x) for c, mid in terms]
@@ -401,8 +424,11 @@ def _reference_scan(terms, a, b, tol):
         worst_step[upd] = i
         worst[upd] = viol[upd]
     records = [{"index": int(j), "a": float(a[j]), "b": float(b[j]),
-                "step": int(worst_step[j]), "violation": float(worst[j])}
+                "violation": float(worst[j])}
                for j in np.nonzero(~(worst <= tol))[0][:10]]
+    if links:
+        for rec in records:
+            rec["step"] = int(worst_step[rec["index"]])
     return float(worst.max()), records
 
 
@@ -471,10 +497,15 @@ def test_record_links_follow_the_reference(terms, sample, tol, steps):
     with np.errstate(all="ignore"):
         got = analysis.scan_chain_terms(terms, sample, tol)
         ref = _reference_scan(terms, *sample.pairs(), tol)
+        links = analysis.Ordering(tuple(terms), tol).steps(
+            [rec["a"] for rec in got[1]], [rec["b"] for rec in got[1]])
+        ref_links = [rec["step"] for rec in _reference_scan(
+            terms, *sample.pairs(), tol, links=True)[1]]
     # repr tells -0.0 from 0.0, and nan equals itself.
     assert repr(got) == repr(ref)
     assert len(got[1]) == min(10, sample.size)
-    assert {rec["step"] for rec in got[1]} == steps
+    assert links.tolist() == ref_links
+    assert set(ref_links) == steps
 
 
 # -- the scan's buffer pool --------------------------------------------------

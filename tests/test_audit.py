@@ -35,6 +35,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("samples", 2000.9), ("workers", 2.5), ("seed", 7.7), ("samples", 500.0),
+    ("samples", True), ("workers", True), ("seed", True),
 ])
 def test_config_refuses_integer_knobs_that_are_not_integers(field, value):
     # Truncating would run 2000 pairs, 2 workers or seed 7 without a word.
@@ -692,3 +693,64 @@ def test_negative_control_needs_the_failed_proof(monkeypatch):
     assert control.verdict == "pass" and control.max_violation > 1e-12
     monkeypatch.setattr(cascade, "is_exact_ordering", lambda lo, hi: True)
     assert audit._negative_control(cfg).verdict == "fail"
+
+
+def test_failing_rows_name_their_link_after_the_violation():
+    # The second link, W2 <= W1, is the one that fails.
+    chain = cascade.chain_from_dict(
+        {"id": "planted", "terms": [[1, "W1"], [1, "W2"], [1, "W1"]]})
+    sample = analysis.Sample.draw(2_000, 5)
+    fold, = analysis.scan_claims([analysis.Ordering(chain.terms, 1e-12)],
+                                 sample)
+    rows = [cascade.check_chain(chain, sample, fold=fold) for _ in range(2)]
+    assert rows[0] == rows[1]
+    assert {tuple(r) for r in fold.records} == {
+        ("index", "a", "b", "violation")}
+    forked = cascade.audit_chain(chain, samples=2_000, seed=5, workers=2)
+    assert forked.counterexamples == rows[0].counterexamples
+    control = audit._negative_control(
+        audit.AuditConfig(chains=["means"], samples=100, seed=42))
+    for res in (rows[0], forked, control):
+        assert res.verdict == ("pass" if res is control else "fail")
+        assert res.counterexamples
+        for ce in res.counterexamples:
+            assert list(ce) == ["index", "a", "b", "violation", "step"]
+            assert ce["step"] == "1*W2 <= 1*W1"
+
+
+def test_named_links_of_no_records_build_nothing(monkeypatch):
+    monkeypatch.setattr(analysis, "ChunkValues", None)
+    assert cascade.named_links(cascade.get_chain("means").terms, []) == []
+
+
+def test_the_printed_constant_of_part_17_is_a_misprint(monkeypatch):
+    # Erratum E8: part 2.1:17 prints 1/4 where the exact constant is 1/16.
+    part = cascade.THEOREM_PARTS["2.1:17"]
+    rows = {i.id: i for i in audit._identities(1e-12)}
+    row = rows["decomposition:2.1:17"]
+    assert row.misprints == part.misprints != ()
+    sample = analysis.Sample.draw(100, 1)
+    assert audit._check_identity(row, sample).verdict == "pass"
+    # A printed constant that equals the exact one is no misprint.
+    exact = replace(part, printed_c=part.c)
+    monkeypatch.setattr(cascade, "theorem_parts", lambda: [exact])
+    row, = [i for i in audit._identities(1e-12)
+            if i.id.startswith("decomposition:")]
+    res = audit._check_identity(row, sample)
+    assert (res.verdict, res.detail) == ("fail", "exact identity fails")
+
+
+def test_an_audit_starts_two_scans_the_shared_one_and_the_control(monkeypatch):
+    # Rows without sampled claims start no scan of their own.
+    started = []
+    real = analysis.start_scan
+
+    def counted(claims, *args, **kwargs):
+        claims = list(claims)
+        started.append(len(claims))
+        return real(claims, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "start_scan", counted)
+    audit.run_audit(audit.AuditConfig(chains=["means"], samples=100, seed=1,
+                                      workers=1))
+    assert len(started) == 2 and started[1] == 1

@@ -42,7 +42,10 @@ def test_audit_chain_rejects_bad_samples_and_workers(kw, message):
     ({"tol": math.inf}, "tol must be finite"),
     ({"tol": "1e-3"}, "tol must be a real number"),
     ({"tol": True}, "tol must be a real number"),
-    ({"tol": None}, "tol must be a real number")])
+    ({"tol": None}, "tol must be a real number"),
+    ({"samples": True}, "samples must be an integer"),
+    ({"samples": True, "workers": True}, "samples must be an integer"),
+    ({"samples": 100, "workers": True}, "workers must be an integer")])
 def test_audit_chain_rejects_what_audit_config_rejects(kw, message):
     with pytest.raises(ValueError, match=message):
         cascade.audit_chain("means", **kw)
@@ -155,6 +158,32 @@ def test_pyramid_indexing():
         cascade.pyramid_pair(0)
     with pytest.raises(ValueError):
         cascade.pyramid_pair(37)
+
+
+@pytest.mark.parametrize("index", [2.0, 2.5, True, np.float64(3.0), "2",
+                                   None])
+@pytest.mark.parametrize("call", [
+    lambda i: cascade.W(i, (4.0, 1.0)),
+    lambda i: cascade.W_second_derivative(i, 2.0),
+    lambda i: cascade.V(i, (4.0, 1.0)),
+    lambda i: cascade.U(i, (4.0, 1.0)),
+    cascade.pyramid_pair,
+    lambda i: cascade.pyramid_diff(i, (4.0, 1.0)),
+], ids=["W", "W_second_derivative", "V", "U", "pyramid_pair",
+        "pyramid_diff"])
+def test_paper_indices_must_be_integers(call, index):
+    # A paper index names one measure; 2.0 or True would name none, or
+    # pyramid_pair(True) the first.
+    with pytest.raises(ValueError, match=r"index must be in 1\.\."):
+        call(index)
+
+
+def test_paper_indices_take_numpy_integers():
+    pair = (4.0, 1.0)
+    assert cascade.W(np.int64(2), pair) == cascade.W(2, pair)
+    assert cascade.pyramid_diff(np.int32(7), pair) == cascade.pyramid_diff(
+        7, pair)
+    assert cascade.pyramid_pair(np.uint8(36)) == (9, 1)
 
 
 def test_pyramid_common_value():
