@@ -8,9 +8,12 @@ which checks the float evaluators against the orderings and identities
 that ``cascade`` proves.  Everything here is deterministic given the
 seed: a run makes one ``Sample``, n pairs and the seed of their PCG64
 stream, and ``start_scan`` evaluates all its claims in one pass over
-fixed chunks of it.  Each chunk's pairs are drawn, by advancing the
-stream straight to them, in the process that scans the chunk, as one
-``ChunkValues``, the chunk's ``UContext`` with a memo of generator
+fixed chunks of it.  ``workers`` is the number of processes that scan:
+``scan_claims`` scans the first run of chunks itself and forks a child
+for each other run, and ``start_scan``, whose caller goes on proving,
+forks one for every run.  Each chunk's pairs are drawn, by advancing
+the stream straight to them, in the process that scans the chunk, as
+one ``ChunkValues``, the chunk's ``UContext`` with a memo of generator
 values; the folds merge in index order whatever the chunk size, worker
 count, or whether the chunks ran in this process or in forked ones.
 A fold records each failing pair's index, a, b and value; the link of
@@ -19,23 +22,26 @@ One lending rule holds: every array context lends, and only a scalar
 one computes in floats.  Every array a full chunk uses is lent from
 its process's one free list: the drawn pairs, x, u and um1, each
 memoized f(x) and the kernels' temporaries.  Each is handed back once
-it is dead, a memoized f(x) right after the last claim that reads it,
-so a pass neither gives its memory to the system after every chunk and
-faults it in again for the next, nor holds every measure's values at
-once.  A claim, ``Ordering`` or ``Equality``, writes into and hands
-back exactly the writeable arrays it is lent; a term of coefficient 1
-is the memoized f(x) itself, read-only (``ChunkValues.term``).  The
-generators of a chunk share u, um1, each power um1^m and S from its
-context; neither changes a bit of any value.
+it is dead, so a pass neither gives its memory to the system after
+every chunk and faults it in again for the next, nor holds every
+measure's values at once.  A claim, ``Ordering`` or ``Equality``,
+writes into and hands back exactly the writeable arrays it is lent.
+The last read of a memoized f(x) in a chunk takes it over, writeable,
+and so the claim that reads it last gives it back; an earlier unit
+term is the memoized f(x) itself, read-only (``ChunkValues.term``).
+The generators of a chunk share u, um1, each power um1^m and S from
+its context; neither changes a bit of any value.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import os
 import pickle
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from typing import Callable
@@ -85,6 +91,16 @@ def _real(name: str, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
+def _finite_tol(claim) -> None:
+    """A claim's ``__post_init__``: its tol as a float, from any finite
+    real number but a bool (a negative one included), or a
+    ``ValueError``."""
+    tol = _real("tol", claim.tol)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, not {tol!r}")
+    object.__setattr__(claim, "tol", tol)
 
 
 def _count(name: str, value) -> int:
@@ -341,27 +357,34 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
 
 class ChunkValues(UContext):
     """Pairs of one chunk as the ``UContext`` of their ratios x = a/b,
-    with each f(x) kept read-only from its first evaluation until it is
-    forgotten.  Stateful: the task that owns the chunk builds it.
+    with each f(x) kept read-only from its first evaluation until its
+    last read takes it over, or until it is forgotten.  Stateful: the
+    task that owns the chunk builds it.
 
     Ownership is writeability.  The claims' kernels ``take`` writeable
     chunk-sized arrays and ``give`` each back once it is dead; ``term``
-    gives them c * f(x), for c = 1 the read-only memoized array itself,
-    which no kernel writes into or gives back.  x, u and um1 are formed
-    in lent arrays too; a and b stay the caller's.  ``forget`` hands
-    back the values no later claim reads, and ``release`` hands back
-    all the chunk lent, apart from a and b, at chunk end.  A scan builds
-    each full chunk on the one pool of its process (``_pool``); any
-    other chunk lends from a list of its own.
+    gives them c * f(x).  ``_reads`` counts each symbol's reads in the
+    chunk (``_schedule``): the last one pops f(x) from the memo and
+    hands it over writeable, scaled in place for c != 1, and its reader
+    gives it back.  Before that a unit term is the read-only memoized
+    array itself, which no kernel writes into or gives back, and any
+    other term an array of ``take``.  A symbol with no count stays in
+    the memo.  x, u and um1 are formed in lent arrays too; a and b stay
+    the caller's.  ``forget`` hands back the values of given symbols,
+    and ``release`` hands back all the chunk lent, apart from a and b,
+    at chunk end.  A scan builds each full chunk on the one pool of its
+    process (``_pool``); any other chunk lends from a list of its own.
     """
 
-    __slots__ = ("a", "b", "_memo")
+    __slots__ = ("a", "b", "_memo", "_reads")
 
-    def __init__(self, a, b, *, _pool: list | None = None):
+    def __init__(self, a, b, *, _pool: list | None = None,
+                 _reads: dict | None = None):
         pool = [] if _pool is None else _pool
         x = np.divide(a, b, out=pool.pop() if pool else None)
         super().__init__(x, _pool=pool)
         self.a, self.b, self._memo = a, b, {}
+        self._reads = dict(_reads or {})
 
     def gen(self, symbol):
         """f(x) of a catalog id or ``Measure`` at the chunk's ratios."""
@@ -372,13 +395,20 @@ class ChunkValues(UContext):
         return val
 
     def term(self, c, symbol):
-        """c * f(x).  A unit term is the read-only memoized f(x) itself,
-        since 1.0 * v is v bit for bit; any other is a writeable array
-        of ``take``, which its reader owns and gives back."""
+        """c * f(x); writeable, and so its reader's to give back, on the
+        symbol's last read or for c != 1.  1.0 * v is v bit for bit, so a
+        unit term is f(x) itself."""
         val = self.gen(symbol)
+        left = self._reads.get(symbol, 0)
+        if left > 1:
+            self._reads[symbol] = left - 1
+        elif left:                  # the last read takes f(x) over
+            del self._reads[symbol], self._memo[symbol]
+            val.flags.writeable = True
         if c == 1:
             return val
-        return np.multiply(float(c), val, out=self.take())
+        return np.multiply(float(c), val, out=val if val.flags.writeable
+                           else self.take())
 
     def forget(self, symbols) -> None:
         """Hand the memoized f(x) of these symbols back to the pool; a
@@ -404,11 +434,15 @@ class Ordering:
     A pair's value is its worst link violation (lower - upper) relative
     to the larger term, or NaN if a link is NaN (a term that is not
     finite).  The terms stream: each is compared with the one before it
-    and dropped.
+    and dropped.  A pair fails above ``tol``, a finite real number (a
+    negative one included), kept as a float; any other tol is a
+    ``ValueError``, as it is for ``Equality``.
     """
 
     terms: tuple
     tol: float
+
+    __post_init__ = _finite_tol
 
     def _links(self, chunk: ChunkValues):
         """Each link's relative violation over the chunk, in order, in an
@@ -488,6 +522,8 @@ class Equality:
     rhs: tuple
     tol: float = 0.0
 
+    __post_init__ = _finite_tol
+
     @property
     def terms(self) -> tuple:
         return (*self.lhs, *self.rhs)
@@ -560,8 +596,8 @@ def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
     return fold
 
 
-def start_scan(claims, sample: Sample, workers: int = 1
-               ) -> Callable[[], list[Fold]]:
+def start_scan(claims, sample: Sample, workers: int = 1, *,
+               _caller_scans: bool = False) -> Callable[[], list[Fold]]:
     """Start folding each claim over every sampled pair, in one chunked
     pass; the returned ``join()`` gives the folds.
 
@@ -574,75 +610,94 @@ def start_scan(claims, sample: Sample, workers: int = 1
     read is evaluated once.  Every full chunk a process scans shares one
     buffer pool, its pairs drawn into arrays of it too, so the pass does
     not return its arrays to the allocator, and take them again, chunk
-    after chunk.  The order in which a chunk folds the claims, and the
-    measures each claim is the last to read, are fixed once per pass
-    (``_schedule``); the chunk hands those values back right after
-    folding that claim.  Folds are kept by claim index, so the order
-    does not show.
+    after chunk.  The order in which a chunk folds the claims, and how
+    often it reads each measure, are fixed once per pass (``_schedule``);
+    a measure's last read takes its value over, and the claim that reads
+    it hands it back.  Folds are kept by claim index, so the order does
+    not show.
 
-    ``workers`` is an integer >= 1, or a ``ValueError``.  With
-    ``workers`` > 1, started from a process with one Python thread,
-    the pass is split into contiguous runs of whole chunks, each scanned
-    by a child made by ``os.fork`` (at most one per chunk) while the
-    caller goes on, so it can prove while they scan; ``join()`` reads
-    their pickled folds, reaps every child and raises a child's
-    exception again.  Otherwise the pass runs serially in ``join()``.
-    Folds merge in index order: chunk size, worker count and path do
-    not change them.
+    ``workers``, the number of processes that scan, is an integer >= 1,
+    or a ``ValueError``.  With ``workers`` > 1, started from a process
+    with one Python thread, the pass is split into contiguous runs of
+    whole chunks, at most one run per chunk, each scanned by a child made
+    by ``os.fork`` while the caller goes on, so it can prove while they
+    scan; ``join()`` reads their pickled folds, reaps every child and
+    raises a child's exception again.  Otherwise the pass runs serially
+    in ``join()``.  ``scan_claims``, whose caller only waits, passes
+    ``_caller_scans``: the first run is then scanned in ``join()``, not
+    by a child.  Folds merge in index order: chunk size, worker count
+    and path do not change them.
     """
     claims, workers = list(claims), _count("workers", workers)
     size, pool = CHUNK, []      # a forked child scans on its own copy
-    order, last = _schedule(claims)
+    order, reads = _schedule(claims)
 
     def task(lo):
         n = min(size, sample.size - lo)
         lend = pool if n == size else []
         ab = [lend.pop() if lend else np.empty(n) for _ in range(2)]
-        chunk = ChunkValues(*sample.pairs(lo, lo + n, _out=ab), _pool=lend)
+        chunk = ChunkValues(*sample.pairs(lo, lo + n, _out=ab), _pool=lend,
+                            _reads=reads)
         folds = [None] * len(claims)
         for i in order:
             folds[i] = _chunk_fold(claims[i], chunk, lo)
-            chunk.forget(last[i])
         chunk.release()
         lend += ab
         return folds
 
     starts = range(0, sample.size if claims else 0, size)
+    runs, here = [starts], 1    # the first `here` runs scan in join()
     # fork() copies only the calling thread: with another Python thread
     # alive, a lock it holds would stay held in the child.  Native threads
     # (a BLAS pool, a host's C extension) are not counted here.
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         k = min(workers, len(starts))
-        children = _fork_scans(task, [starts[i * len(starts) // k:
-                                             (i + 1) * len(starts) // k]
-                                      for i in range(k)])
-        return lambda: _merge(len(claims), _join_children(children))
-    return lambda: _merge(len(claims), map(task, starts))
+        runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
+                for i in range(k)]
+        here = int(_caller_scans)
+    children = _fork_scans(task, runs[here:])
+
+    def join():
+        try:
+            parts = [task(lo) for run in runs[:here] for lo in run]
+        except BaseException:
+            _reap(children)
+            raise
+        return _merge(len(claims), parts + _join_children(children))
+    return join
 
 
-def _schedule(claims) -> tuple[list[int], list[list]]:
-    """The order in which a chunk folds the claims, and per claim the
-    symbols of its terms that no claim after it in that order reads.
+def _schedule(claims) -> tuple[list[int], dict]:
+    """The order in which a chunk folds the claims, and how many times
+    it reads each symbol's f(x) in all (``ChunkValues._reads``).
 
     The claims are sorted (stably) by the smallest catalog id among
     their terms, which brings claims on one family's measures together,
-    so each f(x) is handed back soon after its first evaluation: on the
-    default audit's 191 claims, at most 55 values are memoized at once,
-    against 95 in the given order.
+    so each f(x) is taken over soon after its first evaluation: on the
+    default audit's 191 claims, at most 45 values are memoized at once,
+    against 90 in the given order.  A symbol that its last reader reads
+    more than once gets no count, so it stays in the memo until the
+    chunk ends: handed over at its last read, it would be the array of
+    an earlier read that the claim still holds.
     """
     order = sorted(range(len(claims)), key=lambda i: min(
         (getattr(symbol, "id", symbol) for _, symbol in claims[i].terms),
         default=""))
-    reader = {symbol: i for i in order for _, symbol in claims[i].terms}
-    last: list[list] = [[] for _ in claims]
-    for symbol, i in reader.items():
-        last[i].append(symbol)
-    return order, last
+    reads, last = Counter(), {}
+    for i in order:
+        mine = Counter(symbol for _, symbol in claims[i].terms)
+        reads.update(mine)
+        last.update(mine)       # so each symbol's reads by its last reader
+    return order, {s: n for s, n in reads.items() if last[s] == 1}
 
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
-    """The folds of ``start_scan(claims, sample, workers)``, joined."""
-    return start_scan(claims, sample, workers)()
+    """The folds of ``start_scan(claims, sample, workers)``, for a caller
+    that waits for them and so scans too: it forks a child for each run
+    of chunks but the first, at most ``workers`` - 1, and then scans the
+    first itself.  An exception in its own run is raised once every
+    child is reaped."""
+    return start_scan(claims, sample, workers, _caller_scans=True)()
 
 
 def _merge(n: int, parts) -> list[Fold]:
@@ -662,11 +717,17 @@ def _fork_scans(task, runs) -> list[tuple[int, int]]:
         for starts in runs:
             children.append(_fork_scan(task, starts))
     except BaseException:
-        for pid, fd in children:
-            os.close(fd)        # a child still writing gets EPIPE and ends
-            os.waitpid(pid, 0)
+        _reap(children)
         raise
     return children
+
+
+def _reap(children) -> list[int]:
+    """Close each child's read end, so a child still writing gets EPIPE
+    and ends, and wait for every child; their wait statuses."""
+    for _, fd in children:
+        os.close(fd)
+    return [os.waitpid(pid, 0)[1] for pid, _ in children]
 
 
 def _fork_scan(task, starts) -> tuple[int, int]:
@@ -721,9 +782,7 @@ def _join_children(children) -> list:
             with open(fd, "rb", closefd=False) as fh:
                 results.append(fh.read())
     finally:
-        for _, fd in children:
-            os.close(fd)        # a child still writing gets EPIPE and ends
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        statuses = _reap(children)
     parts = []
     for (pid, _), data, status in zip(children, results, statuses):
         if not data:

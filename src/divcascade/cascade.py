@@ -11,7 +11,6 @@ engine replays.  Each claim is proved as one exact sum of c * form:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -297,15 +296,14 @@ def chain_from_dict(doc: dict) -> Chain:
 def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
     """Prove every adjacent ordering in the chain, then scan sampled pairs
-    in ``workers`` forked processes (see ``analysis.start_scan``).
+    in ``workers`` processes, this one and ``workers`` - 1 forked
+    children (see ``analysis.scan_claims``).
 
-    ``samples`` and ``workers`` are integers >= 1 and ``tol`` is finite;
-    a negative tol records pairs that hold as counterexamples too.
+    ``samples`` and ``workers`` are integers >= 1 and ``tol`` is a finite
+    real number, as ``analysis.Ordering`` checks; a negative tol records
+    pairs that hold as counterexamples too.
     """
     samples = analysis._count("samples", samples)
-    tol = analysis._real("tol", tol)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, not {tol!r}")
     if isinstance(chain, str):
         chain = get_chain(chain)
     return check_chain(chain, analysis.Sample.draw(samples, seed), tol,

@@ -279,17 +279,19 @@ def _add(a, b, out):
 
 
 def _div(a, b):
-    """a / b, in place if a is an array; for a float zero b, the IEEE
-    quotient where / would raise.
+    """a / b, in place in a if it is an array, else in b if it is one;
+    for a float zero b, the IEEE quotient where / would raise.
 
     An array quotient is numpy's, which warns where b is zero.
     """
-    if isinstance(b, float) and b == 0.0:
+    if isinstance(b, float):
+        if b != 0.0:
+            return a / b
         if a != a or a == 0.0:
             return nan
         return copysign(inf, a) * copysign(1.0, b)
-    a /= b
-    return a
+    import numpy as np
+    return np.divide(a, b, out=a if isinstance(a, np.ndarray) else b)
 
 
 def _power(v, m: int, out):
@@ -574,11 +576,14 @@ class RatU:
             self._floats = (_plan([c * p / q for c in self.num.coeffs]),
                             _plan([float(c) for c in self.den.coeffs]))
         fn, fd = self._floats
-        val = _horner(fn, ctx.u, ctx.take())
-        if fd != (1.0, ()):         # v / 1.0 is v, bit for bit
+        if fd == (1.0, ()):         # v / 1.0 is v, bit for bit
+            val = _horner(fn, ctx.u, ctx.take())
+        elif fn[1]:
             den = _horner(fd, ctx.u, ctx.take())
-            val = _div(val, den)
+            val = _div(_horner(fn, ctx.u, ctx.take()), den)
             ctx.give(den)
+        else:                       # a constant c is divided into den
+            val = _div(fn[0], _horner(fd, ctx.u, ctx.take()))
         if self.m:
             val *= ctx.um1_pow(self.m)
         return val

@@ -142,7 +142,7 @@ def test_given_pairs_must_pair_up(a, b):
         analysis.Sample(a, b)
 
 
-def test_a_forked_scan_draws_nothing_in_the_parent(monkeypatch):
+def test_a_forked_scan_draws_only_its_own_run_in_the_parent(monkeypatch):
     def refuse(*args):
         raise AssertionError("the whole sample was drawn")
 
@@ -159,7 +159,10 @@ def test_a_forked_scan_draws_nothing_in_the_parent(monkeypatch):
     worst, records = analysis.scan_chain_terms(
         [(1, "W2"), (1, "W1")], sample, 1e-12, workers=2)
     assert worst > 1e-6 and len(records) == 10
-    assert drawn == []          # each worker drew the chunks it scanned
+    # 62 chunks in two runs: the parent drew the 31 full ones of the
+    # first, and the child, whose draws are not seen here, the rest.
+    assert drawn == [analysis.CHUNK] * 31
+    drawn.clear()
     # A serial scan draws chunk by chunk too.
     small = analysis.Sample.draw(3 * analysis.CHUNK - 1, 0)
     analysis.scan_chain_terms([(1, "W2"), (1, "W1")], small, 1e-12)
@@ -358,6 +361,30 @@ def test_every_scan_refuses_a_worker_count_that_is_not_a_count(scan,
         scan(analysis.Sample.draw(100, 0), workers)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "1e-3",
+                                 True, None])
+@pytest.mark.parametrize("scan", [
+    lambda sample, tol: analysis.scan_claims(
+        [analysis.Ordering(_MEANS.terms, tol)], sample),
+    lambda sample, tol: analysis.scan_claims(
+        [analysis.Equality(((1, "A"),), ((1, "G"),), tol)], sample),
+    lambda sample, tol: analysis.scan_chain_terms(_MEANS.terms, sample, tol),
+    lambda sample, tol: cascade.check_chain(_MEANS, sample, tol),
+], ids=["scan_claims", "equality", "scan_chain_terms", "check_chain"])
+def test_every_scan_refuses_a_tol_that_is_not_a_finite_real(scan, tol):
+    with pytest.raises(ValueError, match="tol must be "):
+        scan(analysis.Sample.draw(1000, 1), tol)
+
+
+def test_a_claim_keeps_a_real_tol_as_a_float():
+    claim = analysis.Ordering(_MEANS.terms, np.float32(-1))
+    assert type(claim.tol) is float and claim.tol == -1.0
+    assert analysis.Equality((), (), Fraction(1, 4)).tol == 0.25
+    worst, records = analysis.scan_chain_terms(
+        _MEANS.terms, analysis.Sample.draw(1000, 1), -1)
+    assert worst <= 1e-12 and len(records) == 10
+
+
 def test_scan_finds_reversed_chain_violation():
     sample = analysis.Sample.draw(2_000, seed=3)
     terms = [(1.0, "K"), (1.0, "delta")]  # K dominates delta: reversed
@@ -369,14 +396,7 @@ def test_scan_finds_reversed_chain_violation():
 
 
 def test_scan_worker_independence(monkeypatch):
-    forks = []
-    real = os.fork
-
-    def counted():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
+    forks = _counted_forks(monkeypatch)
     sample = analysis.Sample.draw(300_000, seed=9)
     chunks = -(-sample.size // analysis.CHUNK)
     assert chunks == 19
@@ -394,13 +414,66 @@ def test_scan_worker_independence(monkeypatch):
             for workers in (2, 4):
                 got = analysis.scan_chain_terms(terms, sample, tol, workers)
                 assert got == w1, (terms, tol, workers)
-            assert len(forks) == 2 + 4
+            # The waiting caller scans one run: workers - 1 children.
+            assert len(forks) == 1 + 3
         assert len(w1[1]) == 10, terms
-    # At most one child per chunk, however many workers are asked for.
+    # At most one run per chunk, however many workers are asked for:
+    # the caller and 2 children scan 3 chunks.
     forks.clear()
     small = analysis.Sample.draw(3 * analysis.CHUNK - 1, seed=9)
     analysis.scan_chain_terms(claims[0], small, 1e-12, workers=64)
-    assert len(forks) == 3
+    assert len(forks) == 2
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_a_waiting_scan_forks_one_child_fewer_than_its_workers(
+        monkeypatch, workers):
+    # scan_claims waits, so it scans a run itself; start_scan's caller
+    # goes on proving, so a child scans each run.
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    sample = analysis.Sample.draw(7500, seed=31)
+    claims = [analysis.Ordering(_MEANS.terms, -1.0)]
+    serial = analysis.scan_claims(claims, sample)
+    assert not forks
+    assert analysis.scan_claims(claims, sample, workers) == serial
+    assert len(forks) == workers - 1
+    forks.clear()
+    assert analysis.start_scan(claims, sample, workers)() == serial
+    assert len(forks) == workers
+
+
+def test_an_exception_in_the_callers_own_run_reaps_every_child(
+        monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    parent, real = os.getpid(), analysis.Ordering.values
+
+    def values(self, chunk):
+        if os.getpid() == parent:
+            raise ValueError("boom in the caller's run")
+        return real(self, chunk)
+
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    monkeypatch.setattr(analysis.Ordering, "values", values)
+    with pytest.raises(ValueError, match="boom in the caller's run"):
+        analysis.scan_chain_terms(_MEANS.terms,
+                                  analysis.Sample.draw(3000, seed=32),
+                                  1e-12, workers=3)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):     # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _reference_scan(terms, a, b, tol, links=False):
@@ -465,6 +538,57 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
         for fold in analysis.scan_claims(claims, sample):
             assert (fold.worst, fold.index) == (values[3], 3)
             assert [r["index"] for r in fold.records] == list(range(6))
+
+
+_TWICE = [cascade.get_chain(f"reverse{i}").terms for i in range(1, 5)] + [
+    ((1, "W2"), (1, "W1"), (0.5, "W1")), ((1, "W1"), (1, "W2"), (1, "W1"))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_symbol_its_last_reader_reads_twice_folds_as_the_reference(
+        monkeypatch, workers):
+    # Each chain reads some measure twice, so that measure gets no read
+    # count and stays in the memo: handed over at its last read, it would
+    # alias the array of its first.  Alone or side by side, every chain
+    # folds bit for bit as the reference.
+    for terms in _TWICE:
+        _, reads = analysis._schedule([analysis.Ordering(terms, -1.0)])
+        twice = {s for _, s in terms if [t for _, t in terms].count(s) > 1}
+        assert twice and not twice & reads.keys(), terms
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    sample = analysis.Sample.draw(2500, seed=33)
+    a, b = sample.pairs()
+    for tol in (1e-12, -1.0):
+        together = analysis.scan_claims(
+            [analysis.Ordering(terms, tol) for terms in _TWICE], sample,
+            workers)
+        for terms, fold in zip(_TWICE, together):
+            ref = _reference_scan(terms, a, b, tol)
+            got = analysis.scan_chain_terms(terms, sample, tol, workers)
+            # repr tells -0.0 from 0.0, and nan equals itself.
+            assert repr(got) == repr(ref), (terms, tol)
+            assert repr((fold.worst, fold.records)) == repr(ref), terms
+
+
+def test_the_last_read_takes_the_memoized_value_over():
+    a, b = analysis.Sample.draw(1000, seed=34).pairs()
+    fresh = analysis.ChunkValues(a, b)
+    chunk = analysis.ChunkValues(a, b, _pool=[], _reads={"A": 2, "G": 1})
+    first = chunk.term(1, "A")
+    assert first is chunk.gen("A") and not first.flags.writeable
+    last = chunk.term(1, "A")   # the memo's array, now the reader's
+    assert last is first and last.flags.writeable
+    assert "A" not in chunk._memo and "A" not in chunk._reads
+    assert last.tobytes() == fresh.gen("A").tobytes()
+    memo = chunk.gen("G")
+    scaled = chunk.term(Fraction(1, 3), "G")     # scaled in place
+    assert scaled is memo and scaled.flags.writeable
+    assert scaled.tobytes() == fresh.term(Fraction(1, 3), "G").tobytes()
+    # A symbol without a count, or read past its count, is memoized.
+    assert chunk.term(1, "H") is chunk.gen("H")
+    assert not chunk.gen("H").flags.writeable
+    again = chunk.term(1, "A")
+    assert again is not last and not again.flags.writeable
 
 
 def test_memo_arrays_reject_in_place_writes():
@@ -673,11 +797,9 @@ def test_unit_terms_leave_the_memo_alone():
             id(buf) for buf in chunk._pool}
 
 
-def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
-        monkeypatch):
-    # Each f(x) is handed back after the last claim that reads it, so a
-    # full chunk of the audit's claims holds far fewer arrays than its
-    # 146 distinct measures; its pool ends with every array it made.
+def _full_chunk(monkeypatch, claims):
+    """(the pool, the symbols evaluated) of a serial scan of the claims
+    over one full chunk: the pool ends with every array it made."""
     pools, evaluated = [], []
 
     class Kept(analysis.ChunkValues):
@@ -691,14 +813,33 @@ def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
 
     monkeypatch.setattr(analysis, "ChunkValues", Kept)
     monkeypatch.setattr(analysis, "_resolve", resolve)
-    claims = _audit_claims(1e-12)
     sample = analysis.Sample.draw(analysis.CHUNK, seed=42)
     folds = analysis.scan_claims(claims, sample)
     assert all(fold.worst <= 1e-12 for fold in folds)
     pool, = pools
-    assert len(evaluated) == len(set(evaluated)) == 146
-    assert len({id(buf) for buf in pool}) == len(pool) <= 78
+    assert len({id(buf) for buf in pool}) == len(pool)
     assert all(buf.shape == (analysis.CHUNK,) for buf in pool)
+    return pool, evaluated
+
+
+def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
+        monkeypatch):
+    # Each f(x) is handed over at its last read, so a full chunk of the
+    # audit's claims holds far fewer arrays than its 146 distinct
+    # measures.
+    pool, evaluated = _full_chunk(monkeypatch, _audit_claims(1e-12))
+    assert len(evaluated) == len(set(evaluated)) == 146
+    assert len(pool) <= 63
+
+
+def test_a_full_chunk_of_a_long_chain_lends_few_arrays(monkeypatch):
+    # Lt_monotone's 17 terms each pass from the memo to the chain at
+    # their one read, so the chunk does not hold them all at once.
+    terms = cascade.get_chain("Lt_monotone").terms
+    pool, evaluated = _full_chunk(monkeypatch,
+                                  [analysis.Ordering(terms, 1e-12)])
+    assert len(evaluated) == len(terms) == 17
+    assert len(pool) <= 20
 
 
 def test_a_chunk_forgets_values_and_gives_back_no_array_of_the_caller():

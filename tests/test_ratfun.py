@@ -398,6 +398,21 @@ def test_horner_plan_skips_the_zero_coefficients():
         assert _horner_ops(list(range(1, d + 1)) + [-7]) == 2 * d
 
 
+def test_a_constant_numerator_divides_into_the_denominators_array():
+    x = np.array([0.5, 1.0, 2.0, 7.0])
+    pool = []
+    ctx = UContext(x, _pool=pool)
+    assert len(pool) == 1               # u + 1, lent and given back
+    lent = pool[0]
+    r = RatU(Poly([3]), Poly([1, 1]))   # 3 / (1 + u)
+    val = r.eval_ctx(ctx)
+    # One array, the denominator's, and no fill of the constant.
+    assert val is lent and not pool
+    assert _bits(val) == _bits(np.divide(3.0, np.sqrt(x) + 1.0))
+    for xs in x.tolist():
+        assert _bits(r(xs)) == _bits(3.0 / (math.sqrt(xs) + 1.0))
+
+
 def test_shared_context_reuses_the_power():
     x = np.array([0.5, 1.0, 2.0, 7.0])
     ctx = UContext(x)
