@@ -12,25 +12,22 @@ fixed chunks of it.  ``workers`` is the number of processes that scan:
 ``scan_claims`` scans the first run of chunks itself and forks a child
 for each other run, and ``start_scan``, whose caller goes on proving,
 forks one for every run.  Each chunk's pairs are drawn, by advancing
-the stream straight to them, in the process that scans the chunk, as
-one ``ChunkValues``, the chunk's ``UContext`` with a memo of generator
-values; the folds merge in index order whatever the chunk size, worker
-count, or whether the chunks ran in this process or in forked ones.
-A fold records each failing pair's index, a, b and value; the link of
-a chain it broke is named from the pair by ``cascade.named_links``.
-One lending rule holds: every array context lends, and only a scalar
-one computes in floats.  Every array a full chunk uses is lent from
-its process's one free list: the drawn pairs, x, u and um1, each
-memoized f(x) and the kernels' temporaries.  Each is handed back once
-it is dead, so a pass neither gives its memory to the system after
-every chunk and faults it in again for the next, nor holds every
-measure's values at once.  A claim, ``Ordering`` or ``Equality``,
-writes into and hands back exactly the writeable arrays it is lent.
-The last read of a memoized f(x) in a chunk takes it over, writeable,
-and so the claim that reads it last gives it back; an earlier unit
-term is the memoized f(x) itself, read-only (``ChunkValues.term``).
-The generators of a chunk share u, um1, each power um1^m and S from
-its context; neither changes a bit of any value.
+the stream straight to them, in the process that scans the chunk; the
+folds merge in index order whatever the chunk size, worker count, or
+whether the chunks ran in this process or in forked ones.  A fold
+records each failing pair's index, a, b and value; the link of a chain
+it broke is named from the pair by ``cascade.named_links``.
+
+The float work of a pass is one straight-line program, compiled once
+per ``start_scan`` by running the claims' own evaluators on values that
+record each ufunc call (``_Program``).  Its steps run in place on a
+fixed set of chunk-sized registers, numbered by linear scan over each
+value's live range, which every full chunk a process scans reuses: a
+pass neither gives its memory back to the system after every chunk nor
+holds every measure's values at once.  The generators share x,
+u, um1, each power um1^m, S and each measure's f(x) across the claims;
+the same ufuncs run on the same operands in the same order as on plain
+arrays, so no value changes by a bit.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import operator
 import os
 import pickle
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from typing import Callable
@@ -56,7 +52,7 @@ from .reporting import CheckResult
 
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "certify_convexity",
-    "estimate_sup_ratio", "Ordering", "Equality", "ChunkValues", "Fold",
+    "estimate_sup_ratio", "Ordering", "Equality", "Fold",
     "start_scan", "scan_claims", "scan_chain_terms", "claim_gaps", "CHUNK",
 ]
 
@@ -233,8 +229,8 @@ class Sample:
 
     def pairs(self, lo: int = 0, hi: int | None = None, *, _out=None):
         """The pairs [lo, hi) as arrays (a, b); lo and hi are read as
-        the bounds of a slice.  A scan passes ``_out``, two float arrays
-        of the range's size that it lends, and gets them back filled."""
+        the bounds of a slice.  A scan passes ``_out``, its registers for
+        a and b, float arrays of the range's size, and gets them filled."""
         lo, hi, _ = slice(lo, hi).indices(self.size)
         hi = max(lo, hi)
         if self._ab is None:
@@ -355,76 +351,28 @@ def estimate_sup_ratio(num, den, grid: np.ndarray | None = None):
     return float(vals[i]), float(grid[i]), float(limit)
 
 
-class ChunkValues(UContext):
-    """Pairs of one chunk as the ``UContext`` of their ratios x = a/b,
-    with each f(x) kept read-only from its first evaluation until its
-    last read takes it over, or until it is forgotten.  Stateful: the
-    task that owns the chunk builds it.
+class _Shared(UContext):
+    """The ``UContext`` of pairs' ratios x = a/b that claims read their
+    terms from: ``gen`` evaluates each measure's f(x) once."""
 
-    Ownership is writeability.  The claims' kernels ``take`` writeable
-    chunk-sized arrays and ``give`` each back once it is dead; ``term``
-    gives them c * f(x).  ``_reads`` counts each symbol's reads in the
-    chunk (``_schedule``): the last one pops f(x) from the memo and
-    hands it over writeable, scaled in place for c != 1, and its reader
-    gives it back.  Before that a unit term is the read-only memoized
-    array itself, which no kernel writes into or gives back, and any
-    other term an array of ``take``.  A symbol with no count stays in
-    the memo.  x, u and um1 are formed in lent arrays too; a and b stay
-    the caller's.  ``forget`` hands back the values of given symbols,
-    and ``release`` hands back all the chunk lent, apart from a and b,
-    at chunk end.  A scan builds each full chunk on the one pool of its
-    process (``_pool``); any other chunk lends from a list of its own.
-    """
+    __slots__ = ("_gens",)
 
-    __slots__ = ("a", "b", "_memo", "_reads")
-
-    def __init__(self, a, b, *, _pool: list | None = None,
-                 _reads: dict | None = None):
-        pool = [] if _pool is None else _pool
-        x = np.divide(a, b, out=pool.pop() if pool else None)
-        super().__init__(x, _pool=pool)
-        self.a, self.b, self._memo = a, b, {}
-        self._reads = dict(_reads or {})
+    def __init__(self, x):
+        super().__init__(x)
+        self._gens = {}
 
     def gen(self, symbol):
-        """f(x) of a catalog id or ``Measure`` at the chunk's ratios."""
-        val = self._memo.get(symbol)
+        """f(x) of a catalog id or ``Measure``, evaluated on first
+        request and then reused."""
+        val = self._gens.get(symbol)
         if val is None:
-            val = self._memo[symbol] = _resolve(symbol).eval_ctx(self)
-            val.flags.writeable = False
+            val = self._gens[symbol] = _resolve(symbol).eval_ctx(self)
         return val
 
-    def term(self, c, symbol):
-        """c * f(x); writeable, and so its reader's to give back, on the
-        symbol's last read or for c != 1.  1.0 * v is v bit for bit, so a
-        unit term is f(x) itself."""
-        val = self.gen(symbol)
-        left = self._reads.get(symbol, 0)
-        if left > 1:
-            self._reads[symbol] = left - 1
-        elif left:                  # the last read takes f(x) over
-            del self._reads[symbol], self._memo[symbol]
-            val.flags.writeable = True
-        if c == 1:
-            return val
-        return np.multiply(float(c), val, out=val if val.flags.writeable
-                           else self.take())
 
-    def forget(self, symbols) -> None:
-        """Hand the memoized f(x) of these symbols back to the pool; a
-        later ``gen`` evaluates them again."""
-        for symbol in symbols:
-            val = self._memo.pop(symbol, None)
-            if val is not None:
-                val.flags.writeable = True
-                self.give(val)
-
-    def release(self) -> None:
-        """At chunk end: hand x and every memoized array back to the
-        pool, and forget them."""
-        self.forget(list(self._memo))
-        self.give(self.x)
-        super().release()
+def _term(c, values):
+    """c * f(x); f(x) itself for c = 1, as 1.0 * v is v bit for bit."""
+    return values if c == 1 else float(c) * values
 
 
 @dataclass(frozen=True)
@@ -444,64 +392,37 @@ class Ordering:
 
     __post_init__ = _finite_tol
 
-    def _links(self, chunk: ChunkValues):
-        """Each link's relative violation over the chunk, in order, in an
-        array of ``chunk.take()`` that the caller gives back."""
+    def _links(self, ctx: _Shared):
+        """Each link's relative violation over the pairs, in order."""
         lower = abs_lower = None
-        for c, mid in self.terms:
-            upper = chunk.term(c, mid)
-            abs_upper = np.abs(upper, out=chunk.take())
+        for c, symbol in self.terms:
+            upper = _term(c, ctx.gen(symbol))
+            abs_upper = np.abs(upper)
             if lower is not None:
-                # viol = (lower - upper) / max(|lower|, |upper|, 1e-300),
-                # in the arrays of the lower term, dead after this link; a
-                # unit lower term is the memo's, so viol takes its own.
-                scale = np.maximum(abs_lower, abs_upper, out=abs_lower)
-                np.maximum(scale, 1e-300, out=scale)
-                viol = np.subtract(lower, upper, out=lower if
-                                   lower.flags.writeable else chunk.take())
-                np.divide(viol, scale, out=viol)
-                chunk.give(scale)
-                yield viol
+                # (lower - upper) / max(|lower|, |upper|, 1e-300)
+                scale = np.maximum(np.maximum(abs_lower, abs_upper), 1e-300)
+                yield (lower - upper) / scale
             lower, abs_lower = upper, abs_upper
-        if lower is not None:
-            if lower.flags.writeable:
-                chunk.give(lower)
-            chunk.give(abs_lower)
 
-    def values(self, chunk: ChunkValues):
+    def values(self, ctx: _Shared):
         worst = None
-        for viol in self._links(chunk):
+        for viol in self._links(ctx):
             # NaN propagates; on a tie (+0 against -0) np.maximum returns
             # its second operand, so the earlier link's value is kept.
-            if worst is None:
-                worst = viol
-            else:
-                np.maximum(viol, worst, out=worst)
-                chunk.give(viol)
+            worst = viol if worst is None else np.maximum(viol, worst)
         if worst is None:       # fewer than two terms: no link to fail
-            worst = chunk.take()
-            worst.fill(-np.inf)
+            worst = np.full_like(ctx.x, -np.inf)
         return worst
 
     def steps(self, a, b):
         """The link index of each pair (a, b): its first NaN link, else its
         first link at its value.  Elementwise bits do not depend on the
         chunk, so on a scan's recorded pairs it is the link the scan saw."""
-        viols = np.array(list(self._links(ChunkValues(*Sample(a, b).pairs()))))
+        ctx = _Shared(np.divide(*Sample(a, b).pairs()))
+        viols = np.array(list(self._links(ctx)))
         nan = np.isnan(viols)
         first_max = np.argmax(viols == viols.max(axis=0), axis=0)
         return np.where(nan.any(axis=0), np.argmax(nan, axis=0), first_max)
-
-
-def _owned(ufunc, chunk: ChunkValues, a, b):
-    """ufunc(a, b) into a if it is writeable, else b if it is, else
-    ``chunk.take()``; b is dead after it: a writeable b that does not
-    hold the result goes back to the chunk."""
-    out = a if a.flags.writeable else b if b.flags.writeable else chunk.take()
-    ufunc(a, b, out=out)
-    if b.flags.writeable and out is not b:
-        chunk.give(b)
-    return out
 
 
 @dataclass(frozen=True)
@@ -513,9 +434,10 @@ class Equality:
     side.  Combinations like Psi - 4K + 4Delta cancel to a much higher
     diagonal order than their terms, so the residual is measured against
     the largest term as well.  Every symbol, a mean letter included, is
-    its f(x) from the chunk's memo.  Each measure is b * f(a/b), so the
-    gap is a function of x = a/b alone, whatever the pair's magnitude,
-    and the 1e-300 floor applies to f(x), not to b * f(x).
+    its f(x), evaluated once for all claims.  Each measure is
+    b * f(a/b), so the gap is a function of x = a/b alone, whatever the
+    pair's magnitude, and the 1e-300 floor applies to f(x), not to
+    b * f(x).
     """
 
     lhs: tuple
@@ -528,39 +450,173 @@ class Equality:
     def terms(self) -> tuple:
         return (*self.lhs, *self.rhs)
 
-    def values(self, chunk: ChunkValues):
-        # Each term, sum and scale is an array of chunk.take(), given
-        # back once it is dead, but for a unit term, which is the memo's
-        # read-only f(x).  The scale starts from the first |t| and meets
-        # its floor once, at the end: a maximum is exact, so the order
-        # it is taken in leaves the gap's bits.
-        scale = magnitude = None
+    def values(self, ctx: _Shared):
+        # The scale starts from the first |t| and meets its floor once,
+        # at the end: a maximum is exact, so the order it is taken in
+        # leaves the gap's bits.
+        scale = None
         sums = []
         for terms in (self.lhs, self.rhs):
             total = None
             for c, symbol in terms:
-                t = chunk.term(c, symbol)
-                if scale is None:
-                    scale = np.abs(t, out=chunk.take())
-                    magnitude = chunk.take()
-                else:
-                    np.maximum(scale, np.abs(t, out=magnitude), out=scale)
-                total = t if total is None else _owned(np.add, chunk, total, t)
+                t = _term(c, ctx.gen(symbol))
+                scale = (np.abs(t) if scale is None
+                         else np.maximum(scale, np.abs(t)))
+                total = t if total is None else total + t
             if len(terms) > 1:  # a lone term's |total| is in scale already
-                np.maximum(scale, np.abs(total, out=magnitude), out=scale)
+                scale = np.maximum(scale, np.abs(total))
             sums.append(total)
-        gap = _owned(np.subtract, chunk, *sums)
-        np.abs(gap, out=gap)
-        np.maximum(scale, 1e-300, out=scale)
-        np.divide(gap, scale, out=gap)
-        chunk.give(scale, magnitude)
-        return gap
+        return np.abs(sums[0] - sums[1]) / np.maximum(scale, 1e-300)
 
 
 def claim_gaps(claims, sample: Sample) -> list:
-    """Each claim's ``values`` at every pair, on one chunk and memo."""
-    chunk = ChunkValues(*sample.pairs())
-    return [claim.values(chunk) for claim in claims]
+    """Each claim's ``values`` at every pair, each measure evaluated
+    once for all claims."""
+    ctx = _Shared(np.divide(*sample.pairs()))
+    return [claim.values(ctx) for claim in claims]
+
+
+def _binary(ufunc, reflected=False):
+    if reflected:
+        return lambda self, other: self.program.step(ufunc, (other, self))
+    return lambda self, other: self.program.step(ufunc, (self, other))
+
+
+class _Value:
+    """A chunk-sized value of a scan program while it is compiled.
+
+    Each numpy ufunc call or arithmetic operator with it as an operand
+    records a step of its program and gives the step's value, a new
+    ``_Value``: an augmented operator or ``out=`` never writes into one,
+    and each value has one step that makes it, op(left, right) or
+    op(left) (a and b none).  ``np.full_like`` of one records a step
+    that fills its register with a float.
+    """
+
+    __slots__ = ("program", "op", "left", "right", "last", "reg")
+    ndim = 1
+
+    def __init__(self, program: "_Program", op=None, left=None, right=None):
+        self.program, self.op, self.left, self.right = program, op, left, right
+        self.last = None
+
+    def operands(self) -> tuple:
+        return (self.left,) if self.right is None else (self.left, self.right)
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs.keys() - {"out"}:
+            return NotImplemented
+        return self.program.step(ufunc, args)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.full_like or kwargs:
+            return NotImplemented
+        return self.program.step(np.positive, args[1:])    # +v fills out
+
+    __add__ = __iadd__ = _binary(np.add)
+    __radd__ = _binary(np.add, reflected=True)
+    __sub__ = __isub__ = _binary(np.subtract)
+    __rsub__ = _binary(np.subtract, reflected=True)
+    __mul__ = __imul__ = _binary(np.multiply)
+    __rmul__ = _binary(np.multiply, reflected=True)
+    __truediv__ = __itruediv__ = _binary(np.divide)
+    __rtruediv__ = _binary(np.divide, reflected=True)
+
+
+class _Program:
+    """The float work of a scan's claims as one straight-line program.
+
+    The claims' own ``values`` run once, in ``_schedule``'s order, on an
+    x = a/b of ``_Value``s, which record each ufunc call as a step.  A
+    step equal to an earlier one of the same claim merges into it;
+    across claims only the context's values are shared (x, u, um1, each
+    um1^m, S and each f(x)).  ``segments`` lists each claim's index, its
+    steps' values and the value its fold reads; ``_allocate`` gives each
+    value one of ``registers`` registers, 0 and 1 holding a and b.
+    """
+
+    __slots__ = ("segments", "registers", "_events", "_merged")
+
+    def __init__(self, claims):
+        a, b = _Value(self), _Value(self)
+        a.reg, b.reg, a.last, b.last = 0, 1, math.inf, math.inf
+        self._events, self._merged = [], {}
+        ctx = _Shared(a / b)
+        for i in _schedule(claims):
+            self._merged = {}
+            self._events.append((claims[i].values(ctx), i))    # its fold
+        self.segments, self.registers = _allocate(self._events)
+        self._events = self._merged = a.program = b.program = None
+
+    def step(self, op, args) -> _Value:
+        """The value of op(*args), recorded as a step unless the claim
+        being compiled has made it already (a zero's sign tells)."""
+        key = (op, *args) if 0.0 not in args else (op, *map(repr, args))
+        val = self._merged.get(key)
+        if val is None:
+            val = self._merged[key] = _Value(self, op, *args)
+            self._events.append(val)
+        return val
+
+    def bind(self, n: int):
+        """((a, b), segments) on new registers of n elements: each
+        segment (claim index, steps (ufunc, out, operands), values)
+        with its registers as arrays."""
+        regs = [np.empty(n) for _ in range(self.registers)]
+
+        def arg(v):
+            return regs[v.reg] if type(v) is _Value else v
+        return regs[:2], [
+            (i, [(val.op, regs[val.reg], tuple(map(arg, val.operands())))
+                 for val in steps], regs[values.reg])
+            for i, steps, values in self.segments]
+
+
+def _allocate(events) -> tuple[list, int]:
+    """The segments and register count of recorded events: each step's
+    ``_Value`` and each claim's fold, (values, claim index).
+
+    Backward, each value's last read, by a step or a fold, is found, and
+    a step whose value nothing reads is dropped.  Forward, by linear
+    scan (Poletto and Sarkar 1999), a step writes into the register of
+    an operand that dies at it, else a free one, else a new one; a value
+    that dies frees its register.
+    """
+    for t in range(len(events) - 1, -1, -1):
+        val = events[t]
+        if type(val) is tuple:
+            reads = val[:1]
+        elif val.last is not None:
+            reads = val.left, val.right
+        else:
+            continue
+        for v in reads:
+            if type(v) is _Value and v.last is None:
+                v.last = t
+    segments, steps, free, registers = [], [], [], 2
+    for t, val in enumerate(events):
+        if type(val) is tuple:
+            val, i = val
+            segments.append((i, steps, val))
+            steps = []
+            if val.last == t:
+                free.append(val.reg)
+        elif val.last is not None:
+            reg = None
+            for v in (val.left, val.right):     # operands that die here
+                if type(v) is _Value and v.last == t and v.reg != reg:
+                    if reg is None:
+                        reg = v.reg
+                    else:
+                        free.append(v.reg)
+            if reg is None:
+                if free:
+                    reg = free.pop()
+                else:
+                    reg, registers = registers, registers + 1
+            val.reg, val.program = reg, None    # no cycle through it
+            steps.append(val)
+    return segments, registers
 
 
 @dataclass
@@ -583,16 +639,14 @@ class Fold:
         self.records += later.records[:10 - len(self.records)]
 
 
-def _chunk_fold(claim, chunk: ChunkValues, lo: int) -> Fold:
-    values = claim.values(chunk)
+def _chunk_fold(tol: float, values, a, b, lo: int) -> Fold:
     # max() is NaN if any value is, and argmax stops at the first NaN.
     fold = Fold(float(values.max()), lo + int(np.argmax(values)))
-    if not fold.worst <= claim.tol:     # some pair is above tol or NaN
-        for j in np.nonzero(~(values <= claim.tol))[0][:10]:
-            fold.records.append({"index": lo + int(j), "a": float(chunk.a[j]),
-                                 "b": float(chunk.b[j]),
+    if not fold.worst <= tol:       # some pair is above tol or NaN
+        for j in np.nonzero(~(values <= tol))[0][:10]:
+            fold.records.append({"index": lo + int(j), "a": float(a[j]),
+                                 "b": float(b[j]),
                                  "violation": float(values[j])})
-    chunk.give(values)
     return fold
 
 
@@ -601,20 +655,18 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     """Start folding each claim over every sampled pair, in one chunked
     pass; the returned ``join()`` gives the folds.
 
-    A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol``,
-    ``values(chunk)``: per pair a value, failing above tol or NaN, in an
-    array of ``chunk.take()`` that the pass gives back.  A fold records
-    each failing pair's index, a, b and value; ``cascade.named_links``
-    names its link.  Each chunk task draws its ``CHUNK`` pairs and builds one
-    ``ChunkValues`` of them for all claims, so a measure several claims
-    read is evaluated once.  Every full chunk a process scans shares one
-    buffer pool, its pairs drawn into arrays of it too, so the pass does
-    not return its arrays to the allocator, and take them again, chunk
-    after chunk.  The order in which a chunk folds the claims, and how
-    often it reads each measure, are fixed once per pass (``_schedule``);
-    a measure's last read takes its value over, and the claim that reads
-    it hands it back.  Folds are kept by claim index, so the order does
-    not show.
+    A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol`` and
+    ``values(ctx)``: per pair a value, failing above tol or NaN, from
+    the measures' values ``ctx.gen(symbol)``.  A fold records each
+    failing pair's index, a, b and value; ``cascade.named_links`` names
+    its link.  The claims are compiled once, here, into one
+    straight-line program (``_Program``), so a measure several claims
+    read is evaluated once per chunk; each process that scans binds it
+    to its own registers once.  Each full chunk draws its ``CHUNK``
+    pairs into registers 0 and 1, runs every step in place and folds
+    each claim from its values' register; a short last chunk binds
+    registers of its own size.  The order of the claims is
+    ``_schedule``'s; folds are kept by claim index, so it does not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
     or a ``ValueError``.  With ``workers`` > 1, started from a process
@@ -629,20 +681,21 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     and path do not change them.
     """
     claims, workers = list(claims), _count("workers", workers)
-    size, pool = CHUNK, []      # a forked child scans on its own copy
-    order, reads = _schedule(claims)
+    size, program, bound = CHUNK, _Program(claims), None
 
     def task(lo):
+        nonlocal bound      # each process binds its own
         n = min(size, sample.size - lo)
-        lend = pool if n == size else []
-        ab = [lend.pop() if lend else np.empty(n) for _ in range(2)]
-        chunk = ChunkValues(*sample.pairs(lo, lo + n, _out=ab), _pool=lend,
-                            _reads=reads)
+        if bound is None or bound[0][0].size != n:
+            bound = None        # a short last chunk drops the full one's
+            bound = program.bind(n)
+        (a, b), segments = bound
+        sample.pairs(lo, lo + n, _out=(a, b))
         folds = [None] * len(claims)
-        for i in order:
-            folds[i] = _chunk_fold(claims[i], chunk, lo)
-        chunk.release()
-        lend += ab
+        for i, steps, values in segments:
+            for op, out, args in steps:
+                op(*args, out=out)
+            folds[i] = _chunk_fold(claims[i].tol, values, a, b, lo)
         return folds
 
     starts = range(0, sample.size if claims else 0, size)
@@ -656,6 +709,8 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
                 for i in range(k)]
         here = int(_caller_scans)
     children = _fork_scans(task, runs[here:])
+    if not here:        # only the children scan: this process drops the
+        program = None  # program they copied
 
     def join():
         try:
@@ -667,28 +722,16 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     return join
 
 
-def _schedule(claims) -> tuple[list[int], dict]:
-    """The order in which a chunk folds the claims, and how many times
-    it reads each symbol's f(x) in all (``ChunkValues._reads``).
-
-    The claims are sorted (stably) by the smallest catalog id among
-    their terms, which brings claims on one family's measures together,
-    so each f(x) is taken over soon after its first evaluation: on the
-    default audit's 191 claims, at most 45 values are memoized at once,
-    against 90 in the given order.  A symbol that its last reader reads
-    more than once gets no count, so it stays in the memo until the
-    chunk ends: handed over at its last read, it would be the array of
-    an earlier read that the claim still holds.
+def _schedule(claims) -> list[int]:
+    """The order in which the program takes the claims: sorted (stably)
+    by the smallest catalog id among their terms, which brings claims on
+    one family's measures together, so each f(x) dies soon after it is
+    made: the default audit's 191 claims need 56 registers in this
+    order, against 104 in the given one.
     """
-    order = sorted(range(len(claims)), key=lambda i: min(
+    return sorted(range(len(claims)), key=lambda i: min(
         (getattr(symbol, "id", symbol) for _, symbol in claims[i].terms),
         default=""))
-    reads, last = Counter(), {}
-    for i in order:
-        mine = Counter(symbol for _, symbol in claims[i].terms)
-        reads.update(mine)
-        last.update(mine)       # so each symbol's reads by its last reader
-    return order, {s: n for s, n in reads.items() if last[s] == 1}
 
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:

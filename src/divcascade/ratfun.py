@@ -33,13 +33,13 @@ value comes from +, -, *, / and sqrt alone, which IEEE 754 rounds the
 same way for a float and for any SIMD width of an array: a scalar has
 the bits it has inside any array, on every CPU.  A scalar x is evaluated
 in Python floats and never loads numpy; numpy is imported only in the
-branches an array takes, by which time it is loaded.  One lending rule
-holds: every array context lends, and only a scalar one computes in
-floats.  An array is worked on in arrays its context lends
-(``UContext.take``) and hands back (``give``) once they are dead, so a
-sampled pass reuses them from chunk to chunk; the same ufuncs run on
-the same operands wherever the arrays come from, so the bits do not
-depend on it.
+branches an array takes, by which time it is loaded.  An augmented
+operator works in place only on an array the evaluator made itself, so
+generators can share a context's values.  The same code runs on a value
+that records each ufunc call instead of computing it (``UContext``
+keeps such an x as given): that is how a sampled scan compiles its
+claims into one straight-line program (``analysis``).  The same ufuncs
+run on the same operands either way, so the bits do not depend on it.
 
 ``eval_decimal`` evaluates a form in the standard library's ``decimal``
 at a chosen precision, for the 40-digit differences that spot-check
@@ -216,26 +216,25 @@ def _plan(coeffs: Sequence[float]) -> tuple[float, tuple]:
     return coeffs[-1], tuple(steps)
 
 
-def _horner(plan: tuple[float, tuple], u, out):
+def _horner(plan: tuple[float, tuple], u):
     """Horner's rule by a ``_plan`` at a float or an array.
 
-    An array's sum is worked on in place in ``out``, an array its
-    context lent; a float's in floats (``out`` is None).  The first
-    product u * lead is formed straight into ``out``; with a lead of 1
-    that product is u itself, so the sum starts from u + c, or from
-    u * u when the next coefficient is a dropped 0.0.  A degree-d
-    polynomial then takes 2d array operations, fewer for each zero
-    coefficient: u^4 takes 4 and 1 + u^2 takes 2.
+    The first product u * lead makes the sum, a new array for an array u,
+    which the rest works on in place; with a lead of 1 that product is u
+    itself, so the sum starts from u + c, or from u * u when the next
+    coefficient is a dropped 0.0.  A degree-d polynomial then takes 2d
+    array operations, fewer for each zero coefficient: u^4 takes 4 and
+    1 + u^2 takes 2.
     """
     lead, steps = plan
     if not steps:
-        return _full(u, lead, out)
+        return _full(u, lead)
     if lead != 1.0:
-        acc, rest = _mul(u, lead, out), steps
+        acc, rest = u * lead, steps
     elif steps[0] is None:
-        acc, rest = _mul(u, u, out), steps[1:]
+        acc, rest = u * u, steps[1:]
     else:
-        acc, rest = _add(u, steps[0], out), steps[1:]
+        acc, rest = u + steps[0], steps[1:]
     for c in rest:
         if c is None:
             acc *= u
@@ -244,43 +243,26 @@ def _horner(plan: tuple[float, tuple], u, out):
     return acc
 
 
-def _full(like, value: float, out):
-    """value itself for a float; for an array, ``out``, an array its
-    context lent, filled with value."""
+def _full(like, value: float):
+    """value itself for a float; for an array, a new array like it
+    filled with value."""
     if isinstance(like, float):
         return value
-    out.fill(value)
-    return out
+    import numpy as np
+    return np.full_like(like, value)
 
 
-def _sqrt(v, out=None):
-    """math.sqrt for a float (NaN below zero, as numpy); np.sqrt else,
-    into ``out`` if given."""
+def _sqrt(v):
+    """math.sqrt for a float (NaN below zero, as numpy); np.sqrt else."""
     if isinstance(v, float):
         return sqrt(v) if v >= 0.0 else nan
     import numpy as np
-    return np.sqrt(v, out=out)
-
-
-def _mul(a, b, out):
-    """a * b for a float a; for an array, numpy's product into ``out``."""
-    if isinstance(a, float):
-        return a * b
-    import numpy as np
-    return np.multiply(a, b, out=out)
-
-
-def _add(a, b, out):
-    """a + b for a float a; for an array, numpy's sum into ``out``."""
-    if isinstance(a, float):
-        return a + b
-    import numpy as np
-    return np.add(a, b, out=out)
+    return np.sqrt(v)
 
 
 def _div(a, b):
-    """a / b, in place in a if it is an array, else in b if it is one;
-    for a float zero b, the IEEE quotient where / would raise.
+    """a / b, in place in a if it is an array the caller made; for a
+    float zero b, the IEEE quotient where / would raise.
 
     An array quotient is numpy's, which warns where b is zero.
     """
@@ -290,25 +272,35 @@ def _div(a, b):
         if a != a or a == 0.0:
             return nan
         return copysign(inf, a) * copysign(1.0, b)
+    a /= b          # a float a is divided into a new array
+    return a
+
+
+def _reciprocal(p, out=None):
+    """1 / p for an array, with no warning where p is zero: for m < 0,
+    (u - 1)^m has a pole at x = 1.  A value that records its ufunc calls
+    records this call as one step, whose error state is its own."""
     import numpy as np
-    return np.divide(a, b, out=a if isinstance(a, np.ndarray) else b)
+    if not isinstance(p, np.ndarray):
+        return p.__array_ufunc__(_reciprocal, "__call__", p)
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, p, out=out)
 
 
-def _power(v, m: int, out):
+def _power(v, m: int):
     """v ** m for m != 0, by left-to-right binary powering.
 
-    Only products: an array power is formed in ``out``, where the first
-    square v * v lands straight from v (for |m| = 1, a copy of v), and
-    then squared and multiplied in place, bit by bit of |m| after the
-    leading one, so it holds one array.  Each product is correctly
-    rounded, so for m > 0 the relative error is at most gamma_(m-1) =
-    (m-1)u / (1 - (m-1)u) with u = 2^-53 (Higham, Accuracy and Stability
-    of Numerical Algorithms, Sec 3.1): about 1.5e-14 at m = 132.  A
-    negative m takes the reciprocal of v ** |m| in place, one rounding
-    more.
+    Only products: an array power is a new array, where the first square
+    v * v lands (for |m| = 1, a copy of v), and which is then squared
+    and multiplied in place, bit by bit of |m| after the leading one.
+    Each product is correctly rounded, so for m > 0 the relative error is
+    at most gamma_(m-1) = (m-1)u / (1 - (m-1)u) with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, Sec 3.1): about
+    1.5e-14 at m = 132.  A negative m takes the reciprocal of v ** |m|,
+    one rounding more.
     """
     bits = bin(abs(m))[3:]
-    p = _mul(v, v if bits else 1.0, out)
+    p = v * (v if bits else 1.0)
     for k, bit in enumerate(bits):
         if k:
             p *= p
@@ -318,9 +310,7 @@ def _power(v, m: int, out):
         return p
     if isinstance(p, float):
         return _div(1.0, p)
-    import numpy as np
-    with np.errstate(divide="ignore"):      # um1 = 0 at x = 1: a pole
-        return np.divide(1.0, p, out=p)
+    return _reciprocal(p, p)
 
 
 U = Poly([0, 1])
@@ -341,62 +331,28 @@ class UContext:
     computed from it; an array of x is held as float64 (the array itself
     when it is one), so an integer array cannot wrap in x * x.  The memos
     make a context stateful: build one per point set, and share it with
-    no other thread.
+    no other thread.  Its readers never write into a value it holds.
 
-    One lending rule: every array context lends, and only a scalar one
-    computes in floats (``take`` gives None).  ``take`` lends a float
-    array shaped like x from ``_pool``, the free list the context is
-    given (so a sampled pass reuses memory from chunk to chunk) or else
-    one of its own; the evaluators fill it with numpy's ``out=``, and u
-    and um1 are formed in lent arrays too.  ``give`` hands arrays back
-    as soon as they are dead, and ``release``, at the context's end,
-    hands back u, um1, the memoized powers and S; x, the caller's, never
-    enters the pool.  A memoized value is shared: its readers never
-    write into it.
+    An x that is no numpy array but takes numpy's ufunc calls itself
+    (``__array_ufunc__``) is kept as given: a scan's compiler passes one
+    that records each call as a step of its program.
     """
 
-    __slots__ = ("x", "u", "um1", "_powers", "_s", "_pool")
+    __slots__ = ("x", "u", "um1", "_powers", "_s")
 
-    def __init__(self, x, *, _pool: list | None = None):
+    def __init__(self, x):
         if getattr(x, "ndim", 0):
             import numpy as np
-            self.x = np.asarray(x, dtype=np.float64)
-            self._pool = [] if _pool is None else _pool
-            self.u = np.sqrt(self.x, out=self.take())
-            up1 = np.add(self.u, 1.0, out=self.take())
-            self.um1 = np.subtract(self.x, 1.0, out=self.take())
-            self.um1 /= up1
-            self.give(up1)
+            if isinstance(x, np.ndarray) or not hasattr(x, "__array_ufunc__"):
+                x = np.asarray(x, dtype=np.float64)
+            self.x = x
         else:
-            self.x, self._pool = float(x), None
-            self.u = _sqrt(self.x)
-            self.um1 = (self.x - 1.0) / (self.u + 1.0)
+            self.x = float(x)
+        self.u = _sqrt(self.x)
+        um1 = self.x - 1.0
+        um1 /= self.u + 1.0
+        self.um1 = um1
         self._powers: dict[int, object] = {}
-        self._s = None
-
-    def take(self):
-        """A float array shaped like x, lent from the pool; None for a
-        scalar context."""
-        pool = self._pool
-        if pool is None:
-            return None
-        if pool:
-            return pool.pop()
-        import numpy as np
-        return np.empty(self.x.shape)
-
-    def give(self, *arrays) -> None:
-        """Hand arrays from ``take`` back to the pool once they are dead."""
-        if self._pool is not None:
-            self._pool.extend(arrays)
-
-    def release(self) -> None:
-        """At the context's end: hand u, um1, the memoized powers and S
-        back to the pool, and forget the powers and S."""
-        self.give(self.u, self.um1, *self._powers.values())
-        if self._s is not None:
-            self.give(self._s)
-        self._powers.clear()
         self._s = None
 
     def um1_pow(self, m: int):
@@ -408,17 +364,17 @@ class UContext:
         """
         p = self._powers.get(m)
         if p is None:
-            p = self._powers[m] = _power(self.um1, m, self.take())
+            p = self._powers[m] = _power(self.um1, m)
         return p
 
     def rms(self):
         """S = sqrt((x^2 + 1) / 2), computed on first request and then
         reused."""
         if self._s is None:
-            s = _mul(self.x, self.x, self.take())
+            s = self.x * self.x
             s += 1.0
             s /= 2.0
-            self._s = _sqrt(s, s)
+            self._s = _sqrt(s)
         return self._s
 
 
@@ -569,21 +525,17 @@ class RatU:
 
     def eval_ctx(self, ctx: UContext):
         """Float value at the points of a shared ``UContext``: a float
-        on a scalar context, else an array it lent, which the caller
-        gives back."""
+        on a scalar context, else a new array."""
         if self._floats is None:
             p, q = self.scale.numerator, self.scale.denominator
             self._floats = (_plan([c * p / q for c in self.num.coeffs]),
                             _plan([float(c) for c in self.den.coeffs]))
         fn, fd = self._floats
         if fd == (1.0, ()):         # v / 1.0 is v, bit for bit
-            val = _horner(fn, ctx.u, ctx.take())
-        elif fn[1]:
-            den = _horner(fd, ctx.u, ctx.take())
-            val = _div(_horner(fn, ctx.u, ctx.take()), den)
-            ctx.give(den)
-        else:                       # a constant c is divided into den
-            val = _div(fn[0], _horner(fd, ctx.u, ctx.take()))
+            val = _horner(fn, ctx.u)
+        else:                       # a constant c divides as a float
+            den = _horner(fd, ctx.u)
+            val = _div(_horner(fn, ctx.u) if fn[1] else fn[0], den)
         if self.m:
             val *= ctx.um1_pow(self.m)
         return val
@@ -711,32 +663,28 @@ class RatS:
         return q, None if one else t, None if r.is_zero() else r
 
     def eval_ctx(self, ctx: UContext):
-        """Float value at the points of a shared ``UContext``, lent as
-        ``RatU.eval_ctx``'s is.  S is the context's (``UContext.rms``),
+        """Float value at the points of a shared ``UContext``, as
+        ``RatU.eval_ctx``'s.  S is the context's (``UContext.rms``),
         formed once for every form at those points and never written
-        into: t S lands in t's array and S + r in r's, and S alone is
-        copied."""
+        into: t S lands in t's array and S alone is copied."""
         if self._plan is None:
             self._plan = self._float_plan()
         q, t, r = self._plan
-        s, val = ctx.rms(), None    # s is shared: never written into
+        s, val = ctx.rms(), None
         if t is not None:
-            tv = t.eval_ctx(ctx)
-            val = _mul(tv, s, tv)
+            val = t.eval_ctx(ctx)
+            val *= s
         if r is not None:
             rv = r.eval_ctx(ctx)
             if val is None:
-                val = _add(s, rv, rv)
+                val = s + rv
             else:
                 val += rv
-                ctx.give(rv)
         if val is None:
-            val = _mul(s, 1.0, ctx.take())
+            val = s * 1.0
         if q is None:
             return val
-        quo = _div(q.eval_ctx(ctx), val)
-        ctx.give(val)
-        return quo
+        return _div(q.eval_ctx(ctx), val)
 
     __call__ = RatU.__call__
 

@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from divcascade import analysis, audit, cascade, catalog
 from divcascade.ratfun import Poly, RatS, RatU
 from test_audit import _per_call_gap
+from test_ratfun import _Claim
 
 
 def test_sample_pairs_policy():
@@ -458,15 +460,15 @@ def test_a_waiting_scan_forks_one_child_fewer_than_its_workers(
 def test_an_exception_in_the_callers_own_run_reaps_every_child(
         monkeypatch):
     forks = _counted_forks(monkeypatch)
-    parent, real = os.getpid(), analysis.Ordering.values
+    parent, real = os.getpid(), analysis._chunk_fold
 
-    def values(self, chunk):
+    def fold(*args):
         if os.getpid() == parent:
             raise ValueError("boom in the caller's run")
-        return real(self, chunk)
+        return real(*args)
 
     monkeypatch.setattr(analysis, "CHUNK", 1000)
-    monkeypatch.setattr(analysis.Ordering, "values", values)
+    monkeypatch.setattr(analysis, "_chunk_fold", fold)
     with pytest.raises(ValueError, match="boom in the caller's run"):
         analysis.scan_chain_terms(_MEANS.terms,
                                   analysis.Sample.draw(3000, seed=32),
@@ -532,8 +534,7 @@ def test_tied_worst_across_a_chunk_boundary_reports_the_first_index(
     false_eq = analysis.Equality(((1, "S"),), ((1, "R"),))
     reversed_link = analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12)
     for claims in ([false_eq], [reversed_link], [false_eq, false_eq]):
-        whole = analysis.ChunkValues(*sample.pairs())
-        values = claims[0].values(whole)
+        values, = analysis.claim_gaps(claims[:1], sample)
         assert values[3] == values[4] == values.max()
         for fold in analysis.scan_claims(claims, sample):
             assert (fold.worst, fold.index) == (values[3], 3)
@@ -547,14 +548,11 @@ _TWICE = [cascade.get_chain(f"reverse{i}").terms for i in range(1, 5)] + [
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_symbol_its_last_reader_reads_twice_folds_as_the_reference(
         monkeypatch, workers):
-    # Each chain reads some measure twice, so that measure gets no read
-    # count and stays in the memo: handed over at its last read, it would
-    # alias the array of its first.  Alone or side by side, every chain
-    # folds bit for bit as the reference.
+    # Each chain reads some measure twice, so its f(x) must outlive its
+    # first read.  Alone or side by side, every chain folds bit for bit
+    # as the reference.
     for terms in _TWICE:
-        _, reads = analysis._schedule([analysis.Ordering(terms, -1.0)])
-        twice = {s for _, s in terms if [t for _, t in terms].count(s) > 1}
-        assert twice and not twice & reads.keys(), terms
+        assert len({s for _, s in terms}) < len(terms), terms
     monkeypatch.setattr(analysis, "CHUNK", 1000)
     sample = analysis.Sample.draw(2500, seed=33)
     a, b = sample.pairs()
@@ -570,36 +568,26 @@ def test_a_symbol_its_last_reader_reads_twice_folds_as_the_reference(
             assert repr((fold.worst, fold.records)) == repr(ref), terms
 
 
-def test_the_last_read_takes_the_memoized_value_over():
-    a, b = analysis.Sample.draw(1000, seed=34).pairs()
-    fresh = analysis.ChunkValues(a, b)
-    chunk = analysis.ChunkValues(a, b, _pool=[], _reads={"A": 2, "G": 1})
-    first = chunk.term(1, "A")
-    assert first is chunk.gen("A") and not first.flags.writeable
-    last = chunk.term(1, "A")   # the memo's array, now the reader's
-    assert last is first and last.flags.writeable
-    assert "A" not in chunk._memo and "A" not in chunk._reads
-    assert last.tobytes() == fresh.gen("A").tobytes()
-    memo = chunk.gen("G")
-    scaled = chunk.term(Fraction(1, 3), "G")     # scaled in place
-    assert scaled is memo and scaled.flags.writeable
-    assert scaled.tobytes() == fresh.term(Fraction(1, 3), "G").tobytes()
-    # A symbol without a count, or read past its count, is memoized.
-    assert chunk.term(1, "H") is chunk.gen("H")
-    assert not chunk.gen("H").flags.writeable
-    again = chunk.term(1, "A")
-    assert again is not last and not again.flags.writeable
-
-
-def test_memo_arrays_reject_in_place_writes():
-    sample = analysis.Sample.draw(100, seed=1)
-    chunk = analysis.ChunkValues(*sample.pairs())
-    kept = chunk.gen("K")
-    assert chunk.gen("K") is kept
-    with pytest.raises(ValueError):
-        kept *= 2.0
-    with pytest.raises(ValueError):
-        np.add(kept, 1.0, out=kept)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_pass_over_every_chain_folds_as_each_chain_alone(monkeypatch,
+                                                              workers):
+    # The 26 chains share their measures in one program of few
+    # registers, the reverse1-4 chains' twice-read measures included,
+    # and each folds bit for bit as its own scan (and the reverse
+    # chains as the reference, above).
+    chains = [cascade.get_chain(cid).terms for cid in cascade.chains()]
+    assert len(chains) == 26 and set(_TWICE[:4]) <= set(chains)
+    assert analysis._Program([analysis.Ordering(terms, -1.0)
+                              for terms in chains]).registers <= 38
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    sample = analysis.Sample.draw(2500, seed=35)
+    for tol in (1e-12, -1.0):
+        claims = [analysis.Ordering(terms, tol) for terms in chains]
+        together = analysis.scan_claims(claims, sample, workers)
+        for claim, fold in zip(claims, together):
+            alone, = analysis.scan_claims([claim], sample, workers)
+            # repr tells -0.0 from 0.0, and nan equals itself.
+            assert repr(fold) == repr(alone), claim.terms
 
 
 _DRAWN = analysis.Sample.draw(2_000, seed=5)
@@ -632,7 +620,7 @@ def test_record_links_follow_the_reference(terms, sample, tol, steps):
     assert set(ref_links) == steps
 
 
-# -- the scan's buffer pool --------------------------------------------------
+# -- the scan's program and its registers -------------------------------------
 
 def _audit_claims(tol):
     """The audit's sampled claims: its 26 chains and 165 equalities."""
@@ -644,14 +632,15 @@ def _audit_claims(tol):
 
 
 def _unpooled_folds(claims, sample, chunk):
-    """Each claim folded alone, over fresh chunks that each lend from a
-    pool of their own."""
+    """Each claim folded alone, over fresh chunks that each evaluate it
+    on plain arrays of their own."""
     folds = []
     for claim in claims:
         fold = analysis.Fold()
         for lo in range(0, sample.size, chunk):
-            fresh = analysis.ChunkValues(*sample.pairs(lo, lo + chunk))
-            fold.absorb(analysis._chunk_fold(claim, fresh, lo))
+            a, b = sample.pairs(lo, lo + chunk)
+            values, = analysis.claim_gaps([claim], analysis.Sample(a, b))
+            fold.absorb(analysis._chunk_fold(claim.tol, values, a, b, lo))
         folds.append(fold)
     return folds
 
@@ -659,9 +648,9 @@ def _unpooled_folds(claims, sample, chunk):
 @given(st.integers(1, 4), st.integers(0, 127), st.integers(0, 2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
-    # Full chunks share one pool per scan process; a partial last chunk
-    # lends from its own.  tol = -1 records every pair's value in passing
-    # claims.
+    # Full chunks share one binding of the program's registers per scan
+    # process; a partial last chunk binds its own.  tol = -1 records
+    # every pair's value in passing claims.
     chunk = 128
     claims = _audit_claims(-1.0)
     assert len(claims) == 26 + 165
@@ -691,9 +680,9 @@ def _lending_free_fold(claim, a, b):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pooled_scan_is_bitwise_a_lending_free_reference(workers):
-    # All the audit's claims lend from one pool per scan process, over
-    # three full chunks and a partial one.  tol = -1 records every
-    # pair's value in passing claims.
+    # All the audit's claims run as one program, over three full chunks
+    # and a partial one.  tol = -1 records every pair's value in passing
+    # claims.
     chunk = 128
     claims = _audit_claims(-1.0)
     sample = analysis.Sample.draw(3 * chunk + 50, seed=23)
@@ -714,33 +703,27 @@ def test_sampled_claims_read_the_ratio_alone(k):
     a, b = analysis.Sample.draw(4096, 3).pairs()
     claims = _audit_claims(1e-12)
     assert len(claims) == 191
-    base = analysis.ChunkValues(a, b)
-    scaled = analysis.ChunkValues(np.ldexp(a, k), np.ldexp(b, k))
-    for claim in claims:
-        assert (claim.values(scaled).tobytes()
-                == claim.values(base).tobytes()), claim
+    base = analysis.claim_gaps(claims, analysis.Sample(a, b))
+    scaled = analysis.claim_gaps(claims, analysis.Sample(np.ldexp(a, k),
+                                                         np.ldexp(b, k)))
+    for claim, got, want in zip(claims, scaled, base):
+        assert got.tobytes() == want.tobytes(), claim
 
 
 def test_pooled_memo_values_are_not_clobbered():
+    # On plain arrays the claims share each measure's f(x) and never
+    # write into it: after all the audit's claims, each keeps the bits
+    # of a fresh evaluation.
     sample = analysis.Sample.draw(1000, seed=2)
-    pool = []
-    chunk = analysis.ChunkValues(*sample.pairs(), _pool=pool)
-    first, *others = _audit_claims(1e-12)
-    chunk.give(first.values(chunk))
-    kept = {mid: chunk.gen(mid).tobytes() for _, mid in first.terms}
-    fresh = analysis.ChunkValues(*sample.pairs())
-    assert kept == {mid: fresh.gen(mid).tobytes() for mid in kept}
-    for claim in others:        # each takes the arrays the last gave back
-        chunk.give(claim.values(chunk))
-    assert pool
-    for mid, bits in kept.items():
-        assert chunk.gen(mid).tobytes() == bits, mid
-        assert not chunk.gen(mid).flags.writeable, mid
-    chunk.release()
-    assert not chunk._memo and not chunk._powers
-    # Every array came back once, ready to be written again.
-    assert len({id(buf) for buf in pool}) == len(pool)
-    assert all(buf.shape == (1000,) and buf.flags.writeable for buf in pool)
+    ctx = analysis._Shared(np.divide(*sample.pairs()))
+    claims = _audit_claims(1e-12)
+    for claim in claims:
+        claim.values(ctx)
+    fresh = analysis._Shared(np.divide(*sample.pairs()))
+    symbols = {symbol for claim in claims for _, symbol in claim.terms}
+    assert len(symbols) == 146
+    for mid in symbols:
+        assert ctx.gen(mid).tobytes() == fresh.gen(mid).tobytes(), mid
 
 
 def _unit_term_claims(tol):
@@ -772,101 +755,111 @@ def test_unit_terms_fold_as_the_lending_free_reference(workers):
 
 
 def test_unit_terms_leave_the_memo_alone():
-    a, b = analysis.Sample.draw(1000, seed=30).pairs()
-    chunk = analysis.ChunkValues(a, b, _pool=[])
-    fresh = analysis.ChunkValues(a, b)
-    # A unit term is the read-only memoized f(x); any other is writeable.
-    unit = chunk.term(1, "A")
-    assert unit is chunk.gen("A") and not unit.flags.writeable
-    with pytest.raises(ValueError):
-        unit += 1.0
-    scaled = chunk.term(Fraction(1, 2), "A")
-    assert scaled.flags.writeable and scaled is not unit
-    chunk.give(scaled)
+    # A unit term is the measure's f(x) itself, which no claim writes
+    # into, and which a program reads from its register, with no step
+    # that scales it by 1.
+    sample = analysis.Sample.draw(1000, seed=30)
+    ctx = analysis._Shared(np.divide(*sample.pairs()))
+    assert analysis._term(1, ctx.gen("A")) is ctx.gen("A")
+    assert analysis._term(Fraction(1), ctx.gen("A")) is ctx.gen("A")
+    fresh = analysis._Shared(np.divide(*sample.pairs()))
     for claim in _unit_term_claims(1e-12):
-        symbols = {symbol for _, symbol in claim.terms}
-        kept = {s: chunk.gen(s).tobytes() for s in symbols}
-        chunk.give(claim.values(chunk))
-        for s in symbols:
-            assert chunk.gen(s).tobytes() == kept[s], (claim, s)
-            assert chunk.gen(s).tobytes() == fresh.gen(s).tobytes(), s
-            assert not chunk.gen(s).flags.writeable, (claim, s)
-        # What a claim gave back can be written, and is no memoized f(x).
-        assert all(buf.flags.writeable for buf in chunk._pool)
-        assert not {id(v) for v in chunk._memo.values()} & {
-            id(buf) for buf in chunk._pool}
+        claim.values(ctx)
+        for _, s in claim.terms:
+            assert ctx.gen(s).tobytes() == fresh.gen(s).tobytes(), (claim, s)
+    program = analysis._Program(_unit_term_claims(1e-12))
+    for _, steps, _ in program.segments:
+        for val in steps:
+            assert (val.op, val.left) != (np.multiply, 1.0), val.operands()
 
 
-def _full_chunk(monkeypatch, claims):
-    """(the pool, the symbols evaluated) of a serial scan of the claims
-    over one full chunk: the pool ends with every array it made."""
-    pools, evaluated = [], []
-
-    class Kept(analysis.ChunkValues):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            pools.append(self._pool)
+def _evaluated(monkeypatch, claims):
+    """The symbols a serial scan of the claims over one full chunk
+    evaluates, each time it does."""
+    evaluated = []
 
     def resolve(symbol, real=analysis._resolve):
         evaluated.append(symbol)
         return real(symbol)
 
-    monkeypatch.setattr(analysis, "ChunkValues", Kept)
     monkeypatch.setattr(analysis, "_resolve", resolve)
     sample = analysis.Sample.draw(analysis.CHUNK, seed=42)
     folds = analysis.scan_claims(claims, sample)
     assert all(fold.worst <= 1e-12 for fold in folds)
-    pool, = pools
-    assert len({id(buf) for buf in pool}) == len(pool)
-    assert all(buf.shape == (analysis.CHUNK,) for buf in pool)
-    return pool, evaluated
+    return evaluated
 
 
 def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
         monkeypatch):
-    # Each f(x) is handed over at its last read, so a full chunk of the
-    # audit's claims holds far fewer arrays than its 146 distinct
-    # measures.
-    pool, evaluated = _full_chunk(monkeypatch, _audit_claims(1e-12))
+    # Each f(x) is evaluated once and its register reused once it is
+    # dead, so the audit's claims need far fewer registers, a and b
+    # included, than their 146 distinct measures.
+    claims = _audit_claims(1e-12)
+    evaluated = _evaluated(monkeypatch, claims)
     assert len(evaluated) == len(set(evaluated)) == 146
-    assert len(pool) <= 63
+    assert analysis._Program(claims).registers <= 61
 
 
 def test_a_full_chunk_of_a_long_chain_lends_few_arrays(monkeypatch):
-    # Lt_monotone's 17 terms each pass from the memo to the chain at
-    # their one read, so the chunk does not hold them all at once.
-    terms = cascade.get_chain("Lt_monotone").terms
-    pool, evaluated = _full_chunk(monkeypatch,
-                                  [analysis.Ordering(terms, 1e-12)])
-    assert len(evaluated) == len(terms) == 17
-    assert len(pool) <= 20
+    # Lt_monotone's 17 terms each die at their one read, so its program
+    # does not hold them all at once.
+    claims = [analysis.Ordering(cascade.get_chain("Lt_monotone").terms,
+                                1e-12)]
+    evaluated = _evaluated(monkeypatch, claims)
+    assert len(evaluated) == len(set(evaluated)) == 17
+    assert analysis._Program(claims).registers <= 11
 
 
-def test_a_chunk_forgets_values_and_gives_back_no_array_of_the_caller():
-    a, b = analysis.sample_pairs(300, seed=4)
-    pool = []
-    chunk = analysis.ChunkValues(a, b, _pool=pool)
-    for _, mid in cascade.get_chain("means").terms:
-        chunk.gen(mid)
-    chunk.forget(["A", "no such id"])
-    assert "A" not in chunk._memo and len(pool) == 2
-    chunk.release()
-    assert not chunk._memo and not chunk._powers
-    assert len({id(buf) for buf in pool}) == len(pool)
-    assert not any(buf is a or buf is b for buf in pool)
+def test_every_chain_alone_needs_few_registers():
+    for cid in cascade.chains():
+        claim = analysis.Ordering(cascade.get_chain(cid).terms, 1e-12)
+        assert analysis._Program([claim]).registers <= 18, cid
 
 
-def test_a_serial_scan_takes_few_page_faults_per_chunk():
+def test_a_scan_binds_its_registers_once_and_a_partial_chunk_apart(
+        monkeypatch):
+    bound, real = [], analysis._Program.bind
+
+    def bind(self, n):
+        bound.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(analysis._Program, "bind", bind)
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    analysis.scan_claims([analysis.Ordering(_MEANS.terms, -1.0)],
+                         analysis.Sample.draw(3500, seed=36))
+    assert bound == [1000, 500]
+
+
+def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():
+    # um1^-2 has a pole at x = 1, which the power's reciprocal step
+    # divides out quietly; every other step keeps the caller's error
+    # state.
+    sample = analysis.Sample([2.0, 3.0, 5.0], [2.0, 1.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fold, = analysis.scan_claims(
+            [_Claim(lambda ctx: ctx.um1_pow(-2))], sample)
+        assert (fold.worst, fold.index) == (math.inf, 0)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            analysis.scan_claims([_Claim(lambda ctx: 1.0 / ctx.um1)],
+                                 sample)
+
+
+def test_a_serial_scan_takes_few_page_faults_per_chunk(monkeypatch):
+    # Counted inside one scan, from the start of its second chunk, when
+    # its registers are faulted in, to the start of its last, so the
+    # heap that earlier work left behind does not count.
     resource = pytest.importorskip("resource")
     claims = [analysis.Ordering(cascade.get_chain(cid).terms, 1e-12)
               for cid in cascade.chains()]
+    starts, real = [], analysis._draw
 
-    def faults(chunks, seed):
-        sample = analysis.Sample.draw(chunks * analysis.CHUNK, seed)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        analysis.scan_claims(claims, sample)
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    def draw(*args):
+        starts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return real(*args)
 
-    faults(1, 0)                # builds the float coefficients and plans
-    first = faults(1, 1)        # a scan's first chunk fills its pool
-    assert (faults(41, 2) - first) / 40 < 20
+    monkeypatch.setattr(analysis, "_draw", draw)
+    analysis.scan_claims(claims, analysis.Sample.draw(41 * analysis.CHUNK, 2))
+    assert len(starts) == 41
+    assert (starts[-1] - starts[1]) / 39 < 20, np.diff(starts).tolist()

@@ -267,31 +267,28 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     assert len(claims) == 165
     equalities = [analysis.Equality(lhs, rhs) for lhs, rhs in claims]
     # The per-call gaps, each claim on a chunk of its own, and the gaps of
-    # all claims on one chunk, before ChunkValues is patched below.
+    # all claims on one context, before _Shared is patched below.
     gaps = [analysis.claim_gaps([eq], sample)[0] for eq in equalities]
     shared = analysis.claim_gaps(equalities, sample)
     for (lhs, rhs), got, one in zip(claims, gaps, shared):
         ref = _per_call_gap(lhs, rhs, *sample.pairs())
         assert got.tobytes() == ref.tobytes(), (lhs, rhs)
         assert one.tobytes() == ref.tobytes(), (lhs, rhs)
-    built, powers = [], []
+    built = []
 
-    class Kept(analysis.ChunkValues):
+    class Kept(analysis._Shared):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             built.append(self)
 
-        def release(self):
-            powers.append(sorted(self._powers))
-            super().release()
-
-    monkeypatch.setattr(analysis, "ChunkValues", Kept)
+    monkeypatch.setattr(analysis, "_Shared", Kept)
     folds = analysis.scan_claims(equalities, sample)
     for fold, gap in zip(folds, gaps):
         assert fold.worst == gap.max() and fold.index == np.argmax(gap)
-    # One chunk context served all 165 claims: six distinct powers (u - 1)^m.
+    # One context, compiled once, served all 165 claims: the program
+    # holds six distinct powers (u - 1)^m.
     assert len(built) == 1
-    assert powers == [[2, 4, 6, 8, 10, 12]]
+    assert sorted(built[0]._powers) == [2, 4, 6, 8, 10, 12]
 
 
 def _sampled_checks(report):
@@ -362,14 +359,15 @@ def test_chain_scan_with_another_thread_alive_does_not_fork(monkeypatch):
 
 
 def _in_child(parent, action):
-    """A claim ``values`` that runs ``action`` in a forked child only."""
-    real = analysis.Equality.values
+    """A chunk's fold (``analysis._chunk_fold``) that runs ``action`` in
+    a forked child only."""
+    real = analysis._chunk_fold
 
-    def values(self, chunk):
+    def fold(*args):
         if os.getpid() != parent:
             action()
-        return real(self, chunk)
-    return values
+        return real(*args)
+    return fold
 
 
 def _raise_boom():
@@ -377,7 +375,7 @@ def _raise_boom():
 
 
 def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
-    monkeypatch.setattr(analysis.Equality, "values",
+    monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), _raise_boom))
     with pytest.raises(ValueError, match="boom in a scan worker"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -386,7 +384,7 @@ def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
 
 
 def test_scan_worker_that_dies_raises_runtime_error(monkeypatch):
-    monkeypatch.setattr(analysis.Equality, "values",
+    monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), lambda: os._exit(3)))
     with pytest.raises(RuntimeError, match="without a result.*exit code 3"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -406,7 +404,7 @@ def _raise_needs_two():
 
 
 def test_scan_worker_exception_that_does_not_unpickle(monkeypatch):
-    monkeypatch.setattr(analysis.Equality, "values",
+    monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), _raise_needs_two))
     with pytest.raises(RuntimeError, match="NeedsTwo: 1 and 2"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
@@ -719,7 +717,7 @@ def test_failing_rows_name_their_link_after_the_violation():
 
 
 def test_named_links_of_no_records_build_nothing(monkeypatch):
-    monkeypatch.setattr(analysis, "ChunkValues", None)
+    monkeypatch.setattr(analysis, "_Shared", None)
     assert cascade.named_links(cascade.get_chain("means").terms, []) == []
 
 

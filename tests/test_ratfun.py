@@ -352,42 +352,42 @@ def test_horner_plan_is_bitwise_the_textbook_sum(coeffs, scale, sampled):
     plan = ratfun._plan(floats)
     with np.errstate(all="ignore"):
         ref = _reference_horner(poly, u, scale)
-        got = ratfun._horner(plan, u, np.empty_like(u))
+        got = ratfun._horner(plan, u)
         assert got.tobytes() == ref.tobytes()
         # A scalar u has the bits of the array element.
         for k, uk in enumerate(u.tolist()):
-            assert _bits(ratfun._horner(plan, uk, None)) == _bits(ref[k]), uk
+            assert _bits(ratfun._horner(plan, uk)) == _bits(ref[k]), uk
 
 
-class _Counted(np.ndarray):
-    """An array that counts the array operations run on it: each ufunc
-    call it takes part in, and each ``fill``."""
+class _Claim:
+    """A claim whose values are fn(ctx), failing above 0."""
 
-    ops = 0
+    terms, tol = (), 0.0
 
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        _Counted.ops += 1
-        inputs = [np.asarray(v) for v in inputs]
-        if out is not None:
-            kwargs["out"] = tuple(np.asarray(v) for v in out)
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        return out[0] if out is not None else result
+    def __init__(self, fn):
+        self.values = fn
 
-    def fill(self, value):
-        _Counted.ops += 1
-        np.asarray(self).fill(value)
+
+def _compiled(fn):
+    """The steps a scan compiles fn(ctx) into, each as (ufunc, its
+    register, its operands' registers or floats): each value's making
+    but that of a and b, which the scan draws into registers 0 and 1."""
+    (_, steps, _), = analysis._Program([_Claim(fn)]).segments
+    return [(v.op, v.reg, *[w.reg if isinstance(w, analysis._Value) else w
+                            for w in v.operands()]) for v in steps]
 
 
 def _horner_ops(coeffs):
-    """(array operations, value) of the planned Horner sum at a few u."""
-    u = np.array([0.5, 2.0, 3.0]).view(_Counted)
-    out = np.empty(3).view(_Counted)
-    _Counted.ops = 0
-    val = ratfun._horner(ratfun._plan([float(c) for c in coeffs]), u, out)
-    ops = _Counted.ops
-    ref = _reference_horner(Poly(coeffs), np.array([0.5, 2.0, 3.0]))
-    assert np.asarray(val).tobytes() == ref.tobytes(), coeffs
-    return ops
+    """The array operations of the planned Horner sum: its compiled
+    steps past x = a/b and u = sqrt(x).  Its value is checked at a few
+    u."""
+    plan = ratfun._plan([float(c) for c in coeffs])
+    u = np.array([0.5, 2.0, 3.0])
+    ref = _reference_horner(Poly(coeffs), u)
+    assert ratfun._horner(plan, u).tobytes() == ref.tobytes(), coeffs
+    steps = _compiled(lambda ctx: ratfun._horner(plan, ctx.u))
+    assert [step[0] for step in steps[:2]] == [np.divide, np.sqrt]
+    return len(steps) - 2
 
 
 def test_horner_plan_skips_the_zero_coefficients():
@@ -400,14 +400,14 @@ def test_horner_plan_skips_the_zero_coefficients():
 
 def test_a_constant_numerator_divides_into_the_denominators_array():
     x = np.array([0.5, 1.0, 2.0, 7.0])
-    pool = []
-    ctx = UContext(x, _pool=pool)
-    assert len(pool) == 1               # u + 1, lent and given back
-    lent = pool[0]
     r = RatU(Poly([3]), Poly([1, 1]))   # 3 / (1 + u)
-    val = r.eval_ctx(ctx)
-    # One array, the denominator's, and no fill of the constant.
-    assert val is lent and not pool
+    steps = _compiled(r.eval_ctx)
+    # x, u, the denominator u + 1 and 3 / (u + 1) in the denominator's
+    # register: no fill of the constant, and um1 is not formed.
+    x_reg, u_reg, den = steps[0][1], steps[1][1], steps[2][1]
+    assert steps == [(np.divide, x_reg, 0, 1), (np.sqrt, u_reg, x_reg),
+                     (np.add, den, u_reg, 1.0), (np.divide, den, 3.0, den)]
+    val = r.eval_ctx(UContext(x))
     assert _bits(val) == _bits(np.divide(3.0, np.sqrt(x) + 1.0))
     for xs in x.tolist():
         assert _bits(r(xs)) == _bits(3.0 / (math.sqrt(xs) + 1.0))
@@ -438,19 +438,16 @@ def test_an_integer_array_has_the_bits_of_the_equal_float_array():
     assert UContext(np.float32([0.1])).x.dtype == np.float64
 
 
-def test_a_context_lends_u_and_um1_and_never_takes_x():
+def test_a_context_keeps_x_and_forms_u_and_um1():
     x = np.array([0.5, 1.0, 2.0, 7.0])
-    pool = []
-    ctx = UContext(x, _pool=pool)
+    ctx = UContext(x)
     assert ctx.x is x
     ref = UContext(x.copy())
     assert _bits(ctx.u) == _bits(np.sqrt(x))
     assert _bits(ctx.um1) == _bits((x - 1.0) / (np.sqrt(x) + 1.0))
     assert _bits(ctx.um1_pow(3)) == _bits(ref.um1_pow(3))
-    ctx.release()
-    # u, um1 and the power; the temporary u + 1 was lent to the power.
-    assert len(pool) == len({id(buf) for buf in pool}) == 3
-    assert not any(buf is x for buf in pool)
+    # Nothing it formed writes into x.
+    assert x.tolist() == [0.5, 1.0, 2.0, 7.0]
 
 
 # -- binary powering against exact powers ----------------------------------
