@@ -9,29 +9,40 @@ that ``cascade`` proves.  Everything here is deterministic given the
 seed: a run makes one ``Sample``, n pairs and the seed of their PCG64
 stream, and ``start_scan`` evaluates all its claims in one pass over
 fixed chunks of it.  ``workers`` is the number of processes that scan:
-``scan_claims`` scans the first run of chunks itself and forks a child
-for each other run, and ``start_scan``, whose caller goes on proving,
-forks one for every run.  Each chunk's pairs are drawn, by advancing
-the stream straight to them, in the process that scans the chunk; the
-folds merge in index order whatever the chunk size, worker count, or
-whether the chunks ran in this process or in forked ones.  A fold
+``scan_claims`` scans the first run of chunks itself and hands each
+other run to a scan helper, and ``start_scan``, whose caller goes on
+proving, hands every run to one.  Each chunk's pairs are drawn, by
+advancing the stream straight to them, in the process that scans the
+chunk; the folds merge in index order whatever the chunk size, worker
+count, or whether the chunks ran in this process or in helpers.  A fold
 records each failing pair's index, a, b and value; the link of a chain
 it broke is named from the pair by ``cascade.named_links``.
+
+A scan helper is a process forked by the first scan that needs it,
+holding that scan's request; it then idles between scans and takes
+each later request, the compiled program, the claims' tols, the sample
+recipe and its chunk starts, through a pipe, so a sweep of scans forks
+once.  An idle helper, and the registers it holds, stay until the
+process exits, when they are reaped; a helper whose parent ends any
+other way reads EOF on its pipe and exits, and a forked child drops its
+parent's helpers.
 
 The float work of a pass is one straight-line program, compiled once
 per ``start_scan`` by running the claims' own evaluators on values that
 record each ufunc call (``_Program``).  Its steps run in place on a
 fixed set of chunk-sized registers, numbered by linear scan over each
-value's live range, which every full chunk a process scans reuses: a
-pass neither gives its memory back to the system after every chunk nor
-holds every measure's values at once.  The generators share x,
-u, um1, each power um1^m, S and each measure's f(x) across the claims;
-the same ufuncs run on the same operands in the same order as on plain
-arrays, so no value changes by a bit.
+value's live range.  Each thread keeps its registers from one scan to
+the next (``_Kept``), so every full chunk it scans reuses them: a sweep
+of passes neither gives its memory back to the system after each chunk
+or scan nor holds every measure's values at once.  The generators share
+x, u, um1, each power um1^m, S and each measure's f(x) across the
+claims; the same ufuncs run on the same operands in the same order as
+on plain arrays, so no value changes by a bit.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import numbers
 import operator
@@ -136,7 +147,9 @@ def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int, a, b):
     pairs [0, n_main) are (a_main, b_main) and the rest are
     (a_near, a_near (1 + delta)).  ``advance`` jumps straight to each
     run the range needs, in O(log n) steps, so a range has the bits it
-    has in the whole sample.  Every step works in place, in a and b.
+    has in the whole sample.  Every step works in place, in a and b; the
+    powers 10^e take their base from the kept array ``_Kept.tens``,
+    which gives the bits of a scalar base 10.0.
     """
     n_near = n // 10
     n_main = n - n_near
@@ -158,8 +171,11 @@ def _draw(n: int, seed: np.random.SeedSequence, lo: int, hi: int, a, b):
     uniform(-6.0, 6.0, n_main + m_lo, b[:k])
     uniform(-6.0, 6.0, 2 * n_main + j_lo, a[k:])
     uniform(-1e-3, 1e-3, 2 * n_main + n_near + j_lo, b[k:])
-    np.power(10.0, a, out=a)
-    np.power(10.0, b[:k], out=b[:k])
+    tens = _kept.tens(hi - lo)
+    for e in (a, b[:k]):        # 10^e, tens.size exponents at a time
+        for i in range(0, e.size, tens.size):
+            part = e[i:i + tens.size]
+            np.power(tens[:part.size], part, out=part)
     near = b[k:]
     near += 1.0
     near *= a[k:]
@@ -530,9 +546,12 @@ class _Program:
     x = a/b of ``_Value``s, which record each ufunc call as a step.  A
     step equal to an earlier one of the same claim merges into it;
     across claims only the context's values are shared (x, u, um1, each
-    um1^m, S and each f(x)).  ``segments`` lists each claim's index, its
-    steps' values and the value its fold reads; ``_allocate`` gives each
-    value one of ``registers`` registers, 0 and 1 holding a and b.
+    um1^m, S and each f(x)).  ``_allocate`` numbers the values'
+    registers, 0 and 1 holding a and b.  What is kept is plain data,
+    which pickles, so a scan helper can be sent it: ``segments`` lists
+    each claim's index, its steps as (ufunc, out register, *operands:
+    registers or floats) and the register its fold reads, and
+    ``registers`` is how many registers the program needs.
     """
 
     __slots__ = ("segments", "registers", "_events", "_merged")
@@ -545,8 +564,11 @@ class _Program:
         for i in _schedule(claims):
             self._merged = {}
             self._events.append((claims[i].values(ctx), i))    # its fold
-        self.segments, self.registers = _allocate(self._events)
+        # Only the list holds the values now, so each goes once the
+        # allocator has passed its last reader.
+        events, ctx = self._events, None
         self._events = self._merged = a.program = b.program = None
+        self.segments, self.registers = _allocate(events)
 
     def step(self, op, args) -> _Value:
         """The value of op(*args), recorded as a step unless the claim
@@ -558,19 +580,6 @@ class _Program:
             self._events.append(val)
         return val
 
-    def bind(self, n: int):
-        """((a, b), segments) on new registers of n elements: each
-        segment (claim index, steps (ufunc, out, operands), values)
-        with its registers as arrays."""
-        regs = [np.empty(n) for _ in range(self.registers)]
-
-        def arg(v):
-            return regs[v.reg] if type(v) is _Value else v
-        return regs[:2], [
-            (i, [(val.op, regs[val.reg], tuple(map(arg, val.operands())))
-                 for val in steps], regs[values.reg])
-            for i, steps, values in self.segments]
-
 
 def _allocate(events) -> tuple[list, int]:
     """The segments and register count of recorded events: each step's
@@ -580,7 +589,8 @@ def _allocate(events) -> tuple[list, int]:
     a step whose value nothing reads is dropped.  Forward, by linear
     scan (Poletto and Sarkar 1999), a step writes into the register of
     an operand that dies at it, else a free one, else a new one; a value
-    that dies frees its register.
+    that dies frees its register.  Each event leaves the list once
+    passed, so the values go as the steps that replace them are made.
     """
     for t in range(len(events) - 1, -1, -1):
         val = events[t]
@@ -595,9 +605,10 @@ def _allocate(events) -> tuple[list, int]:
                 v.last = t
     segments, steps, free, registers = [], [], [], 2
     for t, val in enumerate(events):
+        events[t] = None
         if type(val) is tuple:
             val, i = val
-            segments.append((i, steps, val))
+            segments.append((i, steps, val.reg))
             steps = []
             if val.last == t:
                 free.append(val.reg)
@@ -614,9 +625,61 @@ def _allocate(events) -> tuple[list, int]:
                     reg = free.pop()
                 else:
                     reg, registers = registers, registers + 1
-            val.reg, val.program = reg, None    # no cycle through it
-            steps.append(val)
+            val.reg = reg
+            # Spelt out, with no generator, as it runs once per step.
+            left, right = val.left, val.right
+            step = (val.op, reg,
+                    left.reg if type(left) is _Value else float(left))
+            if right is not None:
+                step += (right.reg if type(right) is _Value else float(right),)
+            steps.append(step)
     return segments, registers
+
+
+def _bind(program: _Program, regs: list):
+    """((a, b), segments) of the program on the arrays regs: each
+    segment (claim index, steps (ufunc, out, operands), values) with its
+    registers as arrays."""
+    def arg(v):
+        return regs[v] if type(v) is int else v
+    return regs[:2], [
+        (i, [(op, regs[out], tuple(map(arg, args)))
+             for op, out, *args in steps], regs[values])
+        for i, steps, values in program.segments]
+
+
+class _Kept(threading.local):
+    """What a thread keeps for its scans from one to the next.
+
+    ``registers(size, count)`` gives ``count`` registers of ``size``
+    elements, for full chunks: the list grows to the largest program the
+    thread has run, and a new chunk size drops it.  ``tens(n)`` is a
+    read-only array of 10.0, at least n long up to ``CHUNK``, the base
+    of ``_draw``'s powers: numpy's pow of two arrays runs faster than
+    with a scalar base, to the same bits, and a kept array takes its
+    page faults once.  Each thread has its own, so scans in two threads
+    never share a register.
+    """
+
+    def __init__(self):
+        self._registers, self._tens = [], None
+
+    def registers(self, size: int, count: int) -> list:
+        if self._registers and self._registers[0].size != size:
+            self._registers = []
+        self._registers += [np.empty(size)
+                            for _ in range(count - len(self._registers))]
+        return self._registers
+
+    def tens(self, n: int) -> np.ndarray:
+        n = min(max(n, 1), CHUNK)
+        if self._tens is None or self._tens.size < n:
+            self._tens = np.full(n, 10.0)
+            self._tens.flags.writeable = False
+        return self._tens
+
+
+_kept = _Kept()
 
 
 @dataclass
@@ -661,43 +724,30 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     failing pair's index, a, b and value; ``cascade.named_links`` names
     its link.  The claims are compiled once, here, into one
     straight-line program (``_Program``), so a measure several claims
-    read is evaluated once per chunk; each process that scans binds it
-    to its own registers once.  Each full chunk draws its ``CHUNK``
-    pairs into registers 0 and 1, runs every step in place and folds
-    each claim from its values' register; a short last chunk binds
-    registers of its own size.  The order of the claims is
-    ``_schedule``'s; folds are kept by claim index, so it does not show.
+    read is evaluated once per chunk.  Each full chunk draws its
+    ``CHUNK`` pairs into registers 0 and 1, runs every step in place
+    and folds each claim from its values' register; the registers of
+    full chunks are the scanning thread's, kept from scan to scan
+    (``_Kept``), and a short last chunk binds registers of its own
+    size.  The order of the claims is ``_schedule``'s; folds are kept by
+    claim index, so it does not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
     or a ``ValueError``.  With ``workers`` > 1, started from a process
     with one Python thread, the pass is split into contiguous runs of
-    whole chunks, at most one run per chunk, each scanned by a child made
-    by ``os.fork`` while the caller goes on, so it can prove while they
-    scan; ``join()`` reads their pickled folds, reaps every child and
-    raises a child's exception again.  Otherwise the pass runs serially
-    in ``join()``.  ``scan_claims``, whose caller only waits, passes
+    whole chunks, at most one run per chunk, each scanned by one of this
+    process's scan helpers (``_lease``) while the caller goes on, so it
+    can prove while they scan; ``join()`` reads their folds and raises a
+    helper's exception again.  Otherwise the pass runs serially in
+    ``join()``.  ``scan_claims``, whose caller only waits, passes
     ``_caller_scans``: the first run is then scanned in ``join()``, not
-    by a child.  Folds merge in index order: chunk size, worker count
-    and path do not change them.
+    by a helper.  An exception while ``join()`` runs, in its own run or
+    in a helper, reaps the scan's helpers before it propagates.  Folds
+    merge in index order: chunk size, worker count and path do not
+    change them.
     """
     claims, workers = list(claims), _count("workers", workers)
-    size, program, bound = CHUNK, _Program(claims), None
-
-    def task(lo):
-        nonlocal bound      # each process binds its own
-        n = min(size, sample.size - lo)
-        if bound is None or bound[0][0].size != n:
-            bound = None        # a short last chunk drops the full one's
-            bound = program.bind(n)
-        (a, b), segments = bound
-        sample.pairs(lo, lo + n, _out=(a, b))
-        folds = [None] * len(claims)
-        for i, steps, values in segments:
-            for op, out, args in steps:
-                op(*args, out=out)
-            folds[i] = _chunk_fold(claims[i].tol, values, a, b, lo)
-        return folds
-
+    size = CHUNK
     starts = range(0, sample.size if claims else 0, size)
     runs, here = [starts], 1    # the first `here` runs scan in join()
     # fork() copies only the calling thread: with another Python thread
@@ -708,18 +758,61 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
         runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
                 for i in range(k)]
         here = int(_caller_scans)
-    children = _fork_scans(task, runs[here:])
-    if not here:        # only the children scan: this process drops the
-        program = None  # program they copied
+    program, tols = _Program(claims), [claim.tol for claim in claims]
+    requests = [(program, size, tols, *_run_pairs(sample, run, size), run)
+                for run in runs]
+    helpers, own = _lease(requests[here:]), requests[:here]
 
     def join():
         try:
-            parts = [task(lo) for run in runs[:here] for lo in run]
+            parts = [fold for request in own for fold in _scan_run(request)]
+            parts += _collect(helpers)
         except BaseException:
-            _reap(children)
+            _reap(helpers)
             raise
-        return _merge(len(claims), parts + _join_children(children))
+        return _merge(len(claims), parts)
     return join
+
+
+def _run_pairs(sample: Sample, starts, size: int) -> tuple[Sample, int]:
+    """(the pairs a run of chunks reads, the index of the first): a
+    drawn sample itself, which is only a recipe, or the run's slice of
+    given pairs."""
+    if sample._ab is None or not starts:
+        return sample, 0
+    lo, hi = starts[0], min(starts[-1] + size, sample.size)
+    return Sample(*(v[lo:hi] for v in sample._ab)), lo
+
+
+def _scan_run(request) -> list:
+    """The per-chunk folds of a run of chunks, in start order.
+
+    ``request`` is (program, size, tols, sample, offset, starts): the
+    compiled program, the chunk size, each claim's tol, the pairs the
+    run reads (``_run_pairs``), the index of their first, and the run's
+    chunk starts.  Full chunks run on the thread's kept registers, bound
+    once per run; a short last chunk binds registers of its own.
+    """
+    program, size, tols, sample, offset, starts = request
+    parts, full = [], None
+    for lo in starts:
+        n = min(size, offset + sample.size - lo)
+        if n < size:
+            bound = _bind(program, [np.empty(n)
+                                    for _ in range(program.registers)])
+        else:
+            full = full or _bind(program,
+                                 _kept.registers(size, program.registers))
+            bound = full
+        (a, b), segments = bound
+        sample.pairs(lo - offset, lo - offset + n, _out=(a, b))
+        folds = [None] * len(tols)
+        for i, steps, values in segments:
+            for op, out, args in steps:
+                op(*args, out=out)
+            folds[i] = _chunk_fold(tols[i], values, a, b, lo)
+        parts.append(folds)
+    return parts
 
 
 def _schedule(claims) -> list[int]:
@@ -736,10 +829,10 @@ def _schedule(claims) -> list[int]:
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
     """The folds of ``start_scan(claims, sample, workers)``, for a caller
-    that waits for them and so scans too: it forks a child for each run
-    of chunks but the first, at most ``workers`` - 1, and then scans the
-    first itself.  An exception in its own run is raised once every
-    child is reaped."""
+    that waits for them and so scans too: it leases a helper for each
+    run of chunks but the first, at most ``workers`` - 1, and then scans
+    the first itself.  An exception in its own run is raised once the
+    scan's helpers are reaped."""
     return start_scan(claims, sample, workers, _caller_scans=True)()
 
 
@@ -752,86 +845,189 @@ def _merge(n: int, parts) -> list[Fold]:
     return folds
 
 
-def _fork_scans(task, runs) -> list[tuple[int, int]]:
-    """``_fork_scan`` for each run of starts; if a fork or pipe fails,
-    the children already made are reaped before the error propagates."""
-    children = []
+@dataclass(eq=False)
+class _Helper:
+    """A scan helper: a forked process that scans runs of chunks, its
+    pid, the write end of its request pipe, the read end of its reply
+    pipe, and whether a scan has leased it and not yet read its
+    reply."""
+
+    pid: int
+    send: int
+    recv: int
+    busy: bool = True
+
+
+# This process's scan helpers, in fork order.  They outlive the scans
+# that fork them, idle between scans, and are reaped at exit; a forked
+# child drops them (``_forget_helpers``), so only this process holds
+# their pipes and each reads EOF, and exits, when this process ends.
+_helpers: list[_Helper] = []
+
+
+def _lease(requests) -> list[_Helper]:
+    """A helper for each request, marked busy: this process's idle
+    helpers in fork order, each sent its request through its pipe, then
+    new ones forked holding theirs (``_fork_helper``).  An idle helper
+    that has ended (a signal, say) is reaped and passed over.  If a
+    send or a fork fails, the helpers leased so far are reaped before
+    the error propagates."""
+    leased = []
     try:
-        for starts in runs:
-            children.append(_fork_scan(task, starts))
+        idle = iter([h for h in _helpers if not h.busy])
+        for request in requests:
+            helper = next((h for h in idle if _alive(h)), None)
+            if helper is None:
+                leased.append(_fork_helper(request))
+                continue
+            helper.busy = True
+            leased.append(helper)
+            _send(helper.send, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
     except BaseException:
-        _reap(children)
+        _reap(leased)
         raise
-    return children
+    return leased
 
 
-def _reap(children) -> list[int]:
-    """Close each child's read end, so a child still writing gets EPIPE
-    and ends, and wait for every child; their wait statuses."""
-    for _, fd in children:
-        os.close(fd)
-    return [os.waitpid(pid, 0)[1] for pid, _ in children]
+def _alive(helper: _Helper) -> bool:
+    """Whether a helper still runs; one that has ended is reaped."""
+    if _wait(helper, os.WNOHANG) == (0, 0):
+        return True
+    _drop(helper)
+    return False
 
 
-def _fork_scan(task, starts) -> tuple[int, int]:
-    """Fork a child that pickles ``[task(lo) for lo in starts]``, or the
-    exception it raised, into a pipe; return (pid, read end).
+def _wait(helper: _Helper, options: int = 0) -> tuple[int, int | None]:
+    """``os.waitpid`` of a helper; (pid, None) if a wait for any child,
+    the caller's own, has reaped it already."""
+    try:
+        return os.waitpid(helper.pid, options)
+    except ChildProcessError:
+        return helper.pid, None
 
-    The child always leaves through ``os._exit``: it never returns into
-    the caller's stack, and exit handlers and buffered output stay the
+
+def _drop(helper: _Helper) -> None:
+    """Close this process's ends of a helper's pipes and forget it."""
+    _helpers.remove(helper)
+    os.close(helper.send)
+    os.close(helper.recv)
+
+
+def _reap(helpers) -> list:
+    """End each of the helpers this process still has, and wait for it;
+    their wait statuses (None where unknown).  Closing its pipes ends a
+    helper: an idle one reads EOF, and a busy one finishes its run and
+    meets a closed pipe when it replies."""
+    helpers = [h for h in helpers if h in _helpers]
+    for helper in helpers:
+        _drop(helper)
+    return [_wait(h)[1] for h in helpers]
+
+
+def _forget_helpers() -> None:
+    """In a forked child, a helper among them: close the pipes of the
+    parent's helpers and forget them."""
+    for helper in list(_helpers):
+        _drop(helper)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+atexit.register(_reap, _helpers)
+
+
+def _fork_helper(request) -> _Helper:
+    """Fork a new helper, busy with ``request``, and add it to this
+    process's helpers.
+
+    The helper inherits the request, so it is not pickled, and replies
+    to it, then to each request its pipe brings, until it reads EOF.
+    It always leaves through ``os._exit``: it never returns into the
+    caller's stack, and exit handlers and buffered output stay the
     parent's.
     """
-    read, write = os.pipe()
+    fds = []
     try:
+        fds += os.pipe()        # requests: read, write
+        fds += os.pipe()        # replies: read, write
         pid = os.fork()
     except BaseException:
-        os.close(read)
-        os.close(write)
+        for fd in fds:
+            os.close(fd)
         raise
+    request_r, request_w, reply_r, reply_w = fds
     if pid:
-        os.close(write)
-        return pid, read
+        os.close(request_r)
+        os.close(reply_w)
+        helper = _Helper(pid, request_w, reply_r)
+        _helpers.append(helper)
+        return helper
     status = 1
     try:
-        os.close(read)
-        try:
-            result = (True, [task(lo) for lo in starts])
-        except BaseException as exc:    # handed to the parent to raise
-            result = (False, exc)
-        try:
-            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            if not result[0]:
-                pickle.loads(data)      # as the parent will read it
-        except Exception:               # an exception that does not pickle
-            exc = result[1]
-            data = pickle.dumps(
-                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(write, "wb") as fh:
-            fh.write(data)
+        os.close(request_w)
+        os.close(reply_r)
+        while request is not None:
+            _send(reply_w, _reply(request))
+            data = _receive(request_r)
+            request = None if data is None else pickle.loads(data)
         status = 0
     finally:
         os._exit(status)
 
 
-def _join_children(children) -> list:
-    """The children's per-chunk folds in start order, every child reaped.
-
-    A child's exception is raised again here; a child that ended without
-    a result raises ``RuntimeError``.
-    """
-    results = []
+def _reply(request) -> bytes:
+    """The pickled (True, per-chunk folds) of a request's run, or
+    (False, the exception it raised); an exception that does not pickle
+    and unpickle goes as a ``RuntimeError`` naming it."""
     try:
-        for _, fd in children:
-            with open(fd, "rb", closefd=False) as fh:
-                results.append(fh.read())
-    finally:
-        statuses = _reap(children)
+        result = (True, _scan_run(request))
+    except BaseException as exc:        # handed to the parent to raise
+        result = (False, exc)
+    try:
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        if not result[0]:
+            pickle.loads(data)          # as the parent will read it
+    except Exception:                   # an exception that does not pickle
+        exc = result[1]
+        data = pickle.dumps(
+            (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    return data
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write one message to a pipe: data's length, then data."""
+    with open(fd, "wb", closefd=False) as fh:
+        fh.write(len(data).to_bytes(8, "little"))
+        fh.write(data)
+
+
+def _receive(fd: int) -> bytes | None:
+    """The next message from a pipe, or None if it ends before one."""
+    with open(fd, "rb", closefd=False) as fh:
+        head = fh.read(8)
+        if len(head) < 8:
+            return None
+        size = int.from_bytes(head, "little")
+        data = fh.read(size)
+    return data if len(data) == size else None
+
+
+def _collect(helpers) -> list:
+    """The helpers' per-chunk folds in order, each helper idle again.
+
+    A helper's exception is raised again here; a helper that ended
+    without a reply is reaped and raises ``RuntimeError``.
+    """
     parts = []
-    for (pid, _), data, status in zip(children, results, statuses):
-        if not data:
-            raise RuntimeError(
-                f"scan worker {pid} ended without a result (exit code "
-                f"{os.waitstatus_to_exitcode(status)})")
+    for helper in helpers:
+        data = _receive(helper.recv)
+        if data is None:
+            status, = _reap([helper])
+            code = ("unknown" if status is None
+                    else os.waitstatus_to_exitcode(status))
+            raise RuntimeError(f"scan worker {helper.pid} ended without a "
+                               f"result (exit code {code})")
+        helper.busy = False
         ok, value = pickle.loads(data)
         if not ok:
             raise value

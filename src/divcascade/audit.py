@@ -544,7 +544,7 @@ def run_audit(config: AuditConfig) -> dict:
         convexity = [analysis.certify_convexity(mid)
                      for mid in _convexity_ids()]
         control = _negative_control(config)
-    finally:                    # reaps the children if a proof raises
+    finally:                    # no helper is left busy if a proof raises
         folds = iter(join())
 
     chains = [cascade.check_chain(chain, sample, tol, fold=next(folds),

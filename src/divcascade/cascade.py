@@ -296,8 +296,8 @@ def chain_from_dict(doc: dict) -> Chain:
 def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
                 workers: int = 1) -> CheckResult:
     """Prove every adjacent ordering in the chain, then scan sampled pairs
-    in ``workers`` processes, this one and ``workers`` - 1 forked
-    children (see ``analysis.scan_claims``).
+    in ``workers`` processes, this one and ``workers`` - 1 scan helpers
+    (see ``analysis.scan_claims``).
 
     ``samples`` and ``workers`` are integers >= 1 and ``tol`` is a finite
     real number, as ``analysis.Ordering`` checks; a negative tol records

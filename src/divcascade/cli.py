@@ -99,21 +99,32 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _option(name: str, text, kind, default=None):
+    """An option's text as kind, int or float, or default if it is None;
+    text that does not parse is a ``ValueError`` naming the option."""
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a real number"
+        raise ValueError(f"{name} must be {what}, not {text!r}") from None
+
+
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, 42))
+    return _option(SEED_ENV, os.environ.get(SEED_ENV, "42"), int)
 
 
 def cmd_audit(args) -> int:
     from . import audit, reporting
     try:
-        seed = int(args.seed) if args.seed is not None else _default_seed()
+        seed = _option("seed", args.seed, int)
         config = audit.AuditConfig(
             chains=args.chains,
-            samples=int(args.samples) if args.samples is not None else 100000,
-            seed=seed,
-            tolerance=(float(args.tolerance)
-                       if args.tolerance is not None else 1e-12),
-            workers=int(args.workers) if args.workers is not None else None,
+            samples=_option("samples", args.samples, int, 100000),
+            seed=_default_seed() if seed is None else seed,
+            tolerance=_option("tolerance", args.tolerance, float, 1e-12),
+            workers=_option("workers", args.workers, int),
         )
     except ValueError as e:
         _err(f"configuration error: {e}")

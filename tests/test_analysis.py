@@ -1,10 +1,17 @@
 """Unit tests for sampling, certification, and counterexample search."""
 
+import inspect
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -397,7 +404,7 @@ def test_scan_finds_reversed_chain_violation():
     assert set(rec) == {"index", "a", "b", "violation"}
 
 
-def test_scan_worker_independence(monkeypatch):
+def test_scan_worker_independence(monkeypatch, no_helpers):
     forks = _counted_forks(monkeypatch)
     sample = analysis.Sample.draw(300_000, seed=9)
     chunks = -(-sample.size // analysis.CHUNK)
@@ -410,17 +417,20 @@ def test_scan_worker_independence(monkeypatch):
     # tol = -1 records offending samples in passing chains too.
     for terms in claims:
         for tol in (1e-12, -1.0):
-            forks.clear()
+            forked = len(forks)
             w1 = analysis.scan_chain_terms(terms, sample, tol, workers=1)
-            assert not forks
+            assert len(forks) == forked
             for workers in (2, 4):
                 got = analysis.scan_chain_terms(terms, sample, tol, workers)
                 assert got == w1, (terms, tol, workers)
-            # The waiting caller scans one run: workers - 1 children.
-            assert len(forks) == 1 + 3
         assert len(w1[1]) == 10, terms
+    # The waiting caller scans one run and leases workers - 1 helpers:
+    # the first scans fork 1 and then 2 more, and every later scan
+    # reuses them.
+    assert len(forks) == 3 and len(analysis._helpers) == 3
     # At most one run per chunk, however many workers are asked for:
-    # the caller and 2 children scan 3 chunks.
+    # the caller and 2 helpers scan 3 chunks.
+    analysis._reap(analysis._helpers)
     forks.clear()
     small = analysis.Sample.draw(3 * analysis.CHUNK - 1, seed=9)
     analysis.scan_chain_terms(claims[0], small, 1e-12, workers=64)
@@ -441,9 +451,10 @@ def _counted_forks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_a_waiting_scan_forks_one_child_fewer_than_its_workers(
-        monkeypatch, workers):
-    # scan_claims waits, so it scans a run itself; start_scan's caller
-    # goes on proving, so a child scans each run.
+        monkeypatch, workers, no_helpers):
+    # scan_claims waits, so it scans a run itself and leases workers - 1
+    # helpers; start_scan's caller goes on proving, so it leases one for
+    # every run and forks only the one that is missing.
     forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(analysis, "CHUNK", 1000)
     sample = analysis.Sample.draw(7500, seed=31)
@@ -454,11 +465,100 @@ def test_a_waiting_scan_forks_one_child_fewer_than_its_workers(
     assert len(forks) == workers - 1
     forks.clear()
     assert analysis.start_scan(claims, sample, workers)() == serial
-    assert len(forks) == workers
+    assert len(forks) == 1
+    assert [h.busy for h in analysis._helpers] == [False] * workers
+
+
+def test_a_scan_started_while_another_waits_forks_helpers_of_its_own(
+        monkeypatch, no_helpers):
+    forks = _counted_forks(monkeypatch)
+    sample = analysis.Sample.draw(3 * analysis.CHUNK, seed=33)
+    claims = [analysis.Ordering(_MEANS.terms, -1.0)]
+    serial = analysis.scan_claims(claims, sample)
+    first = analysis.start_scan(claims, sample, 2)
+    second = analysis.start_scan(claims, sample, 2)
+    assert len(forks) == 4
+    assert second() == first() == serial
+    # Both pairs stay idle, and a later scan leases the first two.
+    assert [h.busy for h in analysis._helpers] == [False] * 4
+    assert analysis.start_scan(claims, sample, 2)() == serial
+    assert len(forks) == 4
+
+
+def test_a_helper_scans_its_run_of_given_pairs(monkeypatch, no_helpers):
+    # Given pairs go to a helper as its run's slice: records keep their
+    # index in the whole sample, whether the helper was forked with the
+    # request or read it from its pipe.  W2 <= W1 is false off the
+    # diagonal, so only the last chunk, off it, fails.
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    a, b = analysis.Sample.draw(3500, seed=37).pairs()
+    a[:3000] = b[:3000] = 2.0
+    given = analysis.Sample(a, b)
+    claims = [analysis.Ordering(((1, "W2"), (1, "W1")), 1e-12),
+              analysis.Equality(((1, "A"),), ((1, "G"),), 1e-12)]
+    serial = analysis.scan_claims(claims, given)
+    assert [r["index"] for r in serial[0].records] == list(range(3000, 3010))
+    assert serial[0].index >= 3000 and serial[1].index >= 3000
+    for workers in (2, 3, 2):
+        assert analysis.scan_claims(claims, given, workers) == serial
+        assert analysis.start_scan(claims, given, workers)() == serial
+    assert len(analysis._helpers) == 3
+
+
+def test_a_chain_sweep_forks_one_helper(monkeypatch, no_helpers):
+    # Each audit_chain call at 2 workers scans half its chunks in the
+    # caller and leases one helper for the other half: the sweep forks
+    # it once.
+    forks = _counted_forks(monkeypatch)
+    swept = [cascade.audit_chain(cid, samples=2 * analysis.CHUNK, seed=3,
+                                 tol=1e-12, workers=2)
+             for cid in cascade.chains()]
+    assert len(swept) == 26 and len(forks) == 1
+    assert [h.busy for h in analysis._helpers] == [False]
+    serial = [cascade.audit_chain(cid, samples=2 * analysis.CHUNK, seed=3,
+                                  tol=1e-12, workers=1)
+              for cid in cascade.chains()]
+    assert [repr(r) for r in swept] == [repr(r) for r in serial]
+    assert all(r.verdict == "pass" for r in swept)
+
+
+def test_an_idle_helper_that_has_ended_is_passed_over(monkeypatch,
+                                                     no_helpers):
+    sample = analysis.Sample.draw(2 * analysis.CHUNK, seed=34)
+    claims = [analysis.Ordering(_MEANS.terms, -1.0)]
+    serial = analysis.scan_claims(claims, sample)
+    assert analysis.scan_claims(claims, sample, 2) == serial
+    helper, = analysis._helpers
+    os.kill(helper.pid, signal.SIGKILL)
+    # Wait for it to end, leaving it to the scan to reap.
+    os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+    assert analysis.scan_claims(claims, sample, 2) == serial
+    assert helper not in analysis._helpers and len(analysis._helpers) == 1
+
+
+def test_a_helper_reaped_by_the_callers_own_wait_is_passed_over(
+        monkeypatch, no_helpers):
+    # A caller that waits for any child may reap an ended helper first,
+    # as the waits by pid here do: the next scan forks a new one, and
+    # the exit hook's reap (here called directly) does not raise.
+    sample = analysis.Sample.draw(2 * analysis.CHUNK, seed=38)
+    claims = [analysis.Ordering(_MEANS.terms, -1.0)]
+    serial = analysis.scan_claims(claims, sample)
+    assert analysis.scan_claims(claims, sample, 2) == serial
+    helper, = analysis._helpers
+    os.kill(helper.pid, signal.SIGKILL)
+    os.waitpid(helper.pid, 0)
+    assert analysis.scan_claims(claims, sample, 2) == serial
+    assert helper not in analysis._helpers and len(analysis._helpers) == 1
+    second, = analysis._helpers
+    os.kill(second.pid, signal.SIGKILL)
+    os.waitpid(second.pid, 0)
+    assert analysis._reap(analysis._helpers) == [None]
+    assert not analysis._helpers
 
 
 def test_an_exception_in_the_callers_own_run_reaps_every_child(
-        monkeypatch):
+        monkeypatch, no_helpers):
     forks = _counted_forks(monkeypatch)
     parent, real = os.getpid(), analysis._chunk_fold
 
@@ -473,8 +573,8 @@ def test_an_exception_in_the_callers_own_run_reaps_every_child(
         analysis.scan_chain_terms(_MEANS.terms,
                                   analysis.Sample.draw(3000, seed=32),
                                   1e-12, workers=3)
-    assert len(forks) == 2
-    with pytest.raises(ChildProcessError):     # every child was reaped
+    assert len(forks) == 2 and not analysis._helpers
+    with pytest.raises(ChildProcessError):     # every helper was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -769,8 +869,8 @@ def test_unit_terms_leave_the_memo_alone():
             assert ctx.gen(s).tobytes() == fresh.gen(s).tobytes(), (claim, s)
     program = analysis._Program(_unit_term_claims(1e-12))
     for _, steps, _ in program.segments:
-        for val in steps:
-            assert (val.op, val.left) != (np.multiply, 1.0), val.operands()
+        for op, _, *args in steps:
+            assert (op, args[0]) != (np.multiply, 1.0), args
 
 
 def _evaluated(monkeypatch, claims):
@@ -818,17 +918,20 @@ def test_every_chain_alone_needs_few_registers():
 
 def test_a_scan_binds_its_registers_once_and_a_partial_chunk_apart(
         monkeypatch):
-    bound, real = [], analysis._Program.bind
+    bound, real = [], analysis._bind
 
-    def bind(self, n):
-        bound.append(n)
-        return real(self, n)
+    def bind(program, regs):
+        bound.append(regs[0])
+        return real(program, regs)
 
-    monkeypatch.setattr(analysis._Program, "bind", bind)
+    monkeypatch.setattr(analysis, "_bind", bind)
     monkeypatch.setattr(analysis, "CHUNK", 1000)
-    analysis.scan_claims([analysis.Ordering(_MEANS.terms, -1.0)],
-                         analysis.Sample.draw(3500, seed=36))
-    assert bound == [1000, 500]
+    for _ in range(2):
+        analysis.scan_claims([analysis.Ordering(_MEANS.terms, -1.0)],
+                             analysis.Sample.draw(3500, seed=36))
+    assert [a.size for a in bound] == [1000, 500] * 2
+    # The second scan's full chunks ran on the registers the first kept.
+    assert bound[2] is bound[0]
 
 
 def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():
@@ -847,12 +950,15 @@ def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():
 
 
 def test_a_serial_scan_takes_few_page_faults_per_chunk(monkeypatch):
-    # Counted inside one scan, from the start of its second chunk, when
-    # its registers are faulted in, to the start of its last, so the
-    # heap that earlier work left behind does not count.
+    # Counted in a second scan of the same claims, from the start of its
+    # first chunk to the start of its last: its full chunks run on the
+    # registers the first scan left kept, so what is counted is the
+    # chunks' own work, not the heap that earlier work left behind.
     resource = pytest.importorskip("resource")
     claims = [analysis.Ordering(cascade.get_chain(cid).terms, 1e-12)
               for cid in cascade.chains()]
+    sample = analysis.Sample.draw(41 * analysis.CHUNK, 2)
+    analysis.scan_claims(claims, sample)
     starts, real = [], analysis._draw
 
     def draw(*args):
@@ -860,6 +966,169 @@ def test_a_serial_scan_takes_few_page_faults_per_chunk(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(analysis, "_draw", draw)
-    analysis.scan_claims(claims, analysis.Sample.draw(41 * analysis.CHUNK, 2))
+    analysis.scan_claims(claims, sample)
     assert len(starts) == 41
-    assert (starts[-1] - starts[1]) / 39 < 20, np.diff(starts).tolist()
+    assert (starts[-1] - starts[0]) / 40 < 20, np.diff(starts).tolist()
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid has not ended; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in "ZX"
+
+
+def _ended(pids, timeout=30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not any(map(_running, pids))
+
+
+_SRC = str(Path(analysis.__file__).resolve().parents[1])
+_SCAN = """
+import atexit, os, sys
+
+def left():     # runs after analysis's own exit hook, registered later
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", flush=True)
+
+atexit.register(left)
+from divcascade import analysis
+analysis.scan_chain_terms([(1, "W2"), (1, "W1")],
+                          analysis.Sample.draw(3 * analysis.CHUNK, 1),
+                          1e-12, workers=3)
+print(*[h.pid for h in analysis._helpers], flush=True)
+"""
+
+
+def _script(tail: str = "") -> subprocess.Popen:
+    """A Python process that scans at 3 workers, prints the pids of its
+    two helpers, and runs ``tail``; at exit it prints whether it has a
+    child left unreaped."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.Popen([sys.executable, "-c", _SCAN + tail],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True, env=env)
+
+
+_needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                                 reason="reads process states in /proc")
+
+
+@_needs_proc
+def test_no_helper_outlives_a_script_that_returns():
+    proc = _script()
+    out, _ = proc.communicate(timeout=120)
+    pids, left = out.splitlines()
+    helpers = [int(pid) for pid in pids.split()]
+    assert proc.returncode == 0 and len(helpers) == 2
+    # Reaped by the script's exit hook, not left to end on their own.
+    assert left == "no child left"
+    assert not any(map(_running, helpers))
+
+
+@_needs_proc
+def test_no_helper_outlives_a_script_that_is_killed():
+    proc = _script("sys.stdin.read()\n")
+    helpers = [int(pid) for pid in proc.stdout.readline().split()]
+    assert len(helpers) == 2 and all(map(_running, helpers))
+    proc.kill()
+    assert proc.wait(timeout=60) == -signal.SIGKILL
+    proc.stdin.close()
+    proc.stdout.close()
+    # Each reads EOF on its request pipe and exits.
+    assert _ended(helpers)
+
+
+@_needs_proc
+def test_a_users_fork_after_a_scan_holds_no_helper_pipe():
+    # The child reports whether it holds a helper or an open end of a
+    # helper's pipe, then waits for stdin to close; the parent returns
+    # meanwhile, and its helpers must still read EOF and end.
+    proc = _script("""
+fds = [fd for h in analysis._helpers for fd in (h.send, h.recv)]
+child = os.fork()
+if child == 0:
+    held = []
+    for fd in fds:
+        try:
+            os.fstat(fd)
+            held.append(fd)
+        except OSError:
+            pass
+    print("child", len(analysis._helpers), len(held), flush=True)
+    sys.stdin.read()
+    os._exit(0)
+print("parent", child, flush=True)
+""")
+    helpers = [int(pid) for pid in proc.stdout.readline().split()]
+    lines = sorted(proc.stdout.readline().split() for _ in range(2))
+    child = int(lines[1][1])
+    try:
+        assert lines[0] == ["child", "0", "0"]
+        assert proc.wait(timeout=60) == 0
+        assert len(helpers) == 2 and not any(map(_running, helpers))
+        assert _running(child)
+    finally:
+        proc.stdin.close()
+        proc.stdout.close()
+    assert _ended([child])
+
+
+@_needs_proc
+def test_no_helper_outlives_an_audit_whose_reader_leaves():
+    # `divcascade audit --seed 1 | head -1`: the audit's helpers are
+    # seen while it runs, then the reader closes stdout, as head does,
+    # and the audit ends through the closed-pipe exit, 141.
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divcascade", "audit", "--seed", "1",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    if not os.path.exists(children):
+        proc.kill()
+        proc.communicate()
+        pytest.skip("the kernel does not list a task's children")
+    helpers = []
+    while len(helpers) < 2 and proc.poll() is None:
+        with open(children, encoding="ascii") as fh:
+            helpers = [int(pid) for pid in fh.read().split()]
+        time.sleep(0.002)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141, err
+    assert len(helpers) == 2 and not any(map(_running, helpers))
+
+
+def test_the_draw_has_the_whole_draws_bits_under_avx2_dispatch():
+    # numpy's AVX-512 pow is not its AVX2 one: with the AVX-512 kernels
+    # off, as on a CPU without them, the draw's kept base of 10.0 must
+    # still give the bits of a scalar base.
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    if not features.get("X86_V4"):
+        pytest.skip("this CPU runs numpy's AVX2 kernels already")
+    code = ("import numpy as np\nfrom divcascade import analysis\n"
+            + inspect.getsource(_whole_draw) + textwrap.dedent("""
+        from numpy._core._multiarray_umath import __cpu_features__
+        assert not __cpu_features__["X86_V4"]
+        for n in (10**5, 10**6):
+            for seed in (0, 5, 42):
+                a, b = _whole_draw(n, seed)
+                got = analysis.Sample.draw(n, seed).pairs()
+                assert a.tobytes() == got[0].tobytes(), (n, seed)
+                assert b.tobytes() == got[1].tobytes(), (n, seed)
+        print("same bits")
+        """))
+    env = dict(os.environ, PYTHONPATH=_SRC, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "same bits\n"

@@ -360,7 +360,8 @@ def test_chain_scan_with_another_thread_alive_does_not_fork(monkeypatch):
 
 def _in_child(parent, action):
     """A chunk's fold (``analysis._chunk_fold``) that runs ``action`` in
-    a forked child only."""
+    a forked scan helper only.  A test that patches it asks for
+    ``no_helpers``, so the helpers are forked with the patch."""
     real = analysis._chunk_fold
 
     def fold(*args):
@@ -374,16 +375,19 @@ def _raise_boom():
     raise ValueError("boom in a scan worker")
 
 
-def test_scan_worker_exception_is_raised_in_parent(monkeypatch):
+def test_scan_worker_exception_is_raised_in_parent(monkeypatch,
+                                                   no_helpers):
     monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), _raise_boom))
     with pytest.raises(ValueError, match="boom in a scan worker"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
-    with pytest.raises(ChildProcessError):     # every child was reaped
+    assert not analysis._helpers
+    with pytest.raises(ChildProcessError):     # every helper was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_scan_worker_that_dies_raises_runtime_error(monkeypatch):
+def test_scan_worker_that_dies_raises_runtime_error(monkeypatch,
+                                                    no_helpers):
     monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), lambda: os._exit(3)))
     with pytest.raises(RuntimeError, match="without a result.*exit code 3"):
@@ -403,7 +407,8 @@ def _raise_needs_two():
     raise NeedsTwo(1, 2)
 
 
-def test_scan_worker_exception_that_does_not_unpickle(monkeypatch):
+def test_scan_worker_exception_that_does_not_unpickle(monkeypatch,
+                                                      no_helpers):
     monkeypatch.setattr(analysis, "_chunk_fold",
                         _in_child(os.getpid(), _raise_needs_two))
     with pytest.raises(RuntimeError, match="NeedsTwo: 1 and 2"):
@@ -412,7 +417,8 @@ def test_scan_worker_exception_that_does_not_unpickle(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_failed_fork_reaps_the_children_already_made(monkeypatch):
+def test_failed_fork_reaps_the_children_already_made(monkeypatch,
+                                                     no_helpers):
     forks = []
     real = os.fork
 
@@ -425,12 +431,13 @@ def test_failed_fork_reaps_the_children_already_made(monkeypatch):
     monkeypatch.setattr(os, "fork", second_fails)
     with pytest.raises(OSError, match="fork refused"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=3))
-    assert len(forks) == 2
+    assert len(forks) == 2 and not analysis._helpers
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_audit_forks_at_most_one_child_per_chunk(monkeypatch):
+def test_audit_forks_at_most_one_child_per_chunk(monkeypatch,
+                                                 no_helpers):
     forks = []
     real = os.fork
 
@@ -439,9 +446,14 @@ def test_audit_forks_at_most_one_child_per_chunk(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", counted)
-    # 3 chunks of CHUNK pairs, the last one short: 3 children, not 64.
-    audit.run_audit(audit.AuditConfig(samples=3 * analysis.CHUNK - 1, seed=7,
-                                      workers=64))
+    # 3 chunks of CHUNK pairs, the last one short: 3 helpers, not 64.
+    config = audit.AuditConfig(samples=3 * analysis.CHUNK - 1, seed=7,
+                               workers=64)
+    audit.run_audit(config)
+    assert len(forks) == 3
+    # They stay, idle, and the next audit's scan leases them again.
+    assert [h.busy for h in analysis._helpers] == [False] * 3
+    audit.run_audit(config)
     assert len(forks) == 3
 
 

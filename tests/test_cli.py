@@ -163,6 +163,23 @@ def test_audit_config_errors_exit_5(capsys):
     assert rc == 5 and "configuration error" in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--samples", "1e5"], None, "samples must be an integer, not '1e5'"),
+    (["--seed", "abc"], None, "seed must be an integer, not 'abc'"),
+    (["--workers", "2.5"], None, "workers must be an integer, not '2.5'"),
+    (["--tolerance", "abc"], None,
+     "tolerance must be a real number, not 'abc'"),
+    ([], "1.5", "DIVCASCADE_SEED must be an integer, not '1.5'"),
+])
+def test_audit_option_errors_name_the_option(capsys, monkeypatch, argv, env,
+                                             message):
+    if env is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    rc, out, err = run(capsys, "audit", *argv)
+    assert (rc, out) == (5, "")
+    assert err == f"divcascade: configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_audit_non_finite_tolerance_exits_5(capsys, value):
     rc, _, err = run(capsys, "audit", "--tolerance", value)

@@ -373,8 +373,7 @@ def _compiled(fn):
     register, its operands' registers or floats): each value's making
     but that of a and b, which the scan draws into registers 0 and 1."""
     (_, steps, _), = analysis._Program([_Claim(fn)]).segments
-    return [(v.op, v.reg, *[w.reg if isinstance(w, analysis._Value) else w
-                            for w in v.operands()]) for v in steps]
+    return steps
 
 
 def _horner_ops(coeffs):
