@@ -11,21 +11,23 @@ stream, and ``start_scan`` evaluates all its claims in one pass over
 fixed chunks of it.  ``workers`` is the number of processes that scan:
 ``scan_claims`` scans the first run of chunks itself and hands each
 other run to a scan helper, and ``start_scan``, whose caller goes on
-proving, hands every run to one.  Each chunk's pairs are drawn, by
-advancing the stream straight to them, in the process that scans the
-chunk; the folds merge in index order whatever the chunk size, worker
-count, or whether the chunks ran in this process or in helpers.  A fold
-records each failing pair's index, a, b and value; the link of a chain
-it broke is named from the pair by ``cascade.named_links``.
+proving, hands every run to one.  Only a drawn sample is split so:
+given pairs scan in the calling process, whatever ``workers`` is.  Each
+chunk's pairs are drawn, by advancing the stream straight to them, in
+the process that scans the chunk; the folds merge in index order
+whatever the chunk size, worker count, or whether the chunks ran in
+this process or in helpers.  A fold records each failing pair's index,
+a, b and value; the link of a chain it broke is named from the pair by
+``cascade.named_links``.
 
-A scan helper is a process forked by the first scan that needs it,
-holding that scan's request; it then idles between scans and takes
-each later request, the compiled program, the claims' tols, the sample
-recipe and its chunk starts, through a pipe, so a sweep of scans forks
-once.  An idle helper, and the registers it holds, stay until the
-process exits, when they are reaped; a helper whose parent ends any
-other way reads EOF on its pipe and exits, and a forked child drops its
-parent's helpers.
+A scan helper is a process forked idle by the first scan that needs
+it.  It takes every request, the compiled program, the chunk size, the
+claims' tols, the sample recipe and the run's chunk starts, pickled
+through its pipe, and replies to each, so a sweep of scans forks once.
+An idle helper, and the registers it holds, stay until the process
+exits, when they are reaped; a helper whose parent ends any other way
+reads EOF on its pipe and exits, and a forked child drops its parent's
+helpers.
 
 The float work of a pass is one straight-line program, compiled once
 per ``start_scan`` by running the claims' own evaluators on values that
@@ -197,10 +199,12 @@ class Sample:
 
     ``Sample(a, b)`` holds the pairs given, scalars as one-element
     arrays; a and b that are not 1-d and of one length are a
-    ``ValueError``.  ``Sample.draw(n, seed)`` holds only n and its
-    seed, and ``pairs(lo, hi)`` draws exactly the pairs [lo, hi) when
-    asked, so a scan draws each chunk in the process that scans it and
-    no process holds the whole sample.  ``size`` is the number of pairs.
+    ``ValueError``.  A scan of given pairs runs in the calling process.
+    ``Sample.draw(n, seed)`` holds only n and its seed, and
+    ``pairs(lo, hi)`` draws exactly the pairs [lo, hi) when asked, so
+    the recipe is all a scan helper is sent, each chunk is drawn in the
+    process that scans it, and no process holds the whole sample.
+    ``size`` is the number of pairs.
 
     ``b * m.eval_ctx(UContext(a / b))`` has the bits of ``m.value(a, b)``
     over the pairs and over any chunk of them: elementwise work does not
@@ -393,7 +397,8 @@ def _term(c, values):
 
 @dataclass(frozen=True)
 class Ordering:
-    """The claim coef_0*m_0 <= coef_1*m_1 <= ... of a chain.
+    """The claim coef_0*m_0 <= coef_1*m_1 <= ... of a chain, of at
+    least two terms (fewer is a ``ValueError``, as for ``cascade.Chain``).
 
     A pair's value is its worst link violation (lower - upper) relative
     to the larger term, or NaN if a link is NaN (a term that is not
@@ -406,7 +411,10 @@ class Ordering:
     terms: tuple
     tol: float
 
-    __post_init__ = _finite_tol
+    def __post_init__(self):
+        if len(self.terms) < 2:
+            raise ValueError("an ordering needs at least two terms")
+        _finite_tol(self)
 
     def _links(self, ctx: _Shared):
         """Each link's relative violation over the pairs, in order."""
@@ -426,8 +434,6 @@ class Ordering:
             # NaN propagates; on a tie (+0 against -0) np.maximum returns
             # its second operand, so the earlier link's value is kept.
             worst = viol if worst is None else np.maximum(viol, worst)
-        if worst is None:       # fewer than two terms: no link to fail
-            worst = np.full_like(ctx.x, -np.inf)
         return worst
 
     def steps(self, a, b):
@@ -505,8 +511,7 @@ class _Value:
     records a step of its program and gives the step's value, a new
     ``_Value``: an augmented operator or ``out=`` never writes into one,
     and each value has one step that makes it, op(left, right) or
-    op(left) (a and b none).  ``np.full_like`` of one records a step
-    that fills its register with a float.
+    op(left) (a and b none).
     """
 
     __slots__ = ("program", "op", "left", "right", "last", "reg")
@@ -523,11 +528,6 @@ class _Value:
         if method != "__call__" or kwargs.keys() - {"out"}:
             return NotImplemented
         return self.program.step(ufunc, args)
-
-    def __array_function__(self, func, types, args, kwargs):
-        if func is not np.full_like or kwargs:
-            return NotImplemented
-        return self.program.step(np.positive, args[1:])    # +v fills out
 
     __add__ = __iadd__ = _binary(np.add)
     __radd__ = _binary(np.add, reflected=True)
@@ -733,18 +733,18 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     claim index, so it does not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
-    or a ``ValueError``.  With ``workers`` > 1, started from a process
-    with one Python thread, the pass is split into contiguous runs of
-    whole chunks, at most one run per chunk, each scanned by one of this
-    process's scan helpers (``_lease``) while the caller goes on, so it
-    can prove while they scan; ``join()`` reads their folds and raises a
-    helper's exception again.  Otherwise the pass runs serially in
-    ``join()``.  ``scan_claims``, whose caller only waits, passes
-    ``_caller_scans``: the first run is then scanned in ``join()``, not
-    by a helper.  An exception while ``join()`` runs, in its own run or
-    in a helper, reaps the scan's helpers before it propagates.  Folds
-    merge in index order: chunk size, worker count and path do not
-    change them.
+    or a ``ValueError``.  With ``workers`` > 1, a drawn sample and a
+    process with one Python thread, the pass is split into contiguous
+    runs of whole chunks, at most one run per chunk, each sent through
+    its pipe to one of this process's scan helpers (``_lease``) while
+    the caller goes on, so it can prove while they scan; ``join()``
+    reads their folds and raises a helper's exception again.  Otherwise,
+    and always for given pairs, the pass runs serially in ``join()``.
+    ``scan_claims``, whose caller only waits, passes ``_caller_scans``:
+    the first run is then scanned in ``join()``, not by a helper.  An
+    exception while ``join()`` runs, in its own run or in a helper,
+    reaps the scan's helpers before it propagates.  Folds merge in index
+    order: chunk size, worker count and path do not change them.
     """
     claims, workers = list(claims), _count("workers", workers)
     size = CHUNK
@@ -753,14 +753,14 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     # fork() copies only the calling thread: with another Python thread
     # alive, a lock it holds would stay held in the child.  Native threads
     # (a BLAS pool, a host's C extension) are not counted here.
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    if (workers > 1 and sample._ab is None and hasattr(os, "fork")
+            and threading.active_count() == 1):
         k = min(workers, len(starts))
         runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
                 for i in range(k)]
         here = int(_caller_scans)
     program, tols = _Program(claims), [claim.tol for claim in claims]
-    requests = [(program, size, tols, *_run_pairs(sample, run, size), run)
-                for run in runs]
+    requests = [(program, size, tols, sample, run) for run in runs]
     helpers, own = _lease(requests[here:]), requests[:here]
 
     def join():
@@ -774,29 +774,18 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     return join
 
 
-def _run_pairs(sample: Sample, starts, size: int) -> tuple[Sample, int]:
-    """(the pairs a run of chunks reads, the index of the first): a
-    drawn sample itself, which is only a recipe, or the run's slice of
-    given pairs."""
-    if sample._ab is None or not starts:
-        return sample, 0
-    lo, hi = starts[0], min(starts[-1] + size, sample.size)
-    return Sample(*(v[lo:hi] for v in sample._ab)), lo
-
-
 def _scan_run(request) -> list:
     """The per-chunk folds of a run of chunks, in start order.
 
-    ``request`` is (program, size, tols, sample, offset, starts): the
-    compiled program, the chunk size, each claim's tol, the pairs the
-    run reads (``_run_pairs``), the index of their first, and the run's
+    ``request`` is (program, size, tols, sample, starts): the compiled
+    program, the chunk size, each claim's tol, the sample and the run's
     chunk starts.  Full chunks run on the thread's kept registers, bound
     once per run; a short last chunk binds registers of its own.
     """
-    program, size, tols, sample, offset, starts = request
+    program, size, tols, sample, starts = request
     parts, full = [], None
     for lo in starts:
-        n = min(size, offset + sample.size - lo)
+        n = min(size, sample.size - lo)
         if n < size:
             bound = _bind(program, [np.empty(n)
                                     for _ in range(program.registers)])
@@ -805,7 +794,7 @@ def _scan_run(request) -> list:
                                  _kept.registers(size, program.registers))
             bound = full
         (a, b), segments = bound
-        sample.pairs(lo - offset, lo - offset + n, _out=(a, b))
+        sample.pairs(lo, lo + n, _out=(a, b))
         folds = [None] * len(tols)
         for i, steps, values in segments:
             for op, out, args in steps:
@@ -829,10 +818,11 @@ def _schedule(claims) -> list[int]:
 
 def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
     """The folds of ``start_scan(claims, sample, workers)``, for a caller
-    that waits for them and so scans too: it leases a helper for each
-    run of chunks but the first, at most ``workers`` - 1, and then scans
-    the first itself.  An exception in its own run is raised once the
-    scan's helpers are reaped."""
+    that waits for them and so scans too: over a drawn sample it leases
+    a helper for each run of chunks but the first, at most ``workers`` -
+    1, sends each its request, and then scans the first itself; given
+    pairs it scans alone.  An exception in its own run is raised once
+    the scan's helpers are reaped."""
     return start_scan(claims, sample, workers, _caller_scans=True)()
 
 
@@ -855,7 +845,7 @@ class _Helper:
     pid: int
     send: int
     recv: int
-    busy: bool = True
+    busy: bool = False
 
 
 # This process's scan helpers, in fork order.  They outlive the scans
@@ -866,20 +856,18 @@ _helpers: list[_Helper] = []
 
 
 def _lease(requests) -> list[_Helper]:
-    """A helper for each request, marked busy: this process's idle
-    helpers in fork order, each sent its request through its pipe, then
-    new ones forked holding theirs (``_fork_helper``).  An idle helper
-    that has ended (a signal, say) is reaped and passed over.  If a
-    send or a fork fails, the helpers leased so far are reaped before
-    the error propagates."""
+    """A helper for each request, marked busy and sent its request,
+    pickled, through its pipe: this process's idle helpers in fork
+    order, then new ones (``_fork_helper``).  An idle helper that has
+    ended (a signal, say) is reaped and passed over.  If a send or a
+    fork fails, the helpers leased so far are reaped before the error
+    propagates."""
     leased = []
     try:
         idle = iter([h for h in _helpers if not h.busy])
         for request in requests:
             helper = next((h for h in idle if _alive(h)), None)
-            if helper is None:
-                leased.append(_fork_helper(request))
-                continue
+            helper = helper or _fork_helper()
             helper.busy = True
             leased.append(helper)
             _send(helper.send, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
@@ -936,15 +924,14 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_reap, _helpers)
 
 
-def _fork_helper(request) -> _Helper:
-    """Fork a new helper, busy with ``request``, and add it to this
-    process's helpers.
+def _fork_helper() -> _Helper:
+    """Fork a new helper and add it to this process's helpers.
 
-    The helper inherits the request, so it is not pickled, and replies
-    to it, then to each request its pipe brings, until it reads EOF.
-    It always leaves through ``os._exit``: it never returns into the
-    caller's stack, and exit handlers and buffered output stay the
-    parent's.
+    The helper replies to each request its pipe brings, until it reads
+    EOF; it holds no request of its own, so the first comes as every
+    later one does.  It always leaves through ``os._exit``: it never
+    returns into the caller's stack, and exit handlers and buffered
+    output stay the parent's.
     """
     fds = []
     try:
@@ -966,21 +953,19 @@ def _fork_helper(request) -> _Helper:
     try:
         os.close(request_w)
         os.close(reply_r)
-        while request is not None:
-            _send(reply_w, _reply(request))
-            data = _receive(request_r)
-            request = None if data is None else pickle.loads(data)
+        while (data := _receive(request_r)) is not None:
+            _send(reply_w, _reply(data))
         status = 0
     finally:
         os._exit(status)
 
 
-def _reply(request) -> bytes:
-    """The pickled (True, per-chunk folds) of a request's run, or
-    (False, the exception it raised); an exception that does not pickle
-    and unpickle goes as a ``RuntimeError`` naming it."""
+def _reply(data: bytes) -> bytes:
+    """The pickled (True, per-chunk folds) of a pickled request's run,
+    or (False, the exception it raised); an exception that does not
+    pickle and unpickle goes as a ``RuntimeError`` naming it."""
     try:
-        result = (True, _scan_run(request))
+        result = (True, _scan_run(pickle.loads(data)))
     except BaseException as exc:        # handed to the parent to raise
         result = (False, exc)
     try:

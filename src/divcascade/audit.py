@@ -538,7 +538,8 @@ def run_audit(config: AuditConfig) -> dict:
         + [eq for ident in idents + tables for eq in _equalities(ident)],
         sample, config.workers)
     try:
-        links = [cascade.chain_proved(chain) for chain in chains]
+        for chain in chains:    # check_chain reads these proofs cached
+            cascade.chain_proved(chain)
         proofs = [_identity_proved(ident) for ident in idents + tables]
         betas = [_check_beta(part) for part in cascade.theorem_parts()]
         convexity = [analysis.certify_convexity(mid)
@@ -547,9 +548,8 @@ def run_audit(config: AuditConfig) -> dict:
     finally:                    # no helper is left busy if a proof raises
         folds = iter(join())
 
-    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds),
-                                  proved=proved)
-              for chain, proved in zip(chains, links)]
+    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds))
+              for chain in chains]
     checked = [_check_identity(ident, sample,
                                [next(folds) for _ in ident.claims], proved)
                for ident, proved in zip(idents + tables, proofs)]

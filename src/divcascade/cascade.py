@@ -323,18 +323,17 @@ def chain_proved(chain: Chain) -> bool:
 
 
 def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
-                workers: int = 1, fold: analysis.Fold | None = None,
-                proved: bool | None = None) -> CheckResult:
+                workers: int = 1,
+                fold: analysis.Fold | None = None) -> CheckResult:
     """Prove every adjacent ordering in the chain and scan the sample.
 
     The scan is ``fold``, the chain's from a shared ``start_scan``
-    pass, and the proof verdict is ``proved``, ``chain_proved(chain)``,
-    if given.  A failed link proof reads inf; the scan's
-    counterexamples stay, copied by ``named_links``.
+    pass, if given.  A failed link proof (``chain_proved``) reads inf;
+    the scan's counterexamples stay, copied by ``named_links``.
     """
     max_violation, records = (fold.worst, fold.records) if fold else (
         analysis.scan_chain_terms(chain.terms, sample, tol, workers))
-    if not (chain_proved(chain) if proved is None else proved):
+    if not chain_proved(chain):
         max_violation = float("inf")
     return make_result(f"chain:{chain.id}", "chain", sample.size,
                        max_violation, tol, named_links(chain.terms, records),

@@ -245,10 +245,13 @@ def _horner(plan: tuple[float, tuple], u):
 
 def _full(like, value: float):
     """value itself for a float; for an array, a new array like it
-    filled with value."""
+    filled with value.  A value that records its ufunc calls records
+    the fill as one step, +value into a new value's register."""
     if isinstance(like, float):
         return value
     import numpy as np
+    if not isinstance(like, np.ndarray):
+        return like.__array_ufunc__(np.positive, "__call__", value)
     return np.full_like(like, value)
 
 

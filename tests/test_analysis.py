@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -74,7 +75,7 @@ def test_lazy_draws_have_the_bits_of_the_whole_draw(n):
         # Ranges across the end of the log-uniform pairs.
         ranges += [(max(n_main - k, 0), n_main + k) for k in (1, 2, 4097)]
         ranges += [(n_main - 1, n_main), (n - 1, n), (-3, None), (5, 2)]
-        # A scan's draw fills arrays it lends, which hold old values.
+        # A scan's draw fills its registers, which hold old values.
         stale = np.full((2, max(n, analysis.CHUNK)), np.nan)
         for lo, hi in ranges:
             got = sample.pairs(lo, hi)
@@ -485,11 +486,13 @@ def test_a_scan_started_while_another_waits_forks_helpers_of_its_own(
     assert len(forks) == 4
 
 
-def test_a_helper_scans_its_run_of_given_pairs(monkeypatch, no_helpers):
-    # Given pairs go to a helper as its run's slice: records keep their
-    # index in the whole sample, whether the helper was forked with the
-    # request or read it from its pipe.  W2 <= W1 is false off the
-    # diagonal, so only the last chunk, off it, fails.
+def test_given_pairs_scan_in_the_caller_at_any_workers(monkeypatch,
+                                                       no_helpers):
+    # Given pairs never go to a helper: at any worker count the caller
+    # scans them, forking nothing, and records keep their index in the
+    # whole sample.  W2 <= W1 is false off the diagonal, so only the
+    # last chunk, off it, fails.
+    forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(analysis, "CHUNK", 1000)
     a, b = analysis.Sample.draw(3500, seed=37).pairs()
     a[:3000] = b[:3000] = 2.0
@@ -499,10 +502,64 @@ def test_a_helper_scans_its_run_of_given_pairs(monkeypatch, no_helpers):
     serial = analysis.scan_claims(claims, given)
     assert [r["index"] for r in serial[0].records] == list(range(3000, 3010))
     assert serial[0].index >= 3000 and serial[1].index >= 3000
-    for workers in (2, 3, 2):
+    for workers in (2, 3, 5):
         assert analysis.scan_claims(claims, given, workers) == serial
         assert analysis.start_scan(claims, given, workers)() == serial
-    assert len(analysis._helpers) == 3
+    assert not forks and not analysis._helpers
+
+
+def test_a_helpers_every_request_comes_through_its_pipe(monkeypatch,
+                                                        no_helpers):
+    # A helper is forked idle and sent each request, its first included:
+    # one send per leased helper, from the first scan, which starts with
+    # no helper, on.
+    assert not inspect.signature(analysis._fork_helper).parameters
+    sent, real = [], analysis._send
+
+    def send(fd, data):
+        sent.append(fd)
+        return real(fd, data)
+
+    monkeypatch.setattr(analysis, "_send", send)
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    sample = analysis.Sample.draw(7500, seed=39)
+    claims = [analysis.Ordering(_MEANS.terms, -1.0)]
+    serial = analysis.scan_claims(claims, sample)
+    assert not sent
+    assert analysis.scan_claims(claims, sample, 3) == serial
+    first = [h.send for h in analysis._helpers]
+    assert len(first) == 2 and sent == first
+    sent.clear()
+    assert analysis.start_scan(claims, sample, 4)() == serial
+    assert sent == [h.send for h in analysis._helpers]
+    assert len(sent) == 4 and sent[:2] == first
+
+
+@pytest.mark.parametrize("claims", [
+    pytest.param(lambda: _audit_claims(1e-12), id="audit"),
+    pytest.param(lambda: [analysis.Ordering(cascade.get_chain(cid).terms,
+                                            1e-12)
+                          for cid in cascade.chains()], id="chains"),
+])
+def test_a_program_round_trips_through_pickle(claims):
+    # Every parallel scan sends its program to its helpers pickled.
+    claims = claims()
+    assert len(claims) in (191, 26)
+    program = analysis._Program(claims)
+    back = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+    assert back.registers == program.registers
+    assert back.segments == program.segments
+    # repr tells -0.0 from 0.0 among the steps' floats.
+    assert repr(back.segments) == repr(program.segments)
+
+
+@pytest.mark.parametrize("terms", [[], [(1, "K")]])
+def test_an_ordering_needs_two_terms(terms):
+    # A claim of no link would pass having checked nothing.
+    with pytest.raises(ValueError, match="at least two terms"):
+        analysis.Ordering(tuple(terms), 1e-12)
+    with pytest.raises(ValueError, match="at least two terms"):
+        analysis.scan_chain_terms(terms, analysis.Sample.draw(10, 0), 1e-12)
 
 
 def test_a_chain_sweep_forks_one_helper(monkeypatch, no_helpers):
@@ -731,7 +788,7 @@ def _audit_claims(tol):
                      for ident in idents for lhs, rhs in ident.claims]
 
 
-def _unpooled_folds(claims, sample, chunk):
+def _plain_array_folds(claims, sample, chunk):
     """Each claim folded alone, over fresh chunks that each evaluate it
     on plain arrays of their own."""
     folds = []
@@ -747,7 +804,7 @@ def _unpooled_folds(claims, sample, chunk):
 
 @given(st.integers(1, 4), st.integers(0, 127), st.integers(0, 2**32 - 1))
 @settings(max_examples=8, deadline=None)
-def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
+def test_a_program_scan_is_bitwise_plain_array_folds(full, rest, seed):
     # Full chunks share one binding of the program's registers per scan
     # process; a partial last chunk binds its own.  tol = -1 records
     # every pair's value in passing claims.
@@ -756,7 +813,7 @@ def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
     assert len(claims) == 26 + 165
     sample = analysis.Sample.draw(full * chunk + rest, seed)
     with mock.patch.object(analysis, "CHUNK", chunk):
-        ref = _unpooled_folds(claims, sample, chunk)
+        ref = _plain_array_folds(claims, sample, chunk)
         for workers in (1, 2):
             got = analysis.scan_claims(claims, sample, workers)
             for claim, fold, want in zip(claims, got, ref):
@@ -764,9 +821,9 @@ def test_pooled_scan_is_bitwise_the_unpooled_one(full, rest, seed):
                 assert repr(fold) == repr(want), (workers, claim)
 
 
-def _lending_free_fold(claim, a, b):
-    """(worst, records) of a claim over all pairs, from evaluation that
-    lends no array across kernels: ``_reference_scan`` for an
+def _per_call_fold(claim, a, b):
+    """(worst, records) of a claim over all pairs, from evaluation with
+    no program and no shared value: ``_reference_scan`` for an
     ``Ordering``, each symbol's f(a/b) by its own call for an
     ``Equality``."""
     if isinstance(claim, analysis.Ordering):
@@ -786,7 +843,7 @@ def test_pooled_scan_is_bitwise_a_lending_free_reference(workers):
     chunk = 128
     claims = _audit_claims(-1.0)
     sample = analysis.Sample.draw(3 * chunk + 50, seed=23)
-    ref = [_lending_free_fold(claim, *sample.pairs()) for claim in claims]
+    ref = [_per_call_fold(claim, *sample.pairs()) for claim in claims]
     with mock.patch.object(analysis, "CHUNK", chunk):
         got = analysis.scan_claims(claims, sample, workers)
     for claim, fold, want in zip(claims, got, ref):
@@ -810,7 +867,7 @@ def test_sampled_claims_read_the_ratio_alone(k):
         assert got.tobytes() == want.tobytes(), claim
 
 
-def test_pooled_memo_values_are_not_clobbered():
+def test_shared_measure_values_are_not_clobbered():
     # On plain arrays the claims share each measure's f(x) and never
     # write into it: after all the audit's claims, each keeps the bits
     # of a fresh evaluation.
@@ -827,10 +884,10 @@ def test_pooled_memo_values_are_not_clobbered():
 
 
 def _unit_term_claims(tol):
-    """Claims whose unit-coefficient terms are read from the memo: a chain
-    with unit terms at both ends and side by side, and equalities with a
-    lone unit term on a side, unit terms summed, and a unit term summed
-    into a scaled one and the other way round."""
+    """Claims whose unit-coefficient terms are the shared f(x) itself: a
+    chain with unit terms at both ends and side by side, and equalities
+    with a lone unit term on a side, unit terms summed, and a unit term
+    summed into a scaled one and the other way round."""
     half, third = Fraction(1, 2), Fraction(3, 7)
     chain = analysis.Ordering(((1, "D_SA"), (Fraction(3, 4), "D_SN"),
                                (third, "D_CN"), (1, "D_CS"), (1, "h")), tol)
@@ -850,11 +907,11 @@ def test_unit_terms_fold_as_the_lending_free_reference(workers):
     with mock.patch.object(analysis, "CHUNK", chunk):
         got = analysis.scan_claims(claims, sample, workers)
     for claim, fold in zip(claims, got):
-        want = _lending_free_fold(claim, *sample.pairs())
+        want = _per_call_fold(claim, *sample.pairs())
         assert repr((fold.worst, fold.records)) == repr(want), claim
 
 
-def test_unit_terms_leave_the_memo_alone():
+def test_unit_terms_leave_the_shared_values_alone():
     # A unit term is the measure's f(x) itself, which no claim writes
     # into, and which a program reads from its register, with no step
     # that scales it by 1.
@@ -900,7 +957,7 @@ def test_a_full_chunk_evaluates_each_measure_once_in_few_arrays(
     assert analysis._Program(claims).registers <= 61
 
 
-def test_a_full_chunk_of_a_long_chain_lends_few_arrays(monkeypatch):
+def test_a_full_chunk_of_a_long_chain_needs_few_registers(monkeypatch):
     # Lt_monotone's 17 terms each die at their one read, so its program
     # does not hold them all at once.
     claims = [analysis.Ordering(cascade.get_chain("Lt_monotone").terms,

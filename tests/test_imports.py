@@ -125,7 +125,7 @@ def test_analysis_loads_numpy_random():
 @pytest.mark.parametrize("name, absent", [("means", "analysis"),
                                           ("cascade", "means")])
 def test_the_claim_kernels_live_in_analysis_alone(name, absent):
-    # Ordering and Equality, and the lending rule they share, live in
+    # Ordering and Equality, and the context they share, live in
     # analysis alone: means loads no analysis, and cascade no means.
     modules = fresh(f"import json, sys, divcascade.{name}\n"
                     "print(json.dumps(sorted(sys.modules)))")

@@ -412,6 +412,15 @@ def test_a_constant_numerator_divides_into_the_denominators_array():
         assert _bits(r(xs)) == _bits(3.0 / (math.sqrt(xs) + 1.0))
 
 
+def test_a_constant_polynomial_fills_one_register():
+    # A constant's array is one fill step, +2.0 into its register; u,
+    # which nothing reads, is not kept.
+    (op, _, value), = _compiled(lambda ctx: ratfun._horner((2.0, ()), ctx.u))
+    assert (op, value) == (np.positive, 2.0)
+    u = np.array([0.5, 1.0, 2.0])
+    assert _bits(ratfun._horner((2.0, ()), u)) == _bits(np.full(3, 2.0))
+
+
 def test_shared_context_reuses_the_power():
     x = np.array([0.5, 1.0, 2.0, 7.0])
     ctx = UContext(x)
