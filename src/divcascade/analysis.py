@@ -14,32 +14,32 @@ other run to a scan helper, and ``start_scan``, whose caller goes on
 proving, hands every run to one.  Only a drawn sample is split so:
 given pairs scan in the calling process, whatever ``workers`` is.  Each
 chunk's pairs are drawn, by advancing the stream straight to them, in
-the process that scans the chunk; the folds merge in index order
-whatever the chunk size, worker count, or whether the chunks ran in
-this process or in helpers.  A fold records each failing pair's index,
-a, b and value; the link of a chain it broke is named from the pair by
-``cascade.named_links``.
+the process that scans the chunk.  A run folds its chunks into one
+fold per claim, and the runs' folds merge in index order, the same
+whatever the chunk size, worker count, or where the chunks ran.  A fold
+records each failing pair's index, a, b and value; the link of a chain
+it broke is named from the pair by ``cascade.named_links``.
 
 A scan helper is a process forked idle by the first scan that needs
-it.  It takes every request, the compiled program, the chunk size, the
-claims' tols, the sample recipe and the run's chunk starts, pickled
-through its pipe, and replies to each, so a sweep of scans forks once.
-An idle helper, and the registers it holds, stay until the process
-exits, when they are reaped; a helper whose parent ends any other way
-reads EOF on its pipe and exits, and a forked child drops its parent's
-helpers.
+it.  It takes every request, the compiled program with its claims'
+tols, the sample recipe and the run's chunk starts, pickled through its
+pipe, and replies to each, so a sweep of scans forks once.  An idle
+helper, and the registers it holds, stay until the process exits, when
+they are reaped; a helper whose parent ends any other way reads EOF on
+its pipe and exits, and a forked child drops its parent's helpers.
 
 The float work of a pass is one straight-line program, compiled once
 per ``start_scan`` by running the claims' own evaluators on values that
 record each ufunc call (``_Program``).  Its steps run in place on a
 fixed set of chunk-sized registers, numbered by linear scan over each
 value's live range.  Each thread keeps its registers from one scan to
-the next (``_Kept``), so every full chunk it scans reuses them: a sweep
-of passes neither gives its memory back to the system after each chunk
-or scan nor holds every measure's values at once.  The generators share
-x, u, um1, each power um1^m, S and each measure's f(x) across the
-claims; the same ufuncs run on the same operands in the same order as
-on plain arrays, so no value changes by a bit.
+the next (``_Kept``) and runs every chunk on them, a short one on their
+leading slices: a sweep of passes neither gives its memory back to the
+system after each chunk or scan nor holds every measure's values at
+once.  The generators share x, u, um1, each power um1^m, S and each
+measure's f(x) across the claims; the same ufuncs run on the same
+operands in the same order as on plain arrays, so no value changes by
+a bit.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
-def _finite_tol(claim) -> None:
-    """A claim's ``__post_init__``: its tol as a float, from any finite
-    real number but a bool (a negative one included), or a
-    ``ValueError``."""
-    tol = _real("tol", claim.tol)
+def _finite_tol(tol) -> float:
+    """tol as a float, from any finite real number but a bool (a
+    negative one included), or a ``ValueError`` naming it."""
+    tol = _real("tol", tol)
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, not {tol!r}")
-    object.__setattr__(claim, "tol", tol)
+    return tol
 
 
 def _count(name: str, value) -> int:
@@ -414,7 +413,7 @@ class Ordering:
     def __post_init__(self):
         if len(self.terms) < 2:
             raise ValueError("an ordering needs at least two terms")
-        _finite_tol(self)
+        object.__setattr__(self, "tol", _finite_tol(self.tol))
 
     def _links(self, ctx: _Shared):
         """Each link's relative violation over the pairs, in order."""
@@ -466,7 +465,8 @@ class Equality:
     rhs: tuple
     tol: float = 0.0
 
-    __post_init__ = _finite_tol
+    def __post_init__(self):
+        object.__setattr__(self, "tol", _finite_tol(self.tol))
 
     @property
     def terms(self) -> tuple:
@@ -521,9 +521,6 @@ class _Value:
         self.program, self.op, self.left, self.right = program, op, left, right
         self.last = None
 
-    def operands(self) -> tuple:
-        return (self.left,) if self.right is None else (self.left, self.right)
-
     def __array_ufunc__(self, ufunc, method, *args, **kwargs):
         if method != "__call__" or kwargs.keys() - {"out"}:
             return NotImplemented
@@ -550,13 +547,15 @@ class _Program:
     registers, 0 and 1 holding a and b.  What is kept is plain data,
     which pickles, so a scan helper can be sent it: ``segments`` lists
     each claim's index, its steps as (ufunc, out register, *operands:
-    registers or floats) and the register its fold reads, and
-    ``registers`` is how many registers the program needs.
+    registers or floats) and the register its fold reads, ``registers``
+    is how many registers the program needs, and ``tols`` is each
+    claim's tol, by claim index.
     """
 
-    __slots__ = ("segments", "registers", "_events", "_merged")
+    __slots__ = ("segments", "registers", "tols", "_events", "_merged")
 
     def __init__(self, claims):
+        self.tols = tuple(claim.tol for claim in claims)
         a, b = _Value(self), _Value(self)
         a.reg, b.reg, a.last, b.last = 0, 1, math.inf, math.inf
         self._events, self._merged = [], {}
@@ -652,13 +651,13 @@ class _Kept(threading.local):
     """What a thread keeps for its scans from one to the next.
 
     ``registers(size, count)`` gives ``count`` registers of ``size``
-    elements, for full chunks: the list grows to the largest program the
-    thread has run, and a new chunk size drops it.  ``tens(n)`` is a
-    read-only array of 10.0, at least n long up to ``CHUNK``, the base
-    of ``_draw``'s powers: numpy's pow of two arrays runs faster than
-    with a scalar base, to the same bits, and a kept array takes its
-    page faults once.  Each thread has its own, so scans in two threads
-    never share a register.
+    elements, for every chunk, a short one on their leading slices: the
+    list grows to the largest program the thread has run, and a new
+    chunk size drops it.  ``tens(n)`` is a read-only array of 10.0, at
+    least n long up to ``CHUNK``, the base of ``_draw``'s powers:
+    numpy's pow of two arrays runs faster than with a scalar base, to
+    the same bits, and a kept array takes its page faults once.  Each
+    thread has its own, so scans in two threads never share a register.
     """
 
     def __init__(self):
@@ -695,9 +694,8 @@ class Fold:
         """Fold in the fold of later pairs: its worst replaces this one
         if strictly greater, or NaN where this one is not, so the first
         index of the worst value (or of the first NaN) is kept; records
-        fill up to ten."""
-        if not np.isnan(self.worst) and (later.worst > self.worst
-                                         or np.isnan(later.worst)):
+        fill up to ten.  So folding is associative."""
+        if not (np.isnan(self.worst) or later.worst <= self.worst):
             self.worst, self.index = later.worst, later.index
         self.records += later.records[:10 - len(self.records)]
 
@@ -720,35 +718,33 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
 
     A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol`` and
     ``values(ctx)``: per pair a value, failing above tol or NaN, from
-    the measures' values ``ctx.gen(symbol)``.  A fold records each
-    failing pair's index, a, b and value; ``cascade.named_links`` names
-    its link.  The claims are compiled once, here, into one
-    straight-line program (``_Program``), so a measure several claims
-    read is evaluated once per chunk.  Each full chunk draws its
-    ``CHUNK`` pairs into registers 0 and 1, runs every step in place
-    and folds each claim from its values' register; the registers of
-    full chunks are the scanning thread's, kept from scan to scan
-    (``_Kept``), and a short last chunk binds registers of its own
-    size.  The order of the claims is ``_schedule``'s; folds are kept by
-    claim index, so it does not show.
+    the measures' values ``ctx.gen(symbol)``.  The claims are compiled
+    once, here, into one straight-line program (``_Program``), so a
+    measure several claims read is evaluated once per chunk.  Each chunk
+    draws its ``CHUNK`` pairs, or fewer, into registers 0 and 1, runs
+    every step in place and folds each claim from its values' register,
+    on the scanning thread's registers, kept from scan to scan
+    (``_Kept``).  The order of the claims is ``_schedule``'s; folds are
+    kept by claim index, so it does not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
     or a ``ValueError``.  With ``workers`` > 1, a drawn sample and a
     process with one Python thread, the pass is split into contiguous
     runs of whole chunks, at most one run per chunk, each sent through
     its pipe to one of this process's scan helpers (``_lease``) while
-    the caller goes on, so it can prove while they scan; ``join()``
-    reads their folds and raises a helper's exception again.  Otherwise,
-    and always for given pairs, the pass runs serially in ``join()``.
-    ``scan_claims``, whose caller only waits, passes ``_caller_scans``:
-    the first run is then scanned in ``join()``, not by a helper.  An
-    exception while ``join()`` runs, in its own run or in a helper,
-    reaps the scan's helpers before it propagates.  Folds merge in index
-    order: chunk size, worker count and path do not change them.
+    the caller goes on, so it can prove while they scan; a request is
+    (program, sample, starts), as ``_scan_run`` reads it.  ``join()``
+    reads each run's folds and raises a helper's exception again.
+    Otherwise, and always for given pairs, the pass runs serially in
+    ``join()``.  ``scan_claims``, whose caller only waits, passes
+    ``_caller_scans``: the first run is then scanned in ``join()``, not
+    by a helper.  An exception while ``join()`` runs, in its own run or
+    in a helper, reaps the scan's helpers before it propagates.  Folds
+    merge in index order: chunk size, worker count and path do not
+    change them.
     """
     claims, workers = list(claims), _count("workers", workers)
-    size = CHUNK
-    starts = range(0, sample.size if claims else 0, size)
+    starts = range(0, sample.size if claims else 0, CHUNK)
     runs, here = [starts], 1    # the first `here` runs scan in join()
     # fork() copies only the calling thread: with another Python thread
     # alive, a lock it holds would stay held in the child.  Native threads
@@ -759,14 +755,13 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
         runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
                 for i in range(k)]
         here = int(_caller_scans)
-    program, tols = _Program(claims), [claim.tol for claim in claims]
-    requests = [(program, size, tols, sample, run) for run in runs]
+    program = _Program(claims)
+    requests = [(program, sample, run) for run in runs]
     helpers, own = _lease(requests[here:]), requests[:here]
 
     def join():
         try:
-            parts = [fold for request in own for fold in _scan_run(request)]
-            parts += _collect(helpers)
+            parts = list(map(_scan_run, own)) + _collect(helpers)
         except BaseException:
             _reap(helpers)
             raise
@@ -774,34 +769,30 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     return join
 
 
-def _scan_run(request) -> list:
-    """The per-chunk folds of a run of chunks, in start order.
-
-    ``request`` is (program, size, tols, sample, starts): the compiled
-    program, the chunk size, each claim's tol, the sample and the run's
-    chunk starts.  Full chunks run on the thread's kept registers, bound
-    once per run; a short last chunk binds registers of its own.
+def _scan_run(request) -> list[Fold]:
+    """Each claim's fold over a run of chunks, the chunks' folds
+    absorbed in start order.  ``request`` is (program, sample, starts):
+    the compiled program with its claims' tols, the sample and the run's
+    chunk starts, whose step is the chunk size.  Full chunks run on the
+    thread's kept registers, bound once per run, and a short last chunk
+    on their leading slices.
     """
-    program, size, tols, sample, starts = request
-    parts, full = [], None
+    program, sample, starts = request
+    size, folds, full = starts.step, [Fold() for _ in program.tols], None
     for lo in starts:
         n = min(size, sample.size - lo)
+        regs = _kept.registers(size, program.registers)
         if n < size:
-            bound = _bind(program, [np.empty(n)
-                                    for _ in range(program.registers)])
+            bound = _bind(program, [r[:n] for r in regs])
         else:
-            full = full or _bind(program,
-                                 _kept.registers(size, program.registers))
-            bound = full
+            bound = full = full or _bind(program, regs)
         (a, b), segments = bound
         sample.pairs(lo, lo + n, _out=(a, b))
-        folds = [None] * len(tols)
         for i, steps, values in segments:
             for op, out, args in steps:
                 op(*args, out=out)
-            folds[i] = _chunk_fold(tols[i], values, a, b, lo)
-        parts.append(folds)
-    return parts
+            folds[i].absorb(_chunk_fold(program.tols[i], values, a, b, lo))
+    return folds
 
 
 def _schedule(claims) -> list[int]:
@@ -820,14 +811,15 @@ def scan_claims(claims, sample: Sample, workers: int = 1) -> list[Fold]:
     """The folds of ``start_scan(claims, sample, workers)``, for a caller
     that waits for them and so scans too: over a drawn sample it leases
     a helper for each run of chunks but the first, at most ``workers`` -
-    1, sends each its request, and then scans the first itself; given
-    pairs it scans alone.  An exception in its own run is raised once
-    the scan's helpers are reaped."""
+    1, sends each its request, then scans the first run itself, and
+    merges its run's folds with the helpers'; given pairs it scans
+    alone.  An exception in its own run is raised once the scan's
+    helpers are reaped."""
     return start_scan(claims, sample, workers, _caller_scans=True)()
 
 
 def _merge(n: int, parts) -> list[Fold]:
-    """Fold n claims' per-chunk folds, given in index order."""
+    """Fold n claims' per-run folds, given in index order."""
     folds = [Fold() for _ in range(n)]
     for part in parts:
         for fold, new in zip(folds, part):
@@ -961,7 +953,7 @@ def _fork_helper() -> _Helper:
 
 
 def _reply(data: bytes) -> bytes:
-    """The pickled (True, per-chunk folds) of a pickled request's run,
+    """The pickled (True, each claim's fold) of a pickled request's run,
     or (False, the exception it raised); an exception that does not
     pickle and unpickle goes as a ``RuntimeError`` naming it."""
     try:
@@ -998,7 +990,7 @@ def _receive(fd: int) -> bytes | None:
 
 
 def _collect(helpers) -> list:
-    """The helpers' per-chunk folds in order, each helper idle again.
+    """The helpers' per-run folds in order, each helper idle again.
 
     A helper's exception is raised again here; a helper that ended
     without a reply is reaped and raises ``RuntimeError``.
@@ -1016,7 +1008,7 @@ def _collect(helpers) -> list:
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        parts += value
+        parts.append(value)
     return parts
 
 

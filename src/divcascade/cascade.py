@@ -119,9 +119,10 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     Returns (common value, per-index relative deviations) and raises if
     any deviation exceeds tol.  The scaled D^1 is the common value; each
     other deviation is the audit's ``analysis.Equality`` gap of its claim
-    in ``PYRAMID_EQ_CLAIMS``.
+    in ``PYRAMID_EQ_CLAIMS``.  tol is a finite real number, or a
+    ``ValueError``.
     """
-    a, b = positive_pair(pair)
+    tol, (a, b) = analysis._finite_tol(tol), positive_pair(pair)
     common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
     claims = [analysis.Equality(*claim) for claim in PYRAMID_EQ_CLAIMS]
     gaps = analysis.claim_gaps(claims, analysis.Sample(a, b))
@@ -480,9 +481,10 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     The relative residual is the audit's ``analysis.Equality`` gap.  It is
     measured against the largest term involved, the only scale on which
     the identity is testable in floats: near a = b the two sides agree
-    through several vanishing orders.
+    through several vanishing orders.  tol is a finite real number, or a
+    ``ValueError``.
     """
-    p = _part(part)
+    p, tol = _part(part), analysis._finite_tol(tol)
     a, b = positive_pair(pair)
     small = catalog.get(p.small).value(a, b)
     big = catalog.get(p.big).value(a, b)

@@ -285,7 +285,8 @@ def family_range(name: str) -> tuple[int, int]:
 
 
 def family_index(t) -> int:
-    """t as an int; only an int, float or numpy number of integer value.
+    """t as an int; only an int, float or numpy number of integer value,
+    not a bool: a flag is not a family parameter.
 
     A numpy number can only exist once numpy is loaded, so its types are
     looked up in ``sys.modules`` and this never imports numpy.
@@ -294,8 +295,8 @@ def family_index(t) -> int:
     np = sys.modules.get("numpy")
     if np is not None:
         ints, floats = (int, np.integer), (float, np.floating)
-    if isinstance(t, ints) or (
-            isinstance(t, floats) and float(t).is_integer()):
+    if not isinstance(t, bool) and (isinstance(t, ints) or (
+            isinstance(t, floats) and float(t).is_integer())):
         return int(t)
     raise ValueError(f"family parameter t must be an integer, got {t!r}")
 

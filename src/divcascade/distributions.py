@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -103,9 +104,12 @@ def validate(raw: Sequence[float], eps: float = 1e-9) -> ProbVector:
     """Check positivity and normalization, then renormalize exactly.
 
     Every entry must be positive and finite, and their sum, correctly
-    rounded (``math.fsum``; inf if it overflows), within eps of 1.  Each
-    entry is then divided by that sum.
+    rounded (``math.fsum``; inf if it overflows), within eps of 1, a
+    finite real number.  Each entry is then divided by that sum.
     """
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real)
+                                     and math.isfinite(eps)):
+        raise ValueError(f"eps must be a finite real number, not {eps!r}")
     values = []
     for i, v in enumerate(raw):
         try:

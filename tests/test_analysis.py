@@ -703,7 +703,7 @@ _TWICE = [cascade.get_chain(f"reverse{i}").terms for i in range(1, 5)] + [
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_symbol_its_last_reader_reads_twice_folds_as_the_reference(
+def test_a_measure_a_chain_reads_twice_folds_as_the_reference(
         monkeypatch, workers):
     # Each chain reads some measure twice, so its f(x) must outlive its
     # first read.  Alone or side by side, every chain folds bit for bit
@@ -836,7 +836,7 @@ def _per_call_fold(claim, a, b):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pooled_scan_is_bitwise_a_lending_free_reference(workers):
+def test_one_program_scan_is_bitwise_the_per_call_reference(workers):
     # All the audit's claims run as one program, over three full chunks
     # and a partial one.  tol = -1 records every pair's value in passing
     # claims.
@@ -900,7 +900,7 @@ def _unit_term_claims(tol):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_unit_terms_fold_as_the_lending_free_reference(workers):
+def test_unit_terms_fold_as_the_per_call_reference(workers):
     chunk = 128
     claims = _unit_term_claims(-1.0)
     sample = analysis.Sample.draw(2 * chunk + 50, seed=29)
@@ -973,12 +973,12 @@ def test_every_chain_alone_needs_few_registers():
         assert analysis._Program([claim]).registers <= 18, cid
 
 
-def test_a_scan_binds_its_registers_once_and_a_partial_chunk_apart(
+def test_a_scan_binds_its_registers_once_and_a_partial_chunk_to_their_slices(
         monkeypatch):
     bound, real = [], analysis._bind
 
     def bind(program, regs):
-        bound.append(regs[0])
+        bound.append(regs[:program.registers])
         return real(program, regs)
 
     monkeypatch.setattr(analysis, "_bind", bind)
@@ -986,9 +986,81 @@ def test_a_scan_binds_its_registers_once_and_a_partial_chunk_apart(
     for _ in range(2):
         analysis.scan_claims([analysis.Ordering(_MEANS.terms, -1.0)],
                              analysis.Sample.draw(3500, seed=36))
-    assert [a.size for a in bound] == [1000, 500] * 2
-    # The second scan's full chunks ran on the registers the first kept.
-    assert bound[2] is bound[0]
+    assert [regs[0].size for regs in bound] == [1000, 500] * 2
+    # The second scan's full chunks ran on the registers the first kept,
+    # and each partial chunk on the leading slices of those registers.
+    assert all(r is k for r, k in zip(bound[2], bound[0]))
+    for full, part in (bound[:2], bound[2:]):
+        for r, k in zip(part, full):
+            assert np.shares_memory(r, k) and r.base is k
+
+
+def test_a_run_folds_its_chunks_into_one_fold_per_claim(monkeypatch):
+    # A run of four chunks, a short last one included, starting inside
+    # the sample: its folds, one per claim, are its chunks' folds
+    # absorbed in start order.  The chunks' folds come in the program's
+    # claim order, which is not the given one.
+    chunks, real = [], analysis._chunk_fold
+
+    def chunk_fold(*args):
+        chunks.append(real(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(analysis, "_chunk_fold", chunk_fold)
+    claims = [analysis.Ordering(terms, tol) for terms in _TWICE
+              for tol in (1e-12, -1.0)] + _audit_claims(-1.0)[::20]
+    program = analysis._Program(claims)
+    order = [i for i, _, _ in program.segments]
+    assert order != sorted(order)
+    sample = analysis.Sample.draw(4 * 128 + 50, seed=41)
+    run = range(128, sample.size, 128)
+    with np.errstate(all="ignore"):
+        got = analysis._scan_run((program, sample, run))
+    assert len(got) == len(claims) and len(chunks) == 4 * len(claims)
+    want = [analysis.Fold() for _ in claims]
+    for c, lo in enumerate(run):
+        for k, i in enumerate(order):
+            fold = chunks[c * len(order) + k]
+            assert lo <= fold.index < lo + 128
+            want[i].absorb(fold)
+    # repr tells -0.0 from 0.0, and nan equals itself.
+    assert repr(got) == repr(want)
+    assert any(fold.records for fold in got)
+
+
+def test_a_request_is_program_sample_and_starts(monkeypatch, no_helpers):
+    # Each run's request, scanned in the caller or sent to a helper, is
+    # three fields: the chunk size is its starts' step, and each claim's
+    # tol is its program's.
+    parent, requests = os.getpid(), []
+    real_run, real_send = analysis._scan_run, analysis._send
+
+    def scan_run(request):
+        requests.append(request)
+        return real_run(request)
+
+    def send(fd, data):
+        if os.getpid() == parent:
+            requests.append(pickle.loads(data))
+        return real_send(fd, data)
+
+    monkeypatch.setattr(analysis, "_scan_run", scan_run)
+    monkeypatch.setattr(analysis, "_send", send)
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    sample = analysis.Sample.draw(3500, seed=40)
+    claims = [analysis.Ordering(_MEANS.terms, tol) for tol in (-1.0, 1e-12)]
+    loose, strict = analysis.scan_claims(claims, sample, 2)
+    assert len(loose.records) == 10 and not strict.records
+    assert [len(r) for r in requests] == [3, 3]
+    assert [list(r[2]) for r in requests] == [[2000, 3000], [0, 1000]]
+    for program, drawn, starts in requests:
+        assert program.tols == (-1.0, 1e-12) and starts.step == 1000
+        assert (drawn.size, drawn._ab) == (3500, None)
+    # The claims' tols reach a run through its program alone.
+    program = requests[1][0]
+    assert [len(f.records) for f in real_run(requests[1])] == [10, 0]
+    program.tols = program.tols[::-1]
+    assert [len(f.records) for f in real_run(requests[1])] == [0, 10]
 
 
 def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():

@@ -195,6 +195,17 @@ def test_pyramid_common_value():
     assert max(gaps.values()) <= 1e-12
 
 
+@pytest.mark.parametrize("tol, message", [
+    (math.nan, "tol must be finite"), (math.inf, "tol must be finite"),
+    ("1e-12", "tol must be a real number"),
+    (True, "tol must be a real number")])
+def test_pyramid_equalities_refuse_a_tol_that_is_not_a_finite_real(
+        tol, message):
+    # A NaN tol used to pass every deviation.
+    with pytest.raises(ValueError, match=message):
+        cascade.pyramid_equalities((3.0, 1.0), tol=tol)
+
+
 def test_theorem_part_counts_and_betas():
     parts = cascade.theorem_parts()
     assert len(parts) == 53
@@ -209,6 +220,17 @@ def test_residual_decomposition_point_check():
     out = cascade.residual_decompositions(part, (4.0, 1.0))
     assert out["passed"]
     assert out["claim"].startswith("1/14*D15 - D1")
+
+
+@pytest.mark.parametrize("tol, message", [
+    (math.nan, "tol must be finite"), (-math.inf, "tol must be finite"),
+    (None, "tol must be a real number"),
+    (False, "tol must be a real number")])
+def test_residual_decompositions_refuse_a_tol_that_is_not_a_finite_real(
+        tol, message):
+    # A NaN tol used to report the point check as failed.
+    with pytest.raises(ValueError, match=message):
+        cascade.residual_decompositions(1, (3.0, 1.0), tol=tol)
 
 
 def test_residual_identities_exact():

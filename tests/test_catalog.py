@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
-from divcascade import catalog, cli
+from divcascade import catalog, cli, discriminations, generators
 
 
 def test_static_catalog_size_and_kinds():
@@ -95,6 +95,23 @@ def test_family_index_rejects_other_types(t):
                  lambda t: catalog.family_member("Hgen", t)):
         with pytest.raises(ValueError, match="must be an integer"):
             call(t)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(catalog.family_index, id="family_index"),
+    pytest.param(lambda t: catalog.family_gen("Hgen", t), id="family_gen"),
+    pytest.param(lambda t: catalog.family_member("Lt", t),
+                 id="family_member"),
+    pytest.param(lambda t: discriminations.topsoe_delta(
+        t, [0.5, 0.5], [0.25, 0.75]), id="topsoe_delta"),
+    pytest.param(lambda t: generators.witness_fpp("K1", t),
+                 id="witness_fpp"),
+])
+@pytest.mark.parametrize("t", [True, False, np.True_])
+def test_a_family_parameter_is_not_a_bool(call, t):
+    # True used to pass as t = 1 and False as t = 0.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(t)
 
 
 def test_family_gen_validates_t_before_its_cache():

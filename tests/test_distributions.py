@@ -55,6 +55,14 @@ def test_validate_rejects_out_of_tolerance_sum():
     assert math.fsum(pv.entries) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("eps", [
+    math.nan, math.inf, -math.inf, "1e-9", None, True])
+def test_validate_refuses_an_eps_that_is_not_a_finite_real(eps):
+    # A NaN eps used to accept a vector that sums to 0.6.
+    with pytest.raises(ValueError, match="eps must be a finite real"):
+        distributions.validate([0.3, 0.3], eps=eps)
+
+
 def test_validate_takes_an_overflowing_sum_as_infinite():
     # math.fsum raises OverflowError here; numpy warned and gave inf.
     with warnings.catch_warnings():

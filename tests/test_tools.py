@@ -1,0 +1,27 @@
+"""Smoke tests of the scripts under ``tools``."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bits_imports_and_digests_the_scan_programs():
+    # Importing runs nothing; the program digests are the quick part of
+    # its output, one line per program.
+    bits = _load("bits")
+    assert bits.SRC == TOOLS.parent / "src"
+    lines = bits.program_lines()
+    assert [line.split(":")[0] for line in lines] == [
+        "program audit", "program chains"]
+    for line, claims in zip(lines, (191, 26)):
+        assert re.fullmatch(rf"program \w+: {claims} claims, \d+ registers, "
+                            r"\d+ steps, segments [0-9a-f]{64}", line), line
