@@ -21,22 +21,23 @@ records each failing pair's index, a, b and value; the link of a chain
 it broke is named from the pair by ``cascade.named_links``.
 
 A scan helper is a process forked idle by the first scan that needs
-it.  It takes every request, the compiled program with its claims'
-tols, the sample recipe and the run's chunk starts, pickled through its
-pipe, and replies to each, so a sweep of scans forks once.  An idle
-helper, and the registers it holds, stay until the process exits, when
-they are reaped; a helper whose parent ends any other way reads EOF on
-its pipe and exits, and a forked child drops its parent's helpers.
+it.  It takes every request, the claims, the sample recipe and the
+run's chunk starts, pickled through its pipe, and replies to each, so a
+sweep of scans forks once.  An idle helper, and the registers it holds,
+stay until the process exits, when they are reaped; a helper whose
+parent ends any other way reads EOF on its pipe and exits, and a forked
+child drops its parent's helpers.
 
-The float work of a pass is one straight-line program, compiled once
-per ``start_scan`` by running the claims' own evaluators on values that
-record each ufunc call (``_Program``).  Its steps run in place on a
-fixed set of chunk-sized registers, numbered by linear scan over each
-value's live range.  Each thread keeps its registers from one scan to
-the next (``_Kept``) and runs every chunk on them, a short one on their
-leading slices: a sweep of passes neither gives its memory back to the
-system after each chunk or scan nor holds every measure's values at
-once.  The generators share x, u, um1, each power um1^m, S and each
+The float work of a run is one straight-line program, compiled from
+its claims by the process that scans the run, by running the claims'
+own evaluators on values that record each ufunc call (``_Program``): no
+compiled program crosses a pipe, and a caller whose helpers scan every
+run compiles none.  Its steps run in place on a fixed set of
+chunk-sized registers, numbered by linear scan over each value's live
+range.  Each thread keeps its registers from one scan to the next
+(``_Kept``) and runs every chunk on them, a short one on their leading
+slices: a sweep of passes neither gives its memory back to the system
+after each chunk or scan nor holds every measure's values at once.  The generators share x, u, um1, each power um1^m, S and each
 measure's f(x) across the claims; the same ufuncs run on the same
 operands in the same order as on plain arrays, so no value changes by
 a bit.
@@ -389,6 +390,13 @@ class _Shared(UContext):
         return val
 
 
+def _pairs(terms) -> tuple:
+    """terms as a tuple of (coef, symbol) tuples, so that a claim built
+    from lists is the value, and has the hash, of one built from
+    tuples."""
+    return tuple((c, symbol) for c, symbol in terms)
+
+
 def _term(c, values):
     """c * f(x); f(x) itself for c = 1, as 1.0 * v is v bit for bit."""
     return values if c == 1 else float(c) * values
@@ -404,13 +412,15 @@ class Ordering:
     finite).  The terms stream: each is compared with the one before it
     and dropped.  A pair fails above ``tol``, a finite real number (a
     negative one included), kept as a float; any other tol is a
-    ``ValueError``, as it is for ``Equality``.
+    ``ValueError``, as it is for ``Equality``.  The terms are kept as a
+    tuple of (coef, symbol) tuples, so a claim is a hashable value.
     """
 
     terms: tuple
     tol: float
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", _pairs(self.terms))
         if len(self.terms) < 2:
             raise ValueError("an ordering needs at least two terms")
         object.__setattr__(self, "tol", _finite_tol(self.tol))
@@ -458,7 +468,8 @@ class Equality:
     its f(x), evaluated once for all claims.  Each measure is
     b * f(a/b), so the gap is a function of x = a/b alone, whatever the
     pair's magnitude, and the 1e-300 floor applies to f(x), not to
-    b * f(x).
+    b * f(x).  Each side is kept as a tuple of (coef, symbol) tuples, as
+    an ``Ordering``'s terms are.
     """
 
     lhs: tuple
@@ -466,6 +477,8 @@ class Equality:
     tol: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "lhs", _pairs(self.lhs))
+        object.__setattr__(self, "rhs", _pairs(self.rhs))
         object.__setattr__(self, "tol", _finite_tol(self.tol))
 
     @property
@@ -537,25 +550,24 @@ class _Value:
 
 
 class _Program:
-    """The float work of a scan's claims as one straight-line program.
+    """The float work of a scan run's claims as one straight-line
+    program, compiled by the process that scans the run (``_scan_run``).
 
     The claims' own ``values`` run once, in ``_schedule``'s order, on an
     x = a/b of ``_Value``s, which record each ufunc call as a step.  A
     step equal to an earlier one of the same claim merges into it;
     across claims only the context's values are shared (x, u, um1, each
     um1^m, S and each f(x)).  ``_allocate`` numbers the values'
-    registers, 0 and 1 holding a and b.  What is kept is plain data,
-    which pickles, so a scan helper can be sent it: ``segments`` lists
-    each claim's index, its steps as (ufunc, out register, *operands:
-    registers or floats) and the register its fold reads, ``registers``
-    is how many registers the program needs, and ``tols`` is each
-    claim's tol, by claim index.
+    registers, 0 and 1 holding a and b.  Compiling is deterministic: the
+    same claims give the same program in every process.  ``segments``
+    lists each claim's index, its steps as (ufunc, out register,
+    *operands: registers or floats) and the register its fold reads,
+    and ``registers`` is how many registers the program needs.
     """
 
-    __slots__ = ("segments", "registers", "tols", "_events", "_merged")
+    __slots__ = ("segments", "registers", "_events", "_merged")
 
     def __init__(self, claims):
-        self.tols = tuple(claim.tol for claim in claims)
         a, b = _Value(self), _Value(self)
         a.reg, b.reg, a.last, b.last = 0, 1, math.inf, math.inf
         self._events, self._merged = [], {}
@@ -718,23 +730,28 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
 
     A claim (``Ordering`` or ``Equality``) has ``terms``, ``tol`` and
     ``values(ctx)``: per pair a value, failing above tol or NaN, from
-    the measures' values ``ctx.gen(symbol)``.  The claims are compiled
-    once, here, into one straight-line program (``_Program``), so a
-    measure several claims read is evaluated once per chunk.  Each chunk
-    draws its ``CHUNK`` pairs, or fewer, into registers 0 and 1, runs
-    every step in place and folds each claim from its values' register,
-    on the scanning thread's registers, kept from scan to scan
-    (``_Kept``).  The order of the claims is ``_schedule``'s; folds are
-    kept by claim index, so it does not show.
+    the measures' values ``ctx.gen(symbol)``.  Every symbol is resolved
+    here, before any request is sent, so an unknown measure is refused
+    by this call.  The pass is split into runs of chunks, and each is a
+    request, (claims, sample, starts), as ``_scan_run`` reads it: the
+    process that scans a run compiles the claims into one straight-line
+    program (``_Program``), so a measure several claims read is
+    evaluated once per chunk.  Each chunk draws its ``CHUNK`` pairs, or
+    fewer, into registers 0 and 1, runs every step in place and folds
+    each claim from its values' register, on the scanning thread's
+    registers, kept from scan to scan (``_Kept``).  The order of the
+    claims is ``_schedule``'s; folds are kept by claim index, so it does
+    not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
     or a ``ValueError``.  With ``workers`` > 1, a drawn sample and a
     process with one Python thread, the pass is split into contiguous
     runs of whole chunks, at most one run per chunk, each sent through
     its pipe to one of this process's scan helpers (``_lease``) while
-    the caller goes on, so it can prove while they scan; a request is
-    (program, sample, starts), as ``_scan_run`` reads it.  ``join()``
-    reads each run's folds and raises a helper's exception again.
+    the caller goes on, so it can prove while they scan, and compiles
+    nothing.  Claims sent to a helper must pickle; one that does not is
+    refused here, with no helper left.  ``join()`` reads each run's
+    folds and raises a helper's exception again.
     Otherwise, and always for given pairs, the pass runs serially in
     ``join()``.  ``scan_claims``, whose caller only waits, passes
     ``_caller_scans``: the first run is then scanned in ``join()``, not
@@ -743,7 +760,11 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     merge in index order: chunk size, worker count and path do not
     change them.
     """
-    claims, workers = list(claims), _count("workers", workers)
+    claims, workers = tuple(claims), _count("workers", workers)
+    for claim in claims:        # an unknown measure is refused here
+        for _, symbol in claim.terms:
+            if not isinstance(symbol, Measure):
+                catalog.get(symbol)
     starts = range(0, sample.size if claims else 0, CHUNK)
     runs, here = [starts], 1    # the first `here` runs scan in join()
     # fork() copies only the calling thread: with another Python thread
@@ -755,8 +776,7 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
         runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
                 for i in range(k)]
         here = int(_caller_scans)
-    program = _Program(claims)
-    requests = [(program, sample, run) for run in runs]
+    requests = [(claims, sample, run) for run in runs]
     helpers, own = _lease(requests[here:]), requests[:here]
 
     def join():
@@ -771,14 +791,16 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
 
 def _scan_run(request) -> list[Fold]:
     """Each claim's fold over a run of chunks, the chunks' folds
-    absorbed in start order.  ``request`` is (program, sample, starts):
-    the compiled program with its claims' tols, the sample and the run's
-    chunk starts, whose step is the chunk size.  Full chunks run on the
+    absorbed in start order.  ``request`` is (claims, sample, starts):
+    the claims, with their tols, the sample and the run's chunk starts,
+    whose step is the chunk size.  The claims are compiled here, once
+    per run, in the process that scans it.  Full chunks run on the
     thread's kept registers, bound once per run, and a short last chunk
     on their leading slices.
     """
-    program, sample, starts = request
-    size, folds, full = starts.step, [Fold() for _ in program.tols], None
+    claims, sample, starts = request
+    program = _Program(claims)
+    size, folds, full = starts.step, [Fold() for _ in claims], None
     for lo in starts:
         n = min(size, sample.size - lo)
         regs = _kept.registers(size, program.registers)
@@ -791,7 +813,7 @@ def _scan_run(request) -> list[Fold]:
         for i, steps, values in segments:
             for op, out, args in steps:
                 op(*args, out=out)
-            folds[i].absorb(_chunk_fold(program.tols[i], values, a, b, lo))
+            folds[i].absorb(_chunk_fold(claims[i].tol, values, a, b, lo))
     return folds
 
 
@@ -851,18 +873,20 @@ def _lease(requests) -> list[_Helper]:
     """A helper for each request, marked busy and sent its request,
     pickled, through its pipe: this process's idle helpers in fork
     order, then new ones (``_fork_helper``).  An idle helper that has
-    ended (a signal, say) is reaped and passed over.  If a send or a
-    fork fails, the helpers leased so far are reaped before the error
-    propagates."""
+    ended (a signal, say) is reaped and passed over.  Each request is
+    pickled before its helper is leased.  If a request does not pickle,
+    or a send or a fork fails, the helpers leased so far are reaped
+    before the error propagates."""
     leased = []
     try:
         idle = iter([h for h in _helpers if not h.busy])
         for request in requests:
+            data = pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
             helper = next((h for h in idle if _alive(h)), None)
             helper = helper or _fork_helper()
             helper.busy = True
             leased.append(helper)
-            _send(helper.send, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+            _send(helper.send, data)
     except BaseException:
         _reap(leased)
         raise
@@ -954,8 +978,9 @@ def _fork_helper() -> _Helper:
 
 def _reply(data: bytes) -> bytes:
     """The pickled (True, each claim's fold) of a pickled request's run,
-    or (False, the exception it raised); an exception that does not
-    pickle and unpickle goes as a ``RuntimeError`` naming it."""
+    compiled and scanned here (``_scan_run``), or (False, the exception
+    it raised); an exception that does not pickle and unpickle goes as a
+    ``RuntimeError`` naming it."""
     try:
         result = (True, _scan_run(pickle.loads(data)))
     except BaseException as exc:        # handed to the parent to raise
@@ -1015,5 +1040,5 @@ def _collect(helpers) -> list:
 def scan_chain_terms(terms, sample: Sample, tol: float, workers: int = 1):
     """(max violation, first ten counterexamples) of a one-claim
     ``scan_claims`` of coef_0*m_0 <= coef_1*m_1 <= ... over the sample."""
-    fold, = scan_claims([Ordering(tuple(terms), tol)], sample, workers)
+    fold, = scan_claims([Ordering(terms, tol)], sample, workers)
     return fold.worst, fold.records

@@ -347,7 +347,7 @@ def named_links(terms, records) -> list[dict]:
     the records' own pairs)."""
     if not records:
         return []
-    steps = analysis.Ordering(tuple(terms), 0.0).steps(
+    steps = analysis.Ordering(terms, 0.0).steps(
         *zip(*((r["a"], r["b"]) for r in records)))
     return [{**r, "step": "{}*{} <= {}*{}".format(*terms[i], *terms[i + 1])}
             for r, i in zip(records, steps)]

@@ -105,11 +105,13 @@ def validate(raw: Sequence[float], eps: float = 1e-9) -> ProbVector:
 
     Every entry must be positive and finite, and their sum, correctly
     rounded (``math.fsum``; inf if it overflows), within eps of 1, a
-    finite real number.  Each entry is then divided by that sum.
+    finite real number >= 0.  Each entry is then divided by that sum.
     """
     if isinstance(eps, bool) or not (isinstance(eps, numbers.Real)
                                      and math.isfinite(eps)):
         raise ValueError(f"eps must be a finite real number, not {eps!r}")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, not {eps!r}")
     values = []
     for i, v in enumerate(raw):
         try:

@@ -1,5 +1,6 @@
 """Unit tests for sampling, certification, and counterexample search."""
 
+import hashlib
 import inspect
 import math
 import os
@@ -395,6 +396,20 @@ def test_a_claim_keeps_a_real_tol_as_a_float():
     assert worst <= 1e-12 and len(records) == 10
 
 
+def test_claims_are_values():
+    # A claim is part of a scan's request, so one built from lists is the
+    # value, with the hash, of one built from tuples.
+    listed = analysis.Equality([(1, "A")], [(1, "G")])
+    tupled = analysis.Equality(((1, "A"),), ((1, "G"),))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.lhs == ((1, "A"),) and type(listed.lhs[0]) is tuple
+    ordering = analysis.Ordering([[1, "G"], [1, "A"]], 1e-12)
+    assert ordering.terms == ((1, "G"), (1, "A"))
+    assert ordering == analysis.Ordering(((1, "G"), (1, "A")), 1e-12)
+    assert len({ordering, analysis.Ordering([(1, "G"), (1, "A")], 1e-12),
+                listed, tupled}) == 2
+
+
 def test_scan_finds_reversed_chain_violation():
     sample = analysis.Sample.draw(2_000, seed=3)
     terms = [(1.0, "K"), (1.0, "delta")]  # K dominates delta: reversed
@@ -542,15 +557,113 @@ def test_a_helpers_every_request_comes_through_its_pipe(monkeypatch,
                           for cid in cascade.chains()], id="chains"),
 ])
 def test_a_program_round_trips_through_pickle(claims):
-    # Every parallel scan sends its program to its helpers pickled.
+    # Every parallel scan sends its claims to its helpers pickled, and a
+    # helper compiles them: the program it gets is the one the caller
+    # would compile.
     claims = claims()
     assert len(claims) in (191, 26)
     program = analysis._Program(claims)
-    back = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+    back = pickle.loads(pickle.dumps(claims, pickle.HIGHEST_PROTOCOL))
+    assert back == claims
+    back = analysis._Program(back)
     assert back.registers == program.registers
     assert back.segments == program.segments
     # repr tells -0.0 from 0.0 among the steps' floats.
     assert repr(back.segments) == repr(program.segments)
+
+
+_PROGRAM_SHAPE = """
+import hashlib
+from divcascade import analysis, audit, cascade
+claims = [analysis.Ordering(cascade.get_chain(cid).terms, 1e-12)
+          for cid in cascade.chains()]
+claims += [analysis.Equality(lhs, rhs, 1e-12)
+           for ident in audit._identities(1e-12) + audit._combinations(1e-12)
+           for lhs, rhs in ident.claims]
+program = analysis._Program(claims)
+print(len(claims), program.registers,
+      sum(len(steps) for _, steps, _ in program.segments),
+      hashlib.sha256(repr(program.segments).encode()).hexdigest())
+"""
+
+
+def test_the_audit_program_compiles_alike_under_any_hash_seed():
+    # Each process compiles the claims it scans, so compiling must not
+    # depend on the order of a set or a dict of str keys, which the hash
+    # seed moves.
+    shapes = []
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _PROGRAM_SHAPE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        shapes.append(proc.stdout)
+    program = analysis._Program(_audit_claims(1e-12))
+    here = (f"191 {program.registers} "
+            f"{sum(len(steps) for _, steps, _ in program.segments)} "
+            f"{hashlib.sha256(repr(program.segments).encode()).hexdigest()}")
+    assert shapes == [here + "\n"] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_audits_caller_compiles_its_claims_only_if_it_scans_them(
+        monkeypatch, tmp_path, workers, no_helpers):
+    # Each build of a program is logged with its pid and claim count, in
+    # a file, as a helper's memory is its own.  At 2 workers the audit's
+    # two helpers each compile the 191 claims for their run, and the
+    # caller, which proves meanwhile, compiles none of them; at 1 worker
+    # the caller scans, and compiles them once.
+    log = tmp_path / "builds"
+    real = analysis._Program.__init__
+
+    def init(self, claims):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()} {len(claims)}\n")
+        real(self, claims)
+
+    monkeypatch.setattr(analysis._Program, "__init__", init)
+    monkeypatch.setattr(analysis, "CHUNK", 1000)
+    forks = _counted_forks(monkeypatch)
+    report = audit.run_audit(audit.AuditConfig(samples=3000, seed=5,
+                                               workers=workers))
+    assert all(c["verdict"] == "pass" for c in report["checks"])
+    builds = [tuple(map(int, line.split()))
+              for line in log.read_text(encoding="ascii").splitlines()]
+    audit_builds = [pid for pid, claims in builds if claims == 191]
+    if workers == 1:
+        assert audit_builds == [os.getpid()] and not forks
+    else:
+        assert len(forks) == 2 and len(audit_builds) == 2
+        assert sorted(audit_builds) == sorted(h.pid for h in analysis._helpers)
+
+
+def test_a_scan_refuses_an_unknown_measure_before_it_forks(monkeypatch,
+                                                          no_helpers):
+    forks = _counted_forks(monkeypatch)
+    claims = [analysis.Ordering(_MEANS.terms, 1e-12),
+              analysis.Ordering(((1, "A"), (1, "no-such-measure")), 1e-12)]
+    for workers in (1, 2):
+        with pytest.raises(KeyError, match="no-such-measure"):
+            analysis.start_scan(claims, analysis.Sample.draw(
+                3 * analysis.CHUNK, seed=1), workers)
+    assert not forks and not analysis._helpers
+
+
+def test_a_claim_that_does_not_pickle_is_refused_with_no_child_left(
+        no_helpers):
+    # A claim whose values are a lambda scans in the calling process, but
+    # cannot be sent to a helper.
+    claims = [analysis.Ordering(_MEANS.terms, -1.0),
+              _Claim(lambda ctx: ctx.x - ctx.x)]
+    sample = analysis.Sample.draw(3 * analysis.CHUNK, seed=1)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        analysis.start_scan(claims, sample, 2)
+    assert not analysis._helpers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    chain, claim = analysis.scan_claims(claims, sample)
+    assert len(chain.records) == 10 and claim.worst == 0.0
 
 
 @pytest.mark.parametrize("terms", [[], [(1, "K")]])
@@ -1015,7 +1128,7 @@ def test_a_run_folds_its_chunks_into_one_fold_per_claim(monkeypatch):
     sample = analysis.Sample.draw(4 * 128 + 50, seed=41)
     run = range(128, sample.size, 128)
     with np.errstate(all="ignore"):
-        got = analysis._scan_run((program, sample, run))
+        got = analysis._scan_run((tuple(claims), sample, run))
     assert len(got) == len(claims) and len(chunks) == 4 * len(claims)
     want = [analysis.Fold() for _ in claims]
     for c, lo in enumerate(run):
@@ -1028,10 +1141,11 @@ def test_a_run_folds_its_chunks_into_one_fold_per_claim(monkeypatch):
     assert any(fold.records for fold in got)
 
 
-def test_a_request_is_program_sample_and_starts(monkeypatch, no_helpers):
+def test_a_request_is_claims_sample_and_starts(monkeypatch, no_helpers):
     # Each run's request, scanned in the caller or sent to a helper, is
-    # three fields: the chunk size is its starts' step, and each claim's
-    # tol is its program's.
+    # three fields: the claims, each with its tol, the sample and the
+    # starts, whose step is the chunk size.  No compiled program is in
+    # it: the process that scans the run compiles the claims.
     parent, requests = os.getpid(), []
     real_run, real_send = analysis._scan_run, analysis._send
 
@@ -1053,14 +1167,17 @@ def test_a_request_is_program_sample_and_starts(monkeypatch, no_helpers):
     assert len(loose.records) == 10 and not strict.records
     assert [len(r) for r in requests] == [3, 3]
     assert [list(r[2]) for r in requests] == [[2000, 3000], [0, 1000]]
-    for program, drawn, starts in requests:
-        assert program.tols == (-1.0, 1e-12) and starts.step == 1000
+    for given, drawn, starts in requests:
+        assert given == tuple(claims) and starts.step == 1000
+        assert [claim.tol for claim in given] == [-1.0, 1e-12]
         assert (drawn.size, drawn._ab) == (3500, None)
-    # The claims' tols reach a run through its program alone.
-    program = requests[1][0]
+    # The claims' tols reach a run through its claims alone.
+    given, drawn, starts = requests[1]
     assert [len(f.records) for f in real_run(requests[1])] == [10, 0]
-    program.tols = program.tols[::-1]
-    assert [len(f.records) for f in real_run(requests[1])] == [0, 10]
+    swapped = tuple(analysis.Ordering(claim.terms, tol)
+                    for claim, tol in zip(given, (1e-12, -1.0)))
+    assert [len(f.records) for f in real_run((swapped, drawn, starts))] == [
+        0, 10]
 
 
 def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():

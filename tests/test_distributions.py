@@ -63,6 +63,15 @@ def test_validate_refuses_an_eps_that_is_not_a_finite_real(eps):
         distributions.validate([0.3, 0.3], eps=eps)
 
 
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, -1])
+def test_validate_refuses_a_negative_eps(eps):
+    # It used to refuse every vector as SumOutOfTolerance, "off by more
+    # than -1.0 from 1".  A zero eps still admits an exact sum.
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        distributions.validate([0.5, 0.5], eps=eps)
+    assert distributions.validate([0.5, 0.5], eps=0).entries == (0.5, 0.5)
+
+
 def test_validate_takes_an_overflowing_sum_as_infinite():
     # math.fsum raises OverflowError here; numpy warned and gave inf.
     with warnings.catch_warnings():

@@ -25,3 +25,17 @@ def test_bits_imports_and_digests_the_scan_programs():
     for line, claims in zip(lines, (191, 26)):
         assert re.fullmatch(rf"program \w+: {claims} claims, \d+ registers, "
                             r"\d+ steps, segments [0-9a-f]{64}", line), line
+
+
+def test_peaks_imports_and_reads_an_audit_in_process():
+    # Importing runs nothing; one audit at 1 worker, in this process,
+    # gives a reading at each of the four points and the helpers' line.
+    peaks = _load("peaks")
+    assert peaks.SRC == TOOLS.parent / "src"
+    now = peaks.status()
+    assert set(now) == set(peaks.FIELDS) and all(v > 0 for v in now.values())
+    lines = peaks.audit_peaks(1)
+    assert [line.split("  ")[1].strip() for line in lines[1:]] == [
+        "after import", "after start_scan", "after the proofs", "at the end",
+        "helpers max RSS"]
+    assert lines[0] == "workers 1" and lines[-1].endswith("(audit exit 0)")
