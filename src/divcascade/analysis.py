@@ -37,18 +37,16 @@ chunk-sized registers, numbered by linear scan over each value's live
 range.  Each thread keeps its registers from one scan to the next
 (``_Kept``) and runs every chunk on them, a short one on their leading
 slices: a sweep of passes neither gives its memory back to the system
-after each chunk or scan nor holds every measure's values at once.  The generators share x, u, um1, each power um1^m, S and each
-measure's f(x) across the claims; the same ufuncs run on the same
-operands in the same order as on plain arrays, so no value changes by
-a bit.
+after each chunk or scan nor holds every measure's values at once.
+The generators share x, u, um1, each power um1^m, S and each measure's
+f(x) across the claims; the same ufuncs run on the same operands in the
+same order as on plain arrays, so no value changes by a bit.
 """
 
 from __future__ import annotations
 
 import atexit
 import math
-import numbers
-import operator
 import os
 import pickle
 import threading
@@ -76,48 +74,6 @@ CHUNK = 16384           # pairs per chunk of a sampled pass
 FD_REL_TOL = 1e-6
 FD_ABS_TOL = 1e-8
 SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9), [0.999, 1.001]])
-
-
-def _index(value) -> int:
-    """``operator.index(value)``, refusing a bool with the same
-    ``TypeError``: a flag is not a count."""
-    if isinstance(value, bool):
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return operator.index(value)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, numpy's included but not a bool, or a
-    ``ValueError`` naming it."""
-    try:
-        return _index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float, from any real number but a bool (numpy's
-    included), or a ``ValueError`` naming it."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a real number, not {value!r}")
-
-
-def _finite_tol(tol) -> float:
-    """tol as a float, from any finite real number but a bool (a
-    negative one included), or a ``ValueError`` naming it."""
-    tol = _real("tol", tol)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, not {tol!r}")
-    return tol
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int >= 1, or a ``ValueError`` naming it."""
-    value = _integer(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
 
 
 def default_grid() -> np.ndarray:
@@ -227,21 +183,17 @@ class Sample:
         """The n pairs of the sampling policy (see ``sample_pairs``),
         drawn when asked from the stream of ``seed``.
 
-        ``seed`` is an integer >= 0, or None for fresh entropy, taken once
-        here so that every range of the sample comes from one stream.  A
+        ``n`` is an integer >= 0, and ``seed`` one too, or None for fresh
+        entropy, taken once here so that every range of the sample comes
+        from one stream.  A
         ``numpy.random.Generator`` is refused: ranges are drawn in any
         order and in any process, and a generator's state moves as it is
-        read.  A bool, for n or for ``seed``, is a ``TypeError``.
+        read.  Any other n or ``seed``, a bool included, is a
+        ``ValueError``.
         """
-        n = _index(n)
-        if n < 0:
-            raise ValueError(f"a sample needs n >= 0 pairs, not {n}")
+        n = catalog.index("n", n, 0)
         if seed is not None:
-            try:
-                seed = _index(seed)
-            except TypeError:
-                raise TypeError("seed must be None or an integer >= 0, not "
-                                f"{type(seed).__name__}") from None
+            seed = catalog.seed(seed)
         self = cls.__new__(cls)
         self.size, self._ab = n, None
         self._seed = np.random.SeedSequence(seed)
@@ -423,7 +375,7 @@ class Ordering:
         object.__setattr__(self, "terms", _pairs(self.terms))
         if len(self.terms) < 2:
             raise ValueError("an ordering needs at least two terms")
-        object.__setattr__(self, "tol", _finite_tol(self.tol))
+        object.__setattr__(self, "tol", catalog.finite("tol", self.tol))
 
     def _links(self, ctx: _Shared):
         """Each link's relative violation over the pairs, in order."""
@@ -479,7 +431,7 @@ class Equality:
     def __post_init__(self):
         object.__setattr__(self, "lhs", _pairs(self.lhs))
         object.__setattr__(self, "rhs", _pairs(self.rhs))
-        object.__setattr__(self, "tol", _finite_tol(self.tol))
+        object.__setattr__(self, "tol", catalog.finite("tol", self.tol))
 
     @property
     def terms(self) -> tuple:
@@ -760,7 +712,7 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     merge in index order: chunk size, worker count and path do not
     change them.
     """
-    claims, workers = tuple(claims), _count("workers", workers)
+    claims, workers = tuple(claims), catalog.count("workers", workers)
     for claim in claims:        # an unknown measure is refused here
         for _, symbol in claim.terms:
             if not isinstance(symbol, Measure):

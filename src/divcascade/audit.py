@@ -50,15 +50,11 @@ class AuditConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        self.samples = analysis._count("samples", self.samples)
-        self.seed = analysis._integer("seed", self.seed)
-        self.tolerance = analysis._real("tolerance", self.tolerance)
+        self.samples = catalog.count("samples", self.samples)
+        self.seed = catalog.seed(self.seed)
+        self.tolerance = catalog.positive("tolerance", self.tolerance)
         self.workers = (_usable_cpus() if self.workers is None
-                        else analysis._count("workers", self.workers))
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0 < self.tolerance < float("inf"):
-            raise ValueError("tolerance must be positive and finite")
+                        else catalog.count("workers", self.workers))
         self.chain_ids = _select_chains(self.chains)
 
 

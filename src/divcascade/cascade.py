@@ -40,28 +40,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The W scale and the pyramid of differences.
 
-def _paper_index(name: str, i, top: int) -> int:
-    """i as an int in 1..top, or a ``ValueError`` naming the range for
-    any other value, one that is not an integer (a bool included) too."""
-    try:
-        k = analysis._index(i)
-    except TypeError:
-        k = 0
-    if not 1 <= k <= top:
-        raise ValueError(f"{name} index must be in 1..{top}, got {i}")
-    return k
-
-
 def W(i: int, pair) -> float:
     """Value of the i-th scale measure, i in 1..9."""
-    i = _paper_index("W", i, 9)
-    a, b = positive_pair(pair)
-    return float(catalog.get(f"W{i}").value(a, b))
+    i = catalog.index("i", i, 1, 9)
+    return float(catalog.get(f"W{i}").value(*positive_pair(pair)))
 
 
 def W_second_derivative(i: int, x: float) -> float:
     """Analytic second derivative of the i-th scale generator."""
-    i = _paper_index("W", i, 9)
+    i = catalog.index("i", i, 1, 9)
     return float(catalog.get(f"W{i}").fpp(float(x)))
 
 
@@ -91,14 +78,13 @@ W_FPP_PRINTED: dict[int, RatU] = {
 
 def pyramid_pair(k: int) -> tuple[int, int]:
     """Map a pyramid difference index (1..36) to its (upper, lower) scale."""
-    return PYRAMID_PAIRS[_paper_index("pyramid", k, 36) - 1]
+    return PYRAMID_PAIRS[catalog.index("k", k, 1, 36) - 1]
 
 
 def pyramid_diff(k: int, pair) -> float:
     """Value of the k-th pyramid difference W_upper - W_lower."""
-    k = _paper_index("pyramid", k, 36)
-    a, b = positive_pair(pair)
-    return float(catalog.get(f"D{k}").value(a, b))
+    k = catalog.index("k", k, 1, 36)
+    return float(catalog.get(f"D{k}").value(*positive_pair(pair)))
 
 
 # Scalings that flatten the first ten pyramid differences onto the single
@@ -122,7 +108,7 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     in ``PYRAMID_EQ_CLAIMS``.  tol is a finite real number, or a
     ``ValueError``.
     """
-    tol, (a, b) = analysis._finite_tol(tol), positive_pair(pair)
+    tol, (a, b) = catalog.finite("tol", tol), positive_pair(pair)
     common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
     claims = [analysis.Equality(*claim) for claim in PYRAMID_EQ_CLAIMS]
     gaps = analysis.claim_gaps(claims, analysis.Sample(a, b))
@@ -138,16 +124,14 @@ def pyramid_equalities(pair, tol: float = 1e-12):
 
 def V(t: int, pair) -> float:
     """Value of the t-th second-order residual measure, t in 1..14."""
-    t = _paper_index("V", t, 14)
-    a, b = positive_pair(pair)
-    return float(catalog.get(f"V{t}").value(a, b))
+    t = catalog.index("t", t, 1, 14)
+    return float(catalog.get(f"V{t}").value(*positive_pair(pair)))
 
 
 def U(t: int, pair) -> float:
     """Value of the t-th third-order residual measure, t in 1..15."""
-    t = _paper_index("U", t, 15)
-    a, b = positive_pair(pair)
-    return float(catalog.get(f"U{t}").value(a, b))
+    t = catalog.index("t", t, 1, 15)
+    return float(catalog.get(f"U{t}").value(*positive_pair(pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +284,11 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     in ``workers`` processes, this one and ``workers`` - 1 scan helpers
     (see ``analysis.scan_claims``).
 
-    ``samples`` and ``workers`` are integers >= 1 and ``tol`` is a finite
-    real number, as ``analysis.Ordering`` checks; a negative tol records
-    pairs that hold as counterexamples too.
+    ``samples`` and ``workers`` are each a ``catalog.count``, ``seed`` a
+    ``catalog.seed`` or None, and ``tol`` a ``catalog.finite``; a
+    negative tol records pairs that hold as counterexamples too.
     """
-    samples = analysis._count("samples", samples)
+    samples = catalog.count("samples", samples)
     if isinstance(chain, str):
         chain = get_chain(chain)
     return check_chain(chain, analysis.Sample.draw(samples, seed), tol,
@@ -484,7 +468,7 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     through several vanishing orders.  tol is a finite real number, or a
     ``ValueError``.
     """
-    p, tol = _part(part), analysis._finite_tol(tol)
+    p, tol = _part(part), catalog.finite("tol", tol)
     a, b = positive_pair(pair)
     small = catalog.get(p.small).value(a, b)
     big = catalog.get(p.big).value(a, b)

@@ -9,11 +9,16 @@ cancellation near x = 1.
 
 Each entry carries a short ``ref`` string locating it in the source
 catalog.  Those strings are report data; the code never depends on them.
+
+Every public entry point takes its argument rules from here: each returns
+the value it accepts, or raises a ``ValueError`` naming the parameter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 from decimal import Context, Decimal
 from functools import lru_cache
@@ -26,6 +31,7 @@ __all__ = [
     "FAMILY_IDS", "get", "try_get", "all_ids", "iter_measures",
     "family_gen", "family_range", "family_index", "family_member",
     "FAMILY_FORMS", "PYRAMID_PAIRS",
+    "integer", "index", "count", "seed", "real", "finite", "positive",
     "positive_pair",
 ]
 
@@ -70,7 +76,11 @@ class Measure:
         return self.gen.eval_ctx(ctx)
 
     def value(self, a, b):
-        """Measure value b * f(a/b)."""
+        """Measure value b * f(a/b).  Unless a or b is a numpy array, they
+        must make a ``positive_pair``; arrays are evaluated as given."""
+        array = getattr(sys.modules.get("numpy"), "ndarray", ())
+        if not (isinstance(a, array) or isinstance(b, array)):
+            positive_pair((a, b))
         return b * self(a / b)
 
     @property
@@ -88,13 +98,76 @@ class Measure:
         return f"Measure({self.id!r})"
 
 
+# ---------------------------------------------------------------------------
+# Argument rules.  A bool is never a number here: a flag is not a count,
+# an index or a coordinate.
+
+def integer(name: str, value) -> int:
+    """value as an int, from an int or a numpy integer but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def index(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """value as an ``integer`` in lo..hi."""
+    value = integer(name, value)
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bound}, not {value}")
+    return value
+
+
+def count(name: str, value) -> int:
+    """value as an ``integer`` >= 1."""
+    return index(name, value, 1)
+
+
+def seed(value) -> int:
+    """value as an ``integer`` >= 0, the seed of a random stream."""
+    return index("seed", value, 0)
+
+
+def real(name: str, value) -> float:
+    """value as a float, from a real number, numpy's included, but not a
+    bool; an int beyond the double range is +-inf."""
+    # float and int first: isinstance against an abstract class is slow.
+    if not isinstance(value, bool) and isinstance(value, (float, int,
+                                                          numbers.Real)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
+def finite(name: str, value) -> float:
+    """value as a finite ``real``, a negative one included."""
+    value = real(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return value
+
+
+def positive(name: str, value) -> float:
+    """value as a positive finite ``real``."""
+    value = real(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return value
+
+
 def positive_pair(pair) -> tuple[float, float]:
-    """Validate a scalar pair (a, b) of positive finite numbers."""
-    a, b = pair
-    a, b = float(a), float(b)
-    if not (a > 0 and b > 0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"pair must be positive finite, got {(a, b)}")
-    return a, b
+    """The pair (a, b) as floats, from two ``positive`` coordinates."""
+    try:
+        a, b = pair
+        return positive("a", a), positive("b", b)
+    except (TypeError, ValueError):
+        raise ValueError("pair (a, b) must be two positive finite real "
+                         f"numbers, not {pair!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +340,7 @@ def family_gen(name: str, t) -> RatU:
 @lru_cache(maxsize=None)
 def _family_gen(name: str, t: int) -> RatU:
     lo, hi = family_range(name)
-    if not lo <= t <= hi:
-        raise ValueError(f"{name} parameter t={t} outside [{lo}, {hi}]")
+    index("t", t, lo, hi)
     (num, den), ratio = FAMILY_FORMS[name]
     k = t - max(lo, 0)
     step_num, step_den = ratio if k >= 0 else ratio[::-1]
@@ -285,20 +357,17 @@ def family_range(name: str) -> tuple[int, int]:
 
 
 def family_index(t) -> int:
-    """t as an int; only an int, float or numpy number of integer value,
-    not a bool: a flag is not a family parameter.
+    """t as an int: an ``integer``, or a float or numpy float of integer
+    value.
 
     A numpy number can only exist once numpy is loaded, so its types are
     looked up in ``sys.modules`` and this never imports numpy.
     """
-    ints, floats = (int,), (float,)
     np = sys.modules.get("numpy")
-    if np is not None:
-        ints, floats = (int, np.integer), (float, np.floating)
-    if not isinstance(t, bool) and (isinstance(t, ints) or (
-            isinstance(t, floats) and float(t).is_integer())):
+    floats = (float,) if np is None else (float, np.floating)
+    if isinstance(t, floats) and float(t).is_integer():
         return int(t)
-    raise ValueError(f"family parameter t must be an integer, got {t!r}")
+    return integer("t", t)
 
 
 # ---------------------------------------------------------------------------

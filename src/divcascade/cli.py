@@ -57,9 +57,7 @@ def _positive_float(text: str, flag: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"{flag} expects a number, got {text!r}")
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
-    return value
+    return catalog.positive(flag, value)
 
 
 def cmd_compute(args) -> int:

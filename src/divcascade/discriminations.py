@@ -50,7 +50,9 @@ def L_t(t: int, pair):
 
 
 def A7_poly(t: int) -> Poly:
-    """The convexity polynomial A7 of the L_t family, exact in u = sqrt(x)."""
+    """The convexity polynomial A7 of the L_t family, exact in u = sqrt(x),
+    for a member t of the family."""
+    t = catalog.index("t", catalog.family_index(t), *LT_T_RANGE)
     ends, inner = (t + 1) * (t + 3), 4 * (2 - t) * (t + 1)
     return Poly([ends, 0, inner, 0, 2 * (3 * t - 5) * (t - 1), 0, inner, 0,
                  ends])
@@ -66,15 +68,14 @@ def A7(x, t: int):
 
 
 def topsoe_delta(t: int, p, q):
-    """Generalized triangular discrimination of order t >= 1.
+    """Generalized triangular discrimination of order t in 1..64.
 
     Sum over components of (p_i - q_i)^(2t) / (p_i + q_i)^(2t - 1).
     Order 1 is the ordinary triangular discrimination.  p and q must
     validate as probability vectors (``distributions.validate``).
     """
-    t = catalog.family_index(t)
-    if t < 1:
-        raise ValueError(f"order must be >= 1, got {t}")
+    t = catalog.index("t", catalog.family_index(t),
+                      *catalog.family_range("topsoe"))
     p = distributions.validate(p).as_array()
     q = distributions.validate(q).as_array()
     if p.shape != q.shape:

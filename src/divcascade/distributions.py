@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -103,23 +102,15 @@ def _fsum(terms: list[float]) -> float:
 def validate(raw: Sequence[float], eps: float = 1e-9) -> ProbVector:
     """Check positivity and normalization, then renormalize exactly.
 
-    Every entry must be positive and finite, and their sum, correctly
-    rounded (``math.fsum``; inf if it overflows), within eps of 1, a
-    finite real number >= 0.  Each entry is then divided by that sum.
+    Every entry must be a ``catalog.real``, positive and finite, and
+    their sum, correctly rounded (``math.fsum``; inf if it overflows),
+    within eps of 1, a ``catalog.finite`` >= 0.  Each entry is then
+    divided by that sum.
     """
-    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real)
-                                     and math.isfinite(eps)):
-        raise ValueError(f"eps must be a finite real number, not {eps!r}")
+    eps = catalog.finite("eps", eps)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, not {eps!r}")
-    values = []
-    for i, v in enumerate(raw):
-        try:
-            values.append(float(v))
-        except OverflowError:  # an int beyond the double range
-            values.append(math.inf if v > 0 else -math.inf)
-        except (TypeError, ValueError):
-            raise ValueError(f"entry {i} is not a number: {v!r}") from None
+    values = [catalog.real(f"entry {i}", v) for i, v in enumerate(raw)]
     if len(values) < 2:
         raise ValueError("a probability vector needs at least 2 entries")
     for i, v in enumerate(values):
@@ -156,7 +147,8 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
 
     CSV means one line or one column of decimal numbers, no header.
     JSON means a flat array of numbers.  When format is omitted it is
-    inferred from the file extension.
+    inferred from the file extension.  A plain ``ValueError`` from
+    ``validate`` is raised again with the path in front.
     """
     path = str(source)
     if format is None:
@@ -170,13 +162,8 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
                                  f"column {e.colno}") from e
         if not isinstance(data, list):
             raise ValueError(f"{path}: expected a flat JSON array")
-        for i, v in enumerate(data):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{path}: entry {i} is not a number: "
-                                 f"{json.dumps(v)}")
-        return validate(data)
-    if format == "csv":
-        values: list[float] = []
+    elif format == "csv":
+        data = []
         with open(path, encoding="utf-8", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 for field, cell in enumerate(row):
@@ -184,13 +171,19 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
                     if not cell:
                         continue
                     try:
-                        values.append(float(cell))
+                        data.append(float(cell))
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {lineno}, field {field + 1}: "
                             f"not a number: {cell!r}") from None
-        return validate(values)
-    raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
+    else:
+        raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
+    try:
+        return validate(data)
+    except (NonPositiveEntry, SumOutOfTolerance):
+        raise
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def sample_simplex(n: int, rng: np.random.Generator,
@@ -198,10 +191,13 @@ def sample_simplex(n: int, rng: np.random.Generator,
     """One draw from the flat Dirichlet via normalized exponentials.
 
     Samples with any entry below the floor are rejected and redrawn, so
-    downstream generators never divide by a denormal probability.
+    downstream generators never divide by a denormal probability.  n is
+    an integer >= 2 and floor a finite real below 1/n, which some draw
+    meets.
     """
-    if not 2 <= n:
-        raise ValueError("need n >= 2")
+    n, floor = catalog.index("n", n, 2), catalog.finite("floor", floor)
+    if not floor < 1 / n:
+        raise ValueError(f"floor must be < 1/n = {1 / n!r}, not {floor!r}")
     while True:
         e = rng.exponential(size=n)
         p = e / e.sum()

@@ -103,9 +103,8 @@ def _factorization(family_id: str, t, printed: bool):
         form = WITNESS_FORMS[family_id]
     except KeyError:
         raise KeyError(f"unknown family {family_id!r}") from None
-    t = catalog.family_index(t)
-    if t < 0:
-        raise ValueError("witness index t must be nonnegative")
+    t = catalog.index("t", catalog.family_index(t),
+                      *catalog.family_range(family_id))
     pref, ratio = form["prefactor"], catalog.FAMILY_FORMS[family_id][1]
     wit = form["witness"]
     if printed:
@@ -166,9 +165,7 @@ def _series_partial(family_id: str, start: int, last: int, pair) -> float:
 
 def exp_series_partial(family_id: str, pair, n: int) -> float:
     """Partial sum sum_{t=0}^{n} family(t, pair) / t!."""
-    if n < 0:
-        raise ValueError("term count n must be nonnegative")
-    return _series_partial(family_id, 0, n, pair)
+    return _series_partial(family_id, 0, catalog.index("n", n, 0), pair)
 
 
 def _times_exp(lead: float, arg: float) -> float:
@@ -207,9 +204,8 @@ def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:
     naive sum_{t=0}^{n} L_t / t!, which converges to K * exp(r) instead;
     both are exposed so the audit can report which reading holds.
     """
-    if n < -1:
-        raise ValueError("term count must be >= -1")
-    return _series_partial("Lt", -1 if offset else 0, n, pair)
+    return _series_partial("Lt", -1 if offset else 0,
+                           catalog.index("n", n, -1), pair)
 
 
 # Printed exponential displays E_F = lead * exp(arg), kept verbatim; the

@@ -33,8 +33,12 @@ def _letter(kind: str) -> str:
 
 
 def mean(kind: str, a, b):
-    """Value of the named mean at a, b > 0 (scalars or numpy arrays)."""
+    """Value of the named mean at a, b > 0.  Unless a or b is a numpy
+    array, they must make a ``catalog.positive_pair``; arrays are
+    evaluated as given."""
     letter = _letter(kind)
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        a, b = catalog.positive_pair((a, b))
     a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else float(a)
     b = np.asarray(b, dtype=float) if isinstance(b, np.ndarray) else float(b)
     if letter == "H":
@@ -58,7 +62,8 @@ def mean_generator(kind: str, x):
 
 
 def mean_difference(bigger: str, smaller: str, a, b):
-    """Difference M_bigger - M_smaller, rejecting a mis-ordered request."""
+    """Difference M_bigger - M_smaller, rejecting a mis-ordered request;
+    a and b as for ``mean``."""
     hi, lo = _letter(bigger), _letter(smaller)
     if MEAN_ORDER.index(hi) <= MEAN_ORDER.index(lo):
         raise ValueError(

@@ -122,23 +122,25 @@ def test_a_fresh_entropy_sample_is_one_stream():
 def test_the_draw_refuses_seeds_it_cannot_replay(seed):
     # Ranges are drawn in any order and in any process, so the draw
     # takes a seed, never a generator whose state moves as it is read.
-    with pytest.raises(TypeError, match="seed must be None or an integer"):
+    with pytest.raises(ValueError, match="seed must be an integer"):
         analysis.Sample.draw(10, seed)
 
 
 @pytest.mark.parametrize("n, seed", [(True, 0), (10, True), (True, True)])
 def test_the_draw_refuses_bools(n, seed):
     # A flag is not a count: True would draw one pair, or replay seed 1.
-    with pytest.raises(TypeError):
+    # n is read first.
+    name = "n" if n is True else "seed"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         analysis.Sample.draw(n, seed)
 
 
 def test_the_draw_refuses_bad_sizes_and_seeds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         analysis.Sample.draw(10, -1)
-    with pytest.raises(ValueError, match="n >= 0"):
+    with pytest.raises(ValueError, match="n must be >= 0"):
         analysis.Sample.draw(-1, 0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="n must be an integer"):
         analysis.Sample.draw(1e4, 0)
 
 

@@ -162,20 +162,38 @@ def test_pyramid_indexing():
 
 @pytest.mark.parametrize("index", [2.0, 2.5, True, np.float64(3.0), "2",
                                    None])
-@pytest.mark.parametrize("call", [
-    lambda i: cascade.W(i, (4.0, 1.0)),
-    lambda i: cascade.W_second_derivative(i, 2.0),
-    lambda i: cascade.V(i, (4.0, 1.0)),
-    lambda i: cascade.U(i, (4.0, 1.0)),
-    cascade.pyramid_pair,
-    lambda i: cascade.pyramid_diff(i, (4.0, 1.0)),
+@pytest.mark.parametrize("call, name", [
+    (lambda i: cascade.W(i, (4.0, 1.0)), "i"),
+    (lambda i: cascade.W_second_derivative(i, 2.0), "i"),
+    (lambda t: cascade.V(t, (4.0, 1.0)), "t"),
+    (lambda t: cascade.U(t, (4.0, 1.0)), "t"),
+    (cascade.pyramid_pair, "k"),
+    (lambda k: cascade.pyramid_diff(k, (4.0, 1.0)), "k"),
 ], ids=["W", "W_second_derivative", "V", "U", "pyramid_pair",
         "pyramid_diff"])
-def test_paper_indices_must_be_integers(call, index):
+def test_paper_indices_must_be_integers(call, name, index):
     # A paper index names one measure; 2.0 or True would name none, or
     # pyramid_pair(True) the first.
-    with pytest.raises(ValueError, match=r"index must be in 1\.\."):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
         call(index)
+
+
+@pytest.mark.parametrize("pair", [
+    (True, 2.0), (2.0, np.True_), (10**400, 2.0), (math.nan, 1.0),
+    (0.0, 1.0), ("4", 1.0), None, "ab", (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("call", [
+    lambda pair: cascade.W(1, pair),
+    lambda pair: cascade.V(1, pair),
+    lambda pair: cascade.U(1, pair),
+    lambda pair: cascade.pyramid_diff(1, pair),
+    lambda pair: cascade.equivalent_expression("V1", pair),
+], ids=["W", "V", "U", "pyramid_diff", "equivalent_expression"])
+def test_a_pair_is_two_positive_finite_reals(call, pair):
+    # W(1, (True, 2)) used to give 0.667, (10**400, 2) to raise a bare
+    # OverflowError, and None, "ab" or three numbers an error that named
+    # no pair.
+    with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
+        call(pair)
 
 
 def test_paper_indices_take_numpy_integers():

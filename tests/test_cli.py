@@ -142,7 +142,7 @@ def test_compute_json_entry_that_is_not_a_number_exits_2(capsys, tmp_path,
                        "--p", str(p), "--q", str(q))
     assert rc == 2
     assert out == ""
-    assert f"{p}: entry 0 is not a number" in err
+    assert f"{p}: entry 0 must be a real number" in err
     assert "Traceback" not in err
 
 

@@ -22,9 +22,11 @@ def test_base_ids_and_values():
 
 
 @pytest.mark.parametrize("pair", [(-1.0, 1.0), (math.nan, 1.0),
-                                  (1.0, math.inf), (0.0, 1.0)])
+                                  (1.0, math.inf), (0.0, 1.0), (True, 2),
+                                  (2.0, np.True_), (10**400, 2.0), ("4", 1.0)])
 def test_base_rejects_a_pair_that_is_not_positive_finite(pair):
-    with pytest.raises(ValueError):
+    # True used to read as 1.0 and 10**400 to raise OverflowError.
+    with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
         discriminations.base("delta", *pair)
 
 
@@ -56,9 +58,10 @@ def test_Lt_rejects_a_t_that_is_not_an_integer(t):
 
 
 @pytest.mark.parametrize("pair", [(-1.0, 1.0), (math.nan, 1.0),
-                                  (math.inf, 1.0), (0.0, 1.0)])
+                                  (math.inf, 1.0), (0.0, 1.0), (True, 2),
+                                  (10**400, 2), None, "ab", (1, 2, 3)])
 def test_Lt_rejects_a_pair_that_is_not_positive_finite(pair):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
         discriminations.L_t(0, pair)
 
 

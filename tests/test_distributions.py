@@ -59,7 +59,9 @@ def test_validate_rejects_out_of_tolerance_sum():
     math.nan, math.inf, -math.inf, "1e-9", None, True])
 def test_validate_refuses_an_eps_that_is_not_a_finite_real(eps):
     # A NaN eps used to accept a vector that sums to 0.6.
-    with pytest.raises(ValueError, match="eps must be a finite real"):
+    message = ("eps must be finite" if isinstance(eps, float)
+               else "eps must be a real number")
+    with pytest.raises(ValueError, match=message):
         distributions.validate([0.3, 0.3], eps=eps)
 
 
@@ -260,13 +262,17 @@ def test_load_json_rejects_entries_that_are_not_numbers(tmp_path, entry):
     path.write_text(json.dumps([0.5, entry, 0.5]))
     with pytest.raises(ValueError) as err:
         distributions.load_distribution(str(path))
-    assert str(err.value) == (f"{path}: entry 1 is not a number: "
-                              f"{json.dumps(entry)}")
+    assert str(err.value) == (f"{path}: entry 1 must be a real number, "
+                              f"not {entry!r}")
 
 
-@pytest.mark.parametrize("entry", [None, [0.5], "half", object()])
+@pytest.mark.parametrize("entry", [None, [0.5], "half", object(), "0.5",
+                                   True, np.False_])
 def test_validate_rejects_entries_float_cannot_convert(entry):
-    with pytest.raises(ValueError, match="entry 1 is not a number"):
+    # A bool or a str is not an entry, although float() would read True
+    # as 1.0 and "0.5" as 0.5: validate refuses what load_distribution
+    # refuses in a JSON file.
+    with pytest.raises(ValueError, match="entry 1 must be a real number"):
         distributions.validate([0.5, entry, 0.5])
 
 
@@ -295,3 +301,7 @@ def test_sample_simplex_floor_and_determinism():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         distributions.sample_simplex(1, rng)
+    # A floor that no draw meets used to loop for ever.
+    for floor in (0.5, math.nan):
+        with pytest.raises(ValueError, match="floor must be"):
+            distributions.sample_simplex(2, rng, floor=floor)

@@ -120,10 +120,29 @@ def test_t_must_be_an_integer(name):
 
 
 def test_witness_helpers_reject_a_negative_t():
+    # A t past the family's 64 is refused too: 10**400 used to build
+    # ratio ** t without end.
     for name in ("convexity_witness", "witness_second_derivative",
                  "witness_fpp"):
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            _T_CALLS[name](-1)
+        for t in (-1, 65, 10**400):
+            with pytest.raises(ValueError, match=r"^t must be in 0\.\.64, "):
+                _T_CALLS[name](t)
+
+
+@pytest.mark.parametrize("pair", [
+    (True, 2.0), (10**400, 2.0), (math.nan, 1.0), (0.0, 1.0), None, "ab",
+    (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("call", [
+    lambda pair: generators.step_ratio("Lt", pair),
+    lambda pair: generators.family("Hgen", 2, pair),
+    lambda pair: generators.exp_representation("K1", pair),
+    lambda pair: generators.exp_L_series_partial(pair, 3),
+], ids=["step_ratio", "family", "exp_representation",
+        "exp_L_series_partial"])
+def test_a_pair_is_two_positive_finite_reals(call, pair):
+    # step_ratio("Lt", (True, 2)) used to give a value.
+    with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
+        call(pair)
 
 
 def test_envelopes_overflow_to_inf():

@@ -54,10 +54,16 @@ def test_library_modules_are_counted():
 
 
 def test_import_loads_no_submodule_and_no_numpy():
-    modules = fresh("import json, sys, divcascade\n"
-                    "print(json.dumps(sorted(sys.modules)))")
-    assert "numpy" not in modules
-    assert loaded(modules) == set()
+    # The argument rules live in catalog, and neither catalog nor
+    # distributions, which takes its rules from there, loads numpy.
+    for name, submodules in [("divcascade", set()),
+                             ("divcascade.catalog", {"catalog", "ratfun"}),
+                             ("divcascade.distributions",
+                              {"catalog", "ratfun", "distributions"})]:
+        modules = fresh(f"import json, sys, {name}\n"
+                        "print(json.dumps(sorted(sys.modules)))")
+        assert "numpy" not in modules, name
+        assert loaded(modules) == submodules, name
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -111,8 +111,13 @@ def test_identities_hold_pointwise(a, b):
 @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.0, 1.0), (math.nan, 1.0),
                                   (math.inf, 1.0)])
 def test_identities_refuse_a_pair_that_is_not_positive_finite(a, b):
-    with pytest.raises(ValueError):
-        means.verify_mean_identities(a, b)
+    # mean and mean_difference refuse the same scalar pairs; they used to
+    # return NaN, or a number: 0.5 for both at (0, 1).
+    for call in (means.verify_mean_identities,
+                 lambda a, b: means.mean("A", a, b),
+                 lambda a, b: means.mean_difference("A", "H", a, b)):
+        with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
+            call(a, b)
 
 
 def test_vectorized_evaluation():
