@@ -60,7 +60,7 @@ import numpy.random      # here, not once per forked scan worker
 from . import catalog
 from .catalog import Measure
 from .ratfun import RatU, UContext
-from .reporting import CheckResult
+from .reporting import CheckResult, make_result
 
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "certify_convexity",
@@ -284,11 +284,11 @@ def certify_convexity(measure) -> CheckResult:
         flag(SPOT_POINTS[i], "analytic-vs-fd",
              diff[i] if np.isfinite(diff[i]) else np.inf)
 
+    # Every recorded violation is > 0, so a tol of 0 fails exactly when
+    # one is recorded.
     worst = max((r["violation"] for r in bad), default=0.0)
-    verdict = "pass" if not bad else "fail"
-    return CheckResult(id=f"convexity:{m.id}", kind="convexity",
-                       samples=int(SPOT_POINTS.size), max_violation=worst,
-                       verdict=verdict, counterexamples=bad[:10], ref=m.ref)
+    return make_result(f"convexity:{m.id}", "convexity",
+                       int(SPOT_POINTS.size), worst, 0.0, bad[:10], ref=m.ref)
 
 
 def _fpp_ratu(measure) -> RatU:
@@ -773,8 +773,8 @@ def _schedule(claims) -> list[int]:
     """The order in which the program takes the claims: sorted (stably)
     by the smallest catalog id among their terms, which brings claims on
     one family's measures together, so each f(x) dies soon after it is
-    made: the default audit's 191 claims need 56 registers in this
-    order, against 104 in the given one.
+    made: the default audit's 194 claims need 59 registers in this
+    order, against 108 in the given one.
     """
     return sorted(range(len(claims)), key=lambda i: min(
         (getattr(symbol, "id", symbol) for _, symbol in claims[i].terms),

@@ -142,11 +142,6 @@ _ANCHORS = [
 _EXACT_PAIRS = [("U1", "V2", "Eq (30)/Eq (14)"),
                 ("U9", "V12", "Eq (38)/Eq (24)")]
 
-_W_ALIASES = [("W1", [(2, "delta")]), ("W5", [(8, "h")]), ("W6", [(1, "K")]),
-              ("W7", [(Fraction(1, 2), "psi")]),
-              ("W8", [(Fraction(1, 2), "F")]),
-              ("W9", [(Fraction(1, 8), "L")])]
-
 
 # ---------------------------------------------------------------------------
 # Errata: misprints in the source text, each with the value that every
@@ -393,8 +388,8 @@ def _identities(tol: float) -> list[Identity]:
                      ((((1, left),), ((1, right),)),))
             for left, right, ref in _EXACT_PAIRS]
     out.append(Identity("identity:W-aliases", "Eq (9)", tol,
-                        tuple((((1, wid),), terms)
-                              for wid, terms in _W_ALIASES)))
+                        tuple((((1, f"W{k}"),), (form,)) for k, form
+                              in enumerate(catalog.EQ9_FORMS, start=1))))
     out += [Identity(f"anchor:{fid}:{t}", catalog.get(f"{fid}:{t}").ref, tol,
                      tuple((((1, f"{fid}:{t}"),), terms) for terms in forms))
             for fid, t, forms in _ANCHORS]
@@ -436,7 +431,7 @@ def _check_beta(part):
         proved = (big.positive_off_one()
                   and cascade.is_exact_ordering(((1, small),),
                                                 ((part.beta, big),))
-                  and small.ratio_limit_at_1(big) == part.beta)
+                  and cascade.beta_exact(part) == part.beta)
     except ZeroDivisionError:   # f''_small / f''_big diverges at x = 1
         proved = False
     return make_result(f"beta:{part.id}", "ratio-constant", 0,

@@ -17,7 +17,8 @@ from functools import cache
 from typing import Iterable, Optional
 
 from . import analysis, catalog
-from .catalog import PYRAMID_PAIRS, XM1SQ, XP1, positive_pair
+from .catalog import (EQ9_FORMS, LT_T_RANGE, MEAN_ORDER, PYRAMID_PAIRS, XM1SQ,
+                      XP1, positive_pair)
 from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
 
@@ -163,15 +164,11 @@ def _c1(ids):
 
 
 CHAINS: dict[str, Chain] = {c.id: c for c in [
-    _chain("means", "Eq (1)-(2)", _c1(["H", "G", "N", "A", "R", "S", "C"]),
-           "the seven ordered means"),
-    _chain("pyramid_N", "Sec 1.1", _c1(["D_NG", "D_NH"])),
-    _chain("pyramid_A", "Sec 1.1", _c1(["D_AN", "D_AG", "D_AH"])),
-    _chain("pyramid_R", "Sec 1.1", _c1(["D_RA", "D_RN", "D_RG", "D_RH"])),
-    _chain("pyramid_S", "Sec 1.1",
-           _c1(["D_SR", "D_SA", "D_SN", "D_SG", "D_SH"])),
-    _chain("pyramid_C", "Sec 1.1",
-           _c1(["D_CS", "D_CR", "D_CA", "D_CN", "D_CG", "D_CH"])),
+    _chain("means", "Eq (1)-(2)", _c1(MEAN_ORDER), "the seven ordered means"),
+    # Each mean from N up over every lower one, nearest first.
+    *(_chain(f"pyramid_{hi}", "Sec 1.1",
+             _c1(f"D_{hi}{lo}" for lo in MEAN_ORDER[i - 1::-1]))
+      for i, hi in enumerate(MEAN_ORDER) if i >= 2),
     _chain("eq4a", "Eq (4)", [
         (1, "D_SA"), (Frac(3, 4), "D_SN"), (Frac(3, 7), "D_CN"),
         (1, "D_CS"), (1, "h")]),
@@ -185,10 +182,7 @@ CHAINS: dict[str, Chain] = {c.id: c for c in [
     _chain("eq7", "Eq (7)", [
         (Frac(1, 4), "delta"), (1, "h"), (Frac(1, 8), "K"),
         (Frac(1, 16), "psi"), (Frac(1, 16), "F"), (Frac(1, 64), "L")]),
-    _chain("eq9", "Eq (9)", [
-        (2, "delta"), (Frac(24, 7), "D_CN"), (Frac(8, 3), "D_CG"),
-        (Frac(24, 5), "D_RG"), (8, "h"), (1, "K"), (Frac(1, 2), "psi"),
-        (Frac(1, 2), "F"), (Frac(1, 8), "L")]),
+    _chain("eq9", "Eq (9)", EQ9_FORMS),
     _chain("eq10", "Eq (10)", _c1([f"W{i}" for i in range(1, 10)]),
            "the ordered scale"),
     _chain("eq12_main", "Eq (12)", [
@@ -247,7 +241,7 @@ CHAINS: dict[str, Chain] = {c.id: c for c in [
         (Frac(24, 23), "D34"), (Frac(40, 37), "D33"), (Frac(8, 7), "D32"),
         (Frac(4, 3), "D31"), (2, "D30"), (4, "D29")]),
     _chain("Lt_monotone", "Eq (5)",
-           _c1([f"Lt:{t}" for t in range(-8, 9)]),
+           _c1(f"Lt:{t}" for t in range(LT_T_RANGE[0], LT_T_RANGE[1] + 1)),
            "the one-parameter ladder is nondecreasing in t"),
 ]}
 

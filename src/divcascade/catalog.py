@@ -21,6 +21,7 @@ import numbers
 import operator
 import sys
 from decimal import Context, Decimal
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -29,8 +30,8 @@ from .ratfun import ONE, Poly, RatS, RatU, U, UContext, X
 __all__ = [
     "Measure", "MEAN_ORDER", "MEAN_TAGS", "MEAN_LETTER", "BASE_IDS",
     "FAMILY_IDS", "get", "try_get", "all_ids", "iter_measures",
-    "family_gen", "family_range", "family_index", "family_member",
-    "FAMILY_FORMS", "PYRAMID_PAIRS",
+    "family_gen", "family_range", "family_index", "family_t",
+    "family_member", "FAMILY_FORMS", "EQ9_FORMS", "PYRAMID_PAIRS",
     "integer", "index", "count", "seed", "real", "finite", "positive",
     "positive_pair",
 ]
@@ -233,13 +234,18 @@ _W_GEN = {
     9: RatU(XM1SQ * XP1 ** 3, 8 * X * X),
 }
 
+# Eq (9): position k of the scale as c * measure, W_k = c * measure.  The
+# eq9 chain and the audit's W-aliases claims read it.
+EQ9_FORMS: tuple[tuple[Fraction, str], ...] = tuple(
+    (Fraction(c), mid) for c, mid in (
+        (2, "delta"), ("24/7", "D_CN"), ("8/3", "D_CG"), ("24/5", "D_RG"),
+        (8, "h"), (1, "K"), ("1/2", "psi"), ("1/2", "F"), ("1/8", "L")))
+
 # Closed-form aliases of the ladder steps, shown by the registry listing
-# and in each step's label.
-FORMULA = {
-    "W1": "2 delta", "W2": "(24/7)D_CN", "W3": "(8/3)D_CG",
-    "W4": "(24/5)D_RG", "W5": "8 h", "W6": "K", "W7": "(1/2)psi",
-    "W8": "(1/2)F", "W9": "(1/8)L",
-}
+# and in each step's label: "2 delta", "(24/7)D_CN", "K".
+FORMULA = {f"W{k}": f"({c}){mid}" if c.denominator != 1
+           else mid if c == 1 else f"{c} {mid}"
+           for k, (c, mid) in enumerate(EQ9_FORMS, start=1)}
 
 # Pyramid of nonnegative differences D^k = W_i - W_j, row by row,
 # each row walking j from i-1 down to 1.
@@ -331,18 +337,16 @@ def family_gen(name: str, t) -> RatU:
 
     lead * ratio^k for k = t less the lead's t, the ratio upside down for
     k < 0, with the power of u common to both sides divided out.  t is
-    validated before the cache, so any t that is not an integer raises
-    ``ValueError``.
+    validated (``family_t``) before the cache, so any t the rule refuses
+    raises ``ValueError``.
     """
-    return _family_gen(name, family_index(t))
+    return _family_gen(name, family_t(name, t))
 
 
 @lru_cache(maxsize=None)
 def _family_gen(name: str, t: int) -> RatU:
-    lo, hi = family_range(name)
-    index("t", t, lo, hi)
     (num, den), ratio = FAMILY_FORMS[name]
-    k = t - max(lo, 0)
+    k = t - max(family_range(name)[0], 0)
     step_num, step_den = ratio if k >= 0 else ratio[::-1]
     num, den = num * step_num ** abs(k), den * step_den ** abs(k)
     low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in (num, den))
@@ -368,6 +372,12 @@ def family_index(t) -> int:
     if isinstance(t, floats) and float(t).is_integer():
         return int(t)
     return integer("t", t)
+
+
+def family_t(name: str, t) -> int:
+    """t as a ``family_index`` in the range of family ``name``: the one
+    rule for a member's t."""
+    return index("t", family_index(t), *family_range(name))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +435,8 @@ def _family_member(family: str, t: int) -> Measure:
 
 
 def family_member(name: str, t) -> Measure:
-    """Member t of a family; ValueError unless t is an integer in range."""
-    return _family_member(name, family_index(t))
+    """Member t of a family; ValueError where ``family_t`` refuses t."""
+    return _family_member(name, family_t(name, t))
 
 
 def try_get(measure_id: str) -> Optional[Measure]:
@@ -444,9 +454,9 @@ def try_get(measure_id: str) -> Optional[Measure]:
         digits = t_str[1:] if t_str.startswith("-") else t_str
         if not (digits.isascii() and digits.isdigit()):
             return None
-        t = int(t_str)
-        lo, hi = family_range(family)
-        if not lo <= t <= hi:
+        try:
+            t = family_t(family, int(t_str))
+        except ValueError:      # out of range, or too many digits for int
             return None
         return _family_member(family, t)
     return None

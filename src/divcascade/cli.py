@@ -97,11 +97,9 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _option(name: str, text, kind, default=None):
-    """An option's text as kind, int or float, or default if it is None;
-    text that does not parse is a ``ValueError`` naming the option."""
-    if text is None:
-        return default
+def _option(name: str, text, kind):
+    """An option's text as kind, int or float; text that does not parse
+    is a ``ValueError`` naming the option."""
     try:
         return kind(text)
     except ValueError:
@@ -109,21 +107,20 @@ def _option(name: str, text, kind, default=None):
         raise ValueError(f"{name} must be {what}, not {text!r}") from None
 
 
-def _default_seed() -> int:
-    return _option(SEED_ENV, os.environ.get(SEED_ENV, "42"), int)
-
-
 def cmd_audit(args) -> int:
     from . import audit, reporting
+    # Only the options given, and $DIVCASCADE_SEED where --seed is not:
+    # AuditConfig holds every default.
     try:
-        seed = _option("seed", args.seed, int)
-        config = audit.AuditConfig(
-            chains=args.chains,
-            samples=_option("samples", args.samples, int, 100000),
-            seed=_default_seed() if seed is None else seed,
-            tolerance=_option("tolerance", args.tolerance, float, 1e-12),
-            workers=_option("workers", args.workers, int),
-        )
+        options = {name: _option(name, text, kind) for name, text, kind in (
+            ("seed", args.seed, int), ("samples", args.samples, int),
+            ("tolerance", args.tolerance, float),
+            ("workers", args.workers, int)) if text is not None}
+        if "seed" not in options and SEED_ENV in os.environ:
+            options["seed"] = _option(SEED_ENV, os.environ[SEED_ENV], int)
+        if args.chains is not None:
+            options["chains"] = args.chains
+        config = audit.AuditConfig(**options)
     except ValueError as e:
         _err(f"configuration error: {e}")
         return 5

@@ -52,7 +52,7 @@ def L_t(t: int, pair):
 def A7_poly(t: int) -> Poly:
     """The convexity polynomial A7 of the L_t family, exact in u = sqrt(x),
     for a member t of the family."""
-    t = catalog.index("t", catalog.family_index(t), *LT_T_RANGE)
+    t = catalog.family_t("Lt", t)
     ends, inner = (t + 1) * (t + 3), 4 * (2 - t) * (t + 1)
     return Poly([ends, 0, inner, 0, 2 * (3 * t - 5) * (t - 1), 0, inner, 0,
                  ends])
@@ -74,8 +74,7 @@ def topsoe_delta(t: int, p, q):
     Order 1 is the ordinary triangular discrimination.  p and q must
     validate as probability vectors (``distributions.validate``).
     """
-    t = catalog.index("t", catalog.family_index(t),
-                      *catalog.family_range("topsoe"))
+    t = catalog.family_t("topsoe", t)
     p = distributions.validate(p).as_array()
     q = distributions.validate(q).as_array()
     if p.shape != q.shape:

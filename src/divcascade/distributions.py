@@ -147,8 +147,10 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
 
     CSV means one line or one column of decimal numbers, no header.
     JSON means a flat array of numbers.  When format is omitted it is
-    inferred from the file extension.  A plain ``ValueError`` from
-    ``validate`` is raised again with the path in front.
+    inferred from the file extension.  A ``ValueError`` from ``validate``
+    is raised again with the path in front of its message; a
+    ``NonPositiveEntry`` or ``SumOutOfTolerance`` keeps its class and
+    attributes.
     """
     path = str(source)
     if format is None:
@@ -180,10 +182,9 @@ def load_distribution(source, format: str | None = None) -> ProbVector:
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
     try:
         return validate(data)
-    except (NonPositiveEntry, SumOutOfTolerance):
-        raise
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def sample_simplex(n: int, rng: np.random.Generator,

@@ -103,8 +103,7 @@ def _factorization(family_id: str, t, printed: bool):
         form = WITNESS_FORMS[family_id]
     except KeyError:
         raise KeyError(f"unknown family {family_id!r}") from None
-    t = catalog.index("t", catalog.family_index(t),
-                      *catalog.family_range(family_id))
+    t = catalog.family_t(family_id, t)
     pref, ratio = form["prefactor"], catalog.FAMILY_FORMS[family_id][1]
     wit = form["witness"]
     if printed:

@@ -563,7 +563,7 @@ def test_a_program_round_trips_through_pickle(claims):
     # helper compiles them: the program it gets is the one the caller
     # would compile.
     claims = claims()
-    assert len(claims) in (191, 26)
+    assert len(claims) in (194, 26)
     program = analysis._Program(claims)
     back = pickle.loads(pickle.dumps(claims, pickle.HIGHEST_PROTOCOL))
     assert back == claims
@@ -602,7 +602,7 @@ def test_the_audit_program_compiles_alike_under_any_hash_seed():
         assert proc.returncode == 0, proc.stderr
         shapes.append(proc.stdout)
     program = analysis._Program(_audit_claims(1e-12))
-    here = (f"191 {program.registers} "
+    here = (f"194 {program.registers} "
             f"{sum(len(steps) for _, steps, _ in program.segments)} "
             f"{hashlib.sha256(repr(program.segments).encode()).hexdigest()}")
     assert shapes == [here + "\n"] * 3
@@ -613,7 +613,7 @@ def test_the_audits_caller_compiles_its_claims_only_if_it_scans_them(
         monkeypatch, tmp_path, workers, no_helpers):
     # Each build of a program is logged with its pid and claim count, in
     # a file, as a helper's memory is its own.  At 2 workers the audit's
-    # two helpers each compile the 191 claims for their run, and the
+    # two helpers each compile the 194 claims for their run, and the
     # caller, which proves meanwhile, compiles none of them; at 1 worker
     # the caller scans, and compiles them once.
     log = tmp_path / "builds"
@@ -632,7 +632,7 @@ def test_the_audits_caller_compiles_its_claims_only_if_it_scans_them(
     assert all(c["verdict"] == "pass" for c in report["checks"])
     builds = [tuple(map(int, line.split()))
               for line in log.read_text(encoding="ascii").splitlines()]
-    audit_builds = [pid for pid, claims in builds if claims == 191]
+    audit_builds = [pid for pid, claims in builds if claims == 194]
     if workers == 1:
         assert audit_builds == [os.getpid()] and not forks
     else:
@@ -895,7 +895,7 @@ def test_record_links_follow_the_reference(terms, sample, tol, steps):
 # -- the scan's program and its registers -------------------------------------
 
 def _audit_claims(tol):
-    """The audit's sampled claims: its 26 chains and 165 equalities."""
+    """The audit's sampled claims: its 26 chains and 168 equalities."""
     chains = [analysis.Ordering(cascade.get_chain(cid).terms, tol)
               for cid in cascade.chains()]
     idents = audit._identities(tol) + audit._combinations(tol)
@@ -925,7 +925,7 @@ def test_a_program_scan_is_bitwise_plain_array_folds(full, rest, seed):
     # every pair's value in passing claims.
     chunk = 128
     claims = _audit_claims(-1.0)
-    assert len(claims) == 26 + 165
+    assert len(claims) == 26 + 168
     sample = analysis.Sample.draw(full * chunk + rest, seed)
     with mock.patch.object(analysis, "CHUNK", chunk):
         ref = _plain_array_folds(claims, sample, chunk)
@@ -974,7 +974,7 @@ def test_sampled_claims_read_the_ratio_alone(k):
     # where a mean's formula in a, b would overflow or underflow.
     a, b = analysis.Sample.draw(4096, 3).pairs()
     claims = _audit_claims(1e-12)
-    assert len(claims) == 191
+    assert len(claims) == 194
     base = analysis.claim_gaps(claims, analysis.Sample(a, b))
     scaled = analysis.claim_gaps(claims, analysis.Sample(np.ldexp(a, k),
                                                          np.ldexp(b, k)))

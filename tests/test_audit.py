@@ -206,8 +206,8 @@ def _reference_violations(a, b):
         out[f"identity:{left}=={right}"] = float(np.max(_ref_rel_gap(
             catalog.get(left)(x), catalog.get(right)(x))))
     out["identity:W-aliases"] = max(
-        float(np.max(_ref_combo_gap(catalog.get(wid)(x), terms, x)))
-        for wid, terms in audit._W_ALIASES)
+        float(np.max(_ref_combo_gap(catalog.get(f"W{k}")(x), [form], x)))
+        for k, form in enumerate(catalog.EQ9_FORMS, start=1))
     for fid, t, forms in audit._ANCHORS:
         member = catalog.get(f"{fid}:{t}")(x)
         out[f"anchor:{fid}:{t}"] = max(
@@ -264,7 +264,7 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     sample = analysis.Sample.draw(2000, seed=11)
     claims = [claim for ident in audit._identities(1e-12)
               + audit._combinations(1e-12) for claim in ident.claims]
-    assert len(claims) == 165
+    assert len(claims) == 168
     equalities = [analysis.Equality(lhs, rhs) for lhs, rhs in claims]
     # The per-call gaps, each claim on a chunk of its own, and the gaps of
     # all claims on one context, before _Shared is patched below.
@@ -285,7 +285,7 @@ def test_shared_context_gaps_are_bitwise_the_per_call_gaps(monkeypatch):
     folds = analysis.scan_claims(equalities, sample)
     for fold, gap in zip(folds, gaps):
         assert fold.worst == gap.max() and fold.index == np.argmax(gap)
-    # One context, compiled once, served all 165 claims: the program
+    # One context, compiled once, served all 168 claims: the program
     # holds six distinct powers (u - 1)^m.
     assert len(built) == 1
     assert sorted(built[0]._powers) == [2, 4, 6, 8, 10, 12]

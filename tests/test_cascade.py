@@ -17,6 +17,29 @@ def test_chain_registry():
         cascade.get_chain("bogus")
 
 
+def test_the_generated_chains_read_as_the_paper_prints_them():
+    # Sec 1.1's rows of mean differences, Eq (9) and Eq (5)'s window.
+    rows = {"pyramid_N": "D_NG D_NH",
+            "pyramid_A": "D_AN D_AG D_AH",
+            "pyramid_R": "D_RA D_RN D_RG D_RH",
+            "pyramid_S": "D_SR D_SA D_SN D_SG D_SH",
+            "pyramid_C": "D_CS D_CR D_CA D_CN D_CG D_CH"}
+    pyramid = [c for c in cascade.CHAINS.values()
+               if c.id.startswith("pyramid")]
+    assert [c.id for c in pyramid] == list(rows)
+    for chain in pyramid:
+        assert chain == cascade.Chain(chain.id, "Sec 1.1", tuple(
+            (Fraction(1), m) for m in rows[chain.id].split()))
+    assert cascade.CHAINS["means"].terms == tuple(
+        (Fraction(1), m) for m in "HGNARSC")
+    assert cascade.CHAINS["eq9"].terms == (
+        (2, "delta"), (Fraction(24, 7), "D_CN"), (Fraction(8, 3), "D_CG"),
+        (Fraction(24, 5), "D_RG"), (8, "h"), (1, "K"), (Fraction(1, 2), "psi"),
+        (Fraction(1, 2), "F"), (Fraction(1, 8), "L"))
+    assert cascade.CHAINS["Lt_monotone"].terms == tuple(
+        (1, f"Lt:{t}") for t in range(-8, 9))
+
+
 def test_every_chain_passes_small_sample():
     for cid in cascade.chains():
         res = cascade.audit_chain(cascade.get_chain(cid), samples=20_000,

@@ -135,6 +135,8 @@ def test_family_member_ids_accept_ascii_integers(mid, expected):
 @pytest.mark.parametrize("mid", [
     "Hgen:1_0", "Hgen: 3", "Hgen:3 ", "Hgen:+3", "Hgen:\u0663", "Hgen:\u00b3",
     "Hgen:", "Hgen:-", "Lt:--1", "Hgen:3.0",
+    # More digits than int() converts: a ValueError, not a t.
+    pytest.param("Lt:" + "9" * 5000, id="Lt:5000-digits"),
 ])
 def test_family_member_ids_reject_other_integer_spellings(mid, capsys):
     assert catalog.try_get(mid) is None
@@ -143,13 +145,61 @@ def test_family_member_ids_reject_other_integer_spellings(mid, capsys):
 
 
 def test_w_formula_aliases_are_exact():
-    scale = {"W1": (Fraction(2), "delta"), "W5": (Fraction(8), "h"),
+    scale = {"W1": (Fraction(2), "delta"), "W2": (Fraction(24, 7), "D_CN"),
+             "W3": (Fraction(8, 3), "D_CG"), "W4": (Fraction(24, 5), "D_RG"),
+             "W5": (Fraction(8), "h"),
              "W6": (Fraction(1), "K"), "W7": (Fraction(1, 2), "psi"),
              "W8": (Fraction(1, 2), "F"), "W9": (Fraction(1, 8), "L")}
     for wid, (c, base) in scale.items():
         assert wid in catalog.FORMULA
         diff = catalog.get(wid).gen - c * catalog.get(base).gen
         assert diff.is_zero(), wid
+    assert catalog.EQ9_FORMS == tuple(scale.values())
+
+
+# Each family's t range, as the paper and the catalog's window give it.
+_T_RANGES = {"Delta1": (0, 64), "Delta2": (0, 64), "K1": (0, 64),
+             "K2": (0, 64), "Hgen": (0, 64), "Mnew": (0, 64),
+             "Lt": (-8, 8), "topsoe": (1, 64)}
+_WITNESSED = ("Delta1", "Delta2", "K1", "K2", "Hgen", "Mnew")
+
+
+def _try_get(family, t):
+    return catalog.try_get(f"{family}:{t}")
+
+
+_FAMILY_T_CALLS = {
+    "family_member": (catalog.family_member, _T_RANGES),
+    "family_gen": (catalog.family_gen, _T_RANGES),
+    "witness_fpp": (generators.witness_fpp, _WITNESSED),
+    "convexity_witness": (
+        lambda f, t: generators.convexity_witness(f, 2.0, t), _WITNESSED),
+    "A7_poly": (lambda f, t: discriminations.A7_poly(t), ("Lt",)),
+    "L_t": (lambda f, t: discriminations.L_t(t, (4.0, 1.0)), ("Lt",)),
+    "topsoe_delta": (lambda f, t: discriminations.topsoe_delta(
+        t, [0.5, 0.5], [0.25, 0.75]), ("topsoe",)),
+    "try_get": (_try_get, _T_RANGES),
+}
+
+
+@pytest.mark.parametrize("call, family", [
+    pytest.param(call, fid, id=f"{name}-{fid}")
+    for name, (call, families) in _FAMILY_T_CALLS.items()
+    for fid in families])
+def test_every_family_t_entry_point_takes_its_range_and_no_more(call,
+                                                                family):
+    # One rule: both end points pass, and one step past either is refused
+    # with the same message, or, by try_get, with None.
+    lo, hi = _T_RANGES[family]
+    for t in (lo, hi):
+        assert call(family, t) is not None
+    for t in (lo - 1, hi + 1):
+        if call is _try_get:
+            assert call(family, t) is None
+            continue
+        with pytest.raises(ValueError) as err:
+            call(family, t)
+        assert str(err.value) == f"t must be in {lo}..{hi}, not {t}"
 
 
 def test_value_broadcasts():

@@ -39,7 +39,12 @@ def test_list_contains_pinned_entries(capsys):
     rc, out, _ = run(capsys, "list")
     assert rc == 0
     lines = out.splitlines()
-    assert any(ln.startswith("W8 = (1/2)F, Eq (9) position 8") for ln in lines)
+    # Each position of Eq (9), as the paper prints it.
+    for k, alias in enumerate(["2 delta", "(24/7)D_CN", "(8/3)D_CG",
+                               "(24/5)D_RG", "8 h", "K", "(1/2)psi",
+                               "(1/2)F", "(1/8)L"], start=1):
+        assert (f"W{k} = {alias}, Eq (9) position {k}, f(1)=0 [divergence]"
+                in lines)
     assert any(ln.startswith("V1, Eq (13)") for ln in lines)
     assert any(ln.startswith("A, ") for ln in lines)
     # Family descriptors close the listing.
@@ -130,6 +135,20 @@ def test_compute_bad_distribution_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("0.7,-0.5\n", "entry 1 is -0.5; all entries must be positive and finite"),
+    ("0.5,0.6\n", "entries sum to 1.1, off by more than 1e-09 from 1"),
+], ids=["NonPositiveEntry", "SumOutOfTolerance"])
+def test_compute_names_the_file_of_an_invalid_distribution(
+        capsys, tmp_path, content, message):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text("0.5,0.5\n")
+    q.write_text(content)
+    rc, out, err = run(capsys, "compute", "--measure", "delta",
+                       "--p", str(p), "--q", str(q))
+    assert (rc, out, err) == (2, "", f"divcascade: {q}: {message}\n")
+
+
 @pytest.mark.parametrize("content", ["[null, 0.5, 0.5]", "[[0.5], [0.5]]",
                                      "[true, 0.5, 0.5]", '["0.5", 0.5]'])
 def test_compute_json_entry_that_is_not_a_number_exits_2(capsys, tmp_path,
@@ -213,11 +232,35 @@ def test_negative_seed_exits_5(capsys, monkeypatch):
     assert rc == 5 and "configuration error: seed" in err
 
 
+def _audit_config(monkeypatch, *argv) -> audit.AuditConfig:
+    """The config that ``audit`` with argv builds, run_audit patched out."""
+    configs = []
+
+    def run_audit(config):
+        configs.append(config)
+        return {"checks": [], "errata": []}
+
+    monkeypatch.setattr(audit, "run_audit", run_audit)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["audit", *argv]) == 0
+    return configs[0]
+
+
 def test_default_seed_env(monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
-    assert cli._default_seed() == 42
+    assert _audit_config(monkeypatch).seed == 42
     monkeypatch.setenv(cli.SEED_ENV, "99")
-    assert cli._default_seed() == 99
+    assert _audit_config(monkeypatch).seed == 99
+    assert _audit_config(monkeypatch, "--seed", "3").seed == 3
+
+
+def test_a_bare_audit_builds_the_default_config(monkeypatch):
+    # The defaults live in AuditConfig alone.
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    config = _audit_config(monkeypatch)
+    assert config == audit.AuditConfig()
+    assert (config.chains, config.samples, config.seed, config.tolerance) == (
+        "all", 100000, 42, 1e-12)
 
 
 def test_audit_report_file_is_valid(audit_run):

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``tools``."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -22,9 +23,22 @@ def test_bits_imports_and_digests_the_scan_programs():
     lines = bits.program_lines()
     assert [line.split(":")[0] for line in lines] == [
         "program audit", "program chains"]
-    for line, claims in zip(lines, (191, 26)):
+    for line, claims in zip(lines, (194, 26)):
         assert re.fullmatch(rf"program \w+: {claims} claims, \d+ registers, "
                             r"\d+ steps, segments [0-9a-f]{64}", line), line
+
+
+def test_bits_digests_the_listing_and_the_chain_table(capsys):
+    # The listing's digest is of what ``list`` prints, here in process.
+    from divcascade import cascade, cli
+
+    bits = _load("bits")
+    assert cli.main(["list"]) == 0
+    listing = capsys.readouterr().out.encode()
+    assert bits.listing_lines() == [
+        f"list: {hashlib.sha256(listing).hexdigest()}",
+        "chains table: "
+        f"{hashlib.sha256(repr(cascade.CHAINS).encode()).hexdigest()}"]
 
 
 def test_peaks_imports_and_reads_an_audit_in_process():

@@ -15,8 +15,10 @@ prints, one line each:
   48 configurations: n 1e5 and 1e6, seeds 1-4, tol 1e-12 and -1 and
   workers 1-3, all in this process;
 - the register count, step count and sha256 of ``repr(segments)`` of the
-  scan program (``analysis._Program``) of the audit's 191 sampled
-  claims, and of the 26 chains.
+  scan program (``analysis._Program``) of the audit's 194 sampled
+  claims, and of the 26 chains;
+- the sha256 of the ``python -m divcascade list`` output and of
+  ``repr(cascade.CHAINS)``, the chains' ids, refs, terms, notes and order.
 
 The sweep at 1e6 pairs dominates: about a minute on 2 CPUs.
 """
@@ -94,9 +96,21 @@ def program_lines() -> list[str]:
     return lines
 
 
+def listing_lines() -> list[str]:
+    """The digests of the registry listing and of the chain table."""
+    from divcascade import cascade
+
+    listing = subprocess.run(
+        [sys.executable, "-m", "divcascade", "list"], capture_output=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    return [f"list: {_sha(listing)}",
+            f"chains table: {_sha(repr(cascade.CHAINS).encode())}"]
+
+
 def main() -> None:
     sys.path.insert(0, str(SRC))
     print(*program_lines(), sep="\n", flush=True)
+    print(*listing_lines(), sep="\n", flush=True)
     print(*audit_lines(), sep="\n", flush=True)
     print(sweep_line(), flush=True)
 
