@@ -58,7 +58,6 @@ import numpy as np
 import numpy.random      # here, not once per forked scan worker
 
 from . import catalog
-from .catalog import Measure
 from .ratfun import RatU, UContext
 from .reporting import CheckResult, make_result
 
@@ -216,13 +215,7 @@ class Sample:
         return _out[0], _out[1]
 
 
-def _resolve(measure) -> Measure:
-    if isinstance(measure, Measure):
-        return measure
-    return catalog.get(measure)
-
-
-def _fd2_mp(measure: Measure, x: float, dps: int = 40) -> float:
+def _fd2_mp(measure: catalog.Measure, x: float, dps: int = 40) -> float:
     """Central second difference in dps-digit ``decimal``, h = 1e-5 x.
 
     Plain float64 differences cannot certify steep generators: the noise
@@ -251,7 +244,7 @@ def certify_convexity(measure) -> CheckResult:
     absolute floor covers f'' vanishing to high order near x = 1, and a
     value that is not finite fails.
     """
-    m = _resolve(measure)
+    m = catalog.get(measure)
     if m.kind != "divergence":
         raise ValueError(f"{m.id} is a {m.kind}; convexity certificates "
                          "apply to divergence generators")
@@ -295,7 +288,7 @@ def _fpp_ratu(measure) -> RatU:
     """The exact f'' of a measure, or a ``RatU`` taken as given."""
     if isinstance(measure, RatU):
         return measure
-    m = _resolve(measure)
+    m = catalog.get(measure)
     if not isinstance(m.fpp, RatU):
         raise ValueError(f"{m.id} has a root-mean-square generator "
                          "r + t*S; the sup-ratio grid needs a rational f''")
@@ -338,7 +331,7 @@ class _Shared(UContext):
         request and then reused."""
         val = self._gens.get(symbol)
         if val is None:
-            val = self._gens[symbol] = _resolve(symbol).eval_ctx(self)
+            val = self._gens[symbol] = catalog.get(symbol).eval_ctx(self)
         return val
 
 
@@ -715,8 +708,7 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     claims, workers = tuple(claims), catalog.count("workers", workers)
     for claim in claims:        # an unknown measure is refused here
         for _, symbol in claim.terms:
-            if not isinstance(symbol, Measure):
-                catalog.get(symbol)
+            catalog.get(symbol)
     starts = range(0, sample.size if claims else 0, CHUNK)
     runs, here = [starts], 1    # the first `here` runs scan in join()
     # fork() copies only the calling thread: with another Python thread

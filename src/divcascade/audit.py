@@ -502,8 +502,8 @@ def _negative_control(config):
 
 def _convexity_ids() -> list[str]:
     """The divergences whose convexity the audit certifies, in order."""
-    return ([f"W{i}" for i in range(1, 10)] + [f"V{t}" for t in range(1, 15)]
-            + [f"U{t}" for t in range(1, 16)]
+    return ([f"{s}{k}" for s in "WVU"
+             for k in range(1, catalog.SERIES_LAST[s] + 1)]
             + [f"{fid}:{t}" for fid in catalog.FAMILY_IDS for t in range(5)])
 
 

@@ -43,14 +43,12 @@ __all__ = [
 
 def W(i: int, pair) -> float:
     """Value of the i-th scale measure, i in 1..9."""
-    i = catalog.index("i", i, 1, 9)
-    return float(catalog.get(f"W{i}").value(*positive_pair(pair)))
+    return float(catalog.series_member("W", "i", i)._at(*positive_pair(pair)))
 
 
 def W_second_derivative(i: int, x: float) -> float:
     """Analytic second derivative of the i-th scale generator."""
-    i = catalog.index("i", i, 1, 9)
-    return float(catalog.get(f"W{i}").fpp(float(x)))
+    return catalog.series_member("W", "i", i).fpp(catalog.point(x))
 
 
 def _xp(*coeffs) -> Poly:
@@ -79,13 +77,12 @@ W_FPP_PRINTED: dict[int, RatU] = {
 
 def pyramid_pair(k: int) -> tuple[int, int]:
     """Map a pyramid difference index (1..36) to its (upper, lower) scale."""
-    return PYRAMID_PAIRS[catalog.index("k", k, 1, 36) - 1]
+    return PYRAMID_PAIRS[catalog.index("k", k, 1, len(PYRAMID_PAIRS)) - 1]
 
 
 def pyramid_diff(k: int, pair) -> float:
     """Value of the k-th pyramid difference W_upper - W_lower."""
-    k = catalog.index("k", k, 1, 36)
-    return float(catalog.get(f"D{k}").value(*positive_pair(pair)))
+    return float(catalog.series_member("D", "k", k)._at(*positive_pair(pair)))
 
 
 # Scalings that flatten the first ten pyramid differences onto the single
@@ -110,7 +107,7 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     ``ValueError``.
     """
     tol, (a, b) = catalog.finite("tol", tol), positive_pair(pair)
-    common = float(PYRAMID_EQ_SCALES[0]) * pyramid_diff(1, (a, b))
+    common = float(PYRAMID_EQ_SCALES[0]) * catalog.get("D1")._at(a, b)
     claims = [analysis.Equality(*claim) for claim in PYRAMID_EQ_CLAIMS]
     gaps = analysis.claim_gaps(claims, analysis.Sample(a, b))
     residuals = {"D1": 0.0}
@@ -125,14 +122,12 @@ def pyramid_equalities(pair, tol: float = 1e-12):
 
 def V(t: int, pair) -> float:
     """Value of the t-th second-order residual measure, t in 1..14."""
-    t = catalog.index("t", t, 1, 14)
-    return float(catalog.get(f"V{t}").value(*positive_pair(pair)))
+    return float(catalog.series_member("V", "t", t)._at(*positive_pair(pair)))
 
 
 def U(t: int, pair) -> float:
     """Value of the t-th third-order residual measure, t in 1..15."""
-    t = catalog.index("t", t, 1, 15)
-    return float(catalog.get(f"U{t}").value(*positive_pair(pair)))
+    return float(catalog.series_member("U", "t", t)._at(*positive_pair(pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +178,7 @@ CHAINS: dict[str, Chain] = {c.id: c for c in [
         (Frac(1, 4), "delta"), (1, "h"), (Frac(1, 8), "K"),
         (Frac(1, 16), "psi"), (Frac(1, 16), "F"), (Frac(1, 64), "L")]),
     _chain("eq9", "Eq (9)", EQ9_FORMS),
-    _chain("eq10", "Eq (10)", _c1([f"W{i}" for i in range(1, 10)]),
-           "the ordered scale"),
+    _chain("eq10", "Eq (10)", _c1(catalog.FORMULA), "the ordered scale"),
     _chain("eq12_main", "Eq (12)", [
         (1, "D1"),
         (Frac(1, 14), "D15"), (Frac(1, 13), "D14"), (Frac(3, 35), "D13"),
@@ -464,9 +458,8 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     """
     p, tol = _part(part), catalog.finite("tol", tol)
     a, b = positive_pair(pair)
-    small = catalog.get(p.small).value(a, b)
-    big = catalog.get(p.big).value(a, b)
-    resid = catalog.get(p.residual).value(a, b)
+    small, big, resid = (catalog.get(m)._at(a, b)
+                         for m in (p.small, p.big, p.residual))
     lhs = float(p.beta) * big - small
     rhs = float(p.c) * resid
     claim = analysis.Equality(*p.claim)
@@ -642,7 +635,7 @@ def equivalent_expression(measure_id: str, pair, line: str | None = None,
         raise KeyError(f"no combination line {line!r}/{status!r} "
                        f"for {measure_id}")
     chosen = lines[0]
-    return float(sum(float(c) * catalog.get(m).value(a, b)
+    return float(sum(float(c) * catalog.get(m)._at(a, b)
                      for c, m in chosen.terms))
 
 

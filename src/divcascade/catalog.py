@@ -77,11 +77,12 @@ class Measure:
         return self.gen.eval_ctx(ctx)
 
     def value(self, a, b):
-        """Measure value b * f(a/b).  Unless a or b is a numpy array, they
-        must make a ``positive_pair``; arrays are evaluated as given."""
-        array = getattr(sys.modules.get("numpy"), "ndarray", ())
-        if not (isinstance(a, array) or isinstance(b, array)):
-            positive_pair((a, b))
+        """Measure value b * f(a/b) at a ``pair_or_arrays``."""
+        pair_or_arrays(a, b)        # a and b keep their types
+        return self._at(a, b)
+
+    def _at(self, a, b):
+        """``value`` unchecked, for a caller that has checked (a, b)."""
         return b * self(a / b)
 
     @property
@@ -171,6 +172,23 @@ def positive_pair(pair) -> tuple[float, float]:
                          f"numbers, not {pair!r}") from None
 
 
+def _array():
+    """numpy's array type, looked up so that numpy is never imported."""
+    return getattr(sys.modules.get("numpy"), "ndarray", ())
+
+
+def point(x):
+    """x as given if it is a numpy array, else as a ``positive`` "x"."""
+    return x if isinstance(x, _array()) else positive("x", x)
+
+
+def pair_or_arrays(a, b):
+    """(a, b) as given if either is a numpy array, else a ``positive_pair``."""
+    array = _array()
+    return ((a, b) if isinstance(a, array) or isinstance(b, array)
+            else positive_pair((a, b)))
+
+
 # ---------------------------------------------------------------------------
 # The seven means, ordered.  Letters index the catalog; tags name the kinds.
 
@@ -250,7 +268,7 @@ FORMULA = {f"W{k}": f"({c}){mid}" if c.denominator != 1
 # Pyramid of nonnegative differences D^k = W_i - W_j, row by row,
 # each row walking j from i-1 down to 1.
 PYRAMID_PAIRS: tuple[tuple[int, int], ...] = tuple(
-    (i, j) for i in range(2, 10) for j in range(i - 1, 0, -1)
+    (i, j) for i in range(2, len(_W_GEN) + 1) for j in range(i - 1, 0, -1)
 )
 
 # ---------------------------------------------------------------------------
@@ -275,7 +293,7 @@ _V_GEN = {
     14: RatU(XP1 * UP1 ** 2 * UM1 ** 6, X * X),
 }
 
-_V_REF = {t: f"Eq ({12 + t})" for t in range(1, 15)}
+_V_REF = {t: f"Eq ({12 + t})" for t in _V_GEN}
 _V_REF[9] += ", corrected"
 _V_REF[14] += ", corrected"
 
@@ -383,6 +401,15 @@ def family_t(name: str, t) -> int:
 # ---------------------------------------------------------------------------
 # Registry assembly.
 
+SERIES_LAST = {"W": len(_W_GEN), "D": len(PYRAMID_PAIRS), "V": len(_V_GEN),
+               "U": len(_U_GEN)}
+
+
+def series_member(series: str, name: str, k) -> Measure:
+    """Member k of a numbered series, k an ``index`` called ``name``."""
+    return _REGISTRY[f"{series}{index(name, k, 1, SERIES_LAST[series])}"]
+
+
 _REGISTRY: dict[str, Measure] = {}
 
 
@@ -462,10 +489,10 @@ def try_get(measure_id: str) -> Optional[Measure]:
     return None
 
 
-def get(measure_id: str) -> Measure:
-    m = try_get(measure_id)
+def get(measure) -> Measure:
+    m = measure if isinstance(measure, Measure) else try_get(measure)
     if m is None:
-        raise KeyError(f"unknown measure id {measure_id!r}")
+        raise KeyError(f"unknown measure id {measure!r}")
     return m
 
 

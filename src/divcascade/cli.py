@@ -76,7 +76,7 @@ def cmd_compute(args) -> int:
                 raise ValueError("both --a and --b are required")
             a = _positive_float(args.a, "--a")
             b = _positive_float(args.b, "--b")
-            value = measure.value(a, b)     # reported below if not finite
+            value = measure._at(a, b)       # reported below if not finite
         else:
             if args.p is None or args.q is None:
                 raise ValueError("both --p and --q are required")

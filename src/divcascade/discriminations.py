@@ -34,8 +34,7 @@ def base(measure_id: str, a, b):
     if measure_id not in catalog.BASE_IDS:
         raise KeyError(f"unknown base measure {measure_id!r}; "
                        f"expected one of {catalog.BASE_IDS}")
-    a, b = positive_pair((a, b))
-    return catalog.get(measure_id).value(a, b)
+    return catalog.get(measure_id)._at(*positive_pair((a, b)))
 
 
 def L_t(t: int, pair):
@@ -46,7 +45,7 @@ def L_t(t: int, pair):
     t = -1, 0, 1, 2, 3 reproduce 2*delta, K, psi/2, F/2 and L/8.  A pair
     that is not positive and finite raises ValueError.
     """
-    return catalog.family_member("Lt", t).value(*positive_pair(pair))
+    return catalog.family_member("Lt", t)._at(*positive_pair(pair))
 
 
 def A7_poly(t: int) -> Poly:
@@ -64,7 +63,7 @@ def A7(x, t: int):
     f''_{L_t}(x) = (x+1)^(t-2) / (2^(t+2) x^2 (sqrt x)^(t+1)) * A7(x, t),
     so positivity of A7 certifies convexity.  A7(1, t) = 32 for every t.
     """
-    return RatU(A7_poly(t))(x)
+    return RatU(A7_poly(t))(catalog.point(x))
 
 
 def topsoe_delta(t: int, p, q):

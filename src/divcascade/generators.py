@@ -34,8 +34,7 @@ __all__ = [
 
 def family(family_id: str, t: int, pair) -> float:
     """Value of one family member at a pair of positive reals."""
-    member = catalog.family_member(family_id, t)
-    return float(member.value(*positive_pair(pair)))
+    return float(catalog.family_member(family_id, t)._at(*positive_pair(pair)))
 
 
 _ROOT_STEP = RatU(UM1 * UM1, U)      # (sqrt a - sqrt b)^2 / sqrt(ab)
@@ -53,12 +52,20 @@ STEP_RATIOS: dict[str, RatU] = {
 
 def step_ratio(family_id: str, pair) -> float:
     """The constant ratio family(t+1) / family(t) at a fixed pair."""
+    return _ratio(family_id, *positive_pair(pair))
+
+
+def _ratio(family_id: str, a: float, b: float) -> float:
+    if family_id not in STEP_RATIOS:
+        raise KeyError(f"unknown family {family_id!r}")
+    return STEP_RATIOS[family_id](a / b)
+
+
+def _lead_and_ratio(family_id: str, start: int, pair) -> tuple[float, float]:
+    """``family`` at start and ``step_ratio``, the pair checked once."""
+    member = catalog.family_member(family_id, start)
     a, b = positive_pair(pair)
-    try:
-        ratio = STEP_RATIOS[family_id]
-    except KeyError:
-        raise KeyError(f"unknown family {family_id!r}") from None
-    return ratio(a / b)
+    return float(member._at(a, b)), _ratio(family_id, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +122,7 @@ def _factorization(family_id: str, t, printed: bool):
 
 def convexity_witness(family_id: str, x, t: int) -> float:
     """The positivity witness A_k(x, t) for a family, derived form."""
-    return RatU(_factorization(family_id, t, False)[3])(x)
+    return RatU(_factorization(family_id, t, False)[3])(catalog.point(x))
 
 
 def witness_fpp(family_id: str, t: int, printed: bool = False) -> RatU:
@@ -133,7 +140,7 @@ def witness_fpp(family_id: str, t: int, printed: bool = False) -> RatU:
 def witness_second_derivative(family_id: str, x, t: int,
                               printed: bool = False) -> float:
     """f'' reconstructed from the factorization prefactor * witness."""
-    return witness_fpp(family_id, t, printed)(x)
+    return witness_fpp(family_id, t, printed)(catalog.point(x))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +160,7 @@ def _series_partial(family_id: str, start: int, last: int, pair) -> float:
     Terms are built incrementally (multiply by ratio / (k+1)), which
     avoids factorial overflow and stays within the family's t cap.
     """
-    term = family(family_id, start, pair)
-    r = step_ratio(family_id, pair)
+    term, r = _lead_and_ratio(family_id, start, pair)
     total = term
     for k in range(last - start):
         term *= r / (k + 1)
@@ -181,7 +187,7 @@ def _times_exp(lead: float, arg: float) -> float:
 
 def exp_representation(family_id: str, pair) -> float:
     """Closed form of the full series: family(0) * exp(step ratio)."""
-    return _times_exp(family(family_id, 0, pair), step_ratio(family_id, pair))
+    return _times_exp(*_lead_and_ratio(family_id, 0, pair))
 
 
 def exp_L_representation(pair) -> float:
@@ -192,7 +198,7 @@ def exp_L_representation(pair) -> float:
     one rung below zero, at the member L_{-1} = 2*Delta; see
     exp_L_series_partial.
     """
-    return _times_exp(family("Lt", -1, pair), step_ratio("Lt", pair))
+    return _times_exp(*_lead_and_ratio("Lt", -1, pair))
 
 
 def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:

@@ -33,12 +33,9 @@ def _letter(kind: str) -> str:
 
 
 def mean(kind: str, a, b):
-    """Value of the named mean at a, b > 0.  Unless a or b is a numpy
-    array, they must make a ``catalog.positive_pair``; arrays are
-    evaluated as given."""
+    """Value of the named mean at a ``catalog.pair_or_arrays``."""
     letter = _letter(kind)
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        a, b = catalog.positive_pair((a, b))
+    a, b = catalog.pair_or_arrays(a, b)
     a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else float(a)
     b = np.asarray(b, dtype=float) if isinstance(b, np.ndarray) else float(b)
     if letter == "H":
@@ -58,7 +55,7 @@ def mean(kind: str, a, b):
 
 def mean_generator(kind: str, x):
     """Normalized generator f_M with M(a,b) = b f_M(a/b); f_M(1) = 1."""
-    return catalog.get(_letter(kind))(x)
+    return catalog.get(_letter(kind))(catalog.point(x))
 
 
 def mean_difference(bigger: str, smaller: str, a, b):

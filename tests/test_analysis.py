@@ -1046,15 +1046,15 @@ def test_unit_terms_leave_the_shared_values_alone():
 
 
 def _evaluated(monkeypatch, claims):
-    """The symbols a serial scan of the claims over one full chunk
+    """The measures a serial scan of the claims over one full chunk
     evaluates, each time it does."""
     evaluated = []
 
-    def resolve(symbol, real=analysis._resolve):
-        evaluated.append(symbol)
-        return real(symbol)
+    def eval_ctx(measure, ctx, real=catalog.Measure.eval_ctx):
+        evaluated.append(measure.id)
+        return real(measure, ctx)
 
-    monkeypatch.setattr(analysis, "_resolve", resolve)
+    monkeypatch.setattr(catalog.Measure, "eval_ctx", eval_ctx)
     sample = analysis.Sample.draw(analysis.CHUNK, seed=42)
     folds = analysis.scan_claims(claims, sample)
     assert all(fold.worst <= 1e-12 for fold in folds)

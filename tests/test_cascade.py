@@ -227,6 +227,43 @@ def test_paper_indices_take_numpy_integers():
     assert cascade.pyramid_pair(np.uint8(36)) == (9, 1)
 
 
+@pytest.mark.parametrize("series, name, calls", [
+    ("W", "i", [lambda i: cascade.W(i, (4.0, 1.0)),
+                lambda i: cascade.W_second_derivative(i, 2.0)]),
+    ("D", "k", [lambda k: cascade.pyramid_diff(k, (4.0, 1.0)),
+                cascade.pyramid_pair]),
+    ("V", "t", [lambda t: cascade.V(t, (4.0, 1.0))]),
+    ("U", "t", [lambda t: cascade.U(t, (4.0, 1.0))]),
+])
+def test_a_series_accessor_takes_the_registered_indices(series, name,
+                                                         calls):
+    last = {"W": 9, "D": 36, "V": 14, "U": 15}[series]
+    assert catalog.try_get(f"{series}{last}") is not None
+    assert catalog.try_get(f"{series}{last + 1}") is None
+    for call in calls:
+        call(last)
+        with pytest.raises(ValueError) as err:
+            call(last + 1)
+        assert str(err.value) == f"{name} must be in 1..{last}, not {last + 1}"
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.inf, math.nan, True, "2",
+                               None])
+def test_the_second_derivative_takes_a_positive_x(x):
+    # -1.0, 0.0 and inf used to give NaN, and True 2.0.
+    with pytest.raises(ValueError, match="^x must be "):
+        cascade.W_second_derivative(1, x)
+
+
+def test_the_second_derivative_evaluates_an_array_as_given():
+    x = np.array([0.5, 2.0, -1.0])
+    with np.errstate(invalid="ignore"):
+        got = cascade.W_second_derivative(6, x)
+    assert got[:2].tolist() == [cascade.W_second_derivative(6, v)
+                                for v in (0.5, 2.0)]
+    assert math.isnan(got[2])
+
+
 def test_pyramid_common_value():
     pair = (4.0, 1.0)
     common, gaps = cascade.pyramid_equalities(pair)

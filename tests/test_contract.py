@@ -13,6 +13,7 @@ their refusals run here.
 import inspect
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +75,8 @@ POSITIVE = Kind(_NOT_POSITIVE)               # a positive finite real
 # is, where the entry point takes arrays, so none is drawn.
 COORDINATE = Kind(_NOT_POSITIVE.filter(
     lambda v: not isinstance(v, np.ndarray)), names="(a, b)")
+# The point x of an evaluator, which evaluates an array as it is too.
+X = Kind(COORDINATE.bad)
 PAIR = Kind(st.one_of(
     st.tuples(_NOT_POSITIVE, st.just(2.0)),
     st.tuples(st.just(2.0), _NOT_POSITIVE),
@@ -82,6 +85,11 @@ PAIR = Kind(st.one_of(
 # A sequence of probability entries, one of which is not a real number.
 ENTRIES = Kind(st.sampled_from(_FLAGS + ["0.5", None, np.array(0.5)]).map(
     lambda v: [0.5, v, 0.5]), names="entry 1")
+
+# The same for a ``ProbVector``, whose entries must be positive finite
+# floats: no other real number is one.
+FLOATS = Kind(st.one_of(_NOT_POSITIVE, st.sampled_from([1, Fraction(1, 2)]))
+              .map(lambda v: (0.5, v, 0.5)), names="entry 1")
 
 CONSTANT, EXCEPTION = "constant", "exception"
 # A callable none of whose parameters is of a kind above.
@@ -136,7 +144,7 @@ ROWS = {
     "get": FREE,
     "try_get": FREE,
     "A7": (discriminations.A7, dict(x=2.0, t=3),
-           dict(t=_family(*catalog.LT_T_RANGE))),
+           dict(x=X, t=_family(*catalog.LT_T_RANGE))),
     "L_t": (discriminations.L_t, dict(t=3, pair=_PAIR),
             dict(t=_family(*catalog.LT_T_RANGE), pair=PAIR)),
     "base": (discriminations.base, dict(measure_id="delta", a=4.0, b=1.0),
@@ -145,7 +153,8 @@ ROWS = {
     "topsoe_delta": (discriminations.topsoe_delta, dict(t=2, p=_P, q=_Q),
                      dict(t=_family(1, 64), p=ENTRIES, q=ENTRIES)),
     "NonPositiveEntry": EXCEPTION,
-    "ProbVector": FREE,
+    "ProbVector": (distributions.ProbVector, dict(entries=(0.5, 0.5)),
+                   dict(entries=FLOATS)),
     "SumOutOfTolerance": EXCEPTION,
     "divergence": (distributions.divergence,
                    dict(measure="delta", p=_P, q=_Q),
@@ -160,7 +169,7 @@ ROWS = {
     "WITNESS_FORMS": CONSTANT,
     "convexity_witness": (generators.convexity_witness,
                           dict(family_id="K1", x=2.0, t=3),
-                          dict(t=_family(0, 64))),
+                          dict(x=X, t=_family(0, 64))),
     "exp_L_representation": (generators.exp_L_representation,
                              dict(pair=_PAIR), dict(pair=PAIR)),
     "exp_L_series_partial": (generators.exp_L_series_partial,
@@ -178,13 +187,14 @@ ROWS = {
                    dict(pair=PAIR)),
     "witness_second_derivative": (generators.witness_second_derivative,
                                   dict(family_id="Mnew", x=2.0, t=3),
-                                  dict(t=_family(0, 64))),
+                                  dict(x=X, t=_family(0, 64))),
     "mean": (means.mean, dict(kind="A", a=4.0, b=1.0),
              dict(a=COORDINATE, b=COORDINATE)),
     "mean_difference": (means.mean_difference,
                         dict(bigger="A", smaller="G", a=4.0, b=1.0),
                         dict(a=COORDINATE, b=COORDINATE)),
-    "mean_generator": FREE,
+    "mean_generator": (means.mean_generator, dict(kind="A", x=2.0),
+                       dict(x=X)),
     "verify_mean_identities": (means.verify_mean_identities,
                                dict(a=4.0, b=1.0),
                                dict(a=COORDINATE, b=COORDINATE)),
@@ -239,3 +249,59 @@ def test_every_bad_argument_is_refused_naming_its_parameter(name, data):
     names = kind.names or param
     assert re.search(rf"(?<![\w.]){re.escape(names)}(?!\w)", message), (
         param, value, message)
+
+
+# ---------------------------------------------------------------------------
+# A pair is checked once, at the public edge; after that each step is a
+# plain lookup.
+
+_PAIR_TAKERS = sorted(
+    name for name, row in ROWS.items() if isinstance(row, tuple)
+    and name not in _REFUSALS_ONLY and ("pair" in row[1] or {"a", "b"}
+                                        <= set(row[1])))
+# Scalar evaluators the package does not export, with good arguments.
+_MORE_PAIR_TAKERS = {
+    "cascade.W": (cascade.W, dict(i=9, pair=_PAIR)),
+    "cascade.V": (cascade.V, dict(t=14, pair=_PAIR)),
+    "cascade.U": (cascade.U, dict(t=15, pair=_PAIR)),
+    "equivalent_expression U12": (cascade.equivalent_expression,
+                                  dict(measure_id="U12", pair=_PAIR)),
+}
+
+
+def _pair_checks(monkeypatch, call, kwargs) -> int:
+    """How many times one call runs ``catalog.positive_pair``, under any
+    module's name for it."""
+    real, seen = catalog.positive_pair, []
+
+    def counted(pair):
+        seen.append(pair)
+        return real(pair)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("divcascade.")
+                and getattr(module, "positive_pair", None) is real):
+            monkeypatch.setattr(module, "positive_pair", counted)
+    call(**kwargs)
+    return len(seen)
+
+
+def test_the_pair_takers_are_the_scalar_evaluators():
+    assert _PAIR_TAKERS == [
+        "L_t", "Measure", "base", "equivalent_expression",
+        "exp_L_representation", "exp_L_series_partial",
+        "exp_representation", "exp_series_partial", "family", "mean",
+        "mean_difference", "pyramid_diff", "pyramid_equalities",
+        "residual_decompositions", "step_ratio", "verify_mean_identities"]
+
+
+@pytest.mark.parametrize("name", _PAIR_TAKERS + sorted(_MORE_PAIR_TAKERS))
+def test_a_pair_taker_checks_its_pair_once(monkeypatch, name):
+    call, good = (_MORE_PAIR_TAKERS[name] if name in _MORE_PAIR_TAKERS
+                  else ROWS[name][:2])
+    assert _pair_checks(monkeypatch, call, good) == 1
+
+
+def test_a_divergence_checks_no_pair_after_validate(monkeypatch):
+    call, good, _ = ROWS["divergence"]
+    assert _pair_checks(monkeypatch, call, good) == 0

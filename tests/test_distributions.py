@@ -282,6 +282,27 @@ def test_validate_takes_an_int_beyond_the_double_range_as_infinite():
     assert err.value.index == 0 and err.value.value == math.inf
 
 
+def test_validate_refuses_an_entry_that_renormalizes_to_zero():
+    # 5e-324 / 2.0 rounds to 0.0: the sum is within eps, the entry is not.
+    with pytest.raises(NonPositiveEntry) as err:
+        distributions.validate([5e-324, 2.0], eps=2)
+    assert err.value.index == 0 and err.value.value == 0.0
+
+
+@pytest.mark.parametrize("entries, index", [
+    ((-0.5, 1.5), 0), ((0.0, 1.0), 0), ((1.0, -0.0), 1), ((math.nan, 0.5), 0),
+    ((0.5, math.inf), 1), ((1, 0.5), 0), ((0.5, np.float64(0.5)), 1),
+    ((0.5, True), 1)])
+def test_divergence_refuses_a_hand_built_vector_it_cannot_evaluate(entries,
+                                                                    index):
+    # divergence evaluates a ProbVector's entries unchecked, so the type
+    # refuses any entry that is not a positive finite float.
+    with pytest.raises(NonPositiveEntry) as err:
+        distributions.divergence("delta", ProbVector((0.5, 0.5)),
+                                 ProbVector(entries))
+    assert err.value.index == index
+
+
 def test_load_rejects_invalid_distribution(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("0.5,-0.5,1.0\n")

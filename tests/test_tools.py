@@ -1,8 +1,12 @@
-"""Smoke tests of the scripts under ``tools``."""
+"""Smoke tests of the scripts under ``tools``, and a test of the package
+over the scalar evaluators and grid that ``bits.py`` digests."""
 
 import hashlib
 import importlib.util
+import itertools
+import math
 import re
+import struct
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -53,3 +57,42 @@ def test_peaks_imports_and_reads_an_audit_in_process():
         "after import", "after start_scan", "after the proofs", "at the end",
         "helpers max RSS"]
     assert lines[0] == "workers 1" and lines[-1].endswith("(audit exit 0)")
+
+
+def test_bits_digests_the_scalar_evaluators(monkeypatch):
+    # One line over the grid, which reads any change of an evaluator's
+    # bits; a smaller grid keeps this quick.
+    bits = _load("bits")
+    labels = [label for label, _ in bits._scalar_calls()]
+    assert len(labels) == len(set(labels))
+    monkeypatch.setattr(bits, "GRID", [1e-300, 0.5, 3.0, 1e300])
+    line = bits.scalar_line()
+    assert re.fullmatch(r"scalars over a 4x4 grid: [0-9a-f]{64}", line)
+    assert bits.scalar_line() == line
+
+    from divcascade import cascade
+
+    real = cascade.W
+    monkeypatch.setattr(cascade, "W", lambda i, pair: real(i, pair) * 1.5)
+    assert bits.scalar_line() != line
+
+
+def _bits(value):
+    """A float's bits, one key for every NaN."""
+    value = float(value)
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def test_every_scalar_wrapper_has_the_bits_of_its_measures_value():
+    # The wrappers and the grid are those ``bits.py`` digests.
+    from divcascade import catalog
+
+    bits = _load("bits")
+    wrappers = list(bits.measure_wrappers())
+    # W, D, V and U; the mean differences; the base measures; every Lt
+    # member; and four members of each of the six families, five of Lt.
+    assert len(wrappers) == 9 + 36 + 14 + 15 + 21 + 6 + 17 + 6 * 4 + 5
+    for _, mid, wrapper in wrappers:
+        value = catalog.get(mid).value
+        for a, b in itertools.product(bits.GRID, repeat=2):
+            assert _bits(wrapper(a, b)) == _bits(value(a, b)), (mid, a, b)
