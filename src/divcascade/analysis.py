@@ -11,7 +11,7 @@ stream, and ``start_scan`` evaluates all its claims in one pass over
 fixed chunks of it.  ``workers`` is the number of processes that scan:
 ``scan_claims`` scans the first run of chunks itself and hands each
 other run to a scan helper, and ``start_scan``, whose caller goes on
-proving, hands every run to one.  Only a drawn sample is split so:
+working, hands every run to one.  Only a drawn sample is split so:
 given pairs scan in the calling process, whatever ``workers`` is.  Each
 chunk's pairs are drawn, by advancing the stream straight to them, in
 the process that scans the chunk.  A run folds its chunks into one
@@ -20,13 +20,10 @@ whatever the chunk size, worker count, or where the chunks ran.  A fold
 records each failing pair's index, a, b and value; the link of a chain
 it broke is named from the pair by ``cascade.named_links``.
 
-A scan helper is a process forked idle by the first scan that needs
-it.  It takes every request, the claims, the sample recipe and the
-run's chunk starts, pickled through its pipe, and replies to each, so a
-sweep of scans forks once.  An idle helper, and the registers it holds,
-stay until the process exits, when they are reaped; a helper whose
-parent ends any other way reads EOF on its pipe and exits, and a forked
-child drops its parent's helpers.
+A scan helper is one of ``pool``'s forked helpers.  Each run it scans
+comes as the request (``_scan_run``, (claims, sample, chunk starts))
+through its pipe, so a sweep of scans forks once; an idle helper, and
+the registers it holds, stay until the process exits.
 
 The float work of a run is one straight-line program, compiled from
 its claims by the process that scans the run, by running the claims'
@@ -45,10 +42,7 @@ same order as on plain arrays, so no value changes by a bit.
 
 from __future__ import annotations
 
-import atexit
 import math
-import os
-import pickle
 import threading
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
@@ -57,7 +51,7 @@ from typing import Callable
 import numpy as np
 import numpy.random      # here, not once per forked scan worker
 
-from . import catalog
+from . import catalog, pool
 from .ratfun import RatU, UContext
 from .reporting import CheckResult, make_result
 
@@ -678,7 +672,7 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     the measures' values ``ctx.gen(symbol)``.  Every symbol is resolved
     here, before any request is sent, so an unknown measure is refused
     by this call.  The pass is split into runs of chunks, and each is a
-    request, (claims, sample, starts), as ``_scan_run`` reads it: the
+    ``pool`` request, (``_scan_run``, (claims, sample, starts)): the
     process that scans a run compiles the claims into one straight-line
     program (``_Program``), so a measure several claims read is
     evaluated once per chunk.  Each chunk draws its ``CHUNK`` pairs, or
@@ -689,14 +683,14 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
     not show.
 
     ``workers``, the number of processes that scan, is an integer >= 1,
-    or a ``ValueError``.  With ``workers`` > 1, a drawn sample and a
-    process with one Python thread, the pass is split into contiguous
-    runs of whole chunks, at most one run per chunk, each sent through
-    its pipe to one of this process's scan helpers (``_lease``) while
-    the caller goes on, so it can prove while they scan, and compiles
-    nothing.  Claims sent to a helper must pickle; one that does not is
-    refused here, with no helper left.  ``join()`` reads each run's
-    folds and raises a helper's exception again.
+    or a ``ValueError``.  With a drawn sample, where ``pool._can_fork``
+    (``workers`` > 1, ``os.fork`` and one Python thread), the pass is
+    split into contiguous runs of whole chunks, at most one run per
+    chunk, each sent through its pipe to one of this process's helpers
+    (``pool._lease``) while the caller goes on with other work, and
+    compiles nothing.  Claims sent to a helper must pickle; one that
+    does not is refused here, with no helper left.  ``join()`` reads
+    each run's folds and raises a helper's exception again.
     Otherwise, and always for given pairs, the pass runs serially in
     ``join()``.  ``scan_claims``, whose caller only waits, passes
     ``_caller_scans``: the first run is then scanned in ``join()``, not
@@ -711,23 +705,20 @@ def start_scan(claims, sample: Sample, workers: int = 1, *,
             catalog.get(symbol)
     starts = range(0, sample.size if claims else 0, CHUNK)
     runs, here = [starts], 1    # the first `here` runs scan in join()
-    # fork() copies only the calling thread: with another Python thread
-    # alive, a lock it holds would stay held in the child.  Native threads
-    # (a BLAS pool, a host's C extension) are not counted here.
-    if (workers > 1 and sample._ab is None and hasattr(os, "fork")
-            and threading.active_count() == 1):
+    if sample._ab is None and pool._can_fork(workers):
         k = min(workers, len(starts))
         runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k]
                 for i in range(k)]
         here = int(_caller_scans)
-    requests = [(claims, sample, run) for run in runs]
-    helpers, own = _lease(requests[here:]), requests[:here]
+    requests = [(_scan_run, (claims, sample, run)) for run in runs]
+    helpers, own = pool._lease(requests[here:]), requests[:here]
 
     def join():
         try:
-            parts = list(map(_scan_run, own)) + _collect(helpers)
+            parts = ([run(argument) for run, argument in own]
+                     + pool._collect(helpers))
         except BaseException:
-            _reap(helpers)
+            pool._reap(helpers)
             raise
         return _merge(len(claims), parts)
     return join
@@ -791,194 +782,6 @@ def _merge(n: int, parts) -> list[Fold]:
         for fold, new in zip(folds, part):
             fold.absorb(new)
     return folds
-
-
-@dataclass(eq=False)
-class _Helper:
-    """A scan helper: a forked process that scans runs of chunks, its
-    pid, the write end of its request pipe, the read end of its reply
-    pipe, and whether a scan has leased it and not yet read its
-    reply."""
-
-    pid: int
-    send: int
-    recv: int
-    busy: bool = False
-
-
-# This process's scan helpers, in fork order.  They outlive the scans
-# that fork them, idle between scans, and are reaped at exit; a forked
-# child drops them (``_forget_helpers``), so only this process holds
-# their pipes and each reads EOF, and exits, when this process ends.
-_helpers: list[_Helper] = []
-
-
-def _lease(requests) -> list[_Helper]:
-    """A helper for each request, marked busy and sent its request,
-    pickled, through its pipe: this process's idle helpers in fork
-    order, then new ones (``_fork_helper``).  An idle helper that has
-    ended (a signal, say) is reaped and passed over.  Each request is
-    pickled before its helper is leased.  If a request does not pickle,
-    or a send or a fork fails, the helpers leased so far are reaped
-    before the error propagates."""
-    leased = []
-    try:
-        idle = iter([h for h in _helpers if not h.busy])
-        for request in requests:
-            data = pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
-            helper = next((h for h in idle if _alive(h)), None)
-            helper = helper or _fork_helper()
-            helper.busy = True
-            leased.append(helper)
-            _send(helper.send, data)
-    except BaseException:
-        _reap(leased)
-        raise
-    return leased
-
-
-def _alive(helper: _Helper) -> bool:
-    """Whether a helper still runs; one that has ended is reaped."""
-    if _wait(helper, os.WNOHANG) == (0, 0):
-        return True
-    _drop(helper)
-    return False
-
-
-def _wait(helper: _Helper, options: int = 0) -> tuple[int, int | None]:
-    """``os.waitpid`` of a helper; (pid, None) if a wait for any child,
-    the caller's own, has reaped it already."""
-    try:
-        return os.waitpid(helper.pid, options)
-    except ChildProcessError:
-        return helper.pid, None
-
-
-def _drop(helper: _Helper) -> None:
-    """Close this process's ends of a helper's pipes and forget it."""
-    _helpers.remove(helper)
-    os.close(helper.send)
-    os.close(helper.recv)
-
-
-def _reap(helpers) -> list:
-    """End each of the helpers this process still has, and wait for it;
-    their wait statuses (None where unknown).  Closing its pipes ends a
-    helper: an idle one reads EOF, and a busy one finishes its run and
-    meets a closed pipe when it replies."""
-    helpers = [h for h in helpers if h in _helpers]
-    for helper in helpers:
-        _drop(helper)
-    return [_wait(h)[1] for h in helpers]
-
-
-def _forget_helpers() -> None:
-    """In a forked child, a helper among them: close the pipes of the
-    parent's helpers and forget them."""
-    for helper in list(_helpers):
-        _drop(helper)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-atexit.register(_reap, _helpers)
-
-
-def _fork_helper() -> _Helper:
-    """Fork a new helper and add it to this process's helpers.
-
-    The helper replies to each request its pipe brings, until it reads
-    EOF; it holds no request of its own, so the first comes as every
-    later one does.  It always leaves through ``os._exit``: it never
-    returns into the caller's stack, and exit handlers and buffered
-    output stay the parent's.
-    """
-    fds = []
-    try:
-        fds += os.pipe()        # requests: read, write
-        fds += os.pipe()        # replies: read, write
-        pid = os.fork()
-    except BaseException:
-        for fd in fds:
-            os.close(fd)
-        raise
-    request_r, request_w, reply_r, reply_w = fds
-    if pid:
-        os.close(request_r)
-        os.close(reply_w)
-        helper = _Helper(pid, request_w, reply_r)
-        _helpers.append(helper)
-        return helper
-    status = 1
-    try:
-        os.close(request_w)
-        os.close(reply_r)
-        while (data := _receive(request_r)) is not None:
-            _send(reply_w, _reply(data))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reply(data: bytes) -> bytes:
-    """The pickled (True, each claim's fold) of a pickled request's run,
-    compiled and scanned here (``_scan_run``), or (False, the exception
-    it raised); an exception that does not pickle and unpickle goes as a
-    ``RuntimeError`` naming it."""
-    try:
-        result = (True, _scan_run(pickle.loads(data)))
-    except BaseException as exc:        # handed to the parent to raise
-        result = (False, exc)
-    try:
-        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        if not result[0]:
-            pickle.loads(data)          # as the parent will read it
-    except Exception:                   # an exception that does not pickle
-        exc = result[1]
-        data = pickle.dumps(
-            (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-    return data
-
-
-def _send(fd: int, data: bytes) -> None:
-    """Write one message to a pipe: data's length, then data."""
-    with open(fd, "wb", closefd=False) as fh:
-        fh.write(len(data).to_bytes(8, "little"))
-        fh.write(data)
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next message from a pipe, or None if it ends before one."""
-    with open(fd, "rb", closefd=False) as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            return None
-        size = int.from_bytes(head, "little")
-        data = fh.read(size)
-    return data if len(data) == size else None
-
-
-def _collect(helpers) -> list:
-    """The helpers' per-run folds in order, each helper idle again.
-
-    A helper's exception is raised again here; a helper that ended
-    without a reply is reaped and raises ``RuntimeError``.
-    """
-    parts = []
-    for helper in helpers:
-        data = _receive(helper.recv)
-        if data is None:
-            status, = _reap([helper])
-            code = ("unknown" if status is None
-                    else os.waitstatus_to_exitcode(status))
-            raise RuntimeError(f"scan worker {helper.pid} ended without a "
-                               f"result (exit code {code})")
-        helper.busy = False
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        parts.append(value)
-    return parts
 
 
 def scan_chain_terms(terms, sample: Sample, tol: float, workers: int = 1):

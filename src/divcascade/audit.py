@@ -11,7 +11,9 @@ where it names measures, samples.  The negative control, a reversed
 link, must fail both its proof and its scan.  A run is summarized as
 a JSON document whose checks are deterministic functions of (seed,
 samples, tolerance); the errata list documents source-text misprints
-and never affects the exit status.
+and never affects the exit status.  The proofs load no numpy: only the
+functions that sample import ``analysis``, so ``run_audit`` can fork
+the helper that proves before numpy loads.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, analysis, cascade, catalog, generators, means
+from . import __version__, cascade, catalog, generators, means, pool
 from .ratfun import RatU
 from .reporting import (CheckResult, diff_reports, load_report, make_result,
                         report_passed, write_report)
+
+if TYPE_CHECKING:
+    from . import analysis
 
 __all__ = [
     "AuditConfig", "ERRATA", "run_audit", "report_passed", "write_report",
@@ -39,8 +45,9 @@ class AuditConfig:
     ``chains`` is "all" (or None), or chain ids and prefixes in a
     comma-separated string or a list of them.  ``workers`` (None: the
     usable CPU count) is the number of forked processes that scan the
-    sampled pass while the exact proofs run; 1 runs everything in this
-    process, one step after another.
+    sampled pass; above 1, one more, the prover, runs the exact proofs
+    meanwhile.  1 runs everything in this process, one step after
+    another.
     """
 
     chains: object = "all"
@@ -343,6 +350,7 @@ def _check_identity(ident: Identity, sample: analysis.Sample,
     proof fails; a failing check with sampled claims records its worst
     sample as the counterexample.
     """
+    from . import analysis
     if proved is None:
         proved = _identity_proved(ident)
     total = analysis.Fold(0.0)
@@ -372,6 +380,7 @@ def _identity_proved(ident: Identity) -> bool:
 
 
 def _equalities(ident: Identity) -> list:
+    from . import analysis
     return [analysis.Equality(lhs, rhs, ident.tol)
             for lhs, rhs in ident.claims]
 
@@ -483,6 +492,7 @@ def _printed_forms() -> list[Identity]:
 
 def _negative_control(config):
     """The reversed link W2 <= W1 must fail its proof and its scan."""
+    from . import analysis
     lo, hi = (1, "W2"), (1, "W1")
     worst, records = analysis.scan_chain_terms(
         (lo, hi), analysis.Sample.draw(100, config.seed), config.tolerance)
@@ -507,40 +517,65 @@ def _convexity_ids() -> list[str]:
             + [f"{fid}:{t}" for fid in catalog.FAMILY_IDS for t in range(5)])
 
 
+def _tables(tol: float) -> list[Identity]:
+    """The identity checks that follow the convexity certificates."""
+    return [_w8_printed()] + _combinations(tol) + _printed_forms()
+
+
+def _proofs(config: AuditConfig) -> tuple[list, list, list]:
+    """The exact half of an audit: each chain's verdict
+    (``cascade.chain_proved``), each identity and table check's
+    (``_identity_proved``) and the 53 beta rows.  It loads no numpy."""
+    idents = _identities(config.tolerance) + _tables(config.tolerance)
+    return ([cascade.chain_proved(cascade.get_chain(cid))
+             for cid in config.chain_ids],
+            [_identity_proved(ident) for ident in idents],
+            [_check_beta(part) for part in cascade.theorem_parts()])
+
+
 def run_audit(config: AuditConfig) -> dict:
     """Run every check under the given config and return the report.
 
-    One ``analysis.start_scan`` pass samples every chain and identity
-    claim.  With ``config.workers`` > 1 it scans in forked processes
-    while this one runs every exact proof (links, identities, beta
-    constants, convexity, the negative control); with one worker, or
-    with another Python thread alive, the scan runs here after the
-    proofs, in this process.  The checks are assembled from
-    the joined folds and the proof verdicts, in the report's fixed
-    order.
+    Where ``pool._can_fork(config.workers)`` (``workers`` > 1,
+    ``os.fork`` and one Python thread), the exact proofs (``_proofs``)
+    go first, before this call imports numpy, to a forked helper, the
+    prover.  This process then imports ``analysis`` and starts one
+    ``analysis.start_scan`` pass that samples every chain and identity
+    claim in forked scan helpers, certifies the convexity rows and runs
+    the negative control meanwhile, joins the scan and collects the
+    proofs.  Otherwise each step runs here, one after another, the
+    scan in its ``join()`` and the proofs last.  An exception reaps the
+    prover and the scan's helpers before it propagates.  The checks are
+    assembled from the joined folds and the proof verdicts, in the
+    report's fixed order, the same on either path.
     """
-    tol = config.tolerance
-    sample = analysis.Sample.draw(config.samples, config.seed)
-    chains = [cascade.get_chain(cid) for cid in config.chain_ids]
-    idents = _identities(tol)
-    tables = [_w8_printed()] + _combinations(tol) + _printed_forms()
-    join = analysis.start_scan(
-        [analysis.Ordering(chain.terms, tol) for chain in chains]
-        + [eq for ident in idents + tables for eq in _equalities(ident)],
-        sample, config.workers)
+    prover = (pool._lease([(_proofs, config)])
+              if pool._can_fork(config.workers) else [])
     try:
-        for chain in chains:    # check_chain reads these proofs cached
-            cascade.chain_proved(chain)
-        proofs = [_identity_proved(ident) for ident in idents + tables]
-        betas = [_check_beta(part) for part in cascade.theorem_parts()]
-        convexity = [analysis.certify_convexity(mid)
-                     for mid in _convexity_ids()]
-        control = _negative_control(config)
-    finally:                    # no helper is left busy if a proof raises
-        folds = iter(join())
+        from . import analysis
+        tol = config.tolerance
+        sample = analysis.Sample.draw(config.samples, config.seed)
+        chains = [cascade.get_chain(cid) for cid in config.chain_ids]
+        idents, tables = _identities(tol), _tables(tol)
+        join = analysis.start_scan(
+            [analysis.Ordering(chain.terms, tol) for chain in chains]
+            + [eq for ident in idents + tables for eq in _equalities(ident)],
+            sample, config.workers)
+        try:
+            convexity = [analysis.certify_convexity(mid)
+                         for mid in _convexity_ids()]
+            control = _negative_control(config)
+        finally:                # no scan helper is left busy if a step raises
+            folds = iter(join())
+        (linked, proofs, betas), = (pool._collect(prover) if prover
+                                    else [_proofs(config)])
+    except BaseException:
+        pool._reap(prover)
+        raise
 
-    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds))
-              for chain in chains]
+    chains = [cascade.check_chain(chain, sample, tol, fold=next(folds),
+                                  proved=proved)
+              for chain, proved in zip(chains, linked)]
     checked = [_check_identity(ident, sample,
                                [next(folds) for _ in ident.claims], proved)
                for ident, proved in zip(idents + tables, proofs)]

@@ -6,7 +6,8 @@ pair, the proof-part decomposition tables, the linear combination lines,
 and every inequality chain, all as declarative data that the audit
 engine replays.  Each claim is proved as one exact sum of c * form:
 ``is_exact_combination`` (the sum is zero) and ``is_exact_ordering``
-(the sum is zero or positive off x = 1).
+(the sum is zero or positive off x = 1).  The proofs load no numpy:
+only the functions that sample import ``analysis``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from . import analysis, catalog
+from . import catalog
 from .catalog import (EQ9_FORMS, LT_T_RANGE, MEAN_ORDER, PYRAMID_PAIRS, XM1SQ,
                       XP1, positive_pair)
 from .ratfun import ONE, Poly, RatS, RatU, X, solve_exact
 from .reporting import CheckResult, make_result
+
+if TYPE_CHECKING:
+    from . import analysis
 
 Frac = Fraction
 
@@ -106,6 +110,7 @@ def pyramid_equalities(pair, tol: float = 1e-12):
     in ``PYRAMID_EQ_CLAIMS``.  tol is a finite real number, or a
     ``ValueError``.
     """
+    from . import analysis
     tol, (a, b) = catalog.finite("tol", tol), positive_pair(pair)
     common = float(PYRAMID_EQ_SCALES[0]) * catalog.get("D1")._at(a, b)
     claims = [analysis.Equality(*claim) for claim in PYRAMID_EQ_CLAIMS]
@@ -276,6 +281,7 @@ def audit_chain(chain, samples: int = 100000, seed=0, tol: float = 1e-12,
     ``catalog.seed`` or None, and ``tol`` a ``catalog.finite``; a
     negative tol records pairs that hold as counterexamples too.
     """
+    from . import analysis
     samples = catalog.count("samples", samples)
     if isinstance(chain, str):
         chain = get_chain(chain)
@@ -296,17 +302,21 @@ def chain_proved(chain: Chain) -> bool:
 
 
 def check_chain(chain: Chain, sample: analysis.Sample, tol: float = 1e-12,
-                workers: int = 1,
-                fold: analysis.Fold | None = None) -> CheckResult:
+                workers: int = 1, fold: analysis.Fold | None = None,
+                proved: bool | None = None) -> CheckResult:
     """Prove every adjacent ordering in the chain and scan the sample.
 
     The scan is ``fold``, the chain's from a shared ``start_scan``
-    pass, if given.  A failed link proof (``chain_proved``) reads inf;
-    the scan's counterexamples stay, copied by ``named_links``.
+    pass, and the proof verdict is ``proved``, ``chain_proved(chain)``,
+    if given.  A failed link proof reads inf; the scan's counterexamples
+    stay, copied by ``named_links``.
     """
+    from . import analysis
     max_violation, records = (fold.worst, fold.records) if fold else (
         analysis.scan_chain_terms(chain.terms, sample, tol, workers))
-    if not chain_proved(chain):
+    if proved is None:
+        proved = chain_proved(chain)
+    if not proved:
         max_violation = float("inf")
     return make_result(f"chain:{chain.id}", "chain", sample.size,
                        max_violation, tol, named_links(chain.terms, records),
@@ -319,6 +329,7 @@ def named_links(terms, records) -> list[dict]:
     the records' own pairs)."""
     if not records:
         return []
+    from . import analysis
     steps = analysis.Ordering(terms, 0.0).steps(
         *zip(*((r["a"], r["b"]) for r in records)))
     return [{**r, "step": "{}*{} <= {}*{}".format(*terms[i], *terms[i + 1])}
@@ -456,6 +467,7 @@ def residual_decompositions(part, pair, tol: float = 1e-11) -> dict:
     through several vanishing orders.  tol is a finite real number, or a
     ``ValueError``.
     """
+    from . import analysis
     p, tol = _part(part), catalog.finite("tol", tol)
     a, b = positive_pair(pair)
     small, big, resid = (catalog.get(m)._at(a, b)

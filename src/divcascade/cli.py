@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.add_argument("--tolerance", help="relative tolerance "
                                            "(default 1e-12)")
     p_aud.add_argument("--workers",
-                       help="processes that scan the sample while the exact "
-                            "proofs run (default: the usable CPUs); 1 "
+                       help="processes that scan the sample while one "
+                            "more proves (default: the usable CPUs); 1 "
                             "runs all in one process")
     p_aud.add_argument("--report", help="write the JSON report here")
     p_aud.add_argument("--format", choices=("text", "json"),
@@ -216,6 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's bundled OpenBLAS starts threads at import that spin for work
+    # and take CPU from the audit's prover and scan helpers, though no
+    # command calls BLAS.  Set before any command loads numpy; a value the
+    # caller set is kept, and library callers, who never run main, are
+    # left alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -41,12 +41,14 @@ _ROOT_STEP = RatU(UM1 * UM1, U)      # (sqrt a - sqrt b)^2 / sqrt(ab)
 _SQUARE_STEP = RatU(XM1SQ, X)        # (a - b)^2 / (ab)
 
 # Multiplying a family member by its step ratio gives the next member.  Each
-# is written apart from the ratio of ``catalog.FAMILY_FORMS``, for the audit
-# to prove the two equal.
+# is written apart from the ratio of ``catalog.FAMILY_FORMS``, to be proved
+# equal to it: by the audit's series rows, and for topsoe, which has no
+# exponential series, by the tests.
 STEP_RATIOS: dict[str, RatU] = {
     "Delta1": _ROOT_STEP, "K1": _ROOT_STEP, "Hgen": _ROOT_STEP,
     "Mnew": _ROOT_STEP, "Delta2": _SQUARE_STEP, "K2": _SQUARE_STEP,
     "Lt": RatU(XP1, 2 * U),          # (a + b) / (2 sqrt(ab))
+    "topsoe": RatU(XM1SQ, XP1 ** 2),  # (a - b)^2 / (a + b)^2
 }
 
 
@@ -158,11 +160,16 @@ def _series_partial(family_id: str, start: int, last: int, pair) -> float:
     """sum_{k=0}^{last-start} family(start + k, pair) / k!.
 
     Terms are built incrementally (multiply by ratio / (k+1)), which
-    avoids factorial overflow and stays within the family's t cap.
+    avoids factorial overflow.  The loop stops once a term is 0, as every
+    later one is, or the sum is inf or NaN, as it then stays: the bits
+    are those of all n steps, and a large n costs only the terms that
+    count.
     """
     term, r = _lead_and_ratio(family_id, start, pair)
     total = term
     for k in range(last - start):
+        if term == 0.0 or not math.isfinite(total):
+            break
         term *= r / (k + 1)
         total += term
     return float(total)

@@ -14,8 +14,6 @@ as the audit's ``analysis.Equality`` claims.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import catalog
 from .catalog import MEAN_LETTER, MEAN_ORDER, MEAN_TAGS
 
@@ -34,6 +32,7 @@ def _letter(kind: str) -> str:
 
 def mean(kind: str, a, b):
     """Value of the named mean at a ``catalog.pair_or_arrays``."""
+    import numpy as np
     letter = _letter(kind)
     a, b = catalog.pair_or_arrays(a, b)
     a = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else float(a)

@@ -2,17 +2,17 @@
 
 import pytest
 
-from divcascade import analysis
+from divcascade import pool
 
 
 @pytest.fixture
 def no_helpers():
-    """No scan helper alive before or after the test.
+    """No helper alive before or after the test.
 
     A helper runs the code it was forked with: one forked while a test
     patches what a scan runs keeps the patch, and one forked before
     lacks it.  Counts of forks start from none.
     """
-    analysis._reap(analysis._helpers)
+    pool._reap(pool._helpers)
     yield
-    analysis._reap(analysis._helpers)
+    pool._reap(pool._helpers)

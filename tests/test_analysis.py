@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade import analysis, audit, cascade, catalog
+from divcascade import analysis, audit, cascade, catalog, pool
 from divcascade.ratfun import Poly, RatS, RatU
 from test_audit import _per_call_gap
 from test_ratfun import _Claim
@@ -445,10 +445,10 @@ def test_scan_worker_independence(monkeypatch, no_helpers):
     # The waiting caller scans one run and leases workers - 1 helpers:
     # the first scans fork 1 and then 2 more, and every later scan
     # reuses them.
-    assert len(forks) == 3 and len(analysis._helpers) == 3
+    assert len(forks) == 3 and len(pool._helpers) == 3
     # At most one run per chunk, however many workers are asked for:
     # the caller and 2 helpers scan 3 chunks.
-    analysis._reap(analysis._helpers)
+    pool._reap(pool._helpers)
     forks.clear()
     small = analysis.Sample.draw(3 * analysis.CHUNK - 1, seed=9)
     analysis.scan_chain_terms(claims[0], small, 1e-12, workers=64)
@@ -484,7 +484,7 @@ def test_a_waiting_scan_forks_one_child_fewer_than_its_workers(
     forks.clear()
     assert analysis.start_scan(claims, sample, workers)() == serial
     assert len(forks) == 1
-    assert [h.busy for h in analysis._helpers] == [False] * workers
+    assert [h.busy for h in pool._helpers] == [False] * workers
 
 
 def test_a_scan_started_while_another_waits_forks_helpers_of_its_own(
@@ -498,7 +498,7 @@ def test_a_scan_started_while_another_waits_forks_helpers_of_its_own(
     assert len(forks) == 4
     assert second() == first() == serial
     # Both pairs stay idle, and a later scan leases the first two.
-    assert [h.busy for h in analysis._helpers] == [False] * 4
+    assert [h.busy for h in pool._helpers] == [False] * 4
     assert analysis.start_scan(claims, sample, 2)() == serial
     assert len(forks) == 4
 
@@ -522,7 +522,7 @@ def test_given_pairs_scan_in_the_caller_at_any_workers(monkeypatch,
     for workers in (2, 3, 5):
         assert analysis.scan_claims(claims, given, workers) == serial
         assert analysis.start_scan(claims, given, workers)() == serial
-    assert not forks and not analysis._helpers
+    assert not forks and not pool._helpers
 
 
 def test_a_helpers_every_request_comes_through_its_pipe(monkeypatch,
@@ -530,25 +530,25 @@ def test_a_helpers_every_request_comes_through_its_pipe(monkeypatch,
     # A helper is forked idle and sent each request, its first included:
     # one send per leased helper, from the first scan, which starts with
     # no helper, on.
-    assert not inspect.signature(analysis._fork_helper).parameters
-    sent, real = [], analysis._send
+    assert not inspect.signature(pool._fork_helper).parameters
+    sent, real = [], pool._send
 
     def send(fd, data):
         sent.append(fd)
         return real(fd, data)
 
-    monkeypatch.setattr(analysis, "_send", send)
+    monkeypatch.setattr(pool, "_send", send)
     monkeypatch.setattr(analysis, "CHUNK", 1000)
     sample = analysis.Sample.draw(7500, seed=39)
     claims = [analysis.Ordering(_MEANS.terms, -1.0)]
     serial = analysis.scan_claims(claims, sample)
     assert not sent
     assert analysis.scan_claims(claims, sample, 3) == serial
-    first = [h.send for h in analysis._helpers]
+    first = [h.send for h in pool._helpers]
     assert len(first) == 2 and sent == first
     sent.clear()
     assert analysis.start_scan(claims, sample, 4)() == serial
-    assert sent == [h.send for h in analysis._helpers]
+    assert sent == [h.send for h in pool._helpers]
     assert len(sent) == 4 and sent[:2] == first
 
 
@@ -613,9 +613,10 @@ def test_the_audits_caller_compiles_its_claims_only_if_it_scans_them(
         monkeypatch, tmp_path, workers, no_helpers):
     # Each build of a program is logged with its pid and claim count, in
     # a file, as a helper's memory is its own.  At 2 workers the audit's
-    # two helpers each compile the 194 claims for their run, and the
-    # caller, which proves meanwhile, compiles none of them; at 1 worker
-    # the caller scans, and compiles them once.
+    # two scan helpers each compile the 194 claims for their run, and
+    # the caller, which certifies convexity meanwhile, compiles none of
+    # them, nor does the prover, forked first; at 1 worker the caller
+    # scans, and compiles them once.
     log = tmp_path / "builds"
     real = analysis._Program.__init__
 
@@ -636,8 +637,9 @@ def test_the_audits_caller_compiles_its_claims_only_if_it_scans_them(
     if workers == 1:
         assert audit_builds == [os.getpid()] and not forks
     else:
-        assert len(forks) == 2 and len(audit_builds) == 2
-        assert sorted(audit_builds) == sorted(h.pid for h in analysis._helpers)
+        assert len(forks) == 3 and len(audit_builds) == 2
+        assert sorted(audit_builds) == sorted(h.pid
+                                              for h in pool._helpers[1:])
 
 
 def test_a_scan_refuses_an_unknown_measure_before_it_forks(monkeypatch,
@@ -649,7 +651,7 @@ def test_a_scan_refuses_an_unknown_measure_before_it_forks(monkeypatch,
         with pytest.raises(KeyError, match="no-such-measure"):
             analysis.start_scan(claims, analysis.Sample.draw(
                 3 * analysis.CHUNK, seed=1), workers)
-    assert not forks and not analysis._helpers
+    assert not forks and not pool._helpers
 
 
 def test_a_claim_that_does_not_pickle_is_refused_with_no_child_left(
@@ -661,7 +663,7 @@ def test_a_claim_that_does_not_pickle_is_refused_with_no_child_left(
     sample = analysis.Sample.draw(3 * analysis.CHUNK, seed=1)
     with pytest.raises((pickle.PicklingError, AttributeError)):
         analysis.start_scan(claims, sample, 2)
-    assert not analysis._helpers
+    assert not pool._helpers
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     chain, claim = analysis.scan_claims(claims, sample)
@@ -686,7 +688,7 @@ def test_a_chain_sweep_forks_one_helper(monkeypatch, no_helpers):
                                  tol=1e-12, workers=2)
              for cid in cascade.chains()]
     assert len(swept) == 26 and len(forks) == 1
-    assert [h.busy for h in analysis._helpers] == [False]
+    assert [h.busy for h in pool._helpers] == [False]
     serial = [cascade.audit_chain(cid, samples=2 * analysis.CHUNK, seed=3,
                                   tol=1e-12, workers=1)
               for cid in cascade.chains()]
@@ -700,12 +702,12 @@ def test_an_idle_helper_that_has_ended_is_passed_over(monkeypatch,
     claims = [analysis.Ordering(_MEANS.terms, -1.0)]
     serial = analysis.scan_claims(claims, sample)
     assert analysis.scan_claims(claims, sample, 2) == serial
-    helper, = analysis._helpers
+    helper, = pool._helpers
     os.kill(helper.pid, signal.SIGKILL)
     # Wait for it to end, leaving it to the scan to reap.
     os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
     assert analysis.scan_claims(claims, sample, 2) == serial
-    assert helper not in analysis._helpers and len(analysis._helpers) == 1
+    assert helper not in pool._helpers and len(pool._helpers) == 1
 
 
 def test_a_helper_reaped_by_the_callers_own_wait_is_passed_over(
@@ -717,16 +719,16 @@ def test_a_helper_reaped_by_the_callers_own_wait_is_passed_over(
     claims = [analysis.Ordering(_MEANS.terms, -1.0)]
     serial = analysis.scan_claims(claims, sample)
     assert analysis.scan_claims(claims, sample, 2) == serial
-    helper, = analysis._helpers
+    helper, = pool._helpers
     os.kill(helper.pid, signal.SIGKILL)
     os.waitpid(helper.pid, 0)
     assert analysis.scan_claims(claims, sample, 2) == serial
-    assert helper not in analysis._helpers and len(analysis._helpers) == 1
-    second, = analysis._helpers
+    assert helper not in pool._helpers and len(pool._helpers) == 1
+    second, = pool._helpers
     os.kill(second.pid, signal.SIGKILL)
     os.waitpid(second.pid, 0)
-    assert analysis._reap(analysis._helpers) == [None]
-    assert not analysis._helpers
+    assert pool._reap(pool._helpers) == [None]
+    assert not pool._helpers
 
 
 def test_an_exception_in_the_callers_own_run_reaps_every_child(
@@ -745,7 +747,7 @@ def test_an_exception_in_the_callers_own_run_reaps_every_child(
         analysis.scan_chain_terms(_MEANS.terms,
                                   analysis.Sample.draw(3000, seed=32),
                                   1e-12, workers=3)
-    assert len(forks) == 2 and not analysis._helpers
+    assert len(forks) == 2 and not pool._helpers
     with pytest.raises(ChildProcessError):     # every helper was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -1144,42 +1146,40 @@ def test_a_run_folds_its_chunks_into_one_fold_per_claim(monkeypatch):
 
 
 def test_a_request_is_claims_sample_and_starts(monkeypatch, no_helpers):
-    # Each run's request, scanned in the caller or sent to a helper, is
-    # three fields: the claims, each with its tol, the sample and the
-    # starts, whose step is the chunk size.  No compiled program is in
-    # it: the process that scans the run compiles the claims.
+    # Each run's request is the pool pair (_scan_run, argument), and the
+    # argument is three fields: the claims, each with its tol, the sample
+    # and the starts, whose step is the chunk size.  No compiled program
+    # is in it: the process that scans the run compiles the claims.
+    # start_scan's caller goes on, so every run goes through a pipe.
     parent, requests = os.getpid(), []
-    real_run, real_send = analysis._scan_run, analysis._send
-
-    def scan_run(request):
-        requests.append(request)
-        return real_run(request)
+    real_send = pool._send
 
     def send(fd, data):
         if os.getpid() == parent:
             requests.append(pickle.loads(data))
         return real_send(fd, data)
 
-    monkeypatch.setattr(analysis, "_scan_run", scan_run)
-    monkeypatch.setattr(analysis, "_send", send)
+    monkeypatch.setattr(pool, "_send", send)
     monkeypatch.setattr(analysis, "CHUNK", 1000)
     sample = analysis.Sample.draw(3500, seed=40)
     claims = [analysis.Ordering(_MEANS.terms, tol) for tol in (-1.0, 1e-12)]
-    loose, strict = analysis.scan_claims(claims, sample, 2)
+    loose, strict = analysis.start_scan(claims, sample, 2)()
     assert len(loose.records) == 10 and not strict.records
-    assert [len(r) for r in requests] == [3, 3]
-    assert [list(r[2]) for r in requests] == [[2000, 3000], [0, 1000]]
-    for given, drawn, starts in requests:
+    assert [run for run, _ in requests] == [analysis._scan_run] * 2
+    assert [len(r) for _, r in requests] == [3, 3]
+    assert [list(r[2]) for _, r in requests] == [[0, 1000], [2000, 3000]]
+    for _, (given, drawn, starts) in requests:
         assert given == tuple(claims) and starts.step == 1000
         assert [claim.tol for claim in given] == [-1.0, 1e-12]
         assert (drawn.size, drawn._ab) == (3500, None)
     # The claims' tols reach a run through its claims alone.
-    given, drawn, starts = requests[1]
-    assert [len(f.records) for f in real_run(requests[1])] == [10, 0]
+    given, drawn, starts = requests[0][1]
+    assert [len(f.records) for f in analysis._scan_run(requests[0][1])] == [
+        10, 0]
     swapped = tuple(analysis.Ordering(claim.terms, tol)
                     for claim, tol in zip(given, (1e-12, -1.0)))
-    assert [len(f.records) for f in real_run((swapped, drawn, starts))] == [
-        0, 10]
+    assert [len(f.records)
+            for f in analysis._scan_run((swapped, drawn, starts))] == [0, 10]
 
 
 def test_a_scan_keeps_the_callers_error_state_but_at_a_pole():
@@ -1240,18 +1240,18 @@ _SRC = str(Path(analysis.__file__).resolve().parents[1])
 _SCAN = """
 import atexit, os, sys
 
-def left():     # runs after analysis's own exit hook, registered later
+def left():     # runs after pool's own exit hook, registered later
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         print("no child left", flush=True)
 
 atexit.register(left)
-from divcascade import analysis
+from divcascade import analysis, pool
 analysis.scan_chain_terms([(1, "W2"), (1, "W1")],
                           analysis.Sample.draw(3 * analysis.CHUNK, 1),
                           1e-12, workers=3)
-print(*[h.pid for h in analysis._helpers], flush=True)
+print(*[h.pid for h in pool._helpers], flush=True)
 """
 
 
@@ -1300,7 +1300,7 @@ def test_a_users_fork_after_a_scan_holds_no_helper_pipe():
     # helper's pipe, then waits for stdin to close; the parent returns
     # meanwhile, and its helpers must still read EOF and end.
     proc = _script("""
-fds = [fd for h in analysis._helpers for fd in (h.send, h.recv)]
+fds = [fd for h in pool._helpers for fd in (h.send, h.recv)]
 child = os.fork()
 if child == 0:
     held = []
@@ -1310,7 +1310,7 @@ if child == 0:
             held.append(fd)
         except OSError:
             pass
-    print("child", len(analysis._helpers), len(held), flush=True)
+    print("child", len(pool._helpers), len(held), flush=True)
     sys.stdin.read()
     os._exit(0)
 print("parent", child, flush=True)
@@ -1331,9 +1331,10 @@ print("parent", child, flush=True)
 
 @_needs_proc
 def test_no_helper_outlives_an_audit_whose_reader_leaves():
-    # `divcascade audit --seed 1 | head -1`: the audit's helpers are
-    # seen while it runs, then the reader closes stdout, as head does,
-    # and the audit ends through the closed-pipe exit, 141.
+    # `divcascade audit --seed 1 | head -1`: the audit's helpers, the
+    # prover and two scan helpers, are seen while it runs, then the
+    # reader closes stdout, as head does, and the audit ends through the
+    # closed-pipe exit, 141.
     env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "divcascade", "audit", "--seed", "1",
@@ -1345,7 +1346,7 @@ def test_no_helper_outlives_an_audit_whose_reader_leaves():
         proc.communicate()
         pytest.skip("the kernel does not list a task's children")
     helpers = []
-    while len(helpers) < 2 and proc.poll() is None:
+    while len(helpers) < 3 and proc.poll() is None:
         with open(children, encoding="ascii") as fh:
             helpers = [int(pid) for pid in fh.read().split()]
         time.sleep(0.002)
@@ -1353,7 +1354,7 @@ def test_no_helper_outlives_an_audit_whose_reader_leaves():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141, err
-    assert len(helpers) == 2 and not any(map(_running, helpers))
+    assert len(helpers) == 3 and not any(map(_running, helpers))
 
 
 def test_the_draw_has_the_whole_draws_bits_under_avx2_dispatch():

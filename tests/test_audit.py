@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divcascade import analysis, audit, cascade, catalog, generators, means
+from divcascade import (analysis, audit, cascade, catalog, generators, means,
+                        pool)
 from divcascade.ratfun import Poly
 
 
@@ -381,7 +382,7 @@ def test_scan_worker_exception_is_raised_in_parent(monkeypatch,
                         _in_child(os.getpid(), _raise_boom))
     with pytest.raises(ValueError, match="boom in a scan worker"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=2))
-    assert not analysis._helpers
+    assert not pool._helpers
     with pytest.raises(ChildProcessError):     # every helper was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -431,7 +432,7 @@ def test_failed_fork_reaps_the_children_already_made(monkeypatch,
     monkeypatch.setattr(os, "fork", second_fails)
     with pytest.raises(OSError, match="fork refused"):
         audit.run_audit(audit.AuditConfig(samples=20000, seed=7, workers=3))
-    assert len(forks) == 2 and not analysis._helpers
+    assert len(forks) == 2 and not pool._helpers
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -446,15 +447,54 @@ def test_audit_forks_at_most_one_child_per_chunk(monkeypatch,
         return real()
 
     monkeypatch.setattr(os, "fork", counted)
-    # 3 chunks of CHUNK pairs, the last one short: 3 helpers, not 64.
+    # 3 chunks of CHUNK pairs, the last one short: 3 scan helpers, not 64,
+    # beside the prover.
     config = audit.AuditConfig(samples=3 * analysis.CHUNK - 1, seed=7,
                                workers=64)
     audit.run_audit(config)
-    assert len(forks) == 3
-    # They stay, idle, and the next audit's scan leases them again.
-    assert [h.busy for h in analysis._helpers] == [False] * 3
+    assert len(forks) == 4
+    # They stay, idle, and the next audit leases them again.
+    assert [h.busy for h in pool._helpers] == [False] * 4
     audit.run_audit(config)
-    assert len(forks) == 3
+    assert len(forks) == 4
+
+
+def test_the_prover_and_the_serial_audit_give_the_same_checks(
+        monkeypatch, no_helpers):
+    # At 2 workers a forked prover proves and two scan helpers scan; at 1
+    # this process does both, forking nothing.
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    reports = []
+    for workers in (2, 1):
+        reports.append(audit.run_audit(audit.AuditConfig(
+            samples=2 * analysis.CHUNK, seed=3, workers=workers)))
+        assert len(forks) == 3
+    forked, serial = (json.dumps(r["checks"]) for r in reports)
+    assert forked == serial
+
+
+def test_a_proof_that_raises_in_the_prover_is_raised_in_the_parent(
+        monkeypatch, no_helpers):
+    parent, real = os.getpid(), audit._check_beta
+
+    def check_beta(part):
+        if os.getpid() != parent:
+            raise ValueError("boom in the prover")
+        return real(part)
+
+    monkeypatch.setattr(audit, "_check_beta", check_beta)
+    with pytest.raises(ValueError, match="boom in the prover"):
+        audit.run_audit(audit.AuditConfig(samples=2 * analysis.CHUNK, seed=7,
+                                          workers=2))
+    # The prover is reaped; the scan helpers, joined, idle.
+    assert [h.busy for h in pool._helpers] == [False, False]
 
 
 def test_workers_default_is_the_usable_cpu_count(monkeypatch):
@@ -606,7 +646,7 @@ def test_sharp_constants_are_proved_without_samples(report):
 
 
 def test_printed_formula_checks_are_proofs(report):
-    ids = ([f"series:{fid}" for fid in generators.STEP_RATIOS]
+    ids = ([f"series:{fid}" for fid in generators.EXP_FORMS]
            + [f"witness:{fid}" for fid in generators.WITNESS_FORMS]
            + ["identity:W8-second-derivative"])
     checks = {c["id"]: c for c in report["checks"]}

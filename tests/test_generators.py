@@ -1,7 +1,10 @@
 """Unit tests for the generated families and their exponential series."""
 
+import itertools
 import math
+import struct
 import sys
+import time
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -55,6 +58,45 @@ def test_exp_series_partial_is_monotone_in_n():
             for n in (5, 10, 20, 30)]
     assert errs[0] > errs[-1]
     assert errs == sorted(errs, reverse=True)
+
+
+def _every_step(family_id, start, last, pair):
+    """The series partial sum through all its steps, none skipped."""
+    term, r = generators._lead_and_ratio(family_id, start, pair)
+    total = term
+    for k in range(last - start):
+        term *= r / (k + 1)
+        total += term
+    return float(total)
+
+
+_SERIES_GRID = [10.0 ** e for e in (-300, -150, -20, -1, 0, 1, 20, 150, 300)]
+_SERIES_GRID += [4.0, 1.0 + 1e-9]
+
+
+@pytest.mark.parametrize("family_id, start", [
+    *((fid, 0) for fid in generators.EXP_FORMS), ("Lt", -1)])
+def test_a_series_that_stops_early_has_the_bits_of_every_step(family_id,
+                                                               start):
+    # The loop stops at a term of 0 or a sum of inf or NaN.
+    for pair in itertools.product(_SERIES_GRID, repeat=2):
+        for n in (0, 1, 7, 60, 700, 2000):
+            got = (generators.exp_series_partial(family_id, pair, n)
+                   if start == 0 else
+                   generators.exp_L_series_partial(pair, n))
+            want = _every_step(family_id, start, n, pair)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (
+                pair, n)
+
+
+@pytest.mark.parametrize("pair", [(4.0, 1.0), (1.0, 1.0), (1e300, 1e-300),
+                                  (1e-300, 1e300), (1e6, 1.0)])
+def test_a_series_of_a_huge_n_returns_at_once(pair):
+    for fid in generators.EXP_FORMS:
+        started = time.perf_counter()
+        generators.exp_series_partial(fid, pair, 10**12)
+        generators.exp_L_series_partial(pair, 10**12)
+        assert time.perf_counter() - started < 0.1, fid
 
 
 def test_L_series_offset_weights():
@@ -203,6 +245,7 @@ def _same(x, y) -> bool:
 
 _SQRT_STEP = (sympy.sqrt(_a) - sympy.sqrt(_b)) ** 2 / sympy.sqrt(_a * _b)
 _SQUARE_STEP = (_a - _b) ** 2 / (_a * _b)
+_TOPSOE_STEP = (_a - _b) ** 2 / (_a + _b) ** 2
 _DELTA = (_a - _b) ** 2 / (_a + _b)
 _K = (_a - _b) ** 2 / sympy.sqrt(_a * _b)
 
@@ -217,10 +260,12 @@ _MEMBERS = {
                        * _SQRT_STEP**t),
     "Lt": lambda t: ((_a - _b) ** 2 * (_a + _b) ** t
                      / (2**t * (_a * _b) ** sympy.Rational(t + 1, 2))),
+    "topsoe": lambda t: _DELTA * _TOPSOE_STEP ** (t - 1),
 }
 _STEPS = {"Delta1": _SQRT_STEP, "K1": _SQRT_STEP, "Hgen": _SQRT_STEP,
           "Mnew": _SQRT_STEP, "Delta2": _SQUARE_STEP, "K2": _SQUARE_STEP,
-          "Lt": (_a + _b) / (2 * sympy.sqrt(_a * _b))}
+          "Lt": (_a + _b) / (2 * sympy.sqrt(_a * _b)),
+          "topsoe": _TOPSOE_STEP}
 
 
 def test_step_ratios_against_sympy():
@@ -228,17 +273,26 @@ def test_step_ratios_against_sympy():
     for fid, step in _STEPS.items():
         table = _sym(generators.STEP_RATIOS[fid])
         assert _same(table, _at_u(step)), fid
-        start = generators.series_start(fid)
+        lo, hi = catalog.family_range(fid)
+        start = max(generators.series_start(fid), lo)
         for t in range(start, start + 3):
             member = _at_u(_MEMBERS[fid](t))
             assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)
             nxt = _at_u(_MEMBERS[fid](t + 1))
             assert _same(nxt / member, table), (fid, t)
         # Past the members above, and at both ends of the catalog's range.
-        lo, hi = catalog.family_range(fid)
         for t in {lo, min(9, hi), hi} - set(range(start, start + 3)):
             member = _at_u(_MEMBERS[fid](t))
             assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)
+
+
+def test_every_family_ratio_has_a_step_ratio_proved_equal_to_it():
+    # topsoe's has no series row in the audit, so it is proved here.
+    assert set(generators.STEP_RATIOS) == set(catalog.FAMILY_FORMS)
+    for fid, (_, ratio) in catalog.FAMILY_FORMS.items():
+        assert cascade.is_exact_combination(
+            ((1, RatU(*ratio)),), ((1, generators.STEP_RATIOS[fid]),)), fid
+    assert generators.step_ratio("topsoe", (3.0, 1.0)) == 0.25
 
 
 def test_witness_factorizations_against_sympy():

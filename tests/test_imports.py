@@ -18,7 +18,7 @@ LIBRARY = sorted(p.stem for p in (SRC / "divcascade").glob("*.py")
                  if not p.stem.startswith("__"))
 # The verifier's machinery, which compute and list never need.
 HEAVY = ("audit", "analysis", "cascade", "means", "generators",
-         "discriminations", "distributions")
+         "discriminations", "distributions", "pool")
 
 
 def fresh(code: str, *argv: str):
@@ -49,7 +49,7 @@ def loaded(modules):
 
 
 def test_library_modules_are_counted():
-    assert len(LIBRARY) == 11
+    assert len(LIBRARY) == 12
     assert {"cli", "catalog", "ratfun", *HEAVY} <= set(LIBRARY)
 
 
@@ -119,6 +119,43 @@ def test_audit_loads_numpy():
                          "--workers", "1")
     assert got == 0
     assert "numpy" in modules and "audit" in loaded(modules)
+
+
+@pytest.mark.parametrize("name", ["audit", "cascade", "means", "pool"])
+def test_the_exact_half_loads_no_numpy(name):
+    # Only the functions that sample import analysis, so an audit can
+    # fork its prover before numpy loads.
+    modules = fresh(f"import json, sys, divcascade.{name}\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules and "analysis" not in loaded(modules)
+
+
+_SENDS = """
+import contextlib, io, json, os, pickle, sys
+from divcascade import cli, pool
+parent, sends, real = os.getpid(), [], pool._send
+
+def send(fd, data):
+    if os.getpid() == parent:
+        sends.append([pickle.loads(data)[0].__qualname__,
+                      "numpy" in sys.modules])
+    return real(fd, data)
+
+pool._send = send
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sends]))
+"""
+
+
+def test_a_fresh_audit_sends_its_proofs_before_numpy_loads():
+    # The prover is leased first, while numpy is still absent, and the
+    # scan helpers after it, once analysis has loaded numpy.
+    code, sends = fresh(_SENDS, "audit", "--samples", "40000", "--workers",
+                        "2")
+    assert code == 0
+    assert sends == [["_proofs", False], ["_scan_run", True],
+                     ["_scan_run", True]]
 
 
 def test_analysis_loads_numpy_random():

@@ -47,15 +47,16 @@ def test_bits_digests_the_listing_and_the_chain_table(capsys):
 
 def test_peaks_imports_and_reads_an_audit_in_process():
     # Importing runs nothing; one audit at 1 worker, in this process,
-    # gives a reading at each of the four points and the helpers' line.
+    # sends no request to a helper: it gives the first and last readings
+    # and the prover's and scan helpers' lines, both 0.
     peaks = _load("peaks")
     assert peaks.SRC == TOOLS.parent / "src"
     now = peaks.status()
     assert set(now) == set(peaks.FIELDS) and all(v > 0 for v in now.values())
     lines = peaks.audit_peaks(1)
     assert [line.split("  ")[1].strip() for line in lines[1:]] == [
-        "after import", "after start_scan", "after the proofs", "at the end",
-        "helpers max RSS"]
+        "after import", "at the end", "prover max RSS", "scan max RSS"]
+    assert [float(line.split()[3]) for line in lines[-2:]] == [0.0, 0.0]
     assert lines[0] == "workers 1" and lines[-1].endswith("(audit exit 0)")
 
 

@@ -8,13 +8,17 @@ Run it with no options (Linux only: it reads ``/proc/self/status``):
 For each worker count it forks a child of this process, which has not
 imported numpy, so each audit starts from the same small process.  The
 child imports the package of its own tree (``src`` beside this
-directory) and runs ``divcascade audit --seed 42 --workers W`` through
-``cli.main``, with its output sent to ``os.devnull``.  It prints the
-caller's ``VmHWM``, ``RssAnon`` and ``RssFile`` after the import, after
-the audit's ``start_scan`` returns, after the proofs (when the scan's
-``join()`` is called) and at the end; then, once the scan helpers are
-reaped, the largest RSS any of them reached
-(``getrusage(RUSAGE_CHILDREN).ru_maxrss``, 0 with no helper).
+directory), ``cli`` and ``pool`` alone, which load no numpy, and runs
+``divcascade audit --seed 42 --workers W`` through ``cli.main``, with
+its output sent to ``os.devnull``: so the audit runs in the order of a
+fresh command line, its proofs sent to the prover before numpy loads.
+It prints the caller's ``VmHWM``, ``RssAnon`` and ``RssFile`` after the
+import, after each request is sent to helpers (the proofs, then the
+scan), when each is joined, and at the end; then, once the helpers it
+leased are reaped, the largest RSS the prover and the scan helpers each
+reached (``ru_maxrss`` of ``os.wait4``, 0 with no such helper).  At 1
+worker no helper is sent a request, so only the first and last readings
+show.
 
 The audit runs in process, not launched through ``subprocess``: a
 program started that way may count its launcher's peak RSS in its own
@@ -25,13 +29,14 @@ from __future__ import annotations
 
 import contextlib
 import os
-import resource
 import sys
 import traceback
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIELDS = ("VmHWM", "RssAnon", "RssFile")
+# The helpers' work, by the function of the requests they are sent.
+WORK = {"_proofs": "proofs", "_scan_run": "scan"}
 
 
 def status() -> dict[str, float]:
@@ -53,34 +58,43 @@ def _line(label: str, readings: dict[str, float]) -> str:
 def audit_peaks(workers: int) -> list[str]:
     """The lines of one ``audit --seed 42`` at ``workers``, run in this
     process."""
-    from divcascade import analysis, cli
+    from divcascade import cli, pool
 
     lines = [f"workers {workers}", _line("after import", status())]
-    real = analysis.start_scan
+    work = {}                   # helper pid -> what it was sent
+    real_lease, real_collect = pool._lease, pool._collect
 
-    def start_scan(*args, **kwargs):
-        analysis.start_scan = real      # the audit's shared scan alone
-        join = real(*args, **kwargs)
-        lines.append(_line("after start_scan", status()))
+    def lease(requests):
+        helpers = real_lease(requests)
+        for helper, (function, _) in zip(helpers, requests):
+            work[helper.pid] = WORK[function.__name__]
+        if helpers:
+            lines.append(_line(f"sent the {work[helpers[0].pid]}", status()))
+        return helpers
 
-        def joined():
-            lines.append(_line("after the proofs", status()))
-            return join()
-        return joined
+    def collect(helpers):
+        if helpers:
+            lines.append(_line(f"joining the {work[helpers[0].pid]}",
+                               status()))
+        return real_collect(helpers)
 
-    analysis.start_scan = start_scan
+    pool._lease, pool._collect = lease, collect
     try:
         with open(os.devnull, "w", encoding="utf-8") as null, \
                 contextlib.redirect_stdout(null):
             code = cli.main(["audit", "--seed", "42", "--workers",
                              str(workers)])
     finally:
-        analysis.start_scan = real
+        pool._lease, pool._collect = real_lease, real_collect
     lines.append(_line("at the end", status()))
-    analysis._reap(analysis._helpers)
-    helpers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    lines.append(f"  {'helpers max RSS':<18}  {helpers:7.2f} MB"
-                 f"  (audit exit {code})")
+    peaks = dict.fromkeys(WORK.values(), 0.0)
+    for helper in [h for h in pool._helpers if h.pid in work]:
+        pool._drop(helper)      # it reads EOF and exits
+        peak = os.wait4(helper.pid, 0)[2].ru_maxrss / 1024
+        peaks[work[helper.pid]] = max(peaks[work[helper.pid]], peak)
+    for kind, label in (("proofs", "prover max RSS"), ("scan", "scan max RSS")):
+        lines.append(f"  {label:<18}  {peaks[kind]:7.2f} MB")
+    lines[-1] += f"  (audit exit {code})"
     return lines
 
 
