@@ -28,7 +28,6 @@ _EXPORTS = {
     "distributions": "NonPositiveEntry ProbVector SumOutOfTolerance "
                      "divergence load_distribution sample_simplex validate",
     "generators": "EXP_FORMS WITNESS_FORMS convexity_witness "
-                  "exp_L_representation exp_L_series_partial "
                   "exp_representation exp_series_partial family step_ratio "
                   "witness_second_derivative",
     "means": "mean mean_difference mean_generator verify_mean_identities",

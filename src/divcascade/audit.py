@@ -77,17 +77,20 @@ def _usable_cpus() -> int:
 def _select_chains(selector) -> tuple[str, ...]:
     """The chain ids a selection names, in the order first named.
 
-    A selection is None, a string, or a sequence of strings, each holding
-    chain ids or prefixes, comma separated.  None or "all" selects every
-    chain; one that names nothing, or a token matching no chain, raises
-    ``ValueError``.
+    A selection is None, a string, or a list or tuple of strings, each
+    holding chain ids or prefixes, comma separated.  None or "all"
+    selects every chain; any other value, a selection that names nothing
+    or a token matching no chain raises ``ValueError``.
     """
     known = cascade.chains()
     if selector is None:
         return known
-    tokens = [token for text in ([selector] if isinstance(selector, str)
-                                 else selector)
-              for token in text.split(",") if token]
+    texts = [selector] if isinstance(selector, str) else selector
+    if not (isinstance(texts, (list, tuple))
+            and all(isinstance(text, str) for text in texts)):
+        raise ValueError(f"chains must be None, a string of chain ids or a "
+                         f"list of them, not {selector!r}")
+    tokens = [token for text in texts for token in text.split(",") if token]
     if tokens == ["all"]:
         return known
     if not tokens:
@@ -468,7 +471,7 @@ def _printed_forms() -> list[Identity]:
                         (((1, RatU(*catalog.FAMILY_FORMS[fid][1])),),
                          ((1, generators.STEP_RATIOS[fid]),)),),
                     kind="series", detail="proved exact for every t")
-           for fid in catalog.FAMILY_IDS + ("Lt",)]
+           for fid in generators.EXP_FORMS]
     for fid, form in generators.WITNESS_FORMS.items():
         lead, ratio = (RatU(*pq) for pq in catalog.FAMILY_FORMS[fid])
         d_lead, d_ratio = lead.dx(), ratio.dx()
@@ -522,44 +525,47 @@ def _tables(tol: float) -> list[Identity]:
     return [_w8_printed()] + _combinations(tol) + _printed_forms()
 
 
-def _proofs(config: AuditConfig) -> tuple[list, list, list]:
-    """The exact half of an audit: each chain's verdict
-    (``cascade.chain_proved``), each identity and table check's
-    (``_identity_proved``) and the 53 beta rows.  It loads no numpy."""
-    idents = _identities(config.tolerance) + _tables(config.tolerance)
-    return ([cascade.chain_proved(cascade.get_chain(cid))
-             for cid in config.chain_ids],
+def _proofs(rows) -> tuple[list, list, list]:
+    """The exact half of an audit, of the (chains, identity and table
+    checks, proof parts) ``rows`` it is given: each chain's verdict
+    (``cascade.chain_proved``), each check's (``_identity_proved``) and
+    each part's beta row (``_check_beta``).  It loads no numpy."""
+    chains, idents, parts = rows
+    return ([cascade.chain_proved(chain) for chain in chains],
             [_identity_proved(ident) for ident in idents],
-            [_check_beta(part) for part in cascade.theorem_parts()])
+            [_check_beta(part) for part in parts])
 
 
 def run_audit(config: AuditConfig) -> dict:
     """Run every check under the given config and return the report.
 
-    Where ``pool._can_fork(config.workers)`` (``workers`` > 1,
-    ``os.fork`` and one Python thread), the exact proofs (``_proofs``)
-    go first, before this call imports numpy, to a forked helper, the
-    prover.  This process then imports ``analysis`` and starts one
-    ``analysis.start_scan`` pass that samples every chain and identity
-    claim in forked scan helpers, certifies the convexity rows and runs
-    the negative control meanwhile, joins the scan and collects the
-    proofs.  Otherwise each step runs here, one after another, the
+    The rows, the chains, identity and table checks and proof parts, are
+    built once, before this call imports numpy.  Where
+    ``pool._can_fork(config.workers)`` (``workers`` > 1, ``os.fork`` and
+    one Python thread), a forked helper, the prover, is sent them first
+    to prove (``_proofs``).  This process then imports ``analysis`` and
+    starts one ``analysis.start_scan`` pass that samples every chain and
+    identity claim in forked scan helpers, certifies the convexity rows
+    and runs the negative control meanwhile, joins the scan and collects
+    the proofs.  Otherwise each step runs here, one after another, the
     scan in its ``join()`` and the proofs last.  An exception reaps the
     prover and the scan's helpers before it propagates.  The checks are
     assembled from the joined folds and the proof verdicts, in the
     report's fixed order, the same on either path.
     """
-    prover = (pool._lease([(_proofs, config)])
+    tol = config.tolerance
+    chains = [cascade.get_chain(cid) for cid in config.chain_ids]
+    idents, tables = _identities(tol), _tables(tol)
+    exact = idents + tables
+    rows = (chains, exact, cascade.theorem_parts())
+    prover = (pool._lease([(_proofs, rows)])
               if pool._can_fork(config.workers) else [])
     try:
         from . import analysis
-        tol = config.tolerance
         sample = analysis.Sample.draw(config.samples, config.seed)
-        chains = [cascade.get_chain(cid) for cid in config.chain_ids]
-        idents, tables = _identities(tol), _tables(tol)
         join = analysis.start_scan(
             [analysis.Ordering(chain.terms, tol) for chain in chains]
-            + [eq for ident in idents + tables for eq in _equalities(ident)],
+            + [eq for ident in exact for eq in _equalities(ident)],
             sample, config.workers)
         try:
             convexity = [analysis.certify_convexity(mid)
@@ -568,7 +574,7 @@ def run_audit(config: AuditConfig) -> dict:
         finally:                # no scan helper is left busy if a step raises
             folds = iter(join())
         (linked, proofs, betas), = (pool._collect(prover) if prover
-                                    else [_proofs(config)])
+                                    else [_proofs(rows)])
     except BaseException:
         pool._reap(prover)
         raise
@@ -578,7 +584,7 @@ def run_audit(config: AuditConfig) -> dict:
               for chain, proved in zip(chains, linked)]
     checked = [_check_identity(ident, sample,
                                [next(folds) for _ in ident.claims], proved)
-               for ident, proved in zip(idents + tables, proofs)]
+               for ident, proved in zip(exact, proofs)]
     identities, tables = checked[:len(idents)], checked[len(idents):]
     checks = chains + identities + betas + convexity + tables + [control]
 

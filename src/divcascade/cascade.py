@@ -12,6 +12,7 @@ only the functions that sample import ``analysis``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -429,7 +430,7 @@ THEOREM_PARTS: dict[str, TheoremPart] = {
 def _part(part) -> TheoremPart:
     if isinstance(part, TheoremPart):
         return part
-    if isinstance(part, int):
+    if isinstance(part, numbers.Integral) and not isinstance(part, bool):
         part = f"2.1:{part}"
     try:
         return THEOREM_PARTS[part]
@@ -438,11 +439,13 @@ def _part(part) -> TheoremPart:
 
 
 def theorem_parts(theorem: str | None = None) -> list[TheoremPart]:
-    """All proof parts, optionally restricted to one theorem ("2.1"..)."""
-    parts = THEOREM_PARTS.values()
-    if theorem is None:
-        return list(parts)
-    return [p for p in parts if p.id.startswith(theorem + ":")]
+    """All proof parts, optionally restricted to one theorem ("2.1"..);
+    ``KeyError`` for a theorem with no part, as ``_part`` for a part."""
+    parts = [p for p in THEOREM_PARTS.values()
+             if theorem is None or p.id.startswith(theorem + ":")]
+    if not parts:
+        raise KeyError(f"unknown theorem {theorem!r}")
+    return parts
 
 
 def beta_constant(part) -> Fraction:

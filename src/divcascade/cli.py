@@ -157,7 +157,7 @@ def cmd_report_diff(args) -> int:
         ra = reporting.load_report(args.report_a)
         rb = reporting.load_report(args.report_b)
         lines = reporting.diff_reports(ra, rb)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         _err(f"cannot parse reports: {e}")
         return 2
     for line in lines:

@@ -5,7 +5,8 @@ lead * B^t (``catalog.FAMILY_FORMS``).  The paper prints three formulas
 for each, all held here once as exact forms in u = sqrt(x) (``RatU``):
 
 * the step ratio r_F that takes a member to the next, so that the
-  1/t!-weighted series of members sums to lead * exp(r_F);
+  series of members s + k weighted 1/k! sums to family(s) * exp(r_F),
+  s the ``series_start`` (topsoe has no series);
 * the convexity factorization f'' = P * B^t * A(t), with a palindromic
   witness A(t) = W0 + t W1 + t^2 W2 in u of nonnegative coefficients;
 * the printed exponential display lead * exp(arg), verbatim.
@@ -26,8 +27,7 @@ from .ratfun import ONE, Poly, RatU, U, X
 __all__ = [
     "family", "STEP_RATIOS", "step_ratio", "convexity_witness",
     "witness_fpp", "witness_second_derivative", "WITNESS_FORMS",
-    "exp_series_partial", "exp_representation", "exp_L_representation",
-    "exp_L_series_partial", "EXP_FORMS", "series_start",
+    "exp_series_partial", "exp_representation", "EXP_FORMS", "series_start",
     "display_is_series_limit",
 ]
 
@@ -63,9 +63,9 @@ def _ratio(family_id: str, a: float, b: float) -> float:
     return STEP_RATIOS[family_id](a / b)
 
 
-def _lead_and_ratio(family_id: str, start: int, pair) -> tuple[float, float]:
-    """``family`` at start and ``step_ratio``, the pair checked once."""
-    member = catalog.family_member(family_id, start)
+def _lead_and_ratio(family_id: str, pair) -> tuple[float, float]:
+    """``family`` at ``series_start`` and ``step_ratio``; one pair check."""
+    member = catalog.family_member(family_id, series_start(family_id))
     a, b = positive_pair(pair)
     return float(member._at(a, b)), _ratio(family_id, a, b)
 
@@ -149,23 +149,28 @@ def witness_second_derivative(family_id: str, x, t: int,
 # Exponential representations.
 
 def series_start(family_id: str) -> int:
-    """First member of the series: t = 0, or t = -1 for the ladder Lt.
-
-    The ladder's closed form sums L_t / (t+1)! from t = -1 (erratum E19).
-    """
+    """First t of a family's exponential series: 0, or -1 for the ladder
+    Lt, whose closed form sums L_t / (t+1)! from t = -1 (erratum E19).
+    topsoe, which has no series, and an unknown id raise ``KeyError``."""
+    if family_id not in EXP_FORMS:
+        catalog.family_range(family_id)     # an unknown id's KeyError
+        raise KeyError(f"family {family_id!r} has no exponential series")
     return -1 if family_id == "Lt" else 0
 
 
-def _series_partial(family_id: str, start: int, last: int, pair) -> float:
-    """sum_{k=0}^{last-start} family(start + k, pair) / k!.
+def exp_series_partial(family_id: str, pair, n: int) -> float:
+    """Partial sum sum_{k=0}^{n-s} family(s + k, pair) / k!, s the
+    ``series_start``, for an integer n >= s.
 
     Terms are built incrementally (multiply by ratio / (k+1)), which
     avoids factorial overflow.  The loop stops once a term is 0, as every
     later one is, or the sum is inf or NaN, as it then stays: the bits
-    are those of all n steps, and a large n costs only the terms that
+    are those of all n - s steps, and a large n costs only the terms that
     count.
     """
-    term, r = _lead_and_ratio(family_id, start, pair)
+    start = series_start(family_id)
+    last = catalog.index("n", n, start)
+    term, r = _lead_and_ratio(family_id, pair)
     total = term
     for k in range(last - start):
         if term == 0.0 or not math.isfinite(total):
@@ -173,11 +178,6 @@ def _series_partial(family_id: str, start: int, last: int, pair) -> float:
         term *= r / (k + 1)
         total += term
     return float(total)
-
-
-def exp_series_partial(family_id: str, pair, n: int) -> float:
-    """Partial sum sum_{t=0}^{n} family(t, pair) / t!."""
-    return _series_partial(family_id, 0, catalog.index("n", n, 0), pair)
 
 
 def _times_exp(lead: float, arg: float) -> float:
@@ -193,37 +193,15 @@ def _times_exp(lead: float, arg: float) -> float:
 
 
 def exp_representation(family_id: str, pair) -> float:
-    """Closed form of the full series: family(0) * exp(step ratio)."""
-    return _times_exp(*_lead_and_ratio(family_id, 0, pair))
-
-
-def exp_L_representation(pair) -> float:
-    """Closed form 2*Delta * exp((a+b) / (2*sqrt(ab))).
-
-    This is the envelope of the ladder family: its step ratio is
-    (a+b)/(2 sqrt(ab)) and the series that converges to this form starts
-    one rung below zero, at the member L_{-1} = 2*Delta; see
-    exp_L_series_partial.
-    """
-    return _times_exp(*_lead_and_ratio("Lt", -1, pair))
-
-
-def exp_L_series_partial(pair, n: int, offset: bool = True) -> float:
-    """Partial sums of the ladder series.
-
-    With offset=True (the reading that reproduces the closed form) the
-    sum is sum_{t=-1}^{n} L_t / (t+1)!.  With offset=False it is the
-    naive sum_{t=0}^{n} L_t / t!, which converges to K * exp(r) instead;
-    both are exposed so the audit can report which reading holds.
-    """
-    return _series_partial("Lt", -1 if offset else 0,
-                           catalog.index("n", n, -1), pair)
+    """The series' sum: family(s) * exp(step ratio), s the ``series_start``."""
+    return _times_exp(*_lead_and_ratio(family_id, pair))
 
 
 # Printed exponential displays E_F = lead * exp(arg), kept verbatim; the
-# audit reports each series under its "ref".  A printed formula of (a, b), homogeneous of degree d, is held as
-# (d, g) with value b**d * g(a/b).  The display is the series limit when
-# its lead is (1, family(start)) and its argument is (0, step ratio).
+# audit reports each series under its "ref".  A printed formula of (a, b),
+# homogeneous of degree d, is held as (d, g) with value b**d * g(a/b).
+# The display is the series limit when its lead is (1, family(s)), s the
+# ``series_start``, and its argument is (0, step ratio).
 _SQ = RatU(UM1 * UM1)                # (sqrt a - sqrt b)^2
 _DELTA = RatU(XM1SQ, XP1)            # (a - b)^2 / (a + b)
 _SQ_OVER_G = RatU(XM1SQ, U)          # (a - b)^2 / sqrt(ab)
@@ -248,7 +226,7 @@ EXP_FORMS: dict[str, dict] = {
 
 def display_is_series_limit(family_id: str) -> bool:
     """Whether the printed display is exactly lead * exp(step ratio)."""
-    form = EXP_FORMS[family_id]
     lead = catalog.family_gen(family_id, series_start(family_id))
+    form = EXP_FORMS[family_id]
     return (form["printed_lead"] == (1, lead)
             and form["printed_arg"] == (0, STEP_RATIOS[family_id]))

@@ -75,7 +75,8 @@ def diff_reports(report_a: dict, report_b: dict) -> list[str]:
     """Lines describing checks whose verdicts differ between two reports.
 
     Raises ValueError for a report that is not an object or whose
-    ``checks`` is not a list of objects.
+    ``checks`` is not a list of objects, each with a string ``id`` and
+    ``verdict``.
     """
     va, vb = _verdicts(report_a), _verdicts(report_b)
     lines = []
@@ -89,7 +90,9 @@ def diff_reports(report_a: dict, report_b: dict) -> list[str]:
 def _verdicts(report) -> dict:
     checks = report.get("checks", []) if isinstance(report, dict) else None
     if not (isinstance(checks, list)
-            and all(isinstance(c, dict) for c in checks)):
+            and all(isinstance(c, dict) and isinstance(c.get("id"), str)
+                    and isinstance(c.get("verdict"), str) for c in checks)):
         raise ValueError("a report is a JSON object whose 'checks' is a "
-                         "list of objects")
+                         "list of objects, each with a string 'id' and "
+                         "'verdict'")
     return {c["id"]: c["verdict"] for c in checks}

@@ -189,14 +189,9 @@ def test_criterion_7_exponential_series():
     boundary = {"Delta2", "K2"}
     for fid in families:
         for pair in pairs:
-            if fid == "Lt":
-                closed = generators.exp_L_representation(pair)
-                p30 = generators.exp_L_series_partial(pair, 30)
-                p40 = generators.exp_L_series_partial(pair, 40)
-            else:
-                closed = generators.exp_representation(fid, pair)
-                p30 = generators.exp_series_partial(fid, pair, 30)
-                p40 = generators.exp_series_partial(fid, pair, 40)
+            closed = generators.exp_representation(fid, pair)
+            p30 = generators.exp_series_partial(fid, pair, 30)
+            p40 = generators.exp_series_partial(fid, pair, 40)
             rel30 = abs(p30 - closed) / abs(closed)
             rel40 = abs(p40 - closed) / abs(closed)
             q = generators.step_ratio(fid, pair)

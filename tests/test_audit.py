@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import threading
 from dataclasses import replace
 from fractions import Fraction
@@ -92,6 +93,14 @@ def test_chain_selection_splits_each_string_at_commas(chains, ids):
 def test_an_empty_chain_selection_is_refused(chains):
     with pytest.raises(ValueError, match="no chain selected"):
         audit.AuditConfig(chains=chains)
+
+
+@pytest.mark.parametrize("check", [{"id": "c"}, {"verdict": "pass"},
+                                   {"id": ["c"], "verdict": "pass"}])
+def test_diff_reports_refuses_a_check_without_an_id_or_verdict(check):
+    # A check without a verdict raised a bare KeyError.
+    with pytest.raises(ValueError, match="string 'id' and 'verdict'"):
+        audit.diff_reports({"checks": [check]}, {"checks": []})
 
 
 def test_small_run_passes_and_reports(report):
@@ -495,6 +504,52 @@ def test_a_proof_that_raises_in_the_prover_is_raised_in_the_parent(
                                           workers=2))
     # The prover is reaped; the scan helpers, joined, idle.
     assert [h.busy for h in pool._helpers] == [False, False]
+
+
+def test_the_prover_is_sent_the_rows_the_parent_built(monkeypatch,
+                                                     no_helpers):
+    # The request that goes down the prover's pipe holds the parent's
+    # chains, identity and table checks and proof parts, to prove as given.
+    sent, real = [], pool._send
+
+    def send(fd, data):
+        sent.append(data)
+        return real(fd, data)
+
+    monkeypatch.setattr(pool, "_send", send)
+    config = audit.AuditConfig(chains="means,eq7", samples=2 * analysis.CHUNK,
+                               seed=3, workers=2)
+    audit.run_audit(config)
+    requests = [pickle.loads(data) for data in sent]
+    (chains, idents, parts), = [arg for function, arg in requests
+                                if function is audit._proofs]
+    assert chains == [cascade.get_chain("means"), cascade.get_chain("eq7")]
+    assert idents == audit._identities(1e-12) + audit._tables(1e-12)
+    assert len(idents) == 151
+    assert parts == cascade.theorem_parts()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_audit_builds_its_rows_once(monkeypatch, no_helpers, workers):
+    # The parent builds them; the prover, if any, proves what it is sent.
+    parent, calls = os.getpid(), []
+
+    def counted(name):
+        real = getattr(audit, name)
+
+        def build(tol):
+            if os.getpid() != parent:
+                raise AssertionError(f"{name} ran in a helper")
+            calls.append(name)
+            return real(tol)
+        return build
+
+    for name in ("_identities", "_tables"):
+        monkeypatch.setattr(audit, name, counted(name))
+    report = audit.run_audit(audit.AuditConfig(
+        chains="means", samples=2 * analysis.CHUNK, seed=3, workers=workers))
+    assert audit.report_passed(report)
+    assert calls == ["_identities", "_tables"]
 
 
 def test_workers_default_is_the_usable_cpu_count(monkeypatch):

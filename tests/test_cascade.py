@@ -1,6 +1,7 @@
 """Unit tests for chains, pyramid differences, and residual decompositions."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,22 @@ def test_theorem_part_counts_and_betas():
     p1 = cascade.THEOREM_PARTS["2.1:1"]
     assert cascade.beta_constant(p1) == Fraction(1, 14)
     assert cascade.beta_exact(p1) == Fraction(1, 14)
+
+
+@pytest.mark.parametrize("call, arg, message", [
+    (cascade.beta_constant, True, "unknown proof part True"),
+    (cascade.beta_constant, "9:1", "unknown proof part '9:1'"),
+    (cascade.theorem_parts, "9", "unknown theorem '9'"),
+    (cascade.theorem_parts, "2", "unknown theorem '2'"),
+])
+def test_an_unknown_part_or_theorem_is_refused(call, arg, message):
+    # beta_constant(True) read the bool as part 1, and theorem_parts("9")
+    # returned no part.  An integer, a numpy one included, is a part of
+    # Theorem 2.1.
+    with pytest.raises(KeyError, match=re.escape(message)):
+        call(arg)
+    for part in (1, np.int64(1)):
+        assert cascade.beta_constant(part) == Fraction(1, 14)
 
 
 def test_residual_decomposition_point_check():

@@ -386,8 +386,9 @@ def test_report_diff_malformed(tmp_path, capsys):
     assert "cannot parse" in err
 
 
-@pytest.mark.parametrize("doc", ["[]", '{"checks": "abc"}',
-                                 '{"checks": [1]}'])
+@pytest.mark.parametrize("doc", [
+    "[]", '{"checks": "abc"}', '{"checks": [1]}', '{"checks": [{"id": "c"}]}',
+    '{"checks": [{"id": [], "verdict": "pass"}]}'])
 def test_report_diff_rejects_a_report_of_the_wrong_shape(tmp_path, capsys,
                                                          doc):
     bad = tmp_path / "bad.json"

@@ -82,6 +82,10 @@ PAIR = Kind(st.one_of(
     st.tuples(st.just(2.0), _NOT_POSITIVE),
     st.sampled_from([None, "ab", (1.0, 2.0, 3.0), (1.0,), 5,
                      np.array([1.0, 2.0, 3.0])])))
+# An audit's chain selection that is not None, a string or a list or
+# tuple of strings: 5 raised TypeError and [5] AttributeError.
+CHAINS = Kind(st.sampled_from([5, [5], True, np.int64(2), b"means",
+                               ("means", None), {"means"}, {"means": 1}]))
 # A sequence of probability entries, one of which is not a real number.
 ENTRIES = Kind(st.sampled_from(_FLAGS + ["0.5", None, np.array(0.5)]).map(
     lambda v: [0.5, v, 0.5]), names="entry 1")
@@ -107,9 +111,10 @@ ROWS = {
     "sample_pairs": (analysis.sample_pairs, dict(n=10, seed=0),
                      dict(n=_integer(0), seed=SEED)),
     "AuditConfig": (audit.AuditConfig,
-                    dict(samples=100, seed=1, tolerance=1e-12, workers=1),
-                    dict(samples=COUNT, seed=SEED, tolerance=POSITIVE,
-                         workers=COUNT)),
+                    dict(chains="means", samples=100, seed=1,
+                         tolerance=1e-12, workers=1),
+                    dict(chains=CHAINS, samples=COUNT, seed=SEED,
+                         tolerance=POSITIVE, workers=COUNT)),
     "ERRATA": CONSTANT,
     "run_audit": FREE,
     "CHAINS": CONSTANT,
@@ -170,11 +175,6 @@ ROWS = {
     "convexity_witness": (generators.convexity_witness,
                           dict(family_id="K1", x=2.0, t=3),
                           dict(x=X, t=_family(0, 64))),
-    "exp_L_representation": (generators.exp_L_representation,
-                             dict(pair=_PAIR), dict(pair=PAIR)),
-    "exp_L_series_partial": (generators.exp_L_series_partial,
-                             dict(pair=_PAIR, n=4),
-                             dict(pair=PAIR, n=_integer(-1))),
     "exp_representation": (generators.exp_representation,
                            dict(family_id="K1", pair=_PAIR),
                            dict(pair=PAIR)),
@@ -289,7 +289,6 @@ def _pair_checks(monkeypatch, call, kwargs) -> int:
 def test_the_pair_takers_are_the_scalar_evaluators():
     assert _PAIR_TAKERS == [
         "L_t", "Measure", "base", "equivalent_expression",
-        "exp_L_representation", "exp_L_series_partial",
         "exp_representation", "exp_series_partial", "family", "mean",
         "mean_difference", "pyramid_diff", "pyramid_equalities",
         "residual_decompositions", "step_ratio", "verify_mean_identities"]

@@ -62,7 +62,8 @@ def test_exp_series_partial_is_monotone_in_n():
 
 def _every_step(family_id, start, last, pair):
     """The series partial sum through all its steps, none skipped."""
-    term, r = generators._lead_and_ratio(family_id, start, pair)
+    term = generators.family(family_id, start, pair)
+    r = generators.step_ratio(family_id, pair)
     total = term
     for k in range(last - start):
         term *= r / (k + 1)
@@ -75,15 +76,14 @@ _SERIES_GRID += [4.0, 1.0 + 1e-9]
 
 
 @pytest.mark.parametrize("family_id, start", [
-    *((fid, 0) for fid in generators.EXP_FORMS), ("Lt", -1)])
+    *((fid, 0) for fid in FAMILIES), ("Lt", -1)])
 def test_a_series_that_stops_early_has_the_bits_of_every_step(family_id,
                                                                start):
     # The loop stops at a term of 0 or a sum of inf or NaN.
+    assert generators.series_start(family_id) == start
     for pair in itertools.product(_SERIES_GRID, repeat=2):
         for n in (0, 1, 7, 60, 700, 2000):
-            got = (generators.exp_series_partial(family_id, pair, n)
-                   if start == 0 else
-                   generators.exp_L_series_partial(pair, n))
+            got = generators.exp_series_partial(family_id, pair, n)
             want = _every_step(family_id, start, n, pair)
             assert struct.pack("<d", got) == struct.pack("<d", want), (
                 pair, n)
@@ -95,25 +95,51 @@ def test_a_series_of_a_huge_n_returns_at_once(pair):
     for fid in generators.EXP_FORMS:
         started = time.perf_counter()
         generators.exp_series_partial(fid, pair, 10**12)
-        generators.exp_L_series_partial(pair, 10**12)
         assert time.perf_counter() - started < 0.1, fid
 
 
 def test_L_series_offset_weights():
-    """The L members sum with 1/(t+1)! weights from t = -1; the naive
-    1/t! weighting from t = 0 produces the K-led closed form instead."""
+    """The L members sum with 1/(t+1)! weights from t = -1 to the closed
+    form of Eq (58), 2 Delta * exp((a+b) / (2 sqrt(ab)))."""
     for pair in [(1.5, 1.0), (4.0, 1.0), (2.0, 5.0)]:
         a, b = pair
         arg = (a + b) / (2.0 * math.sqrt(a * b))
-        shifted = generators.exp_L_series_partial(pair, 35, offset=True)
+        shifted = generators.exp_series_partial("Lt", pair, 35)
         assert shifted == pytest.approx(
             2.0 * catalog.get("delta").value(a, b) * math.exp(arg),
             rel=1e-12)
-        assert generators.exp_L_representation(pair) == pytest.approx(
+        assert generators.exp_representation("Lt", pair) == pytest.approx(
             shifted, rel=1e-12)
-        naive = generators.exp_L_series_partial(pair, 35, offset=False)
-        assert naive == pytest.approx(
-            catalog.get("K").value(a, b) * math.exp(arg), rel=1e-12)
+
+
+@pytest.mark.parametrize("family_id", list(generators.EXP_FORMS))
+def test_a_series_at_its_start_is_its_first_member_alone(family_id):
+    start = generators.series_start(family_id)
+    for pair in itertools.product(_SERIES_GRID, repeat=2):
+        got = generators.exp_series_partial(family_id, pair, start)
+        want = generators.family(family_id, start, pair)
+        assert struct.pack("<d", got) == struct.pack("<d", want), pair
+    # An n below the start, an empty sum, is refused; the ladder's naive
+    # series from t = 0 gave K(4, 1) = 4.5 for n = -1.
+    with pytest.raises(ValueError, match=rf"^n must be >= {start}, "
+                                         rf"not {start - 1}$"):
+        generators.exp_series_partial(family_id, (4.0, 1.0), start - 1)
+
+
+@pytest.mark.parametrize("call", [
+    generators.series_start,
+    lambda fid: generators.exp_series_partial(fid, (4.0, 1.0), 3),
+    lambda fid: generators.exp_representation(fid, (4.0, 1.0)),
+    generators.display_is_series_limit,
+], ids=["series_start", "exp_series_partial", "exp_representation",
+        "display_is_series_limit"])
+def test_a_family_with_no_series_is_refused(call):
+    with pytest.raises(KeyError, match="unknown family 'nosuch'"):
+        call("nosuch")
+    # topsoe's exp_representation read as far as its t = 0, outside 1..64.
+    with pytest.raises(KeyError,
+                       match="family 'topsoe' has no exponential series"):
+        call("topsoe")
 
 
 def test_display_mismatches_are_the_known_three():
@@ -178,9 +204,9 @@ def test_witness_helpers_reject_a_negative_t():
     lambda pair: generators.step_ratio("Lt", pair),
     lambda pair: generators.family("Hgen", 2, pair),
     lambda pair: generators.exp_representation("K1", pair),
-    lambda pair: generators.exp_L_series_partial(pair, 3),
+    lambda pair: generators.exp_series_partial("Lt", pair, 3),
 ], ids=["step_ratio", "family", "exp_representation",
-        "exp_L_series_partial"])
+        "exp_series_partial"])
 def test_a_pair_is_two_positive_finite_reals(call, pair):
     # step_ratio("Lt", (True, 2)) used to give a value.
     with pytest.raises(ValueError, match=r"^pair \(a, b\) must be"):
@@ -190,7 +216,7 @@ def test_a_pair_is_two_positive_finite_reals(call, pair):
 def test_envelopes_overflow_to_inf():
     pair = (1e6, 1e-6)      # inside the audit's sampling window
     assert generators.exp_representation("Delta1", pair) == math.inf
-    assert generators.exp_L_representation(pair) == math.inf
+    assert generators.exp_representation("Lt", pair) == math.inf
 
 
 def test_envelope_past_the_range_of_exp_keeps_a_finite_value():
@@ -274,7 +300,8 @@ def test_step_ratios_against_sympy():
         table = _sym(generators.STEP_RATIOS[fid])
         assert _same(table, _at_u(step)), fid
         lo, hi = catalog.family_range(fid)
-        start = max(generators.series_start(fid), lo)
+        start = (generators.series_start(fid) if fid in generators.EXP_FORMS
+                 else lo)
         for t in range(start, start + 3):
             member = _at_u(_MEMBERS[fid](t))
             assert _same(member, _sym(catalog.family_gen(fid, t))), (fid, t)

@@ -225,7 +225,7 @@ print(json.dumps({
 def test_every_export_is_the_object_of_its_home_module():
     doc = fresh(_SAME_OBJECTS)
     assert doc["differ"] == []
-    assert len(doc["all"]) == len(set(doc["all"])) == 55
+    assert len(doc["all"]) == len(set(doc["all"])) == 53
     assert set(doc["all"]) == set(doc["homes"]) | {"__version__"}
 
 
