@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 
 # Home module -> the names the package exports from it.
 _EXPORTS = {
-    "analysis": "certify_convexity estimate_sup_ratio sample_pairs",
+    "analysis": "estimate_sup_ratio sample_pairs",
     "audit": "AuditConfig ERRATA run_audit",
     "cascade": "CHAINS THEOREM_PARTS Chain audit_chain beta_constant "
-               "chain_from_dict chains combination_lines "
+               "certify_convexity chain_from_dict chains combination_lines "
                "equivalent_expression fit_combination get_chain pyramid_diff "
                "pyramid_equalities residual_decompositions theorem_parts",
     "catalog": "FAMILY_IDS Measure all_ids get try_get",

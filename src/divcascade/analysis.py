@@ -1,18 +1,21 @@
-"""Numerical certification machinery.
+"""Numerical certification machinery: the sampled pass.
 
-Convexity certificates (an exact sign proof of f'' for every divergence,
-checked against 40-digit ``decimal`` differences at 11 points), a grid
-estimate of the sup-ratio behind each sharp inequality constant (the
-audit proves those constants exactly instead), and the sampled pass,
-which checks the float evaluators against the orderings and identities
-that ``cascade`` proves.  Everything here is deterministic given the
-seed: a run makes one ``Sample``, n pairs and the seed of their PCG64
-stream, and ``start_scan`` evaluates all its claims in one pass over
-fixed chunks of it.  ``workers`` is the number of processes that scan:
+The sampled pass checks the float evaluators against the orderings and
+identities that ``cascade`` proves, and a grid estimate gives the
+sup-ratio behind each sharp inequality constant (the audit proves those
+constants exactly instead).  ``certify_convexity`` is ``cascade``'s,
+named here too: its spot check evaluates f'' one scalar at a time and
+loads no numpy, so an audit's prover certifies convexity.
+
+Everything here is deterministic given the seed: a run makes one
+``Sample``, n pairs and the seed of their PCG64 stream, and
+``start_scan`` evaluates all its claims in one pass over fixed chunks
+of it.  ``workers`` is the number of processes that scan:
 ``scan_claims`` scans the first run of chunks itself and hands each
-other run to a scan helper, and ``start_scan``, whose caller goes on
-working, hands every run to one.  Only a drawn sample is split so:
-given pairs scan in the calling process, whatever ``workers`` is.  Each
+other run to a scan helper, and ``start_scan`` hands every run to one,
+so that its caller may go on working, or, as an audit's parent does,
+hold none of a scan's memory.  Only a drawn sample is split so: given
+pairs scan in the calling process, whatever ``workers`` is.  Each
 chunk's pairs are drawn, by advancing the stream straight to them, in
 the process that scans the chunk.  A run folds its chunks into one
 fold per claim, and the runs' folds merge in index order, the same
@@ -23,7 +26,11 @@ it broke is named from the pair by ``cascade.named_links``.
 A scan helper is one of ``pool``'s forked helpers.  Each run it scans
 comes as the request (``_scan_run``, (claims, sample, chunk starts))
 through its pipe, so a sweep of scans forks once; an idle helper, and
-the registers it holds, stay until the process exits.
+the registers it holds, stay until the process exits.  In an audit at
+more than one worker, the scan helpers scan the sampled pass, then one
+of them the negative control's 100 pairs (``audit._control_scan``); the
+prover, forked before numpy loads, proves and certifies; and the parent
+only starts the scan, joins it, collects and assembles.
 
 The float work of a run is one straight-line program, compiled from
 its claims by the process that scans the run, by running the claims'
@@ -45,15 +52,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from decimal import Context, Decimal, localcontext
 from typing import Callable
 
 import numpy as np
 import numpy.random      # here, not once per forked scan worker
 
 from . import catalog, pool
+from .cascade import certify_convexity
 from .ratfun import RatU, UContext
-from .reporting import CheckResult, make_result
 
 __all__ = [
     "default_grid", "sample_pairs", "Sample", "certify_convexity",
@@ -62,11 +68,6 @@ __all__ = [
 ]
 
 CHUNK = 16384           # pairs per chunk of a sampled pass
-
-# Spot check of an exact f'' against a 40-digit central difference.
-FD_REL_TOL = 1e-6
-FD_ABS_TOL = 1e-8
-SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9), [0.999, 1.001]])
 
 
 def default_grid() -> np.ndarray:
@@ -207,75 +208,6 @@ class Sample:
         np.copyto(_out[0], a)
         np.copyto(_out[1], b)
         return _out[0], _out[1]
-
-
-def _fd2_mp(measure: catalog.Measure, x: float, dps: int = 40) -> float:
-    """Central second difference in dps-digit ``decimal``, h = 1e-5 x.
-
-    Plain float64 differences cannot certify steep generators: the noise
-    floor eps*f/(h^2 f'') passes 1e-6 at x = 1e-4 and 1e4 no matter how h
-    is chosen.  Working at 40 digits leaves only the O((h/x)^2) = 1e-10
-    truncation term.
-    """
-    xv = Decimal(x)
-    with localcontext(Context(prec=dps)):
-        h = xv * Decimal("1e-5")
-        out = (measure.eval_mp(xv + h, dps) - 2 * measure.eval_mp(xv, dps)
-               + measure.eval_mp(xv - h, dps)) / (h * h)
-    return float(out)
-
-
-def certify_convexity(measure) -> CheckResult:
-    """Certify that a divergence generator is convex and normalized.
-
-    Proves f(1) = 0 and f'(1) = 0 (a pole at x = 1 fails each by inf)
-    and the exact f'' positive on all of x > 0 apart from x = 1
-    (``positive_off_one`` of the ``RatU`` or
-    ``RatS`` form, by Polya certificates; a failed ``RatU`` proof records
-    the N of num and den as ``polya``).  A spot check of f'' against a
-    40-digit ``decimal`` central difference at ``SPOT_POINTS``, to within
-    FD_REL_TOL * |f''| + FD_ABS_TOL, catches a wrong derivative; the
-    absolute floor covers f'' vanishing to high order near x = 1, and a
-    value that is not finite fails.
-    """
-    m = catalog.get(measure)
-    if m.kind != "divergence":
-        raise ValueError(f"{m.id} is a {m.kind}; convexity certificates "
-                         "apply to divergence generators")
-    bad: list[dict] = []
-
-    def flag(x, check, amount):
-        bad.append({"x": float(x), "check": check, "violation": float(amount)})
-
-    for check, form in (("f(1)=0", m.gen), ("f'(1)=0", m.gen.dx())):
-        try:
-            at_1 = abs(form.limit_at_1())
-        except ZeroDivisionError:       # a pole at x = 1
-            at_1 = float("inf")
-        if at_1 != 0:
-            flag(1.0, check, at_1)
-
-    f2 = m.fpp
-    if not f2.positive_off_one():
-        bad.append({"check": "f''>0 off x=1", "violation": float("inf")})
-        if isinstance(f2, RatU):
-            bad[-1].update(m=f2.m, polya=[f2.num.polya_degree(),
-                                          f2.den.polya_degree()])
-    fd = np.array([_fd2_mp(m, float(x)) for x in SPOT_POINTS])
-    analytic = f2(SPOT_POINTS)
-    with np.errstate(invalid="ignore"):     # inf - inf where f'' is inf
-        diff = np.abs(analytic - fd)
-        excess = diff - (FD_REL_TOL * np.abs(analytic) + FD_ABS_TOL)
-    i = int(np.argmax(excess))        # the first NaN, if there is one
-    if not float(excess[i]) <= 0.0:   # so a value that is not finite fails
-        flag(SPOT_POINTS[i], "analytic-vs-fd",
-             diff[i] if np.isfinite(diff[i]) else np.inf)
-
-    # Every recorded violation is > 0, so a tol of 0 fails exactly when
-    # one is recorded.
-    worst = max((r["violation"] for r in bad), default=0.0)
-    return make_result(f"convexity:{m.id}", "convexity",
-                       int(SPOT_POINTS.size), worst, 0.0, bad[:10], ref=m.ref)
 
 
 def _fpp_ratu(measure) -> RatU:

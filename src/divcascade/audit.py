@@ -8,12 +8,14 @@ convexity witnesses.  Every exact claim is one sum of c * form that
 it is positive off x = 1.  Chain links are proved and also scanned;
 every identity is an ``Identity`` row that one checker proves and,
 where it names measures, samples.  The negative control, a reversed
-link, must fail both its proof and its scan.  A run is summarized as
+link, must fail its proof, be refuted by an exact value and fail its
+scan.  A run is summarized as
 a JSON document whose checks are deterministic functions of (seed,
 samples, tolerance); the errata list documents source-text misprints
-and never affects the exit status.  The proofs load no numpy: only the
-functions that sample import ``analysis``, so ``run_audit`` can fork
-the helper that proves before numpy loads.
+and never affects the exit status.  The proofs and the convexity
+certificates load no numpy: only the functions that sample import
+``analysis``, so ``run_audit`` can fork the helper that proves before
+numpy loads.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ class AuditConfig:
     ``chains`` is "all" (or None), or chain ids and prefixes in a
     comma-separated string or a list of them.  ``workers`` (None: the
     usable CPU count) is the number of forked processes that scan the
-    sampled pass; above 1, one more, the prover, runs the exact proofs
-    meanwhile.  1 runs everything in this process, one step after
-    another.
+    sampled pass and then the negative control's 100 pairs; above 1,
+    one more, the prover, runs the proofs, the beta rows, the convexity
+    certificates and the control's refutation meanwhile, and this
+    process only assembles the report.  1 runs everything in this
+    process, one step after another.
     """
 
     chains: object = "all"
@@ -493,21 +497,49 @@ def _printed_forms() -> list[Identity]:
     return out
 
 
-def _negative_control(config):
-    """The reversed link W2 <= W1 must fail its proof and its scan."""
+# The negative control: the reversed link W2 <= W1, which the exact gap
+# W1 - W2 = -2/35 at the perfect square x = 4 refutes.
+_CONTROL = ((1, "W2"), (1, "W1"))
+_CONTROL_X = 4
+
+
+def _refutation() -> Fraction | None:
+    """The exact gap hi - lo of the control's link lo <= hi at
+    ``_CONTROL_X``, if its proof fails and the gap is < 0 there: a
+    witness that the link is false, not a proof search that gave up.
+    None otherwise."""
+    lo, hi = _CONTROL
+    if cascade.is_exact_ordering((lo,), (hi,)):
+        return None
+    gap = (catalog.get(hi[1]).gen * hi[0]
+           - catalog.get(lo[1]).gen * lo[0]).at_x(_CONTROL_X)
+    return gap if gap < 0 else None
+
+
+def _control_scan(config) -> tuple[float, list]:
+    """The control's worst violation over 100 pairs of the config's seed,
+    and its first record, naming its link (``cascade.named_links``)."""
     from . import analysis
-    lo, hi = (1, "W2"), (1, "W1")
     worst, records = analysis.scan_chain_terms(
-        (lo, hi), analysis.Sample.draw(100, config.seed), config.tolerance)
-    found = (worst > config.tolerance
-             and not cascade.is_exact_ordering((lo,), (hi,)))
+        _CONTROL, analysis.Sample.draw(100, config.seed), config.tolerance)
+    return worst, cascade.named_links(_CONTROL, records[:1])
+
+
+def _control_row(config, scan, refuted) -> CheckResult:
+    """The control's row from its ``_control_scan`` and ``_refutation``:
+    it passes when both catch the false link.  The witness is the row's
+    ``detail``, which the report does not hold."""
+    worst, counterexamples = scan
+    found = worst > config.tolerance and refuted is not None
+    witness = ("no exact refutation" if refuted is None
+               else f"W1 - W2 = {refuted} < 0 at x = {_CONTROL_X}")
     return CheckResult(
         id="negative-control:W2<=W1", kind="negative-control",
         samples=100, max_violation=worst,
         verdict="pass" if found else "fail",
-        counterexamples=cascade.named_links((lo, hi), records[:1]),
-        ref="Eq (9) reversed", detail="a false ordering must fail its "
-                                      "proof and be caught within 100 samples")
+        counterexamples=counterexamples, ref="Eq (9) reversed",
+        detail=f"{witness}; a false ordering must fail its proof and be "
+               "caught within 100 samples")
 
 
 # ---------------------------------------------------------------------------
@@ -525,56 +557,62 @@ def _tables(tol: float) -> list[Identity]:
     return [_w8_printed()] + _combinations(tol) + _printed_forms()
 
 
-def _proofs(rows) -> tuple[list, list, list]:
+def _proofs(rows) -> tuple[list, list, list, list, Fraction | None]:
     """The exact half of an audit, of the (chains, identity and table
-    checks, proof parts) ``rows`` it is given: each chain's verdict
-    (``cascade.chain_proved``), each check's (``_identity_proved``) and
-    each part's beta row (``_check_beta``).  It loads no numpy."""
-    chains, idents, parts = rows
+    checks, proof parts, convexity ids) ``rows`` it is given: each
+    chain's verdict (``cascade.chain_proved``), each check's
+    (``_identity_proved``), each part's beta row (``_check_beta``), each
+    convexity row (``cascade.certify_convexity``) and the negative
+    control's ``_refutation``.  It loads no numpy."""
+    chains, idents, parts, convex = rows
     return ([cascade.chain_proved(chain) for chain in chains],
             [_identity_proved(ident) for ident in idents],
-            [_check_beta(part) for part in parts])
+            [_check_beta(part) for part in parts],
+            [cascade.certify_convexity(mid) for mid in convex],
+            _refutation())
 
 
 def run_audit(config: AuditConfig) -> dict:
     """Run every check under the given config and return the report.
 
-    The rows, the chains, identity and table checks and proof parts, are
-    built once, before this call imports numpy.  Where
-    ``pool._can_fork(config.workers)`` (``workers`` > 1, ``os.fork`` and
-    one Python thread), a forked helper, the prover, is sent them first
-    to prove (``_proofs``).  This process then imports ``analysis`` and
-    starts one ``analysis.start_scan`` pass that samples every chain and
-    identity claim in forked scan helpers, certifies the convexity rows
-    and runs the negative control meanwhile, joins the scan and collects
-    the proofs.  Otherwise each step runs here, one after another, the
-    scan in its ``join()`` and the proofs last.  An exception reaps the
-    prover and the scan's helpers before it propagates.  The checks are
-    assembled from the joined folds and the proof verdicts, in the
-    report's fixed order, the same on either path.
+    The rows, the chains, identity and table checks, proof parts and
+    convexity ids, are built once, before this call imports numpy.
+    Where ``pool._can_fork(config.workers)`` (``workers`` > 1,
+    ``os.fork`` and one Python thread), the work is split three ways:
+
+    - the prover, a forked helper, is sent the rows first, and proves
+      them, certifies convexity and refutes the negative control
+      (``_proofs``), while numpy loads here;
+    - the scan helpers, forked once numpy is loaded, scan one
+      ``analysis.start_scan`` pass over every chain and identity claim;
+      once it is joined, one of them runs the negative control's scan
+      (``_control_scan``), so no helper is forked for it;
+    - this process starts the scan, joins it, collects the control and
+      the proofs, and assembles.
+
+    Otherwise every step runs here, one after another.  An exception
+    reaps the prover and the scan's helpers before it propagates.  The
+    checks are assembled in the report's fixed order, the same on
+    either path.
     """
     tol = config.tolerance
     chains = [cascade.get_chain(cid) for cid in config.chain_ids]
     idents, tables = _identities(tol), _tables(tol)
     exact = idents + tables
-    rows = (chains, exact, cascade.theorem_parts())
+    rows = (chains, exact, cascade.theorem_parts(), _convexity_ids())
     prover = (pool._lease([(_proofs, rows)])
               if pool._can_fork(config.workers) else [])
     try:
         from . import analysis
         sample = analysis.Sample.draw(config.samples, config.seed)
-        join = analysis.start_scan(
+        folds = iter(analysis.start_scan(
             [analysis.Ordering(chain.terms, tol) for chain in chains]
             + [eq for ident in exact for eq in _equalities(ident)],
-            sample, config.workers)
-        try:
-            convexity = [analysis.certify_convexity(mid)
-                         for mid in _convexity_ids()]
-            control = _negative_control(config)
-        finally:                # no scan helper is left busy if a step raises
-            folds = iter(join())
-        (linked, proofs, betas), = (pool._collect(prover) if prover
-                                    else [_proofs(rows)])
+            sample, config.workers)())
+        control, = (pool._collect(pool._lease([(_control_scan, config)]))
+                    if prover else [_control_scan(config)])
+        (linked, proofs, betas, convexity, refuted), = (
+            pool._collect(prover) if prover else [_proofs(rows)])
     except BaseException:
         pool._reap(prover)
         raise
@@ -586,6 +624,7 @@ def run_audit(config: AuditConfig) -> dict:
                                [next(folds) for _ in ident.claims], proved)
                for ident, proved in zip(exact, proofs)]
     identities, tables = checked[:len(idents)], checked[len(idents):]
+    control = _control_row(config, control, refuted)
     checks = chains + identities + betas + convexity + tables + [control]
 
     return {

@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                                            "(default 1e-12)")
     p_aud.add_argument("--workers",
                        help="processes that scan the sample while one "
-                            "more proves (default: the usable CPUs); 1 "
-                            "runs all in one process")
+                            "more proves and certifies convexity, and this "
+                            "one only assembles (default: the usable "
+                            "CPUs); 1 runs all in one process")
     p_aud.add_argument("--report", help="write the JSON report here")
     p_aud.add_argument("--format", choices=("text", "json"),
                        default="text")

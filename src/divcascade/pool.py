@@ -7,8 +7,10 @@ pickled result, or the exception it raised.  So a function a helper
 runs must pickle by name, which a module-level function does, and the
 helper imports its module if it has not yet.  ``analysis.start_scan``
 sends runs of chunks to scan (``analysis._scan_run``), and
-``audit.run_audit`` sends its exact proofs (``audit._proofs``) before it
-imports numpy.
+``audit.run_audit`` sends its exact proofs and convexity certificates
+(``audit._proofs``) before it imports numpy, and the negative control's
+scan (``audit._control_scan``) to an idle scan helper once its scan is
+joined.
 
 An idle helper stays until the process exits, when it is reaped; a
 helper whose parent ends any other way reads EOF on its pipe and exits,

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcascade import analysis, audit, cascade, catalog, pool
+from divcascade import analysis, audit, cascade, catalog, pool, reporting
 from divcascade.ratfun import Poly, RatS, RatU
 from test_audit import _per_call_gap
 from test_ratfun import _Claim
@@ -208,7 +208,7 @@ def test_certify_convexity_passes_for_divergence():
     res = analysis.certify_convexity("delta")
     assert res.verdict == "pass"
     assert res.kind == "convexity"
-    assert res.samples == analysis.SPOT_POINTS.size <= 16
+    assert res.samples == len(cascade.SPOT_POINTS) <= 16
 
 
 def test_certify_convexity_negative_controls():
@@ -221,7 +221,7 @@ def test_certify_convexity_negative_controls():
                    if m.kind == "divergence"]
     assert len(divergences) == 101
     results = {m.id: analysis.certify_convexity(m) for m in divergences}
-    assert {r.samples for r in results.values()} == {analysis.SPOT_POINTS.size}
+    assert {r.samples for r in results.values()} == {len(cascade.SPOT_POINTS)}
     failed = {k: r for k, r in results.items() if r.verdict != "pass"}
     assert set(failed) == {"D_GH", "D_NH", "D_SR"}
     for mid in ("D_GH", "D_NH"):
@@ -330,9 +330,82 @@ def test_decimal_spot_differences_equal_the_mpmath_ones():
     assert len(ids) == 68
     for mid in ids + ["D_SH", "D_SG", "D_SN", "D_SA", "D_CS"]:
         m = catalog.get(mid)
-        for x in analysis.SPOT_POINTS:
-            assert analysis._fd2_mp(m, float(x)) == _fd2_mpmath(m, x), (
+        for x in cascade.SPOT_POINTS:
+            assert cascade._fd2_mp(m, x) == _fd2_mpmath(m, x), (
                 mid, x)
+
+
+# The array spot check as it ran before the certificate moved into
+# ``cascade``, frozen as the reference for the scalar one.
+_ARRAY_SPOT_POINTS = np.concatenate([np.logspace(-4.0, 4.0, 9),
+                                     [0.999, 1.001]])
+
+
+def _array_certify_convexity(measure):
+    m = catalog.get(measure)
+    bad = []
+
+    def flag(x, check, amount):
+        bad.append({"x": float(x), "check": check, "violation": float(amount)})
+
+    for check, form in (("f(1)=0", m.gen), ("f'(1)=0", m.gen.dx())):
+        try:
+            at_1 = abs(form.limit_at_1())
+        except ZeroDivisionError:
+            at_1 = float("inf")
+        if at_1 != 0:
+            flag(1.0, check, at_1)
+    f2 = m.fpp
+    if not f2.positive_off_one():
+        bad.append({"check": "f''>0 off x=1", "violation": float("inf")})
+        if isinstance(f2, RatU):
+            bad[-1].update(m=f2.m, polya=[f2.num.polya_degree(),
+                                          f2.den.polya_degree()])
+    fd = np.array([cascade._fd2_mp(m, float(x)) for x in _ARRAY_SPOT_POINTS])
+    analytic = f2(_ARRAY_SPOT_POINTS)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(analytic - fd)
+        excess = diff - (cascade.FD_REL_TOL * np.abs(analytic)
+                         + cascade.FD_ABS_TOL)
+    i = int(np.argmax(excess))
+    if not float(excess[i]) <= 0.0:
+        flag(_ARRAY_SPOT_POINTS[i], "analytic-vs-fd",
+             diff[i] if np.isfinite(diff[i]) else np.inf)
+    worst = max((r["violation"] for r in bad), default=0.0)
+    return reporting.make_result(
+        f"convexity:{m.id}", "convexity", int(_ARRAY_SPOT_POINTS.size),
+        worst, 0.0, bad[:10], ref=m.ref)
+
+
+def test_the_scalar_spot_check_is_the_array_one():
+    assert [x.hex() for x in cascade.SPOT_POINTS] == [
+        float(x).hex() for x in _ARRAY_SPOT_POINTS]
+    divergences = [m.id for m in catalog.iter_measures()
+                   if m.kind == "divergence"]
+    ids = divergences + [i for i in audit._convexity_ids()
+                         if i not in divergences]
+    failed = set()
+    for mid in ids:
+        res, ref = cascade.certify_convexity(mid), _array_certify_convexity(mid)
+        assert repr(res.to_json()) == repr(ref.to_json()), mid
+        if not res.passed:
+            failed.add(mid)
+    assert failed == {"D_GH", "D_NH", "D_SR"}
+
+
+@pytest.mark.parametrize("mid", ["delta", "D_SA", "W8", "Hgen:3"])
+def test_a_planted_second_derivative_error_fails_the_spot_check(mid):
+    # f'' scaled by 1 + 1e-4 is still provably positive, but wrong.
+    m = catalog.get(mid)
+    probe = catalog.Measure("probe", "f'' off by 1e-4", "divergence", "",
+                            gen=m.gen)
+    probe._fpp = m.fpp * Fraction(10001, 10000)
+    for certify in (cascade.certify_convexity, _array_certify_convexity):
+        res = certify(probe)
+        assert res.verdict == "fail"
+        assert [r["check"] for r in res.counterexamples] == ["analytic-vs-fd"]
+    assert repr(cascade.certify_convexity(probe).to_json()) == repr(
+        _array_certify_convexity(probe).to_json())
 
 
 def test_certify_convexity_rejects_means():

@@ -1,5 +1,6 @@
 """Unit tests for audit configuration, reporting, and errata records."""
 
+import functools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from divcascade import (analysis, audit, cascade, catalog, generators, means,
-                        pool)
+                        pool, ratfun)
 from divcascade.ratfun import Poly
 
 
@@ -509,7 +510,8 @@ def test_a_proof_that_raises_in_the_prover_is_raised_in_the_parent(
 def test_the_prover_is_sent_the_rows_the_parent_built(monkeypatch,
                                                      no_helpers):
     # The request that goes down the prover's pipe holds the parent's
-    # chains, identity and table checks and proof parts, to prove as given.
+    # chains, identity and table checks, proof parts and convexity ids,
+    # to prove and certify as given.
     sent, real = [], pool._send
 
     def send(fd, data):
@@ -521,12 +523,42 @@ def test_the_prover_is_sent_the_rows_the_parent_built(monkeypatch,
                                seed=3, workers=2)
     audit.run_audit(config)
     requests = [pickle.loads(data) for data in sent]
-    (chains, idents, parts), = [arg for function, arg in requests
-                                if function is audit._proofs]
+    (chains, idents, parts, convex), = [arg for function, arg in requests
+                                        if function is audit._proofs]
     assert chains == [cascade.get_chain("means"), cascade.get_chain("eq7")]
     assert idents == audit._identities(1e-12) + audit._tables(1e-12)
     assert len(idents) == 151
     assert parts == cascade.theorem_parts()
+    assert convex == audit._convexity_ids() and len(convex) == 68
+
+
+def test_the_parent_of_a_forked_audit_only_assembles(monkeypatch,
+                                                     no_helpers):
+    # At 2 workers the scan helpers scan, the control's pairs included,
+    # and the prover proves and certifies: this process neither scans,
+    # draws nor evaluates a measure, in floats or in decimal.
+    parent, calls = os.getpid(), []
+
+    def watch(owner, name):
+        real = getattr(owner, name)
+
+        @functools.wraps(real)      # _scan_run still pickles by name
+        def watched(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, watched)
+
+    for owner, name in [(analysis, "_scan_run"), (analysis, "_draw"),
+                        (ratfun.RatU, "eval_ctx"), (ratfun.RatS, "eval_ctx"),
+                        (catalog.Measure, "eval_mp")]:
+        watch(owner, name)
+    config = dict(samples=2 * analysis.CHUNK, seed=3)
+    forked = audit.run_audit(audit.AuditConfig(workers=2, **config))
+    assert calls == []
+    serial = audit.run_audit(audit.AuditConfig(workers=1, **config))
+    assert {"_scan_run", "_draw", "eval_ctx", "eval_mp"} <= set(calls)
+    assert json.dumps(forked["checks"]) == json.dumps(serial["checks"])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -792,12 +824,33 @@ def test_erratum_e15_printed_witness_doubles_f2_only_at_t0():
     assert "1.30, 1.23, 1.21 and 1.20 at x = 2" in e15["description"]
 
 
+def _control(config):
+    """The negative control's row, each of its parts run here."""
+    return audit._control_row(config, audit._control_scan(config),
+                              audit._refutation())
+
+
 def test_negative_control_needs_the_failed_proof(monkeypatch):
     cfg = audit.AuditConfig(chains=["means"], samples=100, seed=1)
-    control = audit._negative_control(cfg)
+    control = _control(cfg)
     assert control.verdict == "pass" and control.max_violation > 1e-12
     monkeypatch.setattr(cascade, "is_exact_ordering", lambda lo, hi: True)
-    assert audit._negative_control(cfg).verdict == "fail"
+    assert _control(cfg).verdict == "fail"
+
+
+def test_negative_control_needs_an_exact_refutation(monkeypatch):
+    # A proof search that gives up also returns False; with W2 <= W1
+    # made true, no exact gap refutes it, and the control fails.
+    cfg = audit.AuditConfig(chains=["means"], samples=100, seed=1)
+    assert audit._refutation() == Fraction(-2, 35)
+    assert "W1 - W2 = -2/35 < 0 at x = 4" in _control(cfg).detail
+    monkeypatch.setattr(cascade, "is_exact_ordering", lambda lo, hi: False)
+    monkeypatch.setattr(catalog.get("W2"), "gen", catalog.get("W1").gen)
+    assert audit._refutation() is None
+    scan = (1.0, [])                # a scan that catches the link
+    control = audit._control_row(cfg, scan, audit._refutation())
+    assert control.verdict == "fail"
+    assert control.detail.startswith("no exact refutation")
 
 
 def test_failing_rows_name_their_link_after_the_violation():
@@ -813,8 +866,8 @@ def test_failing_rows_name_their_link_after_the_violation():
         ("index", "a", "b", "violation")}
     forked = cascade.audit_chain(chain, samples=2_000, seed=5, workers=2)
     assert forked.counterexamples == rows[0].counterexamples
-    control = audit._negative_control(
-        audit.AuditConfig(chains=["means"], samples=100, seed=42))
+    control = _control(audit.AuditConfig(chains=["means"], samples=100,
+                                         seed=42))
     for res in (rows[0], forked, control):
         assert res.verdict == ("pass" if res is control else "fail")
         assert res.counterexamples

@@ -124,38 +124,56 @@ def test_audit_loads_numpy():
 @pytest.mark.parametrize("name", ["audit", "cascade", "means", "pool"])
 def test_the_exact_half_loads_no_numpy(name):
     # Only the functions that sample import analysis, so an audit can
-    # fork its prover before numpy loads.
+    # fork its prover before numpy loads; cascade holds the convexity
+    # certificates too.
     modules = fresh(f"import json, sys, divcascade.{name}\n"
                     "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules and "analysis" not in loaded(modules)
+
+
+def test_a_convexity_certificate_loads_no_numpy():
+    # Its spot check evaluates f'' one scalar at a time.
+    verdict, modules = fresh(
+        "import json, sys, divcascade\n"
+        "res = divcascade.certify_convexity('Hgen:3')\n"
+        "print(json.dumps([res.verdict, sorted(sys.modules)]))")
+    assert verdict == "pass"
     assert "numpy" not in modules and "analysis" not in loaded(modules)
 
 
 _SENDS = """
 import contextlib, io, json, os, pickle, sys
 from divcascade import cli, pool
-parent, sends, real = os.getpid(), [], pool._send
+parent, sends, convex, real = os.getpid(), [], [], pool._send
 
 def send(fd, data):
     if os.getpid() == parent:
-        sends.append([pickle.loads(data)[0].__qualname__,
-                      "numpy" in sys.modules])
+        function, argument = pickle.loads(data)
+        sends.append([function.__qualname__, "numpy" in sys.modules])
+        if function.__qualname__ == "_proofs":
+            convex.extend(argument[3])
     return real(fd, data)
 
 pool._send = send
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sends]))
+print(json.dumps([code, sends, convex]))
 """
 
 
 def test_a_fresh_audit_sends_its_proofs_before_numpy_loads():
-    # The prover is leased first, while numpy is still absent, and the
-    # scan helpers after it, once analysis has loaded numpy.
-    code, sends = fresh(_SENDS, "audit", "--samples", "40000", "--workers",
-                        "2")
+    # The prover is leased first, while numpy is still absent, with the
+    # convexity rows to certify; the scan helpers after it, once analysis
+    # has loaded numpy; and the control's scan to a scan helper, once the
+    # scan is joined.
+    from divcascade import audit
+
+    code, sends, convex = fresh(_SENDS, "audit", "--samples", "40000",
+                                "--workers", "2")
     assert code == 0
     assert sends == [["_proofs", False], ["_scan_run", True],
-                     ["_scan_run", True]]
+                     ["_scan_run", True], ["_control_scan", True]]
+    assert convex == audit._convexity_ids()
 
 
 def test_analysis_loads_numpy_random():

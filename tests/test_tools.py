@@ -46,10 +46,12 @@ def test_bits_digests_the_listing_and_the_chain_table(capsys):
         f"{hashlib.sha256(repr(cascade.CHAINS).encode()).hexdigest()}"]
 
 
-def test_peaks_imports_and_reads_an_audit_in_process():
+def test_peaks_imports_and_reads_an_audit_in_process(no_helpers):
     # Importing runs nothing; one audit at 1 worker, in this process,
     # sends no request to a helper: it gives the first and last readings
-    # and the prover's and scan helpers' lines, both 0.
+    # and the prover's and scan helpers' lines, both 0.  At 2 workers each
+    # request shows when it is sent, when its join starts and when it is
+    # joined: the proofs, the scan, then the control's scan.
     peaks = _load("peaks")
     assert peaks.SRC == TOOLS.parent / "src"
     now = peaks.status()
@@ -59,6 +61,14 @@ def test_peaks_imports_and_reads_an_audit_in_process():
         "after import", "at the end", "prover max RSS", "scan max RSS"]
     assert [float(line.split()[3]) for line in lines[-2:]] == [0.0, 0.0]
     assert lines[0] == "workers 1" and lines[-1].endswith("(audit exit 0)")
+    lines = peaks.audit_peaks(2)
+    assert [line.split("  ")[1].strip() for line in lines[1:]] == [
+        "after import", "sent the proofs", "sent the scan",
+        "joining the scan", "joined the scan", "sent the control",
+        "joining the control", "joined the control", "joining the proofs",
+        "joined the proofs", "at the end", "prover max RSS", "scan max RSS"]
+    assert all(float(line.split()[3]) > 0 for line in lines[-2:])
+    assert lines[0] == "workers 2" and lines[-1].endswith("(audit exit 0)")
 
 
 def test_bits_digests_the_scalar_evaluators(monkeypatch):

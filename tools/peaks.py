@@ -13,12 +13,14 @@ directory), ``cli`` and ``pool`` alone, which load no numpy, and runs
 its output sent to ``os.devnull``: so the audit runs in the order of a
 fresh command line, its proofs sent to the prover before numpy loads.
 It prints the caller's ``VmHWM``, ``RssAnon`` and ``RssFile`` after the
-import, after each request is sent to helpers (the proofs, then the
-scan), when each is joined, and at the end; then, once the helpers it
-leased are reaped, the largest RSS the prover and the scan helpers each
-reached (``ru_maxrss`` of ``os.wait4``, 0 with no such helper).  At 1
-worker no helper is sent a request, so only the first and last readings
-show.
+import; after each request is sent to helpers (the proofs, the scan,
+then the negative control's scan, sent to a scan helper once the scan
+is joined), when its join starts and when it is joined; and at the end.
+Then, once the helpers it leased are reaped, it prints the largest RSS
+the prover and the scan helpers each reached (``ru_maxrss`` of
+``os.wait4``, 0 with no such helper); a helper counts as what it was
+first sent.  At 1 worker no helper is sent a request, so only the first
+and last readings show.
 
 The audit runs in process, not launched through ``subprocess``: a
 program started that way may count its launcher's peak RSS in its own
@@ -36,7 +38,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIELDS = ("VmHWM", "RssAnon", "RssFile")
 # The helpers' work, by the function of the requests they are sent.
-WORK = {"_proofs": "proofs", "_scan_run": "scan"}
+WORK = {"_proofs": "proofs", "_scan_run": "scan", "_control_scan": "control"}
 
 
 def status() -> dict[str, float]:
@@ -51,7 +53,7 @@ def status() -> dict[str, float]:
 
 
 def _line(label: str, readings: dict[str, float]) -> str:
-    return f"  {label:<18}" + "".join(
+    return f"  {label:<19}" + "".join(
         f"  {key} {readings[key]:7.2f} MB" for key in FIELDS)
 
 
@@ -61,22 +63,27 @@ def audit_peaks(workers: int) -> list[str]:
     from divcascade import cli, pool
 
     lines = [f"workers {workers}", _line("after import", status())]
-    work = {}                   # helper pid -> what it was sent
+    work = {}                   # helper pid -> what it was first sent
+    last = {}                   # helper pid -> what it was last sent
     real_lease, real_collect = pool._lease, pool._collect
 
     def lease(requests):
         helpers = real_lease(requests)
         for helper, (function, _) in zip(helpers, requests):
-            work[helper.pid] = WORK[function.__name__]
+            last[helper.pid] = WORK[function.__name__]
+            work.setdefault(helper.pid, last[helper.pid])
         if helpers:
-            lines.append(_line(f"sent the {work[helpers[0].pid]}", status()))
+            lines.append(_line(f"sent the {last[helpers[0].pid]}", status()))
         return helpers
 
     def collect(helpers):
-        if helpers:
-            lines.append(_line(f"joining the {work[helpers[0].pid]}",
-                               status()))
-        return real_collect(helpers)
+        if not helpers:
+            return real_collect(helpers)
+        label = last[helpers[0].pid]
+        lines.append(_line(f"joining the {label}", status()))
+        results = real_collect(helpers)
+        lines.append(_line(f"joined the {label}", status()))
+        return results
 
     pool._lease, pool._collect = lease, collect
     try:
@@ -93,7 +100,7 @@ def audit_peaks(workers: int) -> list[str]:
         peak = os.wait4(helper.pid, 0)[2].ru_maxrss / 1024
         peaks[work[helper.pid]] = max(peaks[work[helper.pid]], peak)
     for kind, label in (("proofs", "prover max RSS"), ("scan", "scan max RSS")):
-        lines.append(f"  {label:<18}  {peaks[kind]:7.2f} MB")
+        lines.append(f"  {label:<19}  {peaks[kind]:7.2f} MB")
     lines[-1] += f"  (audit exit {code})"
     return lines
 
